@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"net/netip"
@@ -12,76 +12,20 @@ import (
 	"flowdiff/internal/flowlog/colseg"
 )
 
-// loadLog reads a log in any of the three serializations, detected by
-// magic prefix: FDC1 (segmented columnar), FDL1 (row binary), else JSON.
+// loadLog reads a log file in any of the three serializations (FDC1,
+// FDL1, JSON; see colseg.ReadAny).
 func loadLog(path string) (*flowlog.Log, error) {
 	return loadLogFiltered(path, colseg.Filter{})
 }
 
-// loadLogFiltered is loadLog restricted to the filter's events. FDC1
-// input is read query-aware (segments pruned from the on-disk index,
-// non-matching events dropped at decode time); the row formats are
-// materialized and filtered in memory.
+// loadLogFiltered is loadLog restricted to the filter's events.
 func loadLogFiltered(path string, filter colseg.Filter) (*flowlog.Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(4)
-	var log *flowlog.Log
-	if err == nil && string(magic) == "FDC1" {
-		r, err := colseg.NewReader(br, colseg.ReaderOptions{Filter: filter})
-		if err != nil {
-			return nil, err
-		}
-		return r.ReadAll()
-	}
-	if err == nil && string(magic) == "FDL1" {
-		log, err = flowlog.ReadBinary(br)
-	} else {
-		log, err = flowlog.ReadJSON(br)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return filterLog(log, filter), nil
-}
-
-// filterLog applies a colseg-style filter to a materialized log — the
-// row formats have no index to prune from, so the filter runs in
-// memory with the same semantics as the query-aware columnar read.
-func filterLog(log *flowlog.Log, filter colseg.Filter) *flowlog.Log {
-	timeActive := filter.To > filter.From
-	if !timeActive && len(filter.Hosts) == 0 && len(filter.Switches) == 0 {
-		return log
-	}
-	hosts := make(map[netip.Addr]bool, len(filter.Hosts))
-	for _, a := range filter.Hosts {
-		hosts[a] = true
-	}
-	switches := make(map[string]bool, len(filter.Switches))
-	for _, s := range filter.Switches {
-		switches[s] = true
-	}
-	out := flowlog.New(log.Start, log.End)
-	if timeActive {
-		out.Start, out.End = filter.From, filter.To
-	}
-	for _, e := range log.Events {
-		if timeActive && (e.Time < filter.From || e.Time >= filter.To) {
-			continue
-		}
-		if len(hosts) > 0 && !hosts[e.Flow.Src] && !hosts[e.Flow.Dst] {
-			continue
-		}
-		if len(switches) > 0 && !switches[e.Switch] {
-			continue
-		}
-		out.Events = append(out.Events, e)
-	}
-	return out
+	return colseg.ReadAny(context.Background(), f, colseg.ReaderOptions{Filter: filter})
 }
 
 // runConvert implements the convert subcommand: re-serialize a log

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -31,18 +30,13 @@ func runInspect(args []string) error {
 		return fmt.Errorf("inspect: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return fmt.Errorf("inspect: reading %s: %w", path, err)
-	}
-	switch string(magic) {
-	case "FDC1":
+	switch format, br := colseg.Sniff(f); format {
+	case colseg.FormatColumnar:
 		return inspectColumnar(path, br, *columns)
-	case "FDL1":
+	case colseg.FormatBinary:
 		return inspectBinary(path, br)
 	}
-	return fmt.Errorf("inspect: %s is not an FDC1 or FDL1 file (magic %q)", path, magic)
+	return fmt.Errorf("inspect: %s is not an FDC1 or FDL1 file", path)
 }
 
 func inspectColumnar(path string, r io.Reader, columns bool) error {

@@ -117,54 +117,37 @@ func (o Options) sigConfig() signature.Config {
 	return cfg
 }
 
-// workers resolves the Parallelism knob: 0 (or negative) means one
-// worker per CPU; requests above the CPU count are clamped down.
-func (o Options) workers() int {
-	return parallel.Clamp(o.Parallelism)
-}
-
 // Signatures bundles everything extracted from one log.
 type Signatures struct {
 	Apps      []AppSignature
 	Infra     InfraSignature
 	Stability map[string]Stability
 	Log       *Log
-	opts      Options
 }
 
-// BuildSignaturesContext is a deprecated spelling of BuildSignatures.
+// BuildSignatures runs FlowDiff's modeling phase on an in-memory log:
+// BuildSignaturesReader over the log served as a single batch, with the
+// log itself recorded in the result (Signatures.Log) for task detection
+// and baseline bookkeeping.
 //
-// Deprecated: the public API is context-first — call BuildSignatures
-// directly. This thin forwarder remains only so pre-redesign callers
-// keep compiling; see the README's deprecation policy.
-func BuildSignaturesContext(ctx context.Context, log *Log, opts Options) (*Signatures, error) {
-	return BuildSignatures(ctx, log, opts)
-}
-
-// BuildSignatures runs FlowDiff's modeling phase on a log. The
-// phase is single-pass: flow occurrences are extracted once — sharded
-// by flow-key hash across the worker pool on large logs — and shared by
-// the application, infrastructure, and stability builds, which fan out
-// onto a worker pool bounded by Options.Parallelism.
-//
-// A nil or event-free log returns ErrEmptyLog. Canceling ctx stops the
-// fan-outs mid-build, drains the pool, discards the partial products,
-// and returns ErrCanceled wrapping ctx.Err(). Stage timings and
-// counters go to the obs registry traveling in ctx (obs.Default when
-// none does); instrumentation never changes the output.
+// A nil or event-free log returns ErrEmptyLog; cancellation returns
+// ErrCanceled wrapping ctx.Err().
 func BuildSignatures(ctx context.Context, log *Log, opts Options) (*Signatures, error) {
 	if log == nil || len(log.Events) == 0 {
 		return nil, fmt.Errorf("flowdiff: building signatures: %w", ErrEmptyLog)
 	}
-	defer obs.Span(ctx, "flowdiff.build").End()
-	p := signature.NewPipelineContext(ctx, log, opts.resolver(), opts.sigConfig())
-	return signaturesFromPipeline(ctx, log, p, opts)
+	sigs, err := BuildSignaturesReader(ctx, signature.LogSource(log), opts)
+	if err != nil {
+		return nil, err
+	}
+	sigs.Log = log
+	return sigs, nil
 }
 
 // signaturesFromPipeline builds every signature product from a prepared
-// pipeline. Shared between BuildSignatures (which extracts occurrences
-// itself) and Monitor (which hands the pipeline incrementally extracted
-// occurrences and cached groups).
+// pipeline. Shared between BuildSignaturesReader (whose pipeline
+// extracted the occurrences itself) and Monitor (which hands the
+// pipeline incrementally extracted occurrences and cached groups).
 func signaturesFromPipeline(ctx context.Context, log *Log, p *signature.Pipeline, opts Options) (*Signatures, error) {
 	apps := p.App()
 	infra := p.Infra()
@@ -184,7 +167,7 @@ func signaturesFromPipeline(ctx context.Context, log *Log, p *signature.Pipeline
 	if cerr := canceled(ctx); cerr != nil {
 		return nil, fmt.Errorf("flowdiff: building signatures: %w", cerr)
 	}
-	return &Signatures{Apps: apps, Infra: infra, Stability: stab, Log: log, opts: opts}, nil
+	return &Signatures{Apps: apps, Infra: infra, Stability: stab, Log: log}, nil
 }
 
 // canceled returns ErrCanceled wrapping ctx.Err() when ctx is done, nil
@@ -209,22 +192,8 @@ func Diff(ctx context.Context, base, cur *Signatures, th Thresholds) []Change {
 	return diff.CompareContext(ctx, base.Apps, cur.Apps, base.Infra, cur.Infra, base.Stability, th)
 }
 
-// DiffContext is a deprecated spelling of Diff.
-//
-// Deprecated: the public API is context-first — call Diff directly.
-func DiffContext(ctx context.Context, base, cur *Signatures, th Thresholds) []Change {
-	return Diff(ctx, base, cur, th)
-}
-
 // TaskConfig re-exports the task-mining configuration.
 type TaskConfig = taskmine.Config
-
-// MineTaskContext is a deprecated spelling of MineTask.
-//
-// Deprecated: the public API is context-first — call MineTask directly.
-func MineTaskContext(ctx context.Context, name string, runs [][]FlowKey, cfg TaskConfig) (*TaskAutomaton, error) {
-	return MineTask(ctx, name, runs, cfg)
-}
 
 // MineTask learns a task automaton from several runs of the same
 // task, where each run is the ordered flow sequence the task produced.
@@ -269,24 +238,11 @@ func Diagnose(ctx context.Context, changes []Change, tasks []TaskDetection, opts
 	return diagnose.DiagnoseContext(ctx, changes, tasks, opts.resolver(), opts.Topo, 0)
 }
 
-// DiagnoseContext is a deprecated spelling of Diagnose.
-//
-// Deprecated: the public API is context-first — call Diagnose directly.
-func DiagnoseContext(ctx context.Context, changes []Change, tasks []TaskDetection, opts Options) Report {
-	return Diagnose(ctx, changes, tasks, opts)
-}
-
-// CompareContext is a deprecated spelling of Compare.
-//
-// Deprecated: the public API is context-first — call Compare directly.
-func CompareContext(ctx context.Context, baseline, current *Log, automata []*TaskAutomaton, th Thresholds, opts Options) (Report, error) {
-	return Compare(ctx, baseline, current, automata, th, opts)
-}
-
 // Compare is the one-call convenience API: model both logs,
-// diff, detect tasks in the current log, and diagnose. With
-// Parallelism != 1 the two modeling halves run concurrently (signature
-// state is per-log, and the shared topology is read-only).
+// diff, detect tasks in the current log, and diagnose. Unless the
+// modeling pool resolves to one worker (Signature.Parallelism, falling
+// back to Parallelism) the two modeling halves run concurrently
+// (signature state is per-log, and the shared topology is read-only).
 //
 // A missing baseline returns ErrNoBaseline; a missing current log
 // returns ErrEmptyLog; cancellation surfaces as ErrCanceled from the
@@ -304,7 +260,7 @@ func Compare(ctx context.Context, baseline, current *Log, automata []*TaskAutoma
 		base, cur  *Signatures
 		berr, cerr error
 	)
-	if opts.workers() > 1 {
+	if parallel.Clamp(opts.sigConfig().Parallelism) > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 
-	"flowdiff/internal/flowlog"
 	"flowdiff/internal/topology"
 )
 
@@ -108,45 +107,10 @@ func (r *Resolver) Node(addr netip.Addr) topology.NodeID {
 	return id
 }
 
-// BuildEdges extracts the distinct directed host edges from a log's
-// PacketIn traffic.
-func BuildEdges(log *flowlog.Log, r *Resolver) map[Edge]int {
-	edges := make(map[Edge]int)
-	for _, key := range log.Flows() {
-		e := Edge{Src: r.Node(key.Src), Dst: r.Node(key.Dst)}
-		edges[e]++
-	}
-	return edges
-}
-
-// Discover partitions the communication graph into application groups.
-// Special-purpose nodes act as boundaries: they do not merge components
-// and belong to no group, but edges touching them are attributed to the
-// group of their non-special endpoint (paper §III-B).
-func Discover(log *flowlog.Log, r *Resolver, special map[topology.NodeID]bool) []Group {
-	return DiscoverFromEdges(BuildEdges(log, r), special)
-}
-
-// SameEdgeSet reports whether two BuildEdges results contain the same
-// edges. Counts are ignored: group discovery depends only on which edges
-// exist, so two logs with equal edge sets discover identical groups —
-// the invariant behind Monitor's cross-window group cache.
-func SameEdgeSet(a, b map[Edge]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for e := range a {
-		if _, ok := b[e]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // discoverScratch holds one discovery's working state: a node interner
 // and an array-based union-find (path halving + union by size) over the
 // dense IDs, recycled across calls via a pool so the concurrent
-// per-interval Discover calls in stability analysis don't re-allocate
+// per-interval discoveries in stability analysis don't re-allocate
 // the maps and arrays every interval.
 type discoverScratch struct {
 	ids    map[topology.NodeID]int32
@@ -206,8 +170,13 @@ func (s *discoverScratch) union(a, b int32) {
 	s.size[ra] += s.size[rb]
 }
 
-// DiscoverFromEdges is Discover over an already-built edge set; its
-// output is a pure function of the edge set and the special-node marks.
+// DiscoverFromEdges partitions the communication graph — the distinct
+// directed host edges of a log's PacketIn traffic — into application
+// groups. Special-purpose nodes act as boundaries: they do not merge
+// components and belong to no group, but edges touching them are
+// attributed to the group of their non-special endpoint (paper §III-B).
+// The output is a pure function of the edge set and the special-node
+// marks.
 func DiscoverFromEdges(edges map[Edge]int, special map[topology.NodeID]bool) []Group {
 	s := scratchPool.Get().(*discoverScratch)
 	defer s.release()

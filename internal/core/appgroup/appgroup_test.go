@@ -22,6 +22,17 @@ func logWith(pairs ...[2]netip.Addr) *flowlog.Log {
 	return l
 }
 
+// discover resolves a log's distinct PacketIn flows to host edges — as
+// the signature pipeline's aggregates do — and discovers groups over
+// them.
+func discover(log *flowlog.Log, r *Resolver, special map[topology.NodeID]bool) []Group {
+	edges := make(map[Edge]int)
+	for _, key := range log.Flows() {
+		edges[Edge{Src: r.Node(key.Src), Dst: r.Node(key.Dst)}]++
+	}
+	return DiscoverFromEdges(edges, special)
+}
+
 func addrOf(t *testing.T, topo *topology.Topology, id topology.NodeID) netip.Addr {
 	t.Helper()
 	n, ok := topo.Node(id)
@@ -55,7 +66,7 @@ func TestDiscoverSeparateGroups(t *testing.T) {
 		[2]netip.Addr{addrOf(t, topo, "S2"), addrOf(t, topo, "S3")},
 		[2]netip.Addr{addrOf(t, topo, "S10"), addrOf(t, topo, "S11")},
 	)
-	groups := Discover(log, r, specialSet())
+	groups := discover(log, r, specialSet())
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2: %+v", len(groups), groups)
 	}
@@ -76,12 +87,12 @@ func TestSpecialNodesDoNotMergeGroups(t *testing.T) {
 		[2]netip.Addr{addrOf(t, topo, "S10"), nfs},
 		[2]netip.Addr{addrOf(t, topo, "S10"), addrOf(t, topo, "S11")},
 	)
-	groups := Discover(log, r, specialSet())
+	groups := discover(log, r, specialSet())
 	if len(groups) != 2 {
 		t.Fatalf("shared NFS merged groups: %d groups %v", len(groups), groups)
 	}
 	// Without the special marking, the NFS node merges everything.
-	groups = Discover(log, r, nil)
+	groups = discover(log, r, nil)
 	if len(groups) != 1 {
 		t.Fatalf("without special nodes, want 1 merged group, got %d", len(groups))
 	}
@@ -94,7 +105,7 @@ func TestEdgesThroughSpecialNodesAttributed(t *testing.T) {
 		[2]netip.Addr{addrOf(t, topo, "S1"), addrOf(t, topo, "S2")},
 		[2]netip.Addr{addrOf(t, topo, "S1"), nfs},
 	)
-	groups := Discover(log, r, specialSet())
+	groups := discover(log, r, specialSet())
 	if len(groups) != 1 {
 		t.Fatalf("groups = %v", groups)
 	}
@@ -118,7 +129,7 @@ func TestUnknownAddressesGetSyntheticNodes(t *testing.T) {
 	log := logWith(
 		[2]netip.Addr{foreign, addrOf(t, topo, "S1")},
 	)
-	groups := Discover(log, r, specialSet())
+	groups := discover(log, r, specialSet())
 	if len(groups) != 1 {
 		t.Fatalf("groups = %v", groups)
 	}
@@ -180,8 +191,8 @@ func TestDiscoverDeterministicOrder(t *testing.T) {
 		[2]netip.Addr{addrOf(t, topo, "S1"), addrOf(t, topo, "S2")},
 		[2]netip.Addr{addrOf(t, topo, "S5"), addrOf(t, topo, "S6")},
 	)
-	a := Discover(log, r, specialSet())
-	b := Discover(log, r, specialSet())
+	a := discover(log, r, specialSet())
+	b := discover(log, r, specialSet())
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic group count")
 	}

@@ -6,7 +6,7 @@
 // into problem classes (Figure 2b / Figure 8), and ranking the involved
 // components for localization — both by raw change count
 // (RankComponents) and by 007-style evidence voting over the network
-// paths of the impacted flows (RankSuspects).
+// paths of the impacted flows (RankSuspectsContext).
 package diagnose
 
 import (
@@ -327,15 +327,10 @@ type Report struct {
 	Suspects []SuspectScore
 }
 
-// Diagnose runs validation, matrix construction, classification, and
-// ranking in one step. topo enables evidence-voting suspect localization
-// and may be nil.
-func Diagnose(changes []diff.Change, tasks []taskmine.Detection, r *appgroup.Resolver, topo *topology.Topology, window time.Duration) Report {
-	return DiagnoseContext(context.Background(), changes, tasks, r, topo, window)
-}
-
-// DiagnoseContext is Diagnose with the caller's context threaded through
-// to the suspect ranker for observability.
+// DiagnoseContext runs validation, matrix construction, classification,
+// and ranking in one step. topo enables evidence-voting suspect
+// localization and may be nil; ctx is threaded through to the suspect
+// ranker for observability.
 func DiagnoseContext(ctx context.Context, changes []diff.Change, tasks []taskmine.Detection, r *appgroup.Resolver, topo *topology.Topology, window time.Duration) Report {
 	known, unknown := Validate(changes, tasks, r, window)
 	return Report{

@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -282,7 +283,7 @@ func TestDiagnoseEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Diagnose(changes, nil, r, topo, 0)
+	rep := DiagnoseContext(context.Background(), changes, nil, r, topo, 0)
 	if len(rep.Unknown) != 2 || len(rep.Known) != 0 {
 		t.Errorf("report split wrong: %+v", rep)
 	}

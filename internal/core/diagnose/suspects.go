@@ -32,26 +32,21 @@ type SuspectScore struct {
 	Flows int
 }
 
-// RankSuspects localizes unexplained changes to fabric components by
-// evidence voting in the style of 007 ("Democratically Finding The Cause
-// of Packet Drops"). Every unexplained change naming at least two hosts
-// identifies an impacted flow; each distinct flow is routed through topo
-// and casts a vote of 1/path-length on every switch and link along its
-// path. Components are ranked by coverage-adjusted vote share.
-//
-// The ranking is deterministic for a given (unknown, topo) input:
-// flows vote in sorted order and ties break by kind (links first) and
-// then component id.
-func RankSuspects(unknown []diff.Change, topo *topology.Topology) []SuspectScore {
-	return RankSuspectsContext(context.Background(), unknown, topo)
-}
-
 // flowPair is one impacted src->dst flow extracted from a change.
 type flowPair struct{ a, b topology.NodeID }
 
-// RankSuspectsContext is RankSuspects with observability: it times the
-// tally under the "diagnose.tally" span and counts per-component votes
-// on the "diagnose.votes" counter.
+// RankSuspectsContext localizes unexplained changes to fabric components
+// by evidence voting in the style of 007 ("Democratically Finding The
+// Cause of Packet Drops"). Every unexplained change naming at least two
+// hosts identifies an impacted flow; each distinct flow is routed
+// through topo and casts a vote of 1/path-length on every switch and
+// link along its path. Components are ranked by coverage-adjusted vote
+// share.
+//
+// The ranking is deterministic for a given (unknown, topo) input:
+// flows vote in sorted order and ties break by kind (links first) and
+// then component id. The tally is timed under the "diagnose.tally" span
+// and per-component votes count on the "diagnose.votes" counter.
 func RankSuspectsContext(ctx context.Context, unknown []diff.Change, topo *topology.Topology) []SuspectScore {
 	if topo == nil || len(unknown) == 0 {
 		return nil

@@ -37,7 +37,7 @@ func TestRankSuspectsVoteNormalization(t *testing.T) {
 	// S3-sw2, sw2-sw1, sw1-sw3, sw3-S8 and switches sw2, sw1, sw3 — 7
 	// components, so each receives 1/7 of the flow's single vote.
 	unknown := []diff.Change{change(signature.KindFS, 0, "S3", "S8")}
-	suspects := RankSuspects(unknown, topo)
+	suspects := RankSuspectsContext(context.Background(), unknown, topo)
 	if len(suspects) != 7 {
 		t.Fatalf("want 7 suspects, got %d: %+v", len(suspects), suspects)
 	}
@@ -77,7 +77,7 @@ func TestRankSuspectsDedupesFlows(t *testing.T) {
 		change(signature.KindFS, 0, "S3", "S8"),
 		change(signature.KindCG, 0, "S8", "S3"),
 	}
-	suspects := RankSuspects(unknown, topo)
+	suspects := RankSuspectsContext(context.Background(), unknown, topo)
 	sw1, ok := suspectByID(suspects, "sw1")
 	if !ok {
 		t.Fatalf("sw1 missing from %+v", suspects)
@@ -97,17 +97,17 @@ func TestRankSuspectsSkipsNonFlowChanges(t *testing.T) {
 		change(signature.KindDD, 0, "S3"),          // single host
 		change(signature.KindCRT, 0, "controller"), // not a topology node
 	}
-	if got := RankSuspects(unknown, topo); got != nil {
+	if got := RankSuspectsContext(context.Background(), unknown, topo); got != nil {
 		t.Errorf("changes without host pairs must produce no suspects, got %+v", got)
 	}
 }
 
 func TestRankSuspectsNilInputs(t *testing.T) {
 	topo := labTopo(t)
-	if got := RankSuspects(nil, topo); got != nil {
+	if got := RankSuspectsContext(context.Background(), nil, topo); got != nil {
 		t.Errorf("nil changes: got %+v", got)
 	}
-	if got := RankSuspects([]diff.Change{change(signature.KindFS, 0, "S3", "S8")}, nil); got != nil {
+	if got := RankSuspectsContext(context.Background(), []diff.Change{change(signature.KindFS, 0, "S3", "S8")}, nil); got != nil {
 		t.Errorf("nil topology: got %+v", got)
 	}
 }
@@ -119,9 +119,9 @@ func TestRankSuspectsDeterministic(t *testing.T) {
 		unknown = append(unknown, change(signature.KindFS, 0,
 			fmt.Sprintf("S%d", i), fmt.Sprintf("S%d", 26-i)))
 	}
-	first := RankSuspects(unknown, topo)
+	first := RankSuspectsContext(context.Background(), unknown, topo)
 	for i := 0; i < 10; i++ {
-		if got := RankSuspects(unknown, topo); !reflect.DeepEqual(got, first) {
+		if got := RankSuspectsContext(context.Background(), unknown, topo); !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d differs:\n%+v\nvs\n%+v", i, got, first)
 		}
 	}
@@ -154,7 +154,7 @@ func BenchmarkRankSuspects(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := RankSuspects(unknown, topo); len(got) == 0 {
+		if got := RankSuspectsContext(context.Background(), unknown, topo); len(got) == 0 {
 			b.Fatal("empty ranking")
 		}
 	}

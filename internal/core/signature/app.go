@@ -131,21 +131,34 @@ type AppSignature struct {
 	PC map[EdgePair]float64
 }
 
-// Build extracts both application and infrastructure signatures with a
-// single occurrence-extraction pass (the dominant cost on large logs).
+// fromLog runs the modeling pipeline over an in-memory log under a
+// background context — the entry point of the ctx-less helpers below,
+// which internal/experiments uses for one-off builds.
+func fromLog(log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) *Pipeline {
+	p, err := NewPipelineFromSourceContext(context.Background(), LogSource(log), r, cfg, scfg)
+	if err != nil {
+		// A log source never fails to read and a background context is
+		// never canceled.
+		panic(err)
+	}
+	return p
+}
+
+// Build extracts both application and infrastructure signatures of a
+// log from one pipeline.
 func Build(log *flowlog.Log, r *appgroup.Resolver, cfg Config) ([]AppSignature, InfraSignature) {
-	p := NewPipeline(log, r, cfg)
+	p := fromLog(log, r, cfg, StabilityConfig{})
 	return p.App(), p.Infra()
 }
 
 // BuildApp extracts per-group application signatures from a log.
 func BuildApp(log *flowlog.Log, r *appgroup.Resolver, cfg Config) []AppSignature {
-	return NewPipeline(log, r, cfg).App()
+	return fromLog(log, r, cfg, StabilityConfig{}).App()
 }
 
 // logMeta is the interval a signature build covers — the only thing the
-// per-group builds need from a log besides its aggregates, so the
-// streaming path can supply it from a file header.
+// per-group builds need from a log besides its aggregates, so a
+// streamed source can supply it from a file header.
 type logMeta struct {
 	Start, End time.Duration
 }
@@ -153,42 +166,20 @@ type logMeta struct {
 func (m logMeta) Duration() time.Duration { return m.End - m.Start }
 
 // removedSample carries the FlowRemoved counters the FS signature
-// aggregates. Keeping samples instead of whole events lets the
-// streaming build drop FlowRemoved events after one scan.
+// aggregates. Keeping samples instead of whole events lets a build drop
+// FlowRemoved events after one scan.
 type removedSample struct {
 	Bytes, Packets uint64
 	Duration       time.Duration
 }
 
-// appView is everything the per-group signature builds consume from a
-// log besides its occurrences: the covered interval and the FlowRemoved
-// counter samples per host edge, in log order. Both the in-memory path
-// (viewFromLog) and the streaming path (sourceAgg) produce it, which is
-// what makes their signatures byte-identical.
+// appView is everything the per-group signature builds consume besides
+// the occurrences: the covered interval and the FlowRemoved counter
+// samples per host edge, in log order. sourceAgg produces one for the
+// whole log and one per stability interval.
 type appView struct {
 	meta    logMeta
 	removed map[Edge][]removedSample
-}
-
-// viewFromLog scans a log once for the per-edge FlowRemoved samples.
-func viewFromLog(log *flowlog.Log, r *appgroup.Resolver) appView {
-	v := appView{
-		meta:    logMeta{Start: log.Start, End: log.End},
-		removed: make(map[Edge][]removedSample),
-	}
-	for i := range log.Events {
-		ev := &log.Events[i]
-		if ev.Type != flowlog.EventFlowRemoved {
-			continue
-		}
-		e := Edge{Src: r.Node(ev.Flow.Src), Dst: r.Node(ev.Flow.Dst)}
-		v.removed[e] = append(v.removed[e], removedSample{Bytes: ev.Bytes, Packets: ev.Packets, Duration: ev.FlowDuration})
-	}
-	return v
-}
-
-func buildAppFromOccs(ctx context.Context, log *flowlog.Log, r *appgroup.Resolver, cfg Config, occs []Occurrence) []AppSignature {
-	return buildAppFromGroups(ctx, viewFromLog(log, r), r, cfg, occs, appgroup.Discover(log, r, cfg.Special))
 }
 
 func buildAppFromGroups(ctx context.Context, view appView, r *appgroup.Resolver, cfg Config, occs []Occurrence, groups []appgroup.Group) []AppSignature {

@@ -53,7 +53,7 @@ type InfraSignature struct {
 
 // BuildInfra extracts the infrastructure signature from a log.
 func BuildInfra(log *flowlog.Log, r *appgroup.Resolver, cfg Config) InfraSignature {
-	return NewPipeline(log, r, cfg).Infra()
+	return fromLog(log, r, cfg, StabilityConfig{}).Infra()
 }
 
 // removedFlow is one flow key's final byte count: the first FlowRemoved
@@ -64,31 +64,11 @@ type removedFlow struct {
 	Bytes uint64
 }
 
-// firstRemovals collects each flow key's first FlowRemoved, in log order.
-func firstRemovals(log *flowlog.Log) []removedFlow {
-	var out []removedFlow
-	seen := make(map[flowlog.FlowKey]bool)
-	for i := range log.Events {
-		e := &log.Events[i]
-		if e.Type != flowlog.EventFlowRemoved || seen[e.Flow] {
-			continue
-		}
-		seen[e.Flow] = true
-		out = append(out, removedFlow{Key: e.Flow, Bytes: e.Bytes})
-	}
-	return out
-}
-
-// attachLinkBytes distributes each removed flow's byte count over the
-// switch adjacencies its occurrences traversed, normalized to bytes per
-// second of log time. occs are the log's (already extracted) episodes.
-func attachLinkBytes(inf *InfraSignature, log *flowlog.Log, occs []Occurrence) {
-	attachLinkBytesFrom(inf, log.Duration(), firstRemovals(log), occs)
-}
-
-// attachLinkBytesFrom is the shared core behind the in-memory and
-// streaming paths: removals must hold one entry per flow key, in log
-// order, so float accumulation order matches across both paths.
+// attachLinkBytesFrom distributes each removed flow's byte count over
+// the switch adjacencies its occurrences traversed, normalized to bytes
+// per second of log time. removals must hold one entry per flow key, in
+// log order (the float accumulation order is part of the byte-identical
+// contract); occs are the log's episodes.
 func attachLinkBytesFrom(inf *InfraSignature, dur time.Duration, removals []removedFlow, occs []Occurrence) {
 	if dur <= 0 {
 		return

@@ -9,7 +9,6 @@
 package signature
 
 import (
-	"sort"
 	"time"
 
 	"flowdiff/internal/flowlog"
@@ -117,71 +116,16 @@ func appendEpisode(out []Occurrence, key flowlog.FlowKey, events []flowlog.Event
 	return append(out, Occurrence{Key: key, Start: episodeStart(events), Events: events})
 }
 
-// splitEpisodes splits one key's time-sorted event buffer at gaps and
-// appends the resulting episodes to out. Episodes are subslices of buf.
-func splitEpisodes(out []Occurrence, key flowlog.FlowKey, buf []flowlog.Event, gap time.Duration) []Occurrence {
-	epStart := 0
-	for j := 1; j < len(buf); j++ {
-		if buf[j].Time-buf[j-1].Time > gap {
-			out = appendEpisode(out, key, buf[epStart:j:j])
-			epStart = j
-		}
-	}
-	return appendEpisode(out, key, buf[epStart:len(buf):len(buf)])
-}
-
-// extractFromIdxs turns a per-key index grouping into the start-sorted
-// occurrence slice. It is the shared tail of the serial and sharded
-// extraction paths: per key, copy the events into one contiguous buffer
-// (sorting the indices first only when the log is out of order) and
-// split it at gaps.
-func extractFromIdxs(log *flowlog.Log, perKey map[flowlog.FlowKey][]int32, gap time.Duration) []Occurrence {
-	out := make([]Occurrence, 0, len(perKey))
-	for key, idxs := range perKey {
-		// Logs are normally already time-sorted, in which case the
-		// scan-order index list is sorted too; only fall back to an
-		// explicit sort when needed.
-		sorted := true
-		for j := 1; j < len(idxs); j++ {
-			if log.Events[idxs[j]].Time < log.Events[idxs[j-1]].Time {
-				sorted = false
-				break
-			}
-		}
-		if !sorted {
-			sort.SliceStable(idxs, func(a, b int) bool {
-				return log.Events[idxs[a]].Time < log.Events[idxs[b]].Time
-			})
-		}
-		// One contiguous buffer per key; episodes are subslices of it.
-		buf := make([]flowlog.Event, len(idxs))
-		for j, idx := range idxs {
-			buf[j] = log.Events[idx]
-		}
-		out = splitEpisodes(out, key, buf, gap)
-	}
-	sort.Slice(out, func(i, j int) bool { return occLess(out[i], out[j]) })
-	return out
-}
-
-// Occurrences extracts flow episodes from a log. Events are grouped per
-// flow key, ordered by time, and split wherever the gap between
-// consecutive control events of the key exceeds gap (<=0 uses
-// DefaultOccurrenceGap). The result is ordered by start time (ties
-// broken by key), the canonical order shared with OccurrencesSharded
-// and StreamExtractor.
+// Occurrences extracts a log's flow episodes: events are grouped per
+// flow key, ordered by time (out-of-order logs included), and split
+// wherever the gap between consecutive control events of the key
+// exceeds gap (<=0 uses DefaultOccurrenceGap). The result is in the
+// canonical order — start time, ties broken by key — for every worker
+// count of OccurrencesSharded as well.
 func Occurrences(log *flowlog.Log, gap time.Duration) []Occurrence {
-	if gap <= 0 {
-		gap = DefaultOccurrenceGap
-	}
-	// Work with indices into log.Events to avoid copying the (large)
-	// Event structs while grouping.
-	perKey := make(map[flowlog.FlowKey][]int32)
+	x := NewStreamExtractor(gap)
 	for i := range log.Events {
-		if !relevant(log.Events[i].Type) {
-			continue
-		}
-		perKey[log.Events[i].Flow] = append(perKey[log.Events[i].Flow], int32(i))
+		x.Append(log.Events[i])
 	}
-	return extractFromIdxs(log, perKey, gap)
+	return x.Flush()
 }

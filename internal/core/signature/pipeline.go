@@ -6,41 +6,32 @@ import (
 	"sort"
 
 	"flowdiff/internal/core/appgroup"
-	"flowdiff/internal/flowlog"
 	"flowdiff/internal/obs"
 	"flowdiff/internal/parallel"
 )
 
-// Pipeline shares one occurrence-extraction pass across every signature
-// product of a log: application signatures, infrastructure signatures,
-// and the per-interval stability analysis.
-//
-// Occurrence extraction is the dominant cost of FlowDiff's modeling
-// phase on large logs; before this pipeline existed, one modeling run
-// re-ran it once for the app signatures, once for the infrastructure
-// signature, once more for link utilization, and once per stability
-// interval plus once for the whole-log reference — 8+ full passes with
-// the default five intervals. Pipeline extracts occurrences exactly
-// once, partitions them across the stability intervals by index slicing
-// over the start-time-sorted slice, and fans independent builds (per
-// application group, per interval) onto a bounded worker pool. Output is
-// deterministic: every worker writes only its own slot, so results are
-// identical for any worker count.
+// Pipeline is FlowDiff's one modeling path: every signature product of
+// a log — application signatures, infrastructure signature, and the
+// per-interval stability analysis — is built from one pass over its
+// events. That pass (NewPipelineFromSourceContext) extracts the flow
+// occurrences once and folds everything else the builds consume into
+// running aggregates (sourceAgg); the products then partition the
+// start-time-sorted occurrences across the stability intervals by index
+// slicing and fan independent builds (per application group, per
+// interval) onto a bounded worker pool. Output is deterministic: every
+// worker writes only its own slot, so results are identical for any
+// worker count.
 //
 // The pipeline carries the context it was created with: fan-outs run on
 // parallel.ForContext (so cancellation stops dispatch and the pool
 // drains), and stage timings/counters go to the context's obs registry
 // (span.signature.* histograms, signature.* counters). After
 // cancellation the pipeline's products are partial; callers observe
-// ctx.Err() and must discard them — flowdiff.BuildSignaturesContext
-// does exactly that.
+// ctx.Err() and must discard them — flowdiff.BuildSignaturesReader does
+// exactly that.
 type Pipeline struct {
-	ctx context.Context
-	// Exactly one backing store is set: log for the in-memory paths, agg
-	// for pipelines streamed from an EventSource. meta covers both.
-	log  *flowlog.Log
+	ctx  context.Context
 	agg  *sourceAgg
-	meta logMeta
 	r    *appgroup.Resolver
 	cfg  Config
 	occs []Occurrence
@@ -51,51 +42,18 @@ type Pipeline struct {
 	hasGroups bool
 }
 
-// NewPipeline is NewPipelineContext with a background context.
-func NewPipeline(log *flowlog.Log, r *appgroup.Resolver, cfg Config) *Pipeline {
-	return NewPipelineContext(context.Background(), log, r, cfg)
-}
-
-// NewPipelineContext extracts the log's flow occurrences once — sharded
-// by flow-key hash across Config.Parallelism workers on large logs —
-// and returns a pipeline that builds every signature product from them.
-// The span "signature.extract" times the extraction; the counter
-// "signature.occurrences" accumulates the episode count.
-func NewPipelineContext(ctx context.Context, log *flowlog.Log, r *appgroup.Resolver, cfg Config) *Pipeline {
-	cfg = cfg.withDefaults()
-	sp := obs.Span(ctx, "signature.extract")
-	occs := occurrencesSharded(ctx, log, cfg.OccurrenceGap, cfg.workers())
-	sp.End()
+func newPipeline(ctx context.Context, agg *sourceAgg, r *appgroup.Resolver, cfg Config, occs []Occurrence) *Pipeline {
 	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
-	return &Pipeline{ctx: ctx, log: log, meta: logMeta{Start: log.Start, End: log.End}, r: r, cfg: cfg, occs: occs}
+	return &Pipeline{ctx: ctx, agg: agg, r: r, cfg: cfg, occs: occs}
 }
 
-// NewPipelineFromOccurrences is NewPipelineFromOccurrencesContext with a
-// background context.
-func NewPipelineFromOccurrences(log *flowlog.Log, r *appgroup.Resolver, cfg Config, occs []Occurrence) *Pipeline {
-	return NewPipelineFromOccurrencesContext(context.Background(), log, r, cfg, occs)
-}
+// EventCount returns how many events the pipeline was built from.
+func (p *Pipeline) EventCount() int { return p.agg.events }
 
-// NewPipelineFromOccurrencesContext builds a pipeline over already-
-// extracted occurrences, skipping the extraction pass entirely. The
-// occurrences must be in canonical order (as produced by Occurrences,
-// OccurrencesSharded, or StreamExtractor.Flush) and cover exactly the
-// given log; Monitor uses this to reuse each window's incrementally
-// extracted episodes. The pipeline takes ownership of the slice.
-func NewPipelineFromOccurrencesContext(ctx context.Context, log *flowlog.Log, r *appgroup.Resolver, cfg Config, occs []Occurrence) *Pipeline {
-	cfg = cfg.withDefaults()
-	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
-	return &Pipeline{ctx: ctx, log: log, meta: logMeta{Start: log.Start, End: log.End}, r: r, cfg: cfg, occs: occs}
-}
-
-// EventCount returns how many events backed the pipeline — the log's
-// length, or the number of events streamed from the source.
-func (p *Pipeline) EventCount() int {
-	if p.agg != nil {
-		return p.agg.events
-	}
-	return len(p.log.Events)
-}
+// Edges returns the log's distinct host edges (from PacketIn traffic) —
+// the input of group discovery. The map is owned by the pipeline and
+// must not be mutated.
+func (p *Pipeline) Edges() map[Edge]int { return p.agg.edges }
 
 // Occurrences returns the shared flow episodes, ordered by start time.
 // The slice is owned by the pipeline and must not be mutated.
@@ -106,11 +64,7 @@ func (p *Pipeline) Occurrences() []Occurrence { return p.occs }
 func (p *Pipeline) Groups() []appgroup.Group {
 	if !p.hasGroups {
 		sp := obs.Span(p.ctx, "signature.groups")
-		if p.agg != nil {
-			p.groups = appgroup.DiscoverFromEdges(p.agg.edges, p.cfg.Special)
-		} else {
-			p.groups = appgroup.Discover(p.log, p.r, p.cfg.Special)
-		}
+		p.groups = appgroup.DiscoverFromEdges(p.agg.edges, p.cfg.Special)
 		sp.End()
 		obs.From(p.ctx).Counter("signature.groups").Add(int64(len(p.groups)))
 		p.hasGroups = true
@@ -119,9 +73,9 @@ func (p *Pipeline) Groups() []appgroup.Group {
 }
 
 // SetGroups seeds group discovery with an already-discovered result.
-// Discovery depends only on the log's host edge set, so a caller that
-// knows the edge set is unchanged from a previous log (Monitor, across
-// windows) can carry the groups over instead of rediscovering.
+// Discovery depends only on the host edge set (Edges), so a caller that
+// sees it unchanged from a previous log (Monitor, across windows) can
+// carry the groups over instead of rediscovering.
 func (p *Pipeline) SetGroups(groups []appgroup.Group) {
 	p.groups = groups
 	p.hasGroups = true
@@ -131,75 +85,33 @@ func (p *Pipeline) SetGroups(groups []appgroup.Group) {
 // occurrences, one worker-pool task per group.
 func (p *Pipeline) App() []AppSignature {
 	defer obs.Span(p.ctx, "signature.app").End()
-	return buildAppFromGroups(p.ctx, p.view(), p.r, p.cfg, p.occs, p.Groups())
-}
-
-// view assembles the per-group build inputs from whichever backing
-// store the pipeline has.
-func (p *Pipeline) view() appView {
-	if p.agg != nil {
-		return p.agg.view()
-	}
-	return viewFromLog(p.log, p.r)
+	return buildAppFromGroups(p.ctx, appView{meta: p.agg.meta, removed: p.agg.removed}, p.r, p.cfg, p.occs, p.Groups())
 }
 
 // Infra builds the infrastructure signature from the shared occurrences.
 func (p *Pipeline) Infra() InfraSignature {
 	defer obs.Span(p.ctx, "signature.infra").End()
 	inf := buildInfraFromOccs(p.r, p.cfg, p.occs)
-	inf.LogDuration = p.meta.Duration()
-	if p.agg != nil {
-		attachLinkBytesFrom(&inf, p.meta.Duration(), p.agg.removals, p.occs)
-	} else {
-		attachLinkBytes(&inf, p.log, p.occs)
-	}
+	inf.LogDuration = p.agg.meta.Duration()
+	attachLinkBytesFrom(&inf, p.agg.meta.Duration(), p.agg.removals, p.occs)
 	return inf
 }
 
 // Stability runs the per-interval stability analysis against full, the
 // whole-log signatures (pass App()'s result to avoid rebuilding them).
-// The log is segmented into cheap views and the shared occurrences are
-// partitioned across the intervals by binary search on their start
-// times; the per-interval builds then run on the worker pool.
+// The per-interval edge sets and FlowRemoved samples were aggregated
+// during the event pass (sized by the StabilityConfig given then), and
+// the shared occurrences are partitioned across the intervals by binary
+// search on their start times; the per-interval builds then run on the
+// worker pool.
 func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[string]Stability, error) {
 	defer obs.Span(p.ctx, "signature.stability").End()
 	scfg = scfg.withDefaults()
-	if p.agg != nil {
-		return p.stabilityFromAgg(scfg, full)
-	}
-	segs, err := p.log.Segment(scfg.Intervals)
-	if err != nil {
-		return nil, fmt.Errorf("signature: segmenting log: %w", err)
-	}
-	obs.From(p.ctx).Counter("signature.intervals").Add(int64(len(segs)))
-	metas := make([]logMeta, len(segs))
-	for i, s := range segs {
-		metas[i] = logMeta{Start: s.Start, End: s.End}
-	}
-	parts := partitionByStart(p.occs, metas)
-	intervals := make([][]AppSignature, len(segs))
-	// Parallelism lives at the interval level here; the nested per-group
-	// builds run serially so the pool stays bounded at cfg.workers().
-	serial := p.cfg
-	serial.Parallelism = 1
-	if err := parallel.ForContext(p.ctx, len(segs), p.cfg.workers(), func(i int) {
-		intervals[i] = buildAppFromOccs(p.ctx, segs[i], p.r, serial, parts[i])
-	}); err != nil {
-		return nil, err
-	}
-	return Stabilities(full, intervals, scfg), nil
-}
-
-// stabilityFromAgg is Stability over a source-streamed pipeline: the
-// per-interval edge sets and FlowRemoved samples were aggregated during
-// the streaming pass (sized by the StabilityConfig given then), so each
-// interval build needs only its occurrence partition.
-func (p *Pipeline) stabilityFromAgg(scfg StabilityConfig, full []AppSignature) (map[string]Stability, error) {
 	if p.agg.segErr != nil {
 		return nil, fmt.Errorf("signature: segmenting log: %w", p.agg.segErr)
 	}
 	if scfg.Intervals != len(p.agg.segs) {
-		return nil, fmt.Errorf("signature: source pipeline aggregated %d stability intervals, asked for %d", len(p.agg.segs), scfg.Intervals)
+		return nil, fmt.Errorf("signature: pipeline aggregated %d stability intervals, asked for %d", len(p.agg.segs), scfg.Intervals)
 	}
 	obs.From(p.ctx).Counter("signature.intervals").Add(int64(len(p.agg.segs)))
 	metas := make([]logMeta, len(p.agg.segs))
@@ -208,6 +120,8 @@ func (p *Pipeline) stabilityFromAgg(scfg StabilityConfig, full []AppSignature) (
 	}
 	parts := partitionByStart(p.occs, metas)
 	intervals := make([][]AppSignature, len(metas))
+	// Parallelism lives at the interval level here; the nested per-group
+	// builds run serially so the pool stays bounded at cfg.workers().
 	serial := p.cfg
 	serial.Parallelism = 1
 	if err := parallel.ForContext(p.ctx, len(metas), p.cfg.workers(), func(i int) {
@@ -223,7 +137,7 @@ func (p *Pipeline) stabilityFromAgg(scfg StabilityConfig, full []AppSignature) (
 // partitionByStart slices occs (sorted by start time) into per-segment
 // subslices: an occurrence belongs to the interval containing its start.
 // The final segment is inclusive of its end so an episode starting
-// exactly at the log's End is not lost (mirroring flowlog.Segment).
+// exactly at the log's End is not lost (as in sourceAgg.segIndex).
 func partitionByStart(occs []Occurrence, segs []logMeta) [][]Occurrence {
 	parts := make([][]Occurrence, len(segs))
 	for i, s := range segs {

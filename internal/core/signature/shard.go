@@ -5,13 +5,7 @@ import (
 	"time"
 
 	"flowdiff/internal/flowlog"
-	"flowdiff/internal/parallel"
 )
-
-// shardedMinEvents is the log size below which sharded extraction falls
-// back to the serial path: the hash pass and merge overhead only pay for
-// themselves on logs large enough that grouping dominates.
-const shardedMinEvents = 2048
 
 // hashKey is an FNV-1a hash of the flow 5-tuple, used only to assign
 // keys to extraction shards. It must depend on nothing but the key, so
@@ -39,70 +33,29 @@ func hashKey(k flowlog.FlowKey) uint32 {
 	return h
 }
 
-// OccurrencesSharded extracts the same episodes as Occurrences by
-// sharding flow keys across workers goroutines (workers <= 0 uses one
-// per CPU). Extraction is two parallel passes:
-//
-//  1. the event slice is chunked across the pool and each control
-//     event's key is hashed once into a shared table (a zero entry marks
-//     a non-control event; real hashes have their high bit forced set);
-//  2. each worker owns the keys whose hash maps to its shard, walks the
-//     hash table picking out its events, and runs the serial
-//     group-and-split tail (extractFromIdxs) on its disjoint key set.
-//
-// Every per-shard output is already in canonical occurrence order
-// (start time, then key — a total order), so a k-way merge reproduces
-// the serial result exactly: byte-identical for every worker count,
-// pinned by TestOccurrencesShardedMatchesSerial.
-//
-// The worker count comes from cfg.Parallelism — the same knob
-// flowdiff.Options.Parallelism flows into — clamped to GOMAXPROCS by
-// the parallel.Clamp contract; there is no separate workers argument.
+// OccurrencesSharded extracts the same episodes as Occurrences with the
+// flow keys sharded across cfg.Parallelism workers — the knob
+// flowdiff.Options.Parallelism flows into, clamped to GOMAXPROCS by the
+// parallel.Clamp contract. It is the extractor every signature build
+// runs (streamShards), applied to a whole log: byte-identical output
+// for every worker count, pinned by TestOccurrencesShardedMatchesSerial.
 func OccurrencesSharded(log *flowlog.Log, cfg Config) []Occurrence {
 	cfg = cfg.withDefaults()
 	return occurrencesSharded(context.Background(), log, cfg.OccurrenceGap, cfg.workers())
 }
 
 // occurrencesSharded is the unclamped core: workers is taken as given,
-// so tests can pin shard counts above GOMAXPROCS (the sharding must be
-// byte-identical at any width, whatever the host size). Cancelling ctx
-// stops shard dispatch; the partial merge is discarded by the caller
-// observing ctx.Err().
+// so tests can pin shard counts above GOMAXPROCS. A canceled ctx yields
+// a partial result the caller discards on observing ctx.Err().
 func occurrencesSharded(ctx context.Context, log *flowlog.Log, gap time.Duration, workers int) []Occurrence {
-	if gap <= 0 {
-		gap = DefaultOccurrenceGap
-	}
-	n := len(log.Events)
-	if workers <= 1 || n < shardedMinEvents {
-		return Occurrences(log, gap)
-	}
-	const liveBit = 1 << 31
-	hs := make([]uint32, n)
-	if err := parallel.ForContext(ctx, workers, workers, func(c int) {
-		lo, hi := n*c/workers, n*(c+1)/workers
-		for i := lo; i < hi; i++ {
-			if relevant(log.Events[i].Type) {
-				hs[i] = hashKey(log.Events[i].Flow) | liveBit
-			}
+	s := newStreamShards(gap, workers)
+	for i := range log.Events {
+		if s.add(ctx, &log.Events[i]) != nil {
+			return nil
 		}
-	}); err != nil {
-		return nil
 	}
-	parts := make([][]Occurrence, workers)
-	// The error is ctx.Err(); the public entry points surface it after
-	// the build, and a canceled pipeline's products are discarded.
-	_ = parallel.ForContext(ctx, workers, workers, func(w int) {
-		perKey := make(map[flowlog.FlowKey][]int32)
-		for i := 0; i < n; i++ {
-			h := hs[i]
-			if h == 0 || int(h&^uint32(liveBit))%workers != w {
-				continue
-			}
-			perKey[log.Events[i].Flow] = append(perKey[log.Events[i].Flow], int32(i))
-		}
-		parts[w] = extractFromIdxs(log, perKey, gap)
-	})
-	return mergeOccurrences(parts)
+	occs, _ := s.finish(ctx)
+	return occs
 }
 
 // mergeOccurrences k-way merges per-shard occurrence slices that are

@@ -12,12 +12,12 @@ import (
 	"flowdiff/internal/parallel"
 )
 
-// EventSource is a pull-based stream of decoded event batches, the
-// streaming counterpart of a materialized flowlog.Log. colseg.Reader
-// implements it over the on-disk columnar format. Next returns io.EOF
-// after the final batch; a returned slice is only valid until the next
-// call, so consumers must not retain it (events themselves may be
-// copied out freely).
+// EventSource is a pull-based stream of decoded event batches — the
+// one input of the modeling pipeline. colseg.Reader implements it over
+// the on-disk columnar format and LogSource over a materialized
+// flowlog.Log. Next returns io.EOF after the final batch; a returned
+// slice is only valid until the next call, so consumers must not retain
+// it (events themselves may be copied out freely).
 type EventSource interface {
 	Next() ([]flowlog.Event, error)
 	// Bounds returns the covered interval [start, end] — flowlog.Log's
@@ -25,20 +25,39 @@ type EventSource interface {
 	Bounds() (start, end time.Duration)
 }
 
+// logSource serves a materialized log as a single batch.
+type logSource struct {
+	log  *flowlog.Log
+	done bool
+}
+
+// LogSource adapts an in-memory log to the EventSource interface: one
+// batch holding every event in log order, then io.EOF.
+func LogSource(log *flowlog.Log) EventSource { return &logSource{log: log} }
+
+func (s *logSource) Next() ([]flowlog.Event, error) {
+	if s.done {
+		return nil, io.EOF
+	}
+	s.done = true
+	return s.log.Events, nil
+}
+
+func (s *logSource) Bounds() (start, end time.Duration) { return s.log.Start, s.log.End }
+
 // sourceAgg accumulates, in one streaming pass, every per-log aggregate
 // the signature builds need besides the occurrences: the distinct
 // PacketIn edge set (group discovery), per-edge FlowRemoved samples in
 // log order (FS statistics), the first FlowRemoved per flow key in log
 // order (link-utilization attribution), and per-stability-interval
-// versions of the first two. Each aggregate replicates exactly what the
-// in-memory path derives from the full event slice, which is what makes
-// the streaming build's report byte-identical.
+// versions of the first two. Sample order follows event order, which is
+// part of the byte-identical contract: float accumulation downstream
+// runs in that order.
 type sourceAgg struct {
 	meta    logMeta
 	edges   map[Edge]int
 	removed map[Edge][]removedSample
-	// removals is firstRemovals of the streamed log: one entry per flow
-	// key, in log order.
+	// removals holds each flow key's first FlowRemoved, in log order.
 	removals []removedFlow
 	// segs mirror flowlog.Segment(intervals) over [Start, End]; segErr
 	// preserves Segment's error for Stability-time parity.
@@ -135,24 +154,21 @@ func (a *sourceAgg) add(e *flowlog.Event, r *appgroup.Resolver) {
 	}
 }
 
-func (a *sourceAgg) view() appView {
-	return appView{meta: a.meta, removed: a.removed}
-}
-
 // streamStageEvents is how many staged control events accumulate before
 // the sharded extractor drains them onto the worker pool. Large enough
 // to amortize fan-out, small enough that staging stays a rounding error
 // against a decoded segment.
 const streamStageEvents = 1 << 15
 
-// streamShards fans streamed events into per-flow-shard StreamExtractors,
-// the streaming counterpart of OccurrencesSharded: events are staged by
-// flow-key hash and periodically drained in parallel — each extractor is
+// streamShards is the occurrence extractor of every signature build:
+// one StreamExtractor per worker, fed by flow-key hash. With a single
+// worker events go straight into it; otherwise they are staged per
+// shard and periodically drained in parallel — each extractor is
 // touched by one worker per drain, and shard assignment depends only on
 // the key, so every event of a key lands in the same extractor. Each
 // per-shard Flush is in canonical occurrence order and the merge
-// comparator is a total order, so the result is byte-identical to the
-// serial path for every worker count.
+// comparator is a total order, so the result is byte-identical for
+// every worker count.
 type streamShards struct {
 	xs     []*StreamExtractor
 	bufs   [][]flowlog.Event
@@ -170,14 +186,23 @@ func newStreamShards(gap time.Duration, workers int) *streamShards {
 	return s
 }
 
-func (s *streamShards) stage(e flowlog.Event) {
+// add feeds one event, draining the stages once streamStageEvents have
+// accumulated. The only possible error is ctx's.
+func (s *streamShards) add(ctx context.Context, e *flowlog.Event) error {
 	if !relevant(e.Type) {
-		return
+		return nil
 	}
-	const liveBit = 1 << 31
-	w := int(hashKey(e.Flow)&^uint32(liveBit)) % len(s.xs)
-	s.bufs[w] = append(s.bufs[w], e)
+	if len(s.xs) == 1 {
+		s.xs[0].Append(*e)
+		return nil
+	}
+	w := hashKey(e.Flow) % uint32(len(s.xs))
+	s.bufs[w] = append(s.bufs[w], *e)
 	s.staged++
+	if s.staged < streamStageEvents {
+		return nil
+	}
+	return s.drain(ctx)
 }
 
 func (s *streamShards) drain(ctx context.Context) error {
@@ -204,52 +229,50 @@ func (s *streamShards) finish(ctx context.Context) ([]Occurrence, error) {
 	return mergeOccurrences(parts), nil
 }
 
-// NewPipelineFromSource is NewPipelineFromSourceContext with a
-// background context.
-func NewPipelineFromSource(src EventSource, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) (*Pipeline, error) {
-	return NewPipelineFromSourceContext(context.Background(), src, r, cfg, scfg)
-}
-
 // NewPipelineFromSourceContext builds a pipeline by streaming the
 // source once: occurrences are extracted incrementally (sharded by
 // flow-key hash across Config.Parallelism workers), and everything else
 // the signature builds need — edge sets, FlowRemoved samples, per-
 // interval aggregates sized by scfg.Intervals — is folded into running
 // aggregates, so peak memory is one decoded batch plus the aggregates
-// and occurrences, never the full event slice. The resulting pipeline's
-// products are byte-identical to one built over the same events in
-// memory; its Stability must be called with the same interval count the
+// and occurrences, never more of the event stream than the source
+// itself holds. The span "signature.extract" times the pass; the
+// counter "signature.occurrences" accumulates the episode count. The
+// pipeline's Stability must be called with the interval count the
 // aggregates were sized with.
 func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
-	scfg = scfg.withDefaults()
 	start, end := src.Bounds()
-	agg := newSourceAgg(start, end, scfg.Intervals)
-	//lint:ignore obsspan same logical stage as the in-memory pipeline's extract; a build runs exactly one of the two paths, and the name must stay stable for timeline consumers
+	agg := newSourceAgg(start, end, scfg.withDefaults().Intervals)
 	sp := obs.Span(ctx, "signature.extract")
 	occs, err := extractFromSource(ctx, src, agg, r, cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
-	return &Pipeline{ctx: ctx, meta: agg.meta, agg: agg, r: r, cfg: cfg, occs: occs}, nil
+	return newPipeline(ctx, agg, r, cfg, occs), nil
+}
+
+// NewPipelineFromOccurrencesContext builds a pipeline over a log whose
+// occurrences are already extracted, skipping the extraction pass: only
+// the aggregates (sized by scfg.Intervals, as above) are folded from
+// the log's events. The occurrences must be in canonical order (as
+// produced by Occurrences, OccurrencesSharded, or
+// StreamExtractor.Flush) and cover exactly the given log; Monitor uses
+// this to reuse each window's incrementally extracted episodes. The
+// pipeline takes ownership of the slice.
+func NewPipelineFromOccurrencesContext(ctx context.Context, log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityConfig, occs []Occurrence) *Pipeline {
+	agg := newSourceAgg(log.Start, log.End, scfg.withDefaults().Intervals)
+	for i := range log.Events {
+		agg.add(&log.Events[i], r)
+	}
+	return newPipeline(ctx, agg, r, cfg.withDefaults(), occs)
 }
 
 // extractFromSource drains the source, feeding every event to the
-// aggregates and every control event to the occurrence extractor —
-// serial below two workers, sharded otherwise.
+// aggregates and to the occurrence extractor.
 func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, r *appgroup.Resolver, cfg Config) ([]Occurrence, error) {
-	workers := cfg.workers()
-	var (
-		serial *StreamExtractor
-		shards *streamShards
-	)
-	if workers <= 1 {
-		serial = NewStreamExtractor(cfg.OccurrenceGap)
-	} else {
-		shards = newStreamShards(cfg.OccurrenceGap, workers)
-	}
+	shards := newStreamShards(cfg.OccurrenceGap, cfg.workers())
 	for {
 		batch, err := src.Next()
 		if err == io.EOF {
@@ -260,23 +283,13 @@ func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, r *
 		}
 		for i := range batch {
 			agg.add(&batch[i], r)
-			if serial != nil {
-				serial.Append(batch[i])
-			} else {
-				shards.stage(batch[i])
-			}
-		}
-		if shards != nil && shards.staged >= streamStageEvents {
-			if err := shards.drain(ctx); err != nil {
+			if err := shards.add(ctx, &batch[i]); err != nil {
 				return nil, err
 			}
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if serial != nil {
-		return serial.Flush(), nil
 	}
 	return shards.finish(ctx)
 }

@@ -2,6 +2,7 @@ package signature
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -43,49 +44,72 @@ func sourceOf(l *flowlog.Log, batch int) *sliceSource {
 	return &sliceSource{events: l.Events, start: l.Start, end: l.End, batch: batch}
 }
 
-// TestPipelineFromSourceMatchesInMemory pins the streaming build's
-// equivalence contract: every product of a source-fed pipeline —
-// occurrences, app signatures, infra signature, stability — must be
+// TestPipelineFromSourceMatchesInMemory pins the modeling pipeline
+// against the retained in-memory oracle (pipelineReference: batch
+// extraction plus whole-log scans): every product — occurrences, edge
+// set, app signatures, infra signature, stability — must be
 // byte-identical (reflect.DeepEqual over float-carrying structs, so
-// same accumulation order, not just same values) to the in-memory
-// pipeline over the same events, for every worker count.
+// same accumulation order, not just same values) for every worker
+// count and source shape, on a sorted log large enough that the shards
+// drain mid-stream and on an out-of-order one.
 func TestPipelineFromSourceMatchesInMemory(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 
-	log := benchLog(40_000)
-	r := appgroup.NewResolver(nil)
-	ref := NewPipeline(log, r, Config{Parallelism: 1})
-	refApp := ref.App()
-	refInfra := ref.Infra()
-	refStab, err := ref.Stability(StabilityConfig{}, refApp)
-	if err != nil {
-		t.Fatal(err)
+	sorted := benchLog(60_000)
+	control := 0
+	for _, e := range sorted.Events {
+		if relevant(e.Type) {
+			control++
+		}
 	}
-
-	for _, workers := range []int{1, 2, 4, 7} {
-		p, err := NewPipelineFromSource(sourceOf(log, 1000), r, Config{Parallelism: workers}, StabilityConfig{})
+	if control <= streamStageEvents {
+		t.Fatalf("log has %d control events; need > %d so a mid-stream drain is exercised", control, streamStageEvents)
+	}
+	for name, log := range map[string]*flowlog.Log{"sorted": sorted, "unsorted": messyLog(t, 300, true)} {
+		r := appgroup.NewResolver(nil)
+		ref := newPipelineReference(log, r, Config{Parallelism: 1})
+		refApp := ref.App()
+		refInfra := ref.Infra()
+		refEdges := edgesReference(log, r)
+		refStab, err := ref.Stability(StabilityConfig{}, refApp)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if p.EventCount() != len(log.Events) {
-			t.Errorf("workers=%d: EventCount = %d, want %d", workers, p.EventCount(), len(log.Events))
+		sources := map[string]func() EventSource{
+			"multi-batch": func() EventSource { return sourceOf(log, 1000) },
+			"one-batch":   func() EventSource { return LogSource(log) },
 		}
-		if !reflect.DeepEqual(p.Occurrences(), ref.Occurrences()) {
-			t.Errorf("workers=%d: occurrences differ (%d vs %d)", workers, len(p.Occurrences()), len(ref.Occurrences()))
-		}
-		if app := p.App(); !reflect.DeepEqual(app, refApp) {
-			t.Errorf("workers=%d: app signatures differ", workers)
-		}
-		if inf := p.Infra(); !reflect.DeepEqual(inf, refInfra) {
-			t.Errorf("workers=%d: infra signatures differ", workers)
-		}
-		stab, err := p.Stability(StabilityConfig{}, refApp)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(stab, refStab) {
-			t.Errorf("workers=%d: stability results differ", workers)
+		for shape, open := range sources {
+			for _, workers := range []int{1, 2, 4, 7} {
+				at := fmt.Sprintf("%s/%s/workers=%d", name, shape, workers)
+				p, err := NewPipelineFromSourceContext(bg, open(), r, Config{Parallelism: workers}, StabilityConfig{})
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if p.EventCount() != len(log.Events) {
+					t.Errorf("%s: EventCount = %d, want %d", at, p.EventCount(), len(log.Events))
+				}
+				if !reflect.DeepEqual(p.Occurrences(), ref.occs) {
+					t.Errorf("%s: occurrences differ (%d vs %d)", at, len(p.Occurrences()), len(ref.occs))
+				}
+				if !reflect.DeepEqual(p.Edges(), refEdges) {
+					t.Errorf("%s: edge sets differ", at)
+				}
+				if app := p.App(); !reflect.DeepEqual(app, refApp) {
+					t.Errorf("%s: app signatures differ", at)
+				}
+				if inf := p.Infra(); !reflect.DeepEqual(inf, refInfra) {
+					t.Errorf("%s: infra signatures differ", at)
+				}
+				stab, err := p.Stability(StabilityConfig{}, refApp)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if !reflect.DeepEqual(stab, refStab) {
+					t.Errorf("%s: stability results differ", at)
+				}
+			}
 		}
 	}
 }
@@ -95,9 +119,9 @@ func TestPipelineFromSourceMatchesInMemory(t *testing.T) {
 func TestPipelineFromSourceBatchShapeInvariant(t *testing.T) {
 	log := benchLog(5_000)
 	r := appgroup.NewResolver(nil)
-	want := NewPipeline(log, r, Config{Parallelism: 1}).Occurrences()
+	want := occurrencesReference(log, 0)
 	for _, batch := range []int{1, 7, 8192} {
-		p, err := NewPipelineFromSource(sourceOf(log, batch), r, Config{Parallelism: 1}, StabilityConfig{})
+		p, err := NewPipelineFromSourceContext(bg, sourceOf(log, batch), r, Config{Parallelism: 1}, StabilityConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +136,7 @@ func TestPipelineFromSourceBatchShapeInvariant(t *testing.T) {
 func TestPipelineFromSourceIntervalMismatch(t *testing.T) {
 	log := benchLog(2_000)
 	r := appgroup.NewResolver(nil)
-	p, err := NewPipelineFromSource(sourceOf(log, 500), r, Config{Parallelism: 1}, StabilityConfig{Intervals: 5})
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 500), r, Config{Parallelism: 1}, StabilityConfig{Intervals: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +148,19 @@ func TestPipelineFromSourceIntervalMismatch(t *testing.T) {
 	}
 }
 
-// A zero-duration source defers flowlog.Segment's error to Stability —
-// the same stage where the in-memory pipeline reports it.
+// A zero-duration source defers flowlog.Segment's error to Stability,
+// worded as the reference reports it.
 func TestPipelineFromSourceSegmentErrorParity(t *testing.T) {
 	l := flowlog.New(0, 0)
 	l.Append(flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw",
 		Flow: flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 1, DstPort: 2}})
 	r := appgroup.NewResolver(nil)
-	p, err := NewPipelineFromSource(sourceOf(l, 10), r, Config{Parallelism: 1}, StabilityConfig{})
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(l, 10), r, Config{Parallelism: 1}, StabilityConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, errSrc := p.Stability(StabilityConfig{}, p.App())
-	_, errMem := NewPipeline(l, r, Config{Parallelism: 1}).Stability(StabilityConfig{}, nil)
+	_, errMem := newPipelineReference(l, r, Config{Parallelism: 1}).Stability(StabilityConfig{}, nil)
 	if errSrc == nil || errMem == nil {
 		t.Fatalf("want errors from both paths, got src=%v mem=%v", errSrc, errMem)
 	}
@@ -158,7 +182,7 @@ func (f *failingSource) Next() ([]flowlog.Event, error) {
 func (f *failingSource) Bounds() (start, end time.Duration) { return 0, time.Minute }
 
 func TestPipelineFromSourceReadError(t *testing.T) {
-	_, err := NewPipelineFromSource(&failingSource{after: 2}, appgroup.NewResolver(nil), Config{}, StabilityConfig{})
+	_, err := NewPipelineFromSourceContext(bg, &failingSource{after: 2}, appgroup.NewResolver(nil), Config{}, StabilityConfig{})
 	if err == nil {
 		t.Fatal("want the source's read error")
 	}
@@ -168,7 +192,7 @@ func TestPipelineFromSourceReadError(t *testing.T) {
 }
 
 func TestPipelineFromSourceEmpty(t *testing.T) {
-	p, err := NewPipelineFromSource(sourceOf(flowlog.New(0, time.Minute), 10), appgroup.NewResolver(nil), Config{}, StabilityConfig{})
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(flowlog.New(0, time.Minute), 10), appgroup.NewResolver(nil), Config{}, StabilityConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,14 +64,13 @@ type Stability struct {
 // StableCI reports whether node's CI may be used for diffing.
 func (s Stability) StableCI(node topology.NodeID) bool { return s.CINodes[node] }
 
-// AnalyzeStability extracts occurrences once, partitions them across the
-// intervals, builds the per-interval signatures in parallel, and
-// compares every component of every group's whole-log signature against
-// its per-interval counterparts. The result is keyed by group key.
-// Callers that already hold a Pipeline should use its Stability method
-// to reuse the shared occurrences and whole-log signatures.
+// AnalyzeStability models a log and compares every component of every
+// group's whole-log signature against its per-interval counterparts.
+// The result is keyed by group key. Callers that already hold a
+// Pipeline should use its Stability method to reuse the shared
+// occurrences and whole-log signatures.
 func AnalyzeStability(log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) (map[string]Stability, error) {
-	p := NewPipeline(log, r, cfg)
+	p := fromLog(log, r, cfg, scfg)
 	return p.Stability(scfg, p.App())
 }
 

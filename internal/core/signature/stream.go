@@ -7,18 +7,19 @@ import (
 	"flowdiff/internal/flowlog"
 )
 
-// StreamExtractor is the incremental counterpart of Occurrences for
-// continuous operation: control events are appended one at a time as
-// they arrive, per-key open episodes are maintained across appends
-// (episode boundaries are detected at append time, not by a batch
-// re-pass), and Flush closes out the buffered window's episodes in time
-// proportional to the events appended since the previous Flush.
+// StreamExtractor is the occurrence extractor: control events are
+// appended one at a time as they arrive, per-key open episodes are
+// maintained across appends (episode boundaries are detected at append
+// time, not by a re-pass), and Flush closes out the buffered episodes in
+// time proportional to the events appended since the previous Flush.
+// Every build runs it — signature builds through streamShards, Monitor
+// directly, one Flush per window.
 //
-// Flush produces exactly what Occurrences would produce on a log
-// holding the same events — byte-identical slices, pinned by
-// TestStreamExtractorMatchesBatch — including on out-of-order input:
-// a key whose events arrive out of order is marked dirty and its buffer
-// is re-sorted and re-split at Flush, mirroring the batch fallback.
+// Out-of-order input is handled: a key whose events arrive out of order
+// is marked dirty and its buffer is stably re-sorted and re-split at
+// Flush. The retained batch extractor (occurrencesReference) is the
+// oracle: TestStreamExtractorMatchesBatch pins byte-identical slices on
+// sorted and shuffled logs.
 //
 // StreamExtractor is not safe for concurrent use; feed it from the
 // goroutine that owns the event source (Monitor does).
@@ -40,7 +41,7 @@ type keyStream struct {
 }
 
 // NewStreamExtractor creates an empty extractor with the given episode
-// gap (<= 0 uses DefaultOccurrenceGap, like Occurrences).
+// gap (<= 0 uses DefaultOccurrenceGap).
 func NewStreamExtractor(gap time.Duration) *StreamExtractor {
 	if gap <= 0 {
 		gap = DefaultOccurrenceGap
@@ -48,15 +49,12 @@ func NewStreamExtractor(gap time.Duration) *StreamExtractor {
 	return &StreamExtractor{gap: gap, keys: make(map[flowlog.FlowKey]*keyStream)}
 }
 
-// Gap returns the episode-splitting gap in effect.
-func (x *StreamExtractor) Gap() time.Duration { return x.gap }
-
 // Pending returns the number of control events buffered since the last
 // Flush (non-control events are not buffered).
 func (x *StreamExtractor) Pending() int { return x.events }
 
 // Append feeds one event. Non-control events (FlowRemoved, PortStatus)
-// are ignored, as in batch extraction. O(1) amortized.
+// are ignored. O(1) amortized.
 func (x *StreamExtractor) Append(e flowlog.Event) {
 	if !relevant(e.Type) {
 		return
@@ -79,9 +77,9 @@ func (x *StreamExtractor) Append(e flowlog.Event) {
 	x.events++
 }
 
-// Flush closes every open episode, returns the window's occurrences in
-// canonical order (identical to Occurrences over the same events), and
-// resets the extractor for the next window.
+// Flush closes every open episode, returns the buffered occurrences in
+// canonical order (start time, then key), and resets the extractor for
+// the next window.
 func (x *StreamExtractor) Flush() []Occurrence {
 	out := make([]Occurrence, 0, len(x.keys))
 	for key, ks := range x.keys {

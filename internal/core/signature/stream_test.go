@@ -16,10 +16,10 @@ func feedAll(x *StreamExtractor, events []flowlog.Event) {
 	}
 }
 
-// TestStreamExtractorMatchesBatch pins the streaming half of the
-// tentpole: an extractor fed event-by-event must flush the
-// byte-identical occurrence slice Occurrences produces on the same
-// events — on sorted logs, shuffled logs, and logs with wildcard
+// TestStreamExtractorMatchesBatch pins the extractor against the
+// retained batch oracle: fed event-by-event it must flush the
+// byte-identical occurrence slice occurrencesReference produces on the
+// same events — on sorted logs, shuffled logs, and logs with wildcard
 // (FlowMod-only) keys.
 func TestStreamExtractorMatchesBatch(t *testing.T) {
 	for _, shuffle := range []bool{false, true} {
@@ -29,7 +29,7 @@ func TestStreamExtractorMatchesBatch(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			log := messyLog(t, 200, shuffle)
-			want := Occurrences(log, 0)
+			want := occurrencesReference(log, 0)
 			if len(want) == 0 {
 				t.Fatal("batch extraction found nothing; equivalence would be vacuous")
 			}
@@ -60,7 +60,7 @@ func TestStreamExtractorWindowed(t *testing.T) {
 		got := x.Flush()
 		window := flowlog.New(0, 10*time.Minute)
 		window.Events = append(window.Events, log.Events[lo:hi]...)
-		want := Occurrences(window, 0)
+		want := occurrencesReference(window, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("window [%d,%d): streaming flush differs from batch (%d vs %d occurrences)", lo, hi, len(got), len(want))
 		}
@@ -105,22 +105,33 @@ func TestStreamExtractorIgnoresNonControl(t *testing.T) {
 }
 
 // TestPipelineFromOccurrencesMatchesNewPipeline: handing a pipeline
-// pre-extracted occurrences must yield the same signatures as letting
-// it extract them itself.
+// pre-extracted occurrences (Monitor's entry) must yield the same
+// signatures as the reference model of the log.
 func TestPipelineFromOccurrencesMatchesNewPipeline(t *testing.T) {
 	log := messyLog(t, 100, false)
 	r := appgroup.NewResolver(nil)
 	cfg := Config{}
-	ref := NewPipeline(log, r, cfg)
-	occs := Occurrences(log, 0)
-	p := NewPipelineFromOccurrences(log, r, cfg, occs)
-	if !reflect.DeepEqual(p.Occurrences(), ref.Occurrences()) {
-		t.Fatal("occurrence slices differ")
+	ref := newPipelineReference(log, r, cfg)
+	p := NewPipelineFromOccurrencesContext(bg, log, r, cfg, StabilityConfig{}, occurrencesReference(log, 0))
+	if !reflect.DeepEqual(p.Edges(), edgesReference(log, r)) {
+		t.Error("edge sets differ")
 	}
-	if !reflect.DeepEqual(p.App(), ref.App()) {
+	refApp := ref.App()
+	if !reflect.DeepEqual(p.App(), refApp) {
 		t.Error("app signatures differ")
 	}
 	if !reflect.DeepEqual(p.Infra(), ref.Infra()) {
 		t.Error("infra signatures differ")
+	}
+	stab, err := p.Stability(StabilityConfig{}, refApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refStab, err := ref.Stability(StabilityConfig{}, refApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stab, refStab) {
+		t.Error("stability verdicts differ")
 	}
 }

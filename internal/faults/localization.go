@@ -1,7 +1,7 @@
 package faults
 
 // This file holds the localization faults and scenarios: silent fabric
-// degradations the evidence-voting suspect ranker (diagnose.RankSuspects)
+// degradations the evidence-voting suspect ranker (diagnose.RankSuspectsContext)
 // is built to pinpoint. Unlike the hard failures of Table I, none of
 // these emit PORT_STATUS or topology changes — the only symptom is byte
 // inflation (retransmissions) on the flows crossing the faulty

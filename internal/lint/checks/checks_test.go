@@ -77,19 +77,6 @@ func TestCtxFlowScopedToLibraryCode(t *testing.T) {
 	linttest.RunExpectNone(t, "testdata/src/ctxflow", "flowdiff/cmd/ctxfix", checks.CtxFlow)
 }
 
-// The deprecation policy of the context-first redesign: an exported
-// *Context name in the root package must carry a Deprecated: doc
-// paragraph (the legacy-forwarder idiom) — new spellings are flagged.
-func TestCtxFlowDeprecatedForwarders(t *testing.T) {
-	linttest.Run(t, "testdata/src/ctxflow_root", "flowdiff", checks.CtxFlow)
-}
-
-// The policy binds the public boundary only: the same code under
-// internal/ names its functions however it likes.
-func TestCtxFlowDeprecatedForwardersScopedToRoot(t *testing.T) {
-	linttest.RunExpectNone(t, "testdata/src/ctxflow_root", "flowdiff/internal/ctxfix", checks.CtxFlow)
-}
-
 func TestSentinelErr(t *testing.T) {
 	linttest.Run(t, "testdata/src/sentinelerr", "flowdiff", checks.SentinelErr)
 }

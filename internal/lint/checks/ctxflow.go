@@ -3,13 +3,12 @@ package checks
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"flowdiff/internal/lint"
 )
 
 // CtxFlow guards the context-plumbing contract of the public API: every
-// *Context entry point must thread its ctx through to every
+// context-taking entry point must thread its ctx through to every
 // context-accepting callee it reaches, and library code must never
 // construct its own root context. Concretely, in the root package and
 // under internal/:
@@ -24,19 +23,11 @@ import (
 //     Background into a context-accepting function drops its ctx just
 //     as surely — the *Context variant should be called instead.
 //
-// In the root package only, it additionally enforces the deprecation
-// policy of the context-first API redesign: an exported function or
-// method named *Context may exist only as a documented legacy
-// forwarder — its doc comment must carry a "Deprecated:" paragraph
-// pointing at the canonical short name. New context-taking API takes
-// ctx under the short name directly; a fresh *Context spelling without
-// the deprecation marker is flagged.
-//
 // cmd/ and examples are out of scope: a main function is exactly where
 // root contexts belong.
 var CtxFlow = &lint.Analyzer{
 	Name:          "ctxflow",
-	Doc:           "flags dropped contexts: context.Background()/TODO() in library code outside the wrapper idiom, ctx-carrying functions calling wrappers that root their own context, and new exported *Context names outside the deprecated-forwarder idiom",
+	Doc:           "flags dropped contexts: context.Background()/TODO() in library code outside the wrapper idiom and ctx-carrying functions calling wrappers that root their own context",
 	SkipTestFiles: true,
 	NeedsFacts:    true,
 	Run:           runCtxFlow,
@@ -49,9 +40,6 @@ func runCtxFlow(pass *lint.Pass) {
 	path := pass.Pkg.Path()
 	if path != "flowdiff" && !inScope(path, "flowdiff/internal") {
 		return
-	}
-	if path == "flowdiff" {
-		checkDeprecatedForwarders(pass)
 	}
 
 	// Syntactic rules: fresh root contexts.
@@ -100,45 +88,6 @@ func runCtxFlow(pass *lint.Pass) {
 			}
 		}
 	}
-}
-
-// checkDeprecatedForwarders enforces the root package's deprecation
-// policy: every exported *Context function or method must be a
-// documented legacy forwarder (doc comment carrying "Deprecated:").
-// The canonical public API is context-first under the short names; a
-// new *Context spelling without the marker is a policy violation.
-func checkDeprecatedForwarders(pass *lint.Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			name := fn.Name.Name
-			if !ast.IsExported(name) || name == "Context" || !strings.HasSuffix(name, "Context") {
-				continue
-			}
-			if hasDeprecationParagraph(fn.Doc) {
-				continue
-			}
-			pass.Reportf(fn.Name.Pos(), "exported %s outside the deprecated-forwarder idiom: the public API is context-first — put ctx on %s and keep %s only as a forwarder whose doc carries a Deprecated: paragraph", name, strings.TrimSuffix(name, "Context"), name)
-		}
-	}
-}
-
-// hasDeprecationParagraph reports whether doc contains a conventional
-// deprecation marker: a line beginning "Deprecated:" (go/doc's
-// definition), not merely the word appearing mid-sentence.
-func hasDeprecationParagraph(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, line := range strings.Split(doc.Text(), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }
 
 // isCtxRootCall reports whether call is context.Background() or

@@ -12,12 +12,8 @@ import (
 // the analyzer's tests can swap in fixture roots.
 var DetOrderRoots = []string{
 	"flowdiff.BuildSignatures",
-	"flowdiff.BuildSignaturesContext",
 	"flowdiff.BuildSignaturesReader",
-	"flowdiff.BuildSignaturesReaderContext",
 	"flowdiff.Compare",
-	"flowdiff.CompareContext",
-	"flowdiff/internal/core/diagnose.RankSuspects",
 	"flowdiff/internal/core/diagnose.RankSuspectsContext",
 	"flowdiff/internal/core/taskmine.Mine",
 	"flowdiff/internal/core/taskmine.MineContext",

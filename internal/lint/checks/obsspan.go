@@ -12,33 +12,34 @@ import (
 // keeps the obs timeline complete enough to diagnose a run. The table
 // is a variable so the analyzer's tests can swap in fixture roots.
 var ObsSpanRoots = map[string][]string{
-	"flowdiff.BuildSignaturesContext": {
-		"flowdiff.build",
-		"signature.extract",
-		"signature.groups",
-		"signature.app",
-		"signature.infra",
-		"signature.stability",
-	},
-	"flowdiff.BuildSignaturesReaderContext": {
-		"flowdiff.build",
-		"signature.extract",
-	},
-	"flowdiff.CompareContext": {
+	"flowdiff.BuildSignatures":       buildSpans,
+	"flowdiff.BuildSignaturesReader": buildSpans,
+	"flowdiff.Compare": {
 		"flowdiff.compare",
 		"flowdiff.build",
 		"diff.compare",
 		"diagnose.tally",
 	},
-	"flowdiff.DiffContext": {
+	"flowdiff.Diff": {
 		"diff.compare",
 	},
-	"flowdiff.DiagnoseContext": {
+	"flowdiff.Diagnose": {
 		"diagnose.tally",
 	},
-	"(*flowdiff.Monitor).FlushContext": {
+	"(*flowdiff.Monitor).Flush": {
 		"monitor.flush",
 	},
+}
+
+// buildSpans is what the modeling phase promises, whichever entry point
+// the events came in through.
+var buildSpans = []string{
+	"flowdiff.build",
+	"signature.extract",
+	"signature.groups",
+	"signature.app",
+	"signature.infra",
+	"signature.stability",
 }
 
 // ObsSpan guards the observability contract: span names are a static

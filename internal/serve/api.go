@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -141,24 +140,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // only stops a hostile client from exhausting memory before decode.
 const maxBodyBytes = 1 << 30
 
-// decodeLog reads a flow log in any of the three serializations,
-// detected by magic prefix: FDC1 (segmented columnar), FDL1 (row
-// binary), else JSON. ctx governs (and its obs registry observes) a
-// columnar decode.
+// decodeLog reads a request body in any of the three flow-log
+// serializations (colseg.ReadAny), capped at maxBodyBytes. ctx governs
+// (and its obs registry observes) a columnar decode.
 func decodeLog(ctx context.Context, r io.Reader) (*flowlog.Log, error) {
-	br := bufio.NewReader(io.LimitReader(r, maxBodyBytes))
-	magic, err := br.Peek(4)
-	if err == nil && string(magic) == "FDC1" {
-		cr, err := colseg.NewReaderContext(ctx, br, colseg.ReaderOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return cr.ReadAll()
-	}
-	if err == nil && string(magic) == "FDL1" {
-		return flowlog.ReadBinary(br)
-	}
-	return flowlog.ReadJSON(br)
+	return colseg.ReadAny(ctx, io.LimitReader(r, maxBodyBytes), colseg.ReaderOptions{})
 }
 
 // validTenantID reports whether id is a safe path component: 1..64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net/netip"
 	"time"
 
@@ -60,10 +61,9 @@ type Monitor struct {
 
 	// Cross-window group-discovery cache: groups is reused as long as a
 	// window's host edge set equals groupEdges (discovery is a pure
-	// function of the edge set).
-	groupEdges  map[appgroup.Edge]int
-	groups      []appgroup.Group
-	groupsValid bool
+	// function of the edge set); nil until the first window.
+	groupEdges map[appgroup.Edge]int
+	groups     []appgroup.Group
 
 	// minOcc is the minimum flow-occurrence count a window needs to be
 	// diagnosed; sparser windows abstain.
@@ -186,13 +186,6 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 	return s
 }
 
-// ObserveContext is a deprecated spelling of Observe.
-//
-// Deprecated: the public API is context-first — call Observe directly.
-func (m *Monitor) ObserveContext(ctx context.Context, e flowlog.Event) (*MonitorReport, error) {
-	return m.Observe(ctx, e)
-}
-
 // Observe appends one control event. When the event crosses the
 // current window's grid boundary, the buffered window is diagnosed
 // first and the resulting report returned (nil otherwise); the event
@@ -235,13 +228,6 @@ func (m *Monitor) Observe(ctx context.Context, e flowlog.Event) (*MonitorReport,
 	}
 	m.ex.Append(e)
 	return rep, flushErr
-}
-
-// FlushContext is a deprecated spelling of Flush.
-//
-// Deprecated: the public API is context-first — call Flush directly.
-func (m *Monitor) FlushContext(ctx context.Context) (*MonitorReport, error) {
-	return m.Flush(ctx)
 }
 
 // Flush diagnoses the buffered partial window immediately
@@ -314,12 +300,12 @@ func (m *Monitor) flushTo(ctx context.Context, to time.Duration) (*MonitorReport
 // occurrences, reusing the previous window's application groups when
 // the host edge set is unchanged.
 func (m *Monitor) signaturesFor(ctx context.Context, log *Log, occs []signature.Occurrence) (*Signatures, error) {
-	p := signature.NewPipelineFromOccurrencesContext(ctx, log, m.r, m.sigCfg, occs)
-	edges := appgroup.BuildEdges(log, m.r)
-	if !m.groupsValid || !appgroup.SameEdgeSet(edges, m.groupEdges) {
+	p := signature.NewPipelineFromOccurrencesContext(ctx, log, m.r, m.sigCfg, m.opts.Stability, occs)
+	// Counts are ignored: discovery depends only on which edges exist.
+	sameEdge := func(int, int) bool { return true }
+	if edges := p.Edges(); m.groupEdges == nil || !maps.EqualFunc(edges, m.groupEdges, sameEdge) {
 		m.groups = appgroup.DiscoverFromEdges(edges, m.sigCfg.Special)
 		m.groupEdges = edges
-		m.groupsValid = true
 	}
 	p.SetGroups(m.groups)
 	return signaturesFromPipeline(ctx, log, p, m.opts)

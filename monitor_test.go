@@ -295,7 +295,7 @@ func TestMonitorRejectsOutOfOrderEvents(t *testing.T) {
 }
 
 // TestMonitorCanceledFlushIsNonDestructive is the regression test for
-// the ObserveContext cancellation contract: a canceled boundary flush
+// the Observe cancellation contract: a canceled boundary flush
 // must neither drop the boundary-crossing event nor consume the
 // window's extractor episodes. The pre-fix code returned before
 // buffering the event and after m.ex.Flush(context.Background()) had already destroyed the

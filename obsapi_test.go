@@ -134,7 +134,7 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 // TestCanceledBuildDrainsGoroutines checks the pool-drain contract: a
-// canceled BuildSignaturesContext returns ErrCanceled and leaves no
+// canceled BuildSignatures returns ErrCanceled and leaves no
 // worker goroutines behind.
 func TestCanceledBuildDrainsGoroutines(t *testing.T) {
 	log := synthThreeTierLog(50_000)
@@ -257,5 +257,31 @@ func TestWithWorkersOverride(t *testing.T) {
 	}
 	if opts.Parallelism != 4 || opts.Signature.Parallelism != 2 {
 		t.Errorf("WithWorkers mutated the receiver: %+v", opts)
+	}
+}
+
+// TestCompareHonorsSignatureParallelism: Compare must decide whether to
+// run its two modeling halves concurrently from the same resolved width
+// the halves themselves build with. Signature.Parallelism=1 therefore
+// means a fully sequential Compare even when Options.Parallelism is
+// left at its per-CPU default (which used to start both halves
+// concurrently). Observed through the pool-occupancy gauge: one
+// sequential build peaks at 2 (a stability interval's serial pool with
+// its group builds' serial pool nested inside), so anything above that
+// is two builds in flight at once.
+func TestCompareHonorsSignatureParallelism(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	reg := obs.New()
+	ctx := obs.WithRegistry(context.Background(), reg)
+	l1 := synthThreeTierLog(20_000)
+	l2 := synthThreeTierLog(24_000)
+	opts := flowdiff.Options{}
+	opts.Signature.Parallelism = 1
+	if _, err := flowdiff.Compare(ctx, l1, l2, nil, flowdiff.Thresholds{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if g := reg.Snapshot().Gauges["parallel.active"]; g.Max > 2 {
+		t.Errorf("parallel.active max = %d with Signature.Parallelism=1, want <= 2 (sequential halves)", g.Max)
 	}
 }

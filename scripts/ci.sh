@@ -108,6 +108,10 @@ smoke_cleanup
 trap - EXIT
 go build ./...
 go test -race ./...
+# flowbench is a nested module (bench/go.mod), outside root ./... — vet
+# and test it here so an API deletion that breaks the benchmark fails CI
+# instead of the next benchmark run.
+(cd bench && go vet ./... && go test ./...)
 # Decoder fuzz targets over their seed corpora (-run mode, no fuzzing
 # engine): corrupted or hostile captures must fail with wrapped errors,
 # never a panic or an unbounded allocation.
@@ -135,3 +139,5 @@ go test -run TestLocalizationAccuracy ./internal/experiments/
 # AnalyzeStability, Mine, Discover) and their retained naive
 # *Reference counterparts.
 go test -run '^$' -bench . -benchtime 1x ./...
+# The tracked size number (ROADMAP aim 2): non-test Go lines.
+echo "non-test Go lines: $(scripts/loc.sh)"

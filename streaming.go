@@ -15,9 +15,10 @@ import (
 type Event = flowlog.Event
 
 // EventSource is a pull-based stream of decoded event batches — the
-// streaming counterpart of a materialized Log. colseg.Reader implements
-// it over the on-disk columnar format, so signatures can be built from
-// a 100M-event capture without ever holding its event slice in memory.
+// input of the modeling phase. colseg.Reader implements it over the
+// on-disk columnar format, so signatures can be built from a 100M-event
+// capture without ever holding its event slice in memory; an in-memory
+// Log enters through BuildSignatures as a single batch.
 type EventSource = signature.EventSource
 
 // ReadFilter restricts a columnar read to a query's events: a time
@@ -78,23 +79,6 @@ func NewColumnarSource(ctx context.Context, r io.Reader) (EventSource, error) {
 	return NewColumnarSourceOptions(ctx, r, ColumnarOptions{})
 }
 
-// NewColumnarSourceContext is a deprecated spelling of NewColumnarSource.
-//
-// Deprecated: the public API is context-first — call NewColumnarSource
-// directly.
-func NewColumnarSourceContext(ctx context.Context, r io.Reader) (EventSource, error) {
-	return NewColumnarSource(ctx, r)
-}
-
-// NewColumnarSourceOptionsContext is a deprecated spelling of
-// NewColumnarSourceOptions.
-//
-// Deprecated: the public API is context-first — call
-// NewColumnarSourceOptions directly.
-func NewColumnarSourceOptionsContext(ctx context.Context, r io.Reader, o ColumnarOptions) (EventSource, error) {
-	return NewColumnarSourceOptions(ctx, r, o)
-}
-
 // NewColumnarSourceOptions opens an FDC1 stream as an
 // EventSource with a query attached: the filter prunes segments from
 // the on-disk index and drops non-matching events at decode time, the
@@ -118,38 +102,32 @@ func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOption
 	return cr, nil
 }
 
-// BuildSignaturesReaderContext is a deprecated spelling of
-// BuildSignaturesReader.
+// BuildSignaturesReader runs FlowDiff's modeling phase — the only
+// implementation of it: BuildSignatures and Monitor windows enter the
+// same pipeline. The source is drained exactly once: flow occurrences
+// are extracted incrementally (sharded by flow-key hash across the
+// worker pool) and every other aggregate the builds need — including
+// the per-interval slices for the stability analysis, sized by
+// Options.Stability — is folded in during the same pass; the
+// application, infrastructure, and stability builds then fan out onto
+// a pool bounded by Options.Parallelism. Beyond what the source itself
+// holds, peak memory is one batch plus the aggregates and occurrences.
 //
-// Deprecated: the public API is context-first — call
-// BuildSignaturesReader directly.
-func BuildSignaturesReaderContext(ctx context.Context, src EventSource, opts Options) (*Signatures, error) {
-	return BuildSignaturesReader(ctx, src, opts)
-}
-
-// BuildSignaturesReader runs FlowDiff's modeling phase over a
-// streamed event source. The source is drained exactly once: flow
-// occurrences are extracted incrementally (sharded by flow-key hash
-// across the worker pool), and every other per-log aggregate the
-// builds need — including the per-interval slices for the stability
-// analysis, sized by Options.Stability — is folded in during the same
-// pass. Peak memory is one decoded batch plus the aggregates and
-// occurrences; the full event slice is never materialized.
+// The result depends only on the event sequence, not on its batching
+// (an unsorted log serializes to colseg in sorted order, so a capture's
+// build equals the in-memory build of its time-sorted log). The
+// returned Signatures carry an event-free Log stub recording only the
+// source's bounds.
 //
-// The result is byte-identical to BuildSignatures over the same
-// events in memory (an unsorted log serializes to colseg in sorted
-// order; the equivalence is against that time-sorted sequence, which is
-// the canonical capture order). The returned Signatures carry an
-// event-free Log stub recording only the source's bounds.
-//
-// A nil or event-free source returns ErrEmptyLog; cancellation returns
-// ErrCanceled wrapping ctx.Err(); a source read error is returned
-// wrapped.
+// A nil or event-free source returns ErrEmptyLog; cancellation stops
+// the fan-outs, drains the pool, discards the partial products, and
+// returns ErrCanceled wrapping ctx.Err(); a source read error is
+// returned wrapped. Stage timings and counters go to the obs registry
+// traveling in ctx; instrumentation never changes the output.
 func BuildSignaturesReader(ctx context.Context, src EventSource, opts Options) (*Signatures, error) {
 	if src == nil {
 		return nil, fmt.Errorf("flowdiff: building signatures: %w", ErrEmptyLog)
 	}
-	//lint:ignore obsspan same top-level build stage as BuildSignatures on the streaming path; a run enters exactly one of the two, so the timeline never sees both
 	defer obs.Span(ctx, "flowdiff.build").End()
 	p, err := signature.NewPipelineFromSourceContext(ctx, src, opts.resolver(), opts.sigConfig(), opts.Stability)
 	if err != nil {

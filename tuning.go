@@ -1,18 +1,14 @@
 package flowdiff
 
-// Tuning is the single performance knob-set shared by every flowdiff
-// entry point. It replaces the scattered per-subsystem knobs — the
-// modeling pool width (Options.Parallelism), the task-mining worker
-// count (TaskConfig.Parallelism), and the columnar decode readahead
-// (ColumnarOptions.Parallelism) — with one struct a caller (or a
-// service config file) sets once and applies everywhere:
+// Tuning is the performance knob-set shared by the flowdiff entry
+// points: one struct a caller (or a service config file) sets once and
+// applies to the modeling options and the columnar read options:
 //
 //	t := flowdiff.NewTuning(flowdiff.Workers(4))
 //	sigs, err := flowdiff.BuildSignatures(ctx, log, t.Options(opts))
-//	auto, err := flowdiff.MineTask(ctx, name, runs, t.TaskConfig(cfg))
 //	src, err := flowdiff.NewColumnarSourceOptions(ctx, r, t.Columnar(co))
 //
-// Every width follows the parallel.Clamp contract: zero (or negative)
+// The width follows the parallel.Clamp contract: zero (or negative)
 // means one worker per CPU, requests above GOMAXPROCS are clamped down
 // to it, and 1 forces fully sequential execution. Output is identical
 // at every setting — parallelism is a throughput knob, never a
@@ -22,28 +18,18 @@ package flowdiff
 // target's own knobs untouched, so existing configurations keep
 // working unmodified.
 type Tuning struct {
-	// Workers bounds every compute pool: sharded occurrence
-	// extraction, per-group signature builds, stability intervals, the
-	// two halves of Compare, and task mining.
+	// Workers bounds every pool: sharded occurrence extraction,
+	// per-group signature builds, stability intervals, the two halves of
+	// Compare, and the columnar segment-decode readahead.
 	Workers int
-	// ReadParallelism bounds the columnar segment-decode readahead
-	// separately from the compute pools (decode is I/O-shaped and often
-	// wants a different width). Zero falls back to Workers.
-	ReadParallelism int
 }
 
 // A TuningOption configures one Tuning knob.
 type TuningOption func(*Tuning)
 
-// Workers bounds every compute pool (see Tuning.Workers).
+// Workers bounds every pool (see Tuning.Workers).
 func Workers(n int) TuningOption {
 	return func(t *Tuning) { t.Workers = n }
-}
-
-// ReadParallelism bounds the columnar decode readahead (see
-// Tuning.ReadParallelism).
-func ReadParallelism(n int) TuningOption {
-	return func(t *Tuning) { t.ReadParallelism = n }
 }
 
 // NewTuning builds a Tuning from functional options.
@@ -55,15 +41,6 @@ func NewTuning(opts ...TuningOption) Tuning {
 	return t
 }
 
-// readWorkers resolves the decode width: ReadParallelism, falling back
-// to Workers.
-func (t Tuning) readWorkers() int {
-	if t.ReadParallelism != 0 {
-		return t.ReadParallelism
-	}
-	return t.Workers
-}
-
 // Options returns o with every modeling pool bounded by t.Workers
 // (zero leaves o untouched).
 func (t Tuning) Options(o Options) Options {
@@ -73,27 +50,11 @@ func (t Tuning) Options(o Options) Options {
 	return o
 }
 
-// TaskConfig returns c with the mining fan-out bounded by t.Workers
-// (zero leaves c untouched).
-func (t Tuning) TaskConfig(c TaskConfig) TaskConfig {
-	if t.Workers != 0 {
-		c.Parallelism = t.Workers
-	}
-	return c
-}
-
 // Columnar returns o with the segment-decode readahead bounded by
-// t.ReadParallelism (falling back to t.Workers; zero leaves o
-// untouched).
+// t.Workers (zero leaves o untouched).
 func (t Tuning) Columnar(o ColumnarOptions) ColumnarOptions {
-	if w := t.readWorkers(); w != 0 {
-		o.Parallelism = w
+	if t.Workers != 0 {
+		o.Parallelism = t.Workers
 	}
 	return o
-}
-
-// WithTuning applies t to o — the Options-side spelling of
-// Tuning.Options for call chains that start from an Options value.
-func (o Options) WithTuning(t Tuning) Options {
-	return t.Options(o)
 }

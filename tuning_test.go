@@ -3,11 +3,11 @@ package flowdiff
 import "testing"
 
 // TestTuningMapsOntoEveryKnob pins the one-struct contract: a single
-// Tuning value reaches every scattered parallelism knob — the modeling
-// pool, the mining fan-out, and the columnar decode readahead.
+// Tuning value reaches both parallelism knobs it fronts — the modeling
+// pool and the columnar decode readahead.
 func TestTuningMapsOntoEveryKnob(t *testing.T) {
 	tun := NewTuning(Workers(3))
-	if tun.Workers != 3 || tun.ReadParallelism != 0 {
+	if tun.Workers != 3 {
 		t.Fatalf("NewTuning(Workers(3)) = %+v", tun)
 	}
 
@@ -15,31 +15,10 @@ func TestTuningMapsOntoEveryKnob(t *testing.T) {
 	if o.Parallelism != 3 || o.Signature.Parallelism != 3 {
 		t.Errorf("Options mapping: Parallelism=%d Signature.Parallelism=%d, want 3/3", o.Parallelism, o.Signature.Parallelism)
 	}
-	got := (Options{}).WithTuning(tun)
-	if got.Parallelism != o.Parallelism || got.Signature.Parallelism != o.Signature.Parallelism {
-		t.Errorf("WithTuning disagrees with Tuning.Options: %+v vs %+v", got, o)
-	}
-
-	c := tun.TaskConfig(TaskConfig{})
-	if c.Parallelism != 3 {
-		t.Errorf("TaskConfig mapping: Parallelism=%d, want 3", c.Parallelism)
-	}
 
 	co := tun.Columnar(ColumnarOptions{})
 	if co.Parallelism != 3 {
-		t.Errorf("Columnar mapping: Parallelism=%d, want 3 (ReadParallelism falls back to Workers)", co.Parallelism)
-	}
-}
-
-// TestTuningReadParallelismOverridesDecodeOnly pins that the decode
-// width can diverge from the compute width without affecting it.
-func TestTuningReadParallelismOverridesDecodeOnly(t *testing.T) {
-	tun := NewTuning(Workers(2), ReadParallelism(8))
-	if co := tun.Columnar(ColumnarOptions{}); co.Parallelism != 8 {
-		t.Errorf("Columnar mapping: Parallelism=%d, want 8", co.Parallelism)
-	}
-	if o := tun.Options(Options{}); o.Parallelism != 2 {
-		t.Errorf("Options mapping: Parallelism=%d, want 2", o.Parallelism)
+		t.Errorf("Columnar mapping: Parallelism=%d, want 3", co.Parallelism)
 	}
 }
 
@@ -50,10 +29,6 @@ func TestZeroTuningChangesNothing(t *testing.T) {
 	o := Options{Parallelism: 5}
 	if got := tun.Options(o); got.Parallelism != 5 {
 		t.Errorf("zero Tuning rewrote Options: %+v", got)
-	}
-	c := TaskConfig{Parallelism: 4}
-	if got := tun.TaskConfig(c); got.Parallelism != 4 {
-		t.Errorf("zero Tuning rewrote TaskConfig: %+v", got)
 	}
 	co := ColumnarOptions{Parallelism: 7}
 	if got := tun.Columnar(co); got.Parallelism != 7 {
