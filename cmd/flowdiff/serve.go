@@ -17,6 +17,18 @@ import (
 	"flowdiff/internal/topology"
 )
 
+// A client gets readHeaderTimeout to finish a request's headers and an
+// idle keep-alive connection idleTimeout, so neither holds a connection
+// forever. Bodies are bounded by size, not time: uploads may be slow.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler, readHeader time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idleTimeout}
+}
+
 // runServe boots the multi-tenant diagnosis service. Unlike the
 // one-shot comparison, serve takes no capture flags: baselines arrive
 // per tenant over the API, and events stream in afterwards.
@@ -89,7 +101,7 @@ func runServe(args []string) error {
 		_ = srv.Close()
 		return fmt.Errorf("serve: listening on %s: %w", *addr, err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler(), readHeaderTimeout)
 	fmt.Fprintf(os.Stderr, "flowdiff: serving /v1 on http://%s (data in %s)\n", ln.Addr(), *dir)
 
 	errc := make(chan error, 1)

@@ -221,7 +221,11 @@ func DetectTasks(log *Log, automata []*TaskAutomaton, gap time.Duration) []TaskD
 	if log == nil || len(automata) == 0 {
 		return nil
 	}
-	flows := taskmine.FlowsFromLog(log, gap)
+	return detectTasks(taskmine.FlowsFromLog(log, gap), automata)
+}
+
+// detectTasks runs every automaton over one flow-start series.
+func detectTasks(flows []taskmine.TimedFlow, automata []*TaskAutomaton) []TaskDetection {
 	var all []TaskDetection
 	for _, a := range automata {
 		all = append(all, taskmine.Detect(a, flows)...)

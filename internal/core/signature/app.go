@@ -1,8 +1,9 @@
 package signature
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"flowdiff/internal/core/appgroup"
@@ -68,6 +69,14 @@ func (c Config) withDefaults() Config {
 
 // Edge aliases the application-group edge type.
 type Edge = appgroup.Edge
+
+// compareEdges orders edges by source, then destination.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
+}
 
 // EdgePair is a pair of adjacent edges (in and out of the shared node).
 type EdgePair struct {
@@ -182,32 +191,57 @@ type appView struct {
 	removed map[Edge][]removedSample
 }
 
-func buildAppFromGroups(ctx context.Context, view appView, r *appgroup.Resolver, cfg Config, occs []Occurrence, groups []appgroup.Group) []AppSignature {
+// indexStarts indexes occurrences by host edge, as their start times in
+// occurrence (hence time) order — all the per-edge builds read of them.
+func indexStarts(occs []Occurrence, r *appgroup.Resolver) map[Edge][]time.Duration {
+	starts := make(map[Edge][]time.Duration)
+	for i := range occs {
+		o := &occs[i]
+		e := Edge{Src: r.Node(o.Key.Src), Dst: r.Node(o.Key.Dst)}
+		starts[e] = append(starts[e], o.Start)
+	}
+	return starts
+}
+
+// sliceStarts narrows an index to the occurrences starting inside seg:
+// every per-edge list is in time order, so an interval's share of it is
+// a subslice. The last segment includes its end, so an episode starting
+// exactly at the log's End is not lost (as in sourceAgg.segIndex).
+func sliceStarts(starts map[Edge][]time.Duration, seg logMeta, last bool) map[Edge][]time.Duration {
+	to := seg.End
+	if last {
+		to++
+	}
+	out := make(map[Edge][]time.Duration, len(starts))
+	for e, all := range starts {
+		lo, _ := slices.BinarySearch(all, seg.Start)
+		hi, _ := slices.BinarySearch(all, to)
+		if lo < hi {
+			out[e] = all[lo:hi:hi]
+		}
+	}
+	return out
+}
+
+// buildAppFromStarts builds one signature per group; the builds share
+// startsByEdge and the view's removed map read-only.
+func buildAppFromStarts(ctx context.Context, view appView, cfg Config, startsByEdge map[Edge][]time.Duration, groups []appgroup.Group) []AppSignature {
 	if len(groups) == 0 {
 		return nil
 	}
-
-	// Index occurrences by host edge. The map is read-only once built,
-	// so the group builds can share it (the view's removed map likewise).
-	occsByEdge := make(map[Edge][]Occurrence)
-	for _, o := range occs {
-		e := Edge{Src: r.Node(o.Key.Src), Dst: r.Node(o.Key.Dst)}
-		occsByEdge[e] = append(occsByEdge[e], o)
-	}
-
 	out := make([]AppSignature, len(groups))
 	reg := obs.From(ctx)
 	// The error is ctx.Err(); the public entry points surface it after
 	// the build, and a canceled pipeline's products are discarded.
 	_ = parallel.ForContext(ctx, len(groups), cfg.workers(), func(i int) {
 		sp := reg.Span("signature.group_build")
-		out[i] = buildGroupSig(groups[i], view, cfg, occsByEdge)
+		out[i] = buildGroupSig(groups[i], view, cfg, startsByEdge)
 		sp.End()
 	})
 	return out
 }
 
-func buildGroupSig(g appgroup.Group, view appView, cfg Config, occsByEdge map[Edge][]Occurrence) AppSignature {
+func buildGroupSig(g appgroup.Group, view appView, cfg Config, startsByEdge map[Edge][]time.Duration) AppSignature {
 	sig := AppSignature{
 		Group:       g,
 		LogDuration: view.meta.Duration(),
@@ -219,12 +253,12 @@ func buildGroupSig(g appgroup.Group, view appView, cfg Config, occsByEdge map[Ed
 	}
 	for _, e := range g.Edges {
 		sig.CG[e] = true
-		fs := edgeStats(occsByEdge[e], view.removed[e])
+		fs := edgeStats(startsByEdge[e], view.removed[e])
 		sig.FS[e] = fs
 		mergeGroupFS(&sig.GroupFS, fs)
 	}
 	buildCI(&sig)
-	buildDDAndPC(&sig, occsByEdge, view.meta, cfg)
+	buildDDAndPC(&sig, startsByEdge, view.meta, cfg)
 	return sig
 }
 
@@ -241,18 +275,21 @@ func mergeGroupFS(g *FlowStats, fs FlowStats) {
 	g.Duration = g.Duration.Merge(fs.Duration)
 }
 
-func edgeStats(occs []Occurrence, removed []removedSample) FlowStats {
-	fs := FlowStats{FlowCount: len(occs)}
-	for i, o := range occs {
-		if i == 0 || o.Start < fs.FirstSeen {
-			fs.FirstSeen = o.Start
-		}
+func edgeStats(starts []time.Duration, removed []removedSample) FlowStats {
+	fs := FlowStats{FlowCount: len(starts)}
+	if len(starts) > 0 {
+		fs.FirstSeen = slices.Min(starts)
 	}
 	var bytes, pkts, durs []float64
-	for _, s := range removed {
-		bytes = append(bytes, float64(s.Bytes))
-		pkts = append(pkts, float64(s.Packets))
-		durs = append(durs, float64(s.Duration))
+	if len(removed) > 0 {
+		bytes = make([]float64, len(removed))
+		pkts = make([]float64, len(removed))
+		durs = make([]float64, len(removed))
+	}
+	for i, s := range removed {
+		bytes[i] = float64(s.Bytes)
+		pkts[i] = float64(s.Packets)
+		durs[i] = float64(s.Duration)
 	}
 	fs.Bytes = stats.Summarize(bytes)
 	fs.Packets = stats.Summarize(pkts)
@@ -276,12 +313,7 @@ func buildCI(sig *AppSignature) {
 		if len(edges) == 0 {
 			continue
 		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Src != edges[j].Src {
-				return edges[i].Src < edges[j].Src
-			}
-			return edges[i].Dst < edges[j].Dst
-		})
+		slices.SortFunc(edges, compareEdges)
 		ci := CISig{Edges: edges}
 		total := 0.0
 		for _, e := range edges {
@@ -301,7 +333,7 @@ func buildCI(sig *AppSignature) {
 
 // buildDDAndPC computes the delay distribution and partial correlation
 // for every adjacent edge pair (A->B, B->C) of the group.
-func buildDDAndPC(sig *AppSignature, occsByEdge map[Edge][]Occurrence, meta logMeta, cfg Config) {
+func buildDDAndPC(sig *AppSignature, startsByEdge map[Edge][]time.Duration, meta logMeta, cfg Config) {
 	// Adjacent pairs share node B.
 	var pairs []EdgePair
 	for in := range sig.CG {
@@ -311,23 +343,16 @@ func buildDDAndPC(sig *AppSignature, occsByEdge map[Edge][]Occurrence, meta logM
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i], pairs[j]
-		if a.In != b.In {
-			if a.In.Src != b.In.Src {
-				return a.In.Src < b.In.Src
-			}
-			return a.In.Dst < b.In.Dst
+	slices.SortFunc(pairs, func(a, b EdgePair) int {
+		if c := compareEdges(a.In, b.In); c != 0 {
+			return c
 		}
-		if a.Out.Src != b.Out.Src {
-			return a.Out.Src < b.Out.Src
-		}
-		return a.Out.Dst < b.Out.Dst
+		return compareEdges(a.Out, b.Out)
 	})
 
 	for _, p := range pairs {
-		ins := occsByEdge[p.In]
-		outs := occsByEdge[p.Out]
+		ins := startsByEdge[p.In]
+		outs := startsByEdge[p.Out]
 		if dd, ok := delayDistribution(ins, outs, cfg); ok {
 			sig.DD[p] = dd
 		}
@@ -339,8 +364,9 @@ func buildDDAndPC(sig *AppSignature, occsByEdge map[Edge][]Occurrence, meta logM
 
 // delayDistribution pairs each incoming flow start with all subsequent
 // outgoing flow starts within the window and histograms the deltas
-// (paper §III-B, DD).
-func delayDistribution(ins, outs []Occurrence, cfg Config) (DDSig, bool) {
+// (paper §III-B, DD). ins and outs are the two edges' occurrence starts;
+// outs must be in time order, as a pipeline's index is.
+func delayDistribution(ins, outs []time.Duration, cfg Config) (DDSig, bool) {
 	if len(ins) == 0 || len(outs) == 0 {
 		return DDSig{}, false
 	}
@@ -348,18 +374,14 @@ func delayDistribution(ins, outs []Occurrence, cfg Config) (DDSig, bool) {
 	if err != nil {
 		return DDSig{}, false
 	}
-	outStarts := make([]time.Duration, len(outs))
-	for i, o := range outs {
-		outStarts[i] = o.Start
-	}
-	sort.Slice(outStarts, func(i, j int) bool { return outStarts[i] < outStarts[j] })
 	samples := 0
 	for _, in := range ins {
-		// >= admits an outgoing flow starting at the same instant as the
-		// incoming one (delay 0, common with the discrete-event clock).
-		idx := sort.Search(len(outStarts), func(i int) bool { return outStarts[i] >= in.Start })
-		for ; idx < len(outStarts); idx++ {
-			d := outStarts[idx] - in.Start
+		// The search admits an outgoing flow starting at the same instant
+		// as the incoming one (delay 0, common with the discrete-event
+		// clock).
+		idx, _ := slices.BinarySearch(outs, in)
+		for ; idx < len(outs); idx++ {
+			d := outs[idx] - in
 			if d > cfg.DDWindow {
 				break
 			}
@@ -376,7 +398,7 @@ func delayDistribution(ins, outs []Occurrence, cfg Config) (DDSig, bool) {
 
 // edgeCorrelation computes the Pearson correlation between the two
 // edges' per-epoch flow-count time series (paper §III-B, PC).
-func edgeCorrelation(ins, outs []Occurrence, meta logMeta, cfg Config) (float64, bool) {
+func edgeCorrelation(ins, outs []time.Duration, meta logMeta, cfg Config) (float64, bool) {
 	// Round the epoch count up: a log whose duration is not an epoch
 	// multiple still contributes its tail remainder as a partial epoch
 	// instead of silently dropping every occurrence in it.
@@ -384,11 +406,11 @@ func edgeCorrelation(ins, outs []Occurrence, meta logMeta, cfg Config) (float64,
 	if nEpochs < 3 {
 		return 0, false
 	}
-	series := func(occs []Occurrence) []float64 {
+	series := func(starts []time.Duration) []float64 {
 		s := make([]float64, nEpochs)
-		for _, o := range occs {
-			i := int((o.Start - meta.Start) / cfg.PCEpoch)
-			if i == nEpochs && o.Start == meta.End {
+		for _, start := range starts {
+			i := int((start - meta.Start) / cfg.PCEpoch)
+			if i == nEpochs && start == meta.End {
 				i-- // an episode starting exactly at End counts in the last epoch
 			}
 			if i >= 0 && i < nEpochs {

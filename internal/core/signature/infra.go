@@ -68,34 +68,52 @@ type removedFlow struct {
 // the switch adjacencies its occurrences traversed, normalized to bytes
 // per second of log time. removals must hold one entry per flow key, in
 // log order (the float accumulation order is part of the byte-identical
-// contract); occs are the log's episodes.
+// contract); occs are the log's episodes. A key's path is that of its
+// first episode that crossed at least two switches.
 func attachLinkBytesFrom(inf *InfraSignature, dur time.Duration, removals []removedFlow, occs []Occurrence) {
 	if dur <= 0 {
 		return
 	}
-	// Per flow key: the adjacency pairs its episodes traversed.
-	pathOf := make(map[flowlog.FlowKey][]SwitchPair)
-	for _, o := range occs {
-		sws := o.Switches()
-		if len(sws) < 2 {
-			continue
+	// first[key] is the position in occs of the key's path episode, -1
+	// until one is found; only removed flows' keys are looked for.
+	first := make(map[flowlog.FlowKey]int32, len(removals))
+	for i := range removals {
+		first[removals[i].Key] = -1
+	}
+	for i := range occs {
+		if at, removed := first[occs[i].Key]; removed && at < 0 && packetIns(&occs[i]) >= 2 {
+			first[occs[i].Key] = int32(i)
 		}
-		if _, have := pathOf[o.Key]; have {
-			continue
-		}
-		pairs := make([]SwitchPair, 0, len(sws)-1)
-		for i := 1; i < len(sws); i++ {
-			pairs = append(pairs, SwitchPair{sws[i-1], sws[i]})
-		}
-		pathOf[o.Key] = pairs
 	}
 	inf.LinkBytes = make(map[SwitchPair]float64)
 	secs := dur.Seconds()
 	for _, rf := range removals {
-		for _, p := range pathOf[rf.Key] {
-			inf.LinkBytes[p] += float64(rf.Bytes) / secs
+		at := first[rf.Key]
+		if at < 0 {
+			continue
+		}
+		prev, seen := "", false
+		for i := range occs[at].Events {
+			e := &occs[at].Events[i]
+			if e.Type != flowlog.EventPacketIn {
+				continue
+			}
+			if seen {
+				inf.LinkBytes[SwitchPair{prev, e.Switch}] += float64(rf.Bytes) / secs
+			}
+			prev, seen = e.Switch, true
 		}
 	}
+}
+
+// packetIns counts the episode's PacketIns: the switches it crossed.
+func packetIns(o *Occurrence) (n int) {
+	for i := range o.Events {
+		if o.Events[i].Type == flowlog.EventPacketIn {
+			n++
+		}
+	}
+	return n
 }
 
 func buildInfraFromOccs(r *appgroup.Resolver, cfg Config, occs []Occurrence) InfraSignature {

@@ -9,6 +9,7 @@
 package signature
 
 import (
+	"cmp"
 	"time"
 
 	"flowdiff/internal/flowlog"
@@ -26,17 +27,6 @@ type Occurrence struct {
 	Start time.Duration
 	// Events are the episode's PacketIn/FlowMod events in time order.
 	Events []flowlog.Event
-}
-
-// Switches returns the episode's switch visit order (from PacketIns).
-func (o Occurrence) Switches() []string {
-	var out []string
-	for _, e := range o.Events {
-		if e.Type == flowlog.EventPacketIn {
-			out = append(out, e.Switch)
-		}
-	}
-	return out
 }
 
 // DefaultOccurrenceGap separates two occurrences of the same flow key: a
@@ -77,17 +67,19 @@ func compareKeys(a, b flowlog.FlowKey) int {
 	return 0
 }
 
-// occLess is the canonical occurrence order: start time, then key. Two
-// distinct occurrences never compare equal under it (episodes of one key
-// are gap-separated, so they cannot share a start), which is what makes
-// serial sorting, sharded merging, and streaming extraction produce the
-// exact same slice.
-func occLess(a, b Occurrence) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
+// compareOccurrences is the canonical occurrence order: start time, then
+// key. Two distinct occurrences never compare equal under it (episodes
+// of one key are gap-separated, so they cannot share a start), which is
+// what makes serial sorting, sharded merging, and streaming extraction
+// produce the exact same slice.
+func compareOccurrences(a, b Occurrence) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
 	}
-	return compareKeys(a.Key, b.Key) < 0
+	return compareKeys(a.Key, b.Key)
 }
+
+func occLess(a, b Occurrence) bool { return compareOccurrences(a, b) < 0 }
 
 // relevant reports whether an event participates in occurrence
 // extraction (only the control messages of path setup do).
@@ -108,7 +100,7 @@ func episodeStart(events []flowlog.Event) time.Duration {
 }
 
 // appendEpisode appends one closed episode (a capacity-capped subslice of
-// a per-key buffer) as an Occurrence.
+// its flow's run) as an Occurrence.
 func appendEpisode(out []Occurrence, key flowlog.FlowKey, events []flowlog.Event) []Occurrence {
 	if len(events) == 0 {
 		return out
@@ -123,9 +115,16 @@ func appendEpisode(out []Occurrence, key flowlog.FlowKey, events []flowlog.Event
 // canonical order — start time, ties broken by key — for every worker
 // count of OccurrencesSharded as well.
 func Occurrences(log *flowlog.Log, gap time.Duration) []Occurrence {
+	return controlEvents(log, gap).Flush()
+}
+
+// controlEvents loads a log's control events into a fresh extractor.
+func controlEvents(log *flowlog.Log, gap time.Duration) *StreamExtractor {
 	x := NewStreamExtractor(gap)
 	for i := range log.Events {
-		x.Append(log.Events[i])
+		if e := &log.Events[i]; relevant(e.Type) {
+			x.appendID(internFlow(x.ids, &e.Flow), e)
+		}
 	}
-	return x.Flush()
+	return x
 }

@@ -3,7 +3,7 @@ package signature
 import (
 	"context"
 	"fmt"
-	"sort"
+	"time"
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/obs"
@@ -40,6 +40,9 @@ type Pipeline struct {
 	// (possibly empty)". Monitor seeds it across windows via SetGroups.
 	groups    []appgroup.Group
 	hasGroups bool
+	// starts indexes the occurrences' start times by host edge; built
+	// by App, sliced per interval by Stability.
+	starts map[Edge][]time.Duration
 }
 
 func newPipeline(ctx context.Context, agg *sourceAgg, r *appgroup.Resolver, cfg Config, occs []Occurrence) *Pipeline {
@@ -53,7 +56,7 @@ func (p *Pipeline) EventCount() int { return p.agg.events }
 // Edges returns the log's distinct host edges (from PacketIn traffic) —
 // the input of group discovery. The map is owned by the pipeline and
 // must not be mutated.
-func (p *Pipeline) Edges() map[Edge]int { return p.agg.edges }
+func (p *Pipeline) Edges() map[Edge]int { return p.agg.whole.edges }
 
 // Occurrences returns the shared flow episodes, ordered by start time.
 // The slice is owned by the pipeline and must not be mutated.
@@ -64,7 +67,7 @@ func (p *Pipeline) Occurrences() []Occurrence { return p.occs }
 func (p *Pipeline) Groups() []appgroup.Group {
 	if !p.hasGroups {
 		sp := obs.Span(p.ctx, "signature.groups")
-		p.groups = appgroup.DiscoverFromEdges(p.agg.edges, p.cfg.Special)
+		p.groups = appgroup.DiscoverFromEdges(p.agg.whole.edges, p.cfg.Special)
 		sp.End()
 		obs.From(p.ctx).Counter("signature.groups").Add(int64(len(p.groups)))
 		p.hasGroups = true
@@ -85,15 +88,22 @@ func (p *Pipeline) SetGroups(groups []appgroup.Group) {
 // occurrences, one worker-pool task per group.
 func (p *Pipeline) App() []AppSignature {
 	defer obs.Span(p.ctx, "signature.app").End()
-	return buildAppFromGroups(p.ctx, appView{meta: p.agg.meta, removed: p.agg.removed}, p.r, p.cfg, p.occs, p.Groups())
+	return buildAppFromStarts(p.ctx, appView{meta: p.agg.whole.meta, removed: p.agg.whole.removed}, p.cfg, p.startsByEdge(), p.Groups())
+}
+
+func (p *Pipeline) startsByEdge() map[Edge][]time.Duration {
+	if p.starts == nil {
+		p.starts = indexStarts(p.occs, p.r)
+	}
+	return p.starts
 }
 
 // Infra builds the infrastructure signature from the shared occurrences.
 func (p *Pipeline) Infra() InfraSignature {
 	defer obs.Span(p.ctx, "signature.infra").End()
 	inf := buildInfraFromOccs(p.r, p.cfg, p.occs)
-	inf.LogDuration = p.agg.meta.Duration()
-	attachLinkBytesFrom(&inf, p.agg.meta.Duration(), p.agg.removals, p.occs)
+	inf.LogDuration = p.agg.whole.meta.Duration()
+	attachLinkBytesFrom(&inf, p.agg.whole.meta.Duration(), p.agg.removals, p.occs)
 	return inf
 }
 
@@ -101,8 +111,8 @@ func (p *Pipeline) Infra() InfraSignature {
 // whole-log signatures (pass App()'s result to avoid rebuilding them).
 // The per-interval edge sets and FlowRemoved samples were aggregated
 // during the event pass (sized by the StabilityConfig given then), and
-// the shared occurrences are partitioned across the intervals by binary
-// search on their start times; the per-interval builds then run on the
+// an interval's occurrences are subslices of the per-edge start index,
+// found by binary search; the per-interval builds then run on the
 // worker pool.
 func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[string]Stability, error) {
 	defer obs.Span(p.ctx, "signature.stability").End()
@@ -114,46 +124,21 @@ func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[str
 		return nil, fmt.Errorf("signature: pipeline aggregated %d stability intervals, asked for %d", len(p.agg.segs), scfg.Intervals)
 	}
 	obs.From(p.ctx).Counter("signature.intervals").Add(int64(len(p.agg.segs)))
-	metas := make([]logMeta, len(p.agg.segs))
-	for i := range p.agg.segs {
-		metas[i] = p.agg.segs[i].meta
-	}
-	parts := partitionByStart(p.occs, metas)
-	intervals := make([][]AppSignature, len(metas))
+	starts := p.startsByEdge()
+	n := len(p.agg.segs)
+	intervals := make([][]AppSignature, n)
 	// Parallelism lives at the interval level here; the nested per-group
 	// builds run serially so the pool stays bounded at cfg.workers().
 	serial := p.cfg
 	serial.Parallelism = 1
-	if err := parallel.ForContext(p.ctx, len(metas), p.cfg.workers(), func(i int) {
+	if err := parallel.ForContext(p.ctx, n, p.cfg.workers(), func(i int) {
 		sa := &p.agg.segs[i]
 		groups := appgroup.DiscoverFromEdges(sa.edges, serial.Special)
-		intervals[i] = buildAppFromGroups(p.ctx, appView{meta: sa.meta, removed: sa.removed}, p.r, serial, parts[i], groups)
+		intervals[i] = buildAppFromStarts(p.ctx, appView{meta: sa.meta, removed: sa.removed}, serial, sliceStarts(starts, sa.meta, i == n-1), groups)
 	}); err != nil {
 		return nil, err
 	}
 	return Stabilities(full, intervals, scfg), nil
-}
-
-// partitionByStart slices occs (sorted by start time) into per-segment
-// subslices: an occurrence belongs to the interval containing its start.
-// The final segment is inclusive of its end so an episode starting
-// exactly at the log's End is not lost (as in sourceAgg.segIndex).
-func partitionByStart(occs []Occurrence, segs []logMeta) [][]Occurrence {
-	parts := make([][]Occurrence, len(segs))
-	for i, s := range segs {
-		from, to := s.Start, s.End
-		lo := sort.Search(len(occs), func(j int) bool { return occs[j].Start >= from })
-		var hi int
-		if i == len(segs)-1 {
-			hi = sort.Search(len(occs), func(j int) bool { return occs[j].Start > to })
-		} else {
-			hi = sort.Search(len(occs), func(j int) bool { return occs[j].Start >= to })
-		}
-		if lo < hi {
-			parts[i] = occs[lo:hi:hi]
-		}
-	}
-	return parts
 }
 
 // workers resolves the Parallelism knob: 0 (or negative) means one

@@ -64,11 +64,11 @@ func TestGroupFSAggregates(t *testing.T) {
 // landed in the histogram.
 func TestDelayDistributionZeroDelay(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	ins := []Occurrence{{Start: 10 * time.Second}}
-	outs := []Occurrence{
-		{Start: 10 * time.Second},                    // delay 0
-		{Start: 10*time.Second + 5*time.Millisecond}, // delay 5ms, same bucket
-		{Start: 10*time.Second + 2*cfg.DDWindow},     // outside the window
+	ins := []time.Duration{10 * time.Second}
+	outs := []time.Duration{
+		10 * time.Second,                    // delay 0
+		10*time.Second + 5*time.Millisecond, // delay 5ms, same bucket
+		10*time.Second + 2*cfg.DDWindow,     // outside the window
 	}
 	dd, ok := delayDistribution(ins, outs, cfg)
 	if !ok {
@@ -88,10 +88,10 @@ func TestDelayDistributionZeroDelay(t *testing.T) {
 // and the old code found no correlated epochs at all.
 func TestEdgeCorrelationIncludesTailEpoch(t *testing.T) {
 	log := flowlog.New(0, 29*time.Second)
-	var ins, outs []Occurrence
+	var ins, outs []time.Duration
 	for _, s := range []time.Duration{26 * time.Second, 27 * time.Second, 28 * time.Second} {
-		ins = append(ins, Occurrence{Start: s})
-		outs = append(outs, Occurrence{Start: s + 100*time.Millisecond})
+		ins = append(ins, s)
+		outs = append(outs, s+100*time.Millisecond)
 	}
 	cfg := Config{}.withDefaults()
 	pc, ok := edgeCorrelation(ins, outs, logMeta{Start: log.Start, End: log.End}, cfg)
@@ -126,6 +126,14 @@ func TestPartitionByStartBoundaries(t *testing.T) {
 	// vanish: intervals collectively must see every occurrence.
 	if len(parts[1]) != 3 {
 		t.Errorf("last interval got %d occurrences, want 3 including the one at End", len(parts[1]))
+	}
+	// The pipeline slices its per-edge start index with the same
+	// boundaries.
+	index := map[Edge][]time.Duration{{Src: "a", Dst: "b"}: starts}
+	for i, m := range metas {
+		if got := sliceStarts(index, m, i == len(metas)-1)[Edge{Src: "a", Dst: "b"}]; len(got) != len(parts[i]) || got[0] != parts[i][0].Start {
+			t.Errorf("interval %d: sliced starts %v disagree with partitionByStart (%d from %v)", i, got, len(parts[i]), parts[i][0].Start)
+		}
 	}
 }
 

@@ -182,6 +182,35 @@ func (pr *pipelineReference) Stability(scfg StabilityConfig, full []AppSignature
 	return Stabilities(full, intervals, scfg), nil
 }
 
+// buildAppFromGroups builds the per-group signatures of a set of
+// occurrences, indexing them from scratch — what every build did before
+// the pipeline shared one index across the whole log and its intervals.
+func buildAppFromGroups(ctx context.Context, view appView, r *appgroup.Resolver, cfg Config, occs []Occurrence, groups []appgroup.Group) []AppSignature {
+	return buildAppFromStarts(ctx, view, cfg, indexStarts(occs, r), groups)
+}
+
+// partitionByStart slices occs (sorted by start time) into per-segment
+// subslices: an occurrence belongs to the interval containing its start.
+// The final segment is inclusive of its end so an episode starting
+// exactly at the log's End is not lost (as in sourceAgg.segIndex).
+func partitionByStart(occs []Occurrence, segs []logMeta) [][]Occurrence {
+	parts := make([][]Occurrence, len(segs))
+	for i, s := range segs {
+		from, to := s.Start, s.End
+		lo := sort.Search(len(occs), func(j int) bool { return occs[j].Start >= from })
+		var hi int
+		if i == len(segs)-1 {
+			hi = sort.Search(len(occs), func(j int) bool { return occs[j].Start > to })
+		} else {
+			hi = sort.Search(len(occs), func(j int) bool { return occs[j].Start >= to })
+		}
+		if lo < hi {
+			parts[i] = occs[lo:hi:hi]
+		}
+	}
+	return parts
+}
+
 // BenchmarkOccurrencesReference benchmarks the retained batch extractor
 // on BenchmarkOccurrencesSerial's workloads, for an in-tree before/after.
 func BenchmarkOccurrencesReference(b *testing.B) {

@@ -5,40 +5,15 @@ import (
 	"time"
 
 	"flowdiff/internal/flowlog"
+	"flowdiff/internal/parallel"
 )
 
-// hashKey is an FNV-1a hash of the flow 5-tuple, used only to assign
-// keys to extraction shards. It must depend on nothing but the key, so
-// every event of a key lands in the same shard.
-func hashKey(k flowlog.FlowKey) uint32 {
-	const prime32 = 16777619
-	h := uint32(2166136261)
-	mix := func(b byte) {
-		h ^= uint32(b)
-		h *= prime32
-	}
-	mix(k.Proto)
-	src := k.Src.As16()
-	for _, b := range src {
-		mix(b)
-	}
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.SrcPort))
-	dst := k.Dst.As16()
-	for _, b := range dst {
-		mix(b)
-	}
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.DstPort))
-	return h
-}
-
 // OccurrencesSharded extracts the same episodes as Occurrences with the
-// flow keys sharded across cfg.Parallelism workers — the knob
+// flows shared out among cfg.Parallelism gather workers — the knob
 // flowdiff.Options.Parallelism flows into, clamped to GOMAXPROCS by the
-// parallel.Clamp contract. It is the extractor every signature build
-// runs (streamShards), applied to a whole log: byte-identical output
-// for every worker count, pinned by TestOccurrencesShardedMatchesSerial.
+// parallel.Clamp contract. It is the extraction every signature build
+// runs, applied to a whole log: byte-identical output for every worker
+// count, pinned by TestOccurrencesShardedMatchesSerial.
 func OccurrencesSharded(log *flowlog.Log, cfg Config) []Occurrence {
 	cfg = cfg.withDefaults()
 	return occurrencesSharded(context.Background(), log, cfg.OccurrenceGap, cfg.workers())
@@ -48,14 +23,26 @@ func OccurrencesSharded(log *flowlog.Log, cfg Config) []Occurrence {
 // so tests can pin shard counts above GOMAXPROCS. A canceled ctx yields
 // a partial result the caller discards on observing ctx.Err().
 func occurrencesSharded(ctx context.Context, log *flowlog.Log, gap time.Duration, workers int) []Occurrence {
-	s := newStreamShards(gap, workers)
-	for i := range log.Events {
-		if s.add(ctx, &log.Events[i]) != nil {
-			return nil
-		}
-	}
-	occs, _ := s.finish(ctx)
+	occs, _ := controlEvents(log, gap).flushSharded(ctx, workers)
 	return occs
+}
+
+// flushSharded is Flush with the gather fanned out: flow ids are dense,
+// so each worker takes an equal range of them, scans the shared arena
+// for its flows' events, and the per-worker results — each in canonical
+// order, under a comparator that is a total order — merge into the same
+// slice for every worker count. The only possible error is ctx's.
+func (x *StreamExtractor) flushSharded(ctx context.Context, workers int) ([]Occurrence, error) {
+	parts := make([][]Occurrence, workers)
+	flows := len(x.count)
+	err := parallel.ForContext(ctx, workers, workers, func(w int) {
+		parts[w] = x.gather(new(gatherer), w*flows/workers, (w+1)*flows/workers)
+	})
+	x.Reset()
+	if err != nil {
+		return nil, err
+	}
+	return mergeOccurrences(parts), nil
 }
 
 // mergeOccurrences k-way merges per-shard occurrence slices that are

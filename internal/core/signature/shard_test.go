@@ -147,25 +147,6 @@ func TestCompareKeysTotalOrder(t *testing.T) {
 	}
 }
 
-// TestHashKeyStable: the shard hash must be a pure function of the key
-// (every event of a key must land in the same shard).
-func TestHashKeyStable(t *testing.T) {
-	a := flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 10, DstPort: 80}
-	if hashKey(a) != hashKey(a) {
-		t.Fatal("hashKey not deterministic")
-	}
-	b := a
-	b.DstPort = 81
-	if hashKey(a) == hashKey(b) {
-		// Not impossible, but with FNV-1a over distinct tuples this
-		// particular pair must differ; a collision here means the hash
-		// is ignoring fields.
-		t.Fatal("hashKey ignores the destination port")
-	}
-	var zero flowlog.FlowKey // zero netip.Addrs must hash, not panic
-	_ = hashKey(zero)
-}
-
 // TestMergeOccurrences exercises the k-way merge on uneven shards.
 func TestMergeOccurrences(t *testing.T) {
 	mk := func(starts ...int) []Occurrence {

@@ -9,7 +9,6 @@ import (
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/obs"
-	"flowdiff/internal/parallel"
 )
 
 // EventSource is a pull-based stream of decoded event batches — the
@@ -53,10 +52,25 @@ func (s *logSource) Bounds() (start, end time.Duration) { return s.log.Start, s.
 // versions of the first two. Sample order follows event order, which is
 // part of the byte-identical contract: float accumulation downstream
 // runs in that order.
+//
+// The fold runs over interned ids, not keys: an event arrives with its
+// flow's dense id (the extractor's one hash), the flow's host edge is
+// resolved and interned when the flow is first folded — once per flow,
+// not twice per event — and every "seen" set is a flag row indexed by
+// flow id. Samples collect per edge id; finish, after the last event,
+// hands them to the removed maps the builds consume.
 type sourceAgg struct {
-	meta    logMeta
-	edges   map[Edge]int
-	removed map[Edge][]removedSample
+	whole  segAgg
+	r      *appgroup.Resolver
+	events int
+	// edgeOf[id] is flow id's edge id, -1 until the flow is first folded.
+	// seen holds stride flags per flow: [0] a PacketIn was folded, [1] a
+	// FlowRemoved was, [2+i] a PacketIn was in stability interval i.
+	edgeOf  []int32
+	seen    []bool
+	stride  int
+	edgeIDs map[Edge]int32
+	edgeAt  []Edge // by edge id
 	// removals holds each flow key's first FlowRemoved, in log order.
 	removals []removedFlow
 	// segs mirror flowlog.Segment(intervals) over [Start, End]; segErr
@@ -64,42 +78,48 @@ type sourceAgg struct {
 	segs     []segAgg
 	segWidth time.Duration
 	segErr   error
-	events   int
-
-	seenFlows   map[flowlog.FlowKey]bool
-	seenRemoved map[flowlog.FlowKey]bool
 }
 
-// segAgg is one stability interval's slice of the aggregates.
+// segAgg is the aggregates of one interval: a stability interval, or
+// the whole log.
 type segAgg struct {
 	meta    logMeta
 	edges   map[Edge]int
+	samples [][]removedSample // by edge id
 	removed map[Edge][]removedSample
-	seen    map[flowlog.FlowKey]bool
 }
 
-func newSourceAgg(start, end time.Duration, intervals int) *sourceAgg {
-	a := &sourceAgg{
-		meta:        logMeta{Start: start, End: end},
-		edges:       make(map[Edge]int),
-		removed:     make(map[Edge][]removedSample),
-		seenFlows:   make(map[flowlog.FlowKey]bool),
-		seenRemoved: make(map[flowlog.FlowKey]bool),
+func newSegAgg(start, end time.Duration) segAgg {
+	return segAgg{meta: logMeta{Start: start, End: end}, edges: make(map[Edge]int)}
+}
+
+func (s *segAgg) sample(eid int32, v removedSample) {
+	for int(eid) >= len(s.samples) {
+		s.samples = append(s.samples, nil)
 	}
+	s.samples[eid] = append(s.samples[eid], v)
+}
+
+func (s *segAgg) finish(edgeAt []Edge) {
+	s.removed = make(map[Edge][]removedSample, len(s.samples))
+	for eid, v := range s.samples {
+		if len(v) > 0 {
+			s.removed[edgeAt[eid]] = v
+		}
+	}
+}
+
+func newSourceAgg(start, end time.Duration, intervals int, r *appgroup.Resolver) *sourceAgg {
+	a := &sourceAgg{whole: newSegAgg(start, end), r: r, stride: 2, edgeIDs: make(map[Edge]int32)}
 	segs, err := (&flowlog.Log{Start: start, End: end}).Segment(intervals)
 	if err != nil {
 		a.segErr = err
 		return a
 	}
 	a.segWidth = (end - start) / time.Duration(intervals)
-	a.segs = make([]segAgg, len(segs))
-	for i, s := range segs {
-		a.segs[i] = segAgg{
-			meta:    logMeta{Start: s.Start, End: s.End},
-			edges:   make(map[Edge]int),
-			removed: make(map[Edge][]removedSample),
-			seen:    make(map[flowlog.FlowKey]bool),
-		}
+	a.stride += len(segs)
+	for _, s := range segs {
+		a.segs = append(a.segs, newSegAgg(s.Start, s.End))
 	}
 	return a
 }
@@ -110,142 +130,107 @@ func newSourceAgg(start, end time.Duration, intervals int) *sourceAgg {
 // [Start, End] belong to no interval (Segment's windows never cover
 // them either).
 func (a *sourceAgg) segIndex(t time.Duration) int {
-	if len(a.segs) == 0 || t < a.meta.Start || t > a.meta.End {
+	if len(a.segs) == 0 || t < a.whole.meta.Start || t > a.whole.meta.End {
 		return -1
 	}
-	i := int((t - a.meta.Start) / a.segWidth)
+	i := int((t - a.whole.meta.Start) / a.segWidth)
 	if i >= len(a.segs) {
 		i = len(a.segs) - 1
 	}
 	return i
 }
 
-// add folds one event into the aggregates. Events must arrive in log
-// order: the sample slices' order is part of the byte-identical
-// contract.
-func (a *sourceAgg) add(e *flowlog.Event, r *appgroup.Resolver) {
-	a.events++
-	switch e.Type {
-	case flowlog.EventPacketIn:
-		edge := Edge{Src: r.Node(e.Flow.Src), Dst: r.Node(e.Flow.Dst)}
-		if !a.seenFlows[e.Flow] {
-			a.seenFlows[e.Flow] = true
-			a.edges[edge]++
+// edge returns flow id's edge id and seen flags, resolving and interning
+// the flow's host edge the first time the flow is folded.
+func (a *sourceAgg) edge(id int32, key *flowlog.FlowKey) (int32, []bool) {
+	for int(id) >= len(a.edgeOf) {
+		a.edgeOf = append(a.edgeOf, -1)
+		a.seen = append(a.seen, make([]bool, a.stride)...)
+	}
+	if a.edgeOf[id] < 0 {
+		edge := Edge{Src: a.r.Node(key.Src), Dst: a.r.Node(key.Dst)}
+		eid, ok := a.edgeIDs[edge]
+		if !ok {
+			eid = int32(len(a.edgeAt))
+			a.edgeIDs[edge] = eid
+			a.edgeAt = append(a.edgeAt, edge)
 		}
-		if i := a.segIndex(e.Time); i >= 0 {
-			s := &a.segs[i]
-			if !s.seen[e.Flow] {
-				s.seen[e.Flow] = true
-				s.edges[edge]++
-			}
-		}
-	case flowlog.EventFlowRemoved:
-		edge := Edge{Src: r.Node(e.Flow.Src), Dst: r.Node(e.Flow.Dst)}
-		sample := removedSample{Bytes: e.Bytes, Packets: e.Packets, Duration: e.FlowDuration}
-		a.removed[edge] = append(a.removed[edge], sample)
-		if !a.seenRemoved[e.Flow] {
-			a.seenRemoved[e.Flow] = true
-			a.removals = append(a.removals, removedFlow{Key: e.Flow, Bytes: e.Bytes})
-		}
-		if i := a.segIndex(e.Time); i >= 0 {
-			s := &a.segs[i]
-			s.removed[edge] = append(s.removed[edge], sample)
-		}
+		a.edgeOf[id] = eid
+	}
+	return a.edgeOf[id], a.seen[int(id)*a.stride:]
+}
+
+// packetIn folds one PacketIn of the flow interned to id.
+func (a *sourceAgg) packetIn(id int32, key *flowlog.FlowKey, at time.Duration) {
+	eid, seen := a.edge(id, key)
+	if !seen[0] {
+		seen[0] = true
+		a.whole.edges[a.edgeAt[eid]]++
+	}
+	if i := a.segIndex(at); i >= 0 && !seen[2+i] {
+		seen[2+i] = true
+		a.segs[i].edges[a.edgeAt[eid]]++
 	}
 }
 
-// streamStageEvents is how many staged control events accumulate before
-// the sharded extractor drains them onto the worker pool. Large enough
-// to amortize fan-out, small enough that staging stays a rounding error
-// against a decoded segment.
-const streamStageEvents = 1 << 15
-
-// streamShards is the occurrence extractor of every signature build:
-// one StreamExtractor per worker, fed by flow-key hash. With a single
-// worker events go straight into it; otherwise they are staged per
-// shard and periodically drained in parallel — each extractor is
-// touched by one worker per drain, and shard assignment depends only on
-// the key, so every event of a key lands in the same extractor. Each
-// per-shard Flush is in canonical occurrence order and the merge
-// comparator is a total order, so the result is byte-identical for
-// every worker count.
-type streamShards struct {
-	xs     []*StreamExtractor
-	bufs   [][]flowlog.Event
-	staged int
+// flowRemoved folds one FlowRemoved. They must arrive in log order: the
+// sample slices' order is part of the byte-identical contract.
+func (a *sourceAgg) flowRemoved(rec *removedRecord) {
+	eid, seen := a.edge(rec.flow, &rec.key)
+	a.whole.sample(eid, rec.sample)
+	if !seen[1] {
+		seen[1] = true
+		a.removals = append(a.removals, removedFlow{Key: rec.key, Bytes: rec.sample.Bytes})
+	}
+	if i := a.segIndex(rec.at); i >= 0 {
+		a.segs[i].sample(eid, rec.sample)
+	}
 }
 
-func newStreamShards(gap time.Duration, workers int) *streamShards {
-	s := &streamShards{
-		xs:   make([]*StreamExtractor, workers),
-		bufs: make([][]flowlog.Event, workers),
+// finish closes the fold: the samples become the removed maps.
+func (a *sourceAgg) finish() {
+	a.whole.finish(a.edgeAt)
+	for i := range a.segs {
+		a.segs[i].finish(a.edgeAt)
 	}
-	for i := range s.xs {
-		s.xs[i] = NewStreamExtractor(gap)
-	}
-	return s
 }
 
-// add feeds one event, draining the stages once streamStageEvents have
-// accumulated. The only possible error is ctx's.
-func (s *streamShards) add(ctx context.Context, e *flowlog.Event) error {
-	if !relevant(e.Type) {
-		return nil
-	}
-	if len(s.xs) == 1 {
-		s.xs[0].Append(*e)
-		return nil
-	}
-	w := hashKey(e.Flow) % uint32(len(s.xs))
-	s.bufs[w] = append(s.bufs[w], *e)
-	s.staged++
-	if s.staged < streamStageEvents {
-		return nil
-	}
-	return s.drain(ctx)
-}
-
-func (s *streamShards) drain(ctx context.Context) error {
-	err := parallel.ForContext(ctx, len(s.xs), len(s.xs), func(w int) {
-		for _, e := range s.bufs[w] {
-			s.xs[w].Append(e)
+// fold replays what the extractor retains of a window into agg: the
+// PacketIns in arrival order, then the FlowRemoved records in theirs
+// (they touch disjoint aggregates, so this equals the interleaved pass).
+func (x *StreamExtractor) fold(a *sourceAgg) {
+	a.events = x.events
+	a.removals = make([]removedFlow, 0, min(len(x.removed), len(x.ids)))
+	for i := 0; i < x.n; i++ {
+		c := x.arena[i/chunkEvents]
+		if e := &c.ev[i%chunkEvents]; e.Type == flowlog.EventPacketIn {
+			a.packetIn(c.flow[i%chunkEvents], &e.Flow, e.Time)
 		}
-		s.bufs[w] = s.bufs[w][:0]
-	})
-	s.staged = 0
-	return err
-}
-
-func (s *streamShards) finish(ctx context.Context) ([]Occurrence, error) {
-	if err := s.drain(ctx); err != nil {
-		return nil, err
 	}
-	parts := make([][]Occurrence, len(s.xs))
-	if err := parallel.ForContext(ctx, len(s.xs), len(s.xs), func(w int) {
-		parts[w] = s.xs[w].Flush()
-	}); err != nil {
-		return nil, err
+	for i := range x.removed {
+		a.flowRemoved(&x.removed[i])
 	}
-	return mergeOccurrences(parts), nil
+	a.finish()
 }
 
 // NewPipelineFromSourceContext builds a pipeline by streaming the
-// source once: occurrences are extracted incrementally (sharded by
-// flow-key hash across Config.Parallelism workers), and everything else
+// source once: control events go into one StreamExtractor (gathered by
+// Config.Parallelism workers when the source ends), and everything else
 // the signature builds need — edge sets, FlowRemoved samples, per-
 // interval aggregates sized by scfg.Intervals — is folded into running
 // aggregates, so peak memory is one decoded batch plus the aggregates
-// and occurrences, never more of the event stream than the source
-// itself holds. The span "signature.extract" times the pass; the
-// counter "signature.occurrences" accumulates the episode count. The
-// pipeline's Stability must be called with the interval count the
-// aggregates were sized with.
+// and the control events (in the extractor's chunks while the source
+// streams, in the occurrences once it ends), never more of the stream
+// than the source itself holds. The span "signature.extract" times the
+// pass; the counter "signature.occurrences" accumulates the episode
+// count. The pipeline's Stability must be called with the interval
+// count the aggregates were sized with.
 func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	start, end := src.Bounds()
-	agg := newSourceAgg(start, end, scfg.withDefaults().Intervals)
+	agg := newSourceAgg(start, end, scfg.withDefaults().Intervals, r)
 	sp := obs.Span(ctx, "signature.extract")
-	occs, err := extractFromSource(ctx, src, agg, r, cfg)
+	occs, err := extractFromSource(ctx, src, agg, cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -253,26 +238,29 @@ func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgr
 	return newPipeline(ctx, agg, r, cfg, occs), nil
 }
 
-// NewPipelineFromOccurrencesContext builds a pipeline over a log whose
-// occurrences are already extracted, skipping the extraction pass: only
-// the aggregates (sized by scfg.Intervals, as above) are folded from
-// the log's events. The occurrences must be in canonical order (as
-// produced by Occurrences, OccurrencesSharded, or
-// StreamExtractor.Flush) and cover exactly the given log; Monitor uses
-// this to reuse each window's incrementally extracted episodes. The
-// pipeline takes ownership of the slice.
-func NewPipelineFromOccurrencesContext(ctx context.Context, log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityConfig, occs []Occurrence) *Pipeline {
-	agg := newSourceAgg(log.Start, log.End, scfg.withDefaults().Intervals)
-	for i := range log.Events {
-		agg.add(&log.Events[i], r)
-	}
+// NewPipelineFromOccurrencesContext builds the pipeline of one Monitor
+// window, [start, end], from the extractor that observed it and occs,
+// that extractor's Gather: there is no extraction pass and no event
+// log, the aggregates (sized by scfg.Intervals, as above) are folded
+// from what the extractor retains. The pipeline aliases the extractor's
+// pooled memory through occs; the caller resets the extractor only when
+// it is done with the pipeline.
+func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, r *appgroup.Resolver, cfg Config, scfg StabilityConfig, occs []Occurrence) *Pipeline {
+	agg := newSourceAgg(start, end, scfg.withDefaults().Intervals, r)
+	x.fold(agg)
 	return newPipeline(ctx, agg, r, cfg.withDefaults(), occs)
 }
 
-// extractFromSource drains the source, feeding every event to the
-// aggregates and to the occurrence extractor.
-func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, r *appgroup.Resolver, cfg Config) ([]Occurrence, error) {
-	shards := newStreamShards(cfg.OccurrenceGap, cfg.workers())
+// streamStageEvents is how many control events a streamed build must
+// hold before its gather is fanned out. Measured on two CPUs: at 4k the
+// fan-out buys nothing, at 17k about a tenth of the build.
+const streamStageEvents = 1 << 13
+
+// extractFromSource drains the source, interning every flow event's key
+// once and feeding the id to the aggregates and to the occurrence
+// extractor.
+func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg Config) ([]Occurrence, error) {
+	x := NewStreamExtractor(cfg.OccurrenceGap)
 	for {
 		batch, err := src.Next()
 		if err == io.EOF {
@@ -281,15 +269,29 @@ func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, r *
 		if err != nil {
 			return nil, fmt.Errorf("signature: reading event source: %w", err)
 		}
+		agg.events += len(batch)
 		for i := range batch {
-			agg.add(&batch[i], r)
-			if err := shards.add(ctx, &batch[i]); err != nil {
-				return nil, err
+			e := &batch[i]
+			switch e.Type {
+			case flowlog.EventFlowRemoved:
+				rec := recordOf(internFlow(x.ids, &e.Flow), e)
+				agg.flowRemoved(&rec)
+			case flowlog.EventPacketIn, flowlog.EventFlowMod:
+				id := internFlow(x.ids, &e.Flow)
+				if e.Type == flowlog.EventPacketIn {
+					agg.packetIn(id, &e.Flow, e.Time)
+				}
+				x.appendID(id, e)
 			}
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	return shards.finish(ctx)
+	agg.finish()
+	workers := cfg.workers()
+	if x.n < streamStageEvents {
+		workers = 1
+	}
+	return x.flushSharded(ctx, workers)
 }

@@ -31,7 +31,13 @@ type Detection struct {
 // FlowsFromLog extracts the time-ordered flow starts (one per flow
 // occurrence) from a control log.
 func FlowsFromLog(log *flowlog.Log, gap time.Duration) []TimedFlow {
-	occs := signature.Occurrences(log, gap)
+	return FlowsFromOccurrences(signature.Occurrences(log, gap))
+}
+
+// FlowsFromOccurrences is the flow-start series of already extracted
+// occurrences (in canonical order), for callers that modeled the log
+// and have them in hand.
+func FlowsFromOccurrences(occs []signature.Occurrence) []TimedFlow {
 	out := make([]TimedFlow, 0, len(occs))
 	for _, o := range occs {
 		out = append(out, TimedFlow{Key: o.Key, At: o.Start})

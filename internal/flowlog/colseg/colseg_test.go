@@ -3,10 +3,13 @@ package colseg
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,18 +352,74 @@ func FuzzReadSegment(f *testing.F) {
 	future := append([]byte(nil), valid...)
 	future[4] = formatVersion2 + 1
 	f.Add(future)
+	// The largest plausible event count declared over a small payload,
+	// in both layouts: it passes the preamble checks (the count is not
+	// covered by a CRC) and must fail in the column decode.
+	f.Add(hostileCount(valid))
+	f.Add(hostileCount(validV1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// ReadAll decodes straight into the log it returns; batch by
+		// batch or all at once, the outcome must be the same.
+		all, allErr := Read(bytes.NewReader(data))
 		r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
 		if err != nil {
+			if allErr == nil {
+				t.Fatalf("NewReader failed (%v) where Read succeeded", err)
+			}
 			return
 		}
+		var events []flowlog.Event
 		for {
-			if _, err := r.Next(); err != nil {
-				break // io.EOF or a decode error; both are fine, panics are not
+			batch, err := r.Next()
+			if err != nil {
+				// io.EOF or a decode error; both are fine, panics are not.
+				if (err == io.EOF) != (allErr == nil) {
+					t.Fatalf("Next ended with %v, Read with %v", err, allErr)
+				}
+				break
 			}
+			events = append(events, batch...)
+		}
+		if allErr == nil && !reflect.DeepEqual(events, all.Events) {
+			t.Fatalf("batched read decoded %d events, ReadAll %d, or they differ", len(events), len(all.Events))
 		}
 	})
+}
+
+// hostileCount returns file with its first segment's event count raised
+// to maxSegmentEvents.
+func hostileCount(file []byte) []byte {
+	out := append([]byte(nil), file...)
+	binary.BigEndian.PutUint32(out[headerLen+4+16:], maxSegmentEvents)
+	return out
+}
+
+// TestHostileSegmentCountFailsBeforeEventAllocation: a header declaring
+// the largest plausible count over a tiny payload must fail with a
+// wrapped error in the column decode, before anything is allocated at
+// 144 bytes an event — ReadAll sizes the log it returns from the count
+// only once the time, address and switch columns have decoded to that
+// many rows. What may be allocated is what always was: the per-row
+// scratch of the columns decoded so far (8 bytes a row for the times).
+func TestHostileSegmentCountFailsBeforeEventAllocation(t *testing.T) {
+	l := testLog(30*time.Second, 200)
+	for _, version := range []int{formatVersion1, formatVersion2} {
+		file := hostileCount(encode(t, l, WriterOptions{FormatVersion: version}))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.HasPrefix(err.Error(), "colseg: ") {
+			t.Fatalf("v%d: Read returned %v, want a colseg decode error", version, err)
+		}
+		const ceiling = 16 * maxSegmentEvents // twice the time scratch; the events would be 144x
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("v%d: %d bytes allocated before %q", version, got, err)
+		if got > ceiling {
+			t.Errorf("v%d: hostile count allocated %d bytes before failing, want <= %d", version, got, ceiling)
+		}
+	}
 }
 
 func TestColumnarCompressionRatio(t *testing.T) {

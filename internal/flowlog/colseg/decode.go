@@ -3,6 +3,7 @@ package colseg
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"flowdiff/internal/flowlog"
@@ -65,7 +66,6 @@ type decodeScratch struct {
 	srcDict []netip.Addr
 	dstDict []netip.Addr
 	swDict  []string
-	evs     []flowlog.Event
 }
 
 // decodeAddrBlock decodes one address column into its dictionary and
@@ -160,14 +160,15 @@ func decodeSwitchBlock(block []byte, count int, names map[string]string, dictBuf
 	return dict, ids, nil
 }
 
-// decodeBlocks decodes one segment's needed column blocks into events,
-// applying the query at decode time: out-of-window or non-member events
-// are never materialized (the returned slice holds exactly the kept
-// rows), and unprojected columns are never decoded. The returned slice
-// aliases sc.evs and is valid until the next decode into the same
-// scratch. filtered is the count of events dropped by the per-event
-// filter.
-func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names map[string]string, sc *decodeScratch) (evs []flowlog.Event, filtered int, err error) {
+// decodeBlocks decodes one segment's needed column blocks into events
+// appended to dst — the caller's batch buffer, or the tail of the log
+// ReadAll returns, so no scratch copy is taken out — applying the query
+// at decode time: out-of-window or non-member events are never
+// materialized (exactly the kept rows are appended), and unprojected
+// columns are never decoded. The event-sized allocation comes only
+// after the time, address and switch columns decoded count plausible
+// rows. filtered is the count of events dropped by the per-event filter.
+func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names map[string]string, sc *decodeScratch, dst []flowlog.Event) (out []flowlog.Event, filtered int, err error) {
 	// Pass 1: the time column (always decoded — time orders the batch
 	// and drives windowed filtering).
 	times := grow(sc.times, count)
@@ -263,13 +264,14 @@ func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names 
 		}
 	}
 
-	// Pass 3: materialize exactly the kept rows. The scratch slice is
-	// reused across segments, so reset every row to zero — unprojected
-	// fields must read as the zero value, not a stale one.
-	evs = grow(sc.evs, kept)
-	sc.evs = evs
-	for i := range evs {
-		evs[i] = flowlog.Event{}
+	// Pass 3: materialize exactly the kept rows. dst may be a recycled
+	// buffer, so unless every field is about to be overwritten reset the
+	// rows to zero — unprojected fields must read as the zero value, not
+	// a stale one.
+	out = slices.Grow(dst, kept)[:len(dst)+kept]
+	evs := out[len(dst):]
+	if spec.proj != AllColumns {
+		clear(evs)
 	}
 	j := 0
 	for i := 0; i < count; i++ {
@@ -386,5 +388,5 @@ func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names 
 		}
 	}
 
-	return evs, count - kept, nil
+	return out, count - kept, nil
 }

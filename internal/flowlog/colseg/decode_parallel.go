@@ -95,7 +95,7 @@ func (r *Reader) refill() error {
 	sp := r.reg.Span("colseg.decode")
 	err := parallel.ForContext(r.ctx, p.n, p.workers, func(i int) {
 		s := p.slots[i]
-		s.evs, s.filtered, s.err = decodeBlocks(&s.blocks, s.meta.count, r.spec, nil, &s.sc)
+		s.evs, s.filtered, s.err = decodeBlocks(&s.blocks, s.meta.count, r.spec, nil, &s.sc, s.evs[:0])
 	})
 	sp.End()
 	return err

@@ -199,7 +199,8 @@ func (r *Reader) Next() ([]flowlog.Event, error) {
 		if r.par != nil {
 			err = r.nextSegmentParallel()
 		} else {
-			err = r.nextSegment()
+			r.seg, err = r.nextSegment(r.seg[:0])
+			r.pos = 0
 		}
 		if err != nil {
 			r.err = err
@@ -400,44 +401,49 @@ func (r *Reader) loadBlocks(meta *segMeta, blocks *[numColumns][]byte, slab []by
 	return slab, nil
 }
 
-// nextSegment advances past end markers and pruned segments until one
-// segment has been decoded into r.seg (possibly empty after decode-time
-// filtering) or the file ends (r.done). Serial path.
-func (r *Reader) nextSegment() error {
+// nextSegment consumes the next step of the stream — the end marker
+// (r.done), a pruned segment, or one segment decoded onto the end of
+// dst (possibly nothing after decode-time filtering) — and returns dst
+// as extended. Serial path.
+func (r *Reader) nextSegment(dst []flowlog.Event) ([]flowlog.Event, error) {
 	meta, done, err := r.readMeta()
 	if err != nil {
-		return err
+		return dst, err
 	}
 	if done {
 		r.done = true
-		r.seg, r.pos = nil, 0
-		return nil
+		return dst, nil
 	}
 	if pruned, byIndex := r.prune(&meta); pruned {
-		return r.skipSegment(&meta, byIndex)
+		return dst, r.skipSegment(&meta, byIndex)
 	}
 	if r.slab, err = r.loadBlocks(&meta, &r.blocks, r.slab); err != nil {
-		return err
+		return dst, err
 	}
 	//lint:ignore obsspan same decode stage as the parallel refill path; a reader runs exactly one of the two, so the timeline never sees both and the metric name stays comparable across modes
 	sp := r.reg.Span("colseg.decode")
-	evs, filtered, err := decodeBlocks(&r.blocks, meta.count, r.spec, r.names, &r.sc)
+	out, filtered, err := decodeBlocks(&r.blocks, meta.count, r.spec, r.names, &r.sc, dst)
 	sp.End()
 	if err != nil {
-		return err
+		return dst, err
 	}
 	r.m.segsRead.Inc()
-	r.m.evsDecoded.Add(int64(len(evs)))
+	r.m.evsDecoded.Add(int64(len(out) - len(dst)))
 	r.m.evsFiltered.Add(int64(filtered))
-	r.seg, r.pos = evs, 0
-	return nil
+	return out, nil
 }
 
 // ReadAll drains the reader into an in-memory log covering the file's
-// recorded bounds (or the filter window when one is set).
+// recorded bounds (or the filter window when one is set). A serial
+// reader standing between segments — a fresh one always is — decodes
+// each remaining segment straight onto the end of the log it returns;
+// otherwise the batches are copied out.
 func (r *Reader) ReadAll() (*flowlog.Log, error) {
 	start, end := r.Bounds()
 	out := flowlog.New(start, end)
+	for r.par == nil && r.err == nil && !r.done && r.pos >= len(r.seg) {
+		out.Events, r.err = r.nextSegment(out.Events)
+	}
 	for {
 		batch, err := r.Next()
 		if err == io.EOF {

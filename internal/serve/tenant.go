@@ -156,19 +156,22 @@ func (t *tenant) process(ctx context.Context, j job) {
 }
 
 // processEvents feeds a batch into the monitor, persisting any window
-// reports its grid boundaries produce along the way.
+// reports its grid boundaries produce along the way. The observed count
+// and the queue budget are settled once per batch, not per event.
 func (t *tenant) processEvents(ctx context.Context, events []flowlog.Event) {
+	observed := 0
 	for i := range events {
 		rep, err := t.mon.Observe(ctx, events[i])
 		if err != nil {
 			t.fail(err)
 			continue
 		}
-		t.observed.Add(1)
+		observed++
 		if rep != nil {
 			t.persist(rep)
 		}
 	}
+	t.observed.Add(int64(observed))
 	t.mu.Lock()
 	t.queued -= len(events)
 	t.depthGauge.Set(int64(t.queued))

@@ -10,6 +10,7 @@ import (
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/core/signature"
+	"flowdiff/internal/core/taskmine"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/obs"
 )
@@ -20,11 +21,14 @@ import (
 // sketches ("FlowDiff frequently models the behavior of a data center").
 //
 // The modeling cost per window is O(window events), independent of how
-// long the monitor has been running: occurrence extraction happens
-// incrementally as events are observed (signature.StreamExtractor keeps
-// per-key open episodes across appends), Flush only closes out the
-// window's episodes and hands the shared slice to the signature
-// pipeline, and application-group discovery is cached across windows —
+// long the monitor has been running, and the window is stored once:
+// Observe hands each event to a signature.StreamExtractor, which keeps
+// control events in pooled chunks, a small record per FlowRemoved, and
+// a count of everything else. A flush gathers the window's episodes,
+// folds the aggregates from the same store, models and diffs, and only
+// once the report exists resets the extractor, returning every chunk to
+// the shared pool: an idle monitor holds no event memory.
+// Application-group discovery is cached across windows —
 // rediscovered only when the window's host edge set changes.
 //
 // Flush boundaries are aligned to a fixed grid: every automatic window
@@ -52,12 +56,17 @@ type Monitor struct {
 	r        *appgroup.Resolver
 	sigCfg   signature.Config
 
-	buf *flowlog.Log
-	ex  *signature.StreamExtractor
+	// ex holds the open window; start and end are its bounds so far.
+	ex         *signature.StreamExtractor
+	start, end time.Duration
 	// origin anchors the window grid (the baseline's end); next is the
 	// grid boundary at which the buffered window flushes.
 	origin time.Duration
 	next   time.Duration
+	// events is the "monitor.events" counter of eventsReg, the registry
+	// the last Observe's context carried.
+	eventsReg *obs.Registry
+	events    *obs.Counter
 
 	// Cross-window group-discovery cache: groups is reused as long as a
 	// window's host edge set equals groupEdges (discovery is a pure
@@ -68,11 +77,6 @@ type Monitor struct {
 	// minOcc is the minimum flow-occurrence count a window needs to be
 	// diagnosed; sparser windows abstain.
 	minOcc int
-
-	// pending holds occurrences a canceled flush already consumed from
-	// the extractor; the retried flush models them with its own so
-	// cancellation never loses a window's episodes.
-	pending []signature.Occurrence
 
 	reports []MonitorReport
 }
@@ -118,8 +122,9 @@ func NewMonitor(ctx context.Context, baseline *Log, window time.Duration, automa
 		baseline: base,
 		r:        opts.resolver(),
 		sigCfg:   sigCfg,
-		buf:      flowlog.New(baseline.End, baseline.End),
 		ex:       signature.NewStreamExtractor(sigCfg.OccurrenceGap),
+		start:    baseline.End,
+		end:      baseline.End,
 		origin:   baseline.End,
 		next:     baseline.End + window,
 		minOcc:   minOcc,
@@ -132,8 +137,8 @@ func (m *Monitor) Baseline() *Signatures { return m.baseline }
 // SwapBaseline hot-swaps the frozen baseline: the new known-good log is
 // modeled (under ctx) and replaces the signatures every subsequent
 // window diffs against. Everything else survives the swap — the
-// buffered window, the incremental extractor's open episodes, the
-// window grid, and the report history — so a long-running tenant can
+// open window in the extractor, the window grid, and the report
+// history — so a long-running tenant can
 // re-baseline without dropping its stream. On error (empty log,
 // cancellation) the old baseline stays in place.
 func (m *Monitor) SwapBaseline(ctx context.Context, baseline *Log) error {
@@ -169,8 +174,8 @@ type MonitorSnapshot struct {
 // method it must be called from the goroutine that owns the monitor.
 func (m *Monitor) Snapshot() MonitorSnapshot {
 	s := MonitorSnapshot{
-		WindowStart: m.buf.Start,
-		Buffered:    len(m.buf.Events),
+		WindowStart: m.start,
+		Buffered:    m.ex.Events(),
 		NextFlush:   m.next,
 		Windows:     len(m.reports),
 	}
@@ -201,13 +206,16 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 // flush; a retried window therefore keeps its grid To but may model
 // trailing events at or past it (the following window's cell start is
 // computed from its own first event, so windows never overlap).
-// Per-event cost is one counter increment ("monitor.events") plus the
-// extractor append.
+// Per-event cost is one counter increment ("monitor.events", its handle
+// cached per registry) plus the extractor append.
 func (m *Monitor) Observe(ctx context.Context, e flowlog.Event) (*MonitorReport, error) {
-	if e.Time < m.buf.Start {
-		return nil, fmt.Errorf("flowdiff: %w: event at %v precedes current window start %v", ErrOutOfOrder, e.Time, m.buf.Start)
+	if e.Time < m.start {
+		return nil, fmt.Errorf("flowdiff: %w: event at %v precedes current window start %v", ErrOutOfOrder, e.Time, m.start)
 	}
-	obs.From(ctx).Counter("monitor.events").Inc()
+	if reg := obs.From(ctx); m.events == nil || reg != m.eventsReg {
+		m.eventsReg, m.events = reg, reg.Counter("monitor.events")
+	}
+	m.events.Inc()
 	var rep *MonitorReport
 	var flushErr error
 	if e.Time >= m.next {
@@ -217,16 +225,15 @@ func (m *Monitor) Observe(ctx context.Context, e flowlog.Event) (*MonitorReport,
 			// quiet gap produce no windows.
 			start := m.origin + (e.Time-m.origin)/m.window*m.window
 			m.next = start + m.window
-			m.buf = flowlog.New(start, start)
+			m.start, m.end = start, start
 		}
 	}
 	// The event is buffered whether or not the flush succeeded; a
 	// canceled flush must not drop it.
-	m.buf.Append(e)
-	if e.Time > m.buf.End {
-		m.buf.End = e.Time
-	}
 	m.ex.Append(e)
+	if e.Time > m.end {
+		m.end = e.Time
+	}
 	return rep, flushErr
 }
 
@@ -235,72 +242,72 @@ func (m *Monitor) Observe(ctx context.Context, e flowlog.Event) (*MonitorReport,
 // crossed). The report covers [window start, last observed event].
 // Returns nil when the buffer is empty.
 func (m *Monitor) Flush(ctx context.Context) (*MonitorReport, error) {
-	if len(m.buf.Events) == 0 {
+	if m.ex.Events() == 0 {
 		return nil, nil
 	}
-	return m.flushTo(ctx, m.buf.End)
+	return m.flushTo(ctx, m.end)
 }
 
-// flushTo diagnoses the buffered interval as the window [buf.Start, to)
-// and resets the buffer to start at to. An empty buffer (a grid cell
-// that saw no events) produces no report.
+// flushTo diagnoses the buffered interval as the window [start, to) and
+// opens the next one at to. An empty buffer (a grid cell that saw no
+// events) produces no report. Nothing is consumed until the report
+// exists (or the window abstains): Gather leaves the extractor intact,
+// so a canceled flush leaves the monitor as it was and the retry models
+// everything observed by then — a flow that continues after the cancel
+// stays one episode.
 //
 // The whole window diagnosis is timed as the span "monitor.flush";
 // diagnosed windows count into "monitor.windows" and sparse ones into
 // "monitor.abstained".
 func (m *Monitor) flushTo(ctx context.Context, to time.Duration) (*MonitorReport, error) {
-	if len(m.buf.Events) == 0 {
-		m.buf = flowlog.New(to, to)
+	if m.ex.Events() == 0 {
+		m.start, m.end = to, to
 		return nil, nil
 	}
-	// An already-canceled context must leave the monitor untouched:
-	// bail out before the destructive extractor flush consumes the
-	// window's closed episodes.
 	if cerr := canceled(ctx); cerr != nil {
 		return nil, fmt.Errorf("flowdiff: monitor flush: %w", cerr)
 	}
-	prevEnd := m.buf.End
-	m.buf.End = to
-	occs := m.ex.Flush()
-	if len(m.pending) > 0 {
-		occs = append(m.pending, occs...)
-		m.pending = nil
-	}
+	occs := m.ex.Gather()
 	if len(occs) < m.minOcc {
 		// Too sparse to model; abstain (see the type comment).
 		obs.From(ctx).Counter("monitor.abstained").Inc()
-		m.buf = flowlog.New(to, to)
+		m.openWindow(to)
 		return nil, nil
 	}
 	sp := obs.Span(ctx, "monitor.flush")
 	defer sp.End()
-	cur, err := m.signaturesFor(ctx, m.buf, occs)
+	cur, err := m.signaturesFor(ctx, to, occs)
 	if err != nil {
-		// Mid-build cancellation: the extractor's episodes were already
-		// consumed, so stash them for the retried flush and undo the
-		// boundary mutation.
-		m.pending = occs
-		m.buf.End = prevEnd
 		return nil, err
 	}
 	changes := Diff(ctx, m.baseline, cur, m.th)
-	tasks := DetectTasks(m.buf, m.automata, m.opts.Signature.OccurrenceGap)
+	var tasks []TaskDetection
+	if len(m.automata) > 0 {
+		tasks = detectTasks(taskmine.FlowsFromOccurrences(occs), m.automata)
+	}
 	rep := MonitorReport{
-		From:   m.buf.Start,
+		From:   m.start,
 		To:     to,
 		Report: Diagnose(ctx, changes, tasks, m.opts),
 	}
 	obs.From(ctx).Counter("monitor.windows").Inc()
 	m.reports = append(m.reports, rep)
-	m.buf = flowlog.New(to, to)
+	m.openWindow(to)
 	return &rep, nil
 }
 
-// signaturesFor models one window from its incrementally extracted
+// openWindow drops the flushed window (its occurrences die here) and
+// starts the next one at from.
+func (m *Monitor) openWindow(from time.Duration) {
+	m.ex.Reset()
+	m.start, m.end = from, from
+}
+
+// signaturesFor models the window [start, to] from its gathered
 // occurrences, reusing the previous window's application groups when
 // the host edge set is unchanged.
-func (m *Monitor) signaturesFor(ctx context.Context, log *Log, occs []signature.Occurrence) (*Signatures, error) {
-	p := signature.NewPipelineFromOccurrencesContext(ctx, log, m.r, m.sigCfg, m.opts.Stability, occs)
+func (m *Monitor) signaturesFor(ctx context.Context, to time.Duration, occs []signature.Occurrence) (*Signatures, error) {
+	p := signature.NewPipelineFromOccurrencesContext(ctx, m.ex, m.start, to, m.r, m.sigCfg, m.opts.Stability, occs)
 	// Counts are ignored: discovery depends only on which edges exist.
 	sameEdge := func(int, int) bool { return true }
 	if edges := p.Edges(); m.groupEdges == nil || !maps.EqualFunc(edges, m.groupEdges, sameEdge) {
@@ -308,7 +315,7 @@ func (m *Monitor) signaturesFor(ctx context.Context, log *Log, occs []signature.
 		m.groupEdges = edges
 	}
 	p.SetGroups(m.groups)
-	return signaturesFromPipeline(ctx, log, p, m.opts)
+	return signaturesFromPipeline(ctx, &Log{Start: m.start, End: to}, p, m.opts)
 }
 
 // RediagnoseWindow re-runs one window's diagnosis from an archived FDC1
@@ -321,10 +328,11 @@ func (m *Monitor) signaturesFor(ctx context.Context, log *Log, occs []signature.
 // cost scales with the window, not the capture.
 //
 // The window's events stream straight into the signature build and are
-// never materialized; task detection needs the raw event sequence, so
-// re-diagnosed reports skip task replay and classify changes against
-// the baseline alone. The report is not appended to Reports. A window
-// with no matching events returns ErrEmptyLog wrapped.
+// never materialized; the streamed build does not hand back the
+// window's flow starts, so re-diagnosed reports skip task replay and
+// classify changes against the baseline alone. The report is not
+// appended to Reports. A window with no matching events returns
+// ErrEmptyLog wrapped.
 func (m *Monitor) RediagnoseWindow(ctx context.Context, r io.Reader, from, to time.Duration, hosts []netip.Addr) (*MonitorReport, error) {
 	src, err := NewColumnarSourceOptions(ctx, r, ColumnarOptions{
 		Filter: ReadFilter{From: from, To: to, Hosts: hosts},

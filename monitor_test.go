@@ -3,13 +3,17 @@ package flowdiff
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"net/netip"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"flowdiff/internal/core/signature"
 	"flowdiff/internal/faults"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/flowlog/colseg"
@@ -444,5 +448,257 @@ func TestMonitorRediagnoseWindow(t *testing.T) {
 	// A window past the capture's end holds no events.
 	if _, err := m.RediagnoseWindow(ctx, bytes.NewReader(raw), res.L2.End+time.Minute, res.L2.End+2*time.Minute, nil); !errors.Is(err, ErrEmptyLog) {
 		t.Errorf("empty window returned %v, want ErrEmptyLog", err)
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n+1-th
+// Err call on: it lets a flush pass its up-front check and then fail in
+// the middle of the build, deterministically.
+type cancelAfter struct {
+	context.Context
+	calls atomic.Int32
+	n     int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMonitorCanceledFlushKeepsEpisodesWhole is the regression test for
+// the destructive flush: the old flushTo consumed the extractor before
+// the cancellable build and stashed the closed episodes, so a flow that
+// went on within OccurrenceGap of the cancel was modeled as two
+// occurrences by the retry — not what a rebuild of everything observed
+// gives.
+func TestMonitorCanceledFlushKeepsEpisodesWhole(t *testing.T) {
+	window := time.Minute
+	baseline := flowlog.New(0, 2*time.Minute)
+	baseline.Events = monitorChainEvents(0, 2*time.Minute, 200*time.Millisecond)
+	opts := Options{}
+	m, err := NewMonitor(context.Background(), baseline, window, nil, Thresholds{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := baseline.End
+	observed := monitorChainEvents(origin, origin+window, 100*time.Millisecond)
+	for _, e := range observed {
+		if _, err := m.Observe(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last flow of the window goes on across the boundary, inside
+	// the gap: first under a context that cancels mid-build, then live.
+	going := observed[len(observed)-1]
+	going.Type = flowlog.EventPacketIn
+	going.Switch = "sw2"
+	going.Time = origin + window + time.Millisecond
+	rep, err := m.Observe(&cancelAfter{Context: context.Background(), n: 1}, going)
+	if !errors.Is(err, ErrCanceled) || rep != nil {
+		t.Fatalf("mid-build cancel: report %v, err %v; want ErrCanceled", rep, err)
+	}
+	observed = append(observed, going)
+	going.Type, going.Time = flowlog.EventFlowMod, going.Time+time.Millisecond
+	if _, err := m.Observe(&cancelAfter{Context: context.Background(), n: 1}, going); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("second mid-build cancel: err %v; want ErrCanceled", err)
+	}
+	observed = append(observed, going)
+
+	all := flowlog.New(origin, origin+window)
+	all.Events = observed
+	want := signature.Occurrences(all, opts.Signature.OccurrenceGap)
+	if got := m.ex.Gather(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the canceled flushes the window holds %d occurrences, a rebuild of everything observed %d", len(got), len(want))
+	}
+
+	later := going
+	later.Flow.SrcPort++
+	later.Type, later.Time = flowlog.EventPacketIn, going.Time+time.Millisecond
+	rep, err = m.Observe(context.Background(), later)
+	if err != nil || rep == nil {
+		t.Fatalf("retried flush: report %v, err %v", rep, err)
+	}
+	base, err := BuildSignatures(context.Background(), baseline, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := BuildSignatures(context.Background(), all, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := Diff(context.Background(), base, cur, Thresholds{})
+	if want := Diagnose(context.Background(), changes, nil, opts); !reflect.DeepEqual(rep.Report, want) {
+		t.Error("retried report differs from a batch rebuild of everything observed")
+	}
+}
+
+// TestMonitorTasksFromWindowOccurrences: a monitor with task automata
+// detects tasks from the window's occurrences instead of extracting the
+// raw window a second time; every report must equal the one the raw
+// path (DetectTasks over the window's events) yields.
+func TestMonitorTasksFromWindowOccurrences(t *testing.T) {
+	script := workload.VMMigration("V1", "V2", "NFS")
+	train, err := RunScenario(Scenario{
+		Seed: 203, BaselineDur: time.Second, FaultDur: 10 * time.Minute,
+		Tasks: []workload.TaskScript{script, script, script, script, script},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [][]FlowKey
+	for _, r := range train.TaskRuns {
+		runs = append(runs, r.Flows)
+	}
+	automaton, err := MineTask(context.Background(), "vm-migration", runs, TaskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	automata := []*TaskAutomaton{automaton}
+
+	res, err := RunScenario(Scenario{Seed: 301, Tasks: []workload.TaskScript{script}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := res.Options()
+	m, err := NewMonitor(context.Background(), res.L1, time.Minute, automata, Thresholds{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range res.L2.Events {
+		if _, err := m.Observe(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	base, err := BuildSignatures(context.Background(), res.L1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := 0
+	reports := m.Reports()
+	for i, r := range reports {
+		wl := flowlog.New(r.From, r.To)
+		for _, e := range res.L2.Events {
+			if e.Time >= r.From && (e.Time < r.To || (i == len(reports)-1 && e.Time == r.To)) {
+				wl.Append(e)
+			}
+		}
+		cur, err := BuildSignatures(context.Background(), wl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes := Diff(context.Background(), base, cur, Thresholds{})
+		want := Diagnose(context.Background(), changes, DetectTasks(wl, automata, opts.Signature.OccurrenceGap), opts)
+		if !reflect.DeepEqual(r.Report.Known, want.Known) || !reflect.DeepEqual(r.Report, want) {
+			t.Errorf("window [%v,%v): report differs from the raw-window task detection path", r.From, r.To)
+		}
+		known += len(r.Report.Known)
+	}
+	if known == 0 {
+		t.Error("no change was validated by a task; the comparison would be vacuous")
+	}
+}
+
+// TestMonitorReportsOutliveTheirWindows pins the ownership rule of the
+// shared chunk pool: a report must not alias window memory. Two
+// monitors take turns, window by window, so each one's chunks are
+// recycled by the other; every report is digested when it is produced
+// and again after all later windows have flushed.
+func TestMonitorReportsOutliveTheirWindows(t *testing.T) {
+	res, err := RunScenario(Scenario{
+		Seed:   207,
+		Faults: []faults.Injector{faults.EnableLogging{Host: "S3", Overhead: 60 * time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(r *MonitorReport) [sha256.Size]byte {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(b)
+	}
+	var mons [2]*Monitor
+	for i := range mons {
+		if mons[i], err = NewMonitor(context.Background(), res.L1, 20*time.Second, nil, Thresholds{}, res.Options()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var reports []*MonitorReport
+	var fresh [][sha256.Size]byte
+	keep := func(rep *MonitorReport, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep != nil {
+			reports = append(reports, rep)
+			fresh = append(fresh, digest(rep))
+		}
+	}
+	// The monitors see the same stream half a window apart, so their
+	// flushes interleave.
+	events := res.L2.Events
+	lag := 0
+	for i, e := range events {
+		keep(mons[0].Observe(context.Background(), e))
+		for lag < i && events[lag].Time+10*time.Second <= e.Time {
+			keep(mons[1].Observe(context.Background(), events[lag]))
+			lag++
+		}
+	}
+	for ; lag < len(events); lag++ {
+		keep(mons[1].Observe(context.Background(), events[lag]))
+	}
+	for _, m := range mons {
+		keep(m.Flush(context.Background()))
+	}
+	if len(reports) < 10 {
+		t.Fatalf("only %d reports; want at least 5 windows per monitor", len(reports))
+	}
+	for i, rep := range reports {
+		if digest(rep) != fresh[i] {
+			t.Errorf("report %d [%v,%v) changed after later windows flushed: it aliases recycled window memory", i, rep.From, rep.To)
+		}
+	}
+}
+
+// TestMonitorObserveSteadyStateAllocs is the allocation ceiling of the
+// per-event path: once two windows have warmed the pool, the maps and
+// the index slices, observing a window allocates (almost) nothing.
+func TestMonitorObserveSteadyStateAllocs(t *testing.T) {
+	window := time.Minute
+	baseline := flowlog.New(0, 2*time.Minute)
+	baseline.Events = monitorChainEvents(0, 2*time.Minute, 200*time.Millisecond)
+	m, err := NewMonitor(context.Background(), baseline, window, nil, Thresholds{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var worst float64
+	for w := 0; w < 5; w++ {
+		from := baseline.End + time.Duration(w)*window
+		events := monitorChainEvents(from, from+window, 20*time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range events {
+			if _, err := m.Observe(ctx, events[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perEvent := float64(after.Mallocs-before.Mallocs) / float64(len(events)); w >= 2 && perEvent > worst {
+			worst = perEvent
+		}
+		if _, err := m.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if worst > 0.05 {
+		t.Errorf("steady-state Observe allocates %.3f objects per event, want <= 0.05", worst)
 	}
 }
