@@ -119,8 +119,11 @@ func (o Options) sigConfig() signature.Config {
 
 // Signatures bundles everything extracted from one log.
 type Signatures struct {
-	Apps      []AppSignature
-	Infra     InfraSignature
+	Apps  []AppSignature
+	Infra InfraSignature
+	// Stability is the reference side's product (§III-B: which baseline
+	// components are comparable); it is nil in the current-side models
+	// Compare, Monitor and RediagnoseWindow build, which Diff never reads.
 	Stability map[string]Stability
 	Log       *Log
 }
@@ -144,15 +147,16 @@ func BuildSignatures(ctx context.Context, log *Log, opts Options) (*Signatures, 
 	return sigs, nil
 }
 
-// signaturesFromPipeline builds every signature product from a prepared
-// pipeline. Shared between BuildSignaturesReader (whose pipeline
-// extracted the occurrences itself) and Monitor (which hands the
-// pipeline incrementally extracted occurrences and cached groups).
+// signaturesFromPipeline builds every signature product of a prepared
+// pipeline — stability only for a reference build. Shared between
+// buildFromSource (whose pipeline extracted the occurrences itself) and
+// Monitor (which hands the pipeline incrementally extracted occurrences
+// and cached groups).
 func signaturesFromPipeline(ctx context.Context, log *Log, p *signature.Pipeline, opts Options) (*Signatures, error) {
 	apps := p.App()
 	infra := p.Infra()
 	var stab map[string]Stability
-	if log.Duration() > 0 {
+	if p.Reference() && log.Duration() > 0 {
 		var err error
 		stab, err = p.Stability(opts.Stability, apps)
 		if err != nil {
@@ -182,9 +186,10 @@ func canceled(ctx context.Context) error {
 
 // Diff compares a baseline's signatures against a current log's
 // signatures; the baseline's stability report filters unstable
-// components. The comparison is timed into ctx's obs registry (span
-// "diff.compare", counter "diff.changes"); the diff itself is a single
-// in-memory pass and is not cancellable.
+// components, and cur.Stability is never read — stability is the
+// reference side's product. The comparison is timed into ctx's obs
+// registry (span "diff.compare", counter "diff.changes"); the diff
+// itself is a single in-memory pass and is not cancellable.
 func Diff(ctx context.Context, base, cur *Signatures, th Thresholds) []Change {
 	if base == nil || cur == nil {
 		return nil
@@ -243,10 +248,12 @@ func Diagnose(ctx context.Context, changes []Change, tasks []TaskDetection, opts
 }
 
 // Compare is the one-call convenience API: model both logs,
-// diff, detect tasks in the current log, and diagnose. Unless the
-// modeling pool resolves to one worker (Signature.Parallelism, falling
-// back to Parallelism) the two modeling halves run concurrently
-// (signature state is per-log, and the shared topology is read-only).
+// diff, detect tasks in the current log, and diagnose. Stability is the
+// reference side's product: the baseline is modeled in full, the current
+// log for apps and infra only. Unless the modeling pool resolves to one
+// worker (Signature.Parallelism, falling back to Parallelism) the two
+// modeling halves run concurrently (signature state is per-log, and the
+// shared topology is read-only).
 //
 // A missing baseline returns ErrNoBaseline; a missing current log
 // returns ErrEmptyLog; cancellation surfaces as ErrCanceled from the
@@ -272,11 +279,11 @@ func Compare(ctx context.Context, baseline, current *Log, automata []*TaskAutoma
 			//lint:ignore locksafe single writer per variable; wg.Add happens-before the goroutine and wg.Wait orders these writes before the read
 			base, berr = BuildSignatures(ctx, baseline, opts)
 		}()
-		cur, cerr = BuildSignatures(ctx, current, opts)
+		cur, cerr = buildFromSource(ctx, signature.LogSource(current), opts, 0)
 		wg.Wait()
 	} else {
 		base, berr = BuildSignatures(ctx, baseline, opts)
-		cur, cerr = BuildSignatures(ctx, current, opts)
+		cur, cerr = buildFromSource(ctx, signature.LogSource(current), opts, 0)
 	}
 	if berr != nil {
 		return Report{}, berr

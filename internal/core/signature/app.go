@@ -143,8 +143,8 @@ type AppSignature struct {
 // fromLog runs the modeling pipeline over an in-memory log under a
 // background context — the entry point of the ctx-less helpers below,
 // which internal/experiments uses for one-off builds.
-func fromLog(log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) *Pipeline {
-	p, err := NewPipelineFromSourceContext(context.Background(), LogSource(log), r, cfg, scfg)
+func fromLog(log *flowlog.Log, r *appgroup.Resolver, cfg Config, intervals int) *Pipeline {
+	p, err := NewPipelineFromSourceContext(context.Background(), LogSource(log), r, cfg, intervals)
 	if err != nil {
 		// A log source never fails to read and a background context is
 		// never canceled.
@@ -156,13 +156,13 @@ func fromLog(log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityC
 // Build extracts both application and infrastructure signatures of a
 // log from one pipeline.
 func Build(log *flowlog.Log, r *appgroup.Resolver, cfg Config) ([]AppSignature, InfraSignature) {
-	p := fromLog(log, r, cfg, StabilityConfig{})
+	p := fromLog(log, r, cfg, 0)
 	return p.App(), p.Infra()
 }
 
 // BuildApp extracts per-group application signatures from a log.
 func BuildApp(log *flowlog.Log, r *appgroup.Resolver, cfg Config) []AppSignature {
-	return fromLog(log, r, cfg, StabilityConfig{}).App()
+	return fromLog(log, r, cfg, 0).App()
 }
 
 // logMeta is the interval a signature build covers — the only thing the

@@ -53,7 +53,7 @@ type InfraSignature struct {
 
 // BuildInfra extracts the infrastructure signature from a log.
 func BuildInfra(log *flowlog.Log, r *appgroup.Resolver, cfg Config) InfraSignature {
-	return fromLog(log, r, cfg, StabilityConfig{}).Infra()
+	return fromLog(log, r, cfg, 0).Infra()
 }
 
 // removedFlow is one flow key's final byte count: the first FlowRemoved

@@ -2,6 +2,7 @@ package signature
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // Pipeline is FlowDiff's one modeling path: every signature product of
-// a log — application signatures, infrastructure signature, and the
-// per-interval stability analysis — is built from one pass over its
-// events. That pass (NewPipelineFromSourceContext) extracts the flow
+// a log — application signatures, infrastructure signature, and (for a
+// reference build) the per-interval stability analysis — is built from
+// one pass over its events. That pass extracts the flow
 // occurrences once and folds everything else the builds consume into
 // running aggregates (sourceAgg); the products then partition the
 // start-time-sorted occurrences across the stability intervals by index
@@ -49,6 +50,10 @@ func newPipeline(ctx context.Context, agg *sourceAgg, r *appgroup.Resolver, cfg 
 	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
 	return &Pipeline{ctx: ctx, agg: agg, r: r, cfg: cfg, occs: occs}
 }
+
+// Reference reports whether the pipeline was constructed with stability
+// intervals, so Stability is among its products (a current build has 0).
+func (p *Pipeline) Reference() bool { return p.agg.intervals > 0 }
 
 // EventCount returns how many events the pipeline was built from.
 func (p *Pipeline) EventCount() int { return p.agg.events }
@@ -107,14 +112,20 @@ func (p *Pipeline) Infra() InfraSignature {
 	return inf
 }
 
+// ErrNoIntervals is what Stability wraps on a current build.
+var ErrNoIntervals = errors.New("pipeline built without stability intervals (a current build)")
+
 // Stability runs the per-interval stability analysis against full, the
 // whole-log signatures (pass App()'s result to avoid rebuilding them).
 // The per-interval edge sets and FlowRemoved samples were aggregated
-// during the event pass (sized by the StabilityConfig given then), and
-// an interval's occurrences are subslices of the per-edge start index,
-// found by binary search; the per-interval builds then run on the
-// worker pool.
+// during the event pass (sized by the interval count given then, which
+// scfg must repeat), and an interval's occurrences are subslices of the
+// per-edge start index, found by binary search; the per-interval builds
+// then run on the worker pool.
 func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[string]Stability, error) {
+	if !p.Reference() {
+		return nil, fmt.Errorf("signature: stability analysis: %w", ErrNoIntervals)
+	}
 	defer obs.Span(p.ctx, "signature.stability").End()
 	scfg = scfg.withDefaults()
 	if p.agg.segErr != nil {

@@ -73,11 +73,13 @@ type sourceAgg struct {
 	edgeAt  []Edge // by edge id
 	// removals holds each flow key's first FlowRemoved, in log order.
 	removals []removedFlow
-	// segs mirror flowlog.Segment(intervals) over [Start, End]; segErr
-	// preserves Segment's error for Stability-time parity.
-	segs     []segAgg
-	segWidth time.Duration
-	segErr   error
+	// segs mirror flowlog.Segment(intervals) over [Start, End] (a current
+	// build has 0 intervals and none); segErr preserves Segment's error
+	// for Stability-time parity.
+	intervals int
+	segs      []segAgg
+	segWidth  time.Duration
+	segErr    error
 }
 
 // segAgg is the aggregates of one interval: a stability interval, or
@@ -110,7 +112,10 @@ func (s *segAgg) finish(edgeAt []Edge) {
 }
 
 func newSourceAgg(start, end time.Duration, intervals int, r *appgroup.Resolver) *sourceAgg {
-	a := &sourceAgg{whole: newSegAgg(start, end), r: r, stride: 2, edgeIDs: make(map[Edge]int32)}
+	a := &sourceAgg{whole: newSegAgg(start, end), r: r, stride: 2, edgeIDs: make(map[Edge]int32), intervals: intervals}
+	if intervals <= 0 {
+		return a
+	}
 	segs, err := (&flowlog.Log{Start: start, End: end}).Segment(intervals)
 	if err != nil {
 		a.segErr = err
@@ -216,19 +221,22 @@ func (x *StreamExtractor) fold(a *sourceAgg) {
 // NewPipelineFromSourceContext builds a pipeline by streaming the
 // source once: control events go into one StreamExtractor (gathered by
 // Config.Parallelism workers when the source ends), and everything else
-// the signature builds need — edge sets, FlowRemoved samples, per-
-// interval aggregates sized by scfg.Intervals — is folded into running
-// aggregates, so peak memory is one decoded batch plus the aggregates
-// and the control events (in the extractor's chunks while the source
-// streams, in the occurrences once it ends), never more of the stream
-// than the source itself holds. The span "signature.extract" times the
-// pass; the counter "signature.occurrences" accumulates the episode
-// count. The pipeline's Stability must be called with the interval
-// count the aggregates were sized with.
-func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) (*Pipeline, error) {
+// the signature builds need — edge sets, FlowRemoved samples, and for a
+// reference build the same per stability interval — is folded into
+// running aggregates, so peak memory is one decoded batch plus the
+// aggregates and the control events (in the extractor's chunks while the
+// source streams, in the occurrences once it ends), never more of the
+// stream than the source itself holds. The span "signature.extract"
+// times the pass; the counter "signature.occurrences" accumulates the
+// episode count. intervals is the caller's role: a reference build (a
+// baseline, whose stability decides which components are comparable)
+// passes its StabilityConfig's IntervalCount and calls Stability with
+// that config; a current build (the side being compared) passes 0,
+// folds no per-interval aggregates, and has no Stability product.
+func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgroup.Resolver, cfg Config, intervals int) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	start, end := src.Bounds()
-	agg := newSourceAgg(start, end, scfg.withDefaults().Intervals, r)
+	agg := newSourceAgg(start, end, intervals, r)
 	sp := obs.Span(ctx, "signature.extract")
 	occs, err := extractFromSource(ctx, src, agg, cfg)
 	sp.End()
@@ -241,12 +249,12 @@ func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgr
 // NewPipelineFromOccurrencesContext builds the pipeline of one Monitor
 // window, [start, end], from the extractor that observed it and occs,
 // that extractor's Gather: there is no extraction pass and no event
-// log, the aggregates (sized by scfg.Intervals, as above) are folded
-// from what the extractor retains. The pipeline aliases the extractor's
-// pooled memory through occs; the caller resets the extractor only when
-// it is done with the pipeline.
-func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, r *appgroup.Resolver, cfg Config, scfg StabilityConfig, occs []Occurrence) *Pipeline {
-	agg := newSourceAgg(start, end, scfg.withDefaults().Intervals, r)
+// log, the aggregates (intervals as above: a Monitor window passes 0)
+// are folded from what the extractor retains. The pipeline aliases the
+// extractor's pooled memory through occs; the caller resets the
+// extractor only when it is done with the pipeline.
+func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, r *appgroup.Resolver, cfg Config, intervals int, occs []Occurrence) *Pipeline {
+	agg := newSourceAgg(start, end, intervals, r)
 	x.fold(agg)
 	return newPipeline(ctx, agg, r, cfg.withDefaults(), occs)
 }

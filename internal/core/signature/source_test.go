@@ -83,7 +83,7 @@ func TestPipelineFromSourceMatchesInMemory(t *testing.T) {
 		for shape, open := range sources {
 			for _, workers := range []int{1, 2, 4, 7} {
 				at := fmt.Sprintf("%s/%s/workers=%d", name, shape, workers)
-				p, err := NewPipelineFromSourceContext(bg, open(), r, Config{Parallelism: workers}, StabilityConfig{})
+				p, err := NewPipelineFromSourceContext(bg, open(), r, Config{Parallelism: workers}, 5)
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}
@@ -121,7 +121,7 @@ func TestPipelineFromSourceBatchShapeInvariant(t *testing.T) {
 	r := appgroup.NewResolver(nil)
 	want := occurrencesReference(log, 0)
 	for _, batch := range []int{1, 7, 8192} {
-		p, err := NewPipelineFromSourceContext(bg, sourceOf(log, batch), r, Config{Parallelism: 1}, StabilityConfig{})
+		p, err := NewPipelineFromSourceContext(bg, sourceOf(log, batch), r, Config{Parallelism: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestPipelineFromSourceBatchShapeInvariant(t *testing.T) {
 func TestPipelineFromSourceIntervalMismatch(t *testing.T) {
 	log := benchLog(2_000)
 	r := appgroup.NewResolver(nil)
-	p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 500), r, Config{Parallelism: 1}, StabilityConfig{Intervals: 5})
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 500), r, Config{Parallelism: 1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +148,54 @@ func TestPipelineFromSourceIntervalMismatch(t *testing.T) {
 	}
 }
 
+// A current build (0 intervals) is the same pipeline minus one product:
+// its App and Infra equal a reference build's on the same events, from a
+// source and from an extractor's occurrences alike, and its Stability
+// fails naming the cause instead of answering with an empty map.
+func TestCurrentBuildPipeline(t *testing.T) {
+	for name, log := range map[string]*flowlog.Log{"sorted": benchLog(5_000), "unsorted": messyLog(t, 300, true)} {
+		r := appgroup.NewResolver(nil)
+		build := map[string]func(intervals int) *Pipeline{
+			"source": func(intervals int) *Pipeline {
+				p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 1000), r, Config{Parallelism: 1}, intervals)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return p
+			},
+			"occurrences": func(intervals int) *Pipeline {
+				x := NewStreamExtractor(0)
+				feedAll(x, log.Events)
+				return NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, r, Config{Parallelism: 1}, intervals, x.Gather())
+			},
+		}
+		for entry, open := range build {
+			at := name + "/" + entry
+			ref, cur := open(5), open(0)
+			if !ref.Reference() || cur.Reference() {
+				t.Errorf("%s: Reference() = %v / %v, want true / false", at, ref.Reference(), cur.Reference())
+			}
+			if cur.agg.stride != 2 || len(cur.agg.segs) != 0 {
+				t.Errorf("%s: current build folded intervals: stride %d, %d segs", at, cur.agg.stride, len(cur.agg.segs))
+			}
+			refApp := ref.App()
+			if !reflect.DeepEqual(cur.App(), refApp) {
+				t.Errorf("%s: app signatures differ between a current and a reference build", at)
+			}
+			if !reflect.DeepEqual(cur.Infra(), ref.Infra()) {
+				t.Errorf("%s: infra signatures differ between a current and a reference build", at)
+			}
+			if _, err := ref.Stability(StabilityConfig{}, refApp); err != nil {
+				t.Errorf("%s: reference build: %v", at, err)
+			}
+			stab, err := cur.Stability(StabilityConfig{}, refApp)
+			if !errors.Is(err, ErrNoIntervals) || stab != nil {
+				t.Errorf("%s: current build Stability = %v, %v; want nil and an error wrapping ErrNoIntervals", at, stab, err)
+			}
+		}
+	}
+}
+
 // A zero-duration source defers flowlog.Segment's error to Stability,
 // worded as the reference reports it.
 func TestPipelineFromSourceSegmentErrorParity(t *testing.T) {
@@ -155,7 +203,7 @@ func TestPipelineFromSourceSegmentErrorParity(t *testing.T) {
 	l.Append(flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw",
 		Flow: flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 1, DstPort: 2}})
 	r := appgroup.NewResolver(nil)
-	p, err := NewPipelineFromSourceContext(bg, sourceOf(l, 10), r, Config{Parallelism: 1}, StabilityConfig{})
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(l, 10), r, Config{Parallelism: 1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +230,7 @@ func (f *failingSource) Next() ([]flowlog.Event, error) {
 func (f *failingSource) Bounds() (start, end time.Duration) { return 0, time.Minute }
 
 func TestPipelineFromSourceReadError(t *testing.T) {
-	_, err := NewPipelineFromSourceContext(bg, &failingSource{after: 2}, appgroup.NewResolver(nil), Config{}, StabilityConfig{})
+	_, err := NewPipelineFromSourceContext(bg, &failingSource{after: 2}, appgroup.NewResolver(nil), Config{}, 0)
 	if err == nil {
 		t.Fatal("want the source's read error")
 	}
@@ -192,7 +240,7 @@ func TestPipelineFromSourceReadError(t *testing.T) {
 }
 
 func TestPipelineFromSourceEmpty(t *testing.T) {
-	p, err := NewPipelineFromSourceContext(bg, sourceOf(flowlog.New(0, time.Minute), 10), appgroup.NewResolver(nil), Config{}, StabilityConfig{})
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(flowlog.New(0, time.Minute), 10), appgroup.NewResolver(nil), Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,9 @@ type StabilityConfig struct {
 	MinSamples int
 }
 
+// IntervalCount is what a reference build sizes its pipeline with.
+func (c StabilityConfig) IntervalCount() int { return c.withDefaults().Intervals }
+
 func (c StabilityConfig) withDefaults() StabilityConfig {
 	if c.Intervals <= 0 {
 		c.Intervals = 5
@@ -70,7 +73,7 @@ func (s Stability) StableCI(node topology.NodeID) bool { return s.CINodes[node] 
 // Pipeline should use its Stability method to reuse the shared
 // occurrences and whole-log signatures.
 func AnalyzeStability(log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) (map[string]Stability, error) {
-	p := fromLog(log, r, cfg, scfg)
+	p := fromLog(log, r, cfg, scfg.IntervalCount())
 	return p.Stability(scfg, p.App())
 }
 

@@ -121,7 +121,7 @@ func TestPipelineFromOccurrencesMatchesNewPipeline(t *testing.T) {
 	if !reflect.DeepEqual(occs, occurrencesReference(log, 0)) {
 		t.Fatal("gathered occurrences differ from the reference")
 	}
-	p := NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, r, cfg, StabilityConfig{}, occs)
+	p := NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, r, cfg, 5, occs)
 	if !reflect.DeepEqual(p.Edges(), edgesReference(log, r)) {
 		t.Error("edge sets differ")
 	}

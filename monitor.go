@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flowdiff/internal/core/appgroup"
+	"flowdiff/internal/core/diagnose"
 	"flowdiff/internal/core/signature"
 	"flowdiff/internal/core/taskmine"
 	"flowdiff/internal/flowlog"
@@ -52,9 +53,13 @@ type Monitor struct {
 	th       Thresholds
 	window   time.Duration
 	automata []*TaskAutomaton
-	baseline *Signatures
-	r        *appgroup.Resolver
-	sigCfg   signature.Config
+	// baseline is the frozen reference build. Its Log is an event-free
+	// stub: of the baseline's events only Snapshot's two integers remain.
+	baseline       *Signatures
+	baselineEvents int
+	baselineEnd    time.Duration
+	r              *appgroup.Resolver
+	sigCfg         signature.Config
 
 	// ex holds the open window; start and end are its bounds so far.
 	ex         *signature.StreamExtractor
@@ -79,6 +84,7 @@ type Monitor struct {
 	minOcc int
 
 	reports []MonitorReport
+	alarmed int // reports with unexplained changes
 }
 
 // MonitorReport is one window's diagnosis.
@@ -102,33 +108,40 @@ func NewMonitor(ctx context.Context, baseline *Log, window time.Duration, automa
 	if window <= 0 {
 		window = time.Minute
 	}
-	if baseline == nil || len(baseline.Events) == 0 {
-		return nil, fmt.Errorf("flowdiff: monitor: %w", ErrNoBaseline)
-	}
-	base, err := BuildSignatures(ctx, baseline, opts)
-	if err != nil {
-		return nil, fmt.Errorf("flowdiff: building monitor baseline: %w", err)
-	}
 	sigCfg := opts.sigConfig()
 	minOcc := opts.Stability.MinSamples
 	if minOcc <= 0 {
 		minOcc = 3
 	}
-	return &Monitor{
+	m := &Monitor{
 		opts:     opts,
 		th:       th,
 		window:   window,
 		automata: automata,
-		baseline: base,
 		r:        opts.resolver(),
 		sigCfg:   sigCfg,
 		ex:       signature.NewStreamExtractor(sigCfg.OccurrenceGap),
-		start:    baseline.End,
-		end:      baseline.End,
-		origin:   baseline.End,
-		next:     baseline.End + window,
 		minOcc:   minOcc,
-	}, nil
+	}
+	if err := m.setBaseline(ctx, baseline); err != nil {
+		return nil, fmt.Errorf("flowdiff: building monitor baseline: %w", err)
+	}
+	m.start, m.end, m.origin, m.next = baseline.End, baseline.End, baseline.End, baseline.End+window
+	return m, nil
+}
+
+// setBaseline models the reference build every window diffs against; on
+// error the monitor is unchanged.
+func (m *Monitor) setBaseline(ctx context.Context, baseline *Log) error {
+	if baseline == nil || len(baseline.Events) == 0 {
+		return ErrNoBaseline
+	}
+	base, err := BuildSignaturesReader(ctx, signature.LogSource(baseline), m.opts)
+	if err != nil {
+		return err
+	}
+	m.baseline, m.baselineEvents, m.baselineEnd = base, len(baseline.Events), baseline.End
+	return nil
 }
 
 // Baseline exposes the frozen baseline signatures.
@@ -142,14 +155,9 @@ func (m *Monitor) Baseline() *Signatures { return m.baseline }
 // re-baseline without dropping its stream. On error (empty log,
 // cancellation) the old baseline stays in place.
 func (m *Monitor) SwapBaseline(ctx context.Context, baseline *Log) error {
-	if baseline == nil || len(baseline.Events) == 0 {
-		return fmt.Errorf("flowdiff: monitor baseline swap: %w", ErrNoBaseline)
-	}
-	base, err := BuildSignatures(ctx, baseline, m.opts)
-	if err != nil {
+	if err := m.setBaseline(ctx, baseline); err != nil {
 		return fmt.Errorf("flowdiff: monitor baseline swap: %w", err)
 	}
-	m.baseline = base
 	return nil
 }
 
@@ -173,22 +181,15 @@ type MonitorSnapshot struct {
 // Snapshot reports the monitor's live state. Like every other Monitor
 // method it must be called from the goroutine that owns the monitor.
 func (m *Monitor) Snapshot() MonitorSnapshot {
-	s := MonitorSnapshot{
-		WindowStart: m.start,
-		Buffered:    m.ex.Events(),
-		NextFlush:   m.next,
-		Windows:     len(m.reports),
+	return MonitorSnapshot{
+		WindowStart:    m.start,
+		Buffered:       m.ex.Events(),
+		NextFlush:      m.next,
+		Windows:        len(m.reports),
+		Alarmed:        m.alarmed,
+		BaselineEvents: m.baselineEvents,
+		BaselineEnd:    m.baselineEnd,
 	}
-	if m.baseline.Log != nil {
-		s.BaselineEvents = len(m.baseline.Log.Events)
-		s.BaselineEnd = m.baseline.Log.End
-	}
-	for _, r := range m.reports {
-		if len(r.Report.Unknown) > 0 {
-			s.Alarmed++
-		}
-	}
-	return s
 }
 
 // Observe appends one control event. When the event crosses the
@@ -288,10 +289,13 @@ func (m *Monitor) flushTo(ctx context.Context, to time.Duration) (*MonitorReport
 	rep := MonitorReport{
 		From:   m.start,
 		To:     to,
-		Report: Diagnose(ctx, changes, tasks, m.opts),
+		Report: m.diagnose(ctx, changes, tasks),
 	}
 	obs.From(ctx).Counter("monitor.windows").Inc()
 	m.reports = append(m.reports, rep)
+	if len(rep.Report.Unknown) > 0 {
+		m.alarmed++
+	}
 	m.openWindow(to)
 	return &rep, nil
 }
@@ -303,11 +307,16 @@ func (m *Monitor) openWindow(from time.Duration) {
 	m.start, m.end = from, from
 }
 
+// diagnose is Diagnose with the monitor's own memoizing resolver.
+func (m *Monitor) diagnose(ctx context.Context, changes []Change, tasks []TaskDetection) Report {
+	return diagnose.DiagnoseContext(ctx, changes, tasks, m.r, m.opts.Topo, 0)
+}
+
 // signaturesFor models the window [start, to] from its gathered
-// occurrences, reusing the previous window's application groups when
-// the host edge set is unchanged.
+// occurrences as a current build (no stability product), reusing the
+// previous window's application groups when the host edge set is unchanged.
 func (m *Monitor) signaturesFor(ctx context.Context, to time.Duration, occs []signature.Occurrence) (*Signatures, error) {
-	p := signature.NewPipelineFromOccurrencesContext(ctx, m.ex, m.start, to, m.r, m.sigCfg, m.opts.Stability, occs)
+	p := signature.NewPipelineFromOccurrencesContext(ctx, m.ex, m.start, to, m.r, m.sigCfg, 0, occs)
 	// Counts are ignored: discovery depends only on which edges exist.
 	sameEdge := func(int, int) bool { return true }
 	if edges := p.Edges(); m.groupEdges == nil || !maps.EqualFunc(edges, m.groupEdges, sameEdge) {
@@ -327,8 +336,9 @@ func (m *Monitor) signaturesFor(ctx context.Context, to time.Duration, occs []si
 // of the hosts appear) are pruned before any payload decode, so the
 // cost scales with the window, not the capture.
 //
-// The window's events stream straight into the signature build and are
-// never materialized; the streamed build does not hand back the
+// The window's events stream straight into the signature build (a
+// current build: stability is the reference side's product, the frozen
+// baseline's) and are never materialized; it does not hand back the
 // window's flow starts, so re-diagnosed reports skip task replay and
 // classify changes against the baseline alone. The report is not
 // appended to Reports. A window with no matching events returns
@@ -340,7 +350,7 @@ func (m *Monitor) RediagnoseWindow(ctx context.Context, r io.Reader, from, to ti
 	if err != nil {
 		return nil, fmt.Errorf("flowdiff: monitor rediagnose: %w", err)
 	}
-	cur, err := BuildSignaturesReader(ctx, src, m.opts)
+	cur, err := buildFromSource(ctx, src, m.opts, 0)
 	if err != nil {
 		return nil, fmt.Errorf("flowdiff: monitor rediagnose: %w", err)
 	}
@@ -348,7 +358,7 @@ func (m *Monitor) RediagnoseWindow(ctx context.Context, r io.Reader, from, to ti
 	return &MonitorReport{
 		From:   from,
 		To:     to,
-		Report: Diagnose(ctx, changes, nil, m.opts),
+		Report: m.diagnose(ctx, changes, nil),
 	}, nil
 }
 

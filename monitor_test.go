@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -700,5 +701,146 @@ func TestMonitorObserveSteadyStateAllocs(t *testing.T) {
 	}
 	if worst > 0.05 {
 		t.Errorf("steady-state Observe allocates %.3f objects per event, want <= 0.05", worst)
+	}
+}
+
+// TestMonitorSnapshot pins the status a long-running service reports:
+// the open window's start, size and next flush before and after a grid
+// crossing, the window and alarm counts against the report history on a
+// fault stream, and the baseline's two integers — kept as counters, not
+// read from a retained event slice — across a swap and a failed swap.
+func TestMonitorSnapshot(t *testing.T) {
+	res, err := RunScenario(Scenario{Seed: 301, Faults: []faults.Injector{faults.AppCrash{Host: "S3"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	window := 30 * time.Second
+	m, err := NewMonitor(ctx, res.L1, window, nil, Thresholds{}, res.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MonitorSnapshot{
+		WindowStart:    res.L1.End,
+		NextFlush:      res.L1.End + window,
+		BaselineEvents: len(res.L1.Events),
+		BaselineEnd:    res.L1.End,
+	}
+	if got := m.Snapshot(); got != want {
+		t.Fatalf("fresh monitor: snapshot %+v, want %+v", got, want)
+	}
+	if log := m.Baseline().Log; len(log.Events) != 0 || log.Start != res.L1.Start || log.End != res.L1.End {
+		t.Errorf("monitor baseline retains %d events over [%v,%v], want an event-free stub over [%v,%v]",
+			len(log.Events), log.Start, log.End, res.L1.Start, res.L1.End)
+	}
+	crossings := 0
+	for _, e := range res.L2.Events {
+		crossed := e.Time >= want.NextFlush
+		rep, err := m.Observe(ctx, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crossed {
+			// The flushed window is gone; e opened the grid cell holding it.
+			crossings++
+			want.WindowStart = res.L1.End + (e.Time-res.L1.End)/window*window
+			want.NextFlush = want.WindowStart + window
+			want.Buffered = 0
+		}
+		want.Buffered++
+		if rep != nil {
+			want.Windows++
+			if len(rep.Report.Unknown) > 0 {
+				want.Alarmed++
+			}
+		}
+		if got := m.Snapshot(); got != want {
+			t.Fatalf("after the event at %v (crossed=%v): snapshot %+v, want %+v", e.Time, crossed, got, want)
+		}
+	}
+	if _, err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got := m.Snapshot()
+	if crossings < 3 || got.Buffered != 0 {
+		t.Errorf("%d grid crossings, %d events buffered after the final flush; want >= 3 and 0", crossings, got.Buffered)
+	}
+	if got.Windows != len(m.Reports()) || got.Alarmed != len(m.Alarms()) {
+		t.Errorf("snapshot counts %d windows / %d alarmed, history holds %d / %d", got.Windows, got.Alarmed, len(m.Reports()), len(m.Alarms()))
+	}
+	if got.Alarmed == 0 {
+		t.Error("the crash raised no alarm; the Alarmed count is untested")
+	}
+
+	// A failed swap leaves the baseline's integers alone; a good one
+	// replaces them and nothing else.
+	canceledCtx, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := m.SwapBaseline(ctx, flowlog.New(0, time.Minute)); !errors.Is(err, ErrNoBaseline) {
+		t.Errorf("swap to an empty log: %v, want ErrNoBaseline", err)
+	}
+	if err := m.SwapBaseline(canceledCtx, res.L2); !errors.Is(err, ErrCanceled) {
+		t.Errorf("canceled swap: %v, want ErrCanceled", err)
+	}
+	if after := m.Snapshot(); after != got {
+		t.Errorf("failed swaps changed the snapshot: %+v, was %+v", after, got)
+	}
+	if err := m.SwapBaseline(ctx, res.L2); err != nil {
+		t.Fatal(err)
+	}
+	got.BaselineEvents, got.BaselineEnd = len(res.L2.Events), res.L2.End
+	if after := m.Snapshot(); after != got {
+		t.Errorf("after the swap: snapshot %+v, want %+v", after, got)
+	}
+}
+
+// TestMonitorFlushSteadyStateAllocs is the allocation ceiling of the
+// per-window path, the flush beside the per-event one above: once two
+// windows have warmed the pool and the group cache, modeling, diffing
+// and diagnosing a 5k-event window allocates flushAllocCeiling objects
+// at most — the measured count plus 15 %. A per-window product nothing
+// reads (a stability map for the current side was three times this)
+// fails here before it fails the benchmark.
+func TestMonitorFlushSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops recycled chunks at random under the race detector")
+	}
+	const flushAllocCeiling = 245 // measured 213, + 15 %
+	// No collection while measuring: one would empty the pool mid-run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	window := time.Minute
+	baseline := flowlog.New(0, window)
+	baseline.Events = monitorChainEvents(0, window, 48*time.Millisecond)
+	m, err := NewMonitor(context.Background(), baseline, window, nil, Thresholds{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var worst uint64
+	for w := 0; w < 6; w++ {
+		from := baseline.End + time.Duration(w)*window
+		events := monitorChainEvents(from, from+window, 48*time.Millisecond)
+		if len(events) != 5000 {
+			t.Fatalf("window holds %d events, want 5000", len(events))
+		}
+		for i := range events {
+			if _, err := m.Observe(ctx, events[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := m.Flush(ctx)
+		runtime.ReadMemStats(&after)
+		if err != nil || rep == nil {
+			t.Fatalf("window %d: report %v, err %v", w, rep, err)
+		}
+		if n := after.Mallocs - before.Mallocs; w >= 2 && n > worst {
+			worst = n
+		}
+	}
+	t.Logf("steady-state Flush: %d allocations per 5k-event window", worst)
+	if worst > flushAllocCeiling {
+		t.Errorf("steady-state Flush allocates %d objects per 5k-event window, want <= %d", worst, flushAllocCeiling)
 	}
 }

@@ -10,12 +10,16 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"flowdiff"
+	"flowdiff/internal/core/appgroup"
+	"flowdiff/internal/core/signature"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/obs"
 )
@@ -241,6 +245,101 @@ func TestMetricsPopulatedAfterCompare(t *testing.T) {
 	for _, c := range []string{"signature.occurrences", "signature.groups", "signature.intervals"} {
 		if snap.Counters[c] == 0 {
 			t.Errorf("counter %s is zero", c)
+		}
+	}
+	// Stability is the reference side's product: of the two logs a Compare
+	// models, only the baseline is analyzed per interval.
+	if h := snap.Histograms["span.signature.stability"]; h.Count != 1 {
+		t.Errorf("span.signature.stability recorded %d times by one Compare, want 1 (the baseline's)", h.Count)
+	}
+}
+
+// TestCurrentBuildsSkipStability pins which builds are reference builds.
+// The per-interval stability analysis runs once per baseline: Monitor
+// windows, a re-diagnosed window and the current log of a Compare are
+// current builds and record neither span.signature.stability nor
+// signature.intervals, while the public builds still return the full
+// product, equal to signature.AnalyzeStability at every pool width.
+func TestCurrentBuildsSkipStability(t *testing.T) {
+	old := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(old)
+	const intervals = 5 // StabilityConfig's default
+	stability := func(reg *obs.Registry) (spans, folded int64) {
+		snap := reg.Snapshot()
+		return snap.Histograms["span.signature.stability"].Count, snap.Counters["signature.intervals"]
+	}
+	baseline := synthThreeTierStream(0, 2*time.Minute, 10_000)
+	stream := synthThreeTierStream(baseline.End, 2*time.Minute, 12_000)
+
+	regBase := obs.New()
+	m, err := flowdiff.NewMonitor(obs.WithRegistry(context.Background(), regBase), baseline, 30*time.Second, nil, flowdiff.Thresholds{}, flowdiff.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spans, folded := stability(regBase); spans != 1 || folded != intervals {
+		t.Errorf("monitor baseline: %d stability spans over %d intervals, want 1 over %d", spans, folded, intervals)
+	}
+
+	regCur := obs.New()
+	ctx := obs.WithRegistry(context.Background(), regCur)
+	for _, e := range stream.Events {
+		if _, err := m.Observe(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Reports()) < 3 {
+		t.Fatalf("only %d windows flushed; the check would be vacuous", len(m.Reports()))
+	}
+	capture, err := os.Open(writeColumnar(t, stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capture.Close()
+	w := m.Reports()[1]
+	if _, err := m.RediagnoseWindow(ctx, capture, w.From, w.To, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := regCur.Snapshot()
+	if snap.Counters["monitor.windows"] != int64(len(m.Reports())) || snap.Histograms["span.signature.app"].Count == 0 {
+		t.Fatalf("the windows were not recorded in the private registry: %+v", snap.Counters)
+	}
+	if spans, folded := stability(regCur); spans != 0 || folded != 0 {
+		t.Errorf("%d windows and a rediagnose: %d stability spans over %d intervals, want none", len(m.Reports()), spans, folded)
+	}
+
+	regCmp := obs.New()
+	if _, err := flowdiff.Compare(obs.WithRegistry(context.Background(), regCmp), baseline, stream, nil, flowdiff.Thresholds{}, flowdiff.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if spans, folded := stability(regCmp); spans != 1 || folded != intervals {
+		t.Errorf("one Compare: %d stability spans over %d intervals, want 1 over %d (the baseline's)", spans, folded, intervals)
+	}
+
+	want, err := signature.AnalyzeStability(baseline, appgroup.NewResolver(nil), signature.Config{Parallelism: 1}, signature.StabilityConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("reference stability map is empty")
+	}
+	path := writeColumnar(t, baseline)
+	for _, workers := range []int{1, 2, 4, 7} {
+		opts := flowdiff.Options{}.WithWorkers(workers)
+		mem, err := flowdiff.BuildSignatures(context.Background(), baseline, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, done := openColumnar(t, path)
+		streamed, err := flowdiff.BuildSignaturesReader(context.Background(), r, opts)
+		done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mem.Stability, want) || !reflect.DeepEqual(streamed.Stability, want) {
+			t.Errorf("workers=%d: a public build's Stability differs from signature.AnalyzeStability", workers)
 		}
 	}
 }

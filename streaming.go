@@ -102,8 +102,9 @@ func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOption
 	return cr, nil
 }
 
-// BuildSignaturesReader runs FlowDiff's modeling phase — the only
-// implementation of it: BuildSignatures and Monitor windows enter the
+// BuildSignaturesReader runs FlowDiff's modeling phase as a reference
+// build — the only implementation of it: BuildSignatures, the current
+// side of Compare and RediagnoseWindow, and Monitor windows enter the
 // same pipeline. The source is drained exactly once: flow occurrences
 // are extracted incrementally (sharded by flow-key hash across the
 // worker pool) and every other aggregate the builds need — including
@@ -125,11 +126,19 @@ func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOption
 // returned wrapped. Stage timings and counters go to the obs registry
 // traveling in ctx; instrumentation never changes the output.
 func BuildSignaturesReader(ctx context.Context, src EventSource, opts Options) (*Signatures, error) {
+	return buildFromSource(ctx, src, opts, opts.Stability.IntervalCount())
+}
+
+// buildFromSource is the streamed build behind every entry point.
+// intervals is the caller's role, not an option: a reference build
+// passes the stability interval count; a current build — the side Diff
+// compares against a baseline — passes 0 and builds no stability product.
+func buildFromSource(ctx context.Context, src EventSource, opts Options, intervals int) (*Signatures, error) {
 	if src == nil {
 		return nil, fmt.Errorf("flowdiff: building signatures: %w", ErrEmptyLog)
 	}
 	defer obs.Span(ctx, "flowdiff.build").End()
-	p, err := signature.NewPipelineFromSourceContext(ctx, src, opts.resolver(), opts.sigConfig(), opts.Stability)
+	p, err := signature.NewPipelineFromSourceContext(ctx, src, opts.resolver(), opts.sigConfig(), intervals)
 	if err != nil {
 		if cerr := canceled(ctx); cerr != nil {
 			return nil, fmt.Errorf("flowdiff: building signatures: %w", cerr)
