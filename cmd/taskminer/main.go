@@ -5,39 +5,50 @@
 // Usage:
 //
 //	taskminer -task vm-migration -train 50          # learn + self-test
-//	taskminer -task vm-startup-ami -train 50 -detect log.json
+//	taskminer -task vm-startup-ami -train 50 -detect log.fdc   # any format
 //	taskminer -task vm-startup-ubuntu -masked
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"os"
 
 	"flowdiff/internal/core/taskmine"
-	"flowdiff/internal/flowlog"
+	"flowdiff/internal/flowlog/colseg"
 	"flowdiff/internal/topology"
 	"flowdiff/internal/workload"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "taskminer:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("taskminer", flag.ExitOnError)
 	var (
-		task   = flag.String("task", "vm-migration", "task: vm-migration | vm-startup-ami | vm-startup-ubuntu | vm-stop | mount-nfs | unmount-nfs | software-upgrade")
-		train  = flag.Int("train", 50, "training runs")
-		seed   = flag.Int64("seed", 1, "random seed")
-		masked = flag.Bool("masked", false, "mask VM IP addresses (generalize across hosts)")
-		detect = flag.String("detect", "", "control log JSON to scan for task executions")
+		task   = fs.String("task", "vm-migration", "task: vm-migration | vm-startup-ami | vm-startup-ubuntu | vm-stop | mount-nfs | unmount-nfs | software-upgrade")
+		train  = fs.Int("train", 50, "training runs")
+		seed   = fs.Int64("seed", 1, "random seed")
+		masked = fs.Bool("masked", false, "mask VM IP addresses (generalize across hosts)")
+		detect = fs.String("detect", "", "control log (JSON, FDL1, or FDC1; format auto-detected) to scan for task executions")
 	)
-	flag.Parse()
+	// ExitOnError: Parse never returns a non-nil error to us.
+	_ = fs.Parse(args)
+	// printf keeps the first write error; run returns it at the end.
+	var werr error
+	printf := func(format string, a ...any) {
+		if werr == nil {
+			_, werr = fmt.Fprintf(out, format, a...)
+		}
+	}
 
 	topo, err := topology.Lab()
 	if err != nil {
@@ -89,14 +100,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("mined automaton %q: %d states, %d start, %d final (masked=%v)\n",
+	printf("mined automaton %q: %d states, %d start, %d final (masked=%v)\n",
 		a.Name, a.NumStates(), len(a.StartStates()), len(a.FinalStates()), *masked)
 	for i, st := range a.States {
-		fmt.Printf("  state %2d (support %.2f): ", i, st.Support)
+		printf("  state %2d (support %.2f): ", i, st.Support)
 		for _, tm := range st.Seq {
-			fmt.Print(tm, " ")
+			printf("%v ", tm)
 		}
-		fmt.Println()
+		printf("\n")
 	}
 
 	// Self-test: every training run must be re-detected.
@@ -110,7 +121,7 @@ func run() error {
 			ok++
 		}
 	}
-	fmt.Printf("self-test: %d/%d training runs re-detected\n", ok, len(rawRuns))
+	printf("self-test: %d/%d training runs re-detected\n", ok, len(rawRuns))
 
 	if *detect != "" {
 		f, err := os.Open(*detect)
@@ -118,16 +129,16 @@ func run() error {
 			return err
 		}
 		defer f.Close()
-		log, err := flowlog.ReadJSON(f)
+		log, err := colseg.ReadAny(context.Background(), f, colseg.ReaderOptions{})
 		if err != nil {
-			return err
+			return fmt.Errorf("loading %s: %w", *detect, err)
 		}
 		flows := taskmine.FlowsFromLog(log, 0)
 		ds := taskmine.DedupeDetections(taskmine.Detect(a, flows))
-		fmt.Printf("detections in %s: %d\n", *detect, len(ds))
+		printf("detections in %s: %d\n", *detect, len(ds))
 		for _, d := range ds {
-			fmt.Printf("  %s at %v..%v involving %v\n", d.Task, d.Start, d.End, d.Hosts)
+			printf("  %s at %v..%v involving %v\n", d.Task, d.Start, d.End, d.Hosts)
 		}
 	}
-	return nil
+	return werr
 }

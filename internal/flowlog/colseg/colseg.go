@@ -217,11 +217,11 @@ const (
 )
 
 const (
-	headerLen     = 4 + 1 + 1 + 8 + 8 + 8  // magic version ncols start end width
-	preambleLenV1 = 8 + 8 + 4 + 4          // minTime maxTime count payloadLen
-	preambleLenV2 = preambleLenV1 + 4      // + indexLen
-	footerLenV1   = numColumns*4 + 4       // offsets + crc32
-	statsLen      = numColumns * (8 + 8)   // min/max per column
+	headerLen     = 4 + 1 + 1 + 8 + 8 + 8     // magic version ncols start end width
+	preambleLenV1 = 8 + 8 + 4 + 4             // minTime maxTime count payloadLen
+	preambleLenV2 = preambleLenV1 + 4         // + indexLen
+	footerLenV1   = numColumns*4 + 4          // offsets + crc32
+	statsLen      = numColumns * (8 + 8)      // min/max per column
 	indexFixedLen = numColumns*4*2 + statsLen // offsets + crcs + stats
 )
 

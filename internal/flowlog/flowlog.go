@@ -45,43 +45,58 @@ const (
 	EventPortStatus
 )
 
-var eventTypeNames = map[EventType]string{
+// eventTypeNames is the one table of OpenFlow message names: String and
+// MarshalJSON index it, parseEventType searches it.
+var eventTypeNames = [...]string{
 	EventPacketIn:    "PacketIn",
 	EventFlowMod:     "FlowMod",
 	EventFlowRemoved: "FlowRemoved",
 	EventPortStatus:  "PortStatus",
 }
 
+// parseEventType finds the type with exactly the given message name.
+func parseEventType(name []byte) (EventType, bool) {
+	for t := EventPacketIn; int(t) < len(eventTypeNames); t++ {
+		if string(name) == eventTypeNames[t] {
+			return t, true
+		}
+	}
+	return 0, false
+}
+
+func (t EventType) known() bool { return t >= EventPacketIn && int(t) < len(eventTypeNames) }
+
 // String returns the OpenFlow message name of the event type.
 func (t EventType) String() string {
-	if n, ok := eventTypeNames[t]; ok {
-		return n
+	if t.known() {
+		return eventTypeNames[t]
 	}
 	return fmt.Sprintf("EventType(%d)", int(t))
 }
 
 // MarshalJSON encodes the type as its message name.
 func (t EventType) MarshalJSON() ([]byte, error) {
-	n, ok := eventTypeNames[t]
-	if !ok {
+	if !t.known() {
 		return nil, fmt.Errorf("flowlog: unknown event type %d", int(t))
 	}
-	return json.Marshal(n)
+	return json.Marshal(eventTypeNames[t])
 }
 
-// UnmarshalJSON decodes a message name back into an EventType.
+// UnmarshalJSON decodes a JSON string holding a message name back into
+// an EventType; anything else, null included, is an error.
 func (t *EventType) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
+	s := jsonScanner{buf: b}
+	var et EventType
+	s.space()
+	err := s.value(&et, 0)
+	if s.space(); err == nil && s.pos != len(b) {
+		err = s.expected("the end of the value")
 	}
-	for et, n := range eventTypeNames {
-		if n == s {
-			*t = et
-			return nil
-		}
+	if err != nil {
+		return fmt.Errorf("flowlog: event type: %w", err)
 	}
-	return fmt.Errorf("flowlog: unknown event type %q", s)
+	*t = et
+	return nil
 }
 
 // Event is one control message observed at the controller.
@@ -297,14 +312,4 @@ func (l *Log) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("flowlog: encoding log: %w", err)
 	}
 	return nil
-}
-
-// ReadJSON deserializes a log written by WriteJSON.
-func ReadJSON(r io.Reader) (*Log, error) {
-	var l Log
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&l); err != nil {
-		return nil, fmt.Errorf("flowlog: decoding log: %w", err)
-	}
-	return &l, nil
 }

@@ -265,16 +265,25 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 }
 
 func TestEventTypeJSON(t *testing.T) {
-	for et, name := range map[EventType]string{
+	names := map[EventType]string{
 		EventPacketIn: "PacketIn", EventFlowMod: "FlowMod",
 		EventFlowRemoved: "FlowRemoved", EventPortStatus: "PortStatus",
-	} {
+	}
+	// Every type the name table knows, and nothing it doesn't.
+	for et := EventType(0); et <= EventPortStatus+1; et++ {
+		name, known := names[et]
 		b, err := et.MarshalJSON()
+		if !known {
+			if err == nil {
+				t.Errorf("marshal %d = %s, want error for unknown type value", int(et), b)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(b) != `"`+name+`"` {
-			t.Errorf("marshal %v = %s", et, b)
+		if string(b) != `"`+name+`"` || et.String() != name {
+			t.Errorf("marshal %d = %s, String %s, want %s", int(et), b, et, name)
 		}
 		var back EventType
 		if err := back.UnmarshalJSON(b); err != nil {
@@ -284,12 +293,20 @@ func TestEventTypeJSON(t *testing.T) {
 			t.Errorf("round trip %v -> %v", et, back)
 		}
 	}
-	var bad EventType
-	if err := bad.UnmarshalJSON([]byte(`"Bogus"`)); err == nil {
-		t.Error("want error for unknown name")
+	if got := EventType(99).String(); got != "EventType(99)" {
+		t.Errorf("String of unknown type = %q", got)
 	}
-	if _, err := EventType(99).MarshalJSON(); err == nil {
-		t.Error("want error for unknown type value")
+	var escaped EventType
+	if err := escaped.UnmarshalJSON([]byte(" \"Flow\\u004dod\"\n")); err != nil || escaped != EventFlowMod {
+		t.Errorf("escaped name: %v, %v", escaped, err)
+	}
+	for _, bad := range []string{`"Bogus"`, `""`, `null`, `"packetin"`, `"PACKETIN"`, `1`, `{}`, `"PacketIn" x`, `"PacketIn`, ``} {
+		got := EventFlowMod
+		if err := got.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Errorf("unmarshal %s = %v, want error", bad, got)
+		} else if got != EventFlowMod {
+			t.Errorf("unmarshal %s failed but wrote %v", bad, got)
+		}
 	}
 }
 

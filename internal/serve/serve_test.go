@@ -239,8 +239,22 @@ func TestBackpressureAtomicBatches(t *testing.T) {
 
 	close(gate)
 	released = true
-	// Retry after the queue drains, then flush (FIFO: the flush observes
+	// Retry once the queue has drained — the contract a client acts on,
+	// seen where a client sees it — then flush (FIFO: the flush observes
 	// every previously accepted event first).
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		code, _, body := do(t, http.MethodGet, ts.URL+"/v1/tenants/t", nil)
+		var st TenantStatus
+		if err := json.Unmarshal(body, &st); code != http.StatusOK || err != nil {
+			t.Fatalf("GET tenant: status %d, body %s, %v", code, body, err)
+		}
+		if st.QueueDepth == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue did not drain after the stall was released: %+v", st)
+		}
+	}
 	if code, _, body := postEvents(t, ts.URL, "t", second); code != http.StatusAccepted {
 		t.Fatalf("retried batch: status %d, body %s", code, body)
 	}
@@ -444,6 +458,27 @@ func TestSnapshotShowsTenantMetrics(t *testing.T) {
 	}
 	if h, ok := snap.Histograms["serve.tenant.t.flush"]; !ok || h.Count == 0 {
 		t.Errorf("snapshot is missing per-tenant flush observations (ok=%v, %+v)", ok, h)
+	}
+}
+
+// TestIngestMalformedJSONNamesOffset: a client whose JSON batch is
+// rejected is told where in its body the decoder stopped and what it
+// wanted there, and nothing of the batch is queued.
+func TestIngestMalformedJSONNamesOffset(t *testing.T) {
+	res := capture(t)
+	srv, ts := newTestServer(t, func(c *Config) { c.Options = res.Options() })
+	putBaseline(t, ts.URL, "t", res.L1)
+	body := []byte(`{"events":[{"t":1,"type":"PacketIn"},{"t":x}]}`)
+	code, _, resp := do(t, http.MethodPost, ts.URL+"/v1/tenants/t/events", body)
+	if code != http.StatusBadRequest {
+		t.Fatalf("malformed batch: status %d, body %s", code, resp)
+	}
+	want := fmt.Sprintf("offset %d: expected a digit, found 'x'", bytes.IndexByte(body, 'x'))
+	if !bytes.Contains(resp, []byte(want)) {
+		t.Errorf("400 body %s does not say %q", resp, want)
+	}
+	if tn, ok := srv.tenant("t"); !ok || tn.status().EventsAccepted != 0 {
+		t.Errorf("a rejected batch was accepted in part")
 	}
 }
 

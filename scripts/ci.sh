@@ -5,6 +5,8 @@
 set -eux
 cd "$(dirname "$0")/.."
 
+# Formatting is gated: any file gofmt would rewrite fails the build.
+test -z "$(gofmt -l .)"
 go vet ./...
 # flowdifflint: the repo's own analyzer suite. It machine-checks the
 # determinism/concurrency invariants (map-order leaks, wall-clock reads
@@ -118,29 +120,37 @@ go test -race ./...
 # the traced phase" (ROADMAP: size the smoke plan in windows).
 (cd bench && go vet ./... && go test -race ./...)
 # Allocation ratchet (ROADMAP "close the measurement loop", step 1): a
-# short flowbench pass must verify against its oracle and stay under the
-# committed ceilings in scripts/bench_ceilings.txt — the measured values
-# of the change that last lowered them, plus 15 %: 393 B/event and 0.47
-# allocs/event from this pass's 341.9 / 0.406 once Monitor windows
-# stopped building a stability product (was 516 / 1.37 from 447 / 1.19).
-# Only the allocation metrics are gated: they repeat to under 0.5 % on
-# one host and toolchain, the timings (echoed below) do not.
-BENCH_JSON="$(bash bench/run.sh --workload stream_fdc1 --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+# short flowbench pass per workload listed in scripts/bench_ceilings.txt
+# (lines of "<workload> <metric> <ceiling>") must verify against its
+# oracle and stay under the committed ceilings — the measured values of
+# the change that last lowered them, plus 15 %. stream_fdc1: 393 B/event
+# and 0.47 allocs/event from 341.9 / 0.406 once Monitor windows stopped
+# building a stability product. stream_json_chunked, the text path: 578
+# and 0.94 from 502.6 / 0.814 once ReadJSON stopped going through
+# reflection (was 1,396 / 6.85). Only the allocation metrics are gated:
+# they repeat to under 0.5 % on one host and toolchain, the timings
+# (echoed below) do not.
 bench_metric() { printf '%s\n' "$BENCH_JSON" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"; }
-case "$BENCH_JSON" in
-'{"correct":true,'*) ;;
-*)
-	echo "flowbench: stream_fdc1 did not verify: $BENCH_JSON" >&2
-	exit 1
-	;;
-esac
-while read -r name ceiling; do
-	awk -v got="$(bench_metric "$name")" -v max="$ceiling" -v name="$name" 'BEGIN {
+BENCH_WORKLOAD=
+while read -r workload name ceiling; do
+	# One pass per workload: its lines sit together in the file.
+	if [ "$workload" != "$BENCH_WORKLOAD" ]; then
+		BENCH_WORKLOAD="$workload"
+		BENCH_JSON="$(bash bench/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+		case "$BENCH_JSON" in
+		'{"correct":true,'*) ;;
+		*)
+			echo "flowbench: $workload did not verify: $BENCH_JSON" >&2
+			exit 1
+			;;
+		esac
+		echo "flowbench $workload timings, not gated: events_per_s=$(bench_metric events_per_s) cycle_p50_ms=$(bench_metric cycle_p50_ms) cycle_p95_ms=$(bench_metric cycle_p95_ms)"
+	fi
+	awk -v got="$(bench_metric "$name")" -v max="$ceiling" -v name="$workload $name" 'BEGIN {
 		if (got == "" || got + 0 > max + 0) { printf "flowbench: %s = %s, ceiling %s\n", name, got, max; exit 1 }
 		printf "flowbench: %s = %s (ceiling %s)\n", name, got, max
 	}'
 done < scripts/bench_ceilings.txt
-echo "flowbench timings, not gated: events_per_s=$(bench_metric events_per_s) cycle_p50_ms=$(bench_metric cycle_p50_ms) cycle_p95_ms=$(bench_metric cycle_p95_ms)"
 # Decoder fuzz targets over their seed corpora (-run mode, no fuzzing
 # engine): corrupted or hostile captures must fail with wrapped errors,
 # never a panic or an unbounded allocation.
