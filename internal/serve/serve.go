@@ -620,6 +620,7 @@ func (s *Server) RunGC() int {
 	cutoff := s.reg.Now().Add(-s.cfg.Retention)
 	ids, err := s.store.Tenants()
 	if err != nil {
+		s.reg.Counter("serve.gc.errors").Inc()
 		return 0
 	}
 	removed := 0

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"flowdiff/internal/flowlog"
@@ -35,6 +36,22 @@ import (
 // tenant the server serializes writes through the tenant's worker.
 type Store struct {
 	dir string
+	// summaries caches ListReports: tenant -> seq -> the report file's
+	// size, mtime and summary when last parsed. A published per-tenant
+	// map is never mutated, so it is read without mu. deletes counts
+	// forgets; a list that raced one does not publish.
+	mu        sync.Mutex
+	summaries map[string]map[uint64]cachedSummary
+	deletes   uint64
+	// beforeLoad, when set (tests only), runs before ListReports parses.
+	beforeLoad func(seq uint64)
+}
+
+// cachedSummary is one report file's summary, valid while the file's
+// size and modification time are unchanged.
+type cachedSummary struct {
+	size, mtimeNS int64
+	sum           ReportSummary
 }
 
 // ErrNotFound reports a missing tenant, baseline, or report.
@@ -48,7 +65,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: opening store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, summaries: make(map[string]map[uint64]cachedSummary)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -222,35 +239,73 @@ func (s *Store) LoadReport(tenant string, seq uint64) (ReportRecord, error) {
 // ListReports summarizes a tenant's persisted reports in sequence
 // order. A missing tenant directory lists as empty, not as an error —
 // a registered tenant may simply not have flushed yet.
+//
+// The directory is the authority: each call reads it, stats every
+// report, and parses one only when its seq is uncached or its size or
+// mtime changed, so a write by any Store or process is seen (stat
+// before parse: a rewrite in between is parsed again next time). A
+// report removed after the directory read (a concurrent GC) is skipped.
 func (s *Store) ListReports(tenant string) ([]ReportSummary, error) {
+	s.mu.Lock()
+	cached, deletes := s.summaries[tenant], s.deletes
+	s.mu.Unlock()
 	entries, err := os.ReadDir(s.reportsDir(tenant))
 	if errors.Is(err, fs.ErrNotExist) {
+		s.forget(tenant)
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: listing reports for %s: %w", tenant, err)
 	}
+	seen := make(map[uint64]cachedSummary, len(entries))
 	var out []ReportSummary
 	for _, e := range entries {
 		seq, ok := parseReportName(e.Name())
 		if !ok {
 			continue
 		}
-		rec, err := s.LoadReport(tenant, seq)
-		if err != nil {
-			return nil, err
+		info, err := e.Info()
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
 		}
-		out = append(out, ReportSummary{
-			Seq:     rec.Seq,
-			From:    rec.From,
-			To:      rec.To,
-			Known:   len(rec.Report.Known),
-			Unknown: len(rec.Report.Unknown),
-			Alarm:   len(rec.Report.Unknown) > 0,
-		})
+		if err != nil {
+			return nil, fmt.Errorf("serve: listing reports for %s: %w", tenant, err)
+		}
+		c, ok := cached[seq]
+		if !ok || c.size != info.Size() || c.mtimeNS != info.ModTime().UnixNano() {
+			if s.beforeLoad != nil {
+				s.beforeLoad(seq)
+			}
+			rec, err := s.LoadReport(tenant, seq)
+			if errors.Is(err, ErrNotFound) {
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			c = cachedSummary{info.Size(), info.ModTime().UnixNano(), ReportSummary{
+				Seq: rec.Seq, From: rec.From, To: rec.To, Known: len(rec.Report.Known),
+				Unknown: len(rec.Report.Unknown), Alarm: len(rec.Report.Unknown) > 0,
+			}}
+		}
+		seen[seq] = c
+		out = append(out, c.sum)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	s.mu.Lock()
+	if s.deletes == deletes {
+		s.summaries[tenant] = seen
+	}
+	s.mu.Unlock()
 	return out, nil
+}
+
+// forget drops a tenant's cached report summaries.
+func (s *Store) forget(tenant string) {
+	s.mu.Lock()
+	delete(s.summaries, tenant)
+	s.deletes++
+	s.mu.Unlock()
 }
 
 // MaxSeq returns the highest persisted report sequence for a tenant (0
@@ -284,9 +339,10 @@ func parseReportName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// GCReports removes a tenant's reports persisted before cutoff (by file
-// modification time, which matches ReportRecord.SavedAtUnixNS for files
-// this process wrote). It returns how many files were removed. The
+// GCReports removes a tenant's reports persisted before cutoff, by file
+// modification time. That is wall-clock time while the server's cutoff
+// comes from its registry clock, so it matches ReportRecord.SavedAtUnixNS
+// only under the real clock. It returns how many files were removed. The
 // baseline is never collected — only the window reports expire.
 func (s *Store) GCReports(tenant string, cutoff time.Time) (int, error) {
 	entries, err := os.ReadDir(s.reportsDir(tenant))
@@ -316,7 +372,9 @@ func (s *Store) GCReports(tenant string, cutoff time.Time) (int, error) {
 
 // DeleteTenant removes everything the store holds for a tenant.
 func (s *Store) DeleteTenant(tenant string) error {
-	if err := os.RemoveAll(s.tenantDir(tenant)); err != nil {
+	err := os.RemoveAll(s.tenantDir(tenant))
+	s.forget(tenant)
+	if err != nil {
 		return fmt.Errorf("serve: deleting tenant %s: %w", tenant, err)
 	}
 	return nil

@@ -127,9 +127,12 @@ go test -race ./...
 # and 0.47 allocs/event from 341.9 / 0.406 once Monitor windows stopped
 # building a stability product. stream_json_chunked, the text path: 578
 # and 0.94 from 502.6 / 0.814 once ReadJSON stopped going through
-# reflection (was 1,396 / 6.85). Only the allocation metrics are gated:
-# they repeat to under 0.5 % on one host and toolchain, the timings
-# (echoed below) do not.
+# reflection (was 1,396 / 6.85). read_beside_write, the store's read
+# direction: 419 and 0.62 from 364.0 / 0.536 once ListReports stopped
+# re-parsing unchanged report files (was 384.6 / 1.053, so a list that
+# parses every file again fails the allocs ceiling). Only the
+# allocation metrics are gated: they repeat to under 0.5 % on one host
+# and toolchain, the timings (echoed below) do not.
 bench_metric() { printf '%s\n' "$BENCH_JSON" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"; }
 BENCH_WORKLOAD=
 while read -r workload name ceiling; do
