@@ -1,7 +1,7 @@
 # Convenience entry points; scripts/ holds the real logic so CI and
 # humans run exactly the same commands.
 
-.PHONY: test race lint lint-ignores ci bench
+.PHONY: test race lint lint-ignores ci
 
 test:
 	go test ./...
@@ -24,8 +24,3 @@ lint-ignores:
 # Full verification gate: vet + build + race tests + bench smoke.
 ci:
 	./scripts/ci.sh
-
-# Perf trajectory: runs the hot-path benchmarks and writes
-# bench_results/BENCH_<n>.json (see scripts/bench.sh for knobs).
-bench:
-	./scripts/bench.sh

@@ -8,18 +8,13 @@
 package flowdiff_test
 
 import (
-	"context"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"testing"
 	"time"
 
 	"flowdiff"
-	"flowdiff/internal/core/appgroup"
-	"flowdiff/internal/core/signature"
 	"flowdiff/internal/experiments"
-	"flowdiff/internal/faults"
 	"flowdiff/internal/flowlog"
 )
 
@@ -127,34 +122,6 @@ func BenchmarkFig13bProcessingTime(b *testing.B) {
 	}
 }
 
-// BenchmarkDiffPipeline measures the diff+diagnose phase alone on a
-// prepared pair of signature sets (host-shutdown scenario).
-func BenchmarkDiffPipeline(b *testing.B) {
-	res, err := flowdiff.RunScenario(flowdiff.Scenario{
-		Seed:   1,
-		Faults: []faults.Injector{faults.HostShutdown{Host: "S3"}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := res.Options()
-	base, err := flowdiff.BuildSignatures(context.Background(), res.L1, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cur, err := flowdiff.BuildSignatures(context.Background(), res.L2, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		changes := flowdiff.Diff(context.Background(), base, cur, flowdiff.Thresholds{})
-		flowdiff.Diagnose(context.Background(), changes, nil, opts)
-	}
-}
-
-// --- modeling-pipeline benches ---------------------------------------
-
 // synthThreeTierLog builds a deterministic control log of roughly
 // nEvents events: eight independent three-tier application groups, each
 // request producing a front->mid and a mid->back flow (PacketIn+FlowMod
@@ -166,7 +133,7 @@ func synthThreeTierLog(nEvents int) *flowdiff.Log {
 }
 
 // synthThreeTierStream is synthThreeTierLog generalized to an arbitrary
-// interval, so monitor benchmarks can generate a continuous stream that
+// interval, so Monitor tests can generate a continuous stream that
 // starts where the baseline log ends.
 func synthThreeTierStream(start, dur time.Duration, nEvents int) *flowdiff.Log {
 	const (
@@ -203,116 +170,6 @@ func synthThreeTierStream(start, dur time.Duration, nEvents int) *flowdiff.Log {
 	}
 	l.Sort()
 	return l
-}
-
-// BenchmarkBuildSignatures measures the full modeling phase (app +
-// infra + stability, single-pass pipeline) at three log scales, with a
-// sequential and a per-CPU worker-pool variant.
-func BenchmarkBuildSignatures(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 500_000} {
-		log := synthThreeTierLog(n)
-		workerCounts := []int{1}
-		if p := runtime.GOMAXPROCS(0); p != 1 {
-			workerCounts = append(workerCounts, p)
-		}
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("events=%dk/workers=%d", n/1000, workers), func(b *testing.B) {
-				opts := flowdiff.Options{Parallelism: workers}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := flowdiff.BuildSignatures(context.Background(), log, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkOccurrences isolates occurrence extraction — the dominant
-// cost of the modeling phase — serial and sharded by flow-key hash
-// across worker counts. On a single-CPU host the sharded variants
-// measure overhead, not speedup; shards run concurrently only when
-// cores exist to carry them.
-func BenchmarkOccurrences(b *testing.B) {
-	workerCounts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		workerCounts = append(workerCounts, p)
-	}
-	for _, n := range []int{100_000, 500_000} {
-		log := synthThreeTierLog(n)
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("events=%dk/workers=%d", n/1000, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					signature.OccurrencesSharded(log, signature.Config{Parallelism: workers})
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkMonitorFlush drives a monitor over a growing stream with a
-// fixed 30s window and constant per-window event density, reporting
-// ns/window. Per-window cost staying flat as the stream grows is the
-// incremental engine's contract: extraction state is per-window, group
-// discovery is cached, and nothing rescans history.
-func BenchmarkMonitorFlush(b *testing.B) {
-	const (
-		window    = 30 * time.Second
-		perWindow = 5_000 // events per window
-	)
-	baseline := synthThreeTierLog(20_000)
-	for _, windows := range []int{4, 16, 64} {
-		stream := synthThreeTierStream(baseline.End, time.Duration(windows)*window, windows*perWindow)
-		b.Run(fmt.Sprintf("windows=%d", windows), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer() // the one-off baseline build is not per-window cost
-				m, err := flowdiff.NewMonitor(context.Background(), baseline, window, nil, flowdiff.Thresholds{}, flowdiff.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, e := range stream.Events {
-					if _, err := m.Observe(context.Background(), e); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := m.Flush(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				if got := len(m.Reports()); got < windows-1 {
-					b.Fatalf("only %d reports for %d windows", got, windows)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
-		})
-	}
-}
-
-// BenchmarkAnalyzeStability isolates the per-interval stability
-// analysis, historically the most extraction-heavy stage (it used to
-// re-run occurrence extraction once per interval plus once whole-log).
-func BenchmarkAnalyzeStability(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 500_000} {
-		log := synthThreeTierLog(n)
-		r := appgroup.NewResolver(nil)
-		workerCounts := []int{1}
-		if p := runtime.GOMAXPROCS(0); p != 1 {
-			workerCounts = append(workerCounts, p)
-		}
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("events=%dk/workers=%d", n/1000, workers), func(b *testing.B) {
-				cfg := signature.Config{Parallelism: workers}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := signature.AnalyzeStability(log, r, cfg, signature.StabilityConfig{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // --- ablation benches (DESIGN.md) ------------------------------------

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"flowdiff/internal/lint"
@@ -38,12 +37,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	timing := flag.Bool("time", false, "print per-analyzer wall time to stderr")
 	ignores := flag.Bool("ignores", false, "audit //lint:ignore directives and exit")
-	detRoots := flag.String("detorder-roots", "", "comma-separated extra FuncIDs treated as determinism roots by detorder")
 	flag.Parse()
 
-	if *detRoots != "" {
-		checks.DetOrderRoots = append(checks.DetOrderRoots, strings.Split(*detRoots, ",")...)
-	}
 	all := checks.All()
 	selected, err := lint.Select(all, *only, *disable)
 	if err != nil {

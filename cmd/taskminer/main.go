@@ -96,7 +96,7 @@ func run(args []string, out io.Writer) error {
 		runs = append(runs, taskmine.Normalize(run.Flows, cfg))
 		rawRuns = append(rawRuns, run)
 	}
-	a, err := taskmine.Mine(script.Name, runs, cfg)
+	a, err := taskmine.Mine(context.Background(), script.Name, runs, cfg, taskmine.MineOptions{})
 	if err != nil {
 		return err
 	}

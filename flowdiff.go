@@ -194,7 +194,7 @@ func Diff(ctx context.Context, base, cur *Signatures, th Thresholds) []Change {
 	if base == nil || cur == nil {
 		return nil
 	}
-	return diff.CompareContext(ctx, base.Apps, cur.Apps, base.Infra, cur.Infra, base.Stability, th)
+	return diff.Compare(ctx, base.Apps, cur.Apps, base.Infra, cur.Infra, base.Stability, th)
 }
 
 // TaskConfig re-exports the task-mining configuration.
@@ -210,11 +210,12 @@ func MineTask(ctx context.Context, name string, runs [][]FlowKey, cfg TaskConfig
 	for _, run := range runs {
 		templates = append(templates, taskmine.Normalize(run, cfg))
 	}
-	a, err := taskmine.MineContext(ctx, name, templates, cfg)
+	a, err := taskmine.Mine(ctx, name, templates, cfg, taskmine.MineOptions{})
 	if err != nil {
 		if cerr := canceled(ctx); cerr != nil {
 			return nil, fmt.Errorf("flowdiff: mining task %q: %w", name, cerr)
 		}
+		//lint:ignore sentinelerr mining failures (no runs, no common flows, unsegmentable run) have no public sentinel yet; one is an API addition of its own
 		return nil, fmt.Errorf("flowdiff: %w", err)
 	}
 	return a, nil

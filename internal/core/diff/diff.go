@@ -111,21 +111,12 @@ type Change struct {
 }
 
 // Compare diffs application and infrastructure signatures. baseStab may
-// be nil to compare everything regardless of stability.
+// be nil to compare everything regardless of stability. The span
+// "diff.compare" is timed and the counter "diff.changes" accumulated
+// into ctx's obs registry. The comparison itself is a single pass over
+// already-built signatures and is not cancellable mid-flight; ctx only
+// carries the registry.
 func Compare(
-	base, cur []signature.AppSignature,
-	baseInf, curInf signature.InfraSignature,
-	baseStab map[string]signature.Stability,
-	th Thresholds,
-) []Change {
-	return CompareContext(context.Background(), base, cur, baseInf, curInf, baseStab, th)
-}
-
-// CompareContext is Compare with the span "diff.compare" timed and the
-// counter "diff.changes" accumulated into ctx's obs registry. The
-// comparison itself is a single pass over already-built signatures and
-// is not cancellable mid-flight; ctx only carries the registry.
-func CompareContext(
 	ctx context.Context,
 	base, cur []signature.AppSignature,
 	baseInf, curInf signature.InfraSignature,

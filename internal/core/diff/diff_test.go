@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +67,7 @@ func compareOne(t *testing.T, mutate func(*signature.AppSignature)) []Change {
 	}
 	var inf signature.InfraSignature
 	return Compare(
+		context.Background(),
 		[]signature.AppSignature{base},
 		[]signature.AppSignature{cur},
 		inf, inf, nil, Thresholds{},
@@ -241,7 +243,7 @@ func TestStabilityFilterSuppressesUnstableComponents(t *testing.T) {
 		},
 	}
 	var inf signature.InfraSignature
-	changes := Compare([]signature.AppSignature{base}, []signature.AppSignature{cur}, inf, inf, stab, Thresholds{})
+	changes := Compare(context.Background(), []signature.AppSignature{base}, []signature.AppSignature{cur}, inf, inf, stab, Thresholds{})
 	for _, c := range changes {
 		if c.Kind == signature.KindCI {
 			t.Errorf("unstable CI should not raise alarms: %+v", c)
@@ -252,7 +254,7 @@ func TestStabilityFilterSuppressesUnstableComponents(t *testing.T) {
 func TestGroupDisappeared(t *testing.T) {
 	base := sigWith()
 	var inf signature.InfraSignature
-	changes := Compare([]signature.AppSignature{base}, nil, inf, inf, nil, Thresholds{})
+	changes := Compare(context.Background(), []signature.AppSignature{base}, nil, inf, inf, nil, Thresholds{})
 	if len(changes) == 0 {
 		t.Fatal("vanished group not reported")
 	}
@@ -264,7 +266,7 @@ func TestGroupDisappeared(t *testing.T) {
 func TestNewGroupReported(t *testing.T) {
 	cur := sigWith()
 	var inf signature.InfraSignature
-	changes := Compare(nil, []signature.AppSignature{cur}, inf, inf, nil, Thresholds{})
+	changes := Compare(context.Background(), nil, []signature.AppSignature{cur}, inf, inf, nil, Thresholds{})
 	if len(changes) != 2 { // two edges of the new group
 		t.Fatalf("got %d changes, want 2: %+v", len(changes), changes)
 	}
@@ -290,12 +292,12 @@ func TestInfraISLAndCRT(t *testing.T) {
 	base := mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond))
 
 	t.Run("no change", func(t *testing.T) {
-		if cs := Compare(nil, nil, base, mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond)), nil, Thresholds{}); len(cs) != 0 {
+		if cs := Compare(context.Background(), nil, nil, base, mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond)), nil, Thresholds{}); len(cs) != 0 {
 			t.Errorf("identical infra produced %+v", cs)
 		}
 	})
 	t.Run("ISL shift", func(t *testing.T) {
-		cs := Compare(nil, nil, base, mkInf(float64(10*time.Millisecond), float64(200*time.Microsecond)), nil, Thresholds{})
+		cs := Compare(context.Background(), nil, nil, base, mkInf(float64(10*time.Millisecond), float64(200*time.Microsecond)), nil, Thresholds{})
 		found := false
 		for _, c := range cs {
 			if c.Kind == signature.KindISL {
@@ -307,7 +309,7 @@ func TestInfraISLAndCRT(t *testing.T) {
 		}
 	})
 	t.Run("CRT shift", func(t *testing.T) {
-		cs := Compare(nil, nil, base, mkInf(float64(2*time.Millisecond), float64(5*time.Millisecond)), nil, Thresholds{})
+		cs := Compare(context.Background(), nil, nil, base, mkInf(float64(2*time.Millisecond), float64(5*time.Millisecond)), nil, Thresholds{})
 		found := false
 		for _, c := range cs {
 			if c.Kind == signature.KindCRT {
@@ -322,7 +324,7 @@ func TestInfraISLAndCRT(t *testing.T) {
 		cur := mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond))
 		delete(cur.SwitchAdj, signature.SwitchPair{From: "sw1", To: "sw2"})
 		cur.SwitchAdj[signature.SwitchPair{From: "sw1", To: "sw3"}] = 5
-		cs := Compare(nil, nil, base, cur, nil, Thresholds{})
+		cs := Compare(context.Background(), nil, nil, base, cur, nil, Thresholds{})
 		var missing, added bool
 		for _, c := range cs {
 			if c.Kind == signature.KindPT {
@@ -341,7 +343,7 @@ func TestInfraISLAndCRT(t *testing.T) {
 	t.Run("host moved", func(t *testing.T) {
 		cur := mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond))
 		cur.HostAttach["A"] = "sw2"
-		cs := Compare(nil, nil, base, cur, nil, Thresholds{})
+		cs := Compare(context.Background(), nil, nil, base, cur, nil, Thresholds{})
 		found := false
 		for _, c := range cs {
 			if c.Kind == signature.KindPT && strings.Contains(c.Description, "moved") {

@@ -1,6 +1,7 @@
 package taskmine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -38,7 +39,7 @@ func BenchmarkMine(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Mine("bench", runs, Config{}); err != nil {
+				if _, err := Mine(context.Background(), "bench", runs, Config{}, MineOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -48,7 +49,7 @@ func BenchmarkMine(b *testing.B) {
 
 func BenchmarkDetect(b *testing.B) {
 	runs := trainRuns(50, 8, 1)
-	a, err := Mine("bench", runs, Config{})
+	a, err := Mine(context.Background(), "bench", runs, Config{}, MineOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -80,24 +80,6 @@ type MineOptions struct {
 }
 
 // Mine learns a task automaton from n runs of the same task.
-func Mine(name string, runs [][]Template, cfg Config) (*Automaton, error) {
-	return MineWithOptionsContext(context.Background(), name, runs, cfg, MineOptions{})
-}
-
-// MineContext is Mine with cancellation and instrumentation: mining
-// stops between phases (and between fan-out dispatches) once ctx is
-// canceled, returning ctx.Err(); phase timings land in the context's
-// obs registry as span.taskmine.* histograms.
-func MineContext(ctx context.Context, name string, runs [][]Template, cfg Config) (*Automaton, error) {
-	return MineWithOptionsContext(ctx, name, runs, cfg, MineOptions{})
-}
-
-// MineWithOptions is Mine with explicit algorithm variants.
-func MineWithOptions(name string, runs [][]Template, cfg Config, opt MineOptions) (*Automaton, error) {
-	return MineWithOptionsContext(context.Background(), name, runs, cfg, opt)
-}
-
-// MineWithOptionsContext is the full mining entry point.
 //
 // Every mining stage runs over interned template IDs (TemplateSet), and
 // the per-run work — support counting, candidate extension, closed
@@ -105,8 +87,10 @@ func MineWithOptions(name string, runs [][]Template, cfg Config, opt MineOptions
 // (clamped to the CPU count; the knob obeys the same parallel.Clamp
 // contract as flowdiff.Options.Parallelism). Worker results merge in
 // sorted candidate order, so the mined automaton is byte-identical for
-// every worker count.
-func MineWithOptionsContext(ctx context.Context, name string, runs [][]Template, cfg Config, opt MineOptions) (*Automaton, error) {
+// every worker count. Mining stops between phases (and between fan-out
+// dispatches) once ctx is canceled, returning ctx.Err(); phase timings
+// land in the context's obs registry as span.taskmine.* histograms.
+func Mine(ctx context.Context, name string, runs [][]Template, cfg Config, opt MineOptions) (*Automaton, error) {
 	cfg = cfg.withDefaults()
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("taskmine: no runs for task %q", name)
@@ -385,7 +369,7 @@ func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, num
 		}
 		locals := make([]*candCounter, workers)
 		// A canceled fan-out leaves nil locals; the loop below tolerates
-		// them and MineWithOptionsContext surfaces ctx.Err() right after.
+		// them and Mine surfaces ctx.Err() right after.
 		_ = parallel.ForContext(ctx, workers, workers, func(w int) {
 			cc := newCandCounter()
 			lo, hi := len(runs)*w/workers, len(runs)*(w+1)/workers

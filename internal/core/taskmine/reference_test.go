@@ -1,6 +1,7 @@
 package taskmine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -197,7 +198,7 @@ func TestMineMatchesReference(t *testing.T) {
 		runs := randomRuns(rng, 5+rng.Intn(10), 3+rng.Intn(8))
 		for _, opt := range []MineOptions{{}, {DisableClosedPruning: true}} {
 			want, wantErr := mineReference("t", runs, Config{}, opt)
-			got, gotErr := MineWithOptions("t", runs, Config{}, opt)
+			got, gotErr := Mine(context.Background(), "t", runs, Config{}, opt)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("trial %d opt %+v: err mismatch: reference %v, mine %v", trial, opt, wantErr, gotErr)
 			}
@@ -222,12 +223,12 @@ func TestMineDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	runs := randomRuns(rng, 12, 9)
 
-	base, err := MineWithOptions("t", runs, Config{Parallelism: 1}, MineOptions{})
+	base, err := Mine(context.Background(), "t", runs, Config{Parallelism: 1}, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 7} {
-		got, err := MineWithOptions("t", runs, Config{Parallelism: w}, MineOptions{})
+		got, err := Mine(context.Background(), "t", runs, Config{Parallelism: w}, MineOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

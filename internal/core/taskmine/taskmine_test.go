@@ -1,6 +1,7 @@
 package taskmine
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -85,7 +86,7 @@ func TestFigure6Example(t *testing.T) {
 	// The full Mine pipeline on the same runs must accept every training
 	// run (the paper: "all extracted logs can be precisely represented by
 	// the constructed automata").
-	a, err := Mine("fig6", runs, cfg)
+	a, err := Mine(context.Background(), "fig6", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func timedRun(idxs []int, base time.Duration) []TimedFlow {
 }
 
 func TestMineRejectsEmptyInput(t *testing.T) {
-	if _, err := Mine("x", nil, Config{}); err == nil {
+	if _, err := Mine(context.Background(), "x", nil, Config{}, MineOptions{}); err == nil {
 		t.Error("want error for zero runs")
 	}
 	// Runs with nothing in common.
@@ -115,7 +116,7 @@ func TestMineRejectsEmptyInput(t *testing.T) {
 		tmpl(runOf(1), cfg),
 		tmpl(runOf(2), cfg),
 	}
-	if _, err := Mine("x", runs, cfg); err == nil {
+	if _, err := Mine(context.Background(), "x", runs, cfg, MineOptions{}); err == nil {
 		t.Error("want error when no common flows exist")
 	}
 }
@@ -127,11 +128,11 @@ func TestClosedPruningAblation(t *testing.T) {
 		tmpl(runOf(3, 4, 5, 1), cfg),
 		tmpl(runOf(3, 4, 5, 2, 1), cfg),
 	}
-	pruned, err := Mine("p", runs, cfg)
+	pruned, err := Mine(context.Background(), "p", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := MineWithOptions("u", runs, cfg, MineOptions{DisableClosedPruning: true})
+	unpruned, err := Mine(context.Background(), "u", runs, cfg, MineOptions{DisableClosedPruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestDetectToleratesInterleaving(t *testing.T) {
 		tmpl(runOf(1, 2, 3), cfg),
 		tmpl(runOf(1, 2, 3), cfg),
 	}
-	a, err := Mine("seq", runs, cfg)
+	a, err := Mine(context.Background(), "seq", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestDetectRespectsInterleaveGap(t *testing.T) {
 		tmpl(runOf(1, 2, 3), cfg),
 		tmpl(runOf(1, 2, 3), cfg),
 	}
-	a, err := Mine("seq", runs, cfg)
+	a, err := Mine(context.Background(), "seq", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestDetectIncompleteSequenceNoMatch(t *testing.T) {
 		tmpl(runOf(1, 2, 3), cfg),
 		tmpl(runOf(1, 2, 3), cfg),
 	}
-	a, err := Mine("seq", runs, cfg)
+	a, err := Mine(context.Background(), "seq", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestDetectMultipleExecutions(t *testing.T) {
 		tmpl(runOf(1, 2, 3), cfg),
 		tmpl(runOf(1, 2, 3), cfg),
 	}
-	a, err := Mine("seq", runs, cfg)
+	a, err := Mine(context.Background(), "seq", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestMaskedMatchingGeneralizesAcrossHosts(t *testing.T) {
 	}
 	trainRun := []flowlog.FlowKey{mk(1, 2, 700), mk(2, 1, 701), mk(1, 2, 702)}
 	runs := [][]Template{Normalize(trainRun, cfg), Normalize(trainRun, cfg)}
-	a, err := Mine("masked", runs, cfg)
+	a, err := Mine(context.Background(), "masked", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestUnmaskedMatchingIsHostSpecific(t *testing.T) {
 	}
 	train := []flowlog.FlowKey{mk(1, 700), mk(1, 701)}
 	runs := [][]Template{Normalize(train, cfg), Normalize(train, cfg)}
-	a, err := Mine("unmasked", runs, cfg)
+	a, err := Mine(context.Background(), "unmasked", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestStatesSortedLongestFirst(t *testing.T) {
 		tmpl(runOf(1, 2, 3, 4), cfg),
 		tmpl(runOf(1, 2, 5, 4), cfg),
 	}
-	a, err := Mine("sorted", runs, cfg)
+	a, err := Mine(context.Background(), "sorted", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestDetectOnDisorderedInput(t *testing.T) {
 		tmpl(runOf(1, 2), cfg),
 		tmpl(runOf(1, 2), cfg),
 	}
-	a, err := Mine("x", runs, cfg)
+	a, err := Mine(context.Background(), "x", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func ExampleMine() {
 		Normalize(runOf(3, 4, 5), cfg),
 		Normalize(runOf(3, 4, 5), cfg),
 	}
-	a, _ := Mine("demo", runs, cfg)
+	a, _ := Mine(context.Background(), "demo", runs, cfg, MineOptions{})
 	fmt.Println(a.Name, a.NumStates() > 0)
 	// Output: demo true
 }
@@ -400,7 +401,7 @@ func TestRunsFromLogs(t *testing.T) {
 	if len(runs) != 2 || len(runs[0]) != 3 {
 		t.Fatalf("runs = %d x %d", len(runs), len(runs[0]))
 	}
-	a, err := Mine("from-logs", runs, cfg)
+	a, err := Mine(context.Background(), "from-logs", runs, cfg, MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

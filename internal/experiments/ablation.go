@@ -127,11 +127,11 @@ func ClosedPruning(seed int64, training int) (*PruningResult, error) {
 			}
 			runs = append(runs, taskmine.Normalize(run.Flows, cfg))
 		}
-		pruned, err := taskmine.Mine(script.Name, runs, cfg)
+		pruned, err := taskmine.Mine(context.Background(), script.Name, runs, cfg, taskmine.MineOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pruning ablation %q: %w", script.Name, err)
 		}
-		unpruned, err := taskmine.MineWithOptions(script.Name, runs, cfg, taskmine.MineOptions{DisableClosedPruning: true})
+		unpruned, err := taskmine.Mine(context.Background(), script.Name, runs, cfg, taskmine.MineOptions{DisableClosedPruning: true})
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func InterleaveThreshold(seed int64, gaps []time.Duration, trials int) (*Interle
 	res := &InterleaveResult{Gaps: gaps, Trials: trials}
 	for _, gap := range gaps {
 		cfg := taskmine.Config{InterleaveGap: gap}
-		a, err := taskmine.Mine(script.Name, runs, cfg)
+		a, err := taskmine.Mine(context.Background(), script.Name, runs, cfg, taskmine.MineOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -92,11 +93,11 @@ func Table3(seed int64, training int) (*Table3Result, error) {
 			maskedRuns = append(maskedRuns, taskmine.Normalize(run.Flows, maskedCfg))
 			unmaskedRuns = append(unmaskedRuns, taskmine.Normalize(run.Flows, unmaskedCfg))
 		}
-		m, err := taskmine.Mine(vm.Name+"/masked", maskedRuns, maskedCfg)
+		m, err := taskmine.Mine(context.Background(), vm.Name+"/masked", maskedRuns, maskedCfg, taskmine.MineOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mining %s masked: %w", vm.Name, err)
 		}
-		u, err := taskmine.Mine(vm.Name+"/unmasked", unmaskedRuns, unmaskedCfg)
+		u, err := taskmine.Mine(context.Background(), vm.Name+"/unmasked", unmaskedRuns, unmaskedCfg, taskmine.MineOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mining %s unmasked: %w", vm.Name, err)
 		}

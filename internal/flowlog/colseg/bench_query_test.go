@@ -15,8 +15,7 @@ import (
 // benchQueryRead drains one query shape over a pre-encoded capture and
 // reports, alongside the usual ns/op, the read engine's own accounting:
 // events delivered per second and the payload bytes the query decoded
-// vs skipped (scripts/bench.sh lifts these into the BENCH_<n>.json
-// top-level "read" object).
+// vs skipped.
 func benchQueryRead(b *testing.B, raw []byte, opts ReaderOptions) {
 	b.Helper()
 	b.SetBytes(int64(len(raw)))

@@ -37,8 +37,8 @@
 // segment irrelevant prunes it from the index alone: the payload is
 // skipped with Discard, never decoded.
 //
-// Version 1 (still readable) kept the offsets and a whole-payload CRC
-// in a footer after the payload:
+// Version 1 (still readable, no longer written) kept the offsets and a
+// whole-payload CRC in a footer after the payload:
 //
 //	segment := "FSEG" | minTime i64 | maxTime i64 |
 //	           count u32 | payloadLen u32 | payload | footer
@@ -84,9 +84,8 @@ const (
 	endMagic  = "FEND"
 
 	formatVersion1 = 1
+	// formatVersion2 is the only version the writer emits.
 	formatVersion2 = 2
-	// formatVersion is what the writer emits by default.
-	formatVersion = formatVersion2
 )
 
 // Column order inside a segment payload. numColumns is written to the
@@ -379,15 +378,9 @@ type WriterOptions struct {
 	// then share the range; their min/max metadata stays correct).
 	// Default 65536, clamped to the format's hard cap.
 	MaxSegmentEvents int
-	// FormatVersion selects the on-disk revision: 0 (default) writes
-	// the current version 2 (pre-payload index with per-column CRCs,
-	// value ranges, and membership summaries); 1 writes the legacy
-	// post-payload footer for compatibility testing against old
-	// readers.
-	FormatVersion int
 }
 
-func (o WriterOptions) withDefaults() (WriterOptions, error) {
+func (o WriterOptions) withDefaults() WriterOptions {
 	if o.SegmentDuration <= 0 {
 		o.SegmentDuration = 30 * time.Second
 	}
@@ -397,14 +390,7 @@ func (o WriterOptions) withDefaults() (WriterOptions, error) {
 	if o.MaxSegmentEvents > maxSegmentEvents {
 		o.MaxSegmentEvents = maxSegmentEvents
 	}
-	switch o.FormatVersion {
-	case 0:
-		o.FormatVersion = formatVersion
-	case formatVersion1, formatVersion2:
-	default:
-		return o, fmt.Errorf("colseg: unsupported writer format version %d", o.FormatVersion)
-	}
-	return o, nil
+	return o
 }
 
 // cursor is a bounds-checked decoder over one column block. Every read

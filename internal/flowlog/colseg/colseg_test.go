@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/netip"
 	"reflect"
@@ -65,6 +66,32 @@ func encode(t testing.TB, l *flowlog.Log, opts WriterOptions) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// toV1 re-lays a version-2 file out in the legacy version-1 layout the
+// writer no longer emits: each segment drops its index and carries the
+// column offsets plus a whole-payload CRC in a footer after the payload.
+// It keeps the v1 read path under test.
+func toV1(t testing.TB, v2 []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), v2[:headerLen]...)
+	out[4] = formatVersion1
+	b := v2[headerLen:]
+	for len(b) >= 4+preambleLenV2 && string(b[:4]) == segMagic {
+		payloadLen := int(binary.BigEndian.Uint32(b[4+20:]))
+		indexLen := int(binary.BigEndian.Uint32(b[4+24:]))
+		index := b[4+preambleLenV2:][:indexLen]
+		payload := b[4+preambleLenV2+indexLen:][:payloadLen]
+		out = append(out, b[:4+preambleLenV1]...)
+		out = append(out, payload...)
+		out = append(out, index[:numColumns*4]...)
+		out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+		b = b[4+preambleLenV2+indexLen+payloadLen:]
+	}
+	if string(b) != endMagic {
+		t.Fatalf("toV1: %d trailing bytes after the last segment", len(b))
+	}
+	return append(out, endMagic...)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -189,7 +216,7 @@ func TestReaderBatchSizes(t *testing.T) {
 	l := testLog(time.Minute, 1200)
 	raw := encode(t, l, WriterOptions{SegmentDuration: 7 * time.Second})
 	for _, bs := range []int{1, 7, 100, 8192} {
-		r, err := NewReader(bytes.NewReader(raw), ReaderOptions{BatchSize: bs})
+		r, err := NewReaderContext(context.Background(), bytes.NewReader(raw), ReaderOptions{BatchSize: bs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +321,7 @@ func TestReaderCorruptOffsetsAndDict(t *testing.T) {
 	// offsets / dictionary indexes directly: the bounds-checked cursor
 	// must error, not panic.
 	l := testLog(time.Second, 40)
-	raw := encode(t, l, WriterOptions{FormatVersion: 1})
+	raw := toV1(t, encode(t, l, WriterOptions{}))
 	// footer offsets start at: header + tag + preamble + payloadLen
 	pre := headerLen + 4
 	payloadLen := int(uint32(raw[pre+20])<<24 | uint32(raw[pre+21])<<16 | uint32(raw[pre+22])<<8 | uint32(raw[pre+23]))
@@ -335,7 +362,7 @@ func FuzzReadSegment(f *testing.F) {
 	counted[headerLen+4+16] = 0xff
 	f.Add(counted)
 	// Legacy layout seeds: a valid version-1 file and a bit-flipped one.
-	validV1 := encode(f, l, WriterOptions{SegmentDuration: 5 * time.Second, FormatVersion: 1})
+	validV1 := toV1(f, valid)
 	f.Add(validV1)
 	flippedV1 := append([]byte(nil), validV1...)
 	flippedV1[headerLen+4+preambleLenV1+3] ^= 0x10
@@ -362,7 +389,7 @@ func FuzzReadSegment(f *testing.F) {
 		// ReadAll decodes straight into the log it returns; batch by
 		// batch or all at once, the outcome must be the same.
 		all, allErr := Read(bytes.NewReader(data))
-		r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
+		r, err := NewReaderContext(context.Background(), bytes.NewReader(data), ReaderOptions{})
 		if err != nil {
 			if allErr == nil {
 				t.Fatalf("NewReader failed (%v) where Read succeeded", err)
@@ -403,9 +430,9 @@ func hostileCount(file []byte) []byte {
 // many rows. What may be allocated is what always was: the per-row
 // scratch of the columns decoded so far (8 bytes a row for the times).
 func TestHostileSegmentCountFailsBeforeEventAllocation(t *testing.T) {
-	l := testLog(30*time.Second, 200)
-	for _, version := range []int{formatVersion1, formatVersion2} {
-		file := hostileCount(encode(t, l, WriterOptions{FormatVersion: version}))
+	v2 := encode(t, testLog(30*time.Second, 200), WriterOptions{})
+	for version, raw := range map[int][]byte{formatVersion1: toV1(t, v2), formatVersion2: v2} {
+		file := hostileCount(raw)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Read(bytes.NewReader(file))
@@ -465,7 +492,7 @@ func BenchmarkReadColumnar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(raw), ReaderOptions{})
+		r, err := NewReaderContext(context.Background(), bytes.NewReader(raw), ReaderOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -488,7 +515,7 @@ func BenchmarkReadColumnar(b *testing.B) {
 
 // BenchmarkCompressionRatio reports the on-disk size of the three
 // serializations as benchmark metrics (bytes per event and the
-// FDC1-vs-FDL1 / FDC1-vs-JSON ratios land in BENCH_<n>.json).
+// FDC1-vs-FDL1 / FDC1-vs-JSON ratios).
 func BenchmarkCompressionRatio(b *testing.B) {
 	l := testLog(5*time.Minute, 100_000)
 	var fdc, fdl, js bytes.Buffer

@@ -181,8 +181,8 @@ var queryCases = []struct {
 // both on-disk versions, against the in-memory reference semantics.
 func TestQueryReadsMatchReference(t *testing.T) {
 	l := skewedLog(t)
-	for _, ver := range []int{1, 2} {
-		raw := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700, FormatVersion: ver})
+	v2 := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
+	for ver, raw := range map[int][]byte{1: toV1(t, v2), 2: v2} {
 		for _, tc := range queryCases {
 			want := project(applyFilter(l.Events, tc.f), tc.cols)
 			got := readEvents(t, context.Background(), raw, ReaderOptions{Filter: tc.f, Columns: tc.cols})
@@ -290,11 +290,13 @@ func TestMembershipPruning(t *testing.T) {
 		t.Fatal("bad fixture: no events for the filtered host")
 	}
 
+	v2 := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
 	for _, tc := range []struct {
 		ver       int
+		raw       []byte
 		wantIndex bool
-	}{{2, true}, {1, false}} {
-		raw := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700, FormatVersion: tc.ver})
+	}{{2, v2, true}, {1, toV1(t, v2), false}} {
+		raw := tc.raw
 		reg := obs.New()
 		ctx := obs.WithRegistry(context.Background(), reg)
 		got := readEvents(t, ctx, raw, ReaderOptions{Filter: f})
@@ -373,7 +375,7 @@ func TestProjectedPrunedScanBytesAcceptance(t *testing.T) {
 // new reader bit-for-bit, serially and in parallel.
 func TestV1FilesRemainReadable(t *testing.T) {
 	l := testLog(2*time.Minute, 2000)
-	raw := encode(t, l, WriterOptions{SegmentDuration: 10 * time.Second, FormatVersion: 1})
+	raw := toV1(t, encode(t, l, WriterOptions{SegmentDuration: 10 * time.Second}))
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +395,7 @@ func TestFutureVersionRejected(t *testing.T) {
 	raw := encode(t, testLog(time.Second, 20), WriterOptions{})
 	future := append([]byte(nil), raw...)
 	future[4] = formatVersion2 + 1
-	if _, err := NewReader(bytes.NewReader(future), ReaderOptions{}); err == nil {
+	if _, err := NewReaderContext(context.Background(), bytes.NewReader(future), ReaderOptions{}); err == nil {
 		t.Error("want version error for a future-format file")
 	}
 	if _, err := Inspect(bytes.NewReader(future)); err == nil {
@@ -406,14 +408,14 @@ func TestFutureVersionRejected(t *testing.T) {
 // exactly the queried interval.
 func TestReaderBoundsWithFilter(t *testing.T) {
 	raw := encode(t, testLog(time.Minute, 600), WriterOptions{})
-	r, err := NewReader(bytes.NewReader(raw), ReaderOptions{Filter: Filter{From: 10 * time.Second, To: 20 * time.Second}})
+	r, err := NewReaderContext(context.Background(), bytes.NewReader(raw), ReaderOptions{Filter: Filter{From: 10 * time.Second, To: 20 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if from, to := r.Bounds(); from != 10*time.Second || to != 20*time.Second {
 		t.Errorf("Bounds() = [%v, %v], want the filter window", from, to)
 	}
-	r2, err := NewReader(bytes.NewReader(raw), ReaderOptions{Filter: Filter{Hosts: []netip.Addr{netip.AddrFrom4([4]byte{10, 0, 1, 1})}}})
+	r2, err := NewReaderContext(context.Background(), bytes.NewReader(raw), ReaderOptions{Filter: Filter{Hosts: []netip.Addr{netip.AddrFrom4([4]byte{10, 0, 1, 1})}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +496,7 @@ func TestInspectReportsSegmentMetadata(t *testing.T) {
 
 	// Version 1: no index, no stats, unknown cardinalities — but the
 	// sizes still come from the footer offsets.
-	rawV1 := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700, FormatVersion: 1})
+	rawV1 := toV1(t, raw)
 	infoV1, err := Inspect(bytes.NewReader(rawV1))
 	if err != nil {
 		t.Fatal(err)

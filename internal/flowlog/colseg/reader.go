@@ -127,11 +127,6 @@ type Reader struct {
 	err     error
 }
 
-// NewReader is NewReaderContext with a background context.
-func NewReader(r io.Reader, opts ReaderOptions) (*Reader, error) {
-	return NewReaderContext(context.Background(), r, opts)
-}
-
 // NewReaderContext opens an FDC1 stream: the header is read and
 // validated immediately, events decode lazily per Next call. Both
 // on-disk versions are readable; files from a future revision are
@@ -459,7 +454,7 @@ func (r *Reader) ReadAll() (*flowlog.Log, error) {
 // Read eagerly deserializes a whole FDC1 stream, the columnar
 // counterpart of flowlog.ReadBinary.
 func Read(rd io.Reader) (*flowlog.Log, error) {
-	r, err := NewReader(rd, ReaderOptions{})
+	r, err := NewReaderContext(context.Background(), rd, ReaderOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -37,14 +37,11 @@ type Writer struct {
 // NewWriter writes the file header for a log covering [start, end] and
 // returns a writer ready for Append.
 func NewWriter(w io.Writer, start, end time.Duration, opts WriterOptions) (*Writer, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	bw := bufio.NewWriter(w)
 	var hdr [headerLen]byte
 	copy(hdr[0:4], fileMagic)
-	hdr[4] = byte(opts.FormatVersion)
+	hdr[4] = formatVersion2
 	hdr[5] = numColumns
 	binary.BigEndian.PutUint64(hdr[6:14], uint64(start))
 	binary.BigEndian.PutUint64(hdr[14:22], uint64(end))
@@ -128,23 +125,13 @@ func (w *Writer) flushSegment() error {
 	seg = binary.BigEndian.AppendUint64(seg, uint64(evs[len(evs)-1].Time))
 	seg = binary.BigEndian.AppendUint32(seg, uint32(len(evs)))
 	seg = binary.BigEndian.AppendUint32(seg, uint32(len(payload)))
-
-	if w.opts.FormatVersion == formatVersion1 {
-		// Legacy layout: payload first, then the offsets+CRC footer.
-		seg = append(seg, payload...)
-		for _, off := range offs {
-			seg = binary.BigEndian.AppendUint32(seg, uint32(off))
-		}
-		seg = binary.BigEndian.AppendUint32(seg, crc32.ChecksumIEEE(payload))
-	} else {
-		index := encodeIndex(evs, payload, offs, sum)
-		if len(index) > maxIndexLen {
-			return fmt.Errorf("colseg: segment index %d bytes exceeds format cap", len(index))
-		}
-		seg = binary.BigEndian.AppendUint32(seg, uint32(len(index)))
-		seg = append(seg, index...)
-		seg = append(seg, payload...)
+	index := encodeIndex(evs, payload, offs, sum)
+	if len(index) > maxIndexLen {
+		return fmt.Errorf("colseg: segment index %d bytes exceeds format cap", len(index))
 	}
+	seg = binary.BigEndian.AppendUint32(seg, uint32(len(index)))
+	seg = append(seg, index...)
+	seg = append(seg, payload...)
 	if _, err := w.bw.Write(seg); err != nil {
 		return fmt.Errorf("colseg: writing segment: %w", err)
 	}

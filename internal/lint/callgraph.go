@@ -16,18 +16,14 @@ type Graph struct {
 	facts *Facts
 	// edges maps caller to sorted callee IDs (in-set and out-of-set).
 	edges map[FuncID][]FuncID
-	// needsCtx memoizes NeedsCtx (0 unknown, 1 visiting/false, 2 true,
-	// 3 false).
-	needsCtx map[FuncID]int8
 }
 
 // NewGraph builds the graph, expanding interface calls against the
 // module's type facts.
 func NewGraph(f *Facts) *Graph {
 	g := &Graph{
-		facts:    f,
-		edges:    make(map[FuncID][]FuncID),
-		needsCtx: make(map[FuncID]int8),
+		facts: f,
+		edges: make(map[FuncID][]FuncID),
 	}
 	allTypes := f.Types()
 	for _, s := range f.Funcs() {
@@ -108,67 +104,4 @@ func (g *Graph) Reachable(roots ...FuncID) map[FuncID]bool {
 		}
 	}
 	return seen
-}
-
-// NeedsCtx reports whether calling id from a context-carrying function
-// drops that context: id has no context parameter of its own, yet it
-// (or an in-set context-less callee, transitively) roots a fresh
-// context.Background()/TODO() into a context-accepting function. The
-// stored-in-a-struct-field plumbing pattern does not count — there the
-// context was supplied at construction. Cycles resolve to false
-// (optimistic: a cycle with no Background root drops nothing).
-func (g *Graph) NeedsCtx(id FuncID) bool {
-	switch g.needsCtx[id] {
-	case 2:
-		return true
-	case 1, 3:
-		return false
-	}
-	s := g.facts.Func(id)
-	if s == nil || s.HasCtxParam {
-		g.needsCtx[id] = 3
-		return false
-	}
-	g.needsCtx[id] = 1 // visiting
-	result := false
-	for i := range s.Calls {
-		c := &s.Calls[i]
-		if c.CalleeHasCtx && c.CtxArg == CtxArgBackground {
-			result = true
-			break
-		}
-		if !c.CalleeHasCtx && c.Callee != "" && g.facts.Func(c.Callee) != nil {
-			if g.NeedsCtx(c.Callee) {
-				result = true
-				break
-			}
-		}
-	}
-	if result {
-		g.needsCtx[id] = 2
-	} else {
-		g.needsCtx[id] = 3
-	}
-	return result
-}
-
-// CtxRoot returns one Background-rooting function explaining why
-// NeedsCtx(id) is true: id itself when it constructs the Background
-// context, else the first callee on a dropping path. Returns "" when
-// NeedsCtx(id) is false.
-func (g *Graph) CtxRoot(id FuncID) FuncID {
-	if !g.NeedsCtx(id) {
-		return ""
-	}
-	s := g.facts.Func(id)
-	for i := range s.Calls {
-		c := &s.Calls[i]
-		if c.CalleeHasCtx && c.CtxArg == CtxArgBackground {
-			return id
-		}
-		if !c.CalleeHasCtx && c.Callee != "" && g.facts.Func(c.Callee) != nil && g.NeedsCtx(c.Callee) {
-			return g.CtxRoot(c.Callee)
-		}
-	}
-	return id
 }

@@ -19,11 +19,9 @@ func All() []*lint.Analyzer {
 		FloatCmp,
 		LockSafe,
 		ErrCheck,
-		CtxFlow,
 		SentinelErr,
 		SpawnJoin,
 		ObsSpan,
-		DetOrder,
 	}
 }
 

@@ -15,6 +15,9 @@ import (
 //
 //   - append to a slice declared outside the loop, unless the enclosing
 //     function later sorts that slice (sort.Slice/Sort/Strings/...);
+//   - append to a struct field (r.items = append(r.items, ...)), unless
+//     a later sort.*/slices.* call names that field — a report field
+//     filled in map order is as nondeterministic as a local slice;
 //   - a channel send (downstream receivers observe map order);
 //   - op-assignment (+=, ...) to an outer float or string accumulator
 //     (float addition is not associative; string concat is ordered —
@@ -61,11 +64,18 @@ func typeAsMap(pass *lint.Pass, e ast.Expr) (*types.Map, bool) {
 }
 
 func checkMapIterAssign(pass *lint.Pass, s *ast.AssignStmt, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
-	// x = append(x, ...) where x is declared outside the range.
-	if s.Tok == token.ASSIGN && len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-		if id, ok := s.Lhs[0].(*ast.Ident); ok && isAppendCall(pass, s.Rhs[0]) {
-			if declaredOutside(pass, id, rng, rng) && !sortedAfter(pass, fnBody, rng, id) {
-				pass.Reportf(s.Pos(), "append to %s inside map iteration without sorting it afterwards: result order is nondeterministic", id.Name)
+	// x = append(x, ...) where x is declared outside the range, or
+	// x.f = append(x.f, ...) for any struct field f.
+	if s.Tok == token.ASSIGN && len(s.Lhs) == 1 && len(s.Rhs) == 1 && isAppendCall(pass, s.Rhs[0]) {
+		switch lhs := s.Lhs[0].(type) {
+		case *ast.Ident:
+			if declaredOutside(pass, lhs, rng, rng) && !sortedAfter(pass, fnBody, rng, lhs) {
+				pass.Reportf(s.Pos(), "append to %s inside map iteration without sorting it afterwards: result order is nondeterministic", lhs.Name)
+			}
+			return
+		case *ast.SelectorExpr:
+			if _, isField := pass.TypesInfo.Selections[lhs]; isField && !sortedAfter(pass, fnBody, rng, lhs.Sel) {
+				pass.Reportf(s.Pos(), "append to field %s inside map iteration without sorting it afterwards: result order is nondeterministic", lhs.Sel.Name)
 			}
 			return
 		}
@@ -108,8 +118,9 @@ func isAppendCall(pass *lint.Pass, e ast.Expr) bool {
 }
 
 // sortedAfter reports whether, somewhere after the range statement in the
-// same function body, the slice named by id is passed to a sort call —
-// the "dominating sort" that makes map-order appends safe.
+// same function body, the slice named by id (a variable, or the Sel of a
+// field selector) is passed to a sort call — the "dominating sort" that
+// makes map-order appends safe.
 func sortedAfter(pass *lint.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, id *ast.Ident) bool {
 	if fnBody == nil {
 		return false

@@ -3,6 +3,7 @@ package checks
 import (
 	"go/token"
 	"sort"
+	"strings"
 
 	"flowdiff/internal/lint"
 )
@@ -46,11 +47,11 @@ var buildSpans = []string{
 // registry. Every obs.Span / Registry.Span call must pass a
 // compile-time constant name, each name must be opened from exactly one
 // function module-wide (so a timeline entry maps back to one stage),
-// and every instrumented pipeline root in ObsSpanRoots must reach an
-// open of each span name its documentation promises.
+// and every instrumented pipeline root in ObsSpanRoots must exist and
+// reach an open of each span name its documentation promises.
 var ObsSpan = &lint.Analyzer{
 	Name:          "obsspan",
-	Doc:           "flags dynamic or duplicated span names and instrumented pipeline roots that no longer reach their promised spans",
+	Doc:           "flags dynamic or duplicated span names and instrumented pipeline roots that no longer exist or no longer reach their promised spans",
 	SkipTestFiles: true,
 	NeedsFacts:    true,
 	Run:           runObsSpan,
@@ -106,7 +107,9 @@ func runObsSpan(pass *lint.Pass) {
 	}
 
 	// Coverage: each root declared in this package must reach every span
-	// its table entry promises.
+	// its table entry promises. A key into this package that names no
+	// function is a root renamed without its entry: report it at the
+	// package clause, or the renamed root would go unchecked in silence.
 	roots := make([]string, 0, len(ObsSpanRoots))
 	for root := range ObsSpanRoots {
 		roots = append(roots, root)
@@ -114,7 +117,13 @@ func runObsSpan(pass *lint.Pass) {
 	sort.Strings(roots)
 	for _, root := range roots {
 		s := pass.Facts.Func(lint.FuncID(root))
-		if s == nil || s.Pkg != path {
+		if s == nil {
+			if funcPkg(root) == path && len(pass.Files) > 0 {
+				pass.Reportf(pass.Files[0].Package, "instrumented root %s names no function: update its ObsSpanRoots entry", root)
+			}
+			continue
+		}
+		if s.Pkg != path {
 			continue
 		}
 		reach := pass.Graph.Reachable(lint.FuncID(root))
@@ -132,4 +141,21 @@ func runObsSpan(pass *lint.Pass) {
 			}
 		}
 	}
+}
+
+// funcPkg returns the import path a FuncID's function is declared in:
+// "pkg/path.F", "(pkg/path.T).M" and "(*pkg/path.T).M" all give
+// "pkg/path".
+func funcPkg(id string) string {
+	if strings.HasPrefix(id, "(") {
+		id = strings.TrimPrefix(id[1:], "*")
+		if end := strings.IndexByte(id, ')'); end >= 0 {
+			id = id[:end]
+		}
+	}
+	slash := strings.LastIndexByte(id, '/')
+	if dot := strings.IndexByte(id[slash+1:], '.'); dot >= 0 {
+		return id[:slash+1+dot]
+	}
+	return id
 }

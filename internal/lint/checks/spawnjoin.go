@@ -22,10 +22,10 @@ import (
 //     over) that channel after the `go` statement.
 //
 // `go` statements whose body is not a closure cannot be proven and are
-// flagged; parallel.For* runs workers through its own joined WaitGroup,
-// so worker closures never spawn bare goroutines themselves. Known
-// fire-and-forget goroutines (a detached HTTP server) carry a reasoned
-// //lint:ignore.
+// flagged; parallel.ForContext runs workers through its own joined
+// WaitGroup, so worker closures never spawn bare goroutines themselves.
+// Known fire-and-forget goroutines (a detached HTTP server) carry a
+// reasoned //lint:ignore.
 var SpawnJoin = &lint.Analyzer{
 	Name:          "spawnjoin",
 	Doc:           "flags go statements with no provable join (balanced WaitGroup Add/Done/Wait or a drained channel)",
@@ -70,7 +70,7 @@ func runSpawnJoin(pass *lint.Pass) {
 		decl := enclosingDecl(stack)
 		lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 		if !ok {
-			pass.Reportf(g.Pos(), "go statement calls a named function: no join is provable here; spawn a closure that signals a WaitGroup or channel, or use parallel.For")
+			pass.Reportf(g.Pos(), "go statement calls a named function: no join is provable here; spawn a closure that signals a WaitGroup or channel, or use parallel.ForContext")
 			return true
 		}
 		if decl == nil {

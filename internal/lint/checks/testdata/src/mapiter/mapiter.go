@@ -94,3 +94,29 @@ func sliceRangeOK(xs []string, out []string) []string {
 	}
 	return out
 }
+
+type report struct{ items []string }
+
+// A report field filled in map order leaks that order to every reader of
+// the report.
+func fieldAppendNoSort(r *report, m map[string]int) {
+	for k := range m {
+		r.items = append(r.items, k) // want "append to field items inside map iteration"
+	}
+}
+
+func fieldAppendThenSort(r *report, m map[string]int) {
+	for k := range m {
+		r.items = append(r.items, k)
+	}
+	sort.Strings(r.items)
+}
+
+// Appending to a key-indexed map entry is order-independent per key.
+func indexedAppendOK(m map[string][]int) map[string][]int {
+	out := make(map[string][]int)
+	for k, vs := range m {
+		out[k] = append(out[k], vs...)
+	}
+	return out
+}

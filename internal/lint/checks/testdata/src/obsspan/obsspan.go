@@ -1,7 +1,8 @@
-// Seeds for the obsspan analyzer: dynamic names, duplicate names, and
-// instrumented roots that do or do not reach their promised spans. The
-// root table is swapped in by the test.
-package obsfix
+// Seeds for the obsspan analyzer: dynamic names, duplicate names,
+// instrumented roots that do or do not reach their promised spans, and
+// table keys that name no function. The root table is swapped in by the
+// test.
+package obsfix // want "instrumented root flowdiff/internal/obsfix.OldContext names no function" "instrumented root \\(\\*flowdiff/internal/obsfix.T\\).OldContext names no function"
 
 import (
 	"context"

@@ -2,12 +2,11 @@
 // import-dependency order, the stdlib-only analogue of x/tools analysis
 // facts. BuildFacts topologically sorts the loaded packages by their
 // in-set imports (so the order the caller passes them in never
-// matters), summarizes each one, and then runs the two derived-fact
-// fixpoints — map-ordered-return propagation and sentinel-wrapped
-// error propagation — package by package in that order. Within one
-// package the fixpoints iterate to handle call cycles; across packages
-// a single dependency-ordered pass suffices because Go imports are
-// acyclic.
+// matters), summarizes each one, and then runs the derived-fact
+// fixpoint — sentinel-wrapped error propagation — package by package in
+// that order. Within one package the fixpoint iterates to handle call
+// cycles; across packages a single dependency-ordered pass suffices
+// because Go imports are acyclic.
 package lint
 
 import (
@@ -50,7 +49,6 @@ func BuildFacts(pkgs []*Package) *Facts {
 		}
 		// Derived facts for this package: dependencies are final, so
 		// only in-package cycles need iteration.
-		f.propagateMapOrdered(pf)
 		f.propagateSentinelWrapped(pf)
 	}
 	return f
@@ -71,13 +69,6 @@ func (f *Facts) Package(path string) *PackageFacts {
 // processed in (dependencies before dependents).
 func (f *Facts) PackageOrder() []string {
 	return append([]string(nil), f.order...)
-}
-
-// InModule reports whether the package path was part of the analyzed
-// set — the boundary the interprocedural analyzers stop at.
-func (f *Facts) InModule(path string) bool {
-	_, ok := f.pkgs[path]
-	return ok
 }
 
 // Types returns the type facts of every named type in the module,
@@ -155,35 +146,6 @@ func dependencyOrder(pkgs []*Package) []string {
 		visit(path)
 	}
 	return order
-}
-
-// propagateMapOrdered marks functions that return the unsorted result
-// of a map-ordered callee as map-ordered themselves. Dependencies'
-// facts are final; the loop handles in-package call cycles.
-func (f *Facts) propagateMapOrdered(pf *PackageFacts) {
-	for changed := true; changed; {
-		changed = false
-		for _, s := range pf.Funcs {
-			if s.MapOrderedReturn {
-				continue
-			}
-			for i := range s.Calls {
-				c := &s.Calls[i]
-				if !c.ResultReturned || c.ResultSorted || c.Callee == "" {
-					continue
-				}
-				callee := f.funcs[c.Callee]
-				if callee == nil || !callee.MapOrderedReturn {
-					continue
-				}
-				s.MapOrderedReturn = true
-				s.MapOrderedPos = c.Pos
-				s.MapOrderedVia = string(c.Callee)
-				changed = true
-				break
-			}
-		}
-	}
 }
 
 // propagateSentinelWrapped falsifies SentinelWrapped for functions with

@@ -53,22 +53,6 @@ func TestFactPropagationOrder(t *testing.T) {
 
 func assertFixtureFacts(t *testing.T, f *Facts) {
 	t.Helper()
-	mapOrdered := map[string]bool{
-		leafPath + ".Keys":        true,
-		leafPath + ".SortedKeys":  false,
-		rootPath + ".PassThrough": true,
-		rootPath + ".Rinsed":      false,
-		rootPath + ".Relay":       true,
-	}
-	for id, want := range mapOrdered {
-		s := f.Func(FuncID(id))
-		if s == nil {
-			t.Fatalf("no summary for %s", id)
-		}
-		if s.MapOrderedReturn != want {
-			t.Errorf("MapOrderedReturn(%s) = %v, want %v", id, s.MapOrderedReturn, want)
-		}
-	}
 	wrapped := map[string]bool{
 		leafPath + ".Fail":    true,
 		leafPath + ".Bad":     false,
@@ -107,28 +91,5 @@ func TestInterfaceCallResolution(t *testing.T) {
 	reach := g.Reachable(FuncID(rootPath + ".CallIface"))
 	if !reach[want] {
 		t.Errorf("Dev.Emit not reachable from CallIface: %v", reach)
-	}
-}
-
-// NeedsCtx must see leaf.Wrapper's fresh Background root through
-// root.Indirect's context-less chain, and stay quiet for functions
-// that plumb or accept contexts properly.
-func TestNeedsCtxPropagation(t *testing.T) {
-	leaf, root := loadFixture(t)
-	g := NewGraph(BuildFacts([]*Package{leaf, root}))
-	cases := map[string]bool{
-		leafPath + ".Wrapper":  true,
-		rootPath + ".Indirect": true,
-		leafPath + ".DoCtx":    false, // has its own ctx param
-		leafPath + ".Keys":     false,
-		rootPath + ".Wraps":    false,
-	}
-	for id, want := range cases {
-		if got := g.NeedsCtx(FuncID(id)); got != want {
-			t.Errorf("NeedsCtx(%s) = %v, want %v", id, got, want)
-		}
-	}
-	if root := g.CtxRoot(FuncID(rootPath + ".Indirect")); root != FuncID(leafPath+".Wrapper") {
-		t.Errorf("CtxRoot(Indirect) = %s, want %s.Wrapper", root, leafPath)
 	}
 }

@@ -1,17 +1,16 @@
 // Function summaries: the per-function facts the interprocedural
 // analyzers consume. One FuncSummary is extracted per declared function
 // (methods included); function literals fold into their enclosing
-// declaration — a call made inside a closure, a `parallel.For` worker
-// body, or a `go func(){...}` is attributed to the function that
+// declaration — a call made inside a closure, a `parallel.ForContext`
+// worker body, or a `go func(){...}` is attributed to the function that
 // lexically contains it, which is the reachability notion the callers
 // of the fact store care about.
 //
 // Summaries are deliberately syntactic + type-directed, never
 // path-sensitive: they record what a function *can* do (calls it
-// contains, spans it opens, contexts it constructs, map-ordered slices
-// it returns), and the analyzers over-approximate from there. The
-// escape hatch for the resulting false positives is the usual reasoned
-// `//lint:ignore`.
+// contains, spans it opens, errors it returns), and the analyzers
+// over-approximate from there. The escape hatch for the resulting false
+// positives is the usual reasoned `//lint:ignore`.
 package lint
 
 import (
@@ -31,50 +30,14 @@ import (
 // identity does not.
 type FuncID string
 
-// CtxArgKind classifies the context.Context argument of one call.
-type CtxArgKind int
-
-const (
-	// CtxArgNone: the callee does not take a context.
-	CtxArgNone CtxArgKind = iota
-	// CtxArgSupplied: a context variable (parameter, derived, or local)
-	// is passed through.
-	CtxArgSupplied
-	// CtxArgField: the context comes from a struct field (the
-	// stored-at-construction plumbing pattern, e.g. signature.Pipeline).
-	CtxArgField
-	// CtxArgBackground: a fresh context.Background()/TODO() is passed
-	// directly — the wrapper idiom when the caller has no context of its
-	// own, a dropped context when it does.
-	CtxArgBackground
-)
-
-// A Call records one outgoing call edge of a function.
+// A Call records one outgoing call edge of a function. A function
+// referenced as a value (method value, function passed as an argument)
+// is recorded as a call too: the graph treats it as a potential one.
 type Call struct {
-	Pos        token.Pos
-	Callee     FuncID
-	CalleePkg  string // import path of the callee's package ("" when unknown)
-	CalleeName string
-	// CalleeHasCtx: the callee's signature accepts a context.Context.
-	CalleeHasCtx bool
-	// CalleeReturnsError: some result of the callee implements error.
-	CalleeReturnsError bool
-	CtxArg             CtxArgKind
-	Deferred           bool
-	// ValueRef: the function was referenced as a value (method value,
-	// function passed as an argument) rather than called directly; the
-	// graph treats it as a potential call.
-	ValueRef bool
+	Callee FuncID
 	// Iface is set for calls through an interface; Callee is then empty
 	// and the graph resolves the edge against the module's type facts.
 	Iface *IfaceCall
-	// ResultSorted: the call's result is passed to a sort.*/slices.*
-	// call later in the enclosing function.
-	ResultSorted bool
-	// ResultReturned: the call's result is returned by the enclosing
-	// function (directly, or via a variable that is never sorted in
-	// between) — the hook for propagating map-ordered returns up.
-	ResultReturned bool
 }
 
 // An IfaceCall describes a call through an interface method by the
@@ -130,38 +93,17 @@ type ErrReturn struct {
 	Deps []FuncID
 }
 
-// A FieldAppend is an append to a struct field inside map iteration —
-// the "report field write" emission mapiter's ident-only check misses.
-type FieldAppend struct {
-	Pos    token.Pos
-	Target string
-}
-
 // A FuncSummary is the complete per-function fact record.
 type FuncSummary struct {
 	ID       FuncID
 	Pkg      string
-	Name     string
 	Pos      token.Pos
-	File     string
 	Exported bool
-	// HasCtxParam: the function's own signature accepts a context.
-	HasCtxParam bool
 	// ReturnsError: some result implements error.
 	ReturnsError bool
 	Calls        []Call
 	Spans        []SpanOpen
 	ErrReturns   []ErrReturn
-	// MapOrderedReturn: the function returns a slice whose element
-	// order is inherited from map iteration with no dominating sort —
-	// set intraprocedurally here, propagated through ResultReturned
-	// calls by the fact store.
-	MapOrderedReturn bool
-	MapOrderedPos    token.Pos
-	// MapOrderedVia names the origin ("append inside range over m", or
-	// the callee the order was inherited from).
-	MapOrderedVia   string
-	FieldMapAppends []FieldAppend
 	// SentinelWrapped: every error return is Wrapped or propagates from
 	// sentinel-wrapped callees. Computed by the fact store's fixpoint;
 	// true until falsified.
@@ -195,30 +137,6 @@ type PackageFacts struct {
 // across type-check universes.
 func sigQualifier(p *types.Package) string { return p.Path() }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// hasCtxParam reports whether sig takes a context.Context parameter.
-func hasCtxParam(sig *types.Signature) bool {
-	if sig == nil {
-		return false
-	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if isContextType(params.At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
 // returnsErrorType reports whether some result of sig implements error.
 func returnsErrorType(sig *types.Signature) bool {
 	if sig == nil {
@@ -249,13 +167,12 @@ func summarize(pkg *Package) *PackageFacts {
 		collectTypeFacts(pkg.Types, pf)
 	}
 	for _, f := range pkg.Files {
-		fileName := pkg.Fset.Position(f.Pos()).Filename
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			s := summarizeFunc(pkg, fd, fileName)
+			s := summarizeFunc(pkg, fd)
 			if s != nil {
 				pf.Funcs[s.ID] = s
 			}
@@ -335,7 +252,7 @@ func funcObjOf(pkg *Package, fun ast.Expr) *types.Func {
 
 // summarizeFunc builds one function's summary, folding the bodies of
 // every nested function literal into it.
-func summarizeFunc(pkg *Package, fd *ast.FuncDecl, fileName string) *FuncSummary {
+func summarizeFunc(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 	obj, _ := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
 	if obj == nil {
 		return nil
@@ -344,11 +261,8 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl, fileName string) *FuncSummary
 	s := &FuncSummary{
 		ID:              FuncID(obj.FullName()),
 		Pkg:             pkg.Path,
-		Name:            fd.Name.Name,
 		Pos:             fd.Pos(),
-		File:            fileName,
 		Exported:        fd.Name.IsExported(),
-		HasCtxParam:     hasCtxParam(sig),
 		ReturnsError:    returnsErrorType(sig),
 		SentinelWrapped: true,
 	}
@@ -357,8 +271,6 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl, fileName string) *FuncSummary
 	// reference), remembering which expressions are call-Fun positions
 	// so they are not double-counted as value references.
 	callFuns := make(map[ast.Expr]bool)
-	var calls []*Call
-	callByExpr := make(map[*ast.CallExpr]*Call)
 	ast.Inspect(fd, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -366,17 +278,7 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl, fileName string) *FuncSummary
 		}
 		callFuns[ast.Unparen(call.Fun)] = true
 		if c := summarizeCall(pkg, call); c != nil {
-			calls = append(calls, c)
-			callByExpr[call] = c
-		}
-		return true
-	})
-	// Deferred calls.
-	ast.Inspect(fd, func(n ast.Node) bool {
-		if def, ok := n.(*ast.DeferStmt); ok {
-			if c := callByExpr[def.Call]; c != nil {
-				c.Deferred = true
-			}
+			s.Calls = append(s.Calls, *c)
 		}
 		return true
 	})
@@ -390,17 +292,8 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl, fileName string) *FuncSummary
 		}
 		return true
 	})
-	recordRef := func(pos token.Pos, fn *types.Func) {
-		sig, _ := fn.Type().(*types.Signature)
-		calls = append(calls, &Call{
-			Pos:                pos,
-			Callee:             FuncID(fn.FullName()),
-			CalleePkg:          pkgPathOf(fn),
-			CalleeName:         fn.Name(),
-			CalleeHasCtx:       hasCtxParam(sig),
-			CalleeReturnsError: returnsErrorType(sig),
-			ValueRef:           true,
-		})
+	recordRef := func(fn *types.Func) {
+		s.Calls = append(s.Calls, Call{Callee: FuncID(fn.FullName())})
 	}
 	ast.Inspect(fd, func(n ast.Node) bool {
 		switch e := n.(type) {
@@ -409,38 +302,22 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl, fileName string) *FuncSummary
 				return true
 			}
 			if fn, ok := pkg.TypesInfo.Uses[e].(*types.Func); ok {
-				recordRef(e.Pos(), fn)
+				recordRef(fn)
 			}
 		case *ast.SelectorExpr:
 			if callFuns[ast.Expr(e)] {
 				return true
 			}
 			if fn := funcObjOf(pkg, e); fn != nil {
-				recordRef(e.Pos(), fn)
+				recordRef(fn)
 			}
 		}
 		return true
 	})
 
-	// Result flow: sorted-after and returned-without-sort per call.
-	annotateResultFlow(pkg, fd, callByExpr)
-
-	for _, c := range calls {
-		s.Calls = append(s.Calls, *c)
-	}
-
 	collectSpans(pkg, fd, s)
-	collectErrReturns(pkg, fd, sig, s, callByExpr)
-	collectMapOrdered(pkg, fd, s)
+	collectErrReturns(pkg, fd, sig, s)
 	return s
-}
-
-// pkgPathOf returns fn's package path ("" for universe funcs).
-func pkgPathOf(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
 }
 
 // summarizeCall classifies one call expression: resolved static target,
@@ -460,38 +337,15 @@ func summarizeCall(pkg *Package, call *ast.CallExpr) *Call {
 				if fn == nil {
 					return nil
 				}
-				sig, _ := fn.Type().(*types.Signature)
-				c := &Call{
-					Pos:                call.Pos(),
-					CalleeName:         fn.Name(),
-					CalleeHasCtx:       hasCtxParam(sig),
-					CalleeReturnsError: returnsErrorType(sig),
-					Iface: &IfaceCall{
-						Method:    fn.Name(),
-						MethodSet: methodSetOf(iface),
-					},
-				}
-				if c.CalleeHasCtx {
-					c.CtxArg = classifyCtxArg(pkg, call)
-				}
-				return c
+				return &Call{Iface: &IfaceCall{
+					Method:    fn.Name(),
+					MethodSet: methodSetOf(iface),
+				}}
 			}
 		}
 	}
 	if fn := funcObjOf(pkg, call.Fun); fn != nil {
-		sig, _ := fn.Type().(*types.Signature)
-		c := &Call{
-			Pos:                call.Pos(),
-			Callee:             FuncID(fn.FullName()),
-			CalleePkg:          pkgPathOf(fn),
-			CalleeName:         fn.Name(),
-			CalleeHasCtx:       hasCtxParam(sig),
-			CalleeReturnsError: returnsErrorType(sig),
-		}
-		if c.CalleeHasCtx {
-			c.CtxArg = classifyCtxArg(pkg, call)
-		}
-		return c
+		return &Call{Callee: FuncID(fn.FullName())}
 	}
 	return nil
 }
@@ -510,34 +364,6 @@ func methodSetOf(iface *types.Interface) []MethodSig {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// classifyCtxArg inspects the context-typed argument of call.
-func classifyCtxArg(pkg *Package, call *ast.CallExpr) CtxArgKind {
-	for _, arg := range call.Args {
-		t := pkg.TypesInfo.TypeOf(arg)
-		if t == nil || !isContextType(t) {
-			continue
-		}
-		switch e := ast.Unparen(arg).(type) {
-		case *ast.CallExpr:
-			if fn := funcObjOf(pkg, e.Fun); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
-				(fn.Name() == "Background" || fn.Name() == "TODO") {
-				return CtxArgBackground
-			}
-			return CtxArgSupplied
-		case *ast.SelectorExpr:
-			// Field access (x.ctx); package-level vars resolve through
-			// Selections being absent and count as supplied.
-			if _, isField := pkg.TypesInfo.Selections[e]; isField {
-				return CtxArgField
-			}
-			return CtxArgSupplied
-		default:
-			return CtxArgSupplied
-		}
-	}
-	return CtxArgNone
 }
 
 // spanFuncs: the obs.Span entry points, by FullName.
@@ -572,98 +398,6 @@ func collectSpans(pkg *Package, fd *ast.FuncDecl, s *FuncSummary) {
 	})
 }
 
-// annotateResultFlow marks, for every summarized call, whether its
-// result is later sorted and whether it flows into a return statement
-// unsorted (directly or through a single local variable).
-func annotateResultFlow(pkg *Package, fd *ast.FuncDecl, calls map[*ast.CallExpr]*Call) {
-	if len(calls) == 0 {
-		return
-	}
-	// Direct `return g(...)`.
-	ast.Inspect(fd, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			if call, ok := ast.Unparen(res).(*ast.CallExpr); ok {
-				if c := calls[call]; c != nil {
-					c.ResultReturned = true
-				}
-			}
-		}
-		return true
-	})
-	// Assigned to a variable: v := g(...). Track whether v is sorted
-	// and whether v is returned.
-	type binding struct {
-		obj  types.Object
-		call *Call
-		pos  token.Pos
-	}
-	var bindings []binding
-	ast.Inspect(fd, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		c := calls[call]
-		if c == nil {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				if obj := objectFor(pkg, id); obj != nil {
-					bindings = append(bindings, binding{obj, c, as.Pos()})
-				}
-			}
-		}
-		return true
-	})
-	if len(bindings) == 0 {
-		return
-	}
-	sorted := make(map[types.Object]bool)
-	returned := make(map[types.Object]bool)
-	ast.Inspect(fd, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.CallExpr:
-			if isSortFunc(pkg, s.Fun) {
-				for _, arg := range s.Args {
-					ast.Inspect(arg, func(a ast.Node) bool {
-						if id, ok := a.(*ast.Ident); ok {
-							if obj := objectFor(pkg, id); obj != nil {
-								sorted[obj] = true
-							}
-						}
-						return true
-					})
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range s.Results {
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-					if obj := objectFor(pkg, id); obj != nil {
-						returned[obj] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	for _, b := range bindings {
-		if sorted[b.obj] {
-			b.call.ResultSorted = true
-		} else if returned[b.obj] {
-			b.call.ResultReturned = true
-		}
-	}
-}
-
 // objectFor resolves id to its object via Uses or Defs.
 func objectFor(pkg *Package, id *ast.Ident) types.Object {
 	if obj := pkg.TypesInfo.Uses[id]; obj != nil {
@@ -672,21 +406,8 @@ func objectFor(pkg *Package, id *ast.Ident) types.Object {
 	return pkg.TypesInfo.Defs[id]
 }
 
-// isSortFunc reports whether fun names a sort.*/slices.* function.
-func isSortFunc(pkg *Package, fun ast.Expr) bool {
-	fn := funcObjOf(pkg, fun)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "sort", "slices":
-		return true
-	}
-	return false
-}
-
 // collectErrReturns classifies every error-returning return statement.
-func collectErrReturns(pkg *Package, fd *ast.FuncDecl, sig *types.Signature, s *FuncSummary, calls map[*ast.CallExpr]*Call) {
+func collectErrReturns(pkg *Package, fd *ast.FuncDecl, sig *types.Signature, s *FuncSummary) {
 	if !s.ReturnsError || sig == nil {
 		return
 	}
@@ -885,112 +606,4 @@ func classifyErrorf(pkg *Package, call *ast.CallExpr, isErr func(types.Type) boo
 		return ErrReturn{Kind: ErrReturnDeps, Deps: deps}
 	}
 	return ErrReturn{Kind: ErrReturnUnwrapped, Desc: "fmt.Errorf %w operand has no errors.Is identity"}
-}
-
-// collectMapOrdered detects map-iteration-ordered emissions: appends to
-// outer slices that the function returns unsorted, and appends to
-// struct fields inside map iteration.
-func collectMapOrdered(pkg *Package, fd *ast.FuncDecl, s *FuncSummary) {
-	// Returned objects and sorted objects, function-wide.
-	returned := make(map[types.Object]bool)
-	if res, _ := pkg.TypesInfo.Defs[fd.Name].(*types.Func); res != nil {
-		if sig, _ := res.Type().(*types.Signature); sig != nil {
-			rs := sig.Results()
-			for i := 0; rs != nil && i < rs.Len(); i++ {
-				if v := rs.At(i); v.Name() != "" {
-					returned[v] = true
-				}
-			}
-		}
-	}
-	sortedObjs := make(map[types.Object]bool)
-	ast.Inspect(fd, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				if id, ok := ast.Unparen(r).(*ast.Ident); ok {
-					if obj := objectFor(pkg, id); obj != nil {
-						returned[obj] = true
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if isSortFunc(pkg, x.Fun) {
-				for _, arg := range x.Args {
-					ast.Inspect(arg, func(a ast.Node) bool {
-						switch ref := a.(type) {
-						case *ast.Ident:
-							if obj := objectFor(pkg, ref); obj != nil {
-								sortedObjs[obj] = true
-							}
-						case *ast.SelectorExpr:
-							if sel, ok := pkg.TypesInfo.Selections[ref]; ok {
-								sortedObjs[sel.Obj()] = true
-							}
-						}
-						return true
-					})
-				}
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(fd, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := pkg.TypesInfo.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		ast.Inspect(rng.Body, func(inner ast.Node) bool {
-			as, ok := inner.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				return true
-			}
-			callRhs, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			id, ok := callRhs.Fun.(*ast.Ident)
-			if !ok || id.Name != "append" {
-				return true
-			}
-			if obj := objectFor(pkg, id); obj != nil {
-				if _, isBuiltin := obj.(*types.Builtin); !isBuiltin {
-					return true
-				}
-			}
-			switch lhs := as.Lhs[0].(type) {
-			case *ast.Ident:
-				obj := objectFor(pkg, lhs)
-				if obj == nil || sortedObjs[obj] {
-					return true
-				}
-				// Only outer declarations inherit the order.
-				if obj.Pos() >= rng.Pos() && obj.Pos() < rng.End() {
-					return true
-				}
-				if returned[obj] && !s.MapOrderedReturn {
-					s.MapOrderedReturn = true
-					s.MapOrderedPos = as.Pos()
-					s.MapOrderedVia = fmt.Sprintf("append to %s inside range over a map", lhs.Name)
-				}
-			case *ast.SelectorExpr:
-				if _, isField := pkg.TypesInfo.Selections[lhs]; isField {
-					s.FieldMapAppends = append(s.FieldMapAppends, FieldAppend{
-						Pos:    as.Pos(),
-						Target: lhs.Sel.Name,
-					})
-				}
-			}
-			return true
-		})
-		return true
-	})
 }

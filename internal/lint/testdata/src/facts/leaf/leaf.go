@@ -1,38 +1,16 @@
 // Package leaf is the dependency half of the cross-package fact
-// propagation fixture: it declares map-ordered and sorted returns, an
-// interface with an in-module implementer, sentinel-wrapped and
-// unwrapped error paths, and a context wrapper — everything the root
-// package's facts must be derived from.
+// propagation fixture: it declares an interface with an in-module
+// implementer and sentinel-wrapped and unwrapped error paths —
+// everything the root package's facts must be derived from.
 package leaf
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrLeaf is the package sentinel.
 var ErrLeaf = errors.New("leaf")
-
-// Keys returns map keys in iteration order: MapOrderedReturn.
-func Keys(m map[string]int) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
-// SortedKeys sorts before returning: not map-ordered.
-func SortedKeys(m map[string]int) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
 
 // Emitter is implemented (only) by Dev.
 type Emitter interface {
@@ -53,15 +31,4 @@ func Fail() error {
 // Bad returns an ad-hoc error: not SentinelWrapped.
 func Bad() error {
 	return errors.New("no identity")
-}
-
-// DoCtx is a context sink.
-func DoCtx(ctx context.Context) error {
-	return ctx.Err()
-}
-
-// Wrapper roots a fresh Background context into DoCtx: calling it from
-// a context-carrying function drops that context (NeedsCtx).
-func Wrapper() error {
-	return DoCtx(context.Background())
 }

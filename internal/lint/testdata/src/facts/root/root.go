@@ -6,30 +6,9 @@ package root
 
 import (
 	"fmt"
-	"sort"
 
 	"flowdifflint-testdata/facts/leaf"
 )
-
-// PassThrough returns leaf.Keys' map-ordered slice unsorted: the
-// MapOrderedReturn fact must propagate across the package boundary.
-func PassThrough(m map[string]int) []string {
-	return leaf.Keys(m)
-}
-
-// Rinsed sorts the map-ordered result before returning: clean.
-func Rinsed(m map[string]int) []string {
-	ks := leaf.Keys(m)
-	sort.Strings(ks)
-	return ks
-}
-
-// Relay returns leaf.Keys' result through a local variable, unsorted:
-// still map-ordered.
-func Relay(m map[string]int) []string {
-	ks := leaf.Keys(m)
-	return ks
-}
 
 // CallIface dispatches through the interface; the graph must resolve
 // the edge to leaf.Dev's Emit structurally.
@@ -51,10 +30,4 @@ func BadWrap() error {
 		return fmt.Errorf("root: %w", err)
 	}
 	return nil
-}
-
-// Indirect reaches leaf.Wrapper's fresh Background root through a
-// context-less chain: NeedsCtx.
-func Indirect() error {
-	return leaf.Wrapper()
 }

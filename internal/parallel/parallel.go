@@ -17,9 +17,9 @@ import (
 // Clamp resolves a requested worker count against the hardware:
 // non-positive means "one worker per CPU", and any request wider than
 // GOMAXPROCS is cut down to it — extra workers beyond the CPU count only
-// add scheduling and merge overhead (BENCH_1.json measured 20–70% on a
-// 1-CPU host). A clamped result of 1 is the contract for callers to take
-// their serial fast path.
+// add scheduling and merge overhead (20–70 % measured on a 1-CPU host).
+// A clamped result of 1 is the contract for callers to take their serial
+// fast path.
 func Clamp(requested int) int {
 	max := runtime.GOMAXPROCS(0)
 	if requested <= 0 || requested > max {
@@ -28,45 +28,17 @@ func Clamp(requested int) int {
 	return requested
 }
 
-// For runs fn(0..n-1) on a bounded pool of workers goroutines. Each
-// fn(i) must write only its own output slot; under that contract the
+// ForContext runs fn(0..n-1) on a bounded pool of workers goroutines.
+// Each fn(i) must write only its own output slot; under that contract the
 // result is identical for every worker count. One worker (or one item)
 // degrades to a plain loop with no goroutines. The caller picks workers
-// (typically via Clamp); For itself only trims workers to n.
-func For(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForContext is For with cancellation and pool instrumentation. Workers
-// stop picking up new items as soon as ctx is canceled — items already
-// running finish, the pool fully drains (every goroutine exits before
-// ForContext returns), and the call reports ctx.Err(). The completed
-// subset of fn calls is a prefix-closed set only per worker, so on a
-// non-nil return the caller must discard its outputs.
+// (typically via Clamp); ForContext itself only trims workers to n.
+//
+// Workers stop picking up new items as soon as ctx is canceled — items
+// already running finish, the pool fully drains (every goroutine exits
+// before ForContext returns), and the call reports ctx.Err(). The
+// completed subset of fn calls is a prefix-closed set only per worker,
+// so on a non-nil return the caller must discard its outputs.
 //
 // Instrumentation goes to the context's obs registry (obs.Default when
 // none travels in ctx, disabled when the context carries nil):

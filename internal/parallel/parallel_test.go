@@ -12,27 +12,6 @@ import (
 	"flowdiff/internal/obs"
 )
 
-func TestForCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 7} {
-		const n = 1000
-		counts := make([]atomic.Int32, n)
-		For(n, workers, func(i int) { counts[i].Add(1) })
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestForZeroItems(t *testing.T) {
-	called := false
-	For(0, 4, func(int) { called = true })
-	if called {
-		t.Error("fn called for n=0")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	max := runtime.GOMAXPROCS(0)
 	cases := map[int]int{
@@ -62,6 +41,41 @@ func TestClampTracksGOMAXPROCS(t *testing.T) {
 	}
 	if got := Clamp(2); got != 2 {
 		t.Errorf("Clamp(2) under GOMAXPROCS=3 = %d, want 2", got)
+	}
+}
+
+// TestForCoversEveryIndexOnce pins the bare pool, with instrumentation
+// off: every index runs exactly once at any width.
+func TestForCoversEveryIndexOnce(t *testing.T) {
+	ctx := obs.WithRegistry(context.Background(), nil)
+	for _, workers := range []int{1, 2, 4, 7} {
+		const n = 1000
+		counts := make([]atomic.Int32, n)
+		if err := ForContext(ctx, n, workers, func(i int) { counts[i].Add(1) }); err != nil {
+			t.Fatalf("workers=%d: unexpected error %v", workers, err)
+		}
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
+			}
+		}
+	}
+}
+
+func TestForZeroItems(t *testing.T) {
+	reg := obs.New()
+	ctx := obs.WithRegistry(context.Background(), reg)
+	for _, workers := range []int{1, 4} {
+		called := false
+		if err := ForContext(ctx, 0, workers, func(int) { called = true }); err != nil {
+			t.Fatalf("workers=%d: unexpected error %v", workers, err)
+		}
+		if called {
+			t.Errorf("workers=%d: fn called for n=0", workers)
+		}
+	}
+	if got := reg.Counter("parallel.items").Value(); got != 0 {
+		t.Errorf("parallel.items = %d, want 0", got)
 	}
 }
 

@@ -11,12 +11,11 @@ go vet ./...
 # flowdifflint: the repo's own analyzer suite. It machine-checks the
 # determinism/concurrency invariants (map-order leaks, wall-clock reads
 # in virtual-time packages, float equality in stats comparison, lock
-# copies, dropped errors, dropped contexts, sentinel-less public errors,
-# joinless goroutines, span-table drift, determinism-root order leaks)
-# so a violation fails the build before the race tests ever run. The
-# -json report is parsed rather than trusting the exit code alone: a
-# driver bug that swallowed findings but still exited 0 would otherwise
-# pass silently.
+# copies, dropped errors, sentinel-less public errors, joinless
+# goroutines, span-table drift) so a violation fails the build before
+# the race tests ever run. The -json report is parsed rather than
+# trusting the exit code alone: a driver bug that swallowed findings but
+# still exited 0 would otherwise pass silently.
 LINT_JSON="$(mktemp)"
 go run ./cmd/flowdifflint -json ./... > "$LINT_JSON"
 grep -q '"count": 0' "$LINT_JSON"
@@ -26,11 +25,11 @@ rm -f "$LINT_JSON"
 # does.
 go run ./cmd/flowdifflint -ignores ./... > /dev/null
 # Seeded-violation smoke: plant one violation per interprocedural
-# analyzer (plus the deferred-close errcheck extension) in throwaway
-# overlay packages and require the linter to catch every one. This is
-# the end-to-end proof that the analyzers are wired into the driver —
-# a suite that silently stopped running would still pass the clean run
-# above.
+# analyzer (plus the deferred-close errcheck extension and mapiter's
+# struct-field rule) in throwaway overlay packages and require the
+# linter to catch every one. This is the end-to-end proof that the
+# analyzers are wired into the driver — a suite that silently stopped
+# running would still pass the clean run above.
 SMOKE_DIR=internal/lintsmoke
 SMOKE_FLOWLOG=internal/flowlog/lintsmoke
 SMOKE_ROOT=lintsmoke_seed.go
@@ -49,7 +48,8 @@ func SmokeSentinel() error { return errors.New("seed") }
 EOF
 cat > "$SMOKE_DIR/seed.go" <<'EOF'
 // Package lintsmoke is a CI seed package: one violation per
-// interprocedural analyzer. Never committed; see scripts/ci.sh.
+// interprocedural analyzer, plus a report field filled in map order.
+// Never committed; see scripts/ci.sh.
 package lintsmoke
 
 import (
@@ -57,11 +57,6 @@ import (
 
 	"flowdiff/internal/obs"
 )
-
-func CtxSeed(ctx context.Context) context.Context {
-	_ = ctx
-	return context.Background()
-}
 
 func SpawnSeed() {
 	go func() {}()
@@ -71,12 +66,12 @@ func ObsSeed(ctx context.Context, name string) {
 	defer obs.Span(ctx, name).End()
 }
 
-func DetSeed(m map[string]int) []string {
-	var ks []string
+type seedReport struct{ keys []string }
+
+func FieldSeed(r *seedReport, m map[string]int) {
 	for k := range m {
-		ks = append(ks, k)
+		r.keys = append(r.keys, k)
 	}
-	return ks
 }
 EOF
 cat > "$SMOKE_FLOWLOG/seed.go" <<'EOF'
@@ -96,11 +91,11 @@ func ErrSeed(path string) error {
 	return err
 }
 EOF
-if go run ./cmd/flowdifflint -json -detorder-roots flowdiff/internal/lintsmoke.DetSeed ./... > "$SMOKE_JSON"; then
+if go run ./cmd/flowdifflint -json ./... > "$SMOKE_JSON"; then
 	echo "lint smoke: seeded violations were not caught" >&2
 	exit 1
 fi
-for name in ctxflow sentinelerr spawnjoin obsspan detorder errcheck; do
+for name in mapiter sentinelerr spawnjoin obsspan errcheck; do
 	grep -q "\"analyzer\": \"$name\"" "$SMOKE_JSON" || {
 		echo "lint smoke: analyzer $name missed its seeded violation" >&2
 		exit 1
@@ -117,7 +112,10 @@ go test -race ./...
 # writer's 9-window chain must outlast a 37 ms untraced quarter, which
 # holds only above ≈ 6 ms a window cycle. An unraced build on a quiet
 # host is now faster than that and fails with "no window completed in
-# the traced phase" (ROADMAP: size the smoke plan in windows).
+# the traced phase" (ROADMAP: size the smoke plan in windows). The traced
+# pass writes its trace files into bench/out, which only run.sh creates:
+# make it here so the test passes in a fresh checkout too.
+mkdir -p bench/out
 (cd bench && go vet ./... && go test -race ./...)
 # Allocation ratchet (ROADMAP "close the measurement loop", step 1): a
 # short flowbench pass per workload listed in scripts/bench_ceilings.txt
@@ -176,10 +174,11 @@ go test -count=1 -run TestServeSmokeTwoTenantsMatchOffline ./cmd/flowdiff
 # fault scenario, and strictly beat the change-count baseline on
 # equal-cost-link-drop (floors pinned inside the test).
 go test -run TestLocalizationAccuracy ./internal/experiments/
-# ./... picks up every bench, including the hot-path gates tracked in
-# bench_results/ (BuildSignatures, Occurrences, MonitorFlush,
-# AnalyzeStability, Mine, Discover) and their retained naive
-# *Reference counterparts.
+# ./... picks up every bench — the paper-figure and ablation benches,
+# the package micro-benches (Mine, Discover, RankSuspects, colseg) and
+# their retained naive *Reference counterparts — so harness rot fails
+# here. None is a measurement record: flowbench (bench/) is, and the
+# ROADMAP carries its table.
 go test -run '^$' -bench . -benchtime 1x ./...
 # The tracked size number (ROADMAP aim 2): non-test Go lines.
 echo "non-test Go lines: $(scripts/loc.sh)"

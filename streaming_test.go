@@ -42,7 +42,7 @@ func openColumnar(t testing.TB, path string) (*colseg.Reader, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := colseg.NewReader(f, colseg.ReaderOptions{})
+	r, err := colseg.NewReaderContext(context.Background(), f, colseg.ReaderOptions{})
 	if err != nil {
 		f.Close()
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestScenarioCaptureCompressionRatio(t *testing.T) {
 
 // BenchmarkBuildFromReader measures the full streaming build — open,
 // decode, extract, all signature products — over an on-disk columnar
-// capture. allocs/op lands in bench_results/BENCH_<n>.json.
+// capture.
 func BenchmarkBuildFromReader(b *testing.B) {
 	log := synthThreeTierLog(100_000)
 	path := writeColumnar(b, log)
@@ -271,7 +271,7 @@ func BenchmarkBuildFromReader(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := colseg.NewReader(f, colseg.ReaderOptions{})
+		r, err := colseg.NewReaderContext(context.Background(), f, colseg.ReaderOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
