@@ -53,7 +53,6 @@ func runServe(args []string) error {
 		maxTenants  = fs.Int("max-tenants", 64, "concurrent tenant cap")
 		retention   = fs.Duration("retention", 24*time.Hour, "how long window reports stay on disk")
 		gcInterval  = fs.Duration("gc-interval", time.Minute, "background report-GC period")
-		workers     = fs.Int("workers", 0, "compute pool width for every tenant (0 = one per CPU)")
 	)
 	// ExitOnError: Parse never returns a non-nil error to us.
 	_ = fs.Parse(args)
@@ -84,7 +83,6 @@ func runServe(args []string) error {
 		Dir:         *dir,
 		Window:      *window,
 		Options:     opts,
-		Tuning:      flowdiff.NewTuning(flowdiff.Workers(*workers)),
 		QueueBudget: *queueBudget,
 		MaxTenants:  *maxTenants,
 		Retention:   *retention,

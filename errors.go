@@ -21,10 +21,13 @@ var (
 	// current window: Observe requires time-ordered input and
 	// refuses to rewrite history.
 	ErrOutOfOrder = errors.New("event out of order")
-	// ErrBadLog reports a malformed or unreadable flow-log stream:
-	// NewColumnarSource returns it (wrapping the decoder's
-	// detail) when the columnar header or segment layout fails to
-	// validate.
+	// ErrBadLog reports a malformed or unreadable flow-log stream,
+	// wrapping the cause: NewColumnarSource returns it when the
+	// columnar header fails to validate, and the signature builds
+	// (BuildSignaturesReader, RediagnoseWindow, ...) when the source
+	// fails mid-stream (a corrupt segment, a truncated file, a read
+	// error) or the log's interval is too short to split into its
+	// stability intervals.
 	ErrBadLog = errors.New("bad log")
 	// ErrScenario reports that constructing or executing a simulated
 	// scenario failed — lab topology, workload attachment, fault

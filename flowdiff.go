@@ -23,6 +23,7 @@ package flowdiff
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -33,7 +34,6 @@ import (
 	"flowdiff/internal/core/taskmine"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/obs"
-	"flowdiff/internal/parallel"
 	"flowdiff/internal/topology"
 )
 
@@ -80,23 +80,6 @@ type Options struct {
 	Signature signature.Config
 	// Stability tunes the per-interval analysis (zero = defaults).
 	Stability signature.StabilityConfig
-	// Parallelism bounds the modeling worker pool: sharded occurrence
-	// extraction, per-group signature builds, per-interval stability
-	// builds, and the two halves of Compare — one knob for every
-	// fan-out. The value follows the parallel.Clamp contract: 0 (or
-	// negative) uses one worker per CPU, requests above GOMAXPROCS are
-	// clamped down to it, and 1 forces fully sequential modeling.
-	// Diagnosis output is identical for every setting.
-	Parallelism int
-}
-
-// WithWorkers returns a copy of o with every worker pool bounded by n,
-// overriding both Parallelism and any explicit Signature.Parallelism.
-// The clamp contract is Parallelism's (see that field).
-func (o Options) WithWorkers(n int) Options {
-	o.Parallelism = n
-	o.Signature.Parallelism = n
-	return o
 }
 
 func (o Options) resolver() *appgroup.Resolver {
@@ -110,9 +93,6 @@ func (o Options) sigConfig() signature.Config {
 		for _, s := range o.Special {
 			cfg.Special[s] = true
 		}
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = o.Parallelism
 	}
 	return cfg
 }
@@ -163,10 +143,10 @@ func signaturesFromPipeline(ctx context.Context, log *Log, p *signature.Pipeline
 			if cerr := canceled(ctx); cerr != nil {
 				return nil, fmt.Errorf("flowdiff: building signatures: %w", cerr)
 			}
-			return nil, fmt.Errorf("flowdiff: stability analysis: %w", err)
+			return nil, fmt.Errorf("flowdiff: stability analysis: %w: %w", ErrBadLog, err)
 		}
 	}
-	// The fan-outs above return partial products after cancellation;
+	// The builds above return partial products after cancellation;
 	// discard them rather than hand back a half-built model.
 	if cerr := canceled(ctx); cerr != nil {
 		return nil, fmt.Errorf("flowdiff: building signatures: %w", cerr)
@@ -251,10 +231,10 @@ func Diagnose(ctx context.Context, changes []Change, tasks []TaskDetection, opts
 // Compare is the one-call convenience API: model both logs,
 // diff, detect tasks in the current log, and diagnose. Stability is the
 // reference side's product: the baseline is modeled in full, the current
-// log for apps and infra only. Unless the modeling pool resolves to one
-// worker (Signature.Parallelism, falling back to Parallelism) the two
-// modeling halves run concurrently (signature state is per-log, and the
-// shared topology is read-only).
+// log for apps and infra only. The two captures are Compare's unit of
+// concurrency: with more than one CPU (GOMAXPROCS > 1) the two modeling
+// halves run concurrently (signature state is per-log, and the shared
+// topology is read-only); each half builds serially.
 //
 // A missing baseline returns ErrNoBaseline; a missing current log
 // returns ErrEmptyLog; cancellation surfaces as ErrCanceled from the
@@ -272,7 +252,7 @@ func Compare(ctx context.Context, baseline, current *Log, automata []*TaskAutoma
 		base, cur  *Signatures
 		berr, cerr error
 	)
-	if parallel.Clamp(opts.sigConfig().Parallelism) > 1 {
+	if runtime.GOMAXPROCS(0) > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {

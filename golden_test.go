@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,8 +28,10 @@ func jsonDigest(t *testing.T, v any) string {
 // TestReportGoldenDigests pins Compare and Monitor report bytes across
 // commits: the digests were taken at the commit before the two modeling
 // paths were merged into one, so a refactor of the modeling phase that
-// changes any reported byte — at either pool width — fails here even
-// when every in-tree route still agrees with every other.
+// changes any reported byte — at GOMAXPROCS 1, where Compare models its
+// halves one after the other, or 4, where it models them at once —
+// fails here even when every in-tree route still agrees with every
+// other.
 func TestReportGoldenDigests(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -60,15 +63,16 @@ func TestReportGoldenDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				opts := res.Options()
-				opts.Parallelism = workers
+			opts := res.Options()
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
 				rep, err := flowdiff.Compare(ctx, res.L1, res.L2, nil, flowdiff.Thresholds{}, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := jsonDigest(t, rep); got != tc.compare {
-					t.Errorf("workers=%d: compare digest %s, want %s", workers, got, tc.compare)
+					t.Errorf("GOMAXPROCS=%d: compare digest %s, want %s", procs, got, tc.compare)
 				}
 				m, err := flowdiff.NewMonitor(ctx, res.L1, 45*time.Second, nil, flowdiff.Thresholds{}, opts)
 				if err != nil {
@@ -83,10 +87,10 @@ func TestReportGoldenDigests(t *testing.T) {
 					t.Fatal(err)
 				}
 				if n := len(m.Reports()); n != tc.reports {
-					t.Errorf("workers=%d: %d monitor reports, want %d", workers, n, tc.reports)
+					t.Errorf("GOMAXPROCS=%d: %d monitor reports, want %d", procs, n, tc.reports)
 				}
 				if got := jsonDigest(t, m.Reports()); got != tc.monitor {
-					t.Errorf("workers=%d: monitor digest %s, want %s", workers, got, tc.monitor)
+					t.Errorf("GOMAXPROCS=%d: monitor digest %s, want %s", procs, got, tc.monitor)
 				}
 			}
 		})

@@ -9,7 +9,6 @@ import (
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/obs"
-	"flowdiff/internal/parallel"
 	"flowdiff/internal/stats"
 	"flowdiff/internal/topology"
 )
@@ -45,9 +44,7 @@ type Config struct {
 	PCEpoch time.Duration
 	// Special marks the data center's service nodes (group boundaries).
 	Special map[topology.NodeID]bool
-	// Parallelism bounds the worker pool for per-group and per-interval
-	// builds: 0 uses one worker per CPU, 1 forces sequential builds.
-	// Results are identical for every setting.
+	// Deprecated: has no effect; kept so flowbench compiles.
 	Parallelism int
 }
 
@@ -224,20 +221,23 @@ func sliceStarts(starts map[Edge][]time.Duration, seg logMeta, last bool) map[Ed
 }
 
 // buildAppFromStarts builds one signature per group; the builds share
-// startsByEdge and the view's removed map read-only.
+// startsByEdge and the view's removed map read-only. Cancellation stops
+// the loop; the public entry points surface ctx.Err() after the build
+// and discard a canceled pipeline's products.
 func buildAppFromStarts(ctx context.Context, view appView, cfg Config, startsByEdge map[Edge][]time.Duration, groups []appgroup.Group) []AppSignature {
 	if len(groups) == 0 {
 		return nil
 	}
 	out := make([]AppSignature, len(groups))
 	reg := obs.From(ctx)
-	// The error is ctx.Err(); the public entry points surface it after
-	// the build, and a canceled pipeline's products are discarded.
-	_ = parallel.ForContext(ctx, len(groups), cfg.workers(), func(i int) {
+	for i, g := range groups {
+		if ctx.Err() != nil {
+			break
+		}
 		sp := reg.Span("signature.group_build")
-		out[i] = buildGroupSig(groups[i], view, cfg, startsByEdge)
+		out[i] = buildGroupSig(g, view, cfg, startsByEdge)
 		sp.End()
-	})
+	}
 	return out
 }
 

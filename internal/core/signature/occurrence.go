@@ -70,16 +70,14 @@ func compareKeys(a, b flowlog.FlowKey) int {
 // compareOccurrences is the canonical occurrence order: start time, then
 // key. Two distinct occurrences never compare equal under it (episodes
 // of one key are gap-separated, so they cannot share a start), which is
-// what makes serial sorting, sharded merging, and streaming extraction
-// produce the exact same slice.
+// what makes batch and streaming extraction produce the exact same
+// slice.
 func compareOccurrences(a, b Occurrence) int {
 	if c := cmp.Compare(a.Start, b.Start); c != 0 {
 		return c
 	}
 	return compareKeys(a.Key, b.Key)
 }
-
-func occLess(a, b Occurrence) bool { return compareOccurrences(a, b) < 0 }
 
 // relevant reports whether an event participates in occurrence
 // extraction (only the control messages of path setup do).
@@ -112,10 +110,16 @@ func appendEpisode(out []Occurrence, key flowlog.FlowKey, events []flowlog.Event
 // flow key, ordered by time (out-of-order logs included), and split
 // wherever the gap between consecutive control events of the key
 // exceeds gap (<=0 uses DefaultOccurrenceGap). The result is in the
-// canonical order — start time, ties broken by key — for every worker
-// count of OccurrencesSharded as well.
+// canonical order — start time, ties broken by key.
 func Occurrences(log *flowlog.Log, gap time.Duration) []Occurrence {
 	return controlEvents(log, gap).Flush()
+}
+
+// OccurrencesSharded is Occurrences(log, cfg.OccurrenceGap).
+//
+// Deprecated: has no effect; kept so flowbench compiles.
+func OccurrencesSharded(log *flowlog.Log, cfg Config) []Occurrence {
+	return Occurrences(log, cfg.OccurrenceGap)
 }
 
 // controlEvents loads a log's control events into a fresh extractor.

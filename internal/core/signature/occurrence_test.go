@@ -1,12 +1,10 @@
 package signature
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -14,10 +12,9 @@ import (
 )
 
 // messyLog builds a log designed to stress every extraction edge case:
-// many keys (well past the sharded-path threshold), multiple episodes
-// per key (gap splits), FlowMod-only keys (wildcard mode), FlowRemoved
-// noise, equal-start ties across keys, and — when shuffle is set —
-// out-of-order events.
+// many keys, multiple episodes per key (gap splits), FlowMod-only keys
+// (wildcard mode), FlowRemoved noise, equal-start ties across keys, and
+// — when shuffle is set — out-of-order events.
 func messyLog(t *testing.T, nKeys int, shuffle bool) *flowlog.Log {
 	t.Helper()
 	l := flowlog.New(0, 10*time.Minute)
@@ -56,9 +53,10 @@ func messyLog(t *testing.T, nKeys int, shuffle bool) *flowlog.Log {
 }
 
 // TestOccurrencesShardedMatchesSerial pins the extraction equivalence
-// against the retained batch oracle: Occurrences and sharded extraction
-// at every worker count must produce the byte-identical occurrence
-// slice occurrencesReference does, on sorted and on shuffled logs.
+// against the retained batch oracle: Occurrences, and the
+// OccurrencesSharded shim flowbench still times, must produce the
+// byte-identical occurrence slice occurrencesReference does, on sorted
+// and on shuffled logs.
 func TestOccurrencesShardedMatchesSerial(t *testing.T) {
 	for _, shuffle := range []bool{false, true} {
 		name := "sorted"
@@ -66,11 +64,6 @@ func TestOccurrencesShardedMatchesSerial(t *testing.T) {
 			name = "shuffled"
 		}
 		t.Run(name, func(t *testing.T) {
-			// Raise GOMAXPROCS so the widths below mean real concurrency
-			// even on single-CPU CI hosts (the exported entry point clamps;
-			// the unclamped core is what this equivalence must hold for).
-			old := runtime.GOMAXPROCS(8)
-			defer runtime.GOMAXPROCS(old)
 			log := messyLog(t, 800, shuffle)
 			want := occurrencesReference(log, 0)
 			if len(want) == 0 {
@@ -79,40 +72,23 @@ func TestOccurrencesShardedMatchesSerial(t *testing.T) {
 			if got := Occurrences(log, 0); !reflect.DeepEqual(got, want) {
 				t.Errorf("Occurrences differs from the reference (%d vs %d occurrences)", len(got), len(want))
 			}
-			for _, workers := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)} {
-				got := occurrencesSharded(context.Background(), log, 0, workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: sharded extraction differs from the reference (%d vs %d occurrences)", workers, len(got), len(want))
-				}
+			if got := OccurrencesSharded(log, Config{}); !reflect.DeepEqual(got, want) {
+				t.Errorf("OccurrencesSharded differs from the reference (%d vs %d occurrences)", len(got), len(want))
 			}
 		})
 	}
 }
 
-// TestOccurrencesShardedSmallLogFallback: a log far smaller than one
-// drain stage must still come out of the sharded entry point right.
+// TestOccurrencesShardedSmallLogFallback: a one-event log comes out of
+// the shim right.
 func TestOccurrencesShardedSmallLogFallback(t *testing.T) {
 	l := flowlog.New(0, time.Minute)
 	key := flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 1, DstPort: 2}
 	l.Append(flowlog.Event{Time: time.Second, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
 	want := occurrencesReference(l, 0)
-	got := OccurrencesSharded(l, Config{Parallelism: 4})
+	got := OccurrencesSharded(l, Config{})
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("small-log sharded result differs: %+v vs %+v", got, want)
-	}
-}
-
-// TestOccurrencesShardedClampsWorkers: the exported entry point must
-// clamp absurd worker requests to the CPU count instead of spawning
-// hundreds of goroutines — and still produce the serial result.
-func TestOccurrencesShardedClampsWorkers(t *testing.T) {
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	log := messyLog(t, 800, false)
-	want := occurrencesReference(log, 0)
-	got := OccurrencesSharded(log, Config{Parallelism: 512})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("clamped sharded extraction differs from serial (%d vs %d occurrences)", len(got), len(want))
+		t.Errorf("small-log result differs: %+v vs %+v", got, want)
 	}
 }
 
@@ -144,26 +120,6 @@ func TestCompareKeysTotalOrder(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMergeOccurrences exercises the k-way merge on uneven shards.
-func TestMergeOccurrences(t *testing.T) {
-	mk := func(starts ...int) []Occurrence {
-		out := make([]Occurrence, len(starts))
-		for i, s := range starts {
-			out[i] = Occurrence{Start: time.Duration(s) * time.Second, Events: []flowlog.Event{{}}}
-		}
-		return out
-	}
-	got := mergeOccurrences([][]Occurrence{mk(1, 4, 9), nil, mk(2), mk(3, 5, 6, 7, 8)})
-	var starts []int
-	for _, o := range got {
-		starts = append(starts, int(o.Start/time.Second))
-	}
-	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if !reflect.DeepEqual(starts, want) {
-		t.Errorf("merged starts = %v, want %v", starts, want)
 	}
 }
 

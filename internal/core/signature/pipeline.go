@@ -8,7 +8,6 @@ import (
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/obs"
-	"flowdiff/internal/parallel"
 )
 
 // Pipeline is FlowDiff's one modeling path: every signature product of
@@ -18,18 +17,14 @@ import (
 // occurrences once and folds everything else the builds consume into
 // running aggregates (sourceAgg); the products then partition the
 // start-time-sorted occurrences across the stability intervals by index
-// slicing and fan independent builds (per application group, per
-// interval) onto a bounded worker pool. Output is deterministic: every
-// worker writes only its own slot, so results are identical for any
-// worker count.
+// slicing and build each application group of each interval in turn.
 //
-// The pipeline carries the context it was created with: fan-outs run on
-// parallel.ForContext (so cancellation stops dispatch and the pool
-// drains), and stage timings/counters go to the context's obs registry
-// (span.signature.* histograms, signature.* counters). After
-// cancellation the pipeline's products are partial; callers observe
-// ctx.Err() and must discard them — flowdiff.BuildSignaturesReader does
-// exactly that.
+// The pipeline carries the context it was created with: cancellation
+// stops the per-group and per-interval loops, and stage timings/counters
+// go to the context's obs registry (span.signature.* histograms,
+// signature.* counters). After cancellation the pipeline's products are
+// partial; callers observe ctx.Err() and must discard them —
+// flowdiff.BuildSignaturesReader does exactly that.
 type Pipeline struct {
 	ctx  context.Context
 	agg  *sourceAgg
@@ -90,7 +85,7 @@ func (p *Pipeline) SetGroups(groups []appgroup.Group) {
 }
 
 // App builds the per-group application signatures from the shared
-// occurrences, one worker-pool task per group.
+// occurrences.
 func (p *Pipeline) App() []AppSignature {
 	defer obs.Span(p.ctx, "signature.app").End()
 	return buildAppFromStarts(p.ctx, appView{meta: p.agg.whole.meta, removed: p.agg.whole.removed}, p.cfg, p.startsByEdge(), p.Groups())
@@ -120,8 +115,7 @@ var ErrNoIntervals = errors.New("pipeline built without stability intervals (a c
 // The per-interval edge sets and FlowRemoved samples were aggregated
 // during the event pass (sized by the interval count given then, which
 // scfg must repeat), and an interval's occurrences are subslices of the
-// per-edge start index, found by binary search; the per-interval builds
-// then run on the worker pool.
+// per-edge start index, found by binary search.
 func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[string]Stability, error) {
 	if !p.Reference() {
 		return nil, fmt.Errorf("signature: stability analysis: %w", ErrNoIntervals)
@@ -138,26 +132,13 @@ func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[str
 	starts := p.startsByEdge()
 	n := len(p.agg.segs)
 	intervals := make([][]AppSignature, n)
-	// Parallelism lives at the interval level here; the nested per-group
-	// builds run serially so the pool stays bounded at cfg.workers().
-	serial := p.cfg
-	serial.Parallelism = 1
-	if err := parallel.ForContext(p.ctx, n, p.cfg.workers(), func(i int) {
+	for i := range p.agg.segs {
+		if err := p.ctx.Err(); err != nil {
+			return nil, err
+		}
 		sa := &p.agg.segs[i]
-		groups := appgroup.DiscoverFromEdges(sa.edges, serial.Special)
-		intervals[i] = buildAppFromStarts(p.ctx, appView{meta: sa.meta, removed: sa.removed}, serial, sliceStarts(starts, sa.meta, i == n-1), groups)
-	}); err != nil {
-		return nil, err
+		groups := appgroup.DiscoverFromEdges(sa.edges, p.cfg.Special)
+		intervals[i] = buildAppFromStarts(p.ctx, appView{meta: sa.meta, removed: sa.removed}, p.cfg, sliceStarts(starts, sa.meta, i == n-1), groups)
 	}
 	return Stabilities(full, intervals, scfg), nil
-}
-
-// workers resolves the Parallelism knob: 0 (or negative) means one
-// worker per available CPU; requests above the CPU count are clamped
-// down, since extra goroutines beyond GOMAXPROCS only add scheduling
-// overhead. 1 forces sequential execution. The contract is
-// parallel.Clamp's — the same one flowdiff.Options.Parallelism
-// documents, since that single knob is where this value flows from.
-func (c Config) workers() int {
-	return parallel.Clamp(c.Parallelism)
 }

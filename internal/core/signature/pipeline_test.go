@@ -2,14 +2,11 @@ package signature
 
 import (
 	"net/netip"
-	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/flowlog"
-	"flowdiff/internal/workload"
 )
 
 func addr(last byte) netip.Addr { return netip.AddrFrom4([4]byte{10, 9, 0, last}) }
@@ -133,37 +130,6 @@ func TestPartitionByStartBoundaries(t *testing.T) {
 	for i, m := range metas {
 		if got := sliceStarts(index, m, i == len(metas)-1)[Edge{Src: "a", Dst: "b"}]; len(got) != len(parts[i]) || got[0] != parts[i][0].Start {
 			t.Errorf("interval %d: sliced starts %v disagree with partitionByStart (%d from %v)", i, got, len(parts[i]), parts[i][0].Start)
-		}
-	}
-}
-
-func TestBuildDeterministicAcrossWorkers(t *testing.T) {
-	// Raise GOMAXPROCS so the clamp doesn't collapse every width to 1 on
-	// single-CPU CI hosts — the race detector must see real concurrent
-	// builds at each width.
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	log, r, _ := simCase5(t, workload.Case5Params{MeanA: 300, MeanB: 300}, 31, time.Minute)
-	base := Config{Special: defaultSpecial()}
-	var refApps []AppSignature
-	var refStab map[string]Stability
-	for _, workers := range []int{1, 2, 4, 7} {
-		cfg := base
-		cfg.Parallelism = workers
-		apps := BuildApp(log, r, cfg)
-		stab, err := AnalyzeStability(log, r, cfg, StabilityConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refApps == nil {
-			refApps, refStab = apps, stab
-			continue
-		}
-		if !reflect.DeepEqual(apps, refApps) {
-			t.Errorf("workers=%d: app signatures differ from sequential build", workers)
-		}
-		if !reflect.DeepEqual(stab, refStab) {
-			t.Errorf("workers=%d: stability verdicts differ from sequential build", workers)
 		}
 	}
 }

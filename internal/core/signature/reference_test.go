@@ -63,7 +63,7 @@ func extractFromIdxsReference(log *flowlog.Log, perKey map[flowlog.FlowKey][]int
 		}
 		out = splitEpisodesReference(out, key, buf, gap)
 	}
-	sort.Slice(out, func(i, j int) bool { return occLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return compareOccurrences(out[i], out[j]) < 0 })
 	return out
 }
 

@@ -219,8 +219,8 @@ func (x *StreamExtractor) fold(a *sourceAgg) {
 }
 
 // NewPipelineFromSourceContext builds a pipeline by streaming the
-// source once: control events go into one StreamExtractor (gathered by
-// Config.Parallelism workers when the source ends), and everything else
+// source once: control events go into one StreamExtractor (gathered
+// once, when the source ends), and everything else
 // the signature builds need — edge sets, FlowRemoved samples, and for a
 // reference build the same per stability interval — is folded into
 // running aggregates, so peak memory is one decoded batch plus the
@@ -259,11 +259,6 @@ func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, 
 	return newPipeline(ctx, agg, r, cfg.withDefaults(), occs)
 }
 
-// streamStageEvents is how many control events a streamed build must
-// hold before its gather is fanned out. Measured on two CPUs: at 4k the
-// fan-out buys nothing, at 17k about a tenth of the build.
-const streamStageEvents = 1 << 13
-
 // extractFromSource drains the source, interning every flow event's key
 // once and feeding the id to the aggregates and to the occurrence
 // extractor.
@@ -297,9 +292,5 @@ func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg
 		}
 	}
 	agg.finish()
-	workers := cfg.workers()
-	if x.n < streamStageEvents {
-		workers = 1
-	}
-	return x.flushSharded(ctx, workers)
+	return x.Flush(), nil
 }

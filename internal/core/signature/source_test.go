@@ -2,10 +2,8 @@ package signature
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -49,26 +47,12 @@ func sourceOf(l *flowlog.Log, batch int) *sliceSource {
 // extraction plus whole-log scans): every product — occurrences, edge
 // set, app signatures, infra signature, stability — must be
 // byte-identical (reflect.DeepEqual over float-carrying structs, so
-// same accumulation order, not just same values) for every worker
-// count and source shape, on a sorted log large enough that the shards
-// drain mid-stream and on an out-of-order one.
+// same accumulation order, not just same values) for every source
+// shape, on a sorted log of many batches and on an out-of-order one.
 func TestPipelineFromSourceMatchesInMemory(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
-	sorted := benchLog(60_000)
-	control := 0
-	for _, e := range sorted.Events {
-		if relevant(e.Type) {
-			control++
-		}
-	}
-	if control <= streamStageEvents {
-		t.Fatalf("log has %d control events; need > %d so a mid-stream drain is exercised", control, streamStageEvents)
-	}
-	for name, log := range map[string]*flowlog.Log{"sorted": sorted, "unsorted": messyLog(t, 300, true)} {
+	for name, log := range map[string]*flowlog.Log{"sorted": benchLog(60_000), "unsorted": messyLog(t, 300, true)} {
 		r := appgroup.NewResolver(nil)
-		ref := newPipelineReference(log, r, Config{Parallelism: 1})
+		ref := newPipelineReference(log, r, Config{})
 		refApp := ref.App()
 		refInfra := ref.Infra()
 		refEdges := edgesReference(log, r)
@@ -81,34 +65,32 @@ func TestPipelineFromSourceMatchesInMemory(t *testing.T) {
 			"one-batch":   func() EventSource { return LogSource(log) },
 		}
 		for shape, open := range sources {
-			for _, workers := range []int{1, 2, 4, 7} {
-				at := fmt.Sprintf("%s/%s/workers=%d", name, shape, workers)
-				p, err := NewPipelineFromSourceContext(bg, open(), r, Config{Parallelism: workers}, 5)
-				if err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
-				if p.EventCount() != len(log.Events) {
-					t.Errorf("%s: EventCount = %d, want %d", at, p.EventCount(), len(log.Events))
-				}
-				if !reflect.DeepEqual(p.Occurrences(), ref.occs) {
-					t.Errorf("%s: occurrences differ (%d vs %d)", at, len(p.Occurrences()), len(ref.occs))
-				}
-				if !reflect.DeepEqual(p.Edges(), refEdges) {
-					t.Errorf("%s: edge sets differ", at)
-				}
-				if app := p.App(); !reflect.DeepEqual(app, refApp) {
-					t.Errorf("%s: app signatures differ", at)
-				}
-				if inf := p.Infra(); !reflect.DeepEqual(inf, refInfra) {
-					t.Errorf("%s: infra signatures differ", at)
-				}
-				stab, err := p.Stability(StabilityConfig{}, refApp)
-				if err != nil {
-					t.Fatalf("%s: %v", at, err)
-				}
-				if !reflect.DeepEqual(stab, refStab) {
-					t.Errorf("%s: stability results differ", at)
-				}
+			at := name + "/" + shape
+			p, err := NewPipelineFromSourceContext(bg, open(), r, Config{}, 5)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if p.EventCount() != len(log.Events) {
+				t.Errorf("%s: EventCount = %d, want %d", at, p.EventCount(), len(log.Events))
+			}
+			if !reflect.DeepEqual(p.Occurrences(), ref.occs) {
+				t.Errorf("%s: occurrences differ (%d vs %d)", at, len(p.Occurrences()), len(ref.occs))
+			}
+			if !reflect.DeepEqual(p.Edges(), refEdges) {
+				t.Errorf("%s: edge sets differ", at)
+			}
+			if app := p.App(); !reflect.DeepEqual(app, refApp) {
+				t.Errorf("%s: app signatures differ", at)
+			}
+			if inf := p.Infra(); !reflect.DeepEqual(inf, refInfra) {
+				t.Errorf("%s: infra signatures differ", at)
+			}
+			stab, err := p.Stability(StabilityConfig{}, refApp)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if !reflect.DeepEqual(stab, refStab) {
+				t.Errorf("%s: stability results differ", at)
 			}
 		}
 	}
@@ -121,7 +103,7 @@ func TestPipelineFromSourceBatchShapeInvariant(t *testing.T) {
 	r := appgroup.NewResolver(nil)
 	want := occurrencesReference(log, 0)
 	for _, batch := range []int{1, 7, 8192} {
-		p, err := NewPipelineFromSourceContext(bg, sourceOf(log, batch), r, Config{Parallelism: 1}, 0)
+		p, err := NewPipelineFromSourceContext(bg, sourceOf(log, batch), r, Config{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +118,7 @@ func TestPipelineFromSourceBatchShapeInvariant(t *testing.T) {
 func TestPipelineFromSourceIntervalMismatch(t *testing.T) {
 	log := benchLog(2_000)
 	r := appgroup.NewResolver(nil)
-	p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 500), r, Config{Parallelism: 1}, 5)
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 500), r, Config{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +139,7 @@ func TestCurrentBuildPipeline(t *testing.T) {
 		r := appgroup.NewResolver(nil)
 		build := map[string]func(intervals int) *Pipeline{
 			"source": func(intervals int) *Pipeline {
-				p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 1000), r, Config{Parallelism: 1}, intervals)
+				p, err := NewPipelineFromSourceContext(bg, sourceOf(log, 1000), r, Config{}, intervals)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -166,7 +148,7 @@ func TestCurrentBuildPipeline(t *testing.T) {
 			"occurrences": func(intervals int) *Pipeline {
 				x := NewStreamExtractor(0)
 				feedAll(x, log.Events)
-				return NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, r, Config{Parallelism: 1}, intervals, x.Gather())
+				return NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, r, Config{}, intervals, x.Gather())
 			},
 		}
 		for entry, open := range build {
@@ -203,12 +185,12 @@ func TestPipelineFromSourceSegmentErrorParity(t *testing.T) {
 	l.Append(flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw",
 		Flow: flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 1, DstPort: 2}})
 	r := appgroup.NewResolver(nil)
-	p, err := NewPipelineFromSourceContext(bg, sourceOf(l, 10), r, Config{Parallelism: 1}, 5)
+	p, err := NewPipelineFromSourceContext(bg, sourceOf(l, 10), r, Config{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, errSrc := p.Stability(StabilityConfig{}, p.App())
-	_, errMem := newPipelineReference(l, r, Config{Parallelism: 1}).Stability(StabilityConfig{}, nil)
+	_, errMem := newPipelineReference(l, r, Config{}).Stability(StabilityConfig{}, nil)
 	if errSrc == nil || errMem == nil {
 		t.Fatalf("want errors from both paths, got src=%v mem=%v", errSrc, errMem)
 	}

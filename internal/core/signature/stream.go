@@ -67,7 +67,7 @@ func internFlow(ids map[flowlog.FlowKey]int32, k *flowlog.FlowKey) int32 {
 // per-flow contiguous runs (a stable counting sort by flow id, again in
 // pooled chunks), splits every run at gaps, and returns the episodes in
 // canonical order, consuming nothing; Reset hands every chunk back.
-// Every build runs it — signature builds through flushSharded, Monitor
+// Every build runs it — signature builds through Flush, Monitor
 // directly, one Gather and Reset per window.
 //
 // Out-of-order input is handled: a flow whose run is not in time order
@@ -169,29 +169,27 @@ func (g *gatherer) run(n int) []flowlog.Event {
 // slice and every Occurrence.Events in it alias extractor-owned pooled
 // memory: they are valid until the next Gather, Reset or Flush, and
 // must not be retained past it.
-func (x *StreamExtractor) Gather() []Occurrence { return x.gather(&x.g, 0, len(x.count)) }
+func (x *StreamExtractor) Gather() []Occurrence { return x.gather(&x.g) }
 
-// gather is Gather into g of the flows with ids in [lo, hi). It only
-// reads the extractor, so gathers may run concurrently.
-func (x *StreamExtractor) gather(g *gatherer, lo, hi int) []Occurrence {
+// gather is Gather into g.
+func (x *StreamExtractor) gather(g *gatherer) []Occurrence {
 	g.runs = releaseChunks(g.runs)
-	if cap(g.spans) < hi-lo {
-		g.spans = make([][]flowlog.Event, hi-lo)
+	if cap(g.spans) < len(x.count) {
+		g.spans = make([][]flowlog.Event, len(x.count))
 	}
-	spans := g.spans[:hi-lo]
+	spans := g.spans[:len(x.count)]
 	flows := 0
 	for i := range spans {
 		spans[i] = nil
-		if n := x.count[lo+i]; n > 0 {
+		if n := x.count[i]; n > 0 {
 			spans[i] = g.run(int(n))
 			flows++
 		}
 	}
 	for i := 0; i < x.n; i++ {
 		c := x.arena[i/chunkEvents]
-		if id := int(c.flow[i%chunkEvents]); id >= lo && id < hi {
-			spans[id-lo] = append(spans[id-lo], c.ev[i%chunkEvents])
-		}
+		id := c.flow[i%chunkEvents]
+		spans[id] = append(spans[id], c.ev[i%chunkEvents])
 	}
 	occs := g.occs[:0]
 	if occs == nil || cap(occs) < flows {
@@ -241,7 +239,7 @@ func (x *StreamExtractor) Reset() {
 // occurrences and the runs behind them belong to the caller and never
 // return to the pool.
 func (x *StreamExtractor) Flush() []Occurrence {
-	occs := x.gather(new(gatherer), 0, len(x.count))
+	occs := x.gather(new(gatherer))
 	x.Reset()
 	return occs
 }

@@ -150,13 +150,10 @@ func TestPipelineFromOccurrencesMatchesNewPipeline(t *testing.T) {
 // the first runs on recycled chunks, a cleared map and reused index
 // slices still holding the previous log's data. Each cycle gathers
 // mid-stream (which must consume nothing), appends the rest, and
-// flushes across 1, 2, 4 and 7 gather workers; every result must be the
-// batch oracle's, byte for byte.
+// flushes; every result must be the batch oracle's, byte for byte.
 func TestStreamExtractorRecycledCycles(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
 	x := NewStreamExtractor(0)
-	for cycle, workers := range []int{1, 2, 4, 7, 2, 1} {
+	for cycle := 0; cycle < 6; cycle++ {
 		log := messyLog(t, 150+90*cycle, true)
 		rand.New(rand.NewSource(int64(cycle))).Shuffle(len(log.Events), func(i, j int) {
 			log.Events[i], log.Events[j] = log.Events[j], log.Events[i]
@@ -172,12 +169,9 @@ func TestStreamExtractorRecycledCycles(t *testing.T) {
 		if x.Events() != len(log.Events) {
 			t.Fatalf("cycle %d: the mid-stream gather consumed events: %d held, %d appended", cycle, x.Events(), len(log.Events))
 		}
-		got, err := x.flushSharded(bg, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := x.Flush()
 		if want := occurrencesReference(log, 0); !reflect.DeepEqual(got, want) {
-			t.Errorf("cycle %d, workers=%d: flush differs from the reference (%d vs %d occurrences)", cycle, workers, len(got), len(want))
+			t.Errorf("cycle %d: flush differs from the reference (%d vs %d occurrences)", cycle, len(got), len(want))
 		}
 		if x.Events() != 0 || x.Pending() != 0 || len(x.Gather()) != 0 {
 			t.Fatalf("cycle %d: flush did not reset the extractor", cycle)

@@ -84,8 +84,8 @@ type MineOptions struct {
 // Every mining stage runs over interned template IDs (TemplateSet), and
 // the per-run work — support counting, candidate extension, closed
 // pruning, segmentation — fans out across Config.Parallelism workers
-// (clamped to the CPU count; the knob obeys the same parallel.Clamp
-// contract as flowdiff.Options.Parallelism). Worker results merge in
+// (clamped to the CPU count by parallel.Clamp; the repo's one worker
+// knob, DESIGN.md "Where concurrency lives"). Worker results merge in
 // sorted candidate order, so the mined automaton is byte-identical for
 // every worker count. Mining stops between phases (and between fan-out
 // dispatches) once ctx is canceled, returning ctx.Err(); phase timings

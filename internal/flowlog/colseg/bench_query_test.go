@@ -5,7 +5,6 @@ import (
 	"context"
 	"io"
 	"net/netip"
-	"runtime"
 	"testing"
 	"time"
 
@@ -55,10 +54,10 @@ func benchQueryRead(b *testing.B, raw []byte, opts ReaderOptions) {
 	b.ReportMetric(float64(skipped), "skipped-B")
 }
 
-// BenchmarkQueryRead tracks the query-aware read engine across the four
-// shapes that matter: the full serial scan (baseline), a projected scan
-// (column skipping), an index-pruned host-pair window scan (segment
-// pruning plus decode-time filtering), and the parallel full decode.
+// BenchmarkQueryRead tracks the query-aware read engine across the three
+// shapes that matter: the full scan (baseline), a projected scan (column
+// skipping), and an index-pruned host-pair window scan (segment pruning
+// plus decode-time filtering).
 func BenchmarkQueryRead(b *testing.B) {
 	l := testLog(5*time.Minute, 100_000)
 	var buf bytes.Buffer
@@ -82,12 +81,5 @@ func BenchmarkQueryRead(b *testing.B) {
 			},
 			Columns: ColTime | ColSrc | ColDst,
 		})
-	})
-	b.Run("parallel", func(b *testing.B) {
-		// The readahead clamps to GOMAXPROCS; widen it so the pipeline
-		// actually engages on narrow CI machines.
-		old := runtime.GOMAXPROCS(8)
-		defer runtime.GOMAXPROCS(old)
-		benchQueryRead(b, raw, ReaderOptions{Parallelism: 4})
 	})
 }

@@ -108,9 +108,8 @@ func decodeAddrBlock(block []byte, count int, name string, dictBuf *[]netip.Addr
 }
 
 // decodeSwitchBlock decodes the switch column into its name dictionary
-// and the per-event indexes. names, when non-nil, interns dictionary
-// entries across segments (the serial reader's cross-segment cache;
-// parallel decodes pass nil and intern per segment only).
+// and the per-event indexes. names interns dictionary entries across
+// segments (the reader's cross-segment cache).
 func decodeSwitchBlock(block []byte, count int, names map[string]string, dictBuf *[]string, idsBuf *[]uint32) ([]string, []uint32, error) {
 	c := cursor{b: block}
 	n, err := c.uvarint()
@@ -134,16 +133,12 @@ func decodeSwitchBlock(block []byte, count int, names map[string]string, dictBuf
 		if err != nil {
 			return nil, nil, fmt.Errorf("colseg: switch column: %w", err)
 		}
-		if names != nil {
-			name, ok := names[string(b)]
-			if !ok {
-				name = string(b)
-				names[name] = name
-			}
-			dict[i] = name
-		} else {
-			dict[i] = string(b)
+		name, ok := names[string(b)]
+		if !ok {
+			name = string(b)
+			names[name] = name
 		}
+		dict[i] = name
 	}
 	ids := grow(*idsBuf, count)
 	*idsBuf = ids

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/netip"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -196,43 +195,6 @@ func TestQueryReadsMatchReference(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeMatchesSerial is the determinism acceptance:
-// parallel decode output is identical to the serial reader at workers
-// 1/2/4/7 for every query shape, and the decode counters agree with the
-// serial run at every worker count.
-func TestParallelDecodeMatchesSerial(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
-	l := skewedLog(t)
-	raw := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
-	counters := []string{
-		"colseg.segments.read", "colseg.segments.pruned", "colseg.segments.pruned_by_index",
-		"colseg.events.decoded", "colseg.events.filtered",
-		"colseg.columns.skipped", "colseg.bytes.decoded", "colseg.bytes.skipped",
-	}
-	for _, tc := range queryCases {
-		serialReg := obs.New()
-		serialCtx := obs.WithRegistry(context.Background(), serialReg)
-		want := readEvents(t, serialCtx, raw, ReaderOptions{Filter: tc.f, Columns: tc.cols})
-		for _, workers := range []int{1, 2, 4, 7} {
-			reg := obs.New()
-			ctx := obs.WithRegistry(context.Background(), reg)
-			got := readEvents(t, ctx, raw, ReaderOptions{Filter: tc.f, Columns: tc.cols, Parallelism: workers})
-			if len(got) != 0 || len(want) != 0 {
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s workers=%d: output diverges from serial", tc.name, workers)
-				}
-			}
-			for _, name := range counters {
-				if got, want := reg.Counter(name).Value(), serialReg.Counter(name).Value(); got != want {
-					t.Errorf("%s workers=%d: %s = %d, serial %d", tc.name, workers, name, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestOutOfRangeEventsDroppedAtDecodeTime pins the fix for the PR 7
 // time-range path: segments overlapping the window must filter
 // out-of-range events during decode — never materialize then drop them.
@@ -372,7 +334,7 @@ func TestProjectedPrunedScanBytesAcceptance(t *testing.T) {
 }
 
 // TestV1FilesRemainReadable: the legacy format round-trips through the
-// new reader bit-for-bit, serially and in parallel.
+// new reader bit-for-bit.
 func TestV1FilesRemainReadable(t *testing.T) {
 	l := testLog(2*time.Minute, 2000)
 	raw := toV1(t, encode(t, l, WriterOptions{SegmentDuration: 10 * time.Second}))
@@ -382,10 +344,6 @@ func TestV1FilesRemainReadable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, l) {
 		t.Fatal("v1 round trip mismatch through the new reader")
-	}
-	par := readEvents(t, context.Background(), raw, ReaderOptions{Parallelism: 4})
-	if !reflect.DeepEqual(par, l.Events) {
-		t.Fatal("v1 parallel read mismatch")
 	}
 }
 
@@ -421,32 +379,6 @@ func TestReaderBoundsWithFilter(t *testing.T) {
 	}
 	if from, to := r2.Bounds(); from != 0 || to != time.Minute {
 		t.Errorf("Bounds() = [%v, %v], want the file bounds when no time filter is set", from, to)
-	}
-}
-
-// TestParallelReadCancellation: a canceled context surfaces as a
-// terminal error from Next, and the worker pool drains (no goroutine
-// leaks under -race).
-func TestParallelReadCancellation(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
-	raw := encode(t, testLog(2*time.Minute, 5000), WriterOptions{SegmentDuration: 2 * time.Second})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r, err := NewReaderContext(ctx, bytes.NewReader(raw), ReaderOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, err := r.Next()
-		if err == nil {
-			continue
-		}
-		if err == io.EOF {
-			t.Error("canceled parallel read drained to EOF instead of failing")
-		}
-		break
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // ReaderOptions tunes streaming decode: what to return (Columns), what
-// to keep (the embedded Filter), and how to decode (BatchSize,
-// Parallelism). The zero options read everything serially.
+// to keep (the embedded Filter), and how large a batch to serve
+// (BatchSize). The zero options read everything.
 type ReaderOptions struct {
 	// Filter restricts the read. Whole segments the index proves
 	// irrelevant are pruned before any payload byte is read; inside
@@ -29,12 +29,6 @@ type ReaderOptions struct {
 	Columns ColumnSet
 	// BatchSize caps the event count of one Next batch. Default 8192.
 	BatchSize int
-	// Parallelism > 1 decodes that many segments concurrently (clamped
-	// to the hardware by parallel.Clamp) behind a bounded-readahead
-	// pipeline that delivers batches strictly in file order — output is
-	// identical to the serial reader at every worker count. 0 or 1 reads
-	// serially.
-	Parallelism int
 }
 
 func (o ReaderOptions) withDefaults() ReaderOptions {
@@ -54,8 +48,6 @@ func (o ReaderOptions) withDefaults() ReaderOptions {
 // events.filtered counts events dropped at decode time; columns.skipped
 // counts unprojected column blocks never decoded; bytes.decoded /
 // bytes.skipped split the payload bytes by whether they fed a decode.
-// The readahead.occupancy gauge tracks filled pipeline slots per round
-// (Max = the deepest the readahead ever ran).
 type readerMetrics struct {
 	segsRead    *obs.Counter
 	segsPruned  *obs.Counter
@@ -65,7 +57,6 @@ type readerMetrics struct {
 	colsSkipped *obs.Counter
 	bytesDec    *obs.Counter
 	bytesSkip   *obs.Counter
-	occupancy   *obs.Gauge
 }
 
 func newReaderMetrics(reg *obs.Registry) readerMetrics {
@@ -78,7 +69,6 @@ func newReaderMetrics(reg *obs.Registry) readerMetrics {
 		colsSkipped: reg.Counter("colseg.columns.skipped"),
 		bytesDec:    reg.Counter("colseg.bytes.decoded"),
 		bytesSkip:   reg.Counter("colseg.bytes.skipped"),
-		occupancy:   reg.Gauge("colseg.readahead.occupancy"),
 	}
 }
 
@@ -93,14 +83,12 @@ type segMeta struct {
 
 // Reader streams an FDC1 file segment by segment, serving decoded
 // events in bounded batches. Peak memory is one decoded segment plus
-// the per-segment dictionaries (times Parallelism plus readahead when
-// decoding in parallel); the full event slice is never materialized.
+// its dictionaries; the full event slice is never materialized.
 //
 // Metrics land in the obs registry traveling in the constructor's
 // context; see readerMetrics for the counter contract.
 type Reader struct {
 	br      *bufio.Reader
-	ctx     context.Context
 	reg     *obs.Registry
 	m       readerMetrics
 	opts    ReaderOptions
@@ -111,20 +99,17 @@ type Reader struct {
 	width   time.Duration
 	// names interns switch-name dictionary entries across segments, so
 	// a capture from N switches allocates N strings however many
-	// segments repeat them. Serial decode only: parallel slots intern
-	// per segment (value-equal output, no shared map).
+	// segments repeat them.
 	names map[string]string
-	// Serial decode state, reused across segments.
-	slab    []byte
-	blocks  [numColumns][]byte
-	sc      decodeScratch
-	idxBuf  []byte
-	par     *pipeline
-	seg     []flowlog.Event
-	pos     int
-	srcDone bool // end marker consumed from the stream
-	done    bool // no batches left to serve
-	err     error
+	// Decode state, reused across segments.
+	slab   []byte
+	blocks [numColumns][]byte
+	sc     decodeScratch
+	idxBuf []byte
+	seg    []flowlog.Event
+	pos    int
+	done   bool // no batches left to serve
+	err    error
 }
 
 // NewReaderContext opens an FDC1 stream: the header is read and
@@ -148,9 +133,8 @@ func NewReaderContext(ctx context.Context, r io.Reader, opts ReaderOptions) (*Re
 	}
 	opts = opts.withDefaults()
 	reg := obs.From(ctx)
-	rd := &Reader{
+	return &Reader{
 		br:      br,
-		ctx:     ctx,
 		reg:     reg,
 		m:       newReaderMetrics(reg),
 		opts:    opts,
@@ -160,9 +144,7 @@ func NewReaderContext(ctx context.Context, r io.Reader, opts ReaderOptions) (*Re
 		end:     time.Duration(binary.BigEndian.Uint64(hdr[14:22])),
 		width:   time.Duration(binary.BigEndian.Uint64(hdr[22:30])),
 		names:   make(map[string]string),
-	}
-	rd.par = newPipeline(opts.Parallelism)
-	return rd, nil
+	}, nil
 }
 
 // Bounds returns the interval the served events cover: the filter
@@ -190,16 +172,9 @@ func (r *Reader) Next() ([]flowlog.Event, error) {
 			r.err = io.EOF
 			return nil, io.EOF
 		}
-		var err error
-		if r.par != nil {
-			err = r.nextSegmentParallel()
-		} else {
-			r.seg, err = r.nextSegment(r.seg[:0])
-			r.pos = 0
-		}
-		if err != nil {
-			r.err = err
-			return nil, err
+		r.pos = 0
+		if r.seg, r.err = r.nextSegment(r.seg[:0]); r.err != nil {
+			return nil, r.err
 		}
 	}
 	n := len(r.seg) - r.pos
@@ -320,26 +295,27 @@ func (r *Reader) skipSegment(meta *segMeta, byIndex bool) error {
 	return nil
 }
 
-// loadBlocks reads the segment body into slab and slices the needed
-// column blocks out of it. On version-2 files unneeded blocks are
-// skipped with Discard (their bytes never enter memory) and each loaded
-// block is CRC-checked independently; version-1 files must read the
-// whole payload to reach the footer, so "skipped" there counts decode
-// work avoided, not IO. Returns the (possibly regrown) slab.
-func (r *Reader) loadBlocks(meta *segMeta, blocks *[numColumns][]byte, slab []byte) ([]byte, error) {
-	need := r.spec.need
+// loadBlocks reads the segment body into r.slab and slices the needed
+// column blocks out of it into r.blocks. On version-2 files unneeded
+// blocks are skipped with Discard (their bytes never enter memory) and
+// each loaded block is CRC-checked independently; version-1 files must
+// read the whole payload to reach the footer, so "skipped" there counts
+// decode work avoided, not IO.
+func (r *Reader) loadBlocks(meta *segMeta) error {
+	need, blocks := r.spec.need, &r.blocks
 	if r.version == formatVersion1 {
-		slab = grow(slab, meta.payloadLen+footerLenV1)
+		slab := grow(r.slab, meta.payloadLen+footerLenV1)
+		r.slab = slab
 		if _, err := io.ReadFull(r.br, slab); err != nil {
-			return slab, fmt.Errorf("colseg: reading segment body: %w", err)
+			return fmt.Errorf("colseg: reading segment body: %w", err)
 		}
 		payload, footer := slab[:meta.payloadLen], slab[meta.payloadLen:]
 		x, err := parseFooterV1(footer, meta.payloadLen)
 		if err != nil {
-			return slab, err
+			return err
 		}
 		if got := crc32.ChecksumIEEE(payload); got != x.crcs[0] {
-			return slab, fmt.Errorf("colseg: segment CRC mismatch: computed %08x, footer %08x", got, x.crcs[0])
+			return fmt.Errorf("colseg: segment CRC mismatch: computed %08x, footer %08x", got, x.crcs[0])
 		}
 		meta.index = x
 		var dec, skip int64
@@ -356,7 +332,7 @@ func (r *Reader) loadBlocks(meta *segMeta, blocks *[numColumns][]byte, slab []by
 		}
 		r.m.bytesDec.Add(dec)
 		r.m.bytesSkip.Add(skip)
-		return slab, nil
+		return nil
 	}
 
 	x := meta.index
@@ -366,14 +342,15 @@ func (r *Reader) loadBlocks(meta *segMeta, blocks *[numColumns][]byte, slab []by
 			total += x.blockLen(c, meta.payloadLen)
 		}
 	}
-	slab = grow(slab, total)
+	slab := grow(r.slab, total)
+	r.slab = slab
 	off := 0
 	var dec, skip int64
 	for c := 0; c < numColumns; c++ {
 		bl := x.blockLen(c, meta.payloadLen)
 		if !need.has(c) {
 			if _, err := r.br.Discard(bl); err != nil {
-				return slab, fmt.Errorf("colseg: skipping %s column: %w", columnNames[c], err)
+				return fmt.Errorf("colseg: skipping %s column: %w", columnNames[c], err)
 			}
 			blocks[c] = nil
 			skip += int64(bl)
@@ -382,10 +359,10 @@ func (r *Reader) loadBlocks(meta *segMeta, blocks *[numColumns][]byte, slab []by
 		}
 		b := slab[off : off+bl]
 		if _, err := io.ReadFull(r.br, b); err != nil {
-			return slab, fmt.Errorf("colseg: reading %s column: %w", columnNames[c], err)
+			return fmt.Errorf("colseg: reading %s column: %w", columnNames[c], err)
 		}
 		if got := crc32.ChecksumIEEE(b); got != x.crcs[c] {
-			return slab, fmt.Errorf("colseg: %s column CRC mismatch: computed %08x, index %08x", columnNames[c], got, x.crcs[c])
+			return fmt.Errorf("colseg: %s column CRC mismatch: computed %08x, index %08x", columnNames[c], got, x.crcs[c])
 		}
 		blocks[c] = b
 		off += bl
@@ -393,13 +370,13 @@ func (r *Reader) loadBlocks(meta *segMeta, blocks *[numColumns][]byte, slab []by
 	}
 	r.m.bytesDec.Add(dec)
 	r.m.bytesSkip.Add(skip)
-	return slab, nil
+	return nil
 }
 
 // nextSegment consumes the next step of the stream — the end marker
 // (r.done), a pruned segment, or one segment decoded onto the end of
 // dst (possibly nothing after decode-time filtering) — and returns dst
-// as extended. Serial path.
+// as extended.
 func (r *Reader) nextSegment(dst []flowlog.Event) ([]flowlog.Event, error) {
 	meta, done, err := r.readMeta()
 	if err != nil {
@@ -412,10 +389,9 @@ func (r *Reader) nextSegment(dst []flowlog.Event) ([]flowlog.Event, error) {
 	if pruned, byIndex := r.prune(&meta); pruned {
 		return dst, r.skipSegment(&meta, byIndex)
 	}
-	if r.slab, err = r.loadBlocks(&meta, &r.blocks, r.slab); err != nil {
+	if err := r.loadBlocks(&meta); err != nil {
 		return dst, err
 	}
-	//lint:ignore obsspan same decode stage as the parallel refill path; a reader runs exactly one of the two, so the timeline never sees both and the metric name stays comparable across modes
 	sp := r.reg.Span("colseg.decode")
 	out, filtered, err := decodeBlocks(&r.blocks, meta.count, r.spec, r.names, &r.sc, dst)
 	sp.End()
@@ -429,14 +405,14 @@ func (r *Reader) nextSegment(dst []flowlog.Event) ([]flowlog.Event, error) {
 }
 
 // ReadAll drains the reader into an in-memory log covering the file's
-// recorded bounds (or the filter window when one is set). A serial
-// reader standing between segments — a fresh one always is — decodes
-// each remaining segment straight onto the end of the log it returns;
+// recorded bounds (or the filter window when one is set). A reader
+// standing between segments — a fresh one always is — decodes each
+// remaining segment straight onto the end of the log it returns;
 // otherwise the batches are copied out.
 func (r *Reader) ReadAll() (*flowlog.Log, error) {
 	start, end := r.Bounds()
 	out := flowlog.New(start, end)
-	for r.par == nil && r.err == nil && !r.done && r.pos >= len(r.seg) {
+	for r.err == nil && !r.done && r.pos >= len(r.seg) {
 		out.Events, r.err = r.nextSegment(out.Events)
 	}
 	for {

@@ -9,8 +9,7 @@ import (
 
 // floatCmpScope: the packages that compare delay/PC/flow statistics. The
 // paper's comparisons are epsilon-based; exact float equality silently
-// diverges between the serial and sharded pipelines (different summation
-// orders) and between architectures.
+// diverges between summation orders and between architectures.
 var floatCmpScope = []string{
 	"flowdiff/internal/core/signature",
 	"flowdiff/internal/core/diff",

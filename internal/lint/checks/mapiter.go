@@ -8,10 +8,10 @@ import (
 	"flowdiff/internal/lint"
 )
 
-// MapIter guards the sharded≡serial guarantee: any output assembled while
-// ranging over a map inherits Go's randomized iteration order unless the
-// keys or the result are sorted. It flags, inside `for ... range m` where
-// m is a map:
+// MapIter guards the run-to-run determinism guarantee: any output
+// assembled while ranging over a map inherits Go's randomized iteration
+// order unless the keys or the result are sorted. It flags, inside
+// `for ... range m` where m is a map:
 //
 //   - append to a slice declared outside the loop, unless the enclosing
 //     function later sorts that slice (sort.Slice/Sort/Strings/...);

@@ -41,6 +41,18 @@ func ExportedPropagatesGood() error {
 	return nil
 }
 
+func pairBad() (int, error)  { return 0, errors.New("no identity") }
+func pairGood() (int, error) { return 0, fmt.Errorf("wrap: %w", ErrThing) }
+
+// ExportedTupleBad returns a callee's (T, error) pair whose error never
+// carries a sentinel.
+func ExportedTupleBad() (int, error) {
+	return pairBad() // want "error propagated from flowdiff.pairBad crosses the public API"
+}
+
+// ExportedTupleGood returns a sentinel-wrapped callee's pair: clean.
+func ExportedTupleGood() (int, error) { return pairGood() }
+
 // ExportedSentinel wraps the sentinel directly: clean.
 func ExportedSentinel() error { return fmt.Errorf("op: %w", ErrThing) }
 

@@ -496,6 +496,11 @@ func collectErrReturns(pkg *Package, fd *ast.FuncDecl, sig *types.Signature, s *
 		}
 		for _, res := range ret.Results {
 			t := pkg.TypesInfo.TypeOf(res)
+			// return f(...) with f returning (T, error): the call's error
+			// element is what crosses the return.
+			if tuple, ok := t.(*types.Tuple); ok {
+				t = tuple.At(tuple.Len() - 1).Type()
+			}
 			if !isErr(t) {
 				continue
 			}

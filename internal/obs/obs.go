@@ -14,7 +14,7 @@
 //   - Counters are deterministic. Everything recorded on a Counter is a
 //     pure function of the input log (occurrences extracted, groups
 //     discovered, windows flushed, changes emitted), so counter values
-//     are identical at any Options.Parallelism. Timings (histograms)
+//     are identical at any GOMAXPROCS. Timings (histograms)
 //     and pool occupancy (gauges) are scheduling-dependent by nature
 //     and carry no such guarantee. The one exception is the "parallel."
 //     namespace: the pool's own dispatch counters depend on which fan

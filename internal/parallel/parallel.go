@@ -1,8 +1,8 @@
-// Package parallel holds the one worker-pool primitive every fan-out in
-// the repo shares (signature pipeline, sharded extraction, task mining,
-// stability intervals), plus the worker-count policy: requested widths
-// are clamped to the hardware so a single-CPU host never pays goroutine
-// fan-out overhead for parallelism it cannot realize.
+// Package parallel holds the one worker-pool primitive the repo's two
+// fan-outs share (serve's tenant recovery and task mining), plus the
+// worker-count policy: requested widths are clamped to the hardware so
+// a single-CPU host never pays goroutine fan-out overhead for
+// parallelism it cannot realize.
 package parallel
 
 import (
@@ -46,14 +46,14 @@ func Clamp(requested int) int {
 //	parallel.active      gauge: workers currently inside fn (max = the
 //	                     widest the pool ever ran, ≥1 even serially)
 //	parallel.items       counter: items dispatched; NOT deterministic
-//	                     across Options.Parallelism — serial fast paths
+//	                     across pool widths — serial fast paths
 //	                     bypass pools entirely
 //	span.parallel.queue_wait  per-item delay between the ForContext
 //	                     call and the item's dispatch
 //
 // Metric objects are resolved once per call, so the per-item cost is an
 // atomic add, a clock read, and a histogram observe — stage-granular
-// fan-outs (groups, intervals, shards) never notice it.
+// fan-outs (tenants, mining phases) never notice it.
 func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
 	if workers > n {
 		workers = n

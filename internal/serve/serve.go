@@ -40,9 +40,6 @@ type Config struct {
 	Thresholds flowdiff.Thresholds
 	Options    flowdiff.Options
 	Automata   []*flowdiff.TaskAutomaton
-	// Tuning bounds the service's compute pools (baseline builds, window
-	// modeling, recovery fan-out) through the one root knob-set.
-	Tuning flowdiff.Tuning
 	// QueueBudget bounds each tenant's buffered (accepted, not yet
 	// observed) events; an ingest that would exceed it is rejected whole
 	// with 429 + Retry-After (default 65536).
@@ -81,7 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = obs.Default()
 	}
-	c.Options = c.Tuning.Options(c.Options)
 	return c
 }
 
@@ -149,9 +145,9 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover rebuilds one monitor per persisted tenant, fanning out across
-// the tuning's worker budget; a tenant whose state fails to load is
-// skipped (counted in serve.recover.errors) rather than failing boot.
+// recover rebuilds one monitor per persisted tenant, one tenant per CPU
+// at a time; a tenant whose state fails to load is skipped (counted in
+// serve.recover.errors) rather than failing boot.
 func (s *Server) recover(ctx context.Context) error {
 	ids, err := s.store.Tenants()
 	if err != nil {
@@ -160,8 +156,7 @@ func (s *Server) recover(ctx context.Context) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	workers := parallel.Clamp(s.cfg.Tuning.Workers)
-	err = parallel.ForContext(ctx, len(ids), workers, func(i int) {
+	err = parallel.ForContext(ctx, len(ids), parallel.Clamp(0), func(i int) {
 		id := ids[i]
 		log, meta, err := s.store.LoadBaseline(ctx, id)
 		if err != nil {

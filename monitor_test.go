@@ -24,8 +24,7 @@ import (
 
 // checkGoroutineLeak snapshots the goroutine count and verifies at
 // cleanup, with a settle/retry loop, that it returned to the baseline —
-// proof that the pipeline's worker pools drain instead of accumulating
-// across Observe/Flush cycles.
+// proof that no goroutine accumulates across Observe/Flush cycles.
 func checkGoroutineLeak(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -231,55 +230,51 @@ func TestMonitorGridAlignedWindows(t *testing.T) {
 // TestMonitorStreamingMatchesBatch pins the streaming engine end to
 // end: every report the monitor produces (incremental extraction,
 // cached group discovery, shared occurrence slice) must be identical to
-// modeling the same window from scratch with BuildSignatures — for
-// sequential and parallel builds.
+// modeling the same window from scratch with BuildSignatures.
 func TestMonitorStreamingMatchesBatch(t *testing.T) {
 	res, err := RunScenario(Scenario{Seed: 207})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		opts := res.Options()
-		opts.Parallelism = workers
-		m, err := NewMonitor(context.Background(), res.L1, 45*time.Second, nil, Thresholds{}, opts)
-		if err != nil {
+	opts := res.Options()
+	m, err := NewMonitor(context.Background(), res.L1, 45*time.Second, nil, Thresholds{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range res.L2.Events {
+		if _, err := m.Observe(context.Background(), e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := m.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reports := m.Reports()
+	if len(reports) < 3 {
+		t.Fatalf("only %d reports; equivalence would be vacuous", len(reports))
+	}
+	base, err := BuildSignatures(context.Background(), res.L1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reports {
+		wl := flowlog.New(r.From, r.To)
+		last := i == len(reports)-1
 		for _, e := range res.L2.Events {
-			if _, err := m.Observe(context.Background(), e); err != nil {
-				t.Fatal(err)
+			// Automatic windows are [From, To); the final manual
+			// flush closes at the last observed event, inclusive.
+			if e.Time >= r.From && (e.Time < r.To || (last && e.Time == r.To)) {
+				wl.Append(e)
 			}
 		}
-		if _, err := m.Flush(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		reports := m.Reports()
-		if len(reports) < 3 {
-			t.Fatalf("workers=%d: only %d reports; equivalence would be vacuous", workers, len(reports))
-		}
-		base, err := BuildSignatures(context.Background(), res.L1, opts)
+		cur, err := BuildSignatures(context.Background(), wl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range reports {
-			wl := flowlog.New(r.From, r.To)
-			last := i == len(reports)-1
-			for _, e := range res.L2.Events {
-				// Automatic windows are [From, To); the final manual
-				// flush closes at the last observed event, inclusive.
-				if e.Time >= r.From && (e.Time < r.To || (last && e.Time == r.To)) {
-					wl.Append(e)
-				}
-			}
-			cur, err := BuildSignatures(context.Background(), wl, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			changes := Diff(context.Background(), base, cur, Thresholds{})
-			want := Diagnose(context.Background(), changes, DetectTasks(wl, nil, opts.Signature.OccurrenceGap), opts)
-			if !reflect.DeepEqual(r.Report, want) {
-				t.Errorf("workers=%d window [%v,%v): streaming report differs from batch rebuild", workers, r.From, r.To)
-			}
+		changes := Diff(context.Background(), base, cur, Thresholds{})
+		want := Diagnose(context.Background(), changes, DetectTasks(wl, nil, opts.Signature.OccurrenceGap), opts)
+		if !reflect.DeepEqual(r.Report, want) {
+			t.Errorf("window [%v,%v): streaming report differs from batch rebuild", r.From, r.To)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Tests for the context-aware public API and its observability
 // contracts: sentinel errors wrap as documented, a canceled build
-// drains its worker pool, obs counters are deterministic across worker
-// counts, and instrumentation never changes the report.
+// leaves no goroutine behind, obs counters are deterministic whether
+// Compare's halves run concurrently or not, and instrumentation never
+// changes the report.
 package flowdiff_test
 
 import (
@@ -137,15 +138,14 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestCanceledBuildDrainsGoroutines checks the pool-drain contract: a
-// canceled BuildSignatures returns ErrCanceled and leaves no
-// worker goroutines behind.
+// TestCanceledBuildDrainsGoroutines: a canceled BuildSignatures
+// returns ErrCanceled and leaves no goroutine behind.
 func TestCanceledBuildDrainsGoroutines(t *testing.T) {
 	log := synthThreeTierLog(50_000)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := flowdiff.BuildSignatures(ctx, log, flowdiff.Options{Parallelism: 4}); !errors.Is(err, flowdiff.ErrCanceled) {
+	if _, err := flowdiff.BuildSignatures(ctx, log, flowdiff.Options{}); !errors.Is(err, flowdiff.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -161,36 +161,39 @@ func TestCanceledBuildDrainsGoroutines(t *testing.T) {
 
 // TestObsCountersDeterministicAcrossParallelism pins the determinism
 // contract stated in the obs package doc: every counter outside the
-// "parallel." namespace records a quantity that is identical for every
-// Options.Parallelism setting.
+// "parallel." namespace records a quantity that is identical whether
+// Compare models its two halves one after the other (GOMAXPROCS 1) or
+// at once.
 func TestObsCountersDeterministicAcrossParallelism(t *testing.T) {
-	log := synthThreeTierLog(20_000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	l1 := synthThreeTierLog(20_000)
+	l2 := synthThreeTierLog(24_000)
 	var want map[string]int64
 	wantP := 0
 	for _, p := range []int{1, 2, 4, 7} {
+		runtime.GOMAXPROCS(p)
 		reg := obs.New()
 		ctx := obs.WithRegistry(context.Background(), reg)
-		if _, err := flowdiff.BuildSignatures(ctx, log, flowdiff.Options{Parallelism: p}); err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+		if _, err := flowdiff.Compare(ctx, l1, l2, nil, flowdiff.Thresholds{}, flowdiff.Options{}); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
 		got := make(map[string]int64)
 		for name, v := range reg.Snapshot().Counters {
 			if strings.HasPrefix(name, "parallel.") {
-				// Dispatch counts depend on which fan-out path ran
-				// (serial fast paths bypass the pool entirely).
+				// Dispatch counts depend on the pool width.
 				continue
 			}
 			got[name] = v
 		}
 		if len(got) == 0 {
-			t.Fatalf("parallelism %d: no deterministic counters recorded", p)
+			t.Fatalf("GOMAXPROCS %d: no deterministic counters recorded", p)
 		}
 		if want == nil {
 			want, wantP = got, p
 			continue
 		}
 		if !maps.Equal(want, got) {
-			t.Errorf("counters differ: parallelism %d -> %v, parallelism %d -> %v", wantP, want, p, got)
+			t.Errorf("counters differ: GOMAXPROCS %d -> %v, GOMAXPROCS %d -> %v", wantP, want, p, got)
 		}
 	}
 }
@@ -216,8 +219,8 @@ func TestReportIdenticalWithObsOnOff(t *testing.T) {
 }
 
 // TestMetricsPopulatedAfterCompare checks the end-to-end wiring: one
-// Compare leaves non-zero stage timings, pool occupancy, and counters
-// in the registry traveling in ctx — what /metrics then serves.
+// Compare leaves non-zero stage timings and counters in the registry
+// traveling in ctx — what /metrics then serves.
 func TestMetricsPopulatedAfterCompare(t *testing.T) {
 	reg := obs.New()
 	ctx := obs.WithRegistry(context.Background(), reg)
@@ -239,9 +242,6 @@ func TestMetricsPopulatedAfterCompare(t *testing.T) {
 	if h := snap.Histograms["span.flowdiff.compare"]; h.SumNS <= 0 {
 		t.Errorf("span.flowdiff.compare has zero duration: %+v", h)
 	}
-	if g := snap.Gauges["parallel.active"]; g.Max < 1 {
-		t.Errorf("pool occupancy never observed: %+v", g)
-	}
 	for _, c := range []string{"signature.occurrences", "signature.groups", "signature.intervals"} {
 		if snap.Counters[c] == 0 {
 			t.Errorf("counter %s is zero", c)
@@ -259,10 +259,8 @@ func TestMetricsPopulatedAfterCompare(t *testing.T) {
 // windows, a re-diagnosed window and the current log of a Compare are
 // current builds and record neither span.signature.stability nor
 // signature.intervals, while the public builds still return the full
-// product, equal to signature.AnalyzeStability at every pool width.
+// product, equal to signature.AnalyzeStability.
 func TestCurrentBuildsSkipStability(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
 	const intervals = 5 // StabilityConfig's default
 	stability := func(reg *obs.Registry) (spans, folded int64) {
 		snap := reg.Snapshot()
@@ -318,69 +316,24 @@ func TestCurrentBuildsSkipStability(t *testing.T) {
 		t.Errorf("one Compare: %d stability spans over %d intervals, want 1 over %d (the baseline's)", spans, folded, intervals)
 	}
 
-	want, err := signature.AnalyzeStability(baseline, appgroup.NewResolver(nil), signature.Config{Parallelism: 1}, signature.StabilityConfig{})
+	want, err := signature.AnalyzeStability(baseline, appgroup.NewResolver(nil), signature.Config{}, signature.StabilityConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("reference stability map is empty")
 	}
-	path := writeColumnar(t, baseline)
-	for _, workers := range []int{1, 2, 4, 7} {
-		opts := flowdiff.Options{}.WithWorkers(workers)
-		mem, err := flowdiff.BuildSignatures(context.Background(), baseline, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, done := openColumnar(t, path)
-		streamed, err := flowdiff.BuildSignaturesReader(context.Background(), r, opts)
-		done()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(mem.Stability, want) || !reflect.DeepEqual(streamed.Stability, want) {
-			t.Errorf("workers=%d: a public build's Stability differs from signature.AnalyzeStability", workers)
-		}
-	}
-}
-
-// TestWithWorkersOverride checks that Options.WithWorkers overrides
-// both the top-level knob and an explicit signature-level setting.
-func TestWithWorkersOverride(t *testing.T) {
-	opts := flowdiff.Options{Parallelism: 4}
-	opts.Signature.Parallelism = 2
-	got := opts.WithWorkers(1)
-	if got.Parallelism != 1 || got.Signature.Parallelism != 1 {
-		t.Errorf("WithWorkers(1) = {Parallelism: %d, Signature.Parallelism: %d}, want both 1",
-			got.Parallelism, got.Signature.Parallelism)
-	}
-	if opts.Parallelism != 4 || opts.Signature.Parallelism != 2 {
-		t.Errorf("WithWorkers mutated the receiver: %+v", opts)
-	}
-}
-
-// TestCompareHonorsSignatureParallelism: Compare must decide whether to
-// run its two modeling halves concurrently from the same resolved width
-// the halves themselves build with. Signature.Parallelism=1 therefore
-// means a fully sequential Compare even when Options.Parallelism is
-// left at its per-CPU default (which used to start both halves
-// concurrently). Observed through the pool-occupancy gauge: one
-// sequential build peaks at 2 (a stability interval's serial pool with
-// its group builds' serial pool nested inside), so anything above that
-// is two builds in flight at once.
-func TestCompareHonorsSignatureParallelism(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	reg := obs.New()
-	ctx := obs.WithRegistry(context.Background(), reg)
-	l1 := synthThreeTierLog(20_000)
-	l2 := synthThreeTierLog(24_000)
-	opts := flowdiff.Options{}
-	opts.Signature.Parallelism = 1
-	if _, err := flowdiff.Compare(ctx, l1, l2, nil, flowdiff.Thresholds{}, opts); err != nil {
+	mem, err := flowdiff.BuildSignatures(context.Background(), baseline, flowdiff.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g := reg.Snapshot().Gauges["parallel.active"]; g.Max > 2 {
-		t.Errorf("parallel.active max = %d with Signature.Parallelism=1, want <= 2 (sequential halves)", g.Max)
+	r, done := openColumnar(t, writeColumnar(t, baseline))
+	streamed, err := flowdiff.BuildSignaturesReader(context.Background(), r, flowdiff.Options{})
+	done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mem.Stability, want) || !reflect.DeepEqual(streamed.Stability, want) {
+		t.Error("a public build's Stability differs from signature.AnalyzeStability")
 	}
 }

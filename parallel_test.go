@@ -13,7 +13,7 @@ import (
 
 // checkGoroutineLeak snapshots the goroutine count and verifies at
 // cleanup, with a settle/retry loop, that it returned to the baseline —
-// proof that the sharded extraction and pipeline worker pools drain.
+// proof that Compare joins the half it models on a second goroutine.
 func checkGoroutineLeak(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -30,10 +30,23 @@ func checkGoroutineLeak(t *testing.T) {
 	})
 }
 
-// TestParallelModelingDeterminism is the equivalence gate for the
-// parallel signature pipeline: the same log modeled with 1, 4, and
-// GOMAXPROCS workers must produce identical signatures, stability
-// verdicts, and diff changes, and the concurrent Compare must match the
+// procSweep is the GOMAXPROCS values the determinism tests run Compare
+// at: 1 models its two halves one after the other, the rest at once.
+var procSweep = []int{1, 2, 4, 7}
+
+// compareAt runs Compare at GOMAXPROCS procs and restores the old value.
+func compareAt(t *testing.T, procs int, baseline, current *flowdiff.Log, opts flowdiff.Options) flowdiff.Report {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	rep, err := flowdiff.Compare(context.Background(), baseline, current, nil, flowdiff.Thresholds{}, opts)
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+	}
+	return rep
+}
+
+// TestParallelModelingDeterminism is the equivalence gate for Compare's
+// one concurrency: the report from concurrent halves must match the
 // sequential one report for report.
 func TestParallelModelingDeterminism(t *testing.T) {
 	checkGoroutineLeak(t)
@@ -46,70 +59,21 @@ func TestParallelModelingDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := res.Options()
-
-	type model struct {
-		base, cur *flowdiff.Signatures
-		changes   []flowdiff.Change
+	want := compareAt(t, procSweep[0], res.L1, res.L2, res.Options())
+	if len(want.Unknown) == 0 {
+		t.Fatal("host shutdown produced no unexplained changes; the equivalence check would be vacuous")
 	}
-	build := func(workers int) model {
-		o := opts
-		o.Parallelism = workers
-		base, err := flowdiff.BuildSignatures(context.Background(), res.L1, o)
-		if err != nil {
-			t.Fatal(err)
+	for _, procs := range procSweep[1:] {
+		if got := compareAt(t, procs, res.L1, res.L2, res.Options()); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: Compare report differs from sequential:\n got: %+v\nwant: %+v", procs, got, want)
 		}
-		cur, err := flowdiff.BuildSignatures(context.Background(), res.L2, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return model{base: base, cur: cur, changes: flowdiff.Diff(context.Background(), base, cur, flowdiff.Thresholds{})}
-	}
-
-	ref := build(1)
-	if len(ref.changes) == 0 {
-		t.Fatal("host shutdown produced no changes; the equivalence check would be vacuous")
-	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		got := build(workers)
-		if !reflect.DeepEqual(got.base.Apps, ref.base.Apps) {
-			t.Errorf("workers=%d: baseline app signatures differ", workers)
-		}
-		if !reflect.DeepEqual(got.base.Infra, ref.base.Infra) {
-			t.Errorf("workers=%d: baseline infra signatures differ", workers)
-		}
-		if !reflect.DeepEqual(got.base.Stability, ref.base.Stability) {
-			t.Errorf("workers=%d: baseline stability verdicts differ", workers)
-		}
-		if !reflect.DeepEqual(got.cur.Apps, ref.cur.Apps) {
-			t.Errorf("workers=%d: current app signatures differ", workers)
-		}
-		if !reflect.DeepEqual(got.changes, ref.changes) {
-			t.Errorf("workers=%d: diff changes differ\n got: %v\nwant: %v", workers, got.changes, ref.changes)
-		}
-	}
-
-	seq := opts
-	seq.Parallelism = 1
-	par := opts
-	par.Parallelism = 4
-	seqReport, err := flowdiff.Compare(context.Background(), res.L1, res.L2, nil, flowdiff.Thresholds{}, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parReport, err := flowdiff.Compare(context.Background(), res.L1, res.L2, nil, flowdiff.Thresholds{}, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqReport, parReport) {
-		t.Errorf("concurrent Compare report differs from sequential:\n got: %+v\nwant: %+v", parReport, seqReport)
 	}
 }
 
 // TestSuspectRankingDeterministicAcrossParallelism pins the acceptance
 // bar for the evidence-voting ranker: the full suspect ranking —
-// order, votes, and coverage-adjusted scores — must be identical for
-// every Parallelism setting of the one-call Compare pipeline.
+// order, votes, and coverage-adjusted scores — must be identical
+// whether Compare models its halves sequentially or concurrently.
 func TestSuspectRankingDeterministicAcrossParallelism(t *testing.T) {
 	checkGoroutineLeak(t)
 	sc := faults.LocalizationScenarios()[0]
@@ -125,23 +89,18 @@ func TestSuspectRankingDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []flowdiff.SuspectScore
-	for i, workers := range []int{1, 2, 4, 7} {
-		o := res.Options()
-		o.Parallelism = workers
-		rep, err := flowdiff.Compare(context.Background(), res.L1, res.L2, nil, flowdiff.Thresholds{}, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, procs := range procSweep {
+		rep := compareAt(t, procs, res.L1, res.L2, res.Options())
 		if len(rep.Suspects) == 0 {
-			t.Fatalf("workers=%d: no suspects; determinism check would be vacuous", workers)
+			t.Fatalf("GOMAXPROCS=%d: no suspects; determinism check would be vacuous", procs)
 		}
 		if i == 0 {
 			want = rep.Suspects
 			continue
 		}
 		if !reflect.DeepEqual(rep.Suspects, want) {
-			t.Errorf("workers=%d: suspect ranking differs from sequential:\n%+v\nvs\n%+v",
-				workers, rep.Suspects, want)
+			t.Errorf("GOMAXPROCS=%d: suspect ranking differs from sequential:\n%+v\nvs\n%+v",
+				procs, rep.Suspects, want)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The full verification gate: static checks, build, tests (with the race
-# detector — the parallel extraction engine runs under it), and a 1x
-# smoke pass over every benchmark so perf harness rot is caught early.
+# detector — Compare's concurrent halves, serve's tenant workers and
+# recovery, and task mining run under it), and a 1x smoke pass over
+# every benchmark so perf harness rot is caught early.
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -128,7 +129,9 @@ mkdir -p bench/out
 # reflection (was 1,396 / 6.85). read_beside_write, the store's read
 # direction: 419 and 0.62 from 364.0 / 0.536 once ListReports stopped
 # re-parsing unchanged report files (was 384.6 / 1.053, so a list that
-# parses every file again fails the allocs ceiling). Only the
+# parses every file again fails the allocs ceiling). offline_compare,
+# the batch build path with no serve in it: 407 and 0.144 from 353.9 /
+# 0.1247 once every build ran serially (was 388.7 / 0.1269). Only the
 # allocation metrics are gated: they repeat to under 0.5 % on one host
 # and toolchain, the timings (echoed below) do not.
 bench_metric() { printf '%s\n' "$BENCH_JSON" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"; }
@@ -156,24 +159,44 @@ done < scripts/bench_ceilings.txt
 # engine): corrupted or hostile captures must fail with wrapped errors,
 # never a panic or an unbounded allocation.
 go test -run '^Fuzz' ./internal/flowlog/...
-# Query-equivalence smoke: projected, index-pruned, and parallel reads
-# must be reflect.DeepEqual to the full serial read — at the colseg
-# layer over both format versions, and through the public API on the
-# canonical scenario capture. A read engine that silently dropped or
-# reordered events would pass the benches but fail here.
-go test -count=1 -run 'TestQueryReadsMatchReference|TestParallelDecodeMatchesSerial' ./internal/flowlog/colseg
-go test -count=1 -run TestQueryReadsEquivalentOnScenarioCapture .
+# Named-test smokes. go test -run passes silently ("no tests to run")
+# when a name matches nothing, so a renamed test would quietly turn its
+# smoke into a no-op: each runs with -v and must print one PASS line
+# per name.
+SMOKE_OUT="$(mktemp)"
+named_smoke() {
+	pkg="$1"
+	shift
+	go test -count=1 -v -run "^($(echo "$@" | tr ' ' '|'))\$" "$pkg" > "$SMOKE_OUT" || {
+		cat "$SMOKE_OUT"
+		exit 1
+	}
+	for name in "$@"; do
+		grep -q "^--- PASS: $name (" "$SMOKE_OUT" || {
+			echo "smoke: $name matched no test in $pkg" >&2
+			exit 1
+		}
+	done
+}
+# Query-equivalence smoke: projected and index-pruned reads must be
+# reflect.DeepEqual to the full read — at the colseg layer over both
+# format versions, and through the public API on the canonical scenario
+# capture. A read engine that silently dropped or reordered events would
+# pass the benches but fail here.
+named_smoke ./internal/flowlog/colseg TestQueryReadsMatchReference
+named_smoke . TestQueryReadsEquivalentOnScenarioCapture
 # Serve smoke: boot the real flowdiff binary as a service on a loopback
 # port, ingest the canonical Seed-301 capture over HTTP as two tenants,
 # and require the fetched reports to be reflect.DeepEqual to an offline
 # Monitor run over the same events — the multi-tenant service must
 # never diverge from the library pipeline it wraps.
-go test -count=1 -run TestServeSmokeTwoTenantsMatchOffline ./cmd/flowdiff
+named_smoke ./cmd/flowdiff TestServeSmokeTwoTenantsMatchOffline
 # Localization-accuracy smoke: the evidence-voting suspect ranker must
 # keep top-1 >= 80% and top-3 >= 95% across 10 seeds on each fabric
 # fault scenario, and strictly beat the change-count baseline on
 # equal-cost-link-drop (floors pinned inside the test).
-go test -run TestLocalizationAccuracy ./internal/experiments/
+named_smoke ./internal/experiments TestLocalizationAccuracy
+rm -f "$SMOKE_OUT"
 # ./... picks up every bench — the paper-figure and ablation benches,
 # the package micro-benches (Mine, Discover, RankSuspects, colseg) and
 # their retained naive *Reference counterparts — so harness rot fails

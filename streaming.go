@@ -59,15 +59,11 @@ const (
 )
 
 // ColumnarOptions tunes a query-aware columnar read: what to keep
-// (Filter), what to decode (Columns), and how wide to decode it
-// (Parallelism). The zero options read everything serially.
+// (Filter) and what to decode (Columns). The zero options read
+// everything.
 type ColumnarOptions struct {
 	Filter  ReadFilter
 	Columns ColumnSet
-	// Parallelism > 1 decodes segments concurrently behind a bounded
-	// readahead that delivers batches strictly in file order — output is
-	// identical to a serial read at every worker count.
-	Parallelism int
 }
 
 // NewColumnarSource opens an FDC1 (segmented columnar) stream —
@@ -81,21 +77,16 @@ func NewColumnarSource(ctx context.Context, r io.Reader) (EventSource, error) {
 
 // NewColumnarSourceOptions opens an FDC1 stream as an
 // EventSource with a query attached: the filter prunes segments from
-// the on-disk index and drops non-matching events at decode time, the
-// projection decodes only the selected columns, and Parallelism > 1
-// decodes segments concurrently with deterministic, file-ordered
-// delivery. Counters in the context's obs registry
+// the on-disk index and drops non-matching events at decode time, and
+// the projection decodes only the selected columns. Counters in the
+// context's obs registry
 // (colseg.segments.pruned_by_index, colseg.columns.skipped,
 // colseg.events.filtered, colseg.bytes.decoded / .skipped) record the
 // work avoided. A time-filtered source reports the filter window from
 // Bounds, so signatures built from it cover exactly the queried
 // interval.
 func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOptions) (EventSource, error) {
-	cr, err := colseg.NewReaderContext(ctx, r, colseg.ReaderOptions{
-		Filter:      o.Filter,
-		Columns:     o.Columns,
-		Parallelism: o.Parallelism,
-	})
+	cr, err := colseg.NewReaderContext(ctx, r, colseg.ReaderOptions{Filter: o.Filter, Columns: o.Columns})
 	if err != nil {
 		return nil, fmt.Errorf("flowdiff: opening columnar log: %w: %w", ErrBadLog, err)
 	}
@@ -106,13 +97,12 @@ func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOption
 // build — the only implementation of it: BuildSignatures, the current
 // side of Compare and RediagnoseWindow, and Monitor windows enter the
 // same pipeline. The source is drained exactly once: flow occurrences
-// are extracted incrementally (sharded by flow-key hash across the
-// worker pool) and every other aggregate the builds need — including
-// the per-interval slices for the stability analysis, sized by
-// Options.Stability — is folded in during the same pass; the
-// application, infrastructure, and stability builds then fan out onto
-// a pool bounded by Options.Parallelism. Beyond what the source itself
-// holds, peak memory is one batch plus the aggregates and occurrences.
+// are extracted incrementally and every other aggregate the builds
+// need — including the per-interval slices for the stability analysis,
+// sized by Options.Stability — is folded in during the same pass; the
+// application, infrastructure, and stability builds then run in turn.
+// Beyond what the source itself holds, peak memory is one batch plus
+// the aggregates and occurrences.
 //
 // The result depends only on the event sequence, not on its batching
 // (an unsorted log serializes to colseg in sorted order, so a capture's
@@ -121,10 +111,11 @@ func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOption
 // source's bounds.
 //
 // A nil or event-free source returns ErrEmptyLog; cancellation stops
-// the fan-outs, drains the pool, discards the partial products, and
-// returns ErrCanceled wrapping ctx.Err(); a source read error is
-// returned wrapped. Stage timings and counters go to the obs registry
-// traveling in ctx; instrumentation never changes the output.
+// the build, discards the partial products, and returns ErrCanceled
+// wrapping ctx.Err(); a source read error (a capture corrupt past its
+// header, say) returns ErrBadLog wrapping the cause. Stage timings and
+// counters go to the obs registry traveling in ctx; instrumentation
+// never changes the output.
 func BuildSignaturesReader(ctx context.Context, src EventSource, opts Options) (*Signatures, error) {
 	return buildFromSource(ctx, src, opts, opts.Stability.IntervalCount())
 }
@@ -143,7 +134,7 @@ func buildFromSource(ctx context.Context, src EventSource, opts Options, interva
 		if cerr := canceled(ctx); cerr != nil {
 			return nil, fmt.Errorf("flowdiff: building signatures: %w", cerr)
 		}
-		return nil, fmt.Errorf("flowdiff: building signatures: %w", err)
+		return nil, fmt.Errorf("flowdiff: building signatures: %w: %w", ErrBadLog, err)
 	}
 	if p.EventCount() == 0 {
 		return nil, fmt.Errorf("flowdiff: building signatures: %w", ErrEmptyLog)

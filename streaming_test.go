@@ -53,43 +53,35 @@ func openColumnar(t testing.TB, path string) (*colseg.Reader, func()) {
 // TestBuildSignaturesReaderMatchesInMemory pins the streaming build's
 // headline contract: signatures built by streaming an on-disk columnar
 // capture are byte-identical (reflect.DeepEqual over float-carrying
-// structs) to BuildSignatures over the same log in memory, at every
-// worker count. Run under -race in CI, this also exercises the sharded
-// fan-in.
+// structs) to BuildSignatures over the same log in memory.
 func TestBuildSignaturesReaderMatchesInMemory(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
 	log := synthThreeTierLog(30_000)
 	path := writeColumnar(t, log)
-	ref, err := flowdiff.BuildSignatures(context.Background(), log, flowdiff.Options{}.WithWorkers(1))
+	ref, err := flowdiff.BuildSignatures(context.Background(), log, flowdiff.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 4, 7} {
-		r, done := openColumnar(t, path)
-		got, err := flowdiff.BuildSignaturesReader(context.Background(), r, flowdiff.Options{}.WithWorkers(workers))
-		done()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got.Apps, ref.Apps) {
-			t.Errorf("workers=%d: app signatures differ from the in-memory build", workers)
-		}
-		if !reflect.DeepEqual(got.Infra, ref.Infra) {
-			t.Errorf("workers=%d: infra signatures differ from the in-memory build", workers)
-		}
-		if !reflect.DeepEqual(got.Stability, ref.Stability) {
-			t.Errorf("workers=%d: stability results differ from the in-memory build", workers)
-		}
-		if got.Log.Start != log.Start || got.Log.End != log.End {
-			t.Errorf("workers=%d: stub log bounds [%v,%v], want [%v,%v]",
-				workers, got.Log.Start, got.Log.End, log.Start, log.End)
-		}
-		if len(got.Log.Events) != 0 {
-			t.Errorf("workers=%d: streaming build materialized %d events", workers, len(got.Log.Events))
-		}
+	r, done := openColumnar(t, path)
+	got, err := flowdiff.BuildSignaturesReader(context.Background(), r, flowdiff.Options{})
+	done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Apps, ref.Apps) {
+		t.Error("app signatures differ from the in-memory build")
+	}
+	if !reflect.DeepEqual(got.Infra, ref.Infra) {
+		t.Error("infra signatures differ from the in-memory build")
+	}
+	if !reflect.DeepEqual(got.Stability, ref.Stability) {
+		t.Error("stability results differ from the in-memory build")
+	}
+	if got.Log.Start != log.Start || got.Log.End != log.End {
+		t.Errorf("stub log bounds [%v,%v], want [%v,%v]", got.Log.Start, got.Log.End, log.Start, log.End)
+	}
+	if len(got.Log.Events) != 0 {
+		t.Errorf("streaming build materialized %d events", len(got.Log.Events))
 	}
 }
 
@@ -107,11 +99,11 @@ func TestNewColumnarSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := flowdiff.BuildSignaturesReader(context.Background(), src, flowdiff.Options{}.WithWorkers(1))
+	got, err := flowdiff.BuildSignaturesReader(context.Background(), src, flowdiff.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := flowdiff.BuildSignatures(context.Background(), log, flowdiff.Options{}.WithWorkers(1))
+	want, err := flowdiff.BuildSignatures(context.Background(), log, flowdiff.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +207,7 @@ func TestStreamingBuildBoundedHeap(t *testing.T) {
 	}()
 
 	r, closeFile := openColumnar(t, path)
-	sigs, err := flowdiff.BuildSignaturesReader(context.Background(), r, flowdiff.Options{}.WithWorkers(2))
+	sigs, err := flowdiff.BuildSignaturesReader(context.Background(), r, flowdiff.Options{})
 	closeFile()
 	sample()
 	close(stop)
@@ -304,12 +296,8 @@ func drainSource(t testing.TB, src flowdiff.EventSource) []flowdiff.Event {
 
 // TestQueryReadsEquivalentOnScenarioCapture is the equivalence suite on
 // the canonical scenario capture through the public API: projected,
-// filtered, and parallel reads must agree with the full serial read
-// (reflect.DeepEqual) at workers 1/2/4/7. Run under -race in CI.
+// and filtered reads must agree with the full read (reflect.DeepEqual).
 func TestQueryReadsEquivalentOnScenarioCapture(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
 	res, err := flowdiff.RunScenario(flowdiff.Scenario{
 		Seed: 301, Case: 1,
 		BaselineDur: 30 * time.Second, FaultDur: 30 * time.Second,
@@ -333,15 +321,7 @@ func TestQueryReadsEquivalentOnScenarioCapture(t *testing.T) {
 
 	full := drain(flowdiff.ColumnarOptions{})
 	if !reflect.DeepEqual(full, res.L1.Events) {
-		t.Fatalf("full serial read returned %d events, capture has %d", len(full), len(res.L1.Events))
-	}
-
-	// Parallel decode is byte-identical to serial at every worker count.
-	for _, workers := range []int{1, 2, 4, 7} {
-		got := drain(flowdiff.ColumnarOptions{Parallelism: workers})
-		if !reflect.DeepEqual(got, full) {
-			t.Errorf("workers=%d: parallel read diverges from serial", workers)
-		}
+		t.Fatalf("full read returned %d events, capture has %d", len(full), len(res.L1.Events))
 	}
 
 	// Projection: unprojected fields read as zero, everything else is
@@ -359,8 +339,7 @@ func TestQueryReadsEquivalentOnScenarioCapture(t *testing.T) {
 		}
 	}
 
-	// A host-pair time window, decoded in parallel, matches the
-	// in-memory reference filter.
+	// A host-pair time window matches the in-memory reference filter.
 	var hosts []netip.Addr
 	for _, e := range full {
 		if e.Flow.Src.IsValid() {
@@ -372,7 +351,7 @@ func TestQueryReadsEquivalentOnScenarioCapture(t *testing.T) {
 		t.Fatal("no flow events in the scenario capture")
 	}
 	f := flowdiff.ReadFilter{From: 10 * time.Second, To: 25 * time.Second, Hosts: hosts}
-	got := drain(flowdiff.ColumnarOptions{Filter: f, Parallelism: 4})
+	got := drain(flowdiff.ColumnarOptions{Filter: f})
 	hostSet := map[netip.Addr]bool{hosts[0]: true, hosts[1]: true}
 	want := []flowdiff.Event{}
 	for _, e := range full {
@@ -388,7 +367,7 @@ func TestQueryReadsEquivalentOnScenarioCapture(t *testing.T) {
 		t.Fatal("reference filter kept no events; widen the fixture window")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("filtered parallel read: %d events diverge from the %d-event reference", len(got), len(want))
+		t.Errorf("filtered read: %d events diverge from the %d-event reference", len(got), len(want))
 	}
 
 	// A time-filtered source reports the window from Bounds, so a
