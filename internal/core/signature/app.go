@@ -188,18 +188,6 @@ type appView struct {
 	removed map[Edge][]removedSample
 }
 
-// indexStarts indexes occurrences by host edge, as their start times in
-// occurrence (hence time) order — all the per-edge builds read of them.
-func indexStarts(occs []Occurrence, r *appgroup.Resolver) map[Edge][]time.Duration {
-	starts := make(map[Edge][]time.Duration)
-	for i := range occs {
-		o := &occs[i]
-		e := Edge{Src: r.Node(o.Key.Src), Dst: r.Node(o.Key.Dst)}
-		starts[e] = append(starts[e], o.Start)
-	}
-	return starts
-}
-
 // sliceStarts narrows an index to the occurrences starting inside seg:
 // every per-edge list is in time order, so an interval's share of it is
 // a subslice. The last segment includes its end, so an episode starting

@@ -56,39 +56,40 @@ func BuildInfra(log *flowlog.Log, r *appgroup.Resolver, cfg Config) InfraSignatu
 	return fromLog(log, r, cfg, 0).Infra()
 }
 
-// removedFlow is one flow key's final byte count: the first FlowRemoved
-// observed for the key, in log order (the first report carries the full
+// removedFlow is one flow's final byte count: the first FlowRemoved
+// observed for the flow, in log order (the first report carries the full
 // episode counters; later per-switch reports would multiply them).
 type removedFlow struct {
-	Key   flowlog.FlowKey
+	Flow  int32
 	Bytes uint64
 }
 
-// attachLinkBytesFrom distributes each removed flow's byte count over
-// the switch adjacencies its occurrences traversed, normalized to bytes
-// per second of log time. removals must hold one entry per flow key, in
-// log order (the float accumulation order is part of the byte-identical
-// contract); occs are the log's episodes. A key's path is that of its
-// first episode that crossed at least two switches.
-func attachLinkBytesFrom(inf *InfraSignature, dur time.Duration, removals []removedFlow, occs []Occurrence) {
+// attachLinkBytes distributes each removed flow's byte count over the
+// switch adjacencies its occurrences traversed, normalized to bytes per
+// second of log time. removals must hold one entry per flow, in log
+// order (the float accumulation order is part of the byte-identical
+// contract); occs are the log's episodes and flows their flow ids, all
+// below nflows. A flow's path is that of its first episode that crossed
+// at least two switches.
+func attachLinkBytes(inf *InfraSignature, dur time.Duration, removals []removedFlow, occs []Occurrence, flows []int32, nflows int) {
 	if dur <= 0 {
 		return
 	}
-	// first[key] is the position in occs of the key's path episode, -1
-	// until one is found; only removed flows' keys are looked for.
-	first := make(map[flowlog.FlowKey]int32, len(removals))
-	for i := range removals {
-		first[removals[i].Key] = -1
+	// first[id] is 1 + the position in occs of a removed flow's path
+	// episode, -1 until one is found, 0 for flows nobody looks for.
+	first := make([]int32, nflows)
+	for _, rf := range removals {
+		first[rf.Flow] = -1
 	}
-	for i := range occs {
-		if at, removed := first[occs[i].Key]; removed && at < 0 && packetIns(&occs[i]) >= 2 {
-			first[occs[i].Key] = int32(i)
+	for i, f := range flows {
+		if first[f] < 0 && packetIns(&occs[i]) >= 2 {
+			first[f] = int32(i) + 1
 		}
 	}
 	inf.LinkBytes = make(map[SwitchPair]float64)
 	secs := dur.Seconds()
 	for _, rf := range removals {
-		at := first[rf.Key]
+		at := first[rf.Flow] - 1
 		if at < 0 {
 			continue
 		}
@@ -116,7 +117,15 @@ func packetIns(o *Occurrence) (n int) {
 	return n
 }
 
-func buildInfraFromOccs(r *appgroup.Resolver, cfg Config, occs []Occurrence) InfraSignature {
+// hopAgg is what the infrastructure signature collects per switch pair.
+type hopAgg struct {
+	adj int
+	isl []float64
+}
+
+// buildInfra builds PT, ISL and CRT from the occurrences, edges[i]
+// being occs[i]'s host edge id into edgeAt (the source host of the vote).
+func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature {
 	inf := InfraSignature{
 		SwitchAdj:       make(map[SwitchPair]int),
 		HostAttach:      make(map[string]string),
@@ -124,11 +133,12 @@ func buildInfraFromOccs(r *appgroup.Resolver, cfg Config, occs []Occurrence) Inf
 		ISL:             make(map[SwitchPair]stats.Summary),
 		LinkBytes:       make(map[SwitchPair]float64),
 	}
-	islSamples := make(map[SwitchPair][]float64)
+	hops := make(map[SwitchPair]*hopAgg)
 	var crt []float64
-	attachVotes := make(map[string]map[string]int)
+	votes := make(map[HostAttach]int)
 
-	for _, o := range occs {
+	for k := range occs {
+		o := &occs[k]
 		// Walk the episode's events in order, tracking the reactive
 		// per-hop pattern PI(sw1) FM(sw1) PI(sw2) FM(sw2) ... (Figure 3).
 		var prevPI *flowlog.Event
@@ -139,21 +149,21 @@ func buildInfraFromOccs(r *appgroup.Resolver, cfg Config, occs []Occurrence) Inf
 			switch e.Type {
 			case flowlog.EventPacketIn:
 				if prevPI != nil && e.Switch != prevPI.Switch {
-					inf.SwitchAdj[SwitchPair{prevPI.Switch, e.Switch}]++
+					p := SwitchPair{prevPI.Switch, e.Switch}
+					h := hops[p]
+					if h == nil {
+						h = new(hopAgg)
+						hops[p] = h
+					}
+					h.adj++
 					if prevFM != nil && prevFM.Switch == prevPI.Switch {
-						d := e.Time - prevFM.Time
-						if d >= 0 {
-							p := SwitchPair{prevPI.Switch, e.Switch}
-							islSamples[p] = append(islSamples[p], float64(d))
+						if d := e.Time - prevFM.Time; d >= 0 {
+							h.isl = append(h.isl, float64(d))
 						}
 					}
 				}
 				if prevPI == nil {
-					src := string(r.Node(o.Key.Src))
-					if attachVotes[src] == nil {
-						attachVotes[src] = make(map[string]int)
-					}
-					attachVotes[src][e.Switch]++
+					votes[HostAttach{Host: string(edgeAt[edges[k]].Src), Switch: e.Switch}]++
 				}
 				prevPI = e
 				pendingPI = e
@@ -170,19 +180,19 @@ func buildInfraFromOccs(r *appgroup.Resolver, cfg Config, occs []Occurrence) Inf
 		}
 	}
 
-	for host, votes := range attachVotes {
-		best, bestN, total := "", 0, 0
-		for sw, n := range votes {
-			total += n
-			if n > bestN || (n == bestN && sw < best) {
-				best, bestN = sw, n
-			}
+	// The majority switch per host, ties to the smaller name.
+	for v, n := range votes {
+		inf.HostAttachCount[v.Host] += n
+		best, ok := inf.HostAttach[v.Host]
+		if bestN := votes[HostAttach{v.Host, best}]; !ok || n > bestN || (n == bestN && v.Switch < best) {
+			inf.HostAttach[v.Host] = v.Switch
 		}
-		inf.HostAttach[host] = best
-		inf.HostAttachCount[host] = total
 	}
-	for p, xs := range islSamples {
-		inf.ISL[p] = stats.Summarize(xs)
+	for p, h := range hops {
+		inf.SwitchAdj[p] = h.adj
+		if len(h.isl) > 0 {
+			inf.ISL[p] = stats.Summarize(h.isl)
+		}
 	}
 	inf.CRT = stats.Summarize(crt)
 	inf.CRTSamples = crt

@@ -28,9 +28,11 @@ import (
 type Pipeline struct {
 	ctx  context.Context
 	agg  *sourceAgg
-	r    *appgroup.Resolver
 	cfg  Config
 	occs []Occurrence
+	// flows[i] is occs[i]'s interned flow id, edges[i] its host edge id:
+	// the products index by id and never hash a key again.
+	flows, edges []int32
 	// groups caches application-group discovery for the whole log;
 	// hasGroups distinguishes "not discovered yet" from "discovered
 	// (possibly empty)". Monitor seeds it across windows via SetGroups.
@@ -41,9 +43,15 @@ type Pipeline struct {
 	starts map[Edge][]time.Duration
 }
 
-func newPipeline(ctx context.Context, agg *sourceAgg, r *appgroup.Resolver, cfg Config, occs []Occurrence) *Pipeline {
+func newPipeline(ctx context.Context, agg *sourceAgg, cfg Config, occs []Occurrence, flows []int32) *Pipeline {
 	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
-	return &Pipeline{ctx: ctx, agg: agg, r: r, cfg: cfg, occs: occs}
+	// The fold has each flow's edge id; a flow it never saw (FlowMods
+	// only) is resolved here. Then every flow id indexes agg.edgeOf.
+	edges := make([]int32, len(occs))
+	for i := range occs {
+		edges[i], _ = agg.edge(flows[i], &occs[i].Key)
+	}
+	return &Pipeline{ctx: ctx, agg: agg, cfg: cfg, occs: occs, flows: flows, edges: edges}
 }
 
 // Reference reports whether the pipeline was constructed with stability
@@ -91,9 +99,35 @@ func (p *Pipeline) App() []AppSignature {
 	return buildAppFromStarts(p.ctx, appView{meta: p.agg.whole.meta, removed: p.agg.whole.removed}, p.cfg, p.startsByEdge(), p.Groups())
 }
 
+// startsByEdge indexes the occurrences' start times by host edge, in
+// occurrence (hence time) order — all the per-edge builds read of them:
+// a counting sort by edge id into one slab, then one map entry per
+// distinct edge.
 func (p *Pipeline) startsByEdge() map[Edge][]time.Duration {
-	if p.starts == nil {
-		p.starts = indexStarts(p.occs, p.r)
+	if p.starts != nil {
+		return p.starts
+	}
+	n := len(p.agg.edgeAt)
+	// off[e] becomes edge e's first slab slot, then, once filled, its end.
+	off := make([]int32, n+1)
+	for _, e := range p.edges {
+		off[e+1]++
+	}
+	for e := 1; e <= n; e++ {
+		off[e] += off[e-1]
+	}
+	slab := make([]time.Duration, len(p.edges))
+	for i, e := range p.edges {
+		slab[off[e]] = p.occs[i].Start
+		off[e]++
+	}
+	p.starts = make(map[Edge][]time.Duration, n)
+	lo := int32(0)
+	for e, hi := range off[:n] {
+		if hi > lo {
+			p.starts[p.agg.edgeAt[e]] = slab[lo:hi:hi]
+			lo = hi
+		}
 	}
 	return p.starts
 }
@@ -101,9 +135,9 @@ func (p *Pipeline) startsByEdge() map[Edge][]time.Duration {
 // Infra builds the infrastructure signature from the shared occurrences.
 func (p *Pipeline) Infra() InfraSignature {
 	defer obs.Span(p.ctx, "signature.infra").End()
-	inf := buildInfraFromOccs(p.r, p.cfg, p.occs)
+	inf := buildInfra(p.occs, p.edges, p.agg.edgeAt)
 	inf.LogDuration = p.agg.whole.meta.Duration()
-	attachLinkBytesFrom(&inf, p.agg.whole.meta.Duration(), p.agg.removals, p.occs)
+	attachLinkBytes(&inf, p.agg.whole.meta.Duration(), p.agg.removals, p.occs, p.flows, len(p.agg.edgeOf))
 	return inf
 }
 

@@ -9,14 +9,17 @@ import (
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/flowlog"
+	"flowdiff/internal/stats"
 )
 
 // This file retains the batch occurrence extractor — and the whole-log
 // scans the in-memory modeling path derived its aggregates with — as
 // equivalence oracles, moved here verbatim when the streamed pipeline
-// became the only modeling path. StreamExtractor, the flow-hash shards,
-// and sourceAgg must reproduce them exactly; without these the
-// equivalence tests would compare the one remaining path with itself.
+// became the only modeling path; likewise the key-hashing start index
+// and infrastructure build, when the pipeline moved onto interned ids.
+// StreamExtractor, sourceAgg and the id-keyed products must reproduce
+// them exactly; without these the equivalence tests would compare the
+// one remaining path with itself.
 
 var bg = context.Background()
 
@@ -117,10 +120,17 @@ func viewFromLogReference(log *flowlog.Log, r *appgroup.Resolver) appView {
 	return v
 }
 
+// removedKeyReference is one flow key's final byte count: its first
+// FlowRemoved, in log order.
+type removedKeyReference struct {
+	Key   flowlog.FlowKey
+	Bytes uint64
+}
+
 // firstRemovalsReference collects each flow key's first FlowRemoved, in
 // log order.
-func firstRemovalsReference(log *flowlog.Log) []removedFlow {
-	var out []removedFlow
+func firstRemovalsReference(log *flowlog.Log) []removedKeyReference {
+	var out []removedKeyReference
 	seen := make(map[flowlog.FlowKey]bool)
 	for i := range log.Events {
 		e := &log.Events[i]
@@ -128,9 +138,134 @@ func firstRemovalsReference(log *flowlog.Log) []removedFlow {
 			continue
 		}
 		seen[e.Flow] = true
-		out = append(out, removedFlow{Key: e.Flow, Bytes: e.Bytes})
+		out = append(out, removedKeyReference{Key: e.Flow, Bytes: e.Bytes})
 	}
 	return out
+}
+
+// indexStartsReference indexes occurrences by host edge, as their start
+// times in occurrence (hence time) order, resolving every occurrence's
+// key — the map-keyed index the pipeline builds by edge id.
+func indexStartsReference(occs []Occurrence, r *appgroup.Resolver) map[Edge][]time.Duration {
+	starts := make(map[Edge][]time.Duration)
+	for i := range occs {
+		o := &occs[i]
+		e := Edge{Src: r.Node(o.Key.Src), Dst: r.Node(o.Key.Dst)}
+		starts[e] = append(starts[e], o.Start)
+	}
+	return starts
+}
+
+// attachLinkBytesReference is attachLinkBytes keyed by flow key: the
+// position of each removed key's path episode is found through a
+// FlowKey map.
+func attachLinkBytesReference(inf *InfraSignature, dur time.Duration, removals []removedKeyReference, occs []Occurrence) {
+	if dur <= 0 {
+		return
+	}
+	// first[key] is the position in occs of the key's path episode, -1
+	// until one is found; only removed flows' keys are looked for.
+	first := make(map[flowlog.FlowKey]int32, len(removals))
+	for i := range removals {
+		first[removals[i].Key] = -1
+	}
+	for i := range occs {
+		if at, removed := first[occs[i].Key]; removed && at < 0 && packetIns(&occs[i]) >= 2 {
+			first[occs[i].Key] = int32(i)
+		}
+	}
+	inf.LinkBytes = make(map[SwitchPair]float64)
+	secs := dur.Seconds()
+	for _, rf := range removals {
+		at := first[rf.Key]
+		if at < 0 {
+			continue
+		}
+		prev, seen := "", false
+		for i := range occs[at].Events {
+			e := &occs[at].Events[i]
+			if e.Type != flowlog.EventPacketIn {
+				continue
+			}
+			if seen {
+				inf.LinkBytes[SwitchPair{prev, e.Switch}] += float64(rf.Bytes) / secs
+			}
+			prev, seen = e.Switch, true
+		}
+	}
+}
+
+// infraReference is buildInfra keyed by name: per-hop SwitchPair maps
+// looked up twice, and each vote's source host resolved from the key.
+func infraReference(r *appgroup.Resolver, occs []Occurrence) InfraSignature {
+	inf := InfraSignature{
+		SwitchAdj:       make(map[SwitchPair]int),
+		HostAttach:      make(map[string]string),
+		HostAttachCount: make(map[string]int),
+		ISL:             make(map[SwitchPair]stats.Summary),
+		LinkBytes:       make(map[SwitchPair]float64),
+	}
+	islSamples := make(map[SwitchPair][]float64)
+	var crt []float64
+	attachVotes := make(map[string]map[string]int)
+
+	for _, o := range occs {
+		var prevPI *flowlog.Event
+		var prevFM *flowlog.Event
+		var pendingPI *flowlog.Event
+		for i := range o.Events {
+			e := &o.Events[i]
+			switch e.Type {
+			case flowlog.EventPacketIn:
+				if prevPI != nil && e.Switch != prevPI.Switch {
+					inf.SwitchAdj[SwitchPair{prevPI.Switch, e.Switch}]++
+					if prevFM != nil && prevFM.Switch == prevPI.Switch {
+						d := e.Time - prevFM.Time
+						if d >= 0 {
+							p := SwitchPair{prevPI.Switch, e.Switch}
+							islSamples[p] = append(islSamples[p], float64(d))
+						}
+					}
+				}
+				if prevPI == nil {
+					src := string(r.Node(o.Key.Src))
+					if attachVotes[src] == nil {
+						attachVotes[src] = make(map[string]int)
+					}
+					attachVotes[src][e.Switch]++
+				}
+				prevPI = e
+				pendingPI = e
+			case flowlog.EventFlowMod:
+				if pendingPI != nil && e.Switch == pendingPI.Switch {
+					d := e.Time - pendingPI.Time
+					if d >= 0 {
+						crt = append(crt, float64(d))
+					}
+					pendingPI = nil
+				}
+				prevFM = e
+			}
+		}
+	}
+
+	for host, votes := range attachVotes {
+		best, bestN, total := "", 0, 0
+		for sw, n := range votes {
+			total += n
+			if n > bestN || (n == bestN && sw < best) {
+				best, bestN = sw, n
+			}
+		}
+		inf.HostAttach[host] = best
+		inf.HostAttachCount[host] = total
+	}
+	for p, xs := range islSamples {
+		inf.ISL[p] = stats.Summarize(xs)
+	}
+	inf.CRT = stats.Summarize(crt)
+	inf.CRTSamples = crt
+	return inf
 }
 
 // pipelineReference models a log the way the former in-memory path did:
@@ -158,9 +293,9 @@ func (pr *pipelineReference) appOf(log *flowlog.Log, occs []Occurrence) []AppSig
 func (pr *pipelineReference) App() []AppSignature { return pr.appOf(pr.log, pr.occs) }
 
 func (pr *pipelineReference) Infra() InfraSignature {
-	inf := buildInfraFromOccs(pr.r, pr.cfg, pr.occs)
+	inf := infraReference(pr.r, pr.occs)
 	inf.LogDuration = pr.log.Duration()
-	attachLinkBytesFrom(&inf, pr.log.Duration(), firstRemovalsReference(pr.log), pr.occs)
+	attachLinkBytesReference(&inf, pr.log.Duration(), firstRemovalsReference(pr.log), pr.occs)
 	return inf
 }
 
@@ -186,7 +321,7 @@ func (pr *pipelineReference) Stability(scfg StabilityConfig, full []AppSignature
 // occurrences, indexing them from scratch — what every build did before
 // the pipeline shared one index across the whole log and its intervals.
 func buildAppFromGroups(ctx context.Context, view appView, r *appgroup.Resolver, cfg Config, occs []Occurrence, groups []appgroup.Group) []AppSignature {
-	return buildAppFromStarts(ctx, view, cfg, indexStarts(occs, r), groups)
+	return buildAppFromStarts(ctx, view, cfg, indexStartsReference(occs, r), groups)
 }
 
 // partitionByStart slices occs (sorted by start time) into per-segment

@@ -185,7 +185,7 @@ func (a *sourceAgg) flowRemoved(rec *removedRecord) {
 	a.whole.sample(eid, rec.sample)
 	if !seen[1] {
 		seen[1] = true
-		a.removals = append(a.removals, removedFlow{Key: rec.key, Bytes: rec.sample.Bytes})
+		a.removals = append(a.removals, removedFlow{Flow: rec.flow, Bytes: rec.sample.Bytes})
 	}
 	if i := a.segIndex(rec.at); i >= 0 {
 		a.segs[i].sample(eid, rec.sample)
@@ -238,31 +238,32 @@ func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgr
 	start, end := src.Bounds()
 	agg := newSourceAgg(start, end, intervals, r)
 	sp := obs.Span(ctx, "signature.extract")
-	occs, err := extractFromSource(ctx, src, agg, cfg)
+	occs, flows, err := extractFromSource(ctx, src, agg, cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(ctx, agg, r, cfg, occs), nil
+	return newPipeline(ctx, agg, cfg, occs, flows), nil
 }
 
 // NewPipelineFromOccurrencesContext builds the pipeline of one Monitor
 // window, [start, end], from the extractor that observed it and occs,
-// that extractor's Gather: there is no extraction pass and no event
-// log, the aggregates (intervals as above: a Monitor window passes 0)
-// are folded from what the extractor retains. The pipeline aliases the
-// extractor's pooled memory through occs; the caller resets the
-// extractor only when it is done with the pipeline.
+// that extractor's Gather (whose flow ids it reads beside them): there
+// is no extraction pass and no event log, the aggregates (intervals as
+// above: a Monitor window passes 0) are folded from what the extractor
+// retains. The pipeline aliases the extractor's pooled memory through
+// occs; the caller resets the extractor only when it is done with the
+// pipeline.
 func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, r *appgroup.Resolver, cfg Config, intervals int, occs []Occurrence) *Pipeline {
 	agg := newSourceAgg(start, end, intervals, r)
 	x.fold(agg)
-	return newPipeline(ctx, agg, r, cfg.withDefaults(), occs)
+	return newPipeline(ctx, agg, cfg.withDefaults(), occs, x.g.flows[:len(occs)])
 }
 
 // extractFromSource drains the source, interning every flow event's key
 // once and feeding the id to the aggregates and to the occurrence
-// extractor.
-func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg Config) ([]Occurrence, error) {
+// extractor, and returns the occurrences with their flow ids.
+func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg Config) ([]Occurrence, []int32, error) {
 	x := NewStreamExtractor(cfg.OccurrenceGap)
 	for {
 		batch, err := src.Next()
@@ -270,7 +271,7 @@ func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("signature: reading event source: %w", err)
+			return nil, nil, fmt.Errorf("signature: reading event source: %w", err)
 		}
 		agg.events += len(batch)
 		for i := range batch {
@@ -288,9 +289,10 @@ func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	agg.finish()
-	return x.Flush(), nil
+	occs, flows := x.flush()
+	return occs, flows, nil
 }

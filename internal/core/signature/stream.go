@@ -3,6 +3,7 @@ package signature
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -93,12 +94,23 @@ type StreamExtractor struct {
 }
 
 // gatherer holds one gather's output: runs back the occurrences' Events
-// (runUsed slots of the last are taken); spans is the per-flow scratch.
+// (runUsed slots of the last are taken); flows[i] is occs[i]'s flow id;
+// spans is the per-flow scratch.
 type gatherer struct {
 	runs    []*eventChunk
 	runUsed int
 	spans   [][]flowlog.Event
 	occs    []Occurrence
+	flows   []int32
+}
+
+// Len, Less and Swap sort the gathered occurrences into canonical order,
+// their flow ids alongside.
+func (g *gatherer) Len() int           { return len(g.occs) }
+func (g *gatherer) Less(i, j int) bool { return compareOccurrences(g.occs[i], g.occs[j]) < 0 }
+func (g *gatherer) Swap(i, j int) {
+	g.occs[i], g.occs[j] = g.occs[j], g.occs[i]
+	g.flows[i], g.flows[j] = g.flows[j], g.flows[i]
 }
 
 // NewStreamExtractor creates an empty extractor with the given episode
@@ -195,7 +207,8 @@ func (x *StreamExtractor) gather(g *gatherer) []Occurrence {
 	if occs == nil || cap(occs) < flows {
 		occs = make([]Occurrence, 0, flows)
 	}
-	for _, buf := range spans {
+	ids := g.flows[:0]
+	for id, buf := range spans {
 		if len(buf) == 0 {
 			continue
 		}
@@ -214,9 +227,12 @@ func (x *StreamExtractor) gather(g *gatherer) []Occurrence {
 			}
 		}
 		occs = appendEpisode(occs, key, buf[start:len(buf):len(buf)])
+		for len(ids) < len(occs) {
+			ids = append(ids, int32(id))
+		}
 	}
-	slices.SortFunc(occs, compareOccurrences)
-	g.occs = occs
+	g.occs, g.flows = occs, ids
+	sort.Sort(g)
 	return occs
 }
 
@@ -229,7 +245,7 @@ func (x *StreamExtractor) Reset() {
 	// Stale aliases would pin chunks the pool has since dropped.
 	clear(x.g.spans[:cap(x.g.spans)])
 	clear(x.g.occs)
-	x.g.occs = x.g.occs[:0]
+	x.g.occs, x.g.flows = x.g.occs[:0], x.g.flows[:0]
 	clear(x.ids)
 	x.count, x.removed = x.count[:0], x.removed[:0]
 	x.n, x.events = 0, 0
@@ -238,8 +254,12 @@ func (x *StreamExtractor) Reset() {
 // Flush is Gather then Reset for callers that keep the result: the
 // occurrences and the runs behind them belong to the caller and never
 // return to the pool.
-func (x *StreamExtractor) Flush() []Occurrence {
-	occs := x.gather(new(gatherer))
+func (x *StreamExtractor) Flush() []Occurrence { occs, _ := x.flush(); return occs }
+
+// flush is Flush, also handing over the occurrences' flow ids.
+func (x *StreamExtractor) flush() ([]Occurrence, []int32) {
+	g := new(gatherer)
+	occs := x.gather(g)
 	x.Reset()
-	return occs
+	return occs, g.flows
 }

@@ -25,13 +25,17 @@ const (
 // continues from the returned reader, which replays the peeked bytes.
 func Sniff(r io.Reader) (Format, *bufio.Reader) {
 	br := bufio.NewReader(r)
+	return sniff(br), br
+}
+
+func sniff(br *bufio.Reader) Format {
 	switch magic, _ := br.Peek(len(fileMagic)); string(magic) {
 	case fileMagic:
-		return FormatColumnar, br
+		return FormatColumnar
 	case "FDL1":
-		return FormatBinary, br
+		return FormatBinary
 	}
-	return FormatJSON, br
+	return FormatJSON
 }
 
 // ReadAny decodes a whole flow log in any of the three serializations —
@@ -40,19 +44,30 @@ func Sniff(r io.Reader) (Format, *bufio.Reader) {
 // the row formats are materialized and filtered in memory with the same
 // semantics. The rest of opts, and ctx, apply to the columnar decode.
 func ReadAny(ctx context.Context, r io.Reader, opts ReaderOptions) (*flowlog.Log, error) {
-	format, br := Sniff(r)
+	return ReadAnyInto(ctx, r, opts, nil)
+}
+
+// ReadAnyInto is ReadAny for callers that recycle event batches: an
+// FDC1 body decodes onto dst[:0] with every field of every event
+// written, growing it when short; the row formats allocate their own.
+// Either way the returned Events are the caller's to reuse. The decode
+// state (buffered reader, payload slab, column scratch, switch-name
+// table) is pooled across calls and keeps no view of r.
+func ReadAnyInto(ctx context.Context, r io.Reader, opts ReaderOptions, dst []flowlog.Event) (*flowlog.Log, error) {
+	rd := readers.Get().(*Reader)
+	defer rd.release()
+	rd.br.Reset(r)
 	read := flowlog.ReadJSON
-	switch format {
+	switch sniff(rd.br) {
 	case FormatColumnar:
-		cr, err := NewReaderContext(ctx, br, opts)
-		if err != nil {
+		if err := rd.open(ctx, opts); err != nil {
 			return nil, err
 		}
-		return cr.ReadAll()
+		return rd.readAll(dst)
 	case FormatBinary:
 		read = flowlog.ReadBinary
 	}
-	log, err := read(br)
+	log, err := read(rd.br)
 	if err != nil {
 		return nil, err
 	}

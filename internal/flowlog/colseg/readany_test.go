@@ -7,7 +7,96 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"flowdiff/internal/flowlog"
 )
+
+// eachLeaf calls f on every leaf field of v, a struct, by dotted name:
+// netip.Addr counts as one leaf.
+func eachLeaf(v reflect.Value, prefix string, f func(name string, leaf reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		fv, name := v.Field(i), prefix+v.Type().Field(i).Name
+		if fv.Kind() == reflect.Struct && fv.Type() != reflect.TypeOf(netip.Addr{}) {
+			eachLeaf(fv, name+".", f)
+			continue
+		}
+		f(name, fv)
+	}
+}
+
+// garbageEvent sets every leaf of an Event to a non-zero value: what a
+// recycled batch holds before a decode overwrites it.
+func garbageEvent(t *testing.T) flowlog.Event {
+	var e flowlog.Event
+	eachLeaf(reflect.ValueOf(&e).Elem(), "", func(name string, leaf reflect.Value) {
+		switch leaf.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			leaf.SetInt(77)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			leaf.SetUint(77)
+		case reflect.String:
+			leaf.SetString("stale")
+		default:
+			if leaf.Type() != reflect.TypeOf(netip.Addr{}) {
+				t.Fatalf("Event.%s: no garbage for a %s field; teach garbageEvent", name, leaf.Type())
+			}
+			leaf.Set(reflect.ValueOf(netip.AddrFrom4([4]byte{192, 0, 2, 77})))
+		}
+	})
+	return e
+}
+
+// TestEventColumnsCoverEveryField: an all-zero event decoded over a
+// garbage one leaves no garbage, so every leaf field of flowlog.Event
+// is written by some column. A field added without a column would leak
+// a stale value through a recycled ingest batch.
+func TestEventColumnsCoverEveryField(t *testing.T) {
+	raw := encode(t, &flowlog.Log{Events: []flowlog.Event{{}}}, WriterOptions{})
+	got, err := ReadAnyInto(context.Background(), bytes.NewReader(raw), ReaderOptions{}, []flowlog.Event{garbageEvent(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eachLeaf(reflect.ValueOf(got.Events[0]), "", func(name string, leaf reflect.Value) {
+		if !leaf.IsZero() {
+			t.Errorf("Event.%s = %v after decoding a zero event: no column writes it", name, leaf)
+		}
+	})
+}
+
+// TestReadAnyIntoDirtyDestination: decoding FDC1, both versions, onto a
+// batch full of garbage is DeepEqual to a fresh decode, in the batch's
+// own storage, however often the pooled decode state is reused.
+func TestReadAnyIntoDirtyDestination(t *testing.T) {
+	l := testLog(2*time.Minute, 2000)
+	v2 := encode(t, l, WriterOptions{SegmentDuration: 20 * time.Second})
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{{"v1", toV1(t, v2)}, {"v2", v2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := ReadAny(context.Background(), bytes.NewReader(tc.raw), ReaderOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]flowlog.Event, len(want.Events)+17)
+			for round := 0; round < 3; round++ {
+				for i := range dst {
+					dst[i] = garbageEvent(t)
+				}
+				got, err := ReadAnyInto(context.Background(), bytes.NewReader(tc.raw), ReaderOptions{}, dst)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if &got.Events[0] != &dst[0] {
+					t.Fatalf("round %d: decoded into new storage, not onto dst", round)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: decode onto a dirty batch differs from a fresh decode", round)
+				}
+			}
+		})
+	}
+}
 
 // TestReadAnyFormats is the one table over the format front door: each
 // serialization is recognized by its magic and decodes to the same log,

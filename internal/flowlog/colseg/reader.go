@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"time"
 
 	"flowdiff/internal/flowlog"
@@ -101,7 +102,8 @@ type Reader struct {
 	// a capture from N switches allocates N strings however many
 	// segments repeat them.
 	names map[string]string
-	// Decode state, reused across segments.
+	// Decode state, reused across segments (and, through readers, across
+	// ReadAny calls).
 	slab   []byte
 	blocks [numColumns][]byte
 	sc     decodeScratch
@@ -112,39 +114,63 @@ type Reader struct {
 	err    error
 }
 
+// maxPooledSlab and maxPooledRows bound the payload slab and per-row
+// scratch a pooled Reader keeps, so one huge capture pins nothing.
+const maxPooledSlab, maxPooledRows = 4 << 20, 1 << 16
+
+var readers = sync.Pool{New: func() any { return &Reader{br: bufio.NewReaderSize(nil, 1<<16), names: make(map[string]string)} }}
+
+// release hands a ReadAny reader back to readers, keeping its buffers
+// but no view of the request it read.
+func (r *Reader) release() {
+	r.br.Reset(nil)
+	if len(r.names) > 1024 {
+		r.names = make(map[string]string) // a cleared map keeps its buckets
+	}
+	clear(r.names)
+	*r = Reader{br: r.br, names: r.names, slab: r.slab, sc: r.sc, idxBuf: r.idxBuf}
+	if cap(r.slab) > maxPooledSlab {
+		r.slab = nil
+	}
+	if cap(r.sc.times) > maxPooledRows {
+		r.sc = decodeScratch{}
+	}
+	readers.Put(r)
+}
+
 // NewReaderContext opens an FDC1 stream: the header is read and
 // validated immediately, events decode lazily per Next call. Both
 // on-disk versions are readable; files from a future revision are
 // rejected here.
 func NewReaderContext(ctx context.Context, r io.Reader, opts ReaderOptions) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	rd := &Reader{br: bufio.NewReaderSize(r, 1<<16), names: make(map[string]string)}
+	if err := rd.open(ctx, opts); err != nil {
+		return nil, err
+	}
+	return rd, nil
+}
+
+// open reads and validates the header from r.br.
+func (r *Reader) open(ctx context.Context, opts ReaderOptions) error {
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("colseg: reading header: %w", err)
+	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		return fmt.Errorf("colseg: reading header: %w", err)
 	}
 	if string(hdr[0:4]) != fileMagic {
-		return nil, fmt.Errorf("colseg: bad magic %q", hdr[0:4])
+		return fmt.Errorf("colseg: bad magic %q", hdr[0:4])
 	}
 	if hdr[4] != formatVersion1 && hdr[4] != formatVersion2 {
-		return nil, fmt.Errorf("colseg: unsupported version %d", hdr[4])
+		return fmt.Errorf("colseg: unsupported version %d", hdr[4])
 	}
 	if hdr[5] != numColumns {
-		return nil, fmt.Errorf("colseg: unexpected column count %d (want %d)", hdr[5], numColumns)
+		return fmt.Errorf("colseg: unexpected column count %d (want %d)", hdr[5], numColumns)
 	}
-	opts = opts.withDefaults()
-	reg := obs.From(ctx)
-	return &Reader{
-		br:      br,
-		reg:     reg,
-		m:       newReaderMetrics(reg),
-		opts:    opts,
-		spec:    newQuerySpec(opts.Filter, opts.Columns),
-		version: int(hdr[4]),
-		start:   time.Duration(binary.BigEndian.Uint64(hdr[6:14])),
-		end:     time.Duration(binary.BigEndian.Uint64(hdr[14:22])),
-		width:   time.Duration(binary.BigEndian.Uint64(hdr[22:30])),
-		names:   make(map[string]string),
-	}, nil
+	r.opts, r.reg, r.version = opts.withDefaults(), obs.From(ctx), int(hdr[4])
+	r.m, r.spec = newReaderMetrics(r.reg), newQuerySpec(r.opts.Filter, r.opts.Columns)
+	r.start = time.Duration(binary.BigEndian.Uint64(hdr[6:14]))
+	r.end = time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
+	r.width = time.Duration(binary.BigEndian.Uint64(hdr[22:30]))
+	return nil
 }
 
 // Bounds returns the interval the served events cover: the filter
@@ -409,9 +435,13 @@ func (r *Reader) nextSegment(dst []flowlog.Event) ([]flowlog.Event, error) {
 // standing between segments — a fresh one always is — decodes each
 // remaining segment straight onto the end of the log it returns;
 // otherwise the batches are copied out.
-func (r *Reader) ReadAll() (*flowlog.Log, error) {
+func (r *Reader) ReadAll() (*flowlog.Log, error) { return r.readAll(nil) }
+
+// readAll is ReadAll onto dst[:0].
+func (r *Reader) readAll(dst []flowlog.Event) (*flowlog.Log, error) {
 	start, end := r.Bounds()
 	out := flowlog.New(start, end)
+	out.Events = dst[:0]
 	for r.err == nil && !r.done && r.pos >= len(r.seg) {
 		out.Events, r.err = r.nextSegment(out.Events)
 	}

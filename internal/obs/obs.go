@@ -35,7 +35,7 @@ package obs
 
 import (
 	"context"
-	"sort"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,6 +166,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Remove unregisters the named metrics of every kind, so an instrument
+// whose owner is gone leaves the snapshot and a later registration of
+// the name starts from zero. Handles already held keep working, detached.
+func (r *Registry) Remove(names ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		delete(r.counters, name)
+		delete(r.gauges, name)
+		delete(r.hists, name)
+	}
+}
+
 // Reset zeroes every metric (the names stay registered). Tests use it to
 // scope assertions on the Default registry.
 func (r *Registry) Reset() {
@@ -186,18 +202,13 @@ func (r *Registry) Reset() {
 	}
 }
 
-// names returns the sorted metric names of one kind; callers hold no
-// lock. Sorting keeps every snapshot and summary deterministic (the
-// mapiter analyzer forbids leaking map order into output).
-func sortedNames[M any](mu *sync.RWMutex, m map[string]M) []string {
+// registered copies the metrics of one kind; callers hold no lock. A
+// snapshot reads the copy, so it never re-registers a name that Remove
+// drops meanwhile.
+func registered[M any](mu *sync.RWMutex, m map[string]M) map[string]M {
 	mu.RLock()
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	mu.RUnlock()
-	sort.Strings(names)
-	return names
+	defer mu.RUnlock()
+	return maps.Clone(m)
 }
 
 // Counter is a monotonically increasing atomic counter. Record only

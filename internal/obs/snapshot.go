@@ -53,15 +53,13 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return snap
 	}
-	for _, name := range sortedNames(&r.mu, r.counters) {
-		snap.Counters[name] = r.Counter(name).Value()
+	for name, c := range registered(&r.mu, r.counters) {
+		snap.Counters[name] = c.Value()
 	}
-	for _, name := range sortedNames(&r.mu, r.gauges) {
-		g := r.Gauge(name)
+	for name, g := range registered(&r.mu, r.gauges) {
 		snap.Gauges[name] = GaugeSnapshot{Value: g.Value(), Max: g.Max()}
 	}
-	for _, name := range sortedNames(&r.mu, r.hists) {
-		h := r.Histogram(name)
+	for name, h := range registered(&r.mu, r.hists) {
 		snap.Histograms[name] = HistSnapshot{
 			Count: h.Count(),
 			SumNS: int64(h.Sum()),

@@ -141,10 +141,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 const maxBodyBytes = 1 << 30
 
 // decodeLog reads a request body in any of the three flow-log
-// serializations (colseg.ReadAny), capped at maxBodyBytes. ctx governs
-// (and its obs registry observes) a columnar decode.
-func decodeLog(ctx context.Context, r io.Reader) (*flowlog.Log, error) {
-	return colseg.ReadAny(ctx, io.LimitReader(r, maxBodyBytes), colseg.ReaderOptions{})
+// serializations (colseg.ReadAnyInto), capped at maxBodyBytes. An FDC1
+// body decodes onto dst (see ReadAnyInto). ctx governs (and its obs
+// registry observes) a columnar decode.
+func decodeLog(ctx context.Context, r io.Reader, dst []flowlog.Event) (*flowlog.Log, error) {
+	return colseg.ReadAnyInto(ctx, io.LimitReader(r, maxBodyBytes), colseg.ReaderOptions{}, dst)
 }
 
 // validTenantID reports whether id is a safe path component: 1..64

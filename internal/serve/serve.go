@@ -98,6 +98,11 @@ type Server struct {
 	tenants map[string]*tenant
 	closed  bool
 
+	// batches recycles ingest batches (*[]flowlog.Event): the handler
+	// decodes an FDC1 body onto one, the queue carries it, and the
+	// tenant worker hands it back once Observe has copied every event.
+	batches sync.Pool
+
 	// wg joins the tenant workers; auxWg joins the GC loop and the
 	// cancellation watcher, which must outlive the worker drain.
 	wg    sync.WaitGroup
@@ -122,6 +127,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		cancel:  cancel,
 		tenants: make(map[string]*tenant),
 	}
+	s.batches.New = func() any { return new([]flowlog.Event) }
 	if err := s.recover(sctx); err != nil {
 		cancel()
 		return nil, err
@@ -188,6 +194,7 @@ func (s *Server) recover(ctx context.Context) error {
 
 // newTenant wires a tenant and its per-tenant instruments.
 func (s *Server) newTenant(id string, mon *flowdiff.Monitor, meta BaselineMeta, nextSeq uint64) *tenant {
+	names := tenantMetrics(id)
 	t := &tenant{
 		id:           id,
 		srv:          s,
@@ -195,13 +202,21 @@ func (s *Server) newTenant(id string, mon *flowdiff.Monitor, meta BaselineMeta, 
 		meta:         meta,
 		nextSeq:      nextSeq,
 		exited:       make(chan struct{}),
-		depthGauge:   s.reg.Gauge("serve.tenant." + id + ".queue.depth"),
-		flushHist:    s.reg.Histogram("serve.tenant." + id + ".flush"),
-		errCounter:   s.reg.Counter("serve.tenant." + id + ".errors"),
-		windowsCount: s.reg.Counter("serve.tenant." + id + ".windows"),
+		depthGauge:   s.reg.Gauge(names[0]),
+		flushHist:    s.reg.Histogram(names[1]),
+		errCounter:   s.reg.Counter(names[2]),
+		windowsCount: s.reg.Counter(names[3]),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	return t
+}
+
+// tenantMetrics names a tenant's instruments. DELETE removes exactly
+// these: tenant ids may hold dots, so a prefix would also take tenant
+// "t.x"'s along with "t"'s.
+func tenantMetrics(id string) [4]string {
+	p := "serve.tenant." + id + "."
+	return [4]string{p + "queue.depth", p + "flush", p + "errors", p + "windows"}
 }
 
 func (s *Server) startWorker(t *tenant) {
@@ -354,6 +369,11 @@ func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenants[id]
 	if ok {
 		delete(s.tenants, id)
+		// Unregistered together with the id, so a PUT that finds the id
+		// free registers fresh instruments; the draining worker's last
+		// writes land in the detached ones.
+		names := tenantMetrics(id)
+		s.reg.Remove(names[:]...)
 	}
 	n := len(s.tenants)
 	s.mu.Unlock()
@@ -383,7 +403,7 @@ func (s *Server) handlePutBaseline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	log, err := decodeLog(obs.WithRegistry(r.Context(), s.reg), r.Body)
+	log, err := decodeLog(obs.WithRegistry(r.Context(), s.reg), r.Body, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding baseline: %v", err)
 		return
@@ -496,23 +516,37 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "tenant %q has no baseline; PUT /v1/tenants/%s/baseline first", id, id)
 		return
 	}
-	log, err := decodeLog(obs.WithRegistry(r.Context(), s.reg), r.Body)
+	batch := s.batches.Get().(*[]flowlog.Event)
+	log, err := decodeLog(obs.WithRegistry(r.Context(), s.reg), r.Body, *batch)
 	if err != nil {
+		s.recycle(batch)
 		writeError(w, http.StatusBadRequest, "decoding events: %v", err)
 		return
 	}
+	*batch = log.Events
 	if len(log.Events) > s.cfg.QueueBudget {
+		s.recycle(batch)
 		t.rejected.Add(int64(len(log.Events)))
 		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d events exceeds the tenant budget of %d; split it", len(log.Events), s.cfg.QueueBudget)
 		return
 	}
-	accepted, queued := t.enqueueEvents(log.Events)
+	accepted, queued := t.enqueueEvents(batch)
 	if !accepted {
+		s.recycle(batch)
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, IngestResponse{Accepted: 0, Queued: queued, Budget: s.cfg.QueueBudget})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: len(log.Events), Queued: queued, Budget: s.cfg.QueueBudget})
+}
+
+// recycle hands an ingest batch back to s.batches; one above the queue
+// budget is dropped, so the pool keeps no more than a budget per batch.
+func (s *Server) recycle(batch *[]flowlog.Event) {
+	if cap(*batch) <= s.cfg.QueueBudget {
+		*batch = (*batch)[:0]
+		s.batches.Put(batch)
+	}
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {

@@ -11,12 +11,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"flowdiff"
 	"flowdiff/internal/flowlog"
+	"flowdiff/internal/flowlog/colseg"
 	"flowdiff/internal/obs"
 )
 
@@ -136,16 +139,11 @@ func fetchReports(t *testing.T, base, tenant string) []flowdiff.MonitorReport {
 	return out
 }
 
-// TestServeMatchesOfflineMonitor is the service's core contract: two
-// tenants ingest the same capture over HTTP (in different chunkings)
-// and each reads back a report history deeply equal to an offline
-// Monitor run over the same events.
-func TestServeMatchesOfflineMonitor(t *testing.T) {
-	res := capture(t)
-	opts := res.Options()
-	const window = 10 * time.Second
-
-	mon, err := flowdiff.NewMonitor(context.Background(), res.L1, window, nil, flowdiff.Thresholds{}, opts)
+// offlineReports is the oracle every served report history must equal:
+// an offline Monitor run over the capture's current events.
+func offlineReports(t *testing.T, res *flowdiff.ScenarioResult) []flowdiff.MonitorReport {
+	t.Helper()
+	mon, err := flowdiff.NewMonitor(context.Background(), res.L1, 10*time.Second, nil, flowdiff.Thresholds{}, res.Options())
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
@@ -157,43 +155,103 @@ func TestServeMatchesOfflineMonitor(t *testing.T) {
 	if _, err := mon.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	want := mon.Reports()
-	if len(want) == 0 {
+	if len(mon.Reports()) == 0 {
 		t.Fatal("offline monitor produced no reports; the scenario is too quiet to pin equivalence")
 	}
+	return mon.Reports()
+}
 
+// encodings are the three serializations an events body may use.
+var encodings = map[string]func(*testing.T, *flowlog.Log) []byte{
+	"json": logBody,
+	"fdl1": func(t *testing.T, log *flowlog.Log) []byte {
+		var b bytes.Buffer
+		if err := log.WriteBinary(&b); err != nil {
+			t.Fatalf("encoding FDL1: %v", err)
+		}
+		return b.Bytes()
+	},
+	"fdc1": func(t *testing.T, log *flowlog.Log) []byte {
+		var b bytes.Buffer
+		if err := colseg.Write(&b, log, colseg.WriterOptions{}); err != nil {
+			t.Fatalf("encoding FDC1: %v", err)
+		}
+		return b.Bytes()
+	},
+}
+
+// ingestAndFetch streams chunks into a fresh tenant in one encoding,
+// flushes, and returns the served report history.
+func ingestAndFetch(t *testing.T, base, tenant, encoding string, res *flowdiff.ScenarioResult, chunks [][]flowlog.Event) []flowdiff.MonitorReport {
+	t.Helper()
+	putBaseline(t, base, tenant, res.L1)
+	for _, chunk := range chunks {
+		body := encodings[encoding](t, &flowlog.Log{Events: chunk})
+		if code, _, resp := do(t, http.MethodPost, base+"/v1/tenants/"+tenant+"/events", body); code != http.StatusAccepted {
+			t.Fatalf("POST %s events for %s: status %d, body %s", encoding, tenant, code, resp)
+		}
+	}
+	if code, _, body := do(t, http.MethodPost, base+"/v1/tenants/"+tenant+"/flush", nil); code != http.StatusOK {
+		t.Fatalf("POST flush for %s: status %d, body %s", tenant, code, body)
+	}
+	return fetchReports(t, base, tenant)
+}
+
+// TestServeMatchesOfflineMonitor is the service's core contract: tenants
+// ingest the same capture over HTTP, in each of the three encodings and
+// in different chunkings, and each reads back a report history deeply
+// equal to an offline Monitor run over the same events.
+func TestServeMatchesOfflineMonitor(t *testing.T) {
+	res := capture(t)
+	want := offlineReports(t, res)
 	_, ts := newTestServer(t, func(c *Config) {
-		c.Options = opts
+		c.Options = res.Options()
 		c.QueueBudget = len(res.L2.Events) + 1
 	})
 
-	// Tenant A streams one big batch; tenant B the same events split in
-	// three — chunking must not change the diagnosis.
-	chunks := map[string][][]flowlog.Event{
-		"tenant-a": {res.L2.Events},
-		"tenant-b": {
-			res.L2.Events[:len(res.L2.Events)/3],
-			res.L2.Events[len(res.L2.Events)/3 : 2*len(res.L2.Events)/3],
-			res.L2.Events[2*len(res.L2.Events)/3:],
-		},
+	// One big batch, or the same events split in three — chunking must
+	// not change the diagnosis, nor must the encoding.
+	evs := res.L2.Events
+	chunkings := map[string][][]flowlog.Event{
+		"whole":  {evs},
+		"thirds": {evs[:len(evs)/3], evs[len(evs)/3 : 2*len(evs)/3], evs[2*len(evs)/3:]},
 	}
-	for _, tenant := range []string{"tenant-a", "tenant-b"} {
-		putBaseline(t, ts.URL, tenant, res.L1)
-		for _, chunk := range chunks[tenant] {
-			code, _, body := postEvents(t, ts.URL, tenant, chunk)
-			if code != http.StatusAccepted {
-				t.Fatalf("POST events for %s: status %d, body %s", tenant, code, body)
+	for _, encoding := range []string{"json", "fdl1", "fdc1"} {
+		for _, chunking := range []string{"whole", "thirds"} {
+			tenant := encoding + "-" + chunking
+			if got := ingestAndFetch(t, ts.URL, tenant, encoding, res, chunkings[chunking]); !reflect.DeepEqual(got, want) {
+				t.Errorf("tenant %s: served reports differ from the offline monitor run (%d vs %d reports)", tenant, len(got), len(want))
 			}
 		}
-		code, _, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/"+tenant+"/flush", nil)
-		if code != http.StatusOK {
-			t.Fatalf("POST flush for %s: status %d, body %s", tenant, code, body)
-		}
-		got := fetchReports(t, ts.URL, tenant)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tenant %s: served reports differ from the offline monitor run (%d vs %d reports)", tenant, len(got), len(want))
-		}
 	}
+}
+
+// TestServeConcurrentFDC1Ingest: tenants posting FDC1 chunks at once
+// share the recycled ingest batches and pooled decode state, and each
+// still reads back the offline Monitor's reports.
+func TestServeConcurrentFDC1Ingest(t *testing.T) {
+	res := capture(t)
+	want := offlineReports(t, res)
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Options = res.Options()
+		c.QueueBudget = len(res.L2.Events) + 1
+	})
+	var chunks [][]flowlog.Event
+	for evs := res.L2.Events; len(evs) > 0; {
+		n := min(len(evs), 700)
+		chunks, evs = append(chunks, evs[:n]), evs[n:]
+	}
+	t.Run("tenants", func(t *testing.T) {
+		for i := 0; i < 4; i++ {
+			tenant := fmt.Sprintf("fdc1-%d", i)
+			t.Run(tenant, func(t *testing.T) {
+				t.Parallel()
+				if got := ingestAndFetch(t, ts.URL, tenant, "fdc1", res, chunks); !reflect.DeepEqual(got, want) {
+					t.Errorf("served reports differ from the offline monitor run (%d vs %d reports)", len(got), len(want))
+				}
+			})
+		}
+	})
 }
 
 // TestBackpressureAtomicBatches pins the ingest contract: a batch that
@@ -458,6 +516,52 @@ func TestSnapshotShowsTenantMetrics(t *testing.T) {
 	}
 	if h, ok := snap.Histograms["serve.tenant.t.flush"]; !ok || h.Count == 0 {
 		t.Errorf("snapshot is missing per-tenant flush observations (ok=%v, %+v)", ok, h)
+	}
+}
+
+// TestDeleteTenantRemovesItsInstruments: after DELETE no
+// serve.tenant.<id>.* instrument of the tenant is left in the snapshot
+// (those of a tenant whose id it prefixes stay), and a tenant re-created
+// under the same id counts from zero.
+func TestDeleteTenantRemovesItsInstruments(t *testing.T) {
+	res := capture(t)
+	reg := obs.New()
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Options = res.Options()
+		c.QueueBudget = len(res.L2.Events) + 1
+		c.Registry = reg
+	})
+	for _, tenant := range []string{"t", "t.x"} {
+		if got := ingestAndFetch(t, ts.URL, tenant, "fdc1", res, [][]flowlog.Event{res.L2.Events}); len(got) == 0 {
+			t.Fatalf("tenant %s produced no windows", tenant)
+		}
+	}
+	if code, _, body := do(t, http.MethodDelete, ts.URL+"/v1/tenants/t", nil); code != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d, body %s", code, body)
+	}
+	snap := reg.Snapshot()
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, name)
+	}
+	for name := range snap.Gauges {
+		names = append(names, name)
+	}
+	for name := range snap.Histograms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if strings.HasPrefix(name, "serve.tenant.t.") && !strings.HasPrefix(name, "serve.tenant.t.x.") {
+			t.Errorf("instrument %s outlived its tenant", name)
+		}
+	}
+	if snap.Counters["serve.tenant.t.x.windows"] == 0 {
+		t.Error("deleting tenant t removed tenant t.x's instruments")
+	}
+	putBaseline(t, ts.URL, "t", res.L1)
+	if got := reg.Counter("serve.tenant.t.windows").Value(); got != 0 {
+		t.Errorf("re-created tenant starts at %d windows, want 0", got)
 	}
 }
 

@@ -58,10 +58,11 @@ type tenant struct {
 }
 
 // job is one unit of tenant work. Exactly one of events / flush / swap
-// is set. done (when non-nil) receives the result exactly once; it must
-// be buffered so an abandoned waiter never blocks the worker.
+// is set; events is a pooled batch the worker recycles once observed.
+// done (when non-nil) receives the result exactly once; it must be
+// buffered so an abandoned waiter never blocks the worker.
 type job struct {
-	events []flowlog.Event
+	events *[]flowlog.Event
 	flush  bool
 	swap   *flowlog.Log
 	done   chan jobResult
@@ -78,7 +79,8 @@ type jobResult struct {
 // enqueueEvents applies the backpressure contract: the whole batch is
 // accepted (queued, counted, eventually observed) or rejected — never
 // split. It returns the buffered event count after the decision.
-func (t *tenant) enqueueEvents(events []flowlog.Event) (accepted bool, queued int) {
+func (t *tenant) enqueueEvents(batch *[]flowlog.Event) (accepted bool, queued int) {
+	events := *batch
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed || t.queued+len(events) > t.srv.cfg.QueueBudget {
@@ -86,7 +88,7 @@ func (t *tenant) enqueueEvents(events []flowlog.Event) (accepted bool, queued in
 		return false, t.queued
 	}
 	t.queued += len(events)
-	t.queue = append(t.queue, job{events: events})
+	t.queue = append(t.queue, job{events: batch})
 	t.accepted.Add(int64(len(events)))
 	t.depthGauge.Set(int64(t.queued))
 	t.cond.Signal()
@@ -145,7 +147,10 @@ func (t *tenant) process(ctx context.Context, j job) {
 	}
 	switch {
 	case j.events != nil:
-		t.processEvents(ctx, j.events)
+		t.processEvents(ctx, *j.events)
+		// Observe copied every event out: into the extractor's arena, or
+		// a FlowRemoved into a record; switch names are interned strings.
+		t.srv.recycle(j.events)
 	case j.flush:
 		rec, err := t.flush(ctx)
 		j.done <- jobResult{rec: rec, err: err}

@@ -793,28 +793,36 @@ func TestMonitorSnapshot(t *testing.T) {
 // per-window path, the flush beside the per-event one above: once two
 // windows have warmed the pool and the group cache, modeling, diffing
 // and diagnosing a 5k-event window allocates flushAllocCeiling objects
-// at most — the measured count plus 15 %. A per-window product nothing
-// reads (a stability map for the current side was three times this)
-// fails here before it fails the benchmark.
+// and flushBytesCeiling bytes at most — the measured values plus 15 %.
+// A per-window product nothing reads (a stability map for the current
+// side was three times the objects), or a flush that hashes flow keys
+// again instead of reading their interned ids, fails here before it
+// fails the benchmark.
 func TestMonitorFlushSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops recycled chunks at random under the race detector")
 	}
-	const flushAllocCeiling = 245 // measured 213, + 15 %
+	const (
+		flushAllocCeiling = 267     // measured 232, + 15 %
+		flushBytesCeiling = 295_000 // measured 256,568, + 15 %; keyed by FlowKey it was 499,480
+	)
 	// No collection while measuring: one would empty the pool mid-run.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P, one pool shard: a chunk put back on another P's private slot
+	// would be a 40 KB miss.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	window := time.Minute
 	baseline := flowlog.New(0, window)
-	baseline.Events = monitorChainEvents(0, window, 48*time.Millisecond)
+	baseline.Events = monitorHopEvents(0, window)
 	m, err := NewMonitor(context.Background(), baseline, window, nil, Thresholds{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	var worst uint64
+	var worst, worstBytes uint64
 	for w := 0; w < 6; w++ {
 		from := baseline.End + time.Duration(w)*window
-		events := monitorChainEvents(from, from+window, 48*time.Millisecond)
+		events := monitorHopEvents(from, from+window)
 		if len(events) != 5000 {
 			t.Fatalf("window holds %d events, want 5000", len(events))
 		}
@@ -830,12 +838,33 @@ func TestMonitorFlushSteadyStateAllocs(t *testing.T) {
 		if err != nil || rep == nil {
 			t.Fatalf("window %d: report %v, err %v", w, rep, err)
 		}
-		if n := after.Mallocs - before.Mallocs; w >= 2 && n > worst {
-			worst = n
+		if w >= 2 {
+			worst = max(worst, after.Mallocs-before.Mallocs)
+			worstBytes = max(worstBytes, after.TotalAlloc-before.TotalAlloc)
 		}
 	}
-	t.Logf("steady-state Flush: %d allocations per 5k-event window", worst)
+	t.Logf("steady-state Flush: %d allocations, %d bytes per 5k-event window", worst, worstBytes)
 	if worst > flushAllocCeiling {
 		t.Errorf("steady-state Flush allocates %d objects per 5k-event window, want <= %d", worst, flushAllocCeiling)
 	}
+	if worstBytes > flushBytesCeiling {
+		t.Errorf("steady-state Flush allocates %d bytes per 5k-event window, want <= %d", worstBytes, flushBytesCeiling)
+	}
+}
+
+// monitorHopEvents is monitorChainEvents with a second hop and the
+// closing FlowRemoved of every flow: 5000 events a minute, and a window
+// whose flush attributes link bytes and interval latency too.
+func monitorHopEvents(from, to time.Duration) []flowlog.Event {
+	var out []flowlog.Event
+	for _, e := range monitorChainEvents(from, to, 96*time.Millisecond) {
+		out = append(out, e)
+		if e.Type == flowlog.EventFlowMod {
+			out = append(out,
+				flowlog.Event{Time: e.Time + time.Millisecond, Type: flowlog.EventPacketIn, Switch: "sw2", Flow: e.Flow},
+				flowlog.Event{Time: e.Time + 2*time.Millisecond, Type: flowlog.EventFlowRemoved, Switch: "sw1", Flow: e.Flow, Bytes: 1500, Packets: 1},
+			)
+		}
+	}
+	return out
 }

@@ -122,16 +122,17 @@ mkdir -p bench/out
 # short flowbench pass per workload listed in scripts/bench_ceilings.txt
 # (lines of "<workload> <metric> <ceiling>") must verify against its
 # oracle and stay under the committed ceilings — the measured values of
-# the change that last lowered them, plus 15 %. stream_fdc1: 393 B/event
-# and 0.47 allocs/event from 341.9 / 0.406 once Monitor windows stopped
-# building a stability product. stream_json_chunked, the text path: 578
-# and 0.94 from 502.6 / 0.814 once ReadJSON stopped going through
-# reflection (was 1,396 / 6.85). read_beside_write, the store's read
-# direction: 419 and 0.62 from 364.0 / 0.536 once ListReports stopped
-# re-parsing unchanged report files (was 384.6 / 1.053, so a list that
-# parses every file again fails the allocs ceiling). offline_compare,
-# the batch build path with no serve in it: 407 and 0.144 from 353.9 /
-# 0.1247 once every build ran serially (was 388.7 / 0.1269). Only the
+# the change that last lowered them, plus 15 %. All four were last
+# lowered when FDC1 ingest began decoding onto recycled batches through
+# pooled decode state and the flush began indexing by interned flow and
+# edge ids. stream_fdc1: 113 B/event and 0.420 allocs/event from 98.2 /
+# 0.3652 (was 341.9 / 0.406). stream_json_chunked, the text path: 506
+# and 0.885 from 440.1 / 0.7698 (was 502.6 / 0.814; reflection-based
+# ReadJSON was 1,396 / 6.85). read_beside_write, the store's read
+# direction: 135 and 0.530 from 117.4 / 0.4604 (was 364.0 / 0.536; a
+# list that re-parses every report file, 384.6 / 1.053, fails the
+# allocs ceiling). offline_compare, the batch build path with no serve in
+# it: 403 and 0.139 from 350.3 / 0.1205 (was 353.9 / 0.1247). Only the
 # allocation metrics are gated: they repeat to under 0.5 % on one host
 # and toolchain, the timings (echoed below) do not.
 bench_metric() { printf '%s\n' "$BENCH_JSON" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"; }
@@ -162,12 +163,13 @@ go test -run '^Fuzz' ./internal/flowlog/...
 # Named-test smokes. go test -run passes silently ("no tests to run")
 # when a name matches nothing, so a renamed test would quietly turn its
 # smoke into a no-op: each runs with -v and must print one PASS line
-# per name.
+# per name. SMOKE_FLAGS adds go test flags (a later -count wins).
 SMOKE_OUT="$(mktemp)"
+SMOKE_FLAGS=
 named_smoke() {
 	pkg="$1"
 	shift
-	go test -count=1 -v -run "^($(echo "$@" | tr ' ' '|'))\$" "$pkg" > "$SMOKE_OUT" || {
+	go test -count=1 $SMOKE_FLAGS -v -run "^($(echo "$@" | tr ' ' '|'))\$" "$pkg" > "$SMOKE_OUT" || {
 		cat "$SMOKE_OUT"
 		exit 1
 	}
@@ -196,6 +198,14 @@ named_smoke ./cmd/flowdiff TestServeSmokeTwoTenantsMatchOffline
 # fault scenario, and strictly beat the change-count baseline on
 # equal-cost-link-drop (floors pinned inside the test).
 named_smoke ./internal/experiments TestLocalizationAccuracy
+# Recycling smoke: FDC1 ingest decodes onto batches the tenant workers
+# hand back to a shared pool, through pooled decode state. Ten raced
+# rounds of four tenants ingesting at once, and of decodes onto garbage
+# batches, must match a fresh decode and the offline Monitor.
+SMOKE_FLAGS="-race -count=10"
+named_smoke ./internal/serve TestServeConcurrentFDC1Ingest
+named_smoke ./internal/flowlog/colseg TestReadAnyIntoDirtyDestination
+SMOKE_FLAGS=
 rm -f "$SMOKE_OUT"
 # ./... picks up every bench — the paper-figure and ablation benches,
 # the package micro-benches (Mine, Discover, RankSuspects, colseg) and
