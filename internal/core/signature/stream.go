@@ -127,12 +127,9 @@ func NewStreamExtractor(gap time.Duration) *StreamExtractor {
 func (x *StreamExtractor) Pending() int { return x.n }
 func (x *StreamExtractor) Events() int  { return x.events }
 
-// Append feeds one event. O(1) amortized: one hash of the flow key and,
-// for a control event, one copy into the arena (Append itself inlines,
-// so the caller's event is the one copied).
-func (x *StreamExtractor) Append(e flowlog.Event) { x.add(&e) }
-
-func (x *StreamExtractor) add(e *flowlog.Event) {
+// Add feeds one event. O(1) amortized: one hash of the flow key and,
+// for a control event, one copy of *e into the arena; nothing keeps e.
+func (x *StreamExtractor) Add(e *flowlog.Event) {
 	x.events++
 	switch e.Type {
 	case flowlog.EventPacketIn, flowlog.EventFlowMod:

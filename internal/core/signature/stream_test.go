@@ -14,8 +14,8 @@ import (
 
 // feedAll drives an extractor event by event over a log slice.
 func feedAll(x *StreamExtractor, events []flowlog.Event) {
-	for _, e := range events {
-		x.Append(e)
+	for i := range events {
+		x.Add(&events[i])
 	}
 }
 
@@ -77,9 +77,9 @@ func TestStreamExtractorGapBoundary(t *testing.T) {
 	key := flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 5, DstPort: 80}
 	gap := time.Second
 	x := NewStreamExtractor(gap)
-	x.Append(flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
-	x.Append(flowlog.Event{Time: gap, Type: flowlog.EventFlowMod, Switch: "sw", Flow: key})
-	x.Append(flowlog.Event{Time: 2*gap + 1, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
+	x.Add(&flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
+	x.Add(&flowlog.Event{Time: gap, Type: flowlog.EventFlowMod, Switch: "sw", Flow: key})
+	x.Add(&flowlog.Event{Time: 2*gap + 1, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
 	occs := x.Flush()
 	if len(occs) != 2 {
 		t.Fatalf("got %d occurrences, want 2 (split only on strictly-greater gap)", len(occs))
@@ -95,9 +95,9 @@ func TestStreamExtractorGapBoundary(t *testing.T) {
 func TestStreamExtractorIgnoresNonControl(t *testing.T) {
 	key := flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 5, DstPort: 80}
 	x := NewStreamExtractor(time.Second)
-	x.Append(flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
-	x.Append(flowlog.Event{Time: 500 * time.Millisecond, Type: flowlog.EventFlowRemoved, Switch: "sw", Flow: key})
-	x.Append(flowlog.Event{Time: 600 * time.Millisecond, Type: flowlog.EventPortStatus, Switch: "sw"})
+	x.Add(&flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
+	x.Add(&flowlog.Event{Time: 500 * time.Millisecond, Type: flowlog.EventFlowRemoved, Switch: "sw", Flow: key})
+	x.Add(&flowlog.Event{Time: 600 * time.Millisecond, Type: flowlog.EventPortStatus, Switch: "sw"})
 	if x.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1 (only the PacketIn is a control event)", x.Pending())
 	}

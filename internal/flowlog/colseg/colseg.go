@@ -401,6 +401,17 @@ type cursor struct {
 	off int
 }
 
+// uvarint1 decodes a one-byte uvarint, the common case in every per-row
+// column, inline; ok is false for a longer value or a block's end, which
+// the caller hands to uvarint.
+func (c *cursor) uvarint1() (v uint64, ok bool) {
+	if c.off < len(c.b) && c.b[c.off] < 0x80 {
+		c.off++
+		return uint64(c.b[c.off-1]), true
+	}
+	return 0, false
+}
+
 func (c *cursor) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {

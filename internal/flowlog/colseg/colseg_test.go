@@ -384,6 +384,9 @@ func FuzzReadSegment(f *testing.F) {
 	// covered by a CRC) and must fail in the column decode.
 	f.Add(hostileCount(valid))
 	f.Add(hostileCount(validV1))
+	// A run longer than the segment, under a valid CRC: the run-length
+	// check, not the checksum, must reject it.
+	f.Add(overlongRun(encode(f, testLog(time.Second, 40), WriterOptions{})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// ReadAll decodes straight into the log it returns; batch by
@@ -411,7 +414,65 @@ func FuzzReadSegment(f *testing.F) {
 		if allErr == nil && !reflect.DeepEqual(events, all.Events) {
 			t.Fatalf("batched read decoded %d events, ReadAll %d, or they differ", len(events), len(all.Events))
 		}
+		// The one-pass kernel against the column passes it replaced, onto
+		// dirty batches, under every query shape.
+		var sc decodeScratch
+		for _, tc := range queryCases {
+			opts := ReaderOptions{Filter: tc.f, Columns: tc.cols}
+			got, gotFiltered, gotErr := decodeWith(data, opts, decodeBlocks, &sc, dirtyBatch(t))
+			want, wantFiltered, wantErr := decodeWith(data, opts, decodeBlocksReference, &sc, dirtyBatch(t))
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s: kernel error %v, column passes %v", tc.name, gotErr, wantErr)
+			}
+			if gotErr == nil && (gotFiltered != wantFiltered || !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%s: kernel kept %d (filtered %d), column passes %d (filtered %d), or they differ",
+					tc.name, len(got), gotFiltered, len(want), wantFiltered)
+			}
+		}
 	})
+}
+
+// decodeFunc is the shape of decodeBlocks.
+type decodeFunc func(*[numColumns][]byte, int, *querySpec, map[string]string, *decodeScratch, []flowlog.Event) ([]flowlog.Event, int, error)
+
+// decodeWith reads a whole FDC1 stream as Reader does, decoding every
+// unpruned segment with decode, through sc, onto dst[:0]; it returns the
+// kept events and the decode-time filtered count.
+func decodeWith(data []byte, opts ReaderOptions, decode decodeFunc, sc *decodeScratch, dst []flowlog.Event) ([]flowlog.Event, int, error) {
+	r, err := NewReaderContext(context.Background(), bytes.NewReader(data), opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	out, filtered := dst[:0], 0
+	for {
+		meta, done, err := r.readMeta()
+		if err != nil || done {
+			return out, filtered, err
+		}
+		if pruned, byIndex := r.prune(&meta); pruned {
+			if err := r.skipSegment(&meta, byIndex); err != nil {
+				return nil, 0, err
+			}
+			continue
+		}
+		if err := r.loadBlocks(&meta); err != nil {
+			return nil, 0, err
+		}
+		var f int
+		if out, f, err = decode(&r.blocks, meta.count, r.spec, r.names, sc, out); err != nil {
+			return nil, 0, err
+		}
+		filtered += f
+	}
+}
+
+// dirtyBatch is a recycled batch: every field of every event garbage.
+func dirtyBatch(t *testing.T) []flowlog.Event {
+	b := make([]flowlog.Event, 256)
+	for i := range b {
+		b[i] = garbageEvent(t)
+	}
+	return b
 }
 
 // hostileCount returns file with its first segment's event count raised
@@ -419,6 +480,22 @@ func FuzzReadSegment(f *testing.F) {
 func hostileCount(file []byte) []byte {
 	out := append([]byte(nil), file...)
 	binary.BigEndian.PutUint32(out[headerLen+4+16:], maxSegmentEvents)
+	return out
+}
+
+// overlongRun returns a one-segment version-2 file with the type
+// column's first run stretched past the segment's event count (which
+// must be under 127, so the run length stays one byte) and the column
+// CRC recomputed.
+func overlongRun(file []byte) []byte {
+	out := append([]byte(nil), file...)
+	seg := out[headerLen+4:]
+	count := binary.BigEndian.Uint32(seg[16:])
+	index := seg[preambleLenV2:][:binary.BigEndian.Uint32(seg[24:])]
+	payload := seg[preambleLenV2+len(index):]
+	block := payload[binary.BigEndian.Uint32(index[columnType*4:]):binary.BigEndian.Uint32(index[(columnType+1)*4:])]
+	block[0] = byte(count + 1)
+	binary.BigEndian.PutUint32(index[(numColumns+columnType)*4:], crc32.ChecksumIEEE(block))
 	return out
 }
 

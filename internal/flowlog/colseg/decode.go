@@ -92,19 +92,29 @@ func decodeAddrBlock(block []byte, count int, name string, dictBuf *[]netip.Addr
 			dict[i] = netip.Addr{}
 		}
 	}
+	ids, err := decodeIDs(&c, count, len(dict), name, idsBuf)
+	return dict, ids, err
+}
+
+// decodeIDs decodes a dictionary column's count per-event indexes,
+// each checked against the dictionary's size, into the caller's buffer.
+func decodeIDs(c *cursor, count, dictLen int, name string, idsBuf *[]uint32) ([]uint32, error) {
 	ids := grow(*idsBuf, count)
 	*idsBuf = ids
 	for i := range ids {
-		id, err := c.uvarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("colseg: %s column: %w", name, err)
+		id, ok := c.uvarint1()
+		if !ok {
+			var err error
+			if id, err = c.uvarint(); err != nil {
+				return nil, fmt.Errorf("colseg: %s column: %w", name, err)
+			}
 		}
-		if id >= uint64(len(dict)) {
-			return nil, nil, fmt.Errorf("colseg: %s column: dictionary index %d out of range", name, id)
+		if id >= uint64(dictLen) {
+			return nil, fmt.Errorf("colseg: %s column: dictionary index %d out of range", name, id)
 		}
 		ids[i] = uint32(id)
 	}
-	return dict, ids, nil
+	return ids, nil
 }
 
 // decodeSwitchBlock decodes the switch column into its name dictionary
@@ -140,19 +150,133 @@ func decodeSwitchBlock(block []byte, count int, names map[string]string, dictBuf
 		}
 		dict[i] = name
 	}
-	ids := grow(*idsBuf, count)
-	*idsBuf = ids
-	for i := range ids {
-		id, err := c.uvarint()
+	ids, err := decodeIDs(&c, count, len(dict), "switch", idsBuf)
+	return dict, ids, err
+}
+
+// segRows is what a segment's rows carry before their value columns:
+// each row's time, whether the query keeps it, and the dictionaries and
+// per-row indexes of the address and switch columns the query needs.
+type segRows struct {
+	times            []int64
+	keep             []bool // nil keeps every row
+	kept             int
+	srcDict, dstDict []netip.Addr
+	srcIDs, dstIDs   []uint32
+	swDict           []string
+	swIDs            []uint32
+}
+
+// decodeRows decodes the time column (always: time orders the batch and
+// drives windowed filtering) and the dictionary columns the query
+// needs, into the caller's scratch, and narrows the keep mask by each
+// active filter dimension.
+func decodeRows(blocks *[numColumns][]byte, count int, spec *querySpec, names map[string]string, sc *decodeScratch) (rows segRows, err error) {
+	times := grow(sc.times, count)
+	sc.times = times
+	c := cursor{b: blocks[columnTime]}
+	prev := int64(0)
+	for i := range times {
+		d, err := c.varint()
 		if err != nil {
-			return nil, nil, fmt.Errorf("colseg: switch column: %w", err)
+			return rows, fmt.Errorf("colseg: time column: %w", err)
 		}
-		if id >= uint64(len(dict)) {
-			return nil, nil, fmt.Errorf("colseg: switch column: dictionary index %d out of range", id)
-		}
-		ids[i] = uint32(id)
+		prev += d
+		times[i] = prev
 	}
-	return dict, ids, nil
+	rows.times, rows.kept = times, count
+
+	if spec.need.has(columnSrc) {
+		if rows.srcDict, rows.srcIDs, err = decodeAddrBlock(blocks[columnSrc], count, "src", &sc.srcDict, &sc.srcIDs); err != nil {
+			return rows, err
+		}
+	}
+	if spec.need.has(columnDst) {
+		if rows.dstDict, rows.dstIDs, err = decodeAddrBlock(blocks[columnDst], count, "dst", &sc.dstDict, &sc.dstIDs); err != nil {
+			return rows, err
+		}
+	}
+	if spec.need.has(columnSwitch) {
+		if rows.swDict, rows.swIDs, err = decodeSwitchBlock(blocks[columnSwitch], count, names, &sc.swDict, &sc.swIDs); err != nil {
+			return rows, err
+		}
+	}
+	if !spec.f.timeActive() && len(spec.hostSet) == 0 && len(spec.swSet) == 0 {
+		return rows, nil
+	}
+
+	keep := grow(sc.keep, count)
+	sc.keep, rows.keep = keep, keep
+	timed, from, to := spec.f.timeActive(), int64(spec.f.From), int64(spec.f.To)
+	// Membership is resolved once per dictionary entry, then applied per
+	// event as slice lookups.
+	var srcMatch, dstMatch, swMatch []bool
+	if len(spec.hostSet) > 0 {
+		srcMatch = make([]bool, len(rows.srcDict))
+		for j, a := range rows.srcDict {
+			srcMatch[j] = a.IsValid() && spec.hostSet[a.As4()]
+		}
+		dstMatch = make([]bool, len(rows.dstDict))
+		for j, a := range rows.dstDict {
+			dstMatch[j] = a.IsValid() && spec.hostSet[a.As4()]
+		}
+	}
+	if len(spec.swSet) > 0 {
+		swMatch = make([]bool, len(rows.swDict))
+		for j, name := range rows.swDict {
+			swMatch[j] = spec.swSet[name]
+		}
+	}
+	for i, t := range times {
+		keep[i] = (!timed || t >= from && t < to) &&
+			(srcMatch == nil || srcMatch[rows.srcIDs[i]] || dstMatch[rows.dstIDs[i]]) &&
+			(swMatch == nil || swMatch[rows.swIDs[i]])
+		if !keep[i] {
+			rows.kept--
+		}
+	}
+	return rows, nil
+}
+
+// valueCursor walks one projected value column row by row: a uvarint
+// column one value at a time, a run-length column one run at a time.
+type valueCursor struct {
+	cursor
+	col int
+	run uint64 // rows left in the current run
+	v   byte   // the current run's value
+}
+
+// shortRun reads a run with a one-byte length, the common case, inline;
+// on false the cursor is untouched and the run is nextRun's.
+func (c *valueCursor) shortRun(left int) bool {
+	if c.off+1 >= len(c.b) {
+		return false
+	}
+	n := c.b[c.off]
+	if n == 0 || n >= 0x80 || int(n) > left {
+		return false
+	}
+	c.run, c.v = uint64(n), c.b[c.off+1]
+	c.off += 2
+	return true
+}
+
+// nextRun reads the cursor's next run, which must cover between one and
+// left rows.
+func (c *valueCursor) nextRun(left int) error {
+	run, err := c.uvarint()
+	if err == nil {
+		c.v, err = c.byte()
+	}
+	if err != nil {
+		return fmt.Errorf("colseg: %s column: %w", columnNames[c.col], err)
+	}
+	if run == 0 || run > uint64(left) {
+		return fmt.Errorf("colseg: %s column: implausible run length %d", columnNames[c.col], run)
+	}
+	c.run = run
+	return nil
 }
 
 // decodeBlocks decodes one segment's needed column blocks into events
@@ -163,225 +287,88 @@ func decodeSwitchBlock(block []byte, count int, names map[string]string, dictBuf
 // columns are never decoded. The event-sized allocation comes only
 // after the time, address and switch columns decoded count plausible
 // rows. filtered is the count of events dropped by the per-event filter.
+//
+// The value columns decode in one pass over the rows: each projected
+// column keeps a cursor, every row advances every cursor, and a kept
+// row is written once, every field of it, so a recycled dst needs no
+// clearing. An unprojected column has no cursor and costs one store of
+// its zero value per kept row.
 func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names map[string]string, sc *decodeScratch, dst []flowlog.Event) (out []flowlog.Event, filtered int, err error) {
-	// Pass 1: the time column (always decoded — time orders the batch
-	// and drives windowed filtering).
-	times := grow(sc.times, count)
-	sc.times = times
-	c := cursor{b: blocks[columnTime]}
-	prev := int64(0)
-	for i := range times {
-		d, err := c.varint()
-		if err != nil {
-			return nil, 0, fmt.Errorf("colseg: time column: %w", err)
-		}
-		prev += d
-		times[i] = prev
+	rows, err := decodeRows(blocks, count, spec, names, sc)
+	if err != nil {
+		return nil, 0, err
 	}
+	var runBuf, uvarBuf [numColumns]valueCursor
+	runs, uvars := runBuf[:0], uvarBuf[:0]
+	for col := columnType; col < numColumns; col++ {
+		c := valueCursor{cursor: cursor{b: blocks[col]}, col: col}
+		switch {
+		case !spec.proj.has(col):
+		case col <= columnProto:
+			runs = append(runs, c)
+		case col >= columnSrcPort && col <= columnFlowDur:
+			uvars = append(uvars, c)
+		}
+	}
+	projSrc, projDst, projSw := spec.proj.has(columnSrc), spec.proj.has(columnDst), spec.proj.has(columnSwitch)
 
-	// Pass 2: the keep mask, refined by each active filter dimension.
-	kept := count
-	var keep []bool
-	ensureKeep := func() {
-		if keep == nil {
-			keep = grow(sc.keep, count)
-			sc.keep = keep
-			for i := range keep {
-				keep[i] = true
-			}
-		}
-	}
-	if spec.f.timeActive() {
-		ensureKeep()
-		from, to := int64(spec.f.From), int64(spec.f.To)
-		for i, t := range times {
-			if keep[i] && (t < from || t >= to) {
-				keep[i] = false
-				kept--
-			}
-		}
-	}
-
-	var (
-		srcDict, dstDict []netip.Addr
-		srcIDs, dstIDs   []uint32
-		swDict           []string
-		swIDs            []uint32
-	)
-	if spec.need.has(columnSrc) {
-		srcDict, srcIDs, err = decodeAddrBlock(blocks[columnSrc], count, "src", &sc.srcDict, &sc.srcIDs)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if spec.need.has(columnDst) {
-		dstDict, dstIDs, err = decodeAddrBlock(blocks[columnDst], count, "dst", &sc.dstDict, &sc.dstIDs)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if spec.need.has(columnSwitch) {
-		swDict, swIDs, err = decodeSwitchBlock(blocks[columnSwitch], count, names, &sc.swDict, &sc.swIDs)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if len(spec.hostSet) > 0 {
-		ensureKeep()
-		// Membership is resolved once per dictionary entry, then applied
-		// per event as two slice lookups.
-		srcMatch := make([]bool, len(srcDict))
-		for j, a := range srcDict {
-			srcMatch[j] = a.IsValid() && spec.hostSet[a.As4()]
-		}
-		dstMatch := make([]bool, len(dstDict))
-		for j, a := range dstDict {
-			dstMatch[j] = a.IsValid() && spec.hostSet[a.As4()]
-		}
-		for i := 0; i < count; i++ {
-			if keep[i] && !srcMatch[srcIDs[i]] && !dstMatch[dstIDs[i]] {
-				keep[i] = false
-				kept--
-			}
-		}
-	}
-	if len(spec.swSet) > 0 {
-		ensureKeep()
-		swMatch := make([]bool, len(swDict))
-		for j, name := range swDict {
-			swMatch[j] = spec.swSet[name]
-		}
-		for i := 0; i < count; i++ {
-			if keep[i] && !swMatch[swIDs[i]] {
-				keep[i] = false
-				kept--
-			}
-		}
-	}
-
-	// Pass 3: materialize exactly the kept rows. dst may be a recycled
-	// buffer, so unless every field is about to be overwritten reset the
-	// rows to zero — unprojected fields must read as the zero value, not
-	// a stale one.
-	out = slices.Grow(dst, kept)[:len(dst)+kept]
+	out = slices.Grow(dst, rows.kept)[:len(dst)+rows.kept]
 	evs := out[len(dst):]
-	if spec.proj != AllColumns {
-		clear(evs)
-	}
+	// v holds the current row's value columns; an unprojected one stays 0.
+	var v [numColumns]uint64
 	j := 0
 	for i := 0; i < count; i++ {
-		if keep != nil && !keep[i] {
-			continue
-		}
-		evs[j].Time = time.Duration(times[i])
-		if spec.proj.has(columnSrc) {
-			evs[j].Flow.Src = srcDict[srcIDs[i]]
-		}
-		if spec.proj.has(columnDst) {
-			evs[j].Flow.Dst = dstDict[dstIDs[i]]
-		}
-		if spec.proj.has(columnSwitch) {
-			evs[j].Switch = swDict[swIDs[i]]
-		}
-		j++
-	}
-
-	rle := func(col int, name string, set func(*flowlog.Event, byte)) error {
-		c := cursor{b: blocks[col]}
-		j := 0
-		for i := 0; i < count; {
-			run, err := c.uvarint()
-			if err != nil {
-				return fmt.Errorf("colseg: %s column: %w", name, err)
-			}
-			v, err := c.byte()
-			if err != nil {
-				return fmt.Errorf("colseg: %s column: %w", name, err)
-			}
-			if run == 0 || run > uint64(count-i) {
-				return fmt.Errorf("colseg: %s column: implausible run length %d", name, run)
-			}
-			for k := 0; k < int(run); k++ {
-				if keep == nil || keep[i+k] {
-					set(&evs[j], v)
-					j++
+		for k := range runs {
+			c := &runs[k]
+			if c.run == 0 && !c.shortRun(count-i) {
+				if err := c.nextRun(count - i); err != nil {
+					return nil, 0, err
 				}
 			}
-			i += int(run)
+			c.run--
+			v[c.col] = uint64(c.v)
 		}
-		return nil
-	}
-	if spec.proj.has(columnType) {
-		if err := rle(columnType, "type", func(e *flowlog.Event, v byte) { e.Type = flowlog.EventType(v) }); err != nil {
-			return nil, 0, err
-		}
-	}
-	if spec.proj.has(columnReason) {
-		if err := rle(columnReason, "reason", func(e *flowlog.Event, v byte) { e.Reason = v }); err != nil {
-			return nil, 0, err
-		}
-	}
-	if spec.proj.has(columnProto) {
-		if err := rle(columnProto, "proto", func(e *flowlog.Event, v byte) { e.Flow.Proto = v }); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	uvar := func(col int, name string, set func(*flowlog.Event, uint64)) error {
-		c := cursor{b: blocks[col]}
-		j := 0
-		for i := 0; i < count; i++ {
-			v, err := c.uvarint()
-			if err != nil {
-				return fmt.Errorf("colseg: %s column: %w", name, err)
+		for k := range uvars {
+			c := &uvars[k]
+			x, ok := c.uvarint1()
+			if !ok {
+				if x, err = c.uvarint(); err != nil {
+					return nil, 0, fmt.Errorf("colseg: %s column: %w", columnNames[c.col], err)
+				}
 			}
-			if keep == nil || keep[i] {
-				set(&evs[j], v)
-				j++
-			}
+			v[c.col] = x
 		}
-		return nil
-	}
-	if spec.proj.has(columnSrcPort) {
-		if err := uvar(columnSrcPort, "srcPort", func(e *flowlog.Event, v uint64) { e.Flow.SrcPort = uint16(v) }); err != nil {
-			return nil, 0, err
+		if rows.keep != nil && !rows.keep[i] {
+			continue
 		}
-	}
-	if spec.proj.has(columnDstPort) {
-		if err := uvar(columnDstPort, "dstPort", func(e *flowlog.Event, v uint64) { e.Flow.DstPort = uint16(v) }); err != nil {
-			return nil, 0, err
+		var srcIP, dstIP netip.Addr
+		var sw string
+		if projSrc {
+			srcIP = rows.srcDict[rows.srcIDs[i]]
 		}
-	}
-	if spec.proj.has(columnInPort) {
-		if err := uvar(columnInPort, "inPort", func(e *flowlog.Event, v uint64) { e.InPort = uint16(v) }); err != nil {
-			return nil, 0, err
+		if projDst {
+			dstIP = rows.dstDict[rows.dstIDs[i]]
 		}
-	}
-	if spec.proj.has(columnOutPort) {
-		if err := uvar(columnOutPort, "outPort", func(e *flowlog.Event, v uint64) { e.OutPort = uint16(v) }); err != nil {
-			return nil, 0, err
+		if projSw {
+			sw = rows.swDict[rows.swIDs[i]]
 		}
+		e := &evs[j]
+		j++
+		e.Time = time.Duration(rows.times[i])
+		e.Type = flowlog.EventType(v[columnType])
+		e.Switch = sw
+		e.DPID = v[columnDPID]
+		e.Flow.Proto = uint8(v[columnProto])
+		e.Flow.Src = srcIP
+		e.Flow.Dst = dstIP
+		e.Flow.SrcPort = uint16(v[columnSrcPort])
+		e.Flow.DstPort = uint16(v[columnDstPort])
+		e.InPort = uint16(v[columnInPort])
+		e.OutPort = uint16(v[columnOutPort])
+		e.Bytes = v[columnBytes]
+		e.Packets = v[columnPackets]
+		e.FlowDuration = time.Duration(v[columnFlowDur])
+		e.Reason = uint8(v[columnReason])
 	}
-	if spec.proj.has(columnDPID) {
-		if err := uvar(columnDPID, "dpid", func(e *flowlog.Event, v uint64) { e.DPID = v }); err != nil {
-			return nil, 0, err
-		}
-	}
-	if spec.proj.has(columnBytes) {
-		if err := uvar(columnBytes, "bytes", func(e *flowlog.Event, v uint64) { e.Bytes = v }); err != nil {
-			return nil, 0, err
-		}
-	}
-	if spec.proj.has(columnPackets) {
-		if err := uvar(columnPackets, "packets", func(e *flowlog.Event, v uint64) { e.Packets = v }); err != nil {
-			return nil, 0, err
-		}
-	}
-	if spec.proj.has(columnFlowDur) {
-		if err := uvar(columnFlowDur, "flowDuration", func(e *flowlog.Event, v uint64) { e.FlowDuration = time.Duration(v) }); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	return out, count - kept, nil
+	return out, count - rows.kept, nil
 }

@@ -148,8 +148,8 @@ func (t *tenant) process(ctx context.Context, j job) {
 	switch {
 	case j.events != nil:
 		t.processEvents(ctx, *j.events)
-		// Observe copied every event out: into the extractor's arena, or
-		// a FlowRemoved into a record; switch names are interned strings.
+		// ObserveBatch copied every event out: into the extractor's arena,
+		// or a FlowRemoved into a record; switch names are interned strings.
 		t.srv.recycle(j.events)
 	case j.flush:
 		rec, err := t.flush(ctx)
@@ -160,22 +160,18 @@ func (t *tenant) process(ctx context.Context, j job) {
 	}
 }
 
-// processEvents feeds a batch into the monitor, persisting any window
-// reports its grid boundaries produce along the way. The observed count
-// and the queue budget are settled once per batch, not per event.
+// processEvents feeds a batch into the monitor in one call, persisting
+// any window reports its grid boundaries produce along the way. The
+// observed count and the queue budget are settled once per batch, not
+// per event.
 func (t *tenant) processEvents(ctx context.Context, events []flowlog.Event) {
-	observed := 0
-	for i := range events {
-		rep, err := t.mon.Observe(ctx, events[i])
+	observed := t.mon.ObserveBatch(ctx, events, func(rep *flowdiff.MonitorReport, err error) {
 		if err != nil {
 			t.fail(err)
-			continue
+			return
 		}
-		observed++
-		if rep != nil {
-			t.persist(rep)
-		}
-	}
+		t.persist(rep)
+	})
 	t.observed.Add(int64(observed))
 	t.mu.Lock()
 	t.queued -= len(events)

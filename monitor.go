@@ -69,7 +69,7 @@ type Monitor struct {
 	origin time.Duration
 	next   time.Duration
 	// events is the "monitor.events" counter of eventsReg, the registry
-	// the last Observe's context carried.
+	// the last counted Observe or ObserveBatch context carried.
 	eventsReg *obs.Registry
 	events    *obs.Counter
 
@@ -207,21 +207,54 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 // flush; a retried window therefore keeps its grid To but may model
 // trailing events at or past it (the following window's cell start is
 // computed from its own first event, so windows never overlap).
-// Per-event cost is one counter increment ("monitor.events", its handle
-// cached per registry) plus the extractor append.
+// Every buffered event counts into "monitor.events". A caller holding a
+// batch should hand it to ObserveBatch, which pays per batch what
+// Observe pays per event.
 func (m *Monitor) Observe(ctx context.Context, e flowlog.Event) (*MonitorReport, error) {
+	rep, buffered, err := m.observe(ctx, &e)
+	if buffered {
+		m.eventCounter(ctx).Inc()
+	}
+	return rep, err
+}
+
+// ObserveBatch observes events in order, exactly as Observe on each
+// would. each receives, in event order, every report a grid crossing
+// produces and every error (an ErrOutOfOrder event, or a failed
+// boundary flush whose event stays buffered, as in Observe); observed
+// counts the events Observe would have returned no error for. The
+// events are copied out, never kept, and "monitor.events" is resolved
+// and added to once per batch.
+func (m *Monitor) ObserveBatch(ctx context.Context, events []Event, each func(*MonitorReport, error)) (observed int) {
+	buffered := 0
+	for i := range events {
+		rep, ok, err := m.observe(ctx, &events[i])
+		if ok {
+			buffered++
+		}
+		if err == nil {
+			observed++
+		}
+		if rep != nil || err != nil {
+			each(rep, err)
+		}
+	}
+	if buffered > 0 {
+		m.eventCounter(ctx).Add(int64(buffered))
+	}
+	return observed
+}
+
+// observe is the per-event core of Observe and ObserveBatch: it buffers
+// *e unless e is out of order, first flushing the window when e crosses
+// its grid boundary.
+func (m *Monitor) observe(ctx context.Context, e *flowlog.Event) (rep *MonitorReport, buffered bool, err error) {
 	if e.Time < m.start {
-		return nil, fmt.Errorf("flowdiff: %w: event at %v precedes current window start %v", ErrOutOfOrder, e.Time, m.start)
+		return nil, false, fmt.Errorf("flowdiff: %w: event at %v precedes current window start %v", ErrOutOfOrder, e.Time, m.start)
 	}
-	if reg := obs.From(ctx); m.events == nil || reg != m.eventsReg {
-		m.eventsReg, m.events = reg, reg.Counter("monitor.events")
-	}
-	m.events.Inc()
-	var rep *MonitorReport
-	var flushErr error
 	if e.Time >= m.next {
-		rep, flushErr = m.flushTo(ctx, m.next)
-		if flushErr == nil {
+		rep, err = m.flushTo(ctx, m.next)
+		if err == nil {
 			// Jump to the grid cell containing e; cells skipped during a
 			// quiet gap produce no windows.
 			start := m.origin + (e.Time-m.origin)/m.window*m.window
@@ -231,11 +264,19 @@ func (m *Monitor) Observe(ctx context.Context, e flowlog.Event) (*MonitorReport,
 	}
 	// The event is buffered whether or not the flush succeeded; a
 	// canceled flush must not drop it.
-	m.ex.Append(e)
+	m.ex.Add(e)
 	if e.Time > m.end {
 		m.end = e.Time
 	}
-	return rep, flushErr
+	return rep, true, err
+}
+
+// eventCounter is ctx's "monitor.events", its handle cached per registry.
+func (m *Monitor) eventCounter(ctx context.Context) *obs.Counter {
+	if reg := obs.From(ctx); m.events == nil || reg != m.eventsReg {
+		m.eventsReg, m.events = reg, reg.Counter("monitor.events")
+	}
+	return m.events
 }
 
 // Flush diagnoses the buffered partial window immediately

@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"runtime"
@@ -664,38 +666,100 @@ func TestMonitorReportsOutliveTheirWindows(t *testing.T) {
 }
 
 // TestMonitorObserveSteadyStateAllocs is the allocation ceiling of the
-// per-event path: once two windows have warmed the pool, the maps and
-// the index slices, observing a window allocates (almost) nothing.
+// per-event path, event by event and in whole-window batches: once two
+// windows have warmed the pool, the maps and the index slices,
+// observing a window allocates (almost) nothing.
 func TestMonitorObserveSteadyStateAllocs(t *testing.T) {
 	window := time.Minute
 	baseline := flowlog.New(0, 2*time.Minute)
 	baseline.Events = monitorChainEvents(0, 2*time.Minute, 200*time.Millisecond)
-	m, err := NewMonitor(context.Background(), baseline, window, nil, Thresholds{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	var worst float64
-	for w := 0; w < 5; w++ {
-		from := baseline.End + time.Duration(w)*window
-		events := monitorChainEvents(from, from+window, 20*time.Millisecond)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range events {
-			if _, err := m.Observe(ctx, events[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		if perEvent := float64(after.Mallocs-before.Mallocs) / float64(len(events)); w >= 2 && perEvent > worst {
-			worst = perEvent
-		}
-		if _, err := m.Flush(ctx); err != nil {
+	fail := func(_ *MonitorReport, err error) {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if worst > 0.05 {
-		t.Errorf("steady-state Observe allocates %.3f objects per event, want <= 0.05", worst)
+	for _, batch := range []bool{false, true} {
+		m, err := NewMonitor(context.Background(), baseline, window, nil, Thresholds{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var worst float64
+		for w := 0; w < 5; w++ {
+			from := baseline.End + time.Duration(w)*window
+			events := monitorChainEvents(from, from+window, 20*time.Millisecond)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if batch {
+				m.ObserveBatch(ctx, events, fail)
+			}
+			for i := 0; !batch && i < len(events); i++ {
+				fail(m.Observe(ctx, events[i]))
+			}
+			runtime.ReadMemStats(&after)
+			if perEvent := float64(after.Mallocs-before.Mallocs) / float64(len(events)); w >= 2 && perEvent > worst {
+				worst = perEvent
+			}
+			if _, err := m.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if worst > 0.05 {
+			t.Errorf("steady-state observe (batch=%v) allocates %.3f objects per event, want <= 0.05", batch, worst)
+		}
+	}
+}
+
+// BenchmarkMonitorObserve times the per-event path of one warm 5k-event
+// two-hop chain window, event by event through Observe and as one batch
+// through ObserveBatch; the flush between windows is not timed.
+func BenchmarkMonitorObserve(b *testing.B) {
+	window := time.Minute
+	baseline := flowlog.New(0, window)
+	baseline.Events = monitorHopEvents(0, window)
+	shape := monitorHopEvents(0, window)
+	ctx := context.Background()
+	for _, batch := range []bool{false, true} {
+		name := "each"
+		if batch {
+			name = "batch"
+		}
+		b.Run(name, func(b *testing.B) {
+			m, err := NewMonitor(ctx, baseline, window, nil, Thresholds{}, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			events := make([]flowlog.Event, len(shape))
+			fail := func(_ *MonitorReport, err error) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for w := 0; w < b.N+2; w++ {
+				// Two untimed windows warm the pool and the index slices.
+				b.StopTimer()
+				if _, err := m.Flush(ctx); err != nil {
+					b.Fatal(err)
+				}
+				for i, e := range shape {
+					e.Time += baseline.End + time.Duration(w)*window
+					events[i] = e
+				}
+				if w >= 2 {
+					b.StartTimer()
+				}
+				if batch {
+					m.ObserveBatch(ctx, events, fail)
+				}
+				for i := 0; !batch && i < len(events); i++ {
+					fail(m.Observe(ctx, events[i]))
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(len(events))*1000, "us/kevent")
+		})
 	}
 }
 
@@ -867,4 +931,174 @@ func monitorHopEvents(from, to time.Duration) []flowlog.Event {
 		}
 	}
 	return out
+}
+
+// twinRecord is what one of TestObserveBatchMatchesObserve's twins has
+// produced so far: every report and every error, in order, and how many
+// of the errors were stale events and canceled flushes.
+type twinRecord struct {
+	reports         []MonitorReport
+	errs            []string
+	stale, canceled int
+}
+
+func (r *twinRecord) add(rep *MonitorReport, err error) {
+	if rep != nil {
+		r.reports = append(r.reports, *rep)
+	}
+	if err != nil {
+		r.errs = append(r.errs, err.Error())
+	}
+	switch {
+	case errors.Is(err, ErrOutOfOrder):
+		r.stale++
+	case errors.Is(err, ErrCanceled):
+		r.canceled++
+	}
+}
+
+// TestObserveBatchMatchesObserve holds the batch entry point to the
+// per-event one. Two twin monitors see the same stream, one event by
+// event through Observe, the other in seeded random batches through
+// ObserveBatch; after every batch their reports, error sequences,
+// snapshots and "monitor.events" counters must be equal. Batches are
+// cut before, on and after grid boundaries, or hold several boundaries;
+// stale events sit mid-batch; and one batch starting at a boundary runs
+// under a context that cancels mid-flush.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	scen, err := RunScenario(Scenario{Seed: 301})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainBase := flowlog.New(0, 2*time.Minute)
+	chainBase.Events = monitorChainEvents(0, 2*time.Minute, 200*time.Millisecond)
+	streams := []struct {
+		name     string
+		baseline *flowlog.Log
+		events   []flowlog.Event
+		opts     Options
+		window   time.Duration
+	}{
+		{"seed301", scen.L1, scen.L2.Events, scen.Options(), 20 * time.Second},
+		{"chain", chainBase, monitorChainEvents(chainBase.End, chainBase.End+5*time.Minute, 100*time.Millisecond), Options{}, 30 * time.Second},
+	}
+	cuts := 0
+	for _, s := range streams {
+		for round, randomCuts := range []int{40, 3, 15} {
+			rng := rand.New(rand.NewSource(int64(1000*len(s.name) + round)))
+			origin := s.baseline.End
+			// Stale events (before the grid's origin) mid-stream.
+			var events []flowlog.Event
+			for i, e := range s.events {
+				if i > 0 && rng.Intn(400) == 0 {
+					stale := e
+					stale.Time = origin - time.Nanosecond
+					events = append(events, stale)
+				}
+				events = append(events, e)
+			}
+			// Cut points: random ones, plus (except in the sparse round)
+			// one just before, on or just after each grid boundary.
+			cut := map[int]bool{}
+			for len(cut) < randomCuts {
+				cut[1+rng.Intn(len(events)-1)] = true
+			}
+			var crossings []int
+			next := origin + s.window
+			for i, e := range events {
+				if e.Time >= next {
+					crossings = append(crossings, i)
+					next = origin + ((e.Time-origin)/s.window+1)*s.window
+				}
+			}
+			if len(crossings) < 4 {
+				t.Fatalf("%s: only %d grid crossings", s.name, len(crossings))
+			}
+			if randomCuts > 3 {
+				for _, i := range crossings {
+					cut[max(1, i+rng.Intn(3)-1)] = true
+				}
+			}
+			// The few events from the second crossing on run under a
+			// context that cancels mid-flush; the next batch retries.
+			canceledAt := crossings[1]
+			cut[canceledAt], cut[canceledAt+1+rng.Intn(5)] = true, true
+			bounds := []int{0}
+			for i := 1; i < len(events); i++ {
+				if cut[i] {
+					bounds = append(bounds, i)
+				}
+			}
+			bounds = append(bounds, len(events))
+			cuts += len(bounds) - 2
+
+			var ms [2]*Monitor
+			var regs [2]*obs.Registry
+			for k := range ms {
+				if ms[k], err = NewMonitor(context.Background(), s.baseline, s.window, nil, Thresholds{}, s.opts); err != nil {
+					t.Fatal(err)
+				}
+				regs[k] = obs.New()
+			}
+			var rec [2]twinRecord
+			for b := 1; b < len(bounds); b++ {
+				lo, hi := bounds[b-1], bounds[b]
+				var ctxs [2]context.Context
+				for k := range ctxs {
+					ctxs[k] = obs.WithRegistry(context.Background(), regs[k])
+					if lo == canceledAt {
+						ctxs[k] = &cancelAfter{Context: ctxs[k], n: 1}
+					}
+				}
+				observedEach := 0
+				for i := lo; i < hi; i++ {
+					rep, err := ms[0].Observe(ctxs[0], events[i])
+					rec[0].add(rep, err)
+					if err == nil {
+						observedEach++
+					}
+				}
+				canceledBefore := rec[1].canceled
+				observed := ms[1].ObserveBatch(ctxs[1], events[lo:hi], rec[1].add)
+				where := fmt.Sprintf("%s round %d, batch [%d,%d)", s.name, round, lo, hi)
+				if observed != observedEach {
+					t.Fatalf("%s: ObserveBatch observed %d, Observe %d", where, observed, observedEach)
+				}
+				if !reflect.DeepEqual(rec[1], rec[0]) {
+					t.Fatalf("%s: batch twin has %d reports / errors %q, per-event twin %d / %q",
+						where, len(rec[1].reports), rec[1].errs, len(rec[0].reports), rec[0].errs)
+				}
+				if a, b := ms[0].Snapshot(), ms[1].Snapshot(); a != b {
+					t.Fatalf("%s: snapshots differ: per-event %+v, batch %+v", where, a, b)
+				}
+				if a, b := regs[0].Counter("monitor.events").Value(), regs[1].Counter("monitor.events").Value(); a != b {
+					t.Fatalf("%s: monitor.events per-event %d, batch %d", where, a, b)
+				}
+				if lo == canceledAt {
+					snap := ms[1].Snapshot()
+					if rec[1].canceled == canceledBefore {
+						t.Fatalf("%s: the boundary flush under a canceling context reported no ErrCanceled", where)
+					}
+					if snap.Buffered == 0 || snap.NextFlush > events[lo].Time {
+						t.Fatalf("%s: after the canceled flush %+v; want the window and its boundary event still buffered", where, snap)
+					}
+				}
+			}
+			for k, m := range ms {
+				rep, err := m.Flush(context.Background())
+				rec[k].add(rep, err)
+			}
+			if !reflect.DeepEqual(rec[1], rec[0]) || !reflect.DeepEqual(ms[1].Reports(), ms[0].Reports()) {
+				t.Fatalf("%s round %d: final flush differs", s.name, round)
+			}
+			t.Logf("%s round %d: %d batches, %d reports, %d errors (%d stale, %d canceled)",
+				s.name, round, len(bounds)-1, len(rec[0].reports), len(rec[0].errs), rec[0].stale, rec[0].canceled)
+			if rec[0].stale == 0 || len(rec[0].reports) < 4 {
+				t.Fatalf("%s round %d: %d out-of-order errors and %d reports; the comparison would be vacuous", s.name, round, rec[0].stale, len(rec[0].reports))
+			}
+		}
+	}
+	if cuts < 50 {
+		t.Fatalf("only %d cuts", cuts)
+	}
 }

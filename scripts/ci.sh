@@ -160,6 +160,10 @@ done < scripts/bench_ceilings.txt
 # engine): corrupted or hostile captures must fail with wrapped errors,
 # never a panic or an unbounded allocation.
 go test -run '^Fuzz' ./internal/flowlog/...
+# A bounded engine run of the FDC1 decode differential: FuzzReadSegment
+# holds the one-pass decode kernel to the column passes it replaced
+# (decodeBlocksReference) on mutated captures, under every query shape.
+go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 20s ./internal/flowlog/colseg
 # Named-test smokes. go test -run passes silently ("no tests to run")
 # when a name matches nothing, so a renamed test would quietly turn its
 # smoke into a no-op: each runs with -v and must print one PASS line
@@ -199,11 +203,14 @@ named_smoke ./cmd/flowdiff TestServeSmokeTwoTenantsMatchOffline
 # equal-cost-link-drop (floors pinned inside the test).
 named_smoke ./internal/experiments TestLocalizationAccuracy
 # Recycling smoke: FDC1 ingest decodes onto batches the tenant workers
-# hand back to a shared pool, through pooled decode state. Ten raced
-# rounds of four tenants ingesting at once, and of decodes onto garbage
-# batches, must match a fresh decode and the offline Monitor.
+# hand back to a shared pool, through pooled decode state, and observe
+# whole through Monitor.ObserveBatch. Ten raced rounds of four tenants
+# ingesting at once, of decodes onto garbage batches, and of batched
+# observation against per-event Observe, must match a fresh decode, the
+# offline Monitor and the per-event twin.
 SMOKE_FLAGS="-race -count=10"
 named_smoke ./internal/serve TestServeConcurrentFDC1Ingest
+named_smoke . TestObserveBatchMatchesObserve
 named_smoke ./internal/flowlog/colseg TestReadAnyIntoDirtyDestination
 SMOKE_FLAGS=
 rm -f "$SMOKE_OUT"
