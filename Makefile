@@ -9,8 +9,8 @@ test:
 race:
 	go test -race ./...
 
-# Static analysis: FlowDiff's own analyzer suite (determinism and
-# concurrency invariants; see DESIGN.md "Determinism invariants").
+# Static analysis: FlowDiff's own analyzer suite (determinism
+# invariants; see DESIGN.md "Determinism invariants").
 # -time reports per-analyzer wall clock so a slow check is visible the
 # day it regresses, not when CI starts timing out.
 lint:

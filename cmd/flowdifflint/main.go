@@ -7,15 +7,16 @@
 //
 // Usage:
 //
-//	flowdifflint [-only a,b] [-disable a,b] [-tests=false] [-json] [-time] [-list] [-ignores] [patterns...]
+//	flowdifflint [-json] [-time] [-list] [-ignores] [patterns...]
 //
+// Every analyzer runs, over production and _test.go files alike.
 // -json emits the findings as a single JSON object on stdout (stable
 // ordering, no timings) for machine consumers like scripts/ci.sh.
 // -time prints per-analyzer wall time to stderr after the run.
-// -list prints the suite with each analyzer's enable state under the
-// current -only/-disable flags. -ignores audits every //lint:ignore
-// directive instead of linting: each one is listed, and the run fails
-// when a directive names an unknown analyzer or lacks a reason.
+// -list prints each analyzer's name and doc. -ignores audits every
+// //lint:ignore directive instead of linting: each one is listed, and
+// the run fails when a directive names an unknown analyzer or lacks a
+// reason.
 package main
 
 import (
@@ -30,33 +31,16 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzers to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated analyzers to skip")
-	tests := flag.Bool("tests", true, "also analyze _test.go files")
-	list := flag.Bool("list", false, "print the analyzer suite with enable state and exit")
+	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	timing := flag.Bool("time", false, "print per-analyzer wall time to stderr")
 	ignores := flag.Bool("ignores", false, "audit //lint:ignore directives and exit")
 	flag.Parse()
 
 	all := checks.All()
-	selected, err := lint.Select(all, *only, *disable)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	if *list {
-		on := make(map[string]bool, len(selected))
-		for _, a := range selected {
-			on[a.Name] = true
-		}
 		for _, a := range all {
-			state := "off"
-			if on[a.Name] {
-				state = "on"
-			}
-			fmt.Printf("%-12s %-3s %s\n", a.Name, state, a.Doc)
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -65,9 +49,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader := lint.NewLoader()
-	loader.IncludeTests = *tests
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := lint.NewLoader().Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -77,7 +59,7 @@ func main() {
 		os.Exit(auditIgnores(pkgs, all))
 	}
 
-	diags, timings := lint.RunModule(pkgs, selected)
+	diags, timings := lint.RunModule(pkgs, all)
 	if *jsonOut {
 		writeJSON(os.Stdout, diags)
 	} else {

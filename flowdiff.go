@@ -257,7 +257,6 @@ func Compare(ctx context.Context, baseline, current *Log, automata []*TaskAutoma
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			//lint:ignore locksafe single writer per variable; wg.Add happens-before the goroutine and wg.Wait orders these writes before the read
 			base, berr = BuildSignatures(ctx, baseline, opts)
 		}()
 		cur, cerr = buildFromSource(ctx, signature.LogSource(current), opts, 0)

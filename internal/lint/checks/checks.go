@@ -17,10 +17,8 @@ func All() []*lint.Analyzer {
 		MapIter,
 		WallClock,
 		FloatCmp,
-		LockSafe,
 		ErrCheck,
 		SentinelErr,
-		SpawnJoin,
 		ObsSpan,
 	}
 }

@@ -44,10 +44,6 @@ func TestFloatCmpScopedToStatsPackages(t *testing.T) {
 	linttest.RunExpectNone(t, "testdata/src/floatcmp", "flowdiff/internal/workload/cmppkg", checks.FloatCmp)
 }
 
-func TestLockSafe(t *testing.T) {
-	linttest.Run(t, "testdata/src/locksafe", "flowdiff/internal/example/locksafe", checks.LockSafe)
-}
-
 func TestErrCheck(t *testing.T) {
 	linttest.Run(t, "testdata/src/errcheck", "flowdiff/cmd/errpkg", checks.ErrCheck)
 }
@@ -76,14 +72,6 @@ func TestSentinelErr(t *testing.T) {
 // root package path, not internal packages.
 func TestSentinelErrScopedToRootPackage(t *testing.T) {
 	linttest.RunExpectNone(t, "testdata/src/sentinelerr", "flowdiff/internal/rootfix", checks.SentinelErr)
-}
-
-func TestSpawnJoin(t *testing.T) {
-	linttest.Run(t, "testdata/src/spawnjoin", "flowdiff/internal/sjfix", checks.SpawnJoin)
-}
-
-func TestSpawnJoinScopedToProductionTree(t *testing.T) {
-	linttest.RunExpectNone(t, "testdata/src/spawnjoin", "flowdiff/examples/sjfix", checks.SpawnJoin)
 }
 
 func TestObsSpan(t *testing.T) {

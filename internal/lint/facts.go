@@ -19,7 +19,6 @@ type Facts struct {
 	pkgs  map[string]*PackageFacts
 	order []string // package paths in processed (dependency) order
 	funcs map[FuncID]*FuncSummary
-	types map[string]*TypeFacts
 }
 
 // BuildFacts summarizes every package and propagates derived facts in
@@ -28,7 +27,6 @@ func BuildFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		pkgs:  make(map[string]*PackageFacts),
 		funcs: make(map[FuncID]*FuncSummary),
-		types: make(map[string]*TypeFacts),
 	}
 	for _, path := range dependencyOrder(pkgs) {
 		var pkg *Package
@@ -43,9 +41,6 @@ func BuildFacts(pkgs []*Package) *Facts {
 		f.order = append(f.order, path)
 		for id, s := range pf.Funcs {
 			f.funcs[id] = s
-		}
-		for name, tf := range pf.Types {
-			f.types[name] = tf
 		}
 		// Derived facts for this package: dependencies are final, so
 		// only in-package cycles need iteration.
@@ -69,21 +64,6 @@ func (f *Facts) Package(path string) *PackageFacts {
 // processed in (dependencies before dependents).
 func (f *Facts) PackageOrder() []string {
 	return append([]string(nil), f.order...)
-}
-
-// Types returns the type facts of every named type in the module,
-// sorted by full name (for deterministic interface resolution).
-func (f *Facts) Types() []*TypeFacts {
-	names := make([]string, 0, len(f.types))
-	for name := range f.types {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*TypeFacts, len(names))
-	for i, name := range names {
-		out[i] = f.types[name]
-	}
-	return out
 }
 
 // Funcs returns every summarized function, sorted by ID.

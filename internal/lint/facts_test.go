@@ -69,27 +69,3 @@ func assertFixtureFacts(t *testing.T, f *Facts) {
 		}
 	}
 }
-
-// The interface call in root.CallIface must resolve structurally to
-// the one module implementer, across the package boundary.
-func TestInterfaceCallResolution(t *testing.T) {
-	leaf, root := loadFixture(t)
-	f := BuildFacts([]*Package{root, leaf}) // worst-case input order
-	g := NewGraph(f)
-	callees := g.Callees(FuncID(rootPath + ".CallIface"))
-	want := FuncID("(" + leafPath + ".Dev).Emit")
-	found := false
-	for _, c := range callees {
-		if c == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("CallIface callees = %v, want to include %s", callees, want)
-	}
-	// And the resolved edge makes the implementation reachable.
-	reach := g.Reachable(FuncID(rootPath + ".CallIface"))
-	if !reach[want] {
-		t.Errorf("Dev.Emit not reachable from CallIface: %v", reach)
-	}
-}

@@ -9,6 +9,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,6 +26,8 @@ type Directive struct {
 	Analyzers []string // names before the reason; empty when malformed
 	Reason    string
 	Malformed bool
+
+	pos token.Pos
 }
 
 // CollectDirectives parses every //lint:ignore directive in pkgs,
@@ -40,29 +43,7 @@ func CollectDirectives(pkgs []*Package) []Directive {
 				continue
 			}
 			seen[name] = true
-			codeLines := codeLineSet(pkg.Fset, f)
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, ignorePrefix) {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					d := Directive{File: pos.Filename, Line: pos.Line, Inline: codeLines[pos.Line]}
-					rest := strings.TrimSpace(strings.TrimPrefix(c.Text, ignorePrefix))
-					fields := strings.Fields(rest)
-					if len(fields) < 2 {
-						d.Malformed = true
-					} else {
-						for _, name := range strings.Split(fields[0], ",") {
-							if name = strings.TrimSpace(name); name != "" {
-								d.Analyzers = append(d.Analyzers, name)
-							}
-						}
-						d.Reason = strings.Join(fields[1:], " ")
-					}
-					out = append(out, d)
-				}
-			}
+			out = append(out, fileDirectives(pkg.Fset, f)...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -74,11 +55,40 @@ func CollectDirectives(pkgs []*Package) []Directive {
 	return out
 }
 
+// fileDirectives parses the //lint:ignore directives of one file, in
+// source order. This is the one parser of the directive grammar: the
+// audit and the suppression set both read its output.
+func fileDirectives(fset *token.FileSet, f *ast.File) []Directive {
+	var out []Directive
+	codeLines := codeLineSet(fset, f)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if !strings.HasPrefix(c.Text, ignorePrefix) {
+				continue
+			}
+			pos := fset.Position(c.Pos())
+			d := Directive{File: pos.Filename, Line: pos.Line, Inline: codeLines[pos.Line], pos: c.Pos()}
+			fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
+			if len(fields) < 2 {
+				d.Malformed = true
+			} else {
+				for _, name := range strings.Split(fields[0], ",") {
+					if name = strings.TrimSpace(name); name != "" {
+						d.Analyzers = append(d.Analyzers, name)
+					}
+				}
+				d.Reason = strings.Join(fields[1:], " ")
+			}
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// ignoreDirective is a well-formed directive resolved to the lines it
+// covers.
 type ignoreDirective struct {
-	file      string
-	line      int  // line the directive sits on
-	inline    bool // directive shares its line with code
-	analyzers map[string]bool
+	Directive
 	// [from, to] line range covered by the next statement (exclusive of
 	// anything after it); zero when no statement follows.
 	from, to int
@@ -91,59 +101,43 @@ type ignoreSet struct {
 
 func (s *ignoreSet) suppresses(d Diagnostic) bool {
 	for _, dir := range s.directives {
-		if dir.file != d.Position.Filename {
+		if dir.File != d.Position.Filename {
 			continue
 		}
-		if !dir.analyzers["all"] && !dir.analyzers[d.Analyzer] {
+		if !slices.Contains(dir.Analyzers, "all") && !slices.Contains(dir.Analyzers, d.Analyzer) {
 			continue
 		}
-		if dir.inline && d.Position.Line == dir.line {
+		if dir.Inline && d.Position.Line == dir.Line {
 			return true
 		}
-		if !dir.inline && dir.from > 0 && d.Position.Line >= dir.from && d.Position.Line <= dir.to {
+		if !dir.Inline && dir.from > 0 && d.Position.Line >= dir.from && d.Position.Line <= dir.to {
 			return true
 		}
 	}
 	return false
 }
 
-// collectIgnores scans every comment in the package for directives and
-// resolves the statement each one covers.
+// collectIgnores builds the package's suppression set from its parsed
+// directives, resolving the statement each one covers. A malformed
+// directive suppresses nothing and is itself reported.
 func collectIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 	set := &ignoreSet{}
 	for _, f := range files {
-		codeLines := codeLineSet(fset, f)
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, ignorePrefix))
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					set.malformed = append(set.malformed, Diagnostic{
-						Analyzer: "lintdirective",
-						Pos:      c.Pos(),
-						Position: pos,
-						Message:  "malformed //lint:ignore: want analyzer list and a reason",
-					})
-					continue
-				}
-				dir := ignoreDirective{
-					file:      pos.Filename,
-					line:      pos.Line,
-					inline:    codeLines[pos.Line],
-					analyzers: make(map[string]bool),
-				}
-				for _, name := range strings.Split(fields[0], ",") {
-					dir.analyzers[strings.TrimSpace(name)] = true
-				}
-				if !dir.inline {
-					dir.from, dir.to = nextStatementExtent(fset, f, pos.Line)
-				}
-				set.directives = append(set.directives, dir)
+		for _, d := range fileDirectives(fset, f) {
+			if d.Malformed {
+				set.malformed = append(set.malformed, Diagnostic{
+					Analyzer: "lintdirective",
+					Pos:      d.pos,
+					Position: fset.Position(d.pos),
+					Message:  "malformed //lint:ignore: want analyzer list and a reason",
+				})
+				continue
 			}
+			dir := ignoreDirective{Directive: d}
+			if !d.Inline {
+				dir.from, dir.to = nextStatementExtent(fset, f, d.Line)
+			}
+			set.directives = append(set.directives, dir)
 		}
 	}
 	return set

@@ -4,11 +4,12 @@
 // and `//lint:ignore <analyzers> <reason>` directives suppress findings
 // for the statement that follows them.
 //
-// FlowDiff uses it to machine-check the determinism and concurrency
-// invariants the parallel signature pipeline rests on (byte-identical
-// output at any worker count, virtual-time-only simulation, epsilon-based
-// float comparison); the concrete analyzers live in internal/lint/checks
-// and the CLI driver in cmd/flowdifflint.
+// FlowDiff uses it to machine-check the invariants its reports rest on
+// that go vet and the race detector cannot see (map-order-free output,
+// virtual-time-only simulation, epsilon-based float comparison,
+// sentinel identities on public errors, a static span table); the
+// concrete analyzers live in internal/lint/checks and the CLI driver in
+// cmd/flowdifflint.
 package lint
 
 import (
@@ -194,51 +195,4 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Analyzer
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, timings
-}
-
-// Select returns the analyzers that survive the enable/disable flags:
-// only restricts to a comma-separated allowlist (empty means all), then
-// disable removes a comma-separated denylist. Unknown names error so a
-// typo in CI cannot silently skip a check.
-func Select(all []*Analyzer, only, disable string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	parse := func(list string) (map[string]bool, error) {
-		set := make(map[string]bool)
-		if list == "" {
-			return set, nil
-		}
-		for _, name := range strings.Split(list, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if byName[name] == nil {
-				return nil, fmt.Errorf("lint: unknown analyzer %q", name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse(only)
-	if err != nil {
-		return nil, err
-	}
-	disSet, err := parse(disable)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Analyzer
-	for _, a := range all {
-		if len(onlySet) > 0 && !onlySet[a.Name] {
-			continue
-		}
-		if disSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -150,25 +150,3 @@ func TestLoaderSurvivesTypeError(t *testing.T) {
 		t.Error("analyzers did not run over the partially checked package")
 	}
 }
-
-func TestSelect(t *testing.T) {
-	a := &lint.Analyzer{Name: "a"}
-	b := &lint.Analyzer{Name: "b"}
-	all := []*lint.Analyzer{a, b}
-
-	got, err := lint.Select(all, "", "")
-	if err != nil || len(got) != 2 {
-		t.Fatalf("Select(all) = %v, %v", got, err)
-	}
-	got, err = lint.Select(all, "a", "")
-	if err != nil || len(got) != 1 || got[0] != a {
-		t.Fatalf("Select(only=a) = %v, %v", got, err)
-	}
-	got, err = lint.Select(all, "", "a")
-	if err != nil || len(got) != 1 || got[0] != b {
-		t.Fatalf("Select(disable=a) = %v, %v", got, err)
-	}
-	if _, err := lint.Select(all, "nosuch", ""); err == nil {
-		t.Fatal("Select with an unknown analyzer name must error, or a typo in CI silently skips a check")
-	}
-}

@@ -41,9 +41,6 @@ type Package struct {
 // Loader loads and caches packages against one shared FileSet.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests augments each listed package with its in-package
-	// _test.go files and loads external _test packages alongside.
-	IncludeTests bool
 	// Dir is the working directory for go list (default: process cwd).
 	Dir string
 
@@ -79,8 +76,8 @@ func NewLoader() *Loader {
 }
 
 // Load expands the go list patterns (e.g. "./...") and returns one
-// analysis Package per matched package, plus one per external test
-// package when IncludeTests is set.
+// analysis Package per matched package, its in-package _test.go files
+// included, plus one per external test package.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	infos, err := l.goList(patterns...)
 	if err != nil {
@@ -94,10 +91,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if info.Module != nil && l.modulePath == "" {
 			l.modulePath = info.Module.Path
 		}
-		files := info.GoFiles
-		if l.IncludeTests {
-			files = append(append([]string{}, files...), info.TestGoFiles...)
-		}
+		files := append(append([]string{}, info.GoFiles...), info.TestGoFiles...)
 		if len(files) > 0 {
 			pkg, err := l.check(info.ImportPath, info.Dir, files)
 			if err != nil {
@@ -105,7 +99,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			}
 			pkgs = append(pkgs, pkg)
 		}
-		if l.IncludeTests && len(info.XTestGoFiles) > 0 {
+		if len(info.XTestGoFiles) > 0 {
 			pkg, err := l.check(info.ImportPath+"_test", info.Dir, info.XTestGoFiles)
 			if err != nil {
 				return nil, err

@@ -18,7 +18,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -29,35 +28,6 @@ import (
 // distinct types.Package objects for the same source), which object
 // identity does not.
 type FuncID string
-
-// A Call records one outgoing call edge of a function. A function
-// referenced as a value (method value, function passed as an argument)
-// is recorded as a call too: the graph treats it as a potential one.
-type Call struct {
-	Callee FuncID
-	// Iface is set for calls through an interface; Callee is then empty
-	// and the graph resolves the edge against the module's type facts.
-	Iface *IfaceCall
-}
-
-// An IfaceCall describes a call through an interface method by the
-// interface's full method set, each method as a package-qualified
-// signature string. Resolution is structural (name + signature match
-// over the module's type facts), so it is independent of the loader's
-// per-package type universes.
-type IfaceCall struct {
-	// Method is the called method's name.
-	Method string
-	// MethodSet is the interface's complete method set, sorted by name.
-	MethodSet []MethodSig
-}
-
-// A MethodSig is one method name with its package-qualified signature
-// string (receiver excluded).
-type MethodSig struct {
-	Name string
-	Sig  string
-}
 
 // A SpanOpen records one obs.Span call.
 type SpanOpen struct {
@@ -101,41 +71,25 @@ type FuncSummary struct {
 	Exported bool
 	// ReturnsError: some result implements error.
 	ReturnsError bool
-	Calls        []Call
-	Spans        []SpanOpen
-	ErrReturns   []ErrReturn
+	// Calls are the outgoing call edges. A function referenced as a
+	// value (method value, function passed as an argument) is recorded
+	// too: the graph treats it as a potential call. A call through an
+	// interface is an edge to the interface method itself, which has no
+	// summary, so reachability stops there.
+	Calls      []FuncID
+	Spans      []SpanOpen
+	ErrReturns []ErrReturn
 	// SentinelWrapped: every error return is Wrapped or propagates from
 	// sentinel-wrapped callees. Computed by the fact store's fixpoint;
 	// true until falsified.
 	SentinelWrapped bool
 }
 
-// TypeFacts records one named type's method set for structural
-// interface resolution.
-type TypeFacts struct {
-	// FullName is "pkg/path.TypeName".
-	FullName string
-	Pkg      string
-	// Methods maps method name to its signature string and FuncID.
-	Methods map[string]TypeMethod
-}
-
-// A TypeMethod is one method of a named type.
-type TypeMethod struct {
-	Sig string
-	ID  FuncID
-}
-
 // PackageFacts bundles everything summarized from one package.
 type PackageFacts struct {
 	Path  string
 	Funcs map[FuncID]*FuncSummary
-	Types map[string]*TypeFacts
 }
-
-// sigQualifier renders package-qualified type strings that are stable
-// across type-check universes.
-func sigQualifier(p *types.Package) string { return p.Path() }
 
 // returnsErrorType reports whether some result of sig implements error.
 func returnsErrorType(sig *types.Signature) bool {
@@ -155,16 +109,12 @@ func returnsErrorType(sig *types.Signature) bool {
 	return false
 }
 
-// summarize extracts the FuncSummary of every declared function in pkg
-// and the TypeFacts of every named type, keyed for the fact store.
+// summarize extracts the FuncSummary of every declared function in pkg,
+// keyed for the fact store.
 func summarize(pkg *Package) *PackageFacts {
 	pf := &PackageFacts{
 		Path:  pkg.Path,
 		Funcs: make(map[FuncID]*FuncSummary),
-		Types: make(map[string]*TypeFacts),
-	}
-	if pkg.Types != nil {
-		collectTypeFacts(pkg.Types, pf)
 	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -179,52 +129,6 @@ func summarize(pkg *Package) *PackageFacts {
 		}
 	}
 	return pf
-}
-
-// collectTypeFacts records the method set of every named type declared
-// at package scope.
-func collectTypeFacts(p *types.Package, pf *PackageFacts) {
-	scope := p.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		tf := &TypeFacts{
-			FullName: p.Path() + "." + tn.Name(),
-			Pkg:      p.Path(),
-			Methods:  make(map[string]TypeMethod),
-		}
-		// The pointer method set is the superset (value methods are
-		// promoted into it), and matches how implementations are passed
-		// around in practice.
-		mset := types.NewMethodSet(types.NewPointer(named))
-		for i := 0; i < mset.Len(); i++ {
-			m, ok := mset.At(i).Obj().(*types.Func)
-			if !ok {
-				continue
-			}
-			sig, _ := m.Type().(*types.Signature)
-			tf.Methods[m.Name()] = TypeMethod{
-				Sig: types.TypeString(stripRecv(sig), sigQualifier),
-				ID:  FuncID(m.FullName()),
-			}
-		}
-		pf.Types[tf.FullName] = tf
-	}
-}
-
-// stripRecv drops the receiver so implementation and interface method
-// signatures compare equal as strings.
-func stripRecv(sig *types.Signature) *types.Signature {
-	if sig == nil {
-		return nil
-	}
-	return types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
 }
 
 // funcObjOf resolves the *types.Func a call or reference targets, or
@@ -267,9 +171,13 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 		SentinelWrapped: true,
 	}
 
-	// First pass: collect every call (and standalone function-value
-	// reference), remembering which expressions are call-Fun positions
-	// so they are not double-counted as value references.
+	// First pass: collect every call, remembering which expressions are
+	// call-Fun positions so they are not double-counted as value
+	// references. Builtins, conversions and closure variables resolve to
+	// no function and record nothing.
+	addCall := func(fn *types.Func) {
+		s.Calls = append(s.Calls, FuncID(fn.FullName()))
+	}
 	callFuns := make(map[ast.Expr]bool)
 	ast.Inspect(fd, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -277,8 +185,8 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 			return true
 		}
 		callFuns[ast.Unparen(call.Fun)] = true
-		if c := summarizeCall(pkg, call); c != nil {
-			s.Calls = append(s.Calls, *c)
+		if fn := funcObjOf(pkg, call.Fun); fn != nil {
+			addCall(fn)
 		}
 		return true
 	})
@@ -292,9 +200,6 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 		}
 		return true
 	})
-	recordRef := func(fn *types.Func) {
-		s.Calls = append(s.Calls, Call{Callee: FuncID(fn.FullName())})
-	}
 	ast.Inspect(fd, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.Ident:
@@ -302,14 +207,14 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 				return true
 			}
 			if fn, ok := pkg.TypesInfo.Uses[e].(*types.Func); ok {
-				recordRef(fn)
+				addCall(fn)
 			}
 		case *ast.SelectorExpr:
 			if callFuns[ast.Expr(e)] {
 				return true
 			}
 			if fn := funcObjOf(pkg, e); fn != nil {
-				recordRef(fn)
+				addCall(fn)
 			}
 		}
 		return true
@@ -318,52 +223,6 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 	collectSpans(pkg, fd, s)
 	collectErrReturns(pkg, fd, sig, s)
 	return s
-}
-
-// summarizeCall classifies one call expression: resolved static target,
-// interface dispatch, or nothing (builtin / conversion / closure var).
-func summarizeCall(pkg *Package, call *ast.CallExpr) *Call {
-	// Conversions are not calls.
-	if tv, ok := pkg.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		return nil
-	}
-	// Interface dispatch first: a selector whose receiver is
-	// interface-typed resolves to the interface method object, which
-	// must become an expandable edge, not a static one.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selection, ok := pkg.TypesInfo.Selections[sel]; ok {
-			if iface, ok := selection.Recv().Underlying().(*types.Interface); ok {
-				fn, _ := selection.Obj().(*types.Func)
-				if fn == nil {
-					return nil
-				}
-				return &Call{Iface: &IfaceCall{
-					Method:    fn.Name(),
-					MethodSet: methodSetOf(iface),
-				}}
-			}
-		}
-	}
-	if fn := funcObjOf(pkg, call.Fun); fn != nil {
-		return &Call{Callee: FuncID(fn.FullName())}
-	}
-	return nil
-}
-
-// methodSetOf renders an interface's method set as sorted
-// name+signature pairs.
-func methodSetOf(iface *types.Interface) []MethodSig {
-	var out []MethodSig
-	for i := 0; i < iface.NumMethods(); i++ {
-		m := iface.Method(i)
-		sig, _ := m.Type().(*types.Signature)
-		out = append(out, MethodSig{
-			Name: m.Name(),
-			Sig:  types.TypeString(stripRecv(sig), sigQualifier),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // spanFuncs: the obs.Span entry points, by FullName.

@@ -1,7 +1,7 @@
 // Package leaf is the dependency half of the cross-package fact
-// propagation fixture: it declares an interface with an in-module
-// implementer and sentinel-wrapped and unwrapped error paths —
-// everything the root package's facts must be derived from.
+// propagation fixture: it declares sentinel-wrapped and unwrapped
+// error paths — everything the root package's facts must be derived
+// from.
 package leaf
 
 import (
@@ -11,17 +11,6 @@ import (
 
 // ErrLeaf is the package sentinel.
 var ErrLeaf = errors.New("leaf")
-
-// Emitter is implemented (only) by Dev.
-type Emitter interface {
-	Emit(s string) int
-}
-
-// Dev implements Emitter.
-type Dev struct{ n int }
-
-// Emit implements Emitter.
-func (d Dev) Emit(s string) int { return d.n + len(s) }
 
 // Fail always wraps the sentinel: SentinelWrapped.
 func Fail() error {

@@ -10,12 +10,6 @@ import (
 	"flowdifflint-testdata/facts/leaf"
 )
 
-// CallIface dispatches through the interface; the graph must resolve
-// the edge to leaf.Dev's Emit structurally.
-func CallIface(e leaf.Emitter) int {
-	return e.Emit("x")
-}
-
 // Wraps propagates a sentinel-wrapped callee error: SentinelWrapped.
 func Wraps() error {
 	if err := leaf.Fail(); err != nil {

@@ -48,7 +48,7 @@ func Serve(addr string, r *Registry) (string, func() error, error) {
 		return "", nil, err
 	}
 	srv := &http.Server{Handler: NewMux(r)}
-	//lint:ignore spawnjoin deliberately detached: the server goroutine exits when srv.Close (returned to the caller as the stop function) shuts the listener, and Serve's contract is fire-and-forget
+	// Detached by contract: the goroutine exits when the returned stop function (srv.Close) shuts the listener.
 	go func() {
 		// ErrServerClosed is the normal shutdown path; any other error
 		// means the listener died, which the owner observes by the

@@ -11,9 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -562,6 +564,113 @@ func TestDeleteTenantRemovesItsInstruments(t *testing.T) {
 	putBaseline(t, ts.URL, "t", res.L1)
 	if got := reg.Counter("serve.tenant.t.windows").Value(); got != 0 {
 		t.Errorf("re-created tenant starts at %d windows, want 0", got)
+	}
+}
+
+// TestServeCloseLeavesNoGoroutines proves at run time that Close joins
+// every goroutine the service starts: the tenant workers (a recovered
+// one, one created over the API, one a DELETE already drained), the GC
+// loop and the cancellation watcher. Each round parks one kind of
+// goroutine inside its work while Close runs — a tenant worker in its
+// stall hook, the GC loop in the registry clock RunGC reads — and Close
+// must not return before it is let go. After both rounds the goroutine
+// count settles back to its value before the first New.
+func TestServeCloseLeavesNoGoroutines(t *testing.T) {
+	res := capture(t)
+	before := runtime.NumGoroutine()
+	for _, held := range []string{"tenant worker", "GC loop"} {
+		var armed atomic.Bool
+		entered := make(chan struct{}, 1)
+		release := make(chan struct{})
+		park := func() {
+			if !armed.Load() {
+				return
+			}
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		reg := obs.New()
+		cfg := Config{
+			Dir:         filepath.Join(t.TempDir(), "data"),
+			Window:      10 * time.Second,
+			Options:     res.Options(),
+			QueueBudget: len(res.L2.Events) + 1,
+			GCInterval:  time.Millisecond,
+			Registry:    reg,
+		}
+		if held == "tenant worker" {
+			cfg.stall = func(string) { park() }
+		} else {
+			reg.SetClock(func() time.Time { park(); return time.Now() })
+		}
+		// A tenant persisted by an earlier run: New recovers it through
+		// parallel.ForContext.
+		store, err := OpenStore(cfg.Dir)
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
+		}
+		if err := store.SaveBaseline("recovered", res.L1, BaselineMeta{Version: 1, Events: len(res.L1.Events)}); err != nil {
+			t.Fatalf("SaveBaseline: %v", err)
+		}
+		srv, err := New(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, ok := srv.tenant("recovered"); !ok {
+			t.Fatal("the persisted tenant was not recovered")
+		}
+		// Requests go straight to the handler: no listener or client
+		// goroutines blur the count.
+		call := func(method, path string, body []byte, want int) {
+			t.Helper()
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			if rec.Code != want {
+				t.Fatalf("%s %s: status %d, want %d (body %s)", method, path, rec.Code, want, rec.Body)
+			}
+		}
+		events := logBody(t, &flowlog.Log{Events: res.L2.Events[:200]})
+		call(http.MethodPut, "/v1/tenants/live/baseline", logBody(t, res.L1), http.StatusCreated)
+		call(http.MethodPost, "/v1/tenants/live/events", events, http.StatusAccepted)
+		call(http.MethodPost, "/v1/tenants/live/flush", nil, http.StatusOK)
+		call(http.MethodDelete, "/v1/tenants/recovered", nil, http.StatusNoContent)
+
+		// The flush left every worker idle, so the first goroutine to
+		// reach the park point once it is armed is the one held.
+		armed.Store(true)
+		if held == "tenant worker" {
+			call(http.MethodPost, "/v1/tenants/live/events", events, http.StatusAccepted)
+		}
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %s reached the park point", held)
+		}
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+			t.Errorf("Close returned while a %s was still running", held)
+		case <-time.After(100 * time.Millisecond):
+		}
+		close(release)
+		<-closed
+	}
+
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Errorf("goroutine leak: %d before New, still %d after Close and settling", before, n)
 	}
 }
 

@@ -10,13 +10,15 @@ cd "$(dirname "$0")/.."
 test -z "$(gofmt -l .)"
 go vet ./...
 # flowdifflint: the repo's own analyzer suite. It machine-checks the
-# determinism/concurrency invariants (map-order leaks, wall-clock reads
-# in virtual-time packages, float equality in stats comparison, lock
-# copies, dropped errors, sentinel-less public errors, joinless
-# goroutines, span-table drift) so a violation fails the build before
-# the race tests ever run. The -json report is parsed rather than
-# trusting the exit code alone: a driver bug that swallowed findings but
-# still exited 0 would otherwise pass silently.
+# invariants go vet and -race cannot see (map-order leaks, wall-clock
+# reads in virtual-time and instrumented packages, float equality in
+# stats comparison, dropped errors, sentinel-less public errors,
+# span-table drift) so a violation fails the build before the race tests
+# ever run. Lock copies are vet's copylocks above; goroutine joins are
+# checked at run time (-race on Compare, the goroutine-settle tests in
+# the root package and internal/serve). The -json report is parsed
+# rather than trusting the exit code alone: a driver bug that swallowed
+# findings but still exited 0 would otherwise pass silently.
 LINT_JSON="$(mktemp)"
 go run ./cmd/flowdifflint -json ./... > "$LINT_JSON"
 grep -q '"count": 0' "$LINT_JSON"
@@ -25,19 +27,22 @@ rm -f "$LINT_JSON"
 # carry a reason, or the typo suppresses nothing while looking like it
 # does.
 go run ./cmd/flowdifflint -ignores ./... > /dev/null
-# Seeded-violation smoke: plant one violation per interprocedural
-# analyzer (plus the deferred-close errcheck extension and mapiter's
-# struct-field rule) in throwaway overlay packages and require the
-# linter to catch every one. This is the end-to-end proof that the
-# analyzers are wired into the driver — a suite that silently stopped
-# running would still pass the clean run above.
+# Seeded-violation smoke: plant at least one violation per analyzer
+# (mapiter's through its struct-field rule, errcheck's through its
+# deferred-close extension) in throwaway overlay packages and require the
+# linter to catch every analyzer -list prints. This is the end-to-end
+# proof that the analyzers are wired into the driver — a suite that
+# silently stopped running would still pass the clean run above — and
+# taking the list from the driver means a new analyzer without a seed
+# fails here.
 SMOKE_DIR=internal/lintsmoke
 SMOKE_FLOWLOG=internal/flowlog/lintsmoke
+SMOKE_STATS=internal/stats/lintsmoke
 SMOKE_ROOT=lintsmoke_seed.go
 SMOKE_JSON="$(mktemp)"
-smoke_cleanup() { rm -rf "$SMOKE_DIR" "$SMOKE_FLOWLOG" "$SMOKE_ROOT" "$SMOKE_JSON"; }
+smoke_cleanup() { rm -rf "$SMOKE_DIR" "$SMOKE_FLOWLOG" "$SMOKE_STATS" "$SMOKE_ROOT" "$SMOKE_JSON"; }
 trap smoke_cleanup EXIT
-mkdir -p "$SMOKE_DIR" "$SMOKE_FLOWLOG"
+mkdir -p "$SMOKE_DIR" "$SMOKE_FLOWLOG" "$SMOKE_STATS"
 cat > "$SMOKE_ROOT" <<'EOF'
 package flowdiff
 
@@ -48,9 +53,8 @@ import "errors"
 func SmokeSentinel() error { return errors.New("seed") }
 EOF
 cat > "$SMOKE_DIR/seed.go" <<'EOF'
-// Package lintsmoke is a CI seed package: one violation per
-// interprocedural analyzer, plus a report field filled in map order.
-// Never committed; see scripts/ci.sh.
+// Package lintsmoke is a CI seed package: a dynamic span name and a
+// report field filled in map order. Never committed; see scripts/ci.sh.
 package lintsmoke
 
 import (
@@ -58,10 +62,6 @@ import (
 
 	"flowdiff/internal/obs"
 )
-
-func SpawnSeed() {
-	go func() {}()
-}
 
 func ObsSeed(ctx context.Context, name string) {
 	defer obs.Span(ctx, name).End()
@@ -76,11 +76,15 @@ func FieldSeed(r *seedReport, m map[string]int) {
 }
 EOF
 cat > "$SMOKE_FLOWLOG/seed.go" <<'EOF'
-// Package lintsmoke seeds the deferred-close errcheck rule. Never
-// committed; see scripts/ci.sh.
+// Package lintsmoke seeds the deferred-close errcheck rule and a
+// wall-clock read in a virtual-time package. Never committed; see
+// scripts/ci.sh.
 package lintsmoke
 
-import "os"
+import (
+	"os"
+	"time"
+)
 
 func ErrSeed(path string) error {
 	f, err := os.Create(path)
@@ -91,12 +95,23 @@ func ErrSeed(path string) error {
 	_, err = f.WriteString("x")
 	return err
 }
+
+func ClockSeed() time.Time { return time.Now() }
+EOF
+cat > "$SMOKE_STATS/seed.go" <<'EOF'
+// Package lintsmoke seeds an exact float comparison in a statistics
+// package. Never committed; see scripts/ci.sh.
+package lintsmoke
+
+func FloatSeed(a, b float64) bool { return a == b }
 EOF
 if go run ./cmd/flowdifflint -json ./... > "$SMOKE_JSON"; then
 	echo "lint smoke: seeded violations were not caught" >&2
 	exit 1
 fi
-for name in mapiter sentinelerr spawnjoin obsspan errcheck; do
+SMOKE_ANALYZERS="$(go run ./cmd/flowdifflint -list | awk '{print $1}')"
+test -n "$SMOKE_ANALYZERS"
+for name in $SMOKE_ANALYZERS; do
 	grep -q "\"analyzer\": \"$name\"" "$SMOKE_JSON" || {
 		echo "lint smoke: analyzer $name missed its seeded violation" >&2
 		exit 1
