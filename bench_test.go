@@ -118,7 +118,9 @@ func BenchmarkFig13bProcessingTime(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.FlowDiffProcess(log, topo)
+		if err := experiments.FlowDiffProcess(log, topo); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

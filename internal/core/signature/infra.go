@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/stats"
 )
@@ -49,11 +48,6 @@ type InfraSignature struct {
 	// to every switch pair its PacketIn sequence traversed — the §III-C
 	// "baseline performance parameters (such as link utilization)".
 	LinkBytes map[SwitchPair]float64
-}
-
-// BuildInfra extracts the infrastructure signature from a log.
-func BuildInfra(log *flowlog.Log, r *appgroup.Resolver, cfg Config) InfraSignature {
-	return fromLog(log, r, cfg, 0).Infra()
 }
 
 // removedFlow is one flow's final byte count: the first FlowRemoved

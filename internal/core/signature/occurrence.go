@@ -124,7 +124,7 @@ func OccurrencesSharded(log *flowlog.Log, cfg Config) []Occurrence {
 
 // controlEvents loads a log's control events into a fresh extractor.
 func controlEvents(log *flowlog.Log, gap time.Duration) *StreamExtractor {
-	x := NewStreamExtractor(gap)
+	x := NewStreamExtractor(gap, nil, 0, 0, 0)
 	for i := range log.Events {
 		if e := &log.Events[i]; relevant(e.Type) {
 			x.appendID(internFlow(x.ids, &e.Flow), e)

@@ -63,7 +63,8 @@ func (p *Pipeline) EventCount() int { return p.agg.events }
 
 // Edges returns the log's distinct host edges (from PacketIn traffic) —
 // the input of group discovery. The map is owned by the pipeline and
-// must not be mutated.
+// must not be mutated; a Monitor window's is recycled by the
+// extractor's next Reset.
 func (p *Pipeline) Edges() map[Edge]int { return p.agg.whole.edges }
 
 // Occurrences returns the shared flow episodes, ordered by start time.

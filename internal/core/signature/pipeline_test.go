@@ -30,7 +30,7 @@ func chainLog(dur time.Duration) *flowlog.Log {
 // Regression: GroupFS used to carry only FlowCount, so group-granularity
 // diffs compared zero FirstSeen/Bytes/Packets/Duration aggregates.
 func TestGroupFSAggregates(t *testing.T) {
-	sigs := BuildApp(chainLog(30*time.Second), appgroup.NewResolver(nil), Config{})
+	sigs := model(t, chainLog(30*time.Second), appgroup.NewResolver(nil), Config{}, 0).App()
 	if len(sigs) != 1 {
 		t.Fatalf("got %d groups, want 1", len(sigs))
 	}

@@ -57,6 +57,17 @@ func findGroup(t *testing.T, sigs []AppSignature, member topology.NodeID) AppSig
 	return AppSignature{}
 }
 
+// model builds a log's pipeline from one in-memory batch: a current
+// build at 0 intervals, a reference build otherwise.
+func model(t *testing.T, log *flowlog.Log, r *appgroup.Resolver, cfg Config, intervals int) *Pipeline {
+	t.Helper()
+	p, err := NewPipelineFromSourceContext(bg, LogSource(log), r, cfg, intervals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestOccurrencesSplitEpisodes(t *testing.T) {
 	l := flowlog.New(0, time.Minute)
 	key := flowlog.FlowKey{Proto: 6, SrcPort: 1, DstPort: 2}
@@ -102,7 +113,7 @@ func TestOccurrencesOrderedDeterministically(t *testing.T) {
 
 func TestBuildAppCG(t *testing.T) {
 	log, r, _ := simCase5(t, workload.Case5Params{MeanA: 200, MeanB: 200}, 1, 2*time.Minute)
-	sigs := BuildApp(log, r, Config{Special: defaultSpecial()})
+	sigs := model(t, log, r, Config{Special: defaultSpecial()}, 0).App()
 	if len(sigs) < 2 {
 		t.Fatalf("found %d groups, want >= 2", len(sigs))
 	}
@@ -122,7 +133,7 @@ func TestBuildAppCG(t *testing.T) {
 
 func TestDDPeakRecoversProcessingTime(t *testing.T) {
 	log, r, _ := simCase5(t, workload.Case5Params{MeanA: 400, MeanB: 400}, 2, 3*time.Minute)
-	sigs := BuildApp(log, r, Config{Special: defaultSpecial()})
+	sigs := model(t, log, r, Config{Special: defaultSpecial()}, 0).App()
 	g := findGroup(t, sigs, "S3")
 	pair := EdgePair{In: Edge{Src: "S2", Dst: "S3"}, Out: Edge{Src: "S3", Dst: "S8"}}
 	dd, ok := g.DD[pair]
@@ -171,7 +182,7 @@ func TestDDPeakPersistsAcrossWorkloadAndReuse(t *testing.T) {
 	pair := EdgePair{In: Edge{Src: "S2", Dst: "S3"}, Out: Edge{Src: "S3", Dst: "S8"}}
 	for i, p := range settings {
 		log, r, _ := simCase5(t, p, int64(10+i), 3*time.Minute)
-		sigs := BuildApp(log, r, Config{Special: defaultSpecial()})
+		sigs := model(t, log, r, Config{Special: defaultSpecial()}, 0).App()
 		g := findGroup(t, sigs, "S3")
 		dd, ok := g.DD[pair]
 		if !ok {
@@ -187,7 +198,7 @@ func TestDDPeakPersistsAcrossWorkloadAndReuse(t *testing.T) {
 
 func TestPCHighForDependentEdges(t *testing.T) {
 	log, r, _ := simCase5(t, workload.Case5Params{MeanA: 500, MeanB: 500}, 3, 3*time.Minute)
-	sigs := BuildApp(log, r, Config{Special: defaultSpecial()})
+	sigs := model(t, log, r, Config{Special: defaultSpecial()}, 0).App()
 	g := findGroup(t, sigs, "S3")
 	pair := EdgePair{In: Edge{Src: "S1", Dst: "S3"}, Out: Edge{Src: "S3", Dst: "S8"}}
 	pc, ok := g.PC[pair]
@@ -201,7 +212,7 @@ func TestPCHighForDependentEdges(t *testing.T) {
 
 func TestCIStableFractions(t *testing.T) {
 	log, r, _ := simCase5(t, workload.Case5Params{MeanA: 400, MeanB: 400}, 4, 3*time.Minute)
-	sigs := BuildApp(log, r, Config{Special: defaultSpecial()})
+	sigs := model(t, log, r, Config{Special: defaultSpecial()}, 0).App()
 	g := findGroup(t, sigs, "S3")
 	ci, ok := g.CI["S3"]
 	if !ok {
@@ -231,7 +242,7 @@ func TestCIStableFractions(t *testing.T) {
 
 func TestFSByteCounts(t *testing.T) {
 	log, r, _ := simCase5(t, workload.Case5Params{MeanA: 300, MeanB: 300}, 5, 2*time.Minute)
-	sigs := BuildApp(log, r, Config{Special: defaultSpecial()})
+	sigs := model(t, log, r, Config{Special: defaultSpecial()}, 0).App()
 	g := findGroup(t, sigs, "S3")
 	fs := g.FS[Edge{Src: "S1", Dst: "S3"}]
 	if fs.FlowCount == 0 {
@@ -247,7 +258,7 @@ func TestFSByteCounts(t *testing.T) {
 
 func TestInfraSignature(t *testing.T) {
 	log, r, n := simCase5(t, workload.Case5Params{MeanA: 300, MeanB: 300}, 6, 2*time.Minute)
-	inf := BuildInfra(log, r, Config{})
+	inf := model(t, log, r, Config{}, 0).Infra()
 	if len(inf.SwitchAdj) == 0 {
 		t.Fatal("no switch adjacency inferred")
 	}
@@ -281,12 +292,12 @@ func TestInfraSignature(t *testing.T) {
 
 func TestStabilityCleanRunIsStable(t *testing.T) {
 	log, r, _ := simCase5(t, workload.Case5Params{MeanA: 500, MeanB: 500}, 7, 5*time.Minute)
-	cfg := Config{Special: defaultSpecial()}
-	st, err := AnalyzeStability(log, appgroupResolver(r), cfg, StabilityConfig{})
+	p := model(t, log, r, Config{Special: defaultSpecial()}, StabilityConfig{}.IntervalCount())
+	sigs := p.App()
+	st, err := p.Stability(StabilityConfig{}, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs := BuildApp(log, r, cfg)
 	g := findGroup(t, sigs, "S3")
 	verdict, ok := st[g.Group.Key()]
 	if !ok {
@@ -337,13 +348,9 @@ func TestStabilityUnstableCIDetected(t *testing.T) {
 	}
 }
 
-// appgroupResolver is an identity helper keeping the test call sites
-// readable.
-func appgroupResolver(r *appgroup.Resolver) *appgroup.Resolver { return r }
-
 func TestLinkBytesUtilization(t *testing.T) {
 	log, r, n := simCase5(t, workload.Case5Params{MeanA: 300, MeanB: 300}, 21, 2*time.Minute)
-	inf := BuildInfra(log, r, Config{})
+	inf := model(t, log, r, Config{}, 0).Infra()
 	if len(inf.LinkBytes) == 0 {
 		t.Skip("case-5 traffic stays under one switch; no inter-switch adjacencies")
 	}
@@ -377,7 +384,7 @@ func TestLinkBytesFollowsTraffic(t *testing.T) {
 	}
 	n.Eng.Run(40 * time.Second)
 	log := n.Log()
-	inf := BuildInfra(log, appgroup.NewResolver(topo), Config{})
+	inf := model(t, log, appgroup.NewResolver(topo), Config{}, 0).Infra()
 	pair := SwitchPair{From: "sw2", To: "sw1"}
 	got := inf.LinkBytes[pair]
 	want := float64(10*perFlow) / log.Duration().Seconds()

@@ -44,14 +44,14 @@ func (s *logSource) Next() ([]flowlog.Event, error) {
 
 func (s *logSource) Bounds() (start, end time.Duration) { return s.log.Start, s.log.End }
 
-// sourceAgg accumulates, in one streaming pass, every per-log aggregate
-// the signature builds need besides the occurrences: the distinct
-// PacketIn edge set (group discovery), per-edge FlowRemoved samples in
-// log order (FS statistics), the first FlowRemoved per flow key in log
-// order (link-utilization attribution), and per-stability-interval
-// versions of the first two. Sample order follows event order, which is
-// part of the byte-identical contract: float accumulation downstream
-// runs in that order.
+// sourceAgg accumulates, one event at a time as StreamExtractor.Add
+// sees it, every per-log aggregate the signature builds need besides
+// the occurrences: the distinct PacketIn edge set (group discovery),
+// per-edge FlowRemoved samples in log order (FS statistics), the first
+// FlowRemoved per flow key in log order (link-utilization attribution),
+// and per-stability-interval versions of the first two. Sample order
+// follows event order, which is part of the byte-identical contract:
+// float accumulation downstream runs in that order.
 //
 // The fold runs over interned ids, not keys: an event arrives with its
 // flow's dense id (the extractor's one hash), the flow's host edge is
@@ -111,6 +111,13 @@ func (s *segAgg) finish(edgeAt []Edge) {
 	}
 }
 
+func (s *segAgg) reset() {
+	clear(s.edges)
+	for i := range s.samples {
+		s.samples[i] = s.samples[i][:0]
+	}
+}
+
 func newSourceAgg(start, end time.Duration, intervals int, r *appgroup.Resolver) *sourceAgg {
 	a := &sourceAgg{whole: newSegAgg(start, end), r: r, stride: 2, edgeIDs: make(map[Edge]int32), intervals: intervals}
 	if intervals <= 0 {
@@ -150,7 +157,10 @@ func (a *sourceAgg) segIndex(t time.Duration) int {
 func (a *sourceAgg) edge(id int32, key *flowlog.FlowKey) (int32, []bool) {
 	for int(id) >= len(a.edgeOf) {
 		a.edgeOf = append(a.edgeOf, -1)
-		a.seen = append(a.seen, make([]bool, a.stride)...)
+		// Not append(seen, make(...)...): -race builds allocate that.
+		for range a.stride {
+			a.seen = append(a.seen, false)
+		}
 	}
 	if a.edgeOf[id] < 0 {
 		edge := Edge{Src: a.r.Node(key.Src), Dst: a.r.Node(key.Dst)}
@@ -178,21 +188,23 @@ func (a *sourceAgg) packetIn(id int32, key *flowlog.FlowKey, at time.Duration) {
 	}
 }
 
-// flowRemoved folds one FlowRemoved. They must arrive in log order: the
-// sample slices' order is part of the byte-identical contract.
-func (a *sourceAgg) flowRemoved(rec *removedRecord) {
-	eid, seen := a.edge(rec.flow, &rec.key)
-	a.whole.sample(eid, rec.sample)
+// flowRemoved folds one FlowRemoved of flow id. They must arrive in log
+// order: the sample slices' order is part of the byte-identical contract.
+func (a *sourceAgg) flowRemoved(id int32, e *flowlog.Event) {
+	eid, seen := a.edge(id, &e.Flow)
+	s := removedSample{Bytes: e.Bytes, Packets: e.Packets, Duration: e.FlowDuration}
+	a.whole.sample(eid, s)
 	if !seen[1] {
 		seen[1] = true
-		a.removals = append(a.removals, removedFlow{Flow: rec.flow, Bytes: rec.sample.Bytes})
+		a.removals = append(a.removals, removedFlow{Flow: id, Bytes: e.Bytes})
 	}
-	if i := a.segIndex(rec.at); i >= 0 {
-		a.segs[i].sample(eid, rec.sample)
+	if i := a.segIndex(e.Time); i >= 0 {
+		a.segs[i].sample(eid, s)
 	}
 }
 
-// finish closes the fold: the samples become the removed maps.
+// finish closes the fold: the samples become the removed maps. A
+// canceled Monitor flush keeps folding and finishes again on retry.
 func (a *sourceAgg) finish() {
 	a.whole.finish(a.edgeAt)
 	for i := range a.segs {
@@ -200,33 +212,25 @@ func (a *sourceAgg) finish() {
 	}
 }
 
-// fold replays what the extractor retains of a window into agg: the
-// PacketIns in arrival order, then the FlowRemoved records in theirs
-// (they touch disjoint aggregates, so this equals the interleaved pass).
-func (x *StreamExtractor) fold(a *sourceAgg) {
-	a.events = x.events
-	a.removals = make([]removedFlow, 0, min(len(x.removed), len(x.ids)))
-	for i := 0; i < x.n; i++ {
-		c := x.arena[i/chunkEvents]
-		if e := &c.ev[i%chunkEvents]; e.Type == flowlog.EventPacketIn {
-			a.packetIn(c.flow[i%chunkEvents], &e.Flow, e.Time)
-		}
+func (a *sourceAgg) reset() {
+	a.events = 0
+	a.edgeOf, a.seen = a.edgeOf[:0], a.seen[:0]
+	clear(a.edgeIDs)
+	a.edgeAt, a.removals = a.edgeAt[:0], a.removals[:0]
+	a.whole.reset()
+	for i := range a.segs {
+		a.segs[i].reset()
 	}
-	for i := range x.removed {
-		a.flowRemoved(&x.removed[i])
-	}
-	a.finish()
 }
 
 // NewPipelineFromSourceContext builds a pipeline by streaming the
-// source once: control events go into one StreamExtractor (gathered
-// once, when the source ends), and everything else
-// the signature builds need — edge sets, FlowRemoved samples, and for a
-// reference build the same per stability interval — is folded into
-// running aggregates, so peak memory is one decoded batch plus the
-// aggregates and the control events (in the extractor's chunks while the
-// source streams, in the occurrences once it ends), never more of the
-// stream than the source itself holds. The span "signature.extract"
+// source once through one StreamExtractor (gathered once, when the
+// source ends), which folds everything else the signature builds need —
+// edge sets, FlowRemoved samples, and for a reference build the same per
+// stability interval — as events are added, so peak memory is one
+// decoded batch plus the aggregates and the control events (in the
+// extractor's chunks while the source streams, in the occurrences once
+// it ends), never more of the stream than the source itself holds. The span "signature.extract"
 // times the pass; the counter "signature.occurrences" accumulates the
 // episode count. intervals is the caller's role: a reference build (a
 // baseline, whose stability decides which components are comparable)
@@ -236,35 +240,32 @@ func (x *StreamExtractor) fold(a *sourceAgg) {
 func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgroup.Resolver, cfg Config, intervals int) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	start, end := src.Bounds()
-	agg := newSourceAgg(start, end, intervals, r)
+	x := NewStreamExtractor(cfg.OccurrenceGap, r, intervals, start, end)
 	sp := obs.Span(ctx, "signature.extract")
-	occs, flows, err := extractFromSource(ctx, src, agg, cfg)
+	occs, flows, err := extractFromSource(ctx, src, x)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(ctx, agg, cfg, occs, flows), nil
+	return newPipeline(ctx, x.agg, cfg, occs, flows), nil
 }
 
 // NewPipelineFromOccurrencesContext builds the pipeline of one Monitor
 // window, [start, end], from the extractor that observed it and occs,
 // that extractor's Gather (whose flow ids it reads beside them): there
-// is no extraction pass and no event log, the aggregates (intervals as
-// above: a Monitor window passes 0) are folded from what the extractor
-// retains. The pipeline aliases the extractor's pooled memory through
-// occs; the caller resets the extractor only when it is done with the
-// pipeline.
-func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, r *appgroup.Resolver, cfg Config, intervals int, occs []Occurrence) *Pipeline {
-	agg := newSourceAgg(start, end, intervals, r)
-	x.fold(agg)
-	return newPipeline(ctx, agg, cfg.withDefaults(), occs, x.g.flows[:len(occs)])
+// is no extraction pass and no event log. The window's events were
+// folded as they were added; this only finishes the fold. The pipeline
+// aliases the extractor's pooled memory and its fold; the caller resets
+// the extractor only when it is done with the pipeline.
+func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, cfg Config, occs []Occurrence) *Pipeline {
+	x.agg.whole.meta = logMeta{Start: start, End: end}
+	x.agg.finish()
+	return newPipeline(ctx, x.agg, cfg.withDefaults(), occs, x.g.flows[:len(occs)])
 }
 
-// extractFromSource drains the source, interning every flow event's key
-// once and feeding the id to the aggregates and to the occurrence
-// extractor, and returns the occurrences with their flow ids.
-func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg Config) ([]Occurrence, []int32, error) {
-	x := NewStreamExtractor(cfg.OccurrenceGap)
+// extractFromSource drains the source into x, one Add per event, then
+// finishes the fold and hands over the occurrences with their flow ids.
+func extractFromSource(ctx context.Context, src EventSource, x *StreamExtractor) ([]Occurrence, []int32, error) {
 	for {
 		batch, err := src.Next()
 		if err == io.EOF {
@@ -273,26 +274,18 @@ func extractFromSource(ctx context.Context, src EventSource, agg *sourceAgg, cfg
 		if err != nil {
 			return nil, nil, fmt.Errorf("signature: reading event source: %w", err)
 		}
-		agg.events += len(batch)
 		for i := range batch {
-			e := &batch[i]
-			switch e.Type {
-			case flowlog.EventFlowRemoved:
-				rec := recordOf(internFlow(x.ids, &e.Flow), e)
-				agg.flowRemoved(&rec)
-			case flowlog.EventPacketIn, flowlog.EventFlowMod:
-				id := internFlow(x.ids, &e.Flow)
-				if e.Type == flowlog.EventPacketIn {
-					agg.packetIn(id, &e.Flow, e.Time)
-				}
-				x.appendID(id, e)
-			}
+			x.Add(&batch[i])
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 	}
-	agg.finish()
-	occs, flows := x.flush()
-	return occs, flows, nil
+	// x ends here: the gathered runs and the fold go to the pipeline, the
+	// arena back to the pool.
+	x.agg.finish()
+	g := new(gatherer)
+	occs := x.gather(g)
+	x.arena = releaseChunks(x.arena)
+	return occs, g.flows, nil
 }

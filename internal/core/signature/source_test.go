@@ -146,9 +146,9 @@ func TestCurrentBuildPipeline(t *testing.T) {
 				return p
 			},
 			"occurrences": func(intervals int) *Pipeline {
-				x := NewStreamExtractor(0)
+				x := NewStreamExtractor(0, r, intervals, log.Start, log.End)
 				feedAll(x, log.Events)
-				return NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, r, Config{}, intervals, x.Gather())
+				return NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, Config{}, x.Gather())
 			},
 		}
 		for entry, open := range build {

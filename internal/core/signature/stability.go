@@ -3,8 +3,6 @@ package signature
 import (
 	"math"
 
-	"flowdiff/internal/core/appgroup"
-	"flowdiff/internal/flowlog"
 	"flowdiff/internal/stats"
 	"flowdiff/internal/topology"
 )
@@ -66,16 +64,6 @@ type Stability struct {
 
 // StableCI reports whether node's CI may be used for diffing.
 func (s Stability) StableCI(node topology.NodeID) bool { return s.CINodes[node] }
-
-// AnalyzeStability models a log and compares every component of every
-// group's whole-log signature against its per-interval counterparts.
-// The result is keyed by group key. Callers that already hold a
-// Pipeline should use its Stability method to reuse the shared
-// occurrences and whole-log signatures.
-func AnalyzeStability(log *flowlog.Log, r *appgroup.Resolver, cfg Config, scfg StabilityConfig) (map[string]Stability, error) {
-	p := fromLog(log, r, cfg, scfg.IntervalCount())
-	return p.Stability(scfg, p.App())
-}
 
 // Stabilities compares whole-log signatures against per-interval
 // signatures (already built) and returns the verdicts keyed by group key.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/flowlog"
 )
 
@@ -34,21 +35,6 @@ func releaseChunks(chunks []*eventChunk) []*eventChunk {
 	return chunks[:0]
 }
 
-// removedRecord is what modeling needs of one FlowRemoved event.
-type removedRecord struct {
-	at     time.Duration
-	flow   int32
-	key    flowlog.FlowKey
-	sample removedSample
-}
-
-func recordOf(id int32, e *flowlog.Event) removedRecord {
-	return removedRecord{
-		at: e.Time, flow: id, key: e.Flow,
-		sample: removedSample{Bytes: e.Bytes, Packets: e.Packets, Duration: e.FlowDuration},
-	}
-}
-
 // internFlow returns the dense id of a flow key, assigning the next one
 // on first sight — the one hash an event's key costs.
 func internFlow(ids map[flowlog.FlowKey]int32, k *flowlog.FlowKey) int32 {
@@ -61,15 +47,15 @@ func internFlow(ids map[flowlog.FlowKey]int32, k *flowlog.FlowKey) int32 {
 }
 
 // StreamExtractor is the occurrence extractor, and all a Monitor window
-// keeps of its events. Control events (PacketIn, FlowMod) are appended,
-// in arrival order, to an arena of pooled chunks, each tagged with its
-// flow's interned id; a FlowRemoved leaves a record of its key and
-// counters, anything else only a count. Gather scatters the arena into
-// per-flow contiguous runs (a stable counting sort by flow id, again in
-// pooled chunks), splits every run at gaps, and returns the episodes in
-// canonical order, consuming nothing; Reset hands every chunk back.
-// Every build runs it — signature builds through Flush, Monitor
-// directly, one Gather and Reset per window.
+// keeps of its events. Add folds each event into the aggregates (the
+// one fold site) and appends control events (PacketIn, FlowMod), in
+// arrival order, to an arena of pooled chunks, each tagged with its
+// flow's interned id. Gather scatters the arena into per-flow
+// contiguous runs (a stable counting sort by flow id, again in pooled
+// chunks), splits every run at gaps, and returns the episodes in
+// canonical order, consuming nothing; Reset hands every chunk back and
+// clears the fold, keeping its storage. Every build runs it — a
+// streamed build once, Monitor once per window.
 //
 // Out-of-order input is handled: a flow whose run is not in time order
 // is stably sorted before it is split. The retained batch extractor
@@ -83,11 +69,11 @@ type StreamExtractor struct {
 	ids map[flowlog.FlowKey]int32
 	// count[id] is how many control events the arena holds for flow id.
 	count []int32
-	// arena holds n control events; removed and events cover the rest.
-	arena   []*eventChunk
-	n       int
-	removed []removedRecord
-	events  int
+	// arena holds n control events.
+	arena []*eventChunk
+	n     int
+	// agg is the fold of every event added since the last Reset.
+	agg *sourceAgg
 
 	// g is Gather's output, owned by the extractor until Reset.
 	g gatherer
@@ -114,28 +100,35 @@ func (g *gatherer) Swap(i, j int) {
 }
 
 // NewStreamExtractor creates an empty extractor with the given episode
-// gap (<= 0 uses DefaultOccurrenceGap).
-func NewStreamExtractor(gap time.Duration) *StreamExtractor {
+// gap (<= 0 uses DefaultOccurrenceGap) whose fold resolves hosts through
+// r. A reference build passes its stability interval count and bounds;
+// a Monitor window passes 0 intervals and gets its bounds at flush.
+func NewStreamExtractor(gap time.Duration, r *appgroup.Resolver, intervals int, start, end time.Duration) *StreamExtractor {
 	if gap <= 0 {
 		gap = DefaultOccurrenceGap
 	}
-	return &StreamExtractor{gap: gap, ids: make(map[flowlog.FlowKey]int32)}
+	return &StreamExtractor{gap: gap, ids: make(map[flowlog.FlowKey]int32), agg: newSourceAgg(start, end, intervals, r)}
 }
 
 // Pending returns the number of control events held since the last
-// Reset or Flush; Events counts appended events of every type.
+// Reset or Flush; Events counts added events of every type.
 func (x *StreamExtractor) Pending() int { return x.n }
-func (x *StreamExtractor) Events() int  { return x.events }
+func (x *StreamExtractor) Events() int  { return x.agg.events }
 
-// Add feeds one event. O(1) amortized: one hash of the flow key and,
-// for a control event, one copy of *e into the arena; nothing keeps e.
+// Add feeds one event. O(1) amortized: one hash of the flow key, the
+// event's fold and, for a control event, one copy of *e into the arena;
+// nothing keeps e.
 func (x *StreamExtractor) Add(e *flowlog.Event) {
-	x.events++
+	x.agg.events++
 	switch e.Type {
-	case flowlog.EventPacketIn, flowlog.EventFlowMod:
+	case flowlog.EventPacketIn:
+		id := internFlow(x.ids, &e.Flow)
+		x.agg.packetIn(id, &e.Flow, e.Time)
+		x.appendID(id, e)
+	case flowlog.EventFlowMod:
 		x.appendID(internFlow(x.ids, &e.Flow), e)
 	case flowlog.EventFlowRemoved:
-		x.removed = append(x.removed, recordOf(internFlow(x.ids, &e.Flow), e))
+		x.agg.flowRemoved(internFlow(x.ids, &e.Flow), e)
 	}
 }
 
@@ -234,8 +227,9 @@ func (x *StreamExtractor) gather(g *gatherer) []Occurrence {
 }
 
 // Reset empties the extractor for the next window: every chunk goes
-// back to the pool, which invalidates what Gather returned; the map and
-// the index slices are cleared and kept.
+// back to the pool, which invalidates what Gather returned and any
+// pipeline built on the fold; the maps and the index slices are cleared
+// and kept.
 func (x *StreamExtractor) Reset() {
 	x.arena = releaseChunks(x.arena)
 	x.g.runs = releaseChunks(x.g.runs)
@@ -244,19 +238,11 @@ func (x *StreamExtractor) Reset() {
 	clear(x.g.occs)
 	x.g.occs, x.g.flows = x.g.occs[:0], x.g.flows[:0]
 	clear(x.ids)
-	x.count, x.removed = x.count[:0], x.removed[:0]
-	x.n, x.events = 0, 0
+	x.count, x.n = x.count[:0], 0
+	x.agg.reset()
 }
 
 // Flush is Gather then Reset for callers that keep the result: the
 // occurrences and the runs behind them belong to the caller and never
 // return to the pool.
-func (x *StreamExtractor) Flush() []Occurrence { occs, _ := x.flush(); return occs }
-
-// flush is Flush, also handing over the occurrences' flow ids.
-func (x *StreamExtractor) flush() ([]Occurrence, []int32) {
-	g := new(gatherer)
-	occs := x.gather(g)
-	x.Reset()
-	return occs, g.flows
-}
+func (x *StreamExtractor) Flush() []Occurrence { defer x.Reset(); return x.gather(new(gatherer)) }

@@ -36,7 +36,7 @@ func TestStreamExtractorMatchesBatch(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("batch extraction found nothing; equivalence would be vacuous")
 			}
-			x := NewStreamExtractor(0)
+			x := NewStreamExtractor(0, appgroup.NewResolver(nil), 0, 0, 0)
 			feedAll(x, log.Events)
 			got := x.Flush()
 			if !reflect.DeepEqual(got, want) {
@@ -56,7 +56,7 @@ func TestStreamExtractorMatchesBatch(t *testing.T) {
 func TestStreamExtractorWindowed(t *testing.T) {
 	log := messyLog(t, 120, false)
 	cuts := []int{0, 17, len(log.Events) / 3, len(log.Events) / 2, len(log.Events) - 5, len(log.Events)}
-	x := NewStreamExtractor(0)
+	x := NewStreamExtractor(0, appgroup.NewResolver(nil), 0, 0, 0)
 	for i := 1; i < len(cuts); i++ {
 		lo, hi := cuts[i-1], cuts[i]
 		feedAll(x, log.Events[lo:hi])
@@ -76,7 +76,7 @@ func TestStreamExtractorWindowed(t *testing.T) {
 func TestStreamExtractorGapBoundary(t *testing.T) {
 	key := flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 5, DstPort: 80}
 	gap := time.Second
-	x := NewStreamExtractor(gap)
+	x := NewStreamExtractor(gap, appgroup.NewResolver(nil), 0, 0, 0)
 	x.Add(&flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
 	x.Add(&flowlog.Event{Time: gap, Type: flowlog.EventFlowMod, Switch: "sw", Flow: key})
 	x.Add(&flowlog.Event{Time: 2*gap + 1, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
@@ -94,7 +94,7 @@ func TestStreamExtractorGapBoundary(t *testing.T) {
 // too).
 func TestStreamExtractorIgnoresNonControl(t *testing.T) {
 	key := flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 5, DstPort: 80}
-	x := NewStreamExtractor(time.Second)
+	x := NewStreamExtractor(time.Second, appgroup.NewResolver(nil), 0, 0, 0)
 	x.Add(&flowlog.Event{Time: 0, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
 	x.Add(&flowlog.Event{Time: 500 * time.Millisecond, Type: flowlog.EventFlowRemoved, Switch: "sw", Flow: key})
 	x.Add(&flowlog.Event{Time: 600 * time.Millisecond, Type: flowlog.EventPortStatus, Switch: "sw"})
@@ -115,13 +115,13 @@ func TestPipelineFromOccurrencesMatchesNewPipeline(t *testing.T) {
 	r := appgroup.NewResolver(nil)
 	cfg := Config{}
 	ref := newPipelineReference(log, r, cfg)
-	x := NewStreamExtractor(0)
+	x := NewStreamExtractor(0, r, 5, log.Start, log.End)
 	feedAll(x, log.Events)
 	occs := x.Gather()
 	if !reflect.DeepEqual(occs, occurrencesReference(log, 0)) {
 		t.Fatal("gathered occurrences differ from the reference")
 	}
-	p := NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, r, cfg, 5, occs)
+	p := NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, cfg, occs)
 	if !reflect.DeepEqual(p.Edges(), edgesReference(log, r)) {
 		t.Error("edge sets differ")
 	}
@@ -152,7 +152,7 @@ func TestPipelineFromOccurrencesMatchesNewPipeline(t *testing.T) {
 // mid-stream (which must consume nothing), appends the rest, and
 // flushes; every result must be the batch oracle's, byte for byte.
 func TestStreamExtractorRecycledCycles(t *testing.T) {
-	x := NewStreamExtractor(0)
+	x := NewStreamExtractor(0, appgroup.NewResolver(nil), 0, 0, 0)
 	for cycle := 0; cycle < 6; cycle++ {
 		log := messyLog(t, 150+90*cycle, true)
 		rand.New(rand.NewSource(int64(cycle))).Shuffle(len(log.Events), func(i, j int) {

@@ -45,22 +45,6 @@ func FlowsFromOccurrences(occs []signature.Occurrence) []TimedFlow {
 	return out
 }
 
-// RunsFromLogs converts per-run control logs (each capturing one
-// execution of the same task, the way the paper's tcpdump-at-boot traces
-// did) into the normalized template sequences Mine consumes.
-func RunsFromLogs(logs []*flowlog.Log, cfg Config) [][]Template {
-	out := make([][]Template, 0, len(logs))
-	for _, l := range logs {
-		flows := FlowsFromLog(l, cfg.InterleaveGap)
-		keys := make([]flowlog.FlowKey, len(flows))
-		for i, f := range flows {
-			keys[i] = f.Key
-		}
-		out = append(out, Normalize(keys, cfg))
-	}
-	return out
-}
-
 // matcher is one child matching attempt (the paper's child process).
 type matcher struct {
 	state    int

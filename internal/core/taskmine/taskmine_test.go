@@ -383,29 +383,3 @@ func ExampleMine() {
 	fmt.Println(a.Name, a.NumStates() > 0)
 	// Output: demo true
 }
-
-func TestRunsFromLogs(t *testing.T) {
-	cfg := Config{MinSupport: 0.6}
-	// Build two per-run logs, each containing one execution of f1 f2 f3.
-	mkLog := func() *flowlog.Log {
-		l := flowlog.New(0, time.Minute)
-		for j, i := range []int{1, 2, 3} {
-			l.Append(flowlog.Event{
-				Time: time.Duration(j) * 100 * time.Millisecond,
-				Type: flowlog.EventPacketIn, Switch: "sw1", Flow: flowN(i),
-			})
-		}
-		return l
-	}
-	runs := RunsFromLogs([]*flowlog.Log{mkLog(), mkLog()}, cfg)
-	if len(runs) != 2 || len(runs[0]) != 3 {
-		t.Fatalf("runs = %d x %d", len(runs), len(runs[0]))
-	}
-	a, err := Mine(context.Background(), "from-logs", runs, cfg, MineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(Detect(a, timedRun([]int{1, 2, 3}, 0))) == 0 {
-		t.Error("automaton mined from logs should detect the sequence")
-	}
-}

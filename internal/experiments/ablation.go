@@ -307,8 +307,12 @@ func PCEpoch(seed int64, epochs []time.Duration) (*PCEpochResult, error) {
 	res := &PCEpochResult{Epochs: epochs}
 	for _, epoch := range epochs {
 		cfg := signature.Config{Special: serviceSet(), PCEpoch: epoch}
+		apps, _, err := model(sc.L1, r, cfg)
+		if err != nil {
+			return nil, err
+		}
 		pc := 0.0
-		for _, app := range signature.BuildApp(sc.L1, r, cfg) {
+		for _, app := range apps {
 			if v, ok := app.PC[pair]; ok {
 				pc = v
 			}

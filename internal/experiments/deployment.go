@@ -61,8 +61,10 @@ func ControllerScaling(seed int64, instances []int) (*ControllerScalingResult, e
 		}
 		net.Eng.Run(30 * time.Second)
 
-		r := appgroup.NewResolver(topo)
-		inf := signature.BuildInfra(net.Log(), r, signature.Config{})
+		_, inf, err := model(net.Log(), appgroup.NewResolver(topo), signature.Config{})
+		if err != nil {
+			return nil, err
+		}
 		res.CRTMean = append(res.CRTMean, time.Duration(inf.CRT.Mean))
 		p99 := 0.0
 		if len(inf.CRTSamples) > 0 {
@@ -154,9 +156,14 @@ func Hybrid(seed int64) (*HybridResult, error) {
 		l2 := net.Log()
 
 		r := appgroup.NewResolver(topo)
-		cfg := signature.Config{}
-		baseApps, baseInf := signature.Build(l1, r, cfg)
-		curApps, curInf := signature.Build(l2, r, cfg)
+		baseApps, baseInf, err := model(l1, r, signature.Config{})
+		if err != nil {
+			return 0, 0, nil, nil, err
+		}
+		curApps, curInf, err := model(l2, r, signature.Config{})
+		if err != nil {
+			return 0, 0, nil, nil, err
+		}
 
 		for p, ref := range baseInf.ISL {
 			got, ok := curInf.ISL[p]

@@ -9,10 +9,26 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
+
+	"flowdiff/internal/core/appgroup"
+	"flowdiff/internal/core/signature"
+	"flowdiff/internal/flowlog"
 )
+
+// model builds a log's application and infrastructure signatures the way
+// the product models a current capture: one pipeline pass over the
+// events, no stability intervals.
+func model(log *flowlog.Log, r *appgroup.Resolver, cfg signature.Config) ([]signature.AppSignature, signature.InfraSignature, error) {
+	p, err := signature.NewPipelineFromSourceContext(context.Background(), signature.LogSource(log), r, cfg, 0)
+	if err != nil {
+		return nil, signature.InfraSignature{}, err
+	}
+	return p.App(), p.Infra(), nil
+}
 
 // Series is one plotted line: X positions and Y values.
 type Series struct {

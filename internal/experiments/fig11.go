@@ -104,8 +104,12 @@ func Fig11b(seed int64, dur time.Duration) (*Fig11bResult, error) {
 		cfg := signature.Config{Special: serviceSet()}
 		s := Series{Label: setting.Label}
 		for k, seg := range segs {
+			apps, _, err := model(seg, r, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: fig11b %q: %w", setting.Label, err)
+			}
 			pc := 0.0
-			for _, app := range signature.BuildApp(seg, r, cfg) {
+			for _, app := range apps {
 				if v, ok := app.PC[pair]; ok {
 					pc = v
 				}

@@ -135,7 +135,9 @@ func Fig13(seed int64, cfg Fig13Config) (*Fig13Result, error) {
 		minT := -1.0
 		for rep := 0; rep < cfg.Repetitions; rep++ {
 			start := time.Now()
-			signature.Build(log, r, sigCfg)
+			if _, _, err := model(log, r, sigCfg); err != nil {
+				return nil, fmt.Errorf("experiments: fig13 n=%d: %w", n, err)
+			}
 			t := time.Since(start).Seconds()
 			w.Add(t)
 			if minT < 0 || t < minT {
@@ -203,9 +205,9 @@ func (r *Fig13Result) String() string {
 
 // FlowDiffProcess runs the modeling phase once (exported for the bench
 // harness).
-func FlowDiffProcess(log *flowlog.Log, topo *topology.Topology) {
-	r := appgroup.NewResolver(topo)
-	signature.Build(log, r, signature.Config{})
+func FlowDiffProcess(log *flowlog.Log, topo *topology.Topology) error {
+	_, _, err := model(log, appgroup.NewResolver(topo), signature.Config{})
+	return err
 }
 
 // Fig13Trace is the exported trace generator (reused by benches).

@@ -201,7 +201,7 @@ func decodeRows(blocks *[numColumns][]byte, count int, spec *querySpec, names ma
 			return rows, err
 		}
 	}
-	if !spec.f.timeActive() && len(spec.hostSet) == 0 && len(spec.swSet) == 0 {
+	if !spec.f.timeActive() && spec.hostSet == nil && len(spec.swSet) == 0 {
 		return rows, nil
 	}
 
@@ -211,7 +211,7 @@ func decodeRows(blocks *[numColumns][]byte, count int, spec *querySpec, names ma
 	// Membership is resolved once per dictionary entry, then applied per
 	// event as slice lookups.
 	var srcMatch, dstMatch, swMatch []bool
-	if len(spec.hostSet) > 0 {
+	if spec.hostSet != nil {
 		srcMatch = make([]bool, len(rows.srcDict))
 		for j, a := range rows.srcDict {
 			srcMatch[j] = a.IsValid() && spec.hostSet[a.As4()]

@@ -160,6 +160,15 @@ func TestReadAnyFormats(t *testing.T) {
 				t.Errorf("filtered read differs from the columnar one: %d events [%v,%v], want %d [%v,%v]",
 					len(filtered.Events), filtered.Start, filtered.End, len(wantFiltered.Events), wantFiltered.Start, wantFiltered.End)
 			}
+			// The formats carry IPv4 flows only, so a host filter of only
+			// IPv6 addresses matches nothing, in every format.
+			v6, err := ReadAny(context.Background(), bytes.NewReader(tc.raw), ReaderOptions{Filter: Filter{Hosts: []netip.Addr{netip.IPv6Loopback()}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(v6.Events) != 0 {
+				t.Errorf("an IPv6-only host filter kept %d of %d events, want 0", len(v6.Events), len(l.Events))
+			}
 		})
 	}
 }

@@ -274,7 +274,7 @@ func (r *Reader) prune(meta *segMeta) (pruned, byIndex bool) {
 		return true, false
 	}
 	if x := meta.index; x != nil {
-		if len(r.spec.hostSet) > 0 && x.hostsExact {
+		if r.spec.hostSet != nil && x.hostsExact {
 			hit := false
 			for _, a4 := range x.hosts {
 				if r.spec.hostSet[a4] {

@@ -16,19 +16,19 @@ import (
 	"flowdiff/internal/obs"
 )
 
-// Monitor runs FlowDiff continuously: control events are appended as they
+// Monitor runs FlowDiff continuously: control events are folded as they
 // arrive, and every window the accumulated interval is modeled and
 // compared against the frozen baseline — the operational mode §III
 // sketches ("FlowDiff frequently models the behavior of a data center").
 //
 // The modeling cost per window is O(window events), independent of how
 // long the monitor has been running, and the window is stored once:
-// Observe hands each event to a signature.StreamExtractor, which keeps
-// control events in pooled chunks, a small record per FlowRemoved, and
-// a count of everything else. A flush gathers the window's episodes,
-// folds the aggregates from the same store, models and diffs, and only
-// once the report exists resets the extractor, returning every chunk to
-// the shared pool: an idle monitor holds no event memory.
+// Observe hands each event to a signature.StreamExtractor, which folds
+// it into the window's aggregates and keeps control events in pooled
+// chunks. A flush gathers the window's episodes, finishes the fold,
+// models and diffs, and only once the report exists resets the
+// extractor, returning every chunk to the shared pool (the fold keeps
+// its storage): an idle monitor holds no event memory.
 // Application-group discovery is cached across windows —
 // rediscovered only when the window's host edge set changes.
 //
@@ -113,14 +113,15 @@ func NewMonitor(ctx context.Context, baseline *Log, window time.Duration, automa
 	if minOcc <= 0 {
 		minOcc = 3
 	}
+	r := opts.resolver()
 	m := &Monitor{
 		opts:     opts,
 		th:       th,
 		window:   window,
 		automata: automata,
-		r:        opts.resolver(),
+		r:        r,
 		sigCfg:   sigCfg,
-		ex:       signature.NewStreamExtractor(sigCfg.OccurrenceGap),
+		ex:       signature.NewStreamExtractor(sigCfg.OccurrenceGap, r, 0, 0, 0),
 		minOcc:   minOcc,
 	}
 	if err := m.setBaseline(ctx, baseline); err != nil {
@@ -357,12 +358,13 @@ func (m *Monitor) diagnose(ctx context.Context, changes []Change, tasks []TaskDe
 // occurrences as a current build (no stability product), reusing the
 // previous window's application groups when the host edge set is unchanged.
 func (m *Monitor) signaturesFor(ctx context.Context, to time.Duration, occs []signature.Occurrence) (*Signatures, error) {
-	p := signature.NewPipelineFromOccurrencesContext(ctx, m.ex, m.start, to, m.r, m.sigCfg, 0, occs)
+	p := signature.NewPipelineFromOccurrencesContext(ctx, m.ex, m.start, to, m.sigCfg, occs)
 	// Counts are ignored: discovery depends only on which edges exist.
 	sameEdge := func(int, int) bool { return true }
 	if edges := p.Edges(); m.groupEdges == nil || !maps.EqualFunc(edges, m.groupEdges, sameEdge) {
 		m.groups = appgroup.DiscoverFromEdges(edges, m.sigCfg.Special)
-		m.groupEdges = edges
+		// A copy: the extractor recycles edges for the next window.
+		m.groupEdges = maps.Clone(edges)
 	}
 	p.SetGroups(m.groups)
 	return signaturesFromPipeline(ctx, &Log{Start: m.start, End: to}, p, m.opts)

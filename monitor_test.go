@@ -665,6 +665,63 @@ func TestMonitorReportsOutliveTheirWindows(t *testing.T) {
 	}
 }
 
+// TestMonitorGroupCacheFollowsEdgeSet pins the cross-window group cache:
+// groups are rediscovered exactly when a window's host edge set differs
+// from the previous window's. Three windows carry edge sets A, B, A (B
+// is A's chain moved to other hosts), and every report must equal a
+// fresh build of its window. A cache that never invalidates fails at B,
+// and so does one that keeps the extractor's edge map, which the next
+// window refills in place, instead of a copy.
+func TestMonitorGroupCacheFollowsEdgeSet(t *testing.T) {
+	ctx := context.Background()
+	window := time.Minute
+	baseline := flowlog.New(0, 2*time.Minute)
+	baseline.Events = monitorChainEvents(0, 2*time.Minute, 200*time.Millisecond)
+	m, err := NewMonitor(ctx, baseline, window, nil, Thresholds{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var windows [][]flowlog.Event
+	for k := 0; k < 3; k++ {
+		from := baseline.End + time.Duration(k)*window
+		events := monitorChainEvents(from, from+window, 100*time.Millisecond)
+		for i := range events {
+			if k == 1 {
+				for _, a := range []*netip.Addr{&events[i].Flow.Src, &events[i].Flow.Dst} {
+					b := a.As4()
+					b[2] = 1
+					*a = netip.AddrFrom4(b)
+				}
+			}
+			if _, err := m.Observe(ctx, events[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		windows = append(windows, events)
+	}
+	if _, err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Reports()) != len(windows) {
+		t.Fatalf("got %d reports, want one per window (%d)", len(m.Reports()), len(windows))
+	}
+	base, err := BuildSignatures(ctx, baseline, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range m.Reports() {
+		wl := flowlog.New(r.From, r.To)
+		wl.Events = windows[k]
+		cur, err := BuildSignatures(ctx, wl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Diagnose(ctx, Diff(ctx, base, cur, Thresholds{}), nil, Options{}); !reflect.DeepEqual(r.Report, want) {
+			t.Errorf("window %d [%v,%v]: report differs from a fresh build of the window", k, r.From, r.To)
+		}
+	}
+}
+
 // TestMonitorObserveSteadyStateAllocs is the allocation ceiling of the
 // per-event path, event by event and in whole-window batches: once two
 // windows have warmed the pool, the maps and the index slices,

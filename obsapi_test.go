@@ -259,7 +259,7 @@ func TestMetricsPopulatedAfterCompare(t *testing.T) {
 // windows, a re-diagnosed window and the current log of a Compare are
 // current builds and record neither span.signature.stability nor
 // signature.intervals, while the public builds still return the full
-// product, equal to signature.AnalyzeStability.
+// product, equal to a reference pipeline's Stability.
 func TestCurrentBuildsSkipStability(t *testing.T) {
 	const intervals = 5 // StabilityConfig's default
 	stability := func(reg *obs.Registry) (spans, folded int64) {
@@ -316,7 +316,11 @@ func TestCurrentBuildsSkipStability(t *testing.T) {
 		t.Errorf("one Compare: %d stability spans over %d intervals, want 1 over %d (the baseline's)", spans, folded, intervals)
 	}
 
-	want, err := signature.AnalyzeStability(baseline, appgroup.NewResolver(nil), signature.Config{}, signature.StabilityConfig{})
+	ref, err := signature.NewPipelineFromSourceContext(context.Background(), signature.LogSource(baseline), appgroup.NewResolver(nil), signature.Config{}, intervals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Stability(signature.StabilityConfig{}, ref.App())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,6 +338,6 @@ func TestCurrentBuildsSkipStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(mem.Stability, want) || !reflect.DeepEqual(streamed.Stability, want) {
-		t.Error("a public build's Stability differs from signature.AnalyzeStability")
+		t.Error("a public build's Stability differs from a reference pipeline's")
 	}
 }

@@ -219,13 +219,17 @@ named_smoke ./cmd/flowdiff TestServeSmokeTwoTenantsMatchOffline
 named_smoke ./internal/experiments TestLocalizationAccuracy
 # Recycling smoke: FDC1 ingest decodes onto batches the tenant workers
 # hand back to a shared pool, through pooled decode state, and observe
-# whole through Monitor.ObserveBatch. Ten raced rounds of four tenants
-# ingesting at once, of decodes onto garbage batches, and of batched
-# observation against per-event Observe, must match a fresh decode, the
-# offline Monitor and the per-event twin.
+# whole through Monitor.ObserveBatch; each Monitor window's fold state
+# (edge set, FlowRemoved samples, first removals) is recycled across
+# windows like its chunks. Ten raced rounds of four tenants ingesting at
+# once, of decodes onto garbage batches, of batched observation against
+# per-event Observe, of interleaved monitors whose reports must outlive
+# the windows that produced them, and of windows whose edge sets go
+# A → B → A, must match a fresh decode, the offline Monitor, the
+# per-event twin, the reports' first digests and fresh window builds.
 SMOKE_FLAGS="-race -count=10"
 named_smoke ./internal/serve TestServeConcurrentFDC1Ingest
-named_smoke . TestObserveBatchMatchesObserve
+named_smoke . TestObserveBatchMatchesObserve TestMonitorReportsOutliveTheirWindows TestMonitorGroupCacheFollowsEdgeSet
 named_smoke ./internal/flowlog/colseg TestReadAnyIntoDirtyDestination
 SMOKE_FLAGS=
 rm -f "$SMOKE_OUT"
