@@ -13,7 +13,7 @@ import (
 )
 
 // loadLog reads a log file in any of the three serializations (FDC1,
-// FDL1, JSON; see colseg.ReadAny).
+// FDL1, JSON; see colseg.ReadAnyInto).
 func loadLog(path string) (*flowlog.Log, error) {
 	return loadLogFiltered(path, colseg.Filter{})
 }
@@ -25,7 +25,7 @@ func loadLogFiltered(path string, filter colseg.Filter) (*flowlog.Log, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return colseg.ReadAny(context.Background(), f, colseg.ReaderOptions{Filter: filter})
+	return colseg.ReadAnyInto(context.Background(), f, colseg.ReaderOptions{Filter: filter}, nil)
 }
 
 // runConvert implements the convert subcommand: re-serialize a log

@@ -13,9 +13,9 @@ import (
 
 // runInspect implements the inspect subcommand: print the metadata a
 // query-aware read gets to prune on — per-segment time ranges, event
-// counts, per-column encoded sizes, dictionary cardinalities, and the
-// footer version — without decoding any payload. FDL1 files report
-// their (segment-less) header.
+// counts, per-column encoded sizes and value ranges, and dictionary
+// cardinalities — without decoding any payload. FDL1 files report their
+// (segment-less) header.
 func runInspect(args []string) error {
 	fs := flag.NewFlagSet("flowdiff inspect", flag.ExitOnError)
 	columns := fs.Bool("columns", false, "also print the per-segment per-column size breakdown")
@@ -63,35 +63,26 @@ func inspectColumnar(path string, r io.Reader, columns bool) error {
 			continue
 		}
 		for _, col := range seg.Columns {
-			if seg.HasStats {
-				fmt.Printf("         %-12s %7d B  range [%d, %d]\n", col.Name, col.Size, col.Min, col.Max)
-			} else {
-				fmt.Printf("         %-12s %7d B\n", col.Name, col.Size)
-			}
+			fmt.Printf("         %-12s %7d B  range [%d, %d]\n", col.Name, col.Size, col.Min, col.Max)
 		}
 	}
 
 	// Aggregate per-column sizes across segments: the projection payoff
 	// table — each line is what a read skipping that column saves.
-	totals := make([]int, info.NumColumns)
-	var names []string
-	for _, seg := range info.Segments {
-		for c, col := range seg.Columns {
-			totals[c] += col.Size
-			if len(names) <= c {
-				names = append(names, col.Name)
-			}
-		}
+	if len(info.Segments) == 0 {
+		return nil
 	}
-	if len(info.Segments) > 0 {
-		fmt.Printf("\ncolumn totals:\n")
-		for c, name := range names {
-			pct := 0.0
-			if info.PayloadLen > 0 {
-				pct = 100 * float64(totals[c]) / float64(info.PayloadLen)
-			}
-			fmt.Printf("  %-12s %9d B  %5.1f%%\n", name, totals[c], pct)
+	fmt.Printf("\ncolumn totals:\n")
+	for c, col := range info.Segments[0].Columns {
+		total := 0
+		for _, seg := range info.Segments {
+			total += seg.Columns[c].Size
 		}
+		pct := 0.0
+		if info.PayloadLen > 0 {
+			pct = 100 * float64(total) / float64(info.PayloadLen)
+		}
+		fmt.Printf("  %-12s %9d B  %6.2f%%\n", col.Name, total, pct)
 	}
 	return nil
 }

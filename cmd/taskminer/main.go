@@ -129,7 +129,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		log, err := colseg.ReadAny(context.Background(), f, colseg.ReaderOptions{})
+		log, err := colseg.ReadAnyInto(context.Background(), f, colseg.ReaderOptions{}, nil)
 		if err != nil {
 			return fmt.Errorf("loading %s: %w", *detect, err)
 		}

@@ -36,14 +36,27 @@ func TestObserveOutOfOrderSentinel(t *testing.T) {
 	}
 }
 
-// A stream that is not a columnar log must surface as ErrBadLog.
+// A stream that is not a columnar log, or a capture under the retired
+// version-1 header byte, must surface as ErrBadLog.
 func TestColumnarSourceBadLogSentinel(t *testing.T) {
-	_, err := NewColumnarSource(context.Background(), strings.NewReader("definitely not an FDC1 stream"))
-	if err == nil {
-		t.Fatal("opening garbage as a columnar source succeeded")
+	log := flowlog.New(0, time.Minute)
+	log.Events = monitorChainEvents(0, time.Minute, 200*time.Millisecond)
+	var v1 bytes.Buffer
+	if err := colseg.Write(&v1, log, colseg.WriterOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrBadLog) {
-		t.Errorf("error %v does not match ErrBadLog", err)
+	v1.Bytes()[4] = 1 // the version byte
+	for name, raw := range map[string][]byte{
+		"garbage":   []byte("definitely not an FDC1 stream"),
+		"v1 header": v1.Bytes(),
+	} {
+		_, err := NewColumnarSource(context.Background(), bytes.NewReader(raw))
+		if err == nil {
+			t.Fatalf("%s: opening as a columnar source succeeded", name)
+		}
+		if !errors.Is(err, ErrBadLog) {
+			t.Errorf("%s: error %v does not match ErrBadLog", name, err)
+		}
 	}
 }
 

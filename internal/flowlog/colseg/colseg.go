@@ -10,9 +10,8 @@
 //	header  := "FDC1" | version u8 | ncols u8 |
 //	           start i64 | end i64 | segWidth i64
 //
-// Version 2 (current) places the segment index ahead of the payload, so
-// every pruning and projection decision is made before a single payload
-// byte is read:
+// The segment index sits ahead of the payload, so every pruning and
+// projection decision is made before a single payload byte is read:
 //
 //	segment := "FSEG" | minTime i64 | maxTime i64 |
 //	           count u32 | payloadLen u32 | indexLen u32 |
@@ -37,19 +36,8 @@
 // segment irrelevant prunes it from the index alone: the payload is
 // skipped with Discard, never decoded.
 //
-// Version 1 (still readable, no longer written) kept the offsets and a
-// whole-payload CRC in a footer after the payload:
-//
-//	segment := "FSEG" | minTime i64 | maxTime i64 |
-//	           count u32 | payloadLen u32 | payload | footer
-//	footer  := ncols x colOffset u32 | crc32(payload) u32
-//
-// v1 files support time pruning (the preamble carries min/max time) and
-// column-projected decode, but not membership pruning (no summaries)
-// and not partial payload reads (the CRC covers the whole payload, so
-// the payload must be read to reach the footer). Readers at version 1
-// reject version-2 files from the header's version byte with a wrapped
-// error — the forward-compat contract.
+// The version byte is 2; a reader rejects every other value from the
+// header with a wrapped error.
 //
 // Fixed-width integers are big-endian (matching FDL1).
 //
@@ -83,9 +71,8 @@ const (
 	segMagic  = "FSEG"
 	endMagic  = "FEND"
 
-	formatVersion1 = 1
-	// formatVersion2 is the only version the writer emits.
-	formatVersion2 = 2
+	// formatVersion is the only version written or read.
+	formatVersion = 2
 )
 
 // Column order inside a segment payload. numColumns is written to the
@@ -122,7 +109,7 @@ var columnNames = [numColumns]string{
 // full decode); any non-zero set implicitly includes ColTime, since
 // time orders batches and drives windowed filtering. Unprojected
 // columns leave their event fields at the zero value and their payload
-// blocks are never decoded (on version-2 files, never even read).
+// blocks are never decoded, never even read.
 type ColumnSet uint32
 
 // Projectable columns. Combine with |: ColTime | ColSrc | ColDst is
@@ -217,22 +204,15 @@ const (
 
 const (
 	headerLen     = 4 + 1 + 1 + 8 + 8 + 8     // magic version ncols start end width
-	preambleLenV1 = 8 + 8 + 4 + 4             // minTime maxTime count payloadLen
-	preambleLenV2 = preambleLenV1 + 4         // + indexLen
-	footerLenV1   = numColumns*4 + 4          // offsets + crc32
+	preambleLen   = 8 + 8 + 4 + 4 + 4         // minTime maxTime count payloadLen indexLen
 	statsLen      = numColumns * (8 + 8)      // min/max per column
 	indexFixedLen = numColumns*4*2 + statsLen // offsets + crcs + stats
 )
 
-// segIndex is the decoded form of a version-2 segment index (or the
-// subset a version-1 footer provides: offsets plus the whole-payload
-// CRC carried in crcs[0] with perColumnCRC false).
+// segIndex is the decoded form of a segment index.
 type segIndex struct {
 	offs [numColumns]int
 	crcs [numColumns]uint32
-	// perColumnCRC: v2 indexes checksum each block independently; a v1
-	// footer checksums the whole payload (crcs[0]).
-	perColumnCRC bool
 	// stats[c] is the column's (min, max) encoded value range; for the
 	// dictionary columns (src, dst, switch) both fields carry the
 	// dictionary cardinality instead.
@@ -270,12 +250,12 @@ func (x *segIndex) checkOffsets(payloadLen int) error {
 	return nil
 }
 
-// parseIndexV2 decodes a version-2 segment index.
-func parseIndexV2(b []byte, payloadLen int) (*segIndex, error) {
+// parseIndex decodes a segment index.
+func parseIndex(b []byte, payloadLen int) (*segIndex, error) {
 	if len(b) < indexFixedLen {
 		return nil, fmt.Errorf("colseg: segment index truncated at %d bytes", len(b))
 	}
-	x := &segIndex{perColumnCRC: true}
+	x := &segIndex{}
 	c := cursor{b: b}
 	for i := range x.offs {
 		v, err := c.bytes(4)
@@ -349,22 +329,6 @@ func parseIndexV2(b []byte, payloadLen int) (*segIndex, error) {
 		}
 		x.switches[i] = string(v)
 	}
-	return x, nil
-}
-
-// parseFooterV1 decodes a version-1 footer into the index shape.
-func parseFooterV1(b []byte, payloadLen int) (*segIndex, error) {
-	if len(b) != footerLenV1 {
-		return nil, fmt.Errorf("colseg: segment footer truncated at %d bytes", len(b))
-	}
-	x := &segIndex{}
-	for i := range x.offs {
-		x.offs[i] = int(binary.BigEndian.Uint32(b[i*4 : i*4+4]))
-	}
-	if err := x.checkOffsets(payloadLen); err != nil {
-		return nil, err
-	}
-	x.crcs[0] = binary.BigEndian.Uint32(b[numColumns*4:])
 	return x, nil
 }
 

@@ -68,32 +68,6 @@ func encode(t testing.TB, l *flowlog.Log, opts WriterOptions) []byte {
 	return buf.Bytes()
 }
 
-// toV1 re-lays a version-2 file out in the legacy version-1 layout the
-// writer no longer emits: each segment drops its index and carries the
-// column offsets plus a whole-payload CRC in a footer after the payload.
-// It keeps the v1 read path under test.
-func toV1(t testing.TB, v2 []byte) []byte {
-	t.Helper()
-	out := append([]byte(nil), v2[:headerLen]...)
-	out[4] = formatVersion1
-	b := v2[headerLen:]
-	for len(b) >= 4+preambleLenV2 && string(b[:4]) == segMagic {
-		payloadLen := int(binary.BigEndian.Uint32(b[4+20:]))
-		indexLen := int(binary.BigEndian.Uint32(b[4+24:]))
-		index := b[4+preambleLenV2:][:indexLen]
-		payload := b[4+preambleLenV2+indexLen:][:payloadLen]
-		out = append(out, b[:4+preambleLenV1]...)
-		out = append(out, payload...)
-		out = append(out, index[:numColumns*4]...)
-		out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-		b = b[4+preambleLenV2+indexLen+payloadLen:]
-	}
-	if string(b) != endMagic {
-		t.Fatalf("toV1: %d trailing bytes after the last segment", len(b))
-	}
-	return append(out, endMagic...)
-}
-
 func TestRoundTrip(t *testing.T) {
 	l := testLog(2*time.Minute, 2000)
 	raw := encode(t, l, WriterOptions{})
@@ -259,10 +233,10 @@ func TestReaderCorruption(t *testing.T) {
 		"truncated header": func(b []byte) []byte { return b[:headerLen-5] },
 		"bad segment tag":  func(b []byte) []byte { b[segStart] = 'Q'; return b },
 		"truncated preamble": func(b []byte) []byte {
-			return b[:segStart+4+preambleLenV2-2]
+			return b[:segStart+4+preambleLen-2]
 		},
 		"truncated index": func(b []byte) []byte {
-			return b[:segStart+4+preambleLenV2+10]
+			return b[:segStart+4+preambleLen+10]
 		},
 		"zero event count": func(b []byte) []byte {
 			b[segStart+4+16] = 0
@@ -295,11 +269,11 @@ func TestReaderCorruption(t *testing.T) {
 		"payload bit flip fails CRC": func(b []byte) []byte {
 			idxLen := int(uint32(b[segStart+4+24])<<24 | uint32(b[segStart+4+25])<<16 |
 				uint32(b[segStart+4+26])<<8 | uint32(b[segStart+4+27]))
-			b[segStart+4+preambleLenV2+idxLen+5] ^= 0x40
+			b[segStart+4+preambleLen+idxLen+5] ^= 0x40
 			return b
 		},
 		"index bit flip fails offset or CRC check": func(b []byte) []byte {
-			b[segStart+4+preambleLenV2+2] ^= 0x40
+			b[segStart+4+preambleLen+2] ^= 0x40
 			return b
 		},
 		"missing end marker": func(b []byte) []byte {
@@ -316,35 +290,74 @@ func TestReaderCorruption(t *testing.T) {
 	}
 }
 
+// TestReaderCorruptOffsetsAndDict: an index offset table that is out of
+// range or decreasing must fail with an error, not a panic. The offsets
+// are not covered by any CRC, so only the offset check stands between
+// them and the block slicing.
 func TestReaderCorruptOffsetsAndDict(t *testing.T) {
-	// Rebuild a one-segment legacy (version-1) file and corrupt footer
-	// offsets / dictionary indexes directly: the bounds-checked cursor
-	// must error, not panic.
-	l := testLog(time.Second, 40)
-	raw := toV1(t, encode(t, l, WriterOptions{}))
-	// footer offsets start at: header + tag + preamble + payloadLen
-	pre := headerLen + 4
-	payloadLen := int(uint32(raw[pre+20])<<24 | uint32(raw[pre+21])<<16 | uint32(raw[pre+22])<<8 | uint32(raw[pre+23]))
-	footer := pre + preambleLenV1 + payloadLen
-	corrupt := append([]byte(nil), raw...)
-	// Out-of-range first offset (but keep CRC valid: offsets are outside
-	// the checksummed payload).
-	corrupt[footer] = 0xff
-	corrupt[footer+1] = 0xff
-	corrupt[footer+2] = 0xff
-	corrupt[footer+3] = 0xff
-	if _, err := Read(bytes.NewReader(corrupt)); err == nil {
-		t.Error("decode succeeded with a corrupt offset table")
+	raw := encode(t, testLog(time.Second, 40), WriterOptions{})
+	offs := headerLen + 4 + preambleLen // the first segment's offset table
+	for name, mutant := range map[string][]byte{
+		"out of range": putUint32(raw, offs, 0xffffffff),
+		"decreasing":   putUint32(raw, offs+(numColumns-1)*4, 0),
+	} {
+		if _, err := Read(bytes.NewReader(mutant)); err == nil {
+			t.Errorf("%s: decode succeeded with a corrupt offset table", name)
+		}
 	}
+}
 
-	// Decreasing offsets.
-	corrupt = append([]byte(nil), raw...)
-	copy(corrupt[footer+4:footer+8], []byte{0, 0, 0, 0})
-	corrupt[footer+4+4] = 0 // third offset smaller than second is fine; force second < first instead
-	if _, err := Read(bytes.NewReader(corrupt)); err == nil {
-		// The first offset is 0, so zeroing the second can be a no-op;
-		// only fail the test when the mutation really reordered offsets.
-		t.Log("offset mutation was a no-op; covered by the out-of-range case")
+// putUint32 returns a copy of file with v written big-endian at off.
+func putUint32(file []byte, off int, v uint32) []byte {
+	out := append([]byte(nil), file...)
+	binary.BigEndian.PutUint32(out[off:], v)
+	return out
+}
+
+// metadataMutants derives from valid, a capture of at least one segment,
+// captures whose first segment's tag, preamble or index is corrupt: each
+// must fail in the segment-metadata walk, before any payload byte.
+func metadataMutants(valid []byte) []struct {
+	name string
+	raw  []byte
+} {
+	seg := headerLen + 4 // the first segment's preamble
+	badTag := append([]byte(nil), valid...)
+	badTag[headerLen] = 'Q'
+	return []struct {
+		name string
+		raw  []byte
+	}{
+		{"bad segment tag", badTag},
+		{"count 0", hostileCount(valid, 0)},
+		{"count above maxSegmentEvents", hostileCount(valid, maxSegmentEvents+1)},
+		{"payloadLen above maxPayloadLen", putUint32(valid, seg+20, maxPayloadLen+1)},
+		{"indexLen above maxIndexLen", putUint32(valid, seg+24, maxIndexLen+1)},
+		{"truncated index", valid[:seg+preambleLen+10]},
+		{"decreasing offset table", putUint32(valid, seg+preambleLen+(numColumns-1)*4, 0)},
+	}
+}
+
+// TestInspectSharesReaderParser: Inspect walks segment metadata with the
+// Reader's own parser, so on every metadata mutant it fails exactly as a
+// full read does, with the same error text.
+func TestInspectSharesReaderParser(t *testing.T) {
+	valid := encode(t, testLog(30*time.Second, 200), WriterOptions{SegmentDuration: 5 * time.Second})
+	for _, m := range metadataMutants(valid) {
+		t.Run(m.name, func(t *testing.T) {
+			_, inspectErr := Inspect(bytes.NewReader(m.raw))
+			r, err := NewReaderContext(context.Background(), bytes.NewReader(m.raw), ReaderOptions{})
+			if err != nil {
+				t.Fatalf("the header is intact, yet opening failed: %v", err)
+			}
+			_, readErr := r.ReadAll()
+			if inspectErr == nil || readErr == nil {
+				t.Fatalf("Inspect returned %v, ReadAll %v: want both to fail", inspectErr, readErr)
+			}
+			if inspectErr.Error() != readErr.Error() {
+				t.Errorf("Inspect failed with %q, ReadAll with %q", inspectErr, readErr)
+			}
+		})
 	}
 }
 
@@ -356,42 +369,36 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add(valid[:headerLen+2])
 	f.Add([]byte("FDC1"))
 	flipped := append([]byte(nil), valid...)
-	flipped[headerLen+4+preambleLenV2+3] ^= 0x10
+	flipped[headerLen+4+preambleLen+3] ^= 0x10
 	f.Add(flipped)
 	counted := append([]byte(nil), valid...)
 	counted[headerLen+4+16] = 0xff
 	f.Add(counted)
-	// Legacy layout seeds: a valid version-1 file and a bit-flipped one.
-	validV1 := toV1(f, valid)
-	f.Add(validV1)
-	flippedV1 := append([]byte(nil), validV1...)
-	flippedV1[headerLen+4+preambleLenV1+3] ^= 0x10
-	f.Add(flippedV1)
-	// Mixed-version mutants: a v2 body under a v1 header byte and vice
-	// versa — the reader must fail with a wrapped error, not misparse.
-	crossA := append([]byte(nil), valid...)
-	crossA[4] = formatVersion1
-	f.Add(crossA)
-	crossB := append([]byte(nil), validV1...)
-	crossB[4] = formatVersion2
-	f.Add(crossB)
-	// A future revision must be rejected from the header.
-	future := append([]byte(nil), valid...)
-	future[4] = formatVersion2 + 1
-	f.Add(future)
-	// The largest plausible event count declared over a small payload,
-	// in both layouts: it passes the preamble checks (the count is not
-	// covered by a CRC) and must fail in the column decode.
-	f.Add(hostileCount(valid))
-	f.Add(hostileCount(validV1))
+	// A valid body under the retired version-1 header byte, and under a
+	// future one: both must be rejected from the header, not misparsed.
+	for _, version := range []byte{1, formatVersion + 1} {
+		other := append([]byte(nil), valid...)
+		other[4] = version
+		f.Add(other)
+	}
+	// The largest plausible event count declared over a small payload: it
+	// passes the preamble checks (the count is not covered by a CRC) and
+	// must fail in the column decode.
+	f.Add(hostileCount(valid, maxSegmentEvents))
 	// A run longer than the segment, under a valid CRC: the run-length
 	// check, not the checksum, must reject it.
 	f.Add(overlongRun(encode(f, testLog(time.Second, 40), WriterOptions{})))
+	for _, m := range metadataMutants(valid) {
+		f.Add(m.raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// ReadAll decodes straight into the log it returns; batch by
 		// batch or all at once, the outcome must be the same.
 		all, allErr := Read(bytes.NewReader(data))
+		if allErr == nil && data[4] != formatVersion {
+			t.Fatalf("decoded a file with version byte %d", data[4])
+		}
 		r, err := NewReaderContext(context.Background(), bytes.NewReader(data), ReaderOptions{})
 		if err != nil {
 			if allErr == nil {
@@ -475,15 +482,13 @@ func dirtyBatch(t *testing.T) []flowlog.Event {
 	return b
 }
 
-// hostileCount returns file with its first segment's event count raised
-// to maxSegmentEvents.
-func hostileCount(file []byte) []byte {
-	out := append([]byte(nil), file...)
-	binary.BigEndian.PutUint32(out[headerLen+4+16:], maxSegmentEvents)
-	return out
+// hostileCount returns a copy of file with its first segment's event
+// count set to count.
+func hostileCount(file []byte, count uint32) []byte {
+	return putUint32(file, headerLen+4+16, count)
 }
 
-// overlongRun returns a one-segment version-2 file with the type
+// overlongRun returns a one-segment file with the type
 // column's first run stretched past the segment's event count (which
 // must be under 127, so the run length stays one byte) and the column
 // CRC recomputed.
@@ -491,8 +496,8 @@ func overlongRun(file []byte) []byte {
 	out := append([]byte(nil), file...)
 	seg := out[headerLen+4:]
 	count := binary.BigEndian.Uint32(seg[16:])
-	index := seg[preambleLenV2:][:binary.BigEndian.Uint32(seg[24:])]
-	payload := seg[preambleLenV2+len(index):]
+	index := seg[preambleLen:][:binary.BigEndian.Uint32(seg[24:])]
+	payload := seg[preambleLen+len(index):]
 	block := payload[binary.BigEndian.Uint32(index[columnType*4:]):binary.BigEndian.Uint32(index[(columnType+1)*4:])]
 	block[0] = byte(count + 1)
 	binary.BigEndian.PutUint32(index[(numColumns+columnType)*4:], crc32.ChecksumIEEE(block))
@@ -507,22 +512,19 @@ func overlongRun(file []byte) []byte {
 // many rows. What may be allocated is what always was: the per-row
 // scratch of the columns decoded so far (8 bytes a row for the times).
 func TestHostileSegmentCountFailsBeforeEventAllocation(t *testing.T) {
-	v2 := encode(t, testLog(30*time.Second, 200), WriterOptions{})
-	for version, raw := range map[int][]byte{formatVersion1: toV1(t, v2), formatVersion2: v2} {
-		file := hostileCount(raw)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Read(bytes.NewReader(file))
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.HasPrefix(err.Error(), "colseg: ") {
-			t.Fatalf("v%d: Read returned %v, want a colseg decode error", version, err)
-		}
-		const ceiling = 16 * maxSegmentEvents // twice the time scratch; the events would be 144x
-		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("v%d: %d bytes allocated before %q", version, got, err)
-		if got > ceiling {
-			t.Errorf("v%d: hostile count allocated %d bytes before failing, want <= %d", version, got, ceiling)
-		}
+	file := hostileCount(encode(t, testLog(30*time.Second, 200), WriterOptions{}), maxSegmentEvents)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "colseg: ") {
+		t.Fatalf("Read returned %v, want a colseg decode error", err)
+	}
+	const ceiling = 16 * maxSegmentEvents // twice the time scratch; the events would be 144x
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated before %q", got, err)
+	if got > ceiling {
+		t.Errorf("hostile count allocated %d bytes before failing, want <= %d", got, ceiling)
 	}
 }
 

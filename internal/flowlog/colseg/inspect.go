@@ -2,19 +2,20 @@ package colseg
 
 import (
 	"bufio"
-	"encoding/binary"
+	"context"
 	"fmt"
 	"io"
 	"time"
+
+	"flowdiff/internal/obs"
 )
 
 // ColumnInfo is one column's per-segment index entry: its encoded block
-// size and, on version-2 segments, its value range (dictionary columns
-// report their cardinality in both fields).
+// size and its value range (dictionary columns report their cardinality
+// in both fields).
 type ColumnInfo struct {
-	Name string
-	Size int
-	// Min/Max are meaningful only when the segment HasStats (version 2).
+	Name     string
+	Size     int
 	Min, Max uint64
 }
 
@@ -24,16 +25,10 @@ type SegmentInfo struct {
 	MinTime, MaxTime time.Duration
 	Events           int
 	PayloadLen       int
-	// IndexLen is the version-2 index size; 0 on version-1 segments
-	// (their footer is the fixed footerLenV1).
-	IndexLen int
-	Columns  []ColumnInfo
-	// HasStats reports whether per-column value ranges and membership
-	// summaries exist (version 2 only).
-	HasStats bool
+	IndexLen         int
+	Columns          []ColumnInfo
 	// Hosts / Switches are the membership-summary cardinalities; -1 when
-	// the summary overflowed (membership pruning disabled) or the
-	// segment is version 1 (no summaries).
+	// the summary overflowed (membership pruning disabled).
 	Hosts, Switches int
 }
 
@@ -49,119 +44,55 @@ type FileInfo struct {
 	PayloadLen int
 }
 
-// Inspect scans an FDC1 stream's metadata — header, segment preambles,
-// and indexes/footers — without decoding any payload. It is the
-// debugging surface for pruning decisions: what Inspect reports is
-// exactly what the reader's segment pruning gets to look at.
+// Inspect scans an FDC1 stream's metadata — header, segment preambles
+// and indexes — without decoding any payload. It runs the Reader's own
+// header check and segment-metadata walk, so what Inspect reports is
+// exactly what the reader's segment pruning gets to look at. It records
+// no metrics.
 func Inspect(r io.Reader) (*FileInfo, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("colseg: reading header: %w", err)
-	}
-	if string(hdr[0:4]) != fileMagic {
-		return nil, fmt.Errorf("colseg: bad magic %q", hdr[0:4])
-	}
-	if hdr[4] != formatVersion1 && hdr[4] != formatVersion2 {
-		return nil, fmt.Errorf("colseg: unsupported version %d", hdr[4])
-	}
-	if hdr[5] != numColumns {
-		return nil, fmt.Errorf("colseg: unexpected column count %d (want %d)", hdr[5], numColumns)
+	rd := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	if err := rd.open(obs.WithRegistry(context.Background(), nil), ReaderOptions{}); err != nil {
+		return nil, err
 	}
 	info := &FileInfo{
-		Version:         int(hdr[4]),
+		Version:         formatVersion,
 		NumColumns:      numColumns,
-		Start:           time.Duration(binary.BigEndian.Uint64(hdr[6:14])),
-		End:             time.Duration(binary.BigEndian.Uint64(hdr[14:22])),
-		SegmentDuration: time.Duration(binary.BigEndian.Uint64(hdr[22:30])),
+		Start:           rd.start,
+		End:             rd.end,
+		SegmentDuration: rd.width,
 	}
-
 	for {
-		var tag [4]byte
-		if _, err := io.ReadFull(br, tag[:]); err != nil {
-			return nil, fmt.Errorf("colseg: reading segment tag: %w", err)
+		meta, done, err := rd.readMeta()
+		if err != nil {
+			return nil, err
 		}
-		switch string(tag[:]) {
-		case endMagic:
+		if done {
 			return info, nil
-		case segMagic:
-		default:
-			return nil, fmt.Errorf("colseg: bad segment tag %q", tag[:])
 		}
-
-		preLen := preambleLenV1
-		if info.Version == formatVersion2 {
-			preLen = preambleLenV2
+		if _, err := rd.br.Discard(meta.payloadLen); err != nil {
+			return nil, fmt.Errorf("colseg: skipping segment payload: %w", err)
 		}
-		var pre [preambleLenV2]byte
-		if _, err := io.ReadFull(br, pre[:preLen]); err != nil {
-			return nil, fmt.Errorf("colseg: reading segment preamble: %w", err)
-		}
+		x := meta.index
 		seg := SegmentInfo{
-			MinTime:    time.Duration(binary.BigEndian.Uint64(pre[0:8])),
-			MaxTime:    time.Duration(binary.BigEndian.Uint64(pre[8:16])),
-			Events:     int(binary.BigEndian.Uint32(pre[16:20])),
-			PayloadLen: int(binary.BigEndian.Uint32(pre[20:24])),
+			MinTime:    meta.minT,
+			MaxTime:    meta.maxT,
+			Events:     meta.count,
+			PayloadLen: meta.payloadLen,
+			IndexLen:   len(rd.idxBuf),
+			Columns:    make([]ColumnInfo, numColumns),
 			Hosts:      -1,
 			Switches:   -1,
 		}
-		if seg.Events == 0 || seg.Events > maxSegmentEvents {
-			return nil, fmt.Errorf("colseg: implausible segment event count %d", seg.Events)
+		if x.hostsExact {
+			seg.Hosts = len(x.hosts)
 		}
-		if seg.PayloadLen > maxPayloadLen {
-			return nil, fmt.Errorf("colseg: implausible segment payload length %d", seg.PayloadLen)
+		if x.switchesExact {
+			seg.Switches = len(x.switches)
 		}
-
-		var x *segIndex
-		if info.Version == formatVersion2 {
-			indexLen := binary.BigEndian.Uint32(pre[24:28])
-			if indexLen > maxIndexLen {
-				return nil, fmt.Errorf("colseg: implausible segment index length %d", indexLen)
-			}
-			seg.IndexLen = int(indexLen)
-			idx := make([]byte, indexLen)
-			if _, err := io.ReadFull(br, idx); err != nil {
-				return nil, fmt.Errorf("colseg: reading segment index: %w", err)
-			}
-			var err error
-			if x, err = parseIndexV2(idx, seg.PayloadLen); err != nil {
-				return nil, err
-			}
-			if _, err := br.Discard(seg.PayloadLen); err != nil {
-				return nil, fmt.Errorf("colseg: skipping segment payload: %w", err)
-			}
-			seg.HasStats = true
-			if x.hostsExact {
-				seg.Hosts = len(x.hosts)
-			}
-			if x.switchesExact {
-				seg.Switches = len(x.switches)
-			}
-		} else {
-			// Version 1: the offsets live in the footer after the payload,
-			// so skip the payload first, then read the footer.
-			if _, err := br.Discard(seg.PayloadLen); err != nil {
-				return nil, fmt.Errorf("colseg: skipping segment payload: %w", err)
-			}
-			var footer [footerLenV1]byte
-			if _, err := io.ReadFull(br, footer[:]); err != nil {
-				return nil, fmt.Errorf("colseg: reading segment footer: %w", err)
-			}
-			var err error
-			if x, err = parseFooterV1(footer[:], seg.PayloadLen); err != nil {
-				return nil, err
-			}
-		}
-
-		seg.Columns = make([]ColumnInfo, numColumns)
-		for c := 0; c < numColumns; c++ {
+		for c := range seg.Columns {
 			seg.Columns[c] = ColumnInfo{
-				Name: columnNames[c],
-				Size: x.blockLen(c, seg.PayloadLen),
-			}
-			if seg.HasStats {
-				seg.Columns[c].Min = x.stats[c][0]
-				seg.Columns[c].Max = x.stats[c][1]
+				Name: columnNames[c], Size: x.blockLen(c, meta.payloadLen),
+				Min: x.stats[c][0], Max: x.stats[c][1],
 			}
 		}
 		info.Events += seg.Events

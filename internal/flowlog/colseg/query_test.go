@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,21 +177,19 @@ var queryCases = []struct {
 	}, ColSwitch | ColType},
 }
 
-// TestQueryReadsMatchReference pins projected and filtered reads, on
-// both on-disk versions, against the in-memory reference semantics.
+// TestQueryReadsMatchReference pins projected and filtered reads against
+// the in-memory reference semantics.
 func TestQueryReadsMatchReference(t *testing.T) {
 	l := skewedLog(t)
-	v2 := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
-	for ver, raw := range map[int][]byte{1: toV1(t, v2), 2: v2} {
-		for _, tc := range queryCases {
-			want := project(applyFilter(l.Events, tc.f), tc.cols)
-			got := readEvents(t, context.Background(), raw, ReaderOptions{Filter: tc.f, Columns: tc.cols})
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("v%d %s: %d events diverge from reference (%d)", ver, tc.name, len(got), len(want))
-			}
+	raw := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
+	for _, tc := range queryCases {
+		want := project(applyFilter(l.Events, tc.f), tc.cols)
+		got := readEvents(t, context.Background(), raw, ReaderOptions{Filter: tc.f, Columns: tc.cols})
+		if len(got) == 0 && len(want) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d events diverge from reference (%d)", tc.name, len(got), len(want))
 		}
 	}
 }
@@ -240,8 +239,7 @@ func TestOutOfRangeEventsDroppedAtDecodeTime(t *testing.T) {
 
 // TestMembershipPruning: a host (or switch) filter must prune segments
 // whose index summary proves absence — without touching their payload —
-// on version-2 files, and degrade to decode-time filtering (same
-// results, no index pruning) on version-1 files.
+// and return what decode-time filtering alone would.
 func TestMembershipPruning(t *testing.T) {
 	l := skewedLog(t)
 	// Group 3 hosts appear only from the burst onward: the sparse first
@@ -251,35 +249,20 @@ func TestMembershipPruning(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("bad fixture: no events for the filtered host")
 	}
-
-	v2 := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
-	for _, tc := range []struct {
-		ver       int
-		raw       []byte
-		wantIndex bool
-	}{{2, v2, true}, {1, toV1(t, v2), false}} {
-		raw := tc.raw
-		reg := obs.New()
-		ctx := obs.WithRegistry(context.Background(), reg)
-		got := readEvents(t, ctx, raw, ReaderOptions{Filter: f})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("v%d: host-filtered read diverges from reference", tc.ver)
-		}
-		prunedX := reg.Counter("colseg.segments.pruned_by_index").Value()
-		if tc.wantIndex && prunedX == 0 {
-			t.Errorf("v%d: no segments pruned by index for a host absent from the first half", tc.ver)
-		}
-		if !tc.wantIndex && prunedX != 0 {
-			t.Errorf("v%d: %d segments pruned by index on a version without summaries", tc.ver, prunedX)
-		}
+	raw := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
+	reg := obs.New()
+	got := readEvents(t, obs.WithRegistry(context.Background(), reg), raw, ReaderOptions{Filter: f})
+	if !reflect.DeepEqual(got, want) {
+		t.Error("host-filtered read diverges from reference")
+	}
+	if reg.Counter("colseg.segments.pruned_by_index").Value() == 0 {
+		t.Error("no segments pruned by index for a host absent from the first half")
 	}
 
 	// Switch membership prunes too: sw-b never appears before the burst.
 	fsw := Filter{Switches: []string{"sw-b"}}
-	raw := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
-	reg := obs.New()
-	ctx := obs.WithRegistry(context.Background(), reg)
-	got := readEvents(t, ctx, raw, ReaderOptions{Filter: fsw})
+	reg = obs.New()
+	got = readEvents(t, obs.WithRegistry(context.Background(), reg), raw, ReaderOptions{Filter: fsw})
 	if !reflect.DeepEqual(got, applyFilter(l.Events, fsw)) {
 		t.Error("switch-filtered read diverges from reference")
 	}
@@ -333,31 +316,26 @@ func TestProjectedPrunedScanBytesAcceptance(t *testing.T) {
 	}
 }
 
-// TestV1FilesRemainReadable: the legacy format round-trips through the
-// new reader bit-for-bit.
-func TestV1FilesRemainReadable(t *testing.T) {
-	l := testLog(2*time.Minute, 2000)
-	raw := toV1(t, encode(t, l, WriterOptions{SegmentDuration: 10 * time.Second}))
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, l) {
-		t.Fatal("v1 round trip mismatch through the new reader")
-	}
-}
-
-// TestFutureVersionRejected: a file from a future format revision fails
-// at open with a version error — the forward-compat contract.
+// TestFutureVersionRejected: a file whose version byte is anything but
+// the current one — the retired version 1, a zero byte, or a future
+// revision — fails at the header with a version error from every FDC1
+// entry point.
 func TestFutureVersionRejected(t *testing.T) {
 	raw := encode(t, testLog(time.Second, 20), WriterOptions{})
-	future := append([]byte(nil), raw...)
-	future[4] = formatVersion2 + 1
-	if _, err := NewReaderContext(context.Background(), bytes.NewReader(future), ReaderOptions{}); err == nil {
-		t.Error("want version error for a future-format file")
-	}
-	if _, err := Inspect(bytes.NewReader(future)); err == nil {
-		t.Error("Inspect: want version error for a future-format file")
+	for _, version := range []byte{0, 1, formatVersion + 1} {
+		other := append([]byte(nil), raw...)
+		other[4] = version
+		check := func(entry string, err error) {
+			if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+				t.Errorf("version %d: %s returned %v, want an unsupported version error", version, entry, err)
+			}
+		}
+		_, err := NewReaderContext(context.Background(), bytes.NewReader(other), ReaderOptions{})
+		check("NewReaderContext", err)
+		_, err = ReadAnyInto(context.Background(), bytes.NewReader(other), ReaderOptions{}, nil)
+		check("ReadAnyInto", err)
+		_, err = Inspect(bytes.NewReader(other))
+		check("Inspect", err)
 	}
 }
 
@@ -411,8 +389,8 @@ func TestInspectReportsSegmentMetadata(t *testing.T) {
 		if seg.MinTime > seg.MaxTime {
 			t.Errorf("seg %d: min %v > max %v", i, seg.MinTime, seg.MaxTime)
 		}
-		if !seg.HasStats || seg.IndexLen <= 0 {
-			t.Errorf("seg %d: v2 segment without stats/index", i)
+		if seg.IndexLen < indexFixedLen {
+			t.Errorf("seg %d: index of %d bytes, shorter than its fixed part", i, seg.IndexLen)
 		}
 		if seg.Hosts < 0 || seg.Switches < 0 {
 			t.Errorf("seg %d: summaries overflowed on a small capture", i)
@@ -423,29 +401,6 @@ func TestInspectReportsSegmentMetadata(t *testing.T) {
 		}
 		if sum != seg.PayloadLen {
 			t.Errorf("seg %d: column sizes sum to %d, payload is %d", i, sum, seg.PayloadLen)
-		}
-	}
-
-	// Version 1: no index, no stats, unknown cardinalities — but the
-	// sizes still come from the footer offsets.
-	rawV1 := toV1(t, raw)
-	infoV1, err := Inspect(bytes.NewReader(rawV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if infoV1.Version != 1 || infoV1.Events != len(l.Events) {
-		t.Errorf("v1 inspect: version %d, events %d", infoV1.Version, infoV1.Events)
-	}
-	for i, seg := range infoV1.Segments {
-		if seg.HasStats || seg.IndexLen != 0 || seg.Hosts != -1 || seg.Switches != -1 {
-			t.Errorf("v1 seg %d: reported v2-only metadata", i)
-		}
-		sum := 0
-		for _, col := range seg.Columns {
-			sum += col.Size
-		}
-		if sum != seg.PayloadLen {
-			t.Errorf("v1 seg %d: column sizes sum to %d, payload is %d", i, sum, seg.PayloadLen)
 		}
 	}
 }

@@ -38,21 +38,19 @@ func sniff(br *bufio.Reader) Format {
 	return FormatJSON
 }
 
-// ReadAny decodes a whole flow log in any of the three serializations —
-// the one front door every loader (CLI, service ingest) goes through.
-// opts.Filter selects events in every format: FDC1 is read query-aware,
-// the row formats are materialized and filtered in memory with the same
-// semantics. The rest of opts, and ctx, apply to the columnar decode.
-func ReadAny(ctx context.Context, r io.Reader, opts ReaderOptions) (*flowlog.Log, error) {
-	return ReadAnyInto(ctx, r, opts, nil)
-}
-
-// ReadAnyInto is ReadAny for callers that recycle event batches: an
-// FDC1 body decodes onto dst[:0] with every field of every event
-// written, growing it when short; the row formats allocate their own.
-// Either way the returned Events are the caller's to reuse. The decode
-// state (buffered reader, payload slab, column scratch, switch-name
-// table) is pooled across calls and keeps no view of r.
+// ReadAnyInto decodes a whole flow log in any of the three
+// serializations — the one front door every loader (CLI, service
+// ingest) goes through. opts.Filter selects events in every format:
+// FDC1 is read query-aware, the row formats are materialized and
+// filtered in memory with the same semantics. The rest of opts, and
+// ctx, apply to the columnar decode.
+//
+// An FDC1 body decodes onto dst[:0] with every field of every event
+// written, growing it when short (a nil dst allocates); the row formats
+// allocate their own. Either way the returned Events are the caller's
+// to reuse. The decode state (buffered reader, payload slab, column
+// scratch, switch-name table) is pooled across calls and keeps no view
+// of r.
 func ReadAnyInto(ctx context.Context, r io.Reader, opts ReaderOptions, dst []flowlog.Event) (*flowlog.Log, error) {
 	rd := readers.Get().(*Reader)
 	defer rd.release()

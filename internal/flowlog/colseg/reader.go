@@ -24,9 +24,9 @@ type ReaderOptions struct {
 	// time and never materialized.
 	Filter
 	// Columns projects the decode: only the selected columns' payload
-	// blocks are decoded (on version-2 files the others are never even
-	// read), and unprojected event fields stay at their zero value. Zero
-	// means all columns.
+	// blocks are decoded (the others are never even read), and
+	// unprojected event fields stay at their zero value. Zero means all
+	// columns.
 	Columns ColumnSet
 	// BatchSize caps the event count of one Next batch. Default 8192.
 	BatchSize int
@@ -74,7 +74,7 @@ func newReaderMetrics(reg *obs.Registry) readerMetrics {
 }
 
 // segMeta is everything known about the next segment before its payload:
-// the preamble plus, on version-2 files, the decoded index.
+// the preamble plus the decoded index.
 type segMeta struct {
 	minT, maxT time.Duration
 	count      int
@@ -89,21 +89,20 @@ type segMeta struct {
 // Metrics land in the obs registry traveling in the constructor's
 // context; see readerMetrics for the counter contract.
 type Reader struct {
-	br      *bufio.Reader
-	reg     *obs.Registry
-	m       readerMetrics
-	opts    ReaderOptions
-	spec    *querySpec
-	version int
-	start   time.Duration
-	end     time.Duration
-	width   time.Duration
+	br    *bufio.Reader
+	reg   *obs.Registry
+	m     readerMetrics
+	opts  ReaderOptions
+	spec  *querySpec
+	start time.Duration
+	end   time.Duration
+	width time.Duration
 	// names interns switch-name dictionary entries across segments, so
 	// a capture from N switches allocates N strings however many
 	// segments repeat them.
 	names map[string]string
 	// Decode state, reused across segments (and, through readers, across
-	// ReadAny calls).
+	// ReadAnyInto calls).
 	slab   []byte
 	blocks [numColumns][]byte
 	sc     decodeScratch
@@ -120,7 +119,7 @@ const maxPooledSlab, maxPooledRows = 4 << 20, 1 << 16
 
 var readers = sync.Pool{New: func() any { return &Reader{br: bufio.NewReaderSize(nil, 1<<16), names: make(map[string]string)} }}
 
-// release hands a ReadAny reader back to readers, keeping its buffers
+// release hands a ReadAnyInto reader back to readers, keeping its buffers
 // but no view of the request it read.
 func (r *Reader) release() {
 	r.br.Reset(nil)
@@ -139,9 +138,8 @@ func (r *Reader) release() {
 }
 
 // NewReaderContext opens an FDC1 stream: the header is read and
-// validated immediately, events decode lazily per Next call. Both
-// on-disk versions are readable; files from a future revision are
-// rejected here.
+// validated immediately, events decode lazily per Next call. A file of
+// any format version but the current one is rejected here.
 func NewReaderContext(ctx context.Context, r io.Reader, opts ReaderOptions) (*Reader, error) {
 	rd := &Reader{br: bufio.NewReaderSize(r, 1<<16), names: make(map[string]string)}
 	if err := rd.open(ctx, opts); err != nil {
@@ -159,13 +157,13 @@ func (r *Reader) open(ctx context.Context, opts ReaderOptions) error {
 	if string(hdr[0:4]) != fileMagic {
 		return fmt.Errorf("colseg: bad magic %q", hdr[0:4])
 	}
-	if hdr[4] != formatVersion1 && hdr[4] != formatVersion2 {
+	if hdr[4] != formatVersion {
 		return fmt.Errorf("colseg: unsupported version %d", hdr[4])
 	}
 	if hdr[5] != numColumns {
 		return fmt.Errorf("colseg: unexpected column count %d (want %d)", hdr[5], numColumns)
 	}
-	r.opts, r.reg, r.version = opts.withDefaults(), obs.From(ctx), int(hdr[4])
+	r.opts, r.reg = opts.withDefaults(), obs.From(ctx)
 	r.m, r.spec = newReaderMetrics(r.reg), newQuerySpec(r.opts.Filter, r.opts.Columns)
 	r.start = time.Duration(binary.BigEndian.Uint64(hdr[6:14]))
 	r.end = time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
@@ -213,8 +211,8 @@ func (r *Reader) Next() ([]flowlog.Event, error) {
 }
 
 // readMeta consumes the next segment tag and, unless the file ended,
-// the preamble and (version 2) the segment index — everything needed to
-// decide pruning before any payload byte.
+// the preamble and the segment index (left in r.idxBuf) — everything
+// needed to decide pruning before any payload byte.
 func (r *Reader) readMeta() (meta segMeta, done bool, err error) {
 	var tag [4]byte
 	if _, err := io.ReadFull(r.br, tag[:]); err != nil {
@@ -228,12 +226,8 @@ func (r *Reader) readMeta() (meta segMeta, done bool, err error) {
 		return meta, false, fmt.Errorf("colseg: bad segment tag %q", tag[:])
 	}
 
-	preLen := preambleLenV1
-	if r.version == formatVersion2 {
-		preLen = preambleLenV2
-	}
-	var pre [preambleLenV2]byte
-	if _, err := io.ReadFull(r.br, pre[:preLen]); err != nil {
+	var pre [preambleLen]byte
+	if _, err := io.ReadFull(r.br, pre[:]); err != nil {
 		return meta, false, fmt.Errorf("colseg: reading segment preamble: %w", err)
 	}
 	meta.minT = time.Duration(binary.BigEndian.Uint64(pre[0:8]))
@@ -246,70 +240,59 @@ func (r *Reader) readMeta() (meta segMeta, done bool, err error) {
 	if payloadLen > maxPayloadLen {
 		return meta, false, fmt.Errorf("colseg: implausible segment payload length %d", payloadLen)
 	}
+	indexLen := binary.BigEndian.Uint32(pre[24:28])
+	if indexLen > maxIndexLen {
+		return meta, false, fmt.Errorf("colseg: implausible segment index length %d", indexLen)
+	}
 	meta.count = int(count)
 	meta.payloadLen = int(payloadLen)
-
-	if r.version == formatVersion2 {
-		indexLen := binary.BigEndian.Uint32(pre[24:28])
-		if indexLen > maxIndexLen {
-			return meta, false, fmt.Errorf("colseg: implausible segment index length %d", indexLen)
-		}
-		r.idxBuf = grow(r.idxBuf, int(indexLen))
-		if _, err := io.ReadFull(r.br, r.idxBuf); err != nil {
-			return meta, false, fmt.Errorf("colseg: reading segment index: %w", err)
-		}
-		meta.index, err = parseIndexV2(r.idxBuf, meta.payloadLen)
-		if err != nil {
-			return meta, false, err
-		}
+	r.idxBuf = grow(r.idxBuf, int(indexLen))
+	if _, err := io.ReadFull(r.br, r.idxBuf); err != nil {
+		return meta, false, fmt.Errorf("colseg: reading segment index: %w", err)
 	}
-	return meta, false, nil
+	meta.index, err = parseIndex(r.idxBuf, meta.payloadLen)
+	return meta, false, err
 }
 
 // prune decides from metadata alone whether no event in the segment can
-// match the filter: the preamble time range first, then (version 2,
-// exact summaries only) host and switch membership.
+// match the filter: the preamble time range first, then (exact summaries
+// only) host and switch membership.
 func (r *Reader) prune(meta *segMeta) (pruned, byIndex bool) {
 	if r.opts.timeActive() && (meta.maxT < r.opts.From || meta.minT >= r.opts.To) {
 		return true, false
 	}
-	if x := meta.index; x != nil {
-		if r.spec.hostSet != nil && x.hostsExact {
-			hit := false
-			for _, a4 := range x.hosts {
-				if r.spec.hostSet[a4] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				return true, true
+	x := meta.index
+	if r.spec.hostSet != nil && x.hostsExact {
+		hit := false
+		for _, a4 := range x.hosts {
+			if r.spec.hostSet[a4] {
+				hit = true
+				break
 			}
 		}
-		if len(r.spec.swSet) > 0 && x.switchesExact {
-			hit := false
-			for _, name := range x.switches {
-				if r.spec.swSet[name] {
-					hit = true
-					break
-				}
+		if !hit {
+			return true, true
+		}
+	}
+	if len(r.spec.swSet) > 0 && x.switchesExact {
+		hit := false
+		for _, name := range x.switches {
+			if r.spec.swSet[name] {
+				hit = true
+				break
 			}
-			if !hit {
-				return true, true
-			}
+		}
+		if !hit {
+			return true, true
 		}
 	}
 	return false, false
 }
 
-// skipSegment discards a pruned segment's remaining bytes (payload, plus
-// the trailing footer on version-1 files) and records the work avoided.
+// skipSegment discards a pruned segment's payload and records the work
+// avoided.
 func (r *Reader) skipSegment(meta *segMeta, byIndex bool) error {
-	n := meta.payloadLen
-	if r.version == formatVersion1 {
-		n += footerLenV1
-	}
-	if _, err := r.br.Discard(n); err != nil {
+	if _, err := r.br.Discard(meta.payloadLen); err != nil {
 		return fmt.Errorf("colseg: skipping pruned segment: %w", err)
 	}
 	if byIndex {
@@ -321,46 +304,11 @@ func (r *Reader) skipSegment(meta *segMeta, byIndex bool) error {
 	return nil
 }
 
-// loadBlocks reads the segment body into r.slab and slices the needed
-// column blocks out of it into r.blocks. On version-2 files unneeded
-// blocks are skipped with Discard (their bytes never enter memory) and
-// each loaded block is CRC-checked independently; version-1 files must
-// read the whole payload to reach the footer, so "skipped" there counts
-// decode work avoided, not IO.
+// loadBlocks reads the needed column blocks into r.slab and slices
+// them into r.blocks, each CRC-checked independently; unneeded blocks
+// are skipped with Discard, so their bytes never enter memory.
 func (r *Reader) loadBlocks(meta *segMeta) error {
 	need, blocks := r.spec.need, &r.blocks
-	if r.version == formatVersion1 {
-		slab := grow(r.slab, meta.payloadLen+footerLenV1)
-		r.slab = slab
-		if _, err := io.ReadFull(r.br, slab); err != nil {
-			return fmt.Errorf("colseg: reading segment body: %w", err)
-		}
-		payload, footer := slab[:meta.payloadLen], slab[meta.payloadLen:]
-		x, err := parseFooterV1(footer, meta.payloadLen)
-		if err != nil {
-			return err
-		}
-		if got := crc32.ChecksumIEEE(payload); got != x.crcs[0] {
-			return fmt.Errorf("colseg: segment CRC mismatch: computed %08x, footer %08x", got, x.crcs[0])
-		}
-		meta.index = x
-		var dec, skip int64
-		for c := 0; c < numColumns; c++ {
-			bl := x.blockLen(c, meta.payloadLen)
-			if need.has(c) {
-				blocks[c] = payload[x.offs[c] : x.offs[c]+bl]
-				dec += int64(bl)
-			} else {
-				blocks[c] = nil
-				skip += int64(bl)
-				r.m.colsSkipped.Inc()
-			}
-		}
-		r.m.bytesDec.Add(dec)
-		r.m.bytesSkip.Add(skip)
-		return nil
-	}
-
 	x := meta.index
 	total := 0
 	for c := 0; c < numColumns; c++ {

@@ -41,7 +41,7 @@ func NewWriter(w io.Writer, start, end time.Duration, opts WriterOptions) (*Writ
 	bw := bufio.NewWriter(w)
 	var hdr [headerLen]byte
 	copy(hdr[0:4], fileMagic)
-	hdr[4] = formatVersion2
+	hdr[4] = formatVersion
 	hdr[5] = numColumns
 	binary.BigEndian.PutUint64(hdr[6:14], uint64(start))
 	binary.BigEndian.PutUint64(hdr[14:22], uint64(end))
@@ -151,7 +151,7 @@ type segSummary struct {
 	swOrder  []string
 }
 
-// encodeIndex serializes a version-2 segment index: per-column offsets,
+// encodeIndex serializes a segment index: per-column offsets,
 // per-column CRCs, per-column value ranges, and the membership
 // summaries.
 func encodeIndex(evs []flowlog.Event, payload []byte, offs [numColumns]int, sum segSummary) []byte {

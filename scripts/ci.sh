@@ -200,12 +200,18 @@ named_smoke() {
 	done
 }
 # Query-equivalence smoke: projected and index-pruned reads must be
-# reflect.DeepEqual to the full read — at the colseg layer over both
-# format versions, and through the public API on the canonical scenario
-# capture. A read engine that silently dropped or reordered events would
-# pass the benches but fail here.
+# reflect.DeepEqual to the full read — at the colseg layer, and through
+# the public API on the canonical scenario capture. A read engine that
+# silently dropped or reordered events would pass the benches but fail
+# here.
 named_smoke ./internal/flowlog/colseg TestQueryReadsMatchReference
 named_smoke . TestQueryReadsEquivalentOnScenarioCapture
+# One-parser smoke: Inspect walks FDC1 metadata with the Reader's own
+# parser, so it fails on every metadata mutant exactly as a full read
+# does; and `flowdiff inspect -columns` on the scenario capture reports
+# one seg line per segment and column totals that add up to 100 %.
+named_smoke ./internal/flowlog/colseg TestInspectSharesReaderParser
+named_smoke ./cmd/flowdiff TestInspectColumnar
 # Serve smoke: boot the real flowdiff binary as a service on a loopback
 # port, ingest the canonical Seed-301 capture over HTTP as two tenants,
 # and require the fetched reports to be reflect.DeepEqual to an offline
