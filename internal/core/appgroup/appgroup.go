@@ -109,9 +109,9 @@ func (r *Resolver) Node(addr netip.Addr) topology.NodeID {
 
 // discoverScratch holds one discovery's working state: a node interner
 // and an array-based union-find (path halving + union by size) over the
-// dense IDs, recycled across calls via a pool so the concurrent
-// per-interval discoveries in stability analysis don't re-allocate
-// the maps and arrays every interval.
+// dense IDs, recycled across calls via a pool so the per-interval
+// discoveries of stability analysis, which run one after another, and
+// every later build don't re-allocate the maps and arrays each time.
 type discoverScratch struct {
 	ids    map[topology.NodeID]int32
 	nodes  []topology.NodeID

@@ -9,8 +9,7 @@ package taskmine
 // Haystack"): intern once, mine over dense IDs.
 //
 // IDs are assigned by first appearance, so a set filled from the same
-// runs in the same order is identical regardless of later parallelism —
-// interning happens once, serially, before any fan-out.
+// runs in the same order is identical.
 type TemplateSet struct {
 	ids   map[Template]int32
 	tmpls []Template
@@ -51,8 +50,7 @@ func (s *TemplateSet) InternRun(run []Template) []int32 {
 // integer: the dense ID of its length-(L-1) prefix pattern plus the
 // interned ID of its last template. Every length-L sequence has exactly
 // one such encoding, so candidate maps need no string keys at all, and
-// sorting the packed keys is a deterministic candidate order shared by
-// every worker count.
+// sorting the packed keys gives a deterministic candidate order.
 func packCand(prefix, last int32) int64 {
 	return int64(prefix)<<32 | int64(uint32(last))
 }

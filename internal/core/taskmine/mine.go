@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"flowdiff/internal/obs"
-	"flowdiff/internal/parallel"
 )
 
 // Pattern is a contiguous sequence of templates mined from the runs,
@@ -81,26 +80,22 @@ type MineOptions struct {
 
 // Mine learns a task automaton from n runs of the same task.
 //
-// Every mining stage runs over interned template IDs (TemplateSet), and
-// the per-run work — support counting, candidate extension, closed
-// pruning, segmentation — fans out across Config.Parallelism workers
-// (clamped to the CPU count by parallel.Clamp; the repo's one worker
-// knob, DESIGN.md "Where concurrency lives"). Worker results merge in
-// sorted candidate order, so the mined automaton is byte-identical for
-// every worker count. Mining stops between phases (and between fan-out
-// dispatches) once ctx is canceled, returning ctx.Err(); phase timings
-// land in the context's obs registry as span.taskmine.* histograms.
+// Every mining stage runs over interned template IDs (TemplateSet), on
+// the caller's goroutine: at the paper's few dozen training runs a
+// fan-out costs more than it saves (DESIGN.md "Where concurrency
+// lives"). Mining stops between phases (and between growth rounds and
+// runs) once ctx is canceled, returning ctx.Err(); phase timings land
+// in the context's obs registry as span.taskmine.* histograms.
 func Mine(ctx context.Context, name string, runs [][]Template, cfg Config, opt MineOptions) (*Automaton, error) {
 	cfg = cfg.withDefaults()
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("taskmine: no runs for task %q", name)
 	}
-	workers := parallel.Clamp(cfg.Parallelism)
 	reg := obs.From(ctx)
 	reg.Counter("taskmine.runs").Add(int64(len(runs)))
 
-	// Intern serially, before any fan-out: IDs are assigned by first
-	// appearance, so the mapping is a pure function of the input order.
+	// IDs are assigned by first appearance, so the mapping is a pure
+	// function of the input order.
 	spIntern := reg.Span("taskmine.intern")
 	set := NewTemplateSet()
 	idRuns := make([][]int32, len(runs))
@@ -142,7 +137,7 @@ func Mine(ctx context.Context, name string, runs [][]Template, cfg Config, opt M
 	// (3) Frequent contiguous patterns with apriori extension and closed
 	// pruning.
 	spFrequent := reg.Span("taskmine.frequent")
-	patterns := frequentIDPatterns(ctx, filtered, cfg.MinSupport, set.Len(), workers)
+	patterns := frequentIDPatterns(ctx, filtered, cfg.MinSupport, set.Len())
 	spFrequent.End()
 	reg.Counter("taskmine.patterns").Add(int64(len(patterns)))
 	if err := ctx.Err(); err != nil {
@@ -151,7 +146,7 @@ func Mine(ctx context.Context, name string, runs [][]Template, cfg Config, opt M
 	states := patterns
 	if !opt.DisableClosedPruning {
 		spPrune := reg.Span("taskmine.prune")
-		states = closedPruneIDs(ctx, patterns, workers)
+		states = closedPruneIDs(ctx, patterns)
 		spPrune.End()
 	}
 	if err := ctx.Err(); err != nil {
@@ -166,7 +161,7 @@ func Mine(ctx context.Context, name string, runs [][]Template, cfg Config, opt M
 	// then higher support, then key. The key is unique per distinct
 	// sequence (template renderings are bracketed, so concatenation is
 	// uniquely decodable), making this a total order — state order cannot
-	// depend on mining order or worker count.
+	// depend on mining order.
 	finals := make([]Pattern, len(states))
 	stateSeqs := make([][]int32, len(states))
 	keys := make([]string, len(states))
@@ -181,39 +176,26 @@ func Mine(ctx context.Context, name string, runs [][]Template, cfg Config, opt M
 	}
 	sort.Sort(&stateSorter{pats: finals, seqs: stateSeqs, keys: keys})
 
-	// The stored config describes the mined automaton, not the mining
-	// run: Parallelism is zeroed so automata mined at different widths
-	// compare equal.
-	acfg := cfg
-	acfg.Parallelism = 0
 	a := &Automaton{
 		Name:        name,
 		States:      finals,
 		start:       make(map[int]bool),
 		final:       make(map[int]bool),
 		transitions: make(map[int]map[int]bool),
-		cfg:         acfg,
+		cfg:         cfg,
 	}
 
 	// (4) Segment every run with the state inventory and record the
-	// transition structure. Runs segment independently (fan-out); the
-	// transition sets merge in run order, and set union commutes, so the
-	// automaton is identical at any width.
-	chunksPerRun := make([][]int, len(filtered))
-	errPerRun := make([]error, len(filtered))
+	// transition structure.
 	spSegment := reg.Span("taskmine.segment")
-	if err := parallel.ForContext(ctx, len(filtered), workers, func(r int) {
-		chunksPerRun[r], errPerRun[r] = segmentIDs(stateSeqs, filtered[r], set)
-	}); err != nil {
-		return nil, err
-	}
-	spSegment.End()
-	reg.Counter("taskmine.states").Add(int64(len(finals)))
-	for r, err := range errPerRun {
+	for _, run := range filtered {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		chunks, err := segmentIDs(stateSeqs, run, set)
 		if err != nil {
 			return nil, fmt.Errorf("taskmine: segmenting run for %q: %w", name, err)
 		}
-		chunks := chunksPerRun[r]
 		a.start[chunks[0]] = true
 		a.final[chunks[len(chunks)-1]] = true
 		for i := 0; i+1 < len(chunks); i++ {
@@ -225,12 +207,14 @@ func Mine(ctx context.Context, name string, runs [][]Template, cfg Config, opt M
 			next[chunks[i+1]] = true
 		}
 	}
+	spSegment.End()
+	reg.Counter("taskmine.states").Add(int64(len(finals)))
 	return a, nil
 }
 
-// stateSorter orders the materialized states (and their parallel ID
-// sequences) longest first, then by support, then by key — the order
-// segmentation and matching iterate in.
+// stateSorter orders the materialized states (and their ID sequences,
+// index for index) longest first, then by support, then by key — the
+// order segmentation and matching iterate in.
 type stateSorter struct {
 	pats []Pattern
 	seqs [][]int32
@@ -276,10 +260,10 @@ func commonIDs(runs [][]int32, numTemplates int) []bool {
 	return common
 }
 
-// candCounter is one worker's support-counting state for a single
-// pattern length: candidates discovered in its run chunk, keyed by the
-// packed (prefix pattern ID, last template ID) identity, with per-run
-// stamps so a run supports a candidate at most once.
+// candCounter is the support-counting state for a single pattern
+// length: candidates discovered in the runs, keyed by the packed (prefix
+// pattern ID, last template ID) identity, with per-run stamps so a run
+// supports a candidate at most once.
 type candCounter struct {
 	idx     map[int64]int32
 	counts  []int32
@@ -313,10 +297,9 @@ func (c *candCounter) observe(key int64, run int32) {
 // of the frequent length-(L-1) pattern starting at position i of run r
 // (or -1), so the apriori check is two array reads and a length-L
 // candidate is the packed pair (prefix pattern ID, last template ID) —
-// no per-window key strings. Support counting fans runs out across
-// workers; counts merge additively and candidates are emitted in sorted
-// packed-key order, so the result is identical at any worker count.
-func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, numTemplates int, workers int) []idPattern {
+// no per-window key strings. Candidates are emitted in sorted packed-key
+// order, never in map order.
+func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, numTemplates int) []idPattern {
 	n := float64(len(runs))
 	var out []idPattern
 
@@ -362,44 +345,22 @@ func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, num
 	}
 
 	for length := 2; ; length++ {
-		// Chunk the runs across workers; each worker counts its chunk's
-		// candidates locally.
-		if workers > len(runs) {
-			workers = len(runs)
-		}
-		locals := make([]*candCounter, workers)
-		// A canceled fan-out leaves nil locals; the loop below tolerates
-		// them and Mine surfaces ctx.Err() right after.
-		_ = parallel.ForContext(ctx, workers, workers, func(w int) {
-			cc := newCandCounter()
-			lo, hi := len(runs)*w/workers, len(runs)*(w+1)/workers
-			for r := lo; r < hi; r++ {
-				run, p := runs[r], pos[r]
-				for i := 0; i+length <= len(run); i++ {
-					// Apriori: prefix and suffix must be frequent at L-1.
-					if p[i] < 0 || p[i+1] < 0 {
-						continue
-					}
-					cc.observe(packCand(p[i], run[i+length-1]), int32(r))
-				}
-			}
-			locals[w] = cc
-		})
-
 		if ctx.Err() != nil {
-			return out
+			return out // Mine surfaces ctx.Err() right after
 		}
-
-		// Deterministic merge: counts are additive, so worker order does
-		// not matter; candidates are then emitted in sorted key order.
-		total := make(map[int64]int32)
-		for _, cc := range locals {
-			for key, li := range cc.idx {
-				total[key] += cc.counts[li]
+		cc := newCandCounter()
+		for r, run := range runs {
+			p := pos[r]
+			for i := 0; i+length <= len(run); i++ {
+				// Apriori: prefix and suffix must be frequent at L-1.
+				if p[i] < 0 || p[i+1] < 0 {
+					continue
+				}
+				cc.observe(packCand(p[i], run[i+length-1]), int32(r))
 			}
 		}
-		cands := make([]int64, 0, len(total))
-		for key := range total {
+		cands := make([]int64, 0, len(cc.idx))
+		for key := range cc.idx {
 			cands = append(cands, key)
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
@@ -407,7 +368,7 @@ func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, num
 		freqID := make(map[int64]int32, len(cands))
 		nextSeqs := make([][]int32, 0, len(cands))
 		for _, key := range cands {
-			sup := float64(total[key]) / n
+			sup := float64(cc.counts[cc.idx[key]]) / n
 			if sup+1e-12 < minSup {
 				continue
 			}
@@ -423,11 +384,9 @@ func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, num
 			break
 		}
 
-		// Re-stamp the positions with the new length's pattern IDs. On
-		// cancellation the partial stamps are never read: the caller
-		// returns ctx.Err() before the next growth round matters.
-		_ = parallel.ForContext(ctx, len(runs), workers, func(r int) {
-			run, p := runs[r], pos[r]
+		// Re-stamp the positions with the new length's pattern IDs.
+		for r, run := range runs {
+			p := pos[r]
 			for i := 0; i+length <= len(run); i++ {
 				id := int32(-1)
 				if p[i] >= 0 && p[i+1] >= 0 {
@@ -443,7 +402,7 @@ func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, num
 					p[i] = -1
 				}
 			}
-		})
+		}
 		prevSeqs = nextSeqs
 	}
 	return out
@@ -451,28 +410,21 @@ func frequentIDPatterns(ctx context.Context, runs [][]int32, minSup float64, num
 
 // closedPruneIDs removes patterns that are contiguous sub-sequences of a
 // longer pattern with the same support (§III-D: closed frequent
-// patterns). Each pattern's verdict is independent, so they fan out.
-func closedPruneIDs(ctx context.Context, patterns []idPattern, workers int) []idPattern {
-	pruned := make([]bool, len(patterns))
-	// Partial verdicts after cancellation are fine: the caller checks
-	// ctx.Err() immediately and discards the result.
-	_ = parallel.ForContext(ctx, len(patterns), workers, func(i int) {
-		p := patterns[i]
-		for _, q := range patterns {
-			if len(q.seq) <= len(p.seq) {
-				continue
-			}
-			if q.support == p.support && containsSubIDs(q.seq, p.seq) {
-				pruned[i] = true
-				return
-			}
-		}
-	})
+// patterns). A canceled ctx stops it early; Mine then discards the
+// partial result and returns ctx.Err().
+func closedPruneIDs(ctx context.Context, patterns []idPattern) []idPattern {
 	out := make([]idPattern, 0, len(patterns))
-	for i, p := range patterns {
-		if !pruned[i] {
-			out = append(out, p)
+outer:
+	for _, p := range patterns {
+		if ctx.Err() != nil {
+			return out
 		}
+		for _, q := range patterns {
+			if len(q.seq) > len(p.seq) && q.support == p.support && containsSubIDs(q.seq, p.seq) {
+				continue outer
+			}
+		}
+		out = append(out, p)
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 )
@@ -16,7 +15,6 @@ import (
 // DeepEqual automata.
 func mineReference(name string, runs [][]Template, cfg Config, opt MineOptions) (*Automaton, error) {
 	cfg = cfg.withDefaults()
-	cfg.Parallelism = 0 // the live miner zeroes it on the stored config
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("taskmine: no runs for task %q", name)
 	}
@@ -189,7 +187,7 @@ func randomRuns(rng *rand.Rand, n, k int) [][]Template {
 	return runs
 }
 
-// TestMineMatchesReference pins the interned parallel miner against the
+// TestMineMatchesReference pins the interned miner against the
 // retained naive miner on randomized workloads: DeepEqual automata,
 // including state order, supports, and transition structure.
 func TestMineMatchesReference(t *testing.T) {
@@ -208,32 +206,6 @@ func TestMineMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("trial %d opt %+v: automaton mismatch\nreference: %+v\nmine:      %+v", trial, opt, want, got)
 			}
-		}
-	}
-}
-
-// TestMineDeterministicAcrossWorkers pins byte-identical automata for
-// workers 1/2/4/7. GOMAXPROCS is raised so the clamp doesn't collapse
-// the widths to 1 on small CI hosts, and the race detector sees real
-// concurrent mining.
-func TestMineDeterministicAcrossWorkers(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
-	rng := rand.New(rand.NewSource(11))
-	runs := randomRuns(rng, 12, 9)
-
-	base, err := Mine(context.Background(), "t", runs, Config{Parallelism: 1}, MineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 7} {
-		got, err := Mine(context.Background(), "t", runs, Config{Parallelism: w}, MineOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d: automaton differs from workers=1", w)
 		}
 	}
 }

@@ -58,10 +58,6 @@ type Config struct {
 	// MaxMatchers caps concurrently active child matchers per automaton.
 	// Default 256.
 	MaxMatchers int
-	// Parallelism bounds the worker count mining fans out to. Zero or
-	// negative means one worker per CPU; values above the CPU count are
-	// clamped down. The mined automaton is identical at every width.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {

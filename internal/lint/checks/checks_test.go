@@ -24,10 +24,10 @@ func TestWallClockScopedToVirtualTimePackages(t *testing.T) {
 	linttest.RunExpectNone(t, "testdata/src/wallclock", "flowdiff/internal/controller/clockpkg", checks.WallClock)
 }
 
-// The instrumented scope (root flowdiff, internal/parallel) bans direct
+// The instrumented scope (the root flowdiff package) bans direct
 // wall-clock reads in production code but exempts _test.go files.
 func TestWallClockInstrumentedScope(t *testing.T) {
-	linttest.Run(t, "testdata/src/wallclock_instrumented", "flowdiff/internal/parallel", checks.WallClock)
+	linttest.Run(t, "testdata/src/wallclock_instrumented", "flowdiff", checks.WallClock)
 }
 
 // The instrumented scope matches exact package paths only: the root

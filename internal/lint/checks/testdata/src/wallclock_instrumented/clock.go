@@ -1,6 +1,6 @@
 // Seeded violations for the wallclock analyzer's instrumented scope:
-// production code in the root flowdiff and internal/parallel packages
-// must route clock reads through the injectable obs.Clock.
+// production code in the root flowdiff package must route clock reads
+// through the injectable obs.Clock.
 package clockpkg
 
 import "time"

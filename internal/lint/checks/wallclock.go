@@ -19,19 +19,18 @@ var wallClockScope = []string{
 	"flowdiff/internal/flowlog",
 }
 
-// wallClockInstrumented lists packages brought into scope by the obs
-// layer: their production code carries span timers, so every clock read
+// wallClockInstrumented lists the packages brought into scope by the
+// obs layer: their production code carries span timers, so every clock read
 // must route through the injectable obs.Clock (Registry.Now/Since) —
 // a direct time.Now would put untestable wall-clock reads inside
 // instrumented stages. Matching is exact, not by prefix: "flowdiff"
 // must not sweep flowdiff/cmd or flowdiff/examples. Unlike the
-// virtual-time scope, _test.go files are exempt here — these packages'
-// tests exercise real concurrency (goroutine settling, cancellation
+// virtual-time scope, _test.go files are exempt here — the root
+// package's tests exercise real concurrency (goroutine settling, cancellation
 // timing) and legitimately sleep on the host clock. The obs package
 // itself is the sanctioned clock owner and stays out of scope.
 var wallClockInstrumented = map[string]bool{
-	"flowdiff":                   true,
-	"flowdiff/internal/parallel": true,
+	"flowdiff": true,
 }
 
 // bannedTimeFuncs reach the host's wall clock (or schedule against it).

@@ -1,8 +1,8 @@
 // Function summaries: the per-function facts the interprocedural
 // analyzers consume. One FuncSummary is extracted per declared function
 // (methods included); function literals fold into their enclosing
-// declaration — a call made inside a closure, a `parallel.ForContext`
-// worker body, or a `go func(){...}` is attributed to the function that
+// declaration — a call made inside a closure, a `sort.Slice` less
+// function, or a `go func(){...}` is attributed to the function that
 // lexically contains it, which is the reachability notion the callers
 // of the fact store care about.
 //

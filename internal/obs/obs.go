@@ -9,16 +9,14 @@
 //     the pipeline's point of view; no instrumented stage ever reads a
 //     metric back to make a decision, so diagnosis reports are
 //     byte-identical with instrumentation on or off (pinned by
-//     TestObsDoesNotChangeReports in the root package).
+//     TestReportIdenticalWithObsOnOff in the root package).
 //
 //   - Counters are deterministic. Everything recorded on a Counter is a
 //     pure function of the input log (occurrences extracted, groups
 //     discovered, windows flushed, changes emitted), so counter values
-//     are identical at any GOMAXPROCS. Timings (histograms)
-//     and pool occupancy (gauges) are scheduling-dependent by nature
-//     and carry no such guarantee. The one exception is the "parallel."
-//     namespace: the pool's own dispatch counters depend on which fan
-//     -out path ran and are excluded from the determinism contract.
+//     are identical at any GOMAXPROCS. Timings (histograms) and
+//     occupancy (gauges) are scheduling-dependent by nature and carry
+//     no such guarantee.
 //
 //   - Time stays injectable. Registry reads wall time only through its
 //     Clock, so instrumented packages never call time.Now directly —

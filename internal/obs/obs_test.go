@@ -144,14 +144,14 @@ func TestSnapshotAndExpvarString(t *testing.T) {
 func TestWriteSummary(t *testing.T) {
 	r := New()
 	r.Counter("monitor.windows").Add(3)
-	r.Gauge("parallel.active").Add(2)
+	r.Gauge("serve.tenants").Add(2)
 	r.Histogram("span.extract").Observe(5 * time.Millisecond)
 	var sb strings.Builder
 	if err := WriteSummary(&sb, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"span.extract", "monitor.windows", "parallel.active", "timings:", "counters:", "gauges:"} {
+	for _, want := range []string{"span.extract", "monitor.windows", "serve.tenants", "timings:", "counters:", "gauges:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}

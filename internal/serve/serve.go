@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -24,7 +25,6 @@ import (
 	"flowdiff"
 	"flowdiff/internal/flowlog"
 	"flowdiff/internal/obs"
-	"flowdiff/internal/parallel"
 )
 
 // Config configures a Server. Zero values get serviceable defaults; Dir
@@ -129,7 +129,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 	s.batches.New = func() any { return new([]flowlog.Event) }
 	if err := s.recover(sctx); err != nil {
+		// Join the workers of the tenants recovered before the failure.
 		cancel()
+		s.closeTenants()
+		s.wg.Wait()
 		return nil, err
 	}
 	s.routes()
@@ -153,42 +156,60 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 
 // recover rebuilds one monitor per persisted tenant, one tenant per CPU
 // at a time; a tenant whose state fails to load is skipped (counted in
-// serve.recover.errors) rather than failing boot.
+// serve.recover.errors) rather than failing boot. Once ctx is done no
+// further tenant is dispatched and recover returns ctx.Err().
 func (s *Server) recover(ctx context.Context) error {
 	ids, err := s.store.Tenants()
 	if err != nil {
 		return err
 	}
-	if len(ids) == 0 {
-		return nil
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			if err := s.recoverTenant(ctx, id); err != nil {
+				s.reg.Counter("serve.recover.errors").Inc()
+			}
+		}()
 	}
-	err = parallel.ForContext(ctx, len(ids), parallel.Clamp(0), func(i int) {
-		id := ids[i]
-		log, meta, err := s.store.LoadBaseline(ctx, id)
-		if err != nil {
-			s.reg.Counter("serve.recover.errors").Inc()
-			return
-		}
-		mon, err := flowdiff.NewMonitor(ctx, log, s.cfg.Window, s.cfg.Automata, s.cfg.Thresholds, s.cfg.Options)
-		if err != nil {
-			s.reg.Counter("serve.recover.errors").Inc()
-			return
-		}
-		seq, err := s.store.MaxSeq(id)
-		if err != nil {
-			s.reg.Counter("serve.recover.errors").Inc()
-			return
-		}
-		t := s.newTenant(id, mon, meta, seq)
-		s.mu.Lock()
-		s.tenants[id] = t
-		s.mu.Unlock()
-		s.startWorker(t)
-	})
-	if err != nil {
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("serve: recovering tenants: %w", err)
 	}
-	s.reg.Gauge("serve.tenants").Set(int64(len(ids)))
+	s.mu.Lock()
+	s.reg.Gauge("serve.tenants").Set(int64(len(s.tenants)))
+	s.mu.Unlock()
+	return nil
+}
+
+// recoverTenant rebuilds and starts one persisted tenant.
+func (s *Server) recoverTenant(ctx context.Context, id string) error {
+	log, meta, err := s.store.LoadBaseline(ctx, id)
+	if err != nil {
+		return err
+	}
+	mon, err := flowdiff.NewMonitor(ctx, log, s.cfg.Window, s.cfg.Automata, s.cfg.Thresholds, s.cfg.Options)
+	if err != nil {
+		return err
+	}
+	seq, err := s.store.MaxSeq(id)
+	if err != nil {
+		return err
+	}
+	t := s.newTenant(id, mon, meta, seq)
+	s.mu.Lock()
+	s.tenants[id] = t
+	s.mu.Unlock()
+	s.startWorker(t)
 	return nil
 }
 

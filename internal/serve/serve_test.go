@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -494,6 +495,137 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
+// persistTenant writes the state a previous server run leaves behind
+// for one tenant: its baseline and reports 1..reports.
+func persistTenant(t *testing.T, store *Store, id string, log *flowlog.Log, reports int) {
+	t.Helper()
+	if err := store.SaveBaseline(id, log, BaselineMeta{Version: 1, Events: len(log.Events)}); err != nil {
+		t.Fatalf("SaveBaseline %s: %v", id, err)
+	}
+	for seq := 1; seq <= reports; seq++ {
+		if err := store.SaveReport(id, ReportRecord{Seq: uint64(seq)}); err != nil {
+			t.Fatalf("SaveReport %s/%d: %v", id, seq, err)
+		}
+	}
+}
+
+// TestRestartRecoversEveryTenant boots a server over more persisted
+// tenants than recovery runs at once, plus one whose baseline is
+// corrupt. Every good tenant is rebuilt exactly once and continues its
+// own numbering; the corrupt one is counted and skipped, and the
+// serve.tenants gauge counts only the tenants that came back.
+func TestRestartRecoversEveryTenant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	res := capture(t)
+	dir := filepath.Join(t.TempDir(), "data")
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	const good = 2*4 + 1
+	for i := 0; i < good; i++ {
+		persistTenant(t, store, fmt.Sprintf("t%d", i), res.L1, i)
+	}
+	persistTenant(t, store, "corrupt", res.L1, 0)
+	if err := os.WriteFile(filepath.Join(dir, "corrupt", "baseline.fdc"), []byte("not a capture"), 0o644); err != nil {
+		t.Fatalf("corrupting baseline: %v", err)
+	}
+
+	reg := obs.New()
+	srv, err := New(context.Background(), Config{Dir: dir, Window: 10 * time.Second, Options: res.Options(), Registry: reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	for i := 0; i < good; i++ {
+		id := fmt.Sprintf("t%d", i)
+		tn, ok := srv.tenant(id)
+		if !ok {
+			t.Errorf("tenant %s not recovered", id)
+			continue
+		}
+		if tn.nextSeq != uint64(i) {
+			t.Errorf("tenant %s: nextSeq = %d, want %d", id, tn.nextSeq, i)
+		}
+	}
+	if _, ok := srv.tenant("corrupt"); ok {
+		t.Error("the tenant with a corrupt baseline was recovered")
+	}
+	snap := reg.Snapshot()
+	// Each recovered monitor analyzes its baseline's stability once.
+	if got := snap.Histograms["span.signature.stability"].Count; got != good {
+		t.Errorf("%d baseline builds, want one per good tenant (%d)", got, good)
+	}
+	if got := snap.Counters["serve.recover.errors"]; got != 1 {
+		t.Errorf("serve.recover.errors = %d, want 1", got)
+	}
+	if got := snap.Gauges["serve.tenants"].Value; got != good {
+		t.Errorf("serve.tenants = %d, want %d (the tenants that recovered)", got, good)
+	}
+}
+
+// TestCanceledRecoveryLeavesNoGoroutines cancels ctx while New rebuilds
+// the second of three persisted tenants. New must fail with the
+// cancellation and join the worker of the tenant it already started.
+func TestCanceledRecoveryLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res := capture(t)
+	boot := func(tenants int, clock func(cancel context.CancelFunc) obs.Clock) (*Server, error) {
+		dir := filepath.Join(t.TempDir(), "data")
+		store, err := OpenStore(dir)
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
+		}
+		for i := 0; i < tenants; i++ {
+			persistTenant(t, store, fmt.Sprintf("t%d", i), res.L1, 0)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		reg := obs.New()
+		reg.SetClock(clock(cancel))
+		return New(ctx, Config{Dir: dir, Window: 10 * time.Second, Options: res.Options(), Registry: reg})
+	}
+
+	// One tenant's recovery reads the registry clock perTenant times.
+	var reads atomic.Int64
+	counting := func(context.CancelFunc) obs.Clock {
+		return func() time.Time { reads.Add(1); return time.Now() }
+	}
+	srv, err := boot(1, counting)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	perTenant := reads.Load()
+	srv.Close()
+	if perTenant < 2 {
+		t.Fatalf("one tenant's recovery read the clock %d times; cannot cancel inside a build", perTenant)
+	}
+
+	before := runtime.NumGoroutine()
+	reads.Store(0)
+	cancelAt := perTenant + (perTenant+1)/2
+	_, err = boot(3, func(cancel context.CancelFunc) obs.Clock {
+		return func() time.Time {
+			if reads.Add(1) == cancelAt {
+				cancel()
+			}
+			return time.Now()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("New = %v, want an error wrapping context.Canceled", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Errorf("goroutine leak: %d before New, still %d after it failed", before, n)
+	}
+}
+
 // TestSnapshotShowsTenantMetrics pins the observability contract: the
 // obs snapshot of a serving registry carries per-tenant queue-depth
 // and flush-latency instruments.
@@ -606,8 +738,8 @@ func TestServeCloseLeavesNoGoroutines(t *testing.T) {
 		} else {
 			reg.SetClock(func() time.Time { park(); return time.Now() })
 		}
-		// A tenant persisted by an earlier run: New recovers it through
-		// parallel.ForContext.
+		// A tenant persisted by an earlier run: New recovers it on a
+		// goroutine of its own.
 		store, err := OpenStore(cfg.Dir)
 		if err != nil {
 			t.Fatalf("OpenStore: %v", err)

@@ -14,7 +14,6 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -25,8 +24,9 @@ import (
 	"flowdiff/internal/obs"
 )
 
-// taskRuns builds three runs of a toy two-flow task for mining tests.
-func taskRuns() [][]flowdiff.FlowKey {
+// taskRuns builds n runs of a toy two-flow task for mining tests; the
+// runs share their flows and differ only in ephemeral ports.
+func taskRuns(n int) [][]flowdiff.FlowKey {
 	host := func(n byte) netip.Addr { return netip.AddrFrom4([4]byte{10, 9, n, 1}) }
 	mk := func(sp uint16) []flowdiff.FlowKey {
 		return []flowdiff.FlowKey{
@@ -34,7 +34,11 @@ func taskRuns() [][]flowdiff.FlowKey {
 			{Proto: 6, Src: host(2), Dst: host(3), SrcPort: sp + 1, DstPort: 3306},
 		}
 	}
-	return [][]flowdiff.FlowKey{mk(1000), mk(2000), mk(3000)}
+	runs := make([][]flowdiff.FlowKey, n)
+	for i := range runs {
+		runs[i] = mk(uint16(2000 + 1000*i))
+	}
+	return runs
 }
 
 // TestSentinelErrors pins every documented error path of the public
@@ -117,7 +121,7 @@ func TestSentinelErrors(t *testing.T) {
 		{
 			"MineTaskContext canceled",
 			func() error {
-				_, err := flowdiff.MineTask(canceledCtx, "toy", taskRuns(), flowdiff.TaskConfig{})
+				_, err := flowdiff.MineTask(canceledCtx, "toy", taskRuns(3), flowdiff.TaskConfig{})
 				return err
 			},
 			[]error{flowdiff.ErrCanceled, context.Canceled},
@@ -160,10 +164,10 @@ func TestCanceledBuildDrainsGoroutines(t *testing.T) {
 }
 
 // TestObsCountersDeterministicAcrossParallelism pins the determinism
-// contract stated in the obs package doc: every counter outside the
-// "parallel." namespace records a quantity that is identical whether
-// Compare models its two halves one after the other (GOMAXPROCS 1) or
-// at once.
+// contract stated in the obs package doc: every counter records a
+// quantity that is identical whether Compare models its two halves one
+// after the other (GOMAXPROCS 1) or at once, and whatever the
+// GOMAXPROCS a task is mined at.
 func TestObsCountersDeterministicAcrossParallelism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	l1 := synthThreeTierLog(20_000)
@@ -177,16 +181,12 @@ func TestObsCountersDeterministicAcrossParallelism(t *testing.T) {
 		if _, err := flowdiff.Compare(ctx, l1, l2, nil, flowdiff.Thresholds{}, flowdiff.Options{}); err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
-		got := make(map[string]int64)
-		for name, v := range reg.Snapshot().Counters {
-			if strings.HasPrefix(name, "parallel.") {
-				// Dispatch counts depend on the pool width.
-				continue
-			}
-			got[name] = v
+		if _, err := flowdiff.MineTask(ctx, "toy", taskRuns(8), flowdiff.TaskConfig{}); err != nil {
+			t.Fatalf("GOMAXPROCS %d: MineTask: %v", p, err)
 		}
-		if len(got) == 0 {
-			t.Fatalf("GOMAXPROCS %d: no deterministic counters recorded", p)
+		got := reg.Snapshot().Counters
+		if got["signature.occurrences"] == 0 || got["taskmine.runs"] == 0 {
+			t.Fatalf("GOMAXPROCS %d: Compare or MineTask recorded no counters: %v", p, got)
 		}
 		if want == nil {
 			want, wantP = got, p

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # The full verification gate: static checks, build, tests (with the race
 # detector — Compare's concurrent halves, serve's tenant workers and
-# recovery, and task mining run under it), and a 1x smoke pass over
-# every benchmark so perf harness rot is caught early.
+# boot recovery run under it), and a 1x smoke pass over every benchmark
+# so perf harness rot is caught early.
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -223,6 +223,9 @@ named_smoke ./cmd/flowdiff TestServeSmokeTwoTenantsMatchOffline
 # fault scenario, and strictly beat the change-count baseline on
 # equal-cost-link-drop (floors pinned inside the test).
 named_smoke ./internal/experiments TestLocalizationAccuracy
+# Mining-oracle smoke: the serial interned miner must mine automata
+# DeepEqual to the retained naive string-keyed miner (mineReference).
+named_smoke ./internal/core/taskmine TestMineMatchesReference
 # Recycling smoke: FDC1 ingest decodes onto batches the tenant workers
 # hand back to a shared pool, through pooled decode state, and observe
 # whole through Monitor.ObserveBatch; each Monitor window's fold state
@@ -233,8 +236,11 @@ named_smoke ./internal/experiments TestLocalizationAccuracy
 # the windows that produced them, and of windows whose edge sets go
 # A → B → A, must match a fresh decode, the offline Monitor, the
 # per-event twin, the reports' first digests and fresh window builds.
+# The same ten raced rounds drive serve's boot recovery, one tenant per
+# CPU: every persisted tenant recovered once, and a canceled boot
+# joining the workers it already started.
 SMOKE_FLAGS="-race -count=10"
-named_smoke ./internal/serve TestServeConcurrentFDC1Ingest
+named_smoke ./internal/serve TestServeConcurrentFDC1Ingest TestRestartRecoversEveryTenant TestCanceledRecoveryLeavesNoGoroutines
 named_smoke . TestObserveBatchMatchesObserve TestMonitorReportsOutliveTheirWindows TestMonitorGroupCacheFollowsEdgeSet
 named_smoke ./internal/flowlog/colseg TestReadAnyIntoDirtyDestination
 SMOKE_FLAGS=
