@@ -60,8 +60,8 @@ type ReportRecord struct {
 	// From and To delimit the diagnosed window (MonitorReport bounds).
 	From time.Duration `json:"from"`
 	To   time.Duration `json:"to"`
-	// SavedAtUnixNS is the wall-clock persistence time; retention GC
-	// keys off it.
+	// SavedAtUnixNS is the persistence time on the server's registry
+	// clock; retention GC keys off it, a log segment at a time.
 	SavedAtUnixNS int64 `json:"saved_at_unix_ns"`
 	// Report is the full diagnosis, byte-identical to an offline
 	// Monitor run over the same events.

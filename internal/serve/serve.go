@@ -5,9 +5,9 @@
 // serialization, and reads back per-window reports that are
 // byte-identical to an offline Monitor run over the same events.
 //
-// The service is crash-safe: baselines and window reports are persisted
-// write-ahead under one directory per tenant, and a restarted server
-// rebuilds every tenant's monitor from its persisted baseline.
+// Baselines and window reports (appended, unsynced, to a per-tenant log
+// before a flush is acknowledged) persist under one directory per
+// tenant, and a restart rebuilds each monitor from its baseline.
 package serve
 
 import (
@@ -46,8 +46,8 @@ type Config struct {
 	QueueBudget int
 	// MaxTenants caps concurrent tenants (default 64).
 	MaxTenants int
-	// Retention is how long window reports stay on disk before the
-	// background GC collects them (default 24h). Baselines never expire.
+	// Retention is how long a report outlives its save; GC removes a log
+	// segment once its newest report is older (default 24h).
 	Retention time.Duration
 	// GCInterval is the background GC period (default 1 minute).
 	GCInterval time.Duration
@@ -133,6 +133,8 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		cancel()
 		s.closeTenants()
 		s.wg.Wait()
+		// The recovery error is the one worth reporting.
+		_ = store.Close()
 		return nil, err
 	}
 	s.routes()
@@ -278,14 +280,14 @@ func (s *Server) closeTenants() {
 
 // Close shuts the service down gracefully: new requests are rejected,
 // every accepted event is observed (workers drain their queues under a
-// live context), then the background loops stop. Safe to call more
-// than once.
+// live context), then the background loops stop and the store closes
+// its report logs. Safe to call more than once.
 func (s *Server) Close() error {
 	s.closeTenants()
 	s.wg.Wait()
 	s.cancel()
 	s.auxWg.Wait()
-	return nil
+	return s.store.Close()
 }
 
 // Handler returns the service's HTTP handler: the /v1 API, health and

@@ -382,9 +382,13 @@ func TestEvictionDrainsBeforeDelete(t *testing.T) {
 	}
 }
 
-// TestGCRetention pins the retention contract: an unfetched report
-// inside the retention window survives GC; once the (injected) clock
-// passes retention, the report is collected but the baseline is not.
+// TestGCRetention pins the retention contract, driven only by the
+// registry clock that both stamps SavedAtUnixNS and sets GC's cutoff.
+// GC removes a tenant's report log a segment at a time, once the
+// segment's newest report is past retention: a report inside the
+// window survives, and so does an expired one whose segment still
+// holds an unexpired report. Once every report is past retention the
+// segment goes, but the baseline does not.
 func TestGCRetention(t *testing.T) {
 	res := capture(t)
 	reg := obs.New()
@@ -398,28 +402,47 @@ func TestGCRetention(t *testing.T) {
 		c.Registry = reg
 	})
 	putBaseline(t, ts.URL, "t", res.L1)
-	if code, _, body := postEvents(t, ts.URL, "t", res.L2.Events); code != http.StatusAccepted {
-		t.Fatalf("POST events: status %d, body %s", code, body)
+	// ingest posts events and flushes, so every report they produce is
+	// saved at the clock's current time.
+	ingest := func(events []flowlog.Event) {
+		t.Helper()
+		if code, _, body := postEvents(t, ts.URL, "t", events); code != http.StatusAccepted {
+			t.Fatalf("POST events: status %d, body %s", code, body)
+		}
+		if code, _, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/t/flush", nil); code != http.StatusOK {
+			t.Fatalf("flush: status %d, body %s", code, body)
+		}
 	}
-	var flushed FlushResponse
-	code, _, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/t/flush", nil)
-	if code != http.StatusOK {
-		t.Fatalf("flush: status %d, body %s", code, body)
-	}
-	if err := json.Unmarshal(body, &flushed); err != nil {
-		t.Fatalf("decoding flush response: %v", err)
-	}
+	half := len(res.L2.Events) / 2
+	ingest(res.L2.Events[:half])
+	early := len(fetchReports(t, ts.URL, "t"))
 
 	if removed := srv.RunGC(); removed != 0 {
 		t.Fatalf("GC inside retention removed %d reports", removed)
 	}
-	if got := fetchReports(t, ts.URL, "t"); len(got) == 0 {
-		t.Fatal("reports vanished inside retention")
+	if got := fetchReports(t, ts.URL, "t"); len(got) != early {
+		t.Fatalf("%d of %d reports survived GC inside retention", len(got), early)
+	}
+
+	now = base.Add(50 * time.Minute)
+	ingest(res.L2.Events[half:])
+	all := len(fetchReports(t, ts.URL, "t"))
+	if early == 0 || all == early {
+		t.Fatalf("%d reports before the clock moved and %d after: each phase must save some", early, all)
+	}
+	// The early reports are past retention, but their segment also holds
+	// the later ones.
+	now = base.Add(90 * time.Minute)
+	if removed := srv.RunGC(); removed != 0 {
+		t.Fatalf("GC removed %d reports from a segment holding unexpired ones", removed)
+	}
+	if got := fetchReports(t, ts.URL, "t"); len(got) != all {
+		t.Fatalf("%d of %d reports survived GC of a live segment", len(got), all)
 	}
 
 	now = base.Add(2 * time.Hour)
-	if removed := srv.RunGC(); removed == 0 {
-		t.Fatal("GC past retention removed nothing")
+	if removed := srv.RunGC(); removed != all {
+		t.Fatalf("GC past retention removed %d reports, want %d", removed, all)
 	}
 	if got := fetchReports(t, ts.URL, "t"); len(got) != 0 {
 		t.Errorf("%d reports survived past retention", len(got))

@@ -220,8 +220,10 @@ func (t *tenant) swapBaseline(ctx context.Context, log *flowlog.Log) (BaselineMe
 	return meta, nil
 }
 
-// persist writes one window report to the store (write-ahead: the
-// record is durable before it becomes listable or acknowledged).
+// persist appends one window report to the tenant's report log before
+// the flush that produced it is acknowledged. The append is not
+// fsynced: a crash may tear the last frame, which readers skip and the
+// next append truncates.
 func (t *tenant) persist(rep *flowdiff.MonitorReport) *ReportRecord {
 	rec := ReportRecord{
 		Seq:           t.nextSeq + 1,

@@ -137,16 +137,18 @@ mkdir -p bench/out
 # short flowbench pass per workload listed in scripts/bench_ceilings.txt
 # (lines of "<workload> <metric> <ceiling>") must verify against its
 # oracle and stay under the committed ceilings — the measured values of
-# the change that last lowered them, plus 15 %. All four were last
+# the change that last lowered them, plus 15 %. The first three were
 # lowered when FDC1 ingest began decoding onto recycled batches through
 # pooled decode state and the flush began indexing by interned flow and
 # edge ids. stream_fdc1: 113 B/event and 0.420 allocs/event from 98.2 /
 # 0.3652 (was 341.9 / 0.406). stream_json_chunked, the text path: 506
 # and 0.885 from 440.1 / 0.7698 (was 502.6 / 0.814; reflection-based
 # ReadJSON was 1,396 / 6.85). read_beside_write, the store's read
-# direction: 135 and 0.530 from 117.4 / 0.4604 (was 364.0 / 0.536; a
-# list that re-parses every report file, 384.6 / 1.053, fails the
-# allocs ceiling). offline_compare, the batch build path with no serve in
+# direction, was lowered when reports moved into a per-tenant log served
+# from an in-memory index: 106 and 0.463 from 91.9 / 0.4028, the median
+# of five passes (89.0-95.9 / 0.393-0.419; was 135 / 0.530 from 117.4 /
+# 0.4604, and a list that re-parses every report, 384.6 / 1.053, fails
+# the allocs ceiling). offline_compare, the batch build path with no serve in
 # it: 403 and 0.139 from 350.3 / 0.1205 (was 353.9 / 0.1247). Only the
 # allocation metrics are gated: they repeat to under 0.5 % on one host
 # and toolchain, the timings (echoed below) do not.
@@ -238,9 +240,12 @@ named_smoke ./internal/core/taskmine TestMineMatchesReference
 # per-event twin, the reports' first digests and fresh window builds.
 # The same ten raced rounds drive serve's boot recovery, one tenant per
 # CPU: every persisted tenant recovered once, and a canceled boot
-# joining the workers it already started.
+# joining the workers it already started. They also drive the report
+# log: lists, saves through two stores, GC and deletes racing on two
+# tenants must match the decode-every-frame reference, and a last frame
+# cut at every byte offset must be skipped and then truncated.
 SMOKE_FLAGS="-race -count=10"
-named_smoke ./internal/serve TestServeConcurrentFDC1Ingest TestRestartRecoversEveryTenant TestCanceledRecoveryLeavesNoGoroutines
+named_smoke ./internal/serve TestServeConcurrentFDC1Ingest TestRestartRecoversEveryTenant TestCanceledRecoveryLeavesNoGoroutines TestListReportsCoherentConcurrent TestReportLogTornTail
 named_smoke . TestObserveBatchMatchesObserve TestMonitorReportsOutliveTheirWindows TestMonitorGroupCacheFollowsEdgeSet
 named_smoke ./internal/flowlog/colseg TestReadAnyIntoDirtyDestination
 SMOKE_FLAGS=
