@@ -7,8 +7,8 @@
 // The pipeline mirrors the paper:
 //
 //  1. Collect a control-traffic log (flowlog.Log) — from the bundled
-//     discrete-event simulator (simnet), from the TCP OpenFlow controller
-//     (controller.Server), or from disk.
+//     discrete-event simulator (simnet), from a tapped controller's
+//     captured traffic posted to `flowdiff serve`, or from disk.
 //  2. BuildSignatures extracts application signatures (CG, FS, CI, DD,
 //     PC) per application group and infrastructure signatures (PT, ISL,
 //     CRT), plus a stability report.

@@ -1,17 +1,17 @@
-// Package controller implements the centralized control plane of a
-// flow-based data center: a NOX-like routing logic that reacts to
-// PacketIn messages by installing per-hop forwarding rules, the
+// Package controller is the routing logic of the simulated data center's
+// centralized control plane: a NOX-like shortest-path module that reacts
+// to a table miss by installing a per-hop forwarding rule, under the
 // deployment modes discussed in the paper's §VI (reactive microflow,
-// wildcard, proactive), and a real TCP OpenFlow control channel (Server
-// and SwitchAgent) used by the integration tests.
+// wildcard, proactive). The simulator (internal/simnet) calls it in
+// virtual time; FlowDiff itself only ever sees the captured control
+// traffic.
 package controller
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
-	"flowdiff/internal/openflow"
+	"flowdiff/internal/flowlog"
 	"flowdiff/internal/switchsim"
 	"flowdiff/internal/topology"
 )
@@ -53,24 +53,15 @@ type InstallOp struct {
 	Entry  switchsim.Entry
 }
 
-// Logic decides how to react to a table miss. Implementations must be
-// deterministic: the simulator replays decisions under a virtual clock.
-type Logic interface {
-	// PacketIn handles a table miss at switch swID and returns the
-	// entries to install. An error means the flow cannot be routed (the
-	// packet is dropped).
-	PacketIn(swID string, pkt openflow.Match, inPort uint16) ([]InstallOp, error)
-}
-
-// ShortestPath is the default routing logic: on a miss it computes the
-// shortest path between the packet's hosts and installs a forwarding rule
-// on the reporting switch (per-hop reactive setup, as in Figure 3 of the
-// paper).
+// ShortestPath is the routing logic: on a miss it computes the shortest
+// path between the packet's hosts and installs a forwarding rule on the
+// reporting switch (per-hop reactive setup, as in Figure 3 of the
+// paper). It is deterministic: the simulator replays its decisions under
+// a virtual clock.
 type ShortestPath struct {
 	Topo *topology.Topology
 	Mode Mode
-	// IdleTimeout / HardTimeout are applied to installed entries
-	// (seconds granularity on the wire; any duration here).
+	// IdleTimeout / HardTimeout are applied to installed entries.
 	IdleTimeout time.Duration
 	HardTimeout time.Duration
 	// Priority of installed entries.
@@ -119,10 +110,11 @@ func (l *ShortestPath) path(src, dst topology.NodeID) ([]topology.Hop, error) {
 	return p, nil
 }
 
-// PacketIn implements Logic.
-func (l *ShortestPath) PacketIn(swID string, pkt openflow.Match, inPort uint16) ([]InstallOp, error) {
-	src := netip.AddrFrom4(pkt.NWSrc)
-	dst := netip.AddrFrom4(pkt.NWDst)
+// PacketIn handles a table miss at switch swID and returns the entries
+// to install. An error means the flow cannot be routed (the packet is
+// dropped).
+func (l *ShortestPath) PacketIn(swID string, pkt flowlog.FlowKey) ([]InstallOp, error) {
+	src, dst := pkt.Src, pkt.Dst
 	srcHost, ok := l.Topo.HostByAddr(src)
 	if !ok {
 		return nil, fmt.Errorf("controller: unknown source host %v", src)
@@ -148,12 +140,9 @@ func (l *ShortestPath) PacketIn(swID string, pkt openflow.Match, inPort uint16) 
 		return nil, fmt.Errorf("controller: switch %s not on path %s->%s", swID, srcHost.ID, dstHost.ID)
 	}
 
-	var match openflow.Match
-	switch l.Mode {
-	case ModeWildcard:
-		match = openflow.HostPairMatch(src, dst)
-	default:
-		match = openflow.ExactMatch(pkt.NWProto, src, dst, pkt.TPSrc, pkt.TPDst)
+	match := switchsim.ExactMatch(pkt)
+	if l.Mode == ModeWildcard {
+		match = switchsim.HostPairMatch(src, dst)
 	}
 	op := InstallOp{
 		Switch: swID,
@@ -188,7 +177,7 @@ func (l *ShortestPath) ProactiveRules() ([]InstallOp, error) {
 				ops = append(ops, InstallOp{
 					Switch: string(h.Node),
 					Entry: switchsim.Entry{
-						Match:    openflow.HostPairMatch(a.Addr, b.Addr),
+						Match:    switchsim.HostPairMatch(a.Addr, b.Addr),
 						Priority: l.Priority,
 						OutPort:  h.OutPort,
 					},

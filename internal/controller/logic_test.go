@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"flowdiff/internal/openflow"
+	"flowdiff/internal/flowlog"
 	"flowdiff/internal/topology"
 )
 
@@ -27,13 +27,17 @@ func hostAddr(t *testing.T, topo *topology.Topology, id topology.NodeID) netip.A
 	return n.Addr
 }
 
+// tcp is the flow key of a TCP packet.
+func tcp(src, dst netip.Addr, sp, dp uint16) flowlog.FlowKey {
+	return flowlog.FlowKey{Proto: 6, Src: src, Dst: dst, SrcPort: sp, DstPort: dp}
+}
+
 func TestShortestPathInstallsOnReportingSwitch(t *testing.T) {
 	topo := labTopo(t)
 	l := NewShortestPath(topo, ModeReactive)
 	src := hostAddr(t, topo, "S1")
 	dst := hostAddr(t, topo, "S6")
-	pkt := openflow.ExactMatch(6, src, dst, 5000, 80)
-	pkt.Wildcards = 0
+	pkt := tcp(src, dst, 5000, 80)
 
 	hops, err := topo.Path("S1", "S6")
 	if err != nil {
@@ -44,7 +48,7 @@ func TestShortestPathInstallsOnReportingSwitch(t *testing.T) {
 		t.Fatal("no switch hops")
 	}
 	for _, h := range swHops {
-		ops, err := l.PacketIn(string(h.Node), pkt, h.InPort)
+		ops, err := l.PacketIn(string(h.Node), pkt)
 		if err != nil {
 			t.Fatalf("PacketIn at %s: %v", h.Node, err)
 		}
@@ -58,7 +62,7 @@ func TestShortestPathInstallsOnReportingSwitch(t *testing.T) {
 		if op.Entry.OutPort != h.OutPort {
 			t.Errorf("out port %d, want %d", op.Entry.OutPort, h.OutPort)
 		}
-		if !op.Entry.Match.IsExact() {
+		if op.Entry.Match.HostPair {
 			t.Error("reactive mode should install exact-match entries")
 		}
 		if op.Entry.IdleTimeout != 5*time.Second || op.Entry.HardTimeout != 60*time.Second {
@@ -75,20 +79,18 @@ func TestWildcardModeInstallsHostPair(t *testing.T) {
 	l := NewShortestPath(topo, ModeWildcard)
 	src := hostAddr(t, topo, "S1")
 	dst := hostAddr(t, topo, "S6")
-	pkt := openflow.ExactMatch(6, src, dst, 5000, 80)
-	pkt.Wildcards = 0
-	ops, err := l.PacketIn("sw2", pkt, 1)
+	pkt := tcp(src, dst, 5000, 80)
+	ops, err := l.PacketIn("sw2", pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := ops[0].Entry.Match
-	if m.IsExact() {
+	if !m.HostPair {
 		t.Error("wildcard mode should not install exact entries")
 	}
 	// The installed wildcard must cover a different flow between the same
 	// hosts.
-	other := openflow.ExactMatch(6, src, dst, 6000, 443)
-	other.Wildcards = 0
+	other := tcp(src, dst, 6000, 443)
 	if !m.Matches(other) {
 		t.Error("host-pair entry should match other flows between the pair")
 	}
@@ -101,20 +103,20 @@ func TestPacketInErrors(t *testing.T) {
 	dst := hostAddr(t, topo, "S6")
 
 	t.Run("unknown source", func(t *testing.T) {
-		pkt := openflow.ExactMatch(6, netip.MustParseAddr("1.2.3.4"), dst, 1, 2)
-		if _, err := l.PacketIn("sw2", pkt, 1); err == nil {
+		pkt := tcp(netip.MustParseAddr("1.2.3.4"), dst, 1, 2)
+		if _, err := l.PacketIn("sw2", pkt); err == nil {
 			t.Error("want error for unknown source host")
 		}
 	})
 	t.Run("unknown destination", func(t *testing.T) {
-		pkt := openflow.ExactMatch(6, src, netip.MustParseAddr("1.2.3.4"), 1, 2)
-		if _, err := l.PacketIn("sw2", pkt, 1); err == nil {
+		pkt := tcp(src, netip.MustParseAddr("1.2.3.4"), 1, 2)
+		if _, err := l.PacketIn("sw2", pkt); err == nil {
 			t.Error("want error for unknown destination host")
 		}
 	})
 	t.Run("switch off path", func(t *testing.T) {
-		pkt := openflow.ExactMatch(6, src, dst, 1, 2)
-		if _, err := l.PacketIn("sw5", pkt, 1); err == nil {
+		pkt := tcp(src, dst, 1, 2)
+		if _, err := l.PacketIn("sw5", pkt); err == nil {
 			t.Error("want error when reporting switch is not on the path")
 		}
 	})
@@ -123,8 +125,8 @@ func TestPacketInErrors(t *testing.T) {
 		n.Down = true
 		defer func() { n.Down = false; l.InvalidateRoutes() }()
 		l.InvalidateRoutes()
-		pkt := openflow.ExactMatch(6, src, dst, 1, 2)
-		if _, err := l.PacketIn("sw2", pkt, 1); err == nil {
+		pkt := tcp(src, dst, 1, 2)
+		if _, err := l.PacketIn("sw2", pkt); err == nil {
 			t.Error("want error when destination host is down")
 		}
 	})
@@ -135,19 +137,19 @@ func TestRouteCacheInvalidation(t *testing.T) {
 	l := NewShortestPath(topo, ModeReactive)
 	src := hostAddr(t, topo, "S1")
 	dst := hostAddr(t, topo, "S6")
-	pkt := openflow.ExactMatch(6, src, dst, 1, 2)
-	if _, err := l.PacketIn("sw2", pkt, 1); err != nil {
+	pkt := tcp(src, dst, 1, 2)
+	if _, err := l.PacketIn("sw2", pkt); err != nil {
 		t.Fatal(err)
 	}
 	// Fail the destination: the cached path keeps working until routes are
 	// invalidated (matching real controllers that recompute lazily).
 	n, _ := topo.Node("S6")
 	n.Down = true
-	if _, err := l.PacketIn("sw2", pkt, 1); err != nil {
+	if _, err := l.PacketIn("sw2", pkt); err != nil {
 		t.Fatalf("cached route should still answer: %v", err)
 	}
 	l.InvalidateRoutes()
-	if _, err := l.PacketIn("sw2", pkt, 1); err == nil {
+	if _, err := l.PacketIn("sw2", pkt); err == nil {
 		t.Error("after invalidation, routing to a down host should fail")
 	}
 	n.Down = false
@@ -183,11 +185,7 @@ func TestProactiveRules(t *testing.T) {
 	for _, h := range topo.SwitchHops(hops) {
 		found := false
 		for _, op := range ops {
-			if op.Switch == string(h.Node) && op.Entry.Match.Matches(func() openflow.Match {
-				p := openflow.ExactMatch(6, src, dst, 42, 80)
-				p.Wildcards = 0
-				return p
-			}()) {
+			if op.Switch == string(h.Node) && op.Entry.Match.Matches(tcp(src, dst, 42, 80)) {
 				found = true
 				break
 			}

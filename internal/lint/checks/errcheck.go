@@ -8,10 +8,11 @@ import (
 	"flowdiff/internal/lint"
 )
 
-// errCheckScope: the operator-facing entry points. A dropped error in a
-// CLI or in the controller's network path turns a failed diagnosis into a
-// silently wrong one, which is worse than a crash for a system whose
-// whole job is producing trustworthy reports.
+// errCheckScope: the operator-facing entry points and the routing logic
+// that decides which simulated flows are delivered. A dropped error in
+// either turns a failed diagnosis into a silently wrong one, which is
+// worse than a crash for a system whose whole job is producing
+// trustworthy reports.
 var errCheckScope = []string{
 	"flowdiff/cmd",
 	"flowdiff/internal/controller",
@@ -42,7 +43,7 @@ var errCheckDeferScope = []string{
 // assert on).
 var ErrCheck = &lint.Analyzer{
 	Name:          "errcheck",
-	Doc:           "flags discarded error returns in cmd/ and internal/controller, including deferred closes of writable resources",
+	Doc:           "flags discarded error returns in cmd/ and the simulator's routing logic (internal/controller), including deferred closes of writable resources",
 	SkipTestFiles: true,
 	Run:           runErrCheck,
 }

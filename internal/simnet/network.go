@@ -3,12 +3,10 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"time"
 
 	"flowdiff/internal/controller"
 	"flowdiff/internal/flowlog"
-	"flowdiff/internal/openflow"
 	"flowdiff/internal/stats"
 	"flowdiff/internal/switchsim"
 	"flowdiff/internal/topology"
@@ -166,7 +164,7 @@ func NewNetwork(topo *topology.Topology, cfg Config) (*Network, error) {
 				Type:         flowlog.EventFlowRemoved,
 				Switch:       string(id),
 				DPID:         s.DPID,
-				Flow:         matchToKey(e.Match),
+				Flow:         e.Match.Key,
 				Bytes:        e.Bytes,
 				Packets:      e.Packets,
 				FlowDuration: now - e.Installed,
@@ -294,22 +292,6 @@ func (n *Network) path(src, dst topology.NodeID) ([]topology.Hop, bool) {
 	return p, true
 }
 
-func matchToKey(m openflow.Match) flowlog.FlowKey {
-	return flowlog.FlowKey{
-		Proto:   m.NWProto,
-		Src:     netip.AddrFrom4(m.NWSrc),
-		Dst:     netip.AddrFrom4(m.NWDst),
-		SrcPort: m.TPSrc,
-		DstPort: m.TPDst,
-	}
-}
-
-func keyToPacket(k flowlog.FlowKey) openflow.Match {
-	m := openflow.ExactMatch(k.Proto, k.Src, k.Dst, k.SrcPort, k.DstPort)
-	m.Wildcards = 0
-	return m
-}
-
 // StartFlow schedules a flow to begin at virtual time at. The flow's
 // first packet performs per-hop reactive setup; the remaining bytes
 // stream at line rate, inflated by retransmissions on lossy links.
@@ -347,7 +329,6 @@ func (n *Network) transmit(f Flow) {
 // event, so the controller's busy period advances in virtual-time order
 // across concurrent flows.
 func (n *Network) walk(f Flow, hops []topology.Hop, started time.Duration, idx int, cur time.Duration) {
-	pkt := keyToPacket(f.Key)
 	pktBytes := uint64(n.cfg.PacketSize)
 	if f.Bytes < pktBytes {
 		pktBytes = f.Bytes
@@ -375,7 +356,7 @@ func (n *Network) walk(f Flow, hops []topology.Hop, started time.Duration, idx i
 			n.dropped++
 			return
 		}
-		if _, hit := sw.Process(pkt, hops[i].InPort, pktBytes, cur); hit {
+		if _, hit := sw.Process(f.Key, hops[i].InPort, pktBytes, cur); hit {
 			continue
 		}
 		// Table miss: suspend the walk until the rule is installed.
@@ -386,7 +367,7 @@ func (n *Network) walk(f Flow, hops []topology.Hop, started time.Duration, idx i
 		i := i
 		piArrive := cur + n.cfg.ControlLatency
 		n.Eng.Schedule(piArrive, func() {
-			n.handleMiss(f, hops, started, i, pkt, pktBytes)
+			n.handleMiss(f, hops, started, i, pktBytes)
 		})
 		return
 	}
@@ -396,7 +377,7 @@ func (n *Network) walk(f Flow, hops []topology.Hop, started time.Duration, idx i
 // handleMiss runs at the controller when a PacketIn arrives: it queues
 // behind in-flight work, consults the routing logic, installs the rule,
 // and resumes the packet's walk at the reporting switch.
-func (n *Network) handleMiss(f Flow, hops []topology.Hop, started time.Duration, i int, pkt openflow.Match, pktBytes uint64) {
+func (n *Network) handleMiss(f Flow, hops []topology.Hop, started time.Duration, i int, pktBytes uint64) {
 	now := n.Eng.Now()
 	node, _ := n.Topo.Node(hops[i].Node)
 	n.log.Append(flowlog.Event{
@@ -406,7 +387,7 @@ func (n *Network) handleMiss(f Flow, hops []topology.Hop, started time.Duration,
 		DPID:   node.DPID,
 		Flow:   f.Key,
 		InPort: hops[i].InPort,
-		Reason: openflow.PacketInReasonNoMatch,
+		Reason: switchsim.PacketInReasonNoMatch,
 	})
 	inst := n.ctrlOf[node.ID]
 	start := now
@@ -415,7 +396,7 @@ func (n *Network) handleMiss(f Flow, hops []topology.Hop, started time.Duration,
 	}
 	finish := start + n.serviceTime()
 	n.ctrlBusyUntil[inst] = finish
-	ops, err := n.logic.PacketIn(string(node.ID), pkt, hops[i].InPort)
+	ops, err := n.logic.PacketIn(string(node.ID), f.Key)
 	if err != nil {
 		n.dropped++
 		return
@@ -432,7 +413,7 @@ func (n *Network) handleMiss(f Flow, hops []topology.Hop, started time.Duration,
 			Type:    flowlog.EventFlowMod,
 			Switch:  op.Switch,
 			DPID:    target.DPID,
-			Flow:    matchToKey(op.Entry.Match),
+			Flow:    op.Entry.Match.Key,
 			OutPort: op.Entry.OutPort,
 		})
 		onSwitch := op.Switch == string(node.ID)
@@ -466,7 +447,6 @@ func (n *Network) deliver(f Flow, hops []topology.Hop, started, cur time.Duratio
 		n.dropped++
 		return
 	}
-	pkt := keyToPacket(f.Key)
 	pktBytes := uint64(n.cfg.PacketSize)
 	if f.Bytes < pktBytes {
 		pktBytes = f.Bytes
@@ -501,7 +481,7 @@ func (n *Network) deliver(f Flow, hops []topology.Hop, started, cur time.Duratio
 				if !ok || sw.Down {
 					continue
 				}
-				if e, ok := sw.Lookup(pkt); ok {
+				if e, ok := sw.Lookup(f.Key); ok {
 					sw.Account(e, extraPkts, extraBytes, n.Eng.Now())
 				}
 			}

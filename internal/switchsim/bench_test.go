@@ -5,23 +5,21 @@ import (
 	"testing"
 	"time"
 
-	"flowdiff/internal/openflow"
+	"flowdiff/internal/flowlog"
 )
 
 // fillTable installs n exact-match entries.
-func fillTable(b *testing.B, sw *Switch, n int) []openflow.Match {
+func fillTable(b *testing.B, sw *Switch, n int) []flowlog.FlowKey {
 	b.Helper()
-	pkts := make([]openflow.Match, n)
+	pkts := make([]flowlog.FlowKey, n)
 	for i := 0; i < n; i++ {
 		src := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
 		dst := netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})
-		m := openflow.ExactMatch(6, src, dst, uint16(i), 80)
-		if err := sw.Install(&Entry{Match: m, IdleTimeout: time.Minute}, 0); err != nil {
+		k := flowlog.FlowKey{Proto: 6, Src: src, Dst: dst, SrcPort: uint16(i), DstPort: 80}
+		if err := sw.Install(&Entry{Match: ExactMatch(k), IdleTimeout: time.Minute}, 0); err != nil {
 			b.Fatal(err)
 		}
-		p := m
-		p.Wildcards = 0
-		pkts[i] = p
+		pkts[i] = k
 	}
 	return pkts
 }

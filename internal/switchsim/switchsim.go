@@ -1,8 +1,9 @@
 // Package switchsim models an OpenFlow 1.0 switch's data-plane state: a
-// priority-ordered flow table with wildcard matching, idle/hard timeouts,
-// and per-entry byte/packet counters. A table miss surfaces as a PacketIn
-// callback and an expired entry as a FlowRemoved callback — exactly the
-// control-plane telemetry FlowDiff's measurement layer captures.
+// priority-ordered flow table with exact and host-pair wildcard matching,
+// idle/hard timeouts, and per-entry byte/packet counters. A table miss
+// surfaces as a PacketIn callback and an expired entry as a FlowRemoved
+// callback — exactly the control-plane telemetry FlowDiff's measurement
+// layer captures.
 //
 // The switch is driven by a virtual clock (time.Duration since simulation
 // start) supplied by the caller; it never reads the wall clock.
@@ -10,18 +11,54 @@ package switchsim
 
 import (
 	"fmt"
+	"net/netip"
 	"sort"
 	"time"
 
-	"flowdiff/internal/openflow"
+	"flowdiff/internal/flowlog"
 )
+
+// Reason codes the switch reports, with their OpenFlow 1.0 values
+// (ofp_packet_in_reason, ofp_flow_removed_reason). They reach captured
+// events through flowlog.Event.Reason.
+const (
+	PacketInReasonNoMatch        uint8 = 0
+	FlowRemovedReasonIdleTimeout uint8 = 0
+	FlowRemovedReasonHardTimeout uint8 = 1
+)
+
+// Match selects the packets an entry applies to: exactly the 5-tuple
+// Key, or, with HostPair set, all traffic from Key.Src to Key.Dst
+// regardless of protocol and ports.
+type Match struct {
+	Key      flowlog.FlowKey
+	HostPair bool
+}
+
+// ExactMatch builds a microflow match for one 5-tuple (the entries a
+// reactive controller installs).
+func ExactMatch(k flowlog.FlowKey) Match { return Match{Key: k} }
+
+// HostPairMatch builds a wildcard match covering all traffic between two
+// hosts regardless of transport ports (used by the wildcard deployment
+// mode in §VI). Its key carries zero protocol and ports.
+func HostPairMatch(src, dst netip.Addr) Match {
+	return Match{Key: flowlog.FlowKey{Src: src, Dst: dst}, HostPair: true}
+}
+
+// Matches reports whether a packet with flow key pkt matches m.
+func (m Match) Matches(pkt flowlog.FlowKey) bool {
+	if m.HostPair {
+		return m.Key.Src == pkt.Src && m.Key.Dst == pkt.Dst
+	}
+	return m.Key == pkt
+}
 
 // Entry is one installed flow-table rule.
 type Entry struct {
-	Match    openflow.Match
+	Match    Match
 	Priority uint16
 	OutPort  uint16
-	Cookie   uint64
 
 	// IdleTimeout expires the entry after inactivity; HardTimeout after
 	// total lifetime. Zero disables the respective timeout.
@@ -42,19 +79,18 @@ type Entry struct {
 // expired reports whether the entry has timed out at now, and the reason.
 func (e *Entry) expired(now time.Duration) (uint8, bool) {
 	if e.HardTimeout > 0 && now-e.Installed >= e.HardTimeout {
-		return openflow.FlowRemovedReasonHardTimeout, true
+		return FlowRemovedReasonHardTimeout, true
 	}
 	if e.IdleTimeout > 0 && now-e.LastMatched >= e.IdleTimeout {
-		return openflow.FlowRemovedReasonIdleTimeout, true
+		return FlowRemovedReasonIdleTimeout, true
 	}
 	return 0, false
 }
 
 // PacketInFunc is invoked on a table miss.
-type PacketInFunc func(sw *Switch, pkt openflow.Match, inPort uint16, now time.Duration)
+type PacketInFunc func(sw *Switch, pkt flowlog.FlowKey, inPort uint16, now time.Duration)
 
-// FlowRemovedFunc is invoked when an entry with NotifyRemoved expires or is
-// deleted.
+// FlowRemovedFunc is invoked when an entry with NotifyRemoved expires.
 type FlowRemovedFunc func(sw *Switch, e *Entry, reason uint8, now time.Duration)
 
 // Switch is a simulated OpenFlow datapath.
@@ -106,28 +142,9 @@ func (s *Switch) Install(e *Entry, now time.Duration) error {
 	return nil
 }
 
-// Delete removes all entries whose match equals m exactly, invoking the
-// FlowRemoved callback for entries that requested notification.
-func (s *Switch) Delete(m openflow.Match, now time.Duration) int {
-	var kept []*Entry
-	removed := 0
-	for _, e := range s.table {
-		if e.Match == m {
-			removed++
-			if e.NotifyRemoved && s.onFlowRemoved != nil {
-				s.onFlowRemoved(s, e, openflow.FlowRemovedReasonDelete, now)
-			}
-			continue
-		}
-		kept = append(kept, e)
-	}
-	s.table = kept
-	return removed
-}
-
 // Lookup finds the highest-priority entry matching the packet, without
 // updating counters.
-func (s *Switch) Lookup(pkt openflow.Match) (*Entry, bool) {
+func (s *Switch) Lookup(pkt flowlog.FlowKey) (*Entry, bool) {
 	for _, e := range s.table {
 		if e.Match.Matches(pkt) {
 			return e, true
@@ -139,7 +156,7 @@ func (s *Switch) Lookup(pkt openflow.Match) (*Entry, bool) {
 // Process handles one packet arrival: on a hit it updates counters and
 // returns the entry; on a miss it fires the PacketIn callback and returns
 // ok=false. A down switch silently drops the packet.
-func (s *Switch) Process(pkt openflow.Match, inPort uint16, bytes uint64, now time.Duration) (*Entry, bool) {
+func (s *Switch) Process(pkt flowlog.FlowKey, inPort uint16, bytes uint64, now time.Duration) (*Entry, bool) {
 	if s.Down {
 		return nil, false
 	}

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"flowdiff/internal/openflow"
+	"flowdiff/internal/flowlog"
 )
 
 var (
@@ -16,16 +16,15 @@ var (
 	hostC = netip.MustParseAddr("10.0.0.3")
 )
 
-func pkt(src, dst netip.Addr, sp, dp uint16) openflow.Match {
-	m := openflow.ExactMatch(6, src, dst, sp, dp)
-	m.Wildcards = 0
-	return m
+// pkt is the flow key of a TCP packet.
+func pkt(src, dst netip.Addr, sp, dp uint16) flowlog.FlowKey {
+	return flowlog.FlowKey{Proto: 6, Src: src, Dst: dst, SrcPort: sp, DstPort: dp}
 }
 
 func TestMissFiresPacketIn(t *testing.T) {
 	sw := New("sw1", 1)
 	var misses int
-	sw.OnPacketIn(func(s *Switch, p openflow.Match, inPort uint16, now time.Duration) {
+	sw.OnPacketIn(func(s *Switch, p flowlog.FlowKey, inPort uint16, now time.Duration) {
 		misses++
 		if s != sw || inPort != 3 {
 			t.Errorf("callback got switch %v port %d", s.ID, inPort)
@@ -41,7 +40,7 @@ func TestMissFiresPacketIn(t *testing.T) {
 
 func TestInstallThenHit(t *testing.T) {
 	sw := New("sw1", 1)
-	e := &Entry{Match: openflow.ExactMatch(6, hostA, hostB, 1, 2), OutPort: 4, IdleTimeout: 5 * time.Second}
+	e := &Entry{Match: ExactMatch(pkt(hostA, hostB, 1, 2)), OutPort: 4, IdleTimeout: 5 * time.Second}
 	if err := sw.Install(e, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +62,8 @@ func TestInstallThenHit(t *testing.T) {
 
 func TestPriorityOrder(t *testing.T) {
 	sw := New("sw1", 1)
-	low := &Entry{Match: openflow.HostPairMatch(hostA, hostB), Priority: 1, OutPort: 1}
-	high := &Entry{Match: openflow.ExactMatch(6, hostA, hostB, 1, 2), Priority: 10, OutPort: 2}
+	low := &Entry{Match: HostPairMatch(hostA, hostB), Priority: 1, OutPort: 1}
+	high := &Entry{Match: ExactMatch(pkt(hostA, hostB, 1, 2)), Priority: 10, OutPort: 2}
 	sw.Install(low, 0)
 	sw.Install(high, 0)
 	got, ok := sw.Lookup(pkt(hostA, hostB, 1, 2))
@@ -84,7 +83,7 @@ func TestIdleTimeoutSweep(t *testing.T) {
 		removedReasons = append(removedReasons, reason)
 	})
 	e := &Entry{
-		Match:       openflow.ExactMatch(6, hostA, hostB, 1, 2),
+		Match:       ExactMatch(pkt(hostA, hostB, 1, 2)),
 		IdleTimeout: 5 * time.Second, NotifyRemoved: true,
 	}
 	sw.Install(e, 0)
@@ -95,7 +94,7 @@ func TestIdleTimeoutSweep(t *testing.T) {
 	if n := sw.Sweep(7 * time.Second); n != 1 {
 		t.Error("entry should expire 5s after last match")
 	}
-	if len(removedReasons) != 1 || removedReasons[0] != openflow.FlowRemovedReasonIdleTimeout {
+	if len(removedReasons) != 1 || removedReasons[0] != FlowRemovedReasonIdleTimeout {
 		t.Errorf("reasons = %v", removedReasons)
 	}
 	if sw.TableSize() != 0 {
@@ -108,7 +107,7 @@ func TestHardTimeoutBeatsIdle(t *testing.T) {
 	var reason uint8
 	sw.OnFlowRemoved(func(_ *Switch, _ *Entry, r uint8, _ time.Duration) { reason = r })
 	e := &Entry{
-		Match:       openflow.ExactMatch(6, hostA, hostB, 1, 2),
+		Match:       ExactMatch(pkt(hostA, hostB, 1, 2)),
 		IdleTimeout: 5 * time.Second, HardTimeout: 8 * time.Second, NotifyRemoved: true,
 	}
 	sw.Install(e, 0)
@@ -119,35 +118,15 @@ func TestHardTimeoutBeatsIdle(t *testing.T) {
 	if n := sw.Sweep(8 * time.Second); n != 1 {
 		t.Fatal("hard timeout should expire the busy entry")
 	}
-	if reason != openflow.FlowRemovedReasonHardTimeout {
+	if reason != FlowRemovedReasonHardTimeout {
 		t.Errorf("reason = %d, want hard timeout", reason)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	sw := New("sw1", 1)
-	var notified int
-	sw.OnFlowRemoved(func(_ *Switch, _ *Entry, r uint8, _ time.Duration) {
-		notified++
-		if r != openflow.FlowRemovedReasonDelete {
-			t.Errorf("reason = %d", r)
-		}
-	})
-	m := openflow.ExactMatch(6, hostA, hostB, 1, 2)
-	sw.Install(&Entry{Match: m, NotifyRemoved: true}, 0)
-	sw.Install(&Entry{Match: openflow.ExactMatch(6, hostA, hostC, 1, 2)}, 0)
-	if n := sw.Delete(m, time.Second); n != 1 {
-		t.Errorf("Delete removed %d entries", n)
-	}
-	if notified != 1 || sw.TableSize() != 1 {
-		t.Errorf("notified=%d size=%d", notified, sw.TableSize())
 	}
 }
 
 func TestDownSwitchDropsSilently(t *testing.T) {
 	sw := New("sw1", 1)
 	fired := false
-	sw.OnPacketIn(func(*Switch, openflow.Match, uint16, time.Duration) { fired = true })
+	sw.OnPacketIn(func(*Switch, flowlog.FlowKey, uint16, time.Duration) { fired = true })
 	sw.Down = true
 	if _, ok := sw.Process(pkt(hostA, hostB, 1, 2), 1, 10, 0); ok {
 		t.Error("down switch should not forward")
@@ -155,7 +134,7 @@ func TestDownSwitchDropsSilently(t *testing.T) {
 	if fired {
 		t.Error("down switch should not emit PacketIn")
 	}
-	sw.Install(&Entry{Match: openflow.ExactMatch(6, hostA, hostB, 1, 2), IdleTimeout: time.Nanosecond}, 0)
+	sw.Install(&Entry{Match: ExactMatch(pkt(hostA, hostB, 1, 2)), IdleTimeout: time.Nanosecond}, 0)
 	if n := sw.Sweep(time.Hour); n != 0 {
 		t.Error("down switch should not emit FlowRemoved")
 	}
@@ -163,7 +142,7 @@ func TestDownSwitchDropsSilently(t *testing.T) {
 
 func TestAccount(t *testing.T) {
 	sw := New("sw1", 1)
-	e := &Entry{Match: openflow.ExactMatch(6, hostA, hostB, 1, 2)}
+	e := &Entry{Match: ExactMatch(pkt(hostA, hostB, 1, 2))}
 	sw.Install(e, 0)
 	sw.Account(e, 9, 900, 3*time.Second)
 	if e.Packets != 9 || e.Bytes != 900 || e.LastMatched != 3*time.Second {
@@ -181,13 +160,13 @@ func TestNextExpiry(t *testing.T) {
 	if _, ok := sw.NextExpiry(); ok {
 		t.Error("empty table has no expiry")
 	}
-	sw.Install(&Entry{Match: openflow.ExactMatch(6, hostA, hostB, 1, 2), IdleTimeout: 5 * time.Second}, time.Second)
-	sw.Install(&Entry{Match: openflow.ExactMatch(6, hostA, hostC, 1, 2), HardTimeout: 3 * time.Second}, 2*time.Second)
+	sw.Install(&Entry{Match: ExactMatch(pkt(hostA, hostB, 1, 2)), IdleTimeout: 5 * time.Second}, time.Second)
+	sw.Install(&Entry{Match: ExactMatch(pkt(hostA, hostC, 1, 2)), HardTimeout: 3 * time.Second}, 2*time.Second)
 	at, ok := sw.NextExpiry()
 	if !ok || at != 5*time.Second {
 		t.Errorf("NextExpiry = %v, %v; want 5s", at, ok)
 	}
-	sw.Install(&Entry{Match: openflow.ExactMatch(6, hostB, hostC, 1, 2)}, 0) // no timeouts
+	sw.Install(&Entry{Match: ExactMatch(pkt(hostB, hostC, 1, 2))}, 0) // no timeouts
 	if at, _ := sw.NextExpiry(); at != 5*time.Second {
 		t.Errorf("timeout-free entry changed NextExpiry to %v", at)
 	}
@@ -212,7 +191,7 @@ func TestSweepProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				sw.Install(&Entry{
-					Match:       openflow.ExactMatch(6, hostA, hostB, uint16(rng.Intn(1000)), 80),
+					Match:       ExactMatch(pkt(hostA, hostB, uint16(rng.Intn(1000)), 80)),
 					IdleTimeout: time.Duration(rng.Intn(10)) * time.Second,
 					HardTimeout: time.Duration(rng.Intn(20)) * time.Second,
 				}, now)

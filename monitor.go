@@ -46,8 +46,8 @@ import (
 // not a behavior differ's.
 //
 // Monitor is not safe for concurrent use; feed it from the goroutine that
-// owns the event source (the simulator loop or a controller.Server
-// drainer).
+// owns the event source (the simulator loop or a serve tenant's
+// worker).
 type Monitor struct {
 	opts     Options
 	th       Thresholds
