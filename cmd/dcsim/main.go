@@ -1,6 +1,6 @@
 // Command dcsim runs a simulated flow-based data center and writes the
-// controller's control-traffic log (JSON by default, or the compact
-// binary format with -format binary).
+// controller's control-traffic log (JSON by default, or the segmented
+// columnar FDC1 format with -format columnar).
 //
 // Usage:
 //
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"flowdiff/internal/faults"
+	"flowdiff/internal/flowlog/colseg"
 	"flowdiff/internal/obs"
 	"flowdiff/internal/simnet"
 	"flowdiff/internal/topology"
@@ -43,7 +44,7 @@ func run() error {
 		fault    = flag.String("fault", "", "fault to inject at t=0 (see doc comment)")
 		mode     = flag.String("mode", "reactive", "controller mode: reactive | wildcard | proactive")
 		out      = flag.String("out", "", "output file (default stdout)")
-		format   = flag.String("format", "json", "output format: json | binary")
+		format   = flag.String("format", "json", "output format: json | columnar")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while the simulation runs")
 	)
 	flag.Parse()
@@ -149,8 +150,8 @@ func run() error {
 	switch *format {
 	case "json":
 		werr = log.WriteJSON(w)
-	case "binary":
-		werr = log.WriteBinary(w)
+	case "columnar":
+		werr = colseg.Write(w, log, colseg.WriterOptions{})
 	default:
 		werr = fmt.Errorf("unknown format %q", *format)
 	}

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"time"
 
 	"flowdiff/internal/flowlog/colseg"
 )
@@ -14,8 +11,8 @@ import (
 // runInspect implements the inspect subcommand: print the metadata a
 // query-aware read gets to prune on — per-segment time ranges, event
 // counts, per-column encoded sizes and value ranges, and dictionary
-// cardinalities — without decoding any payload. FDL1 files report their
-// (segment-less) header.
+// cardinalities — without decoding any payload. Only FDC1 files have
+// that metadata; any other file fails the header check.
 func runInspect(args []string) error {
 	fs := flag.NewFlagSet("flowdiff inspect", flag.ExitOnError)
 	columns := fs.Bool("columns", false, "also print the per-segment per-column size breakdown")
@@ -30,17 +27,7 @@ func runInspect(args []string) error {
 		return fmt.Errorf("inspect: %w", err)
 	}
 	defer f.Close()
-	switch format, br := colseg.Sniff(f); format {
-	case colseg.FormatColumnar:
-		return inspectColumnar(path, br, *columns)
-	case colseg.FormatBinary:
-		return inspectBinary(path, br)
-	}
-	return fmt.Errorf("inspect: %s is not an FDC1 or FDL1 file", path)
-}
-
-func inspectColumnar(path string, r io.Reader, columns bool) error {
-	info, err := colseg.Inspect(r)
+	info, err := colseg.Inspect(f)
 	if err != nil {
 		return fmt.Errorf("inspect: %s: %w", path, err)
 	}
@@ -59,7 +46,7 @@ func inspectColumnar(path string, r io.Reader, columns bool) error {
 		fmt.Printf("seg %3d: [%v, %v]  %d events  payload %d B  index %d B  hosts %s  switches %s\n",
 			i, seg.MinTime, seg.MaxTime, seg.Events, seg.PayloadLen, seg.IndexLen,
 			card(seg.Hosts), card(seg.Switches))
-		if !columns {
+		if !*columns {
 			continue
 		}
 		for _, col := range seg.Columns {
@@ -84,22 +71,5 @@ func inspectColumnar(path string, r io.Reader, columns bool) error {
 		}
 		fmt.Printf("  %-12s %9d B  %6.2f%%\n", col.Name, total, pct)
 	}
-	return nil
-}
-
-// inspectBinary prints the FDL1 row-format header: it has no segments
-// or per-column layout, so the header is the whole metadata surface.
-func inspectBinary(path string, r io.Reader) error {
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("inspect: %s: reading FDL1 header: %w", path, err)
-	}
-	start := time.Duration(binary.BigEndian.Uint64(hdr[4:12]))
-	end := time.Duration(binary.BigEndian.Uint64(hdr[12:20]))
-	count := binary.BigEndian.Uint32(hdr[20:24])
-	fmt.Printf("file:   %s\n", path)
-	fmt.Printf("format: FDL1 (row binary; no segments)\n")
-	fmt.Printf("bounds: [%v, %v]\n", start, end)
-	fmt.Printf("events: %d\n", count)
 	return nil
 }

@@ -1,7 +1,7 @@
 // Command flowdiff compares two control-traffic logs (captured with
-// dcsim or the TCP controller) and prints the diagnosis report: detected
-// changes, validation against task signatures, the dependency matrix,
-// ranked problem classes, and ranked suspect components.
+// dcsim) and prints the diagnosis report: detected changes, validation
+// against task signatures, the dependency matrix, ranked problem
+// classes, and ranked suspect components.
 //
 // Usage:
 //
@@ -13,13 +13,12 @@
 //	flowdiff inspect l1.fdc
 //	flowdiff inspect -columns l1.fdc
 //
-// Logs are accepted in any serialization — JSON, FDL1 (row binary), or
-// FDC1 (segmented columnar) — detected by magic prefix; the convert
-// subcommand re-serializes between them. The inspect subcommand prints
-// a binary log's metadata — per-segment time ranges, event counts,
-// per-column encoded sizes, and dictionary cardinalities for FDC1 —
-// without decoding any payload: it shows exactly what a query-aware
-// read gets to prune on.
+// Logs are accepted in either serialization — JSON or FDC1 (segmented
+// columnar) — detected by magic prefix; the convert subcommand
+// re-serializes between them. The inspect subcommand prints an FDC1
+// log's metadata — per-segment time ranges, event counts, per-column
+// encoded sizes, and dictionary cardinalities — without decoding any
+// payload: it shows exactly what a query-aware read gets to prune on.
 //
 // The serve subcommand runs the multi-tenant diagnosis service: each
 // tenant uploads a baseline (PUT /v1/tenants/{id}/baseline), streams
@@ -64,8 +63,8 @@ func run() error {
 	}
 	fs := flag.NewFlagSet("flowdiff", flag.ExitOnError)
 	var (
-		baselinePath = fs.String("baseline", "", "baseline (L1) log JSON")
-		currentPath  = fs.String("current", "", "current (L2) log JSON")
+		baselinePath = fs.String("baseline", "", "baseline (L1) log (JSON or FDC1)")
+		currentPath  = fs.String("current", "", "current (L2) log (JSON or FDC1)")
 		topoFlag     = fs.String("topo", "lab", "topology for host naming: lab | tree320 | none")
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address for the lifetime of the comparison")
 		stats        = fs.Bool("stats", false, "print an end-of-run metrics summary to stderr")

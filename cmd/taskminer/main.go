@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 		train  = fs.Int("train", 50, "training runs")
 		seed   = fs.Int64("seed", 1, "random seed")
 		masked = fs.Bool("masked", false, "mask VM IP addresses (generalize across hosts)")
-		detect = fs.String("detect", "", "control log (JSON, FDL1, or FDC1; format auto-detected) to scan for task executions")
+		detect = fs.String("detect", "", "control log (JSON or FDC1; format auto-detected) to scan for task executions")
 	)
 	// ExitOnError: Parse never returns a non-nil error to us.
 	_ = fs.Parse(args)

@@ -17,7 +17,7 @@ import (
 )
 
 // TestDetectReadsEveryFormat: -detect goes through the one front door,
-// so the same capture finds the same detections whichever of the three
+// so the same capture finds the same detections whichever of the two
 // serializations it arrives in.
 func TestDetectReadsEveryFormat(t *testing.T) {
 	topo, err := topology.Lab()
@@ -41,7 +41,6 @@ func TestDetectReadsEveryFormat(t *testing.T) {
 		write func(io.Writer) error
 	}{
 		{"json", capture.WriteJSON},
-		{"fdl1", capture.WriteBinary},
 		{"fdc1", func(w io.Writer) error { return colseg.Write(w, capture, colseg.WriterOptions{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package colseg
 
 import (
-	"bufio"
 	"context"
 	"io"
 	"net/netip"
@@ -9,63 +8,34 @@ import (
 	"flowdiff/internal/flowlog"
 )
 
-// Format is a flow-log serialization, identified by its magic prefix.
-type Format int
-
-const (
-	// FormatJSON has no magic: whatever is neither of the others,
-	// including input shorter than a magic (the JSON decoder then says
-	// what is wrong with it).
-	FormatJSON     Format = iota
-	FormatBinary          // flowlog's row format, magic "FDL1"
-	FormatColumnar        // this package's segmented format, magic "FDC1"
-)
-
-// Sniff peeks r's magic prefix and reports its serialization. Decoding
-// continues from the returned reader, which replays the peeked bytes.
-func Sniff(r io.Reader) (Format, *bufio.Reader) {
-	br := bufio.NewReader(r)
-	return sniff(br), br
-}
-
-func sniff(br *bufio.Reader) Format {
-	switch magic, _ := br.Peek(len(fileMagic)); string(magic) {
-	case fileMagic:
-		return FormatColumnar
-	case "FDL1":
-		return FormatBinary
-	}
-	return FormatJSON
-}
-
-// ReadAnyInto decodes a whole flow log in any of the three
-// serializations — the one front door every loader (CLI, service
-// ingest) goes through. opts.Filter selects events in every format:
-// FDC1 is read query-aware, the row formats are materialized and
-// filtered in memory with the same semantics. The rest of opts, and
-// ctx, apply to the columnar decode.
+// ReadAnyInto decodes a whole flow log in either serialization — the
+// one front door every loader (CLI, service ingest) goes through. The
+// magic prefix picks the decoder: "FDC1" is this package's columnar
+// format, whose header check also fails the retired row binary's
+// "FDL1" with an error naming it; anything else, input shorter than a
+// magic included, goes to the JSON decoder, which then says what is
+// wrong with it. opts.Filter selects events in both formats: FDC1 is
+// read query-aware, JSON is materialized and filtered in memory with
+// the same semantics. The rest of opts, and ctx, apply to the columnar
+// decode.
 //
 // An FDC1 body decodes onto dst[:0] with every field of every event
-// written, growing it when short (a nil dst allocates); the row formats
-// allocate their own. Either way the returned Events are the caller's
-// to reuse. The decode state (buffered reader, payload slab, column
-// scratch, switch-name table) is pooled across calls and keeps no view
-// of r.
+// written, growing it when short (a nil dst allocates); JSON allocates
+// its own. Either way the returned Events are the caller's to reuse.
+// The decode state (buffered reader, payload slab, column scratch,
+// switch-name table) is pooled across calls and keeps no view of r.
 func ReadAnyInto(ctx context.Context, r io.Reader, opts ReaderOptions, dst []flowlog.Event) (*flowlog.Log, error) {
 	rd := readers.Get().(*Reader)
 	defer rd.release()
 	rd.br.Reset(r)
-	read := flowlog.ReadJSON
-	switch sniff(rd.br) {
-	case FormatColumnar:
+	switch magic, _ := rd.br.Peek(len(fileMagic)); string(magic) {
+	case fileMagic, retiredMagic:
 		if err := rd.open(ctx, opts); err != nil {
 			return nil, err
 		}
 		return rd.readAll(dst)
-	case FormatBinary:
-		read = flowlog.ReadBinary
 	}
-	log, err := read(rd.br)
+	log, err := flowlog.ReadJSON(rd.br)
 	if err != nil {
 		return nil, err
 	}

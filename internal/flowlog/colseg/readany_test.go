@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,15 +96,13 @@ func TestReadAnyIntoDirtyDestination(t *testing.T) {
 // TestReadAnyFormats is the one table over the format front door: each
 // serialization is recognized by its magic and decodes to the same log,
 // a filter selects the same events (and bounds) whatever the format,
-// and input too short to carry a magic falls through to the JSON
-// decoder's error instead of panicking or succeeding.
+// the retired FDL1 fails with an error naming it, and input too short
+// to carry a magic falls through to the JSON decoder's error instead of
+// panicking or succeeding.
 func TestReadAnyFormats(t *testing.T) {
 	l := testLog(2*time.Minute, 400)
-	var js, bin bytes.Buffer
+	var js bytes.Buffer
 	if err := l.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WriteBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
 	filter := Filter{From: 30 * time.Second, To: 80 * time.Second, Hosts: []netip.Addr{testKey(1, 1, 0).Src}}
@@ -116,27 +115,29 @@ func TestReadAnyFormats(t *testing.T) {
 	}
 
 	cases := []struct {
-		name   string
-		raw    []byte
-		format Format
-		ok     bool
+		name string
+		raw  []byte
+		ok   bool
+		// errHas, for a failing row, is a substring the error must carry.
+		errHas string
 	}{
-		{"columnar", encode(t, l, WriterOptions{}), FormatColumnar, true},
-		{"binary", bin.Bytes(), FormatBinary, true},
-		{"json", js.Bytes(), FormatJSON, true},
-		{"empty", nil, FormatJSON, false},
-		{"short", []byte("FDC"), FormatJSON, false},
-		{"magic only", []byte("FDC1"), FormatColumnar, false},
+		{"columnar", encode(t, l, WriterOptions{}), true, ""},
+		{"json", js.Bytes(), true, ""},
+		// An FDL1 header: magic, start, end, event count.
+		{"fdl1", append([]byte("FDL1"), make([]byte, 20)...), false, "FDL1 (row binary) is a retired"},
+		{"empty", nil, false, ""},
+		{"short", []byte("FDC"), false, ""},
+		{"magic only", []byte("FDC1"), false, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got, _ := Sniff(bytes.NewReader(tc.raw)); got != tc.format {
-				t.Errorf("Sniff = %v, want %v", got, tc.format)
-			}
 			got, err := ReadAnyInto(context.Background(), bytes.NewReader(tc.raw), ReaderOptions{}, nil)
 			if !tc.ok {
 				if err == nil {
 					t.Fatalf("decoded %d events from malformed input, want an error", len(got.Events))
+				}
+				if !strings.Contains(err.Error(), tc.errHas) {
+					t.Fatalf("err = %v, want it to name %q", err, tc.errHas)
 				}
 				return
 			}
@@ -154,8 +155,9 @@ func TestReadAnyFormats(t *testing.T) {
 				t.Errorf("filtered read differs from the columnar one: %d events [%v,%v], want %d [%v,%v]",
 					len(filtered.Events), filtered.Start, filtered.End, len(wantFiltered.Events), wantFiltered.Start, wantFiltered.End)
 			}
-			// The formats carry IPv4 flows only, so a host filter of only
-			// IPv6 addresses matches nothing, in every format.
+			// The log's flows are IPv4 (FDC1 carries no other), so a host
+			// filter of only IPv6 addresses matches nothing, in either
+			// format.
 			v6, err := ReadAnyInto(context.Background(), bytes.NewReader(tc.raw), ReaderOptions{Filter: Filter{Hosts: []netip.Addr{netip.IPv6Loopback()}}}, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -148,14 +148,19 @@ func NewReaderContext(ctx context.Context, r io.Reader, opts ReaderOptions) (*Re
 	return rd, nil
 }
 
-// open reads and validates the header from r.br.
+// open reads and validates the header from r.br. The magic is judged
+// first, so a short file in another format is not called truncated.
 func (r *Reader) open(ctx context.Context, opts ReaderOptions) error {
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		return fmt.Errorf("colseg: reading header: %w", err)
+	n, err := io.ReadFull(r.br, hdr[:])
+	if magic := string(hdr[0:4]); n >= len(fileMagic) && magic != fileMagic {
+		if magic == retiredMagic {
+			return fmt.Errorf("colseg: FDL1 (row binary) is a retired flow-log format; only FDC1 and JSON are read")
+		}
+		return fmt.Errorf("colseg: bad magic %q", magic)
 	}
-	if string(hdr[0:4]) != fileMagic {
-		return fmt.Errorf("colseg: bad magic %q", hdr[0:4])
+	if err != nil {
+		return fmt.Errorf("colseg: reading header: %w", err)
 	}
 	if hdr[4] != formatVersion {
 		return fmt.Errorf("colseg: unsupported version %d", hdr[4])
@@ -406,7 +411,7 @@ func (r *Reader) readAll(dst []flowlog.Event) (*flowlog.Log, error) {
 }
 
 // Read eagerly deserializes a whole FDC1 stream, the columnar
-// counterpart of flowlog.ReadBinary.
+// counterpart of flowlog.ReadJSON.
 func Read(rd io.Reader) (*flowlog.Log, error) {
 	r, err := NewReaderContext(context.Background(), rd, ReaderOptions{})
 	if err != nil {

@@ -72,8 +72,8 @@ func (w *Writer) Append(e flowlog.Event) error {
 	if w.n > 0 && e.Time < w.last {
 		return fmt.Errorf("colseg: out-of-order event at %v after %v", e.Time, w.last)
 	}
-	if len(e.Switch) > maxNameLen {
-		return fmt.Errorf("colseg: switch name %d bytes exceeds format cap", len(e.Switch))
+	if err := checkEvent(&e); err != nil {
+		return err
 	}
 	if len(w.events) > 0 && (e.Time >= w.boundary || len(w.events) >= w.opts.MaxSegmentEvents) {
 		if err := w.flushSegment(); err != nil {
@@ -87,6 +87,31 @@ func (w *Writer) Append(e flowlog.Event) error {
 	w.events = append(w.events, e)
 	w.last = e.Time
 	w.n++
+	return nil
+}
+
+// checkEvent reports why FDC1 cannot carry e, if it cannot: addresses
+// are IPv4 or the zero Addr, switch names at most maxNameLen bytes.
+func checkEvent(e *flowlog.Event) error {
+	for _, a := range [2]netip.Addr{e.Flow.Src, e.Flow.Dst} {
+		if a.IsValid() && !a.Is4() {
+			return fmt.Errorf("colseg: address %v is not IPv4; FDC1 carries IPv4 flows only", a)
+		}
+	}
+	if len(e.Switch) > maxNameLen {
+		return fmt.Errorf("colseg: switch name %d bytes exceeds format cap", len(e.Switch))
+	}
+	return nil
+}
+
+// Check reports the first event of log that FDC1 cannot carry, so a
+// caller can refuse the log before committing to write it.
+func Check(log *flowlog.Log) error {
+	for i := range log.Events {
+		if err := checkEvent(&log.Events[i]); err != nil {
+			return fmt.Errorf("event %d: %w", i, err)
+		}
+	}
 	return nil
 }
 

@@ -14,9 +14,10 @@ import (
 )
 
 // Wire types of the versioned /v1 HTTP API. Every response body is
-// JSON; request bodies carrying flow logs are accepted in any of the
-// three serializations (JSON, FDL1, FDC1), detected by magic prefix —
-// the same auto-detection the CLI uses.
+// JSON; request bodies carrying flow logs are accepted in either
+// serialization (JSON or FDC1), detected by magic prefix — the same
+// auto-detection the CLI uses. A baseline is persisted as FDC1, so a
+// baseline body must hold IPv4 flows only.
 
 // BaselineMeta describes a tenant's frozen baseline — the response of
 // GET /v1/tenants/{id}/baseline and part of PUT's response.

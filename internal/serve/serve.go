@@ -24,6 +24,7 @@ import (
 
 	"flowdiff"
 	"flowdiff/internal/flowlog"
+	"flowdiff/internal/flowlog/colseg"
 	"flowdiff/internal/obs"
 )
 
@@ -433,6 +434,12 @@ func (s *Server) handlePutBaseline(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(log.Events) == 0 {
 		writeError(w, http.StatusBadRequest, "baseline has no events")
+		return
+	}
+	// The baseline is persisted as FDC1: refuse what it cannot carry
+	// before a new tenant exists or a swap touches the live monitor.
+	if err := colseg.Check(log); err != nil {
+		writeError(w, http.StatusBadRequest, "baseline cannot be stored: %v", err)
 		return
 	}
 	if t, ok := s.tenant(id); ok {

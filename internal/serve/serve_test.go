@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -164,16 +165,9 @@ func offlineReports(t *testing.T, res *flowdiff.ScenarioResult) []flowdiff.Monit
 	return mon.Reports()
 }
 
-// encodings are the three serializations an events body may use.
+// encodings are the two serializations an events body may use.
 var encodings = map[string]func(*testing.T, *flowlog.Log) []byte{
 	"json": logBody,
-	"fdl1": func(t *testing.T, log *flowlog.Log) []byte {
-		var b bytes.Buffer
-		if err := log.WriteBinary(&b); err != nil {
-			t.Fatalf("encoding FDL1: %v", err)
-		}
-		return b.Bytes()
-	},
 	"fdc1": func(t *testing.T, log *flowlog.Log) []byte {
 		var b bytes.Buffer
 		if err := colseg.Write(&b, log, colseg.WriterOptions{}); err != nil {
@@ -201,7 +195,7 @@ func ingestAndFetch(t *testing.T, base, tenant, encoding string, res *flowdiff.S
 }
 
 // TestServeMatchesOfflineMonitor is the service's core contract: tenants
-// ingest the same capture over HTTP, in each of the three encodings and
+// ingest the same capture over HTTP, in each of the two encodings and
 // in different chunkings, and each reads back a report history deeply
 // equal to an offline Monitor run over the same events.
 func TestServeMatchesOfflineMonitor(t *testing.T) {
@@ -219,7 +213,7 @@ func TestServeMatchesOfflineMonitor(t *testing.T) {
 		"whole":  {evs},
 		"thirds": {evs[:len(evs)/3], evs[len(evs)/3 : 2*len(evs)/3], evs[2*len(evs)/3:]},
 	}
-	for _, encoding := range []string{"json", "fdl1", "fdc1"} {
+	for _, encoding := range []string{"json", "fdc1"} {
 		for _, chunking := range []string{"whole", "thirds"} {
 			tenant := encoding + "-" + chunking
 			if got := ingestAndFetch(t, ts.URL, tenant, encoding, res, chunkings[chunking]); !reflect.DeepEqual(got, want) {
@@ -847,6 +841,78 @@ func TestIngestMalformedJSONNamesOffset(t *testing.T) {
 	}
 	if tn, ok := srv.tenant("t"); !ok || tn.status().EventsAccepted != 0 {
 		t.Errorf("a rejected batch was accepted in part")
+	}
+}
+
+// TestBaselineIPv6Rejected: a baseline is persisted as FDC1, which
+// carries IPv4 flows only, so a JSON baseline holding an IPv6 flow gets
+// a 400 on both PUT paths, creating a tenant and hot-swapping one,
+// before anything commits: the server stays up, no tenant appears, the
+// existing tenant keeps its baseline bytes and version, and no temp
+// file is left behind.
+func TestBaselineIPv6Rejected(t *testing.T) {
+	res := capture(t)
+	srv, ts := newTestServer(t, func(c *Config) { c.Options = res.Options() })
+	v6 := *res.L1
+	v6.Events = append([]flowlog.Event(nil), res.L1.Events...)
+	v6.Events[len(v6.Events)/2].Flow.Src = netip.MustParseAddr("2001:db8::1")
+	rejected := func(tenant string) {
+		t.Helper()
+		code, _, body := do(t, http.MethodPut, ts.URL+"/v1/tenants/"+tenant+"/baseline", logBody(t, &v6))
+		if code != http.StatusBadRequest || !bytes.Contains(body, []byte("IPv4")) {
+			t.Fatalf("PUT IPv6 baseline for %s: status %d, body %s; want 400 saying FDC1 carries IPv4 only", tenant, code, body)
+		}
+	}
+
+	rejected("fresh")
+	if code, _, body := do(t, http.MethodGet, ts.URL+"/v1/tenants/fresh", nil); code != http.StatusNotFound {
+		t.Errorf("rejected new tenant exists: status %d, body %s", code, body)
+	}
+
+	putBaseline(t, ts.URL, "t", res.L1)
+	_, hdr, before := do(t, http.MethodGet, ts.URL+"/v1/tenants/t/baseline", nil)
+	rejected("t")
+	code, after, data := do(t, http.MethodGet, ts.URL+"/v1/tenants/t/baseline", nil)
+	if code != http.StatusOK || !bytes.Equal(data, before) {
+		t.Errorf("rejected swap changed the stored baseline (status %d)", code)
+	}
+	if v, w := after.Get("Flowdiff-Baseline-Version"), hdr.Get("Flowdiff-Baseline-Version"); v != w {
+		t.Errorf("rejected swap moved the baseline version %s -> %s", w, v)
+	}
+	if tn, ok := srv.tenant("t"); !ok || tn.status().LastError != "" {
+		t.Errorf("rejected swap reached the tenant worker")
+	}
+	if code, _, _ := do(t, http.MethodGet, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Errorf("healthz after the rejections: status %d", code)
+	}
+	err := filepath.WalkDir(srv.cfg.Dir, func(path string, _ os.DirEntry, err error) error {
+		if err == nil && strings.Contains(filepath.Base(path), ".tmp") {
+			t.Errorf("temp file left behind: %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetiredFDL1BodyRejected: a body in the retired row-binary format
+// gets a 400 naming FDL1 from both PUT baseline and POST events.
+func TestRetiredFDL1BodyRejected(t *testing.T) {
+	res := capture(t)
+	_, ts := newTestServer(t, func(c *Config) { c.Options = res.Options() })
+	// An FDL1 header: magic, start, end, event count.
+	body := append([]byte("FDL1"), make([]byte, 20)...)
+	putBaseline(t, ts.URL, "t", res.L1)
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPut, "/v1/tenants/fresh/baseline"},
+		{http.MethodPut, "/v1/tenants/t/baseline"},
+		{http.MethodPost, "/v1/tenants/t/events"},
+	} {
+		code, _, resp := do(t, req.method, ts.URL+req.path, body)
+		if code != http.StatusBadRequest || !bytes.Contains(resp, []byte("FDL1 (row binary) is a retired")) {
+			t.Errorf("%s %s: status %d, body %s; want a 400 naming FDL1", req.method, req.path, code, resp)
+		}
 	}
 }
 

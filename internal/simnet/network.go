@@ -260,9 +260,6 @@ func (n *Network) ReportPortStatus(sw topology.NodeID, port uint16, reason uint8
 // by the controller-overload fault injector).
 func (n *Network) SetControllerService(d time.Duration) { n.cfg.ControllerService = d }
 
-// SetControlLatency changes the one-way switch-controller delay.
-func (n *Network) SetControlLatency(d time.Duration) { n.cfg.ControlLatency = d }
-
 func (n *Network) scheduleSweep() {
 	if n.stopped {
 		return
@@ -356,7 +353,7 @@ func (n *Network) walk(f Flow, hops []topology.Hop, started time.Duration, idx i
 			n.dropped++
 			return
 		}
-		if _, hit := sw.Process(f.Key, hops[i].InPort, pktBytes, cur); hit {
+		if _, hit := sw.Process(f.Key, pktBytes, cur); hit {
 			continue
 		}
 		// Table miss: suspend the walk until the rule is installed.

@@ -42,7 +42,7 @@ func BenchmarkProcessHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.Process(pkts[i%len(pkts)], 1, 1500, time.Duration(i))
+		sw.Process(pkts[i%len(pkts)], 1500, time.Duration(i))
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package switchsim models an OpenFlow 1.0 switch's data-plane state: a
 // priority-ordered flow table with exact and host-pair wildcard matching,
 // idle/hard timeouts, and per-entry byte/packet counters. A table miss
-// surfaces as a PacketIn callback and an expired entry as a FlowRemoved
-// callback — exactly the control-plane telemetry FlowDiff's measurement
-// layer captures.
+// surfaces as Process's ok=false, which the caller turns into a
+// PacketIn, and an expired entry as a FlowRemoved callback — exactly the
+// control-plane telemetry FlowDiff's measurement layer captures.
 //
 // The switch is driven by a virtual clock (time.Duration since simulation
 // start) supplied by the caller; it never reads the wall clock.
@@ -87,9 +87,6 @@ func (e *Entry) expired(now time.Duration) (uint8, bool) {
 	return 0, false
 }
 
-// PacketInFunc is invoked on a table miss.
-type PacketInFunc func(sw *Switch, pkt flowlog.FlowKey, inPort uint16, now time.Duration)
-
 // FlowRemovedFunc is invoked when an entry with NotifyRemoved expires.
 type FlowRemovedFunc func(sw *Switch, e *Entry, reason uint8, now time.Duration)
 
@@ -105,7 +102,6 @@ type Switch struct {
 
 	table []*Entry
 
-	onPacketIn    PacketInFunc
 	onFlowRemoved FlowRemovedFunc
 }
 
@@ -114,17 +110,8 @@ func New(id string, dpid uint64) *Switch {
 	return &Switch{ID: id, DPID: dpid}
 }
 
-// OnPacketIn registers the table-miss callback.
-func (s *Switch) OnPacketIn(fn PacketInFunc) { s.onPacketIn = fn }
-
 // OnFlowRemoved registers the expiry callback.
 func (s *Switch) OnFlowRemoved(fn FlowRemovedFunc) { s.onFlowRemoved = fn }
-
-// TableSize returns the number of installed entries.
-func (s *Switch) TableSize() int { return len(s.table) }
-
-// Entries returns the installed entries (shared slice; treat as read-only).
-func (s *Switch) Entries() []*Entry { return s.table }
 
 // Install adds a rule to the flow table. Entries are kept sorted by
 // descending priority (stable for equal priorities, so the earliest
@@ -154,17 +141,14 @@ func (s *Switch) Lookup(pkt flowlog.FlowKey) (*Entry, bool) {
 }
 
 // Process handles one packet arrival: on a hit it updates counters and
-// returns the entry; on a miss it fires the PacketIn callback and returns
-// ok=false. A down switch silently drops the packet.
-func (s *Switch) Process(pkt flowlog.FlowKey, inPort uint16, bytes uint64, now time.Duration) (*Entry, bool) {
+// returns the entry; on a miss (the caller's PacketIn) and on a down
+// switch, which silently drops the packet, it returns ok=false.
+func (s *Switch) Process(pkt flowlog.FlowKey, bytes uint64, now time.Duration) (*Entry, bool) {
 	if s.Down {
 		return nil, false
 	}
 	e, ok := s.Lookup(pkt)
 	if !ok {
-		if s.onPacketIn != nil {
-			s.onPacketIn(s, pkt, inPort, now)
-		}
 		return nil, false
 	}
 	e.LastMatched = now

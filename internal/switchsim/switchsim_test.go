@@ -21,20 +21,20 @@ func pkt(src, dst netip.Addr, sp, dp uint16) flowlog.FlowKey {
 	return flowlog.FlowKey{Proto: 6, Src: src, Dst: dst, SrcPort: sp, DstPort: dp}
 }
 
+// TestMissFiresPacketIn: a table miss returns ok=false, which the
+// simulator turns into a PacketIn; it touches no entry.
 func TestMissFiresPacketIn(t *testing.T) {
 	sw := New("sw1", 1)
-	var misses int
-	sw.OnPacketIn(func(s *Switch, p flowlog.FlowKey, inPort uint16, now time.Duration) {
-		misses++
-		if s != sw || inPort != 3 {
-			t.Errorf("callback got switch %v port %d", s.ID, inPort)
-		}
-	})
-	if _, ok := sw.Process(pkt(hostA, hostB, 1, 2), 3, 100, 0); ok {
+	if e, ok := sw.Process(pkt(hostA, hostB, 1, 2), 100, 0); ok || e != nil {
 		t.Error("empty table should miss")
 	}
-	if misses != 1 {
-		t.Errorf("misses = %d, want 1", misses)
+	other := &Entry{Match: ExactMatch(pkt(hostA, hostC, 1, 2))}
+	sw.Install(other, 0)
+	if _, ok := sw.Process(pkt(hostA, hostB, 1, 2), 100, time.Second); ok {
+		t.Error("a packet matching no entry should miss")
+	}
+	if other.Packets != 0 || other.Bytes != 0 || other.LastMatched != 0 {
+		t.Errorf("a miss updated another entry: %+v", other)
 	}
 }
 
@@ -44,7 +44,7 @@ func TestInstallThenHit(t *testing.T) {
 	if err := sw.Install(e, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := sw.Process(pkt(hostA, hostB, 1, 2), 3, 150, 2*time.Second)
+	got, ok := sw.Process(pkt(hostA, hostB, 1, 2), 150, 2*time.Second)
 	if !ok || got != e {
 		t.Fatal("expected hit on installed entry")
 	}
@@ -55,7 +55,7 @@ func TestInstallThenHit(t *testing.T) {
 		t.Errorf("LastMatched = %v", e.LastMatched)
 	}
 	// Different flow still misses.
-	if _, ok := sw.Process(pkt(hostA, hostC, 1, 2), 3, 10, 2*time.Second); ok {
+	if _, ok := sw.Process(pkt(hostA, hostC, 1, 2), 10, 2*time.Second); ok {
 		t.Error("different flow should miss")
 	}
 }
@@ -87,7 +87,7 @@ func TestIdleTimeoutSweep(t *testing.T) {
 		IdleTimeout: 5 * time.Second, NotifyRemoved: true,
 	}
 	sw.Install(e, 0)
-	sw.Process(pkt(hostA, hostB, 1, 2), 1, 10, 2*time.Second)
+	sw.Process(pkt(hostA, hostB, 1, 2), 10, 2*time.Second)
 	if n := sw.Sweep(6 * time.Second); n != 0 {
 		t.Error("entry matched at 2s should survive sweep at 6s")
 	}
@@ -97,7 +97,7 @@ func TestIdleTimeoutSweep(t *testing.T) {
 	if len(removedReasons) != 1 || removedReasons[0] != FlowRemovedReasonIdleTimeout {
 		t.Errorf("reasons = %v", removedReasons)
 	}
-	if sw.TableSize() != 0 {
+	if _, ok := sw.Lookup(pkt(hostA, hostB, 1, 2)); ok {
 		t.Error("table should be empty after expiry")
 	}
 }
@@ -113,7 +113,7 @@ func TestHardTimeoutBeatsIdle(t *testing.T) {
 	sw.Install(e, 0)
 	// Keep the entry busy so idle never fires, then hit the hard timeout.
 	for ts := time.Second; ts < 8*time.Second; ts += time.Second {
-		sw.Process(pkt(hostA, hostB, 1, 2), 1, 1, ts)
+		sw.Process(pkt(hostA, hostB, 1, 2), 1, ts)
 	}
 	if n := sw.Sweep(8 * time.Second); n != 1 {
 		t.Fatal("hard timeout should expire the busy entry")
@@ -125,16 +125,15 @@ func TestHardTimeoutBeatsIdle(t *testing.T) {
 
 func TestDownSwitchDropsSilently(t *testing.T) {
 	sw := New("sw1", 1)
-	fired := false
-	sw.OnPacketIn(func(*Switch, flowlog.FlowKey, uint16, time.Duration) { fired = true })
+	e := &Entry{Match: ExactMatch(pkt(hostA, hostB, 1, 2)), IdleTimeout: time.Nanosecond}
+	sw.Install(e, 0)
 	sw.Down = true
-	if _, ok := sw.Process(pkt(hostA, hostB, 1, 2), 1, 10, 0); ok {
-		t.Error("down switch should not forward")
+	if got, ok := sw.Process(pkt(hostA, hostB, 1, 2), 10, 0); ok || got != nil {
+		t.Error("down switch should not forward, even on a matching entry")
 	}
-	if fired {
-		t.Error("down switch should not emit PacketIn")
+	if e.Packets != 0 {
+		t.Error("down switch counted a dropped packet")
 	}
-	sw.Install(&Entry{Match: ExactMatch(pkt(hostA, hostB, 1, 2)), IdleTimeout: time.Nanosecond}, 0)
 	if n := sw.Sweep(time.Hour); n != 0 {
 		t.Error("down switch should not emit FlowRemoved")
 	}
@@ -196,13 +195,13 @@ func TestSweepProperty(t *testing.T) {
 					HardTimeout: time.Duration(rng.Intn(20)) * time.Second,
 				}, now)
 			case 1:
-				sw.Process(pkt(hostA, hostB, uint16(rng.Intn(1000)), 80), 1, 64, now)
+				sw.Process(pkt(hostA, hostB, uint16(rng.Intn(1000)), 80), 64, now)
 			case 2:
 				sw.Sweep(now)
 			}
 		}
 		sw.Sweep(now)
-		for _, e := range sw.Entries() {
+		for _, e := range sw.table {
 			if _, dead := e.expired(now); dead {
 				return false
 			}

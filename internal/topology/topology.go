@@ -108,7 +108,6 @@ func LinkID(a, b NodeID) string {
 // mutation; the simulator drives it from a single goroutine.
 type Topology struct {
 	nodes    map[NodeID]*Node
-	links    []*Link
 	adj      map[NodeID][]*Link
 	byAddr   map[netip.Addr]NodeID
 	byDPID   map[uint64]NodeID
@@ -177,7 +176,6 @@ func (t *Topology) Connect(a, b NodeID, latency time.Duration) (*Link, error) {
 	t.nextPort[a]++
 	t.nextPort[b]++
 	l := &Link{A: a, B: b, APort: t.nextPort[a], BPort: t.nextPort[b], Latency: latency}
-	t.links = append(t.links, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
 	return l, nil
@@ -238,9 +236,6 @@ func (t *Topology) Hosts() []*Node {
 	}
 	return out
 }
-
-// Links returns all links (shared slice header; treat as read-only).
-func (t *Topology) Links() []*Link { return t.links }
 
 // LinksAt returns the links attached to a node.
 func (t *Topology) LinksAt(id NodeID) []*Link { return t.adj[id] }

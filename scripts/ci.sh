@@ -214,6 +214,12 @@ named_smoke . TestQueryReadsEquivalentOnScenarioCapture
 # one seg line per segment and column totals that add up to 100 %.
 named_smoke ./internal/flowlog/colseg TestInspectSharesReaderParser
 named_smoke ./cmd/flowdiff TestInspectColumnar
+# Format front-door smoke: JSON and FDC1 decode to one log and filter
+# alike, and the retired FDL1 magic fails with an error naming it; a
+# JSON baseline holding an IPv6 flow, which FDC1 cannot store, gets a
+# 400 on both PUT paths with the server up and the tenant unchanged.
+named_smoke ./internal/flowlog/colseg TestReadAnyFormats
+named_smoke ./internal/serve TestBaselineIPv6Rejected
 # Serve smoke: boot the real flowdiff binary as a service on a loopback
 # port, ingest the canonical Seed-301 capture over HTTP as two tenants,
 # and require the fetched reports to be reflect.DeepEqual to an offline

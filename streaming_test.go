@@ -227,7 +227,8 @@ func TestStreamingBuildBoundedHeap(t *testing.T) {
 
 // TestScenarioCaptureCompressionRatio is the format's size acceptance:
 // on a canonical scenario capture, FDC1 must be at least 1.5x smaller
-// than the row-binary FDL1.
+// than the retired row-binary FDL1, whose exact size was a 24-byte
+// header plus 60 bytes and the switch name per event.
 func TestScenarioCaptureCompressionRatio(t *testing.T) {
 	res, err := flowdiff.RunScenario(flowdiff.Scenario{
 		Seed: 301, Case: 1,
@@ -236,15 +237,20 @@ func TestScenarioCaptureCompressionRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fdc, fdl bytes.Buffer
+	var fdc, js bytes.Buffer
 	if err := colseg.Write(&fdc, res.L1, colseg.WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.L1.WriteBinary(&fdl); err != nil {
+	if err := res.L1.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(fdl.Len()) / float64(fdc.Len())
-	t.Logf("scenario capture: %d events, FDC1=%d bytes, FDL1=%d bytes (%.2fx)", len(res.L1.Events), fdc.Len(), fdl.Len(), ratio)
+	fdl := 24
+	for _, e := range res.L1.Events {
+		fdl += 60 + len(e.Switch)
+	}
+	ratio := float64(fdl) / float64(fdc.Len())
+	t.Logf("scenario capture: %d events, FDC1=%d bytes, FDL1=%d bytes (%.2fx), JSON=%d bytes (%.2fx)",
+		len(res.L1.Events), fdc.Len(), fdl, ratio, js.Len(), float64(js.Len())/float64(fdc.Len()))
 	if ratio < 1.5 {
 		t.Errorf("FDC1/FDL1 ratio %.2f < 1.5 on the canonical scenario capture", ratio)
 	}
