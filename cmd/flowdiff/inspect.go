@@ -54,8 +54,8 @@ func runInspect(args []string) error {
 		}
 	}
 
-	// Aggregate per-column sizes across segments: the projection payoff
-	// table — each line is what a read skipping that column saves.
+	// Aggregate per-column sizes across segments: each column's share of
+	// the payload.
 	if len(info.Segments) == 0 {
 		return nil
 	}

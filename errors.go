@@ -6,8 +6,10 @@ import "errors"
 // errors.Is; the wrapping text carries the operation that failed.
 var (
 	// ErrEmptyLog reports a nil log, or one with no events: there is
-	// nothing to model. BuildSignatures and Compare (for
-	// the current log) return it.
+	// nothing to model. BuildSignatures, BuildSignaturesReader, Compare
+	// (for the current log) and RediagnoseWindow (for a window with no
+	// matching events, or an empty or inverted one: to <= from) return
+	// it.
 	ErrEmptyLog = errors.New("empty log")
 	// ErrNoBaseline reports a missing baseline: NewMonitor and
 	// Compare need a known-good log to diff against.
@@ -22,7 +24,7 @@ var (
 	// refuses to rewrite history.
 	ErrOutOfOrder = errors.New("event out of order")
 	// ErrBadLog reports a malformed or unreadable flow-log stream,
-	// wrapping the cause: NewColumnarSource returns it when the
+	// wrapping the cause: NewColumnarSourceOptions returns it when the
 	// columnar header fails to validate, and the signature builds
 	// (BuildSignaturesReader, RediagnoseWindow, ...) when the source
 	// fails mid-stream (a corrupt segment, a truncated file, a read

@@ -50,7 +50,7 @@ func TestColumnarSourceBadLogSentinel(t *testing.T) {
 		"garbage":   []byte("definitely not an FDC1 stream"),
 		"v1 header": v1.Bytes(),
 	} {
-		_, err := NewColumnarSource(context.Background(), bytes.NewReader(raw))
+		_, err := NewColumnarSourceOptions(context.Background(), bytes.NewReader(raw), ColumnarOptions{})
 		if err == nil {
 			t.Fatalf("%s: opening as a columnar source succeeded", name)
 		}
@@ -74,7 +74,7 @@ func TestCorruptColumnarPayloadBadLogSentinel(t *testing.T) {
 	raw := buf.Bytes()
 	// The last payload byte, just before the end marker.
 	raw[len(raw)-len("FEND")-1] ^= 0xff
-	src, err := NewColumnarSource(ctx, bytes.NewReader(raw))
+	src, err := NewColumnarSourceOptions(ctx, bytes.NewReader(raw), ColumnarOptions{})
 	if err != nil {
 		t.Fatalf("the header is intact, yet opening failed: %v", err)
 	}

@@ -54,10 +54,9 @@ func benchQueryRead(b *testing.B, raw []byte, opts ReaderOptions) {
 	b.ReportMetric(float64(skipped), "skipped-B")
 }
 
-// BenchmarkQueryRead tracks the query-aware read engine across the three
-// shapes that matter: the full scan (baseline), a projected scan (column
-// skipping), and an index-pruned host-pair window scan (segment pruning
-// plus decode-time filtering).
+// BenchmarkQueryRead tracks the query-aware read engine across the two
+// shapes that matter: the full scan (baseline) and an index-pruned
+// host-pair window scan (segment pruning plus decode-time filtering).
 func BenchmarkQueryRead(b *testing.B) {
 	l := testLog(5*time.Minute, 100_000)
 	var buf bytes.Buffer
@@ -69,9 +68,6 @@ func BenchmarkQueryRead(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		benchQueryRead(b, raw, ReaderOptions{})
 	})
-	b.Run("projected", func(b *testing.B) {
-		benchQueryRead(b, raw, ReaderOptions{Columns: ColTime | ColSrc | ColDst})
-	})
 	b.Run("pruned", func(b *testing.B) {
 		benchQueryRead(b, raw, ReaderOptions{
 			Filter: Filter{
@@ -79,7 +75,6 @@ func BenchmarkQueryRead(b *testing.B) {
 				To:    2 * time.Minute,
 				Hosts: []netip.Addr{netip.AddrFrom4([4]byte{10, 0, 1, 1}), netip.AddrFrom4([4]byte{10, 0, 2, 1})},
 			},
-			Columns: ColTime | ColSrc | ColDst,
 		})
 	})
 }

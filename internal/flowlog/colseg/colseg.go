@@ -10,8 +10,8 @@
 //	header  := "FDC1" | version u8 | ncols u8 |
 //	           start i64 | end i64 | segWidth i64
 //
-// The segment index sits ahead of the payload, so every pruning and
-// projection decision is made before a single payload byte is read:
+// The segment index sits ahead of the payload, so every pruning
+// decision is made before a single payload byte is read:
 //
 //	segment := "FSEG" | minTime i64 | maxTime i64 |
 //	           count u32 | payloadLen u32 | indexLen u32 |
@@ -24,17 +24,18 @@
 //	payload := column blocks, concatenated in column order
 //
 // The index carries, per column, its offset into the payload, a CRC32
-// (IEEE) over its block (checked per decoded block, so unprojected
-// blocks can be skipped without reading them), and the block's value
-// range (for dictionary columns: the dictionary cardinality in both
-// fields). The host summary is the sorted union of the segment's src
-// and dst dictionaries (zero/invalid addresses excluded); the switch
-// summary is the sorted switch-name dictionary. A summary whose
-// cardinality exceeds summaryCap is written as overflowed (flag 1,
-// count 0), which disables membership pruning for that segment but
-// never affects correctness. A membership or time filter that proves a
-// segment irrelevant prunes it from the index alone: the payload is
-// skipped with Discard, never decoded.
+// (IEEE) over its block (checked as each block is read), and the
+// block's value range (for dictionary columns: the dictionary
+// cardinality in both fields). The host summary is the sorted union of
+// the segment's src and dst dictionaries (zero/invalid addresses
+// excluded); the switch summary is the sorted switch-name dictionary,
+// written, parsed and validated for Inspect (no filter prunes on it).
+// A summary whose cardinality exceeds summaryCap is written as
+// overflowed (flag 1, count 0), which disables host pruning for that
+// segment but never affects correctness. A host or time filter that
+// proves a segment irrelevant prunes it from the index alone: the
+// payload is skipped with Discard, never decoded. Every other segment
+// decodes whole, every column of it.
 //
 // The version byte is 2; a reader rejects every other value from the
 // header with a wrapped error.
@@ -107,50 +108,6 @@ var columnNames = [numColumns]string{
 	"dpid", "bytes", "packets", "flowDuration", "switch",
 }
 
-// ColumnSet selects event fields for a projected read: a bitset with
-// one bit per on-disk column. The zero value selects every column (a
-// full decode); any non-zero set implicitly includes ColTime, since
-// time orders batches and drives windowed filtering. Unprojected
-// columns leave their event fields at the zero value and their payload
-// blocks are never decoded, never even read.
-type ColumnSet uint32
-
-// Projectable columns. Combine with |: ColTime | ColSrc | ColDst is
-// the flow-endpoint projection window counting and suspect-flow
-// resolution need.
-const (
-	ColTime         ColumnSet = 1 << columnTime
-	ColType         ColumnSet = 1 << columnType
-	ColReason       ColumnSet = 1 << columnReason
-	ColProto        ColumnSet = 1 << columnProto
-	ColSrc          ColumnSet = 1 << columnSrc
-	ColDst          ColumnSet = 1 << columnDst
-	ColSrcPort      ColumnSet = 1 << columnSrcPort
-	ColDstPort      ColumnSet = 1 << columnDstPort
-	ColInPort       ColumnSet = 1 << columnInPort
-	ColOutPort      ColumnSet = 1 << columnOutPort
-	ColDPID         ColumnSet = 1 << columnDPID
-	ColBytes        ColumnSet = 1 << columnBytes
-	ColPackets      ColumnSet = 1 << columnPackets
-	ColFlowDuration ColumnSet = 1 << columnFlowDur
-	ColSwitch       ColumnSet = 1 << columnSwitch
-
-	// AllColumns selects every column — equivalent to the zero value.
-	AllColumns ColumnSet = 1<<numColumns - 1
-
-	// FlowColumns is the 5-tuple: proto, src, dst, and both ports.
-	FlowColumns = ColProto | ColSrc | ColDst | ColSrcPort | ColDstPort
-)
-
-func (s ColumnSet) normalized() ColumnSet {
-	if s == 0 {
-		return AllColumns
-	}
-	return (s | ColTime) & AllColumns
-}
-
-func (s ColumnSet) has(col int) bool { return s&(1<<col) != 0 }
-
 // Filter restricts a read to a query's events. Restrictions compose
 // (logical AND); the zero Filter keeps everything.
 //
@@ -167,29 +124,11 @@ type Filter struct {
 	// is in the set (PortStatus-style events with no flow key never
 	// match). Empty means no host restriction.
 	Hosts []netip.Addr
-	// Switches keeps only events reported by one of the named switches.
-	// Empty means no switch restriction.
-	Switches []string
 }
 
 func (f Filter) timeActive() bool { return f.To > f.From }
 
-func (f Filter) active() bool {
-	return f.timeActive() || len(f.Hosts) > 0 || len(f.Switches) > 0
-}
-
-// columns returns the columns the filter must decode to evaluate
-// per-event membership, beyond what the caller projected.
-func (f Filter) columns() ColumnSet {
-	var need ColumnSet
-	if len(f.Hosts) > 0 {
-		need |= ColSrc | ColDst
-	}
-	if len(f.Switches) > 0 {
-		need |= ColSwitch
-	}
-	return need
-}
+func (f Filter) active() bool { return f.timeActive() || len(f.Hosts) > 0 }
 
 // Sanity bounds: a corrupted or hostile preamble must not drive an
 // allocation, so counts and lengths are capped before any make().

@@ -219,35 +219,45 @@ func TestTimeRangeReadPrunesSegments(t *testing.T) {
 	}
 }
 
+// TestReaderBatchSizes: an unfiltered Next serves one whole segment a
+// call, so the batch sizes are Inspect's per-segment event counts, and
+// the batches concatenate to the log.
 func TestReaderBatchSizes(t *testing.T) {
 	l := testLog(time.Minute, 1200)
-	raw := encode(t, l, WriterOptions{SegmentDuration: 7 * time.Second})
-	for _, bs := range []int{1, 7, 100, 8192} {
-		r, err := NewReaderContext(context.Background(), bytes.NewReader(raw), ReaderOptions{BatchSize: bs})
+	raw := encode(t, l, WriterOptions{SegmentDuration: 7 * time.Second, MaxSegmentEvents: 100})
+	info, err := Inspect(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReaderContext(context.Background(), bytes.NewReader(raw), ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []flowlog.Event
+	var sizes, want []int
+	for _, seg := range info.Segments {
+		want = append(want, seg.Events)
+	}
+	for {
+		batch, err := r.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all []flowlog.Event
-		for {
-			batch, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("batch=%d: %v", bs, err)
-			}
-			if len(batch) == 0 || len(batch) > bs {
-				t.Fatalf("batch=%d: got a batch of %d", bs, len(batch))
-			}
-			all = append(all, batch...)
-		}
-		if !reflect.DeepEqual(all, l.Events) {
-			t.Fatalf("batch=%d: concatenated batches diverge from the log", bs)
-		}
-		// Terminal io.EOF is sticky.
-		if _, err := r.Next(); err != io.EOF {
-			t.Fatalf("batch=%d: post-EOF Next = %v", bs, err)
-		}
+		sizes = append(sizes, len(batch))
+		all = append(all, batch...)
+	}
+	if len(want) < 2 || !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("batch sizes %v, want the segment counts %v", sizes, want)
+	}
+	if !reflect.DeepEqual(all, l.Events) {
+		t.Fatal("concatenated batches diverge from the log")
+	}
+	// Terminal io.EOF is sticky.
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("post-EOF Next = %v", err)
 	}
 }
 
@@ -426,8 +436,8 @@ func FuzzReadSegment(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// ReadAll decodes straight into the log it returns; batch by
-		// batch or all at once, the outcome must be the same.
+		// ReadAll decodes straight into the log it returns; segment by
+		// segment or all at once, the outcome must be the same.
 		all, allErr := Read(bytes.NewReader(data))
 		if allErr == nil && data[4] != formatVersion {
 			t.Fatalf("decoded a file with version byte %d", data[4])
@@ -452,13 +462,13 @@ func FuzzReadSegment(f *testing.F) {
 			events = append(events, batch...)
 		}
 		if allErr == nil && !reflect.DeepEqual(events, all.Events) {
-			t.Fatalf("batched read decoded %d events, ReadAll %d, or they differ", len(events), len(all.Events))
+			t.Fatalf("segment-by-segment read decoded %d events, ReadAll %d, or they differ", len(events), len(all.Events))
 		}
 		// The one-pass kernel against the column passes it replaced, onto
-		// dirty batches, under every query shape.
+		// dirty batches, under every queryCases filter.
 		var sc decodeScratch
 		for _, tc := range queryCases {
-			opts := ReaderOptions{Filter: tc.f, Columns: tc.cols}
+			opts := ReaderOptions{Filter: tc.f}
 			got, gotFiltered, gotErr := decodeWith(data, opts, decodeBlocks, &sc, dirtyBatch(t))
 			want, wantFiltered, wantErr := decodeWith(data, opts, decodeBlocksReference, &sc, dirtyBatch(t))
 			if (gotErr == nil) != (wantErr == nil) {

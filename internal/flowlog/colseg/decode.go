@@ -9,22 +9,15 @@ import (
 	"flowdiff/internal/flowlog"
 )
 
-// querySpec is a Filter + projection compiled for decode: the
-// membership sets as hash lookups and the effective column sets. proj
-// is what the caller asked to see; need additionally includes the
-// columns the filter must decode to evaluate membership (those are
-// decoded but, unless projected, never written to the output events).
+// querySpec is a Filter compiled for decode: the host set as a hash
+// lookup.
 type querySpec struct {
 	f       Filter
-	proj    ColumnSet
-	need    ColumnSet
 	hostSet map[[4]byte]bool
-	swSet   map[string]bool
 }
 
-func newQuerySpec(f Filter, cols ColumnSet) *querySpec {
-	s := &querySpec{f: f, proj: cols.normalized()}
-	s.need = s.proj | f.columns()
+func newQuerySpec(f Filter) *querySpec {
+	s := &querySpec{f: f}
 	if len(f.Hosts) > 0 {
 		s.hostSet = make(map[[4]byte]bool, len(f.Hosts))
 		for _, a := range f.Hosts {
@@ -33,12 +26,6 @@ func newQuerySpec(f Filter, cols ColumnSet) *querySpec {
 			}
 			// Non-IPv4 addresses can never match the IPv4-only format;
 			// they still keep the filter active, so nothing matches them.
-		}
-	}
-	if len(f.Switches) > 0 {
-		s.swSet = make(map[string]bool, len(f.Switches))
-		for _, name := range f.Switches {
-			s.swSet[name] = true
 		}
 	}
 	return s
@@ -156,7 +143,7 @@ func decodeSwitchBlock(block []byte, count int, names map[string]string, dictBuf
 
 // segRows is what a segment's rows carry before their value columns:
 // each row's time, whether the query keeps it, and the dictionaries and
-// per-row indexes of the address and switch columns the query needs.
+// per-row indexes of the address and switch columns.
 type segRows struct {
 	times            []int64
 	keep             []bool // nil keeps every row
@@ -167,10 +154,9 @@ type segRows struct {
 	swIDs            []uint32
 }
 
-// decodeRows decodes the time column (always: time orders the batch and
-// drives windowed filtering) and the dictionary columns the query
-// needs, into the caller's scratch, and narrows the keep mask by each
-// active filter dimension.
+// decodeRows decodes the time column and the three dictionary columns
+// into the caller's scratch, and narrows the keep mask by each active
+// filter dimension.
 func decodeRows(blocks *[numColumns][]byte, count int, spec *querySpec, names map[string]string, sc *decodeScratch) (rows segRows, err error) {
 	times := grow(sc.times, count)
 	sc.times = times
@@ -186,31 +172,25 @@ func decodeRows(blocks *[numColumns][]byte, count int, spec *querySpec, names ma
 	}
 	rows.times, rows.kept = times, count
 
-	if spec.need.has(columnSrc) {
-		if rows.srcDict, rows.srcIDs, err = decodeAddrBlock(blocks[columnSrc], count, "src", &sc.srcDict, &sc.srcIDs); err != nil {
-			return rows, err
-		}
+	if rows.srcDict, rows.srcIDs, err = decodeAddrBlock(blocks[columnSrc], count, "src", &sc.srcDict, &sc.srcIDs); err != nil {
+		return rows, err
 	}
-	if spec.need.has(columnDst) {
-		if rows.dstDict, rows.dstIDs, err = decodeAddrBlock(blocks[columnDst], count, "dst", &sc.dstDict, &sc.dstIDs); err != nil {
-			return rows, err
-		}
+	if rows.dstDict, rows.dstIDs, err = decodeAddrBlock(blocks[columnDst], count, "dst", &sc.dstDict, &sc.dstIDs); err != nil {
+		return rows, err
 	}
-	if spec.need.has(columnSwitch) {
-		if rows.swDict, rows.swIDs, err = decodeSwitchBlock(blocks[columnSwitch], count, names, &sc.swDict, &sc.swIDs); err != nil {
-			return rows, err
-		}
+	if rows.swDict, rows.swIDs, err = decodeSwitchBlock(blocks[columnSwitch], count, names, &sc.swDict, &sc.swIDs); err != nil {
+		return rows, err
 	}
-	if !spec.f.timeActive() && spec.hostSet == nil && len(spec.swSet) == 0 {
+	if !spec.f.active() {
 		return rows, nil
 	}
 
 	keep := grow(sc.keep, count)
 	sc.keep, rows.keep = keep, keep
 	timed, from, to := spec.f.timeActive(), int64(spec.f.From), int64(spec.f.To)
-	// Membership is resolved once per dictionary entry, then applied per
-	// event as slice lookups.
-	var srcMatch, dstMatch, swMatch []bool
+	// Host membership is resolved once per dictionary entry, then
+	// applied per event as slice lookups.
+	var srcMatch, dstMatch []bool
 	if spec.hostSet != nil {
 		srcMatch = make([]bool, len(rows.srcDict))
 		for j, a := range rows.srcDict {
@@ -221,16 +201,9 @@ func decodeRows(blocks *[numColumns][]byte, count int, spec *querySpec, names ma
 			dstMatch[j] = a.IsValid() && spec.hostSet[a.As4()]
 		}
 	}
-	if len(spec.swSet) > 0 {
-		swMatch = make([]bool, len(rows.swDict))
-		for j, name := range rows.swDict {
-			swMatch[j] = spec.swSet[name]
-		}
-	}
 	for i, t := range times {
 		keep[i] = (!timed || t >= from && t < to) &&
-			(srcMatch == nil || srcMatch[rows.srcIDs[i]] || dstMatch[rows.dstIDs[i]]) &&
-			(swMatch == nil || swMatch[rows.swIDs[i]])
+			(srcMatch == nil || srcMatch[rows.srcIDs[i]] || dstMatch[rows.dstIDs[i]])
 		if !keep[i] {
 			rows.kept--
 		}
@@ -238,7 +211,7 @@ func decodeRows(blocks *[numColumns][]byte, count int, spec *querySpec, names ma
 	return rows, nil
 }
 
-// valueCursor walks one projected value column row by row: a uvarint
+// valueCursor walks one value column row by row: a uvarint
 // column one value at a time, a run-length column one run at a time.
 type valueCursor struct {
 	cursor
@@ -279,20 +252,18 @@ func (c *valueCursor) nextRun(left int) error {
 	return nil
 }
 
-// decodeBlocks decodes one segment's needed column blocks into events
+// decodeBlocks decodes one segment's column blocks into events
 // appended to dst — the caller's batch buffer, or the tail of the log
 // ReadAll returns, so no scratch copy is taken out — applying the query
 // at decode time: out-of-window or non-member events are never
-// materialized (exactly the kept rows are appended), and unprojected
-// columns are never decoded. The event-sized allocation comes only
-// after the time, address and switch columns decoded count plausible
-// rows. filtered is the count of events dropped by the per-event filter.
+// materialized (exactly the kept rows are appended). The event-sized
+// allocation comes only after the time, address and switch columns
+// decoded count plausible rows. filtered is the count of events dropped
+// by the per-event filter.
 //
-// The value columns decode in one pass over the rows: each projected
-// column keeps a cursor, every row advances every cursor, and a kept
-// row is written once, every field of it, so a recycled dst needs no
-// clearing. An unprojected column has no cursor and costs one store of
-// its zero value per kept row.
+// The value columns decode in one pass over the rows: each column keeps
+// a cursor, every row advances every cursor, and a kept row is written
+// once, every field of it, so a recycled dst needs no clearing.
 func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names map[string]string, sc *decodeScratch, dst []flowlog.Event) (out []flowlog.Event, filtered int, err error) {
 	rows, err := decodeRows(blocks, count, spec, names, sc)
 	if err != nil {
@@ -303,18 +274,16 @@ func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names 
 	for col := columnType; col < numColumns; col++ {
 		c := valueCursor{cursor: cursor{b: blocks[col]}, col: col}
 		switch {
-		case !spec.proj.has(col):
 		case col <= columnProto:
 			runs = append(runs, c)
 		case col >= columnSrcPort && col <= columnFlowDur:
 			uvars = append(uvars, c)
 		}
 	}
-	projSrc, projDst, projSw := spec.proj.has(columnSrc), spec.proj.has(columnDst), spec.proj.has(columnSwitch)
 
 	out = slices.Grow(dst, rows.kept)[:len(dst)+rows.kept]
 	evs := out[len(dst):]
-	// v holds the current row's value columns; an unprojected one stays 0.
+	// v holds the current row's value columns.
 	var v [numColumns]uint64
 	j := 0
 	for i := 0; i < count; i++ {
@@ -341,26 +310,15 @@ func decodeBlocks(blocks *[numColumns][]byte, count int, spec *querySpec, names 
 		if rows.keep != nil && !rows.keep[i] {
 			continue
 		}
-		var srcIP, dstIP netip.Addr
-		var sw string
-		if projSrc {
-			srcIP = rows.srcDict[rows.srcIDs[i]]
-		}
-		if projDst {
-			dstIP = rows.dstDict[rows.dstIDs[i]]
-		}
-		if projSw {
-			sw = rows.swDict[rows.swIDs[i]]
-		}
 		e := &evs[j]
 		j++
 		e.Time = time.Duration(rows.times[i])
 		e.Type = flowlog.EventType(v[columnType])
-		e.Switch = sw
+		e.Switch = rows.swDict[rows.swIDs[i]]
 		e.DPID = v[columnDPID]
 		e.Flow.Proto = uint8(v[columnProto])
-		e.Flow.Src = srcIP
-		e.Flow.Dst = dstIP
+		e.Flow.Src = rows.srcDict[rows.srcIDs[i]]
+		e.Flow.Dst = rows.dstDict[rows.dstIDs[i]]
 		e.Flow.SrcPort = uint16(v[columnSrcPort])
 		e.Flow.DstPort = uint16(v[columnDstPort])
 		e.InPort = uint16(v[columnInPort])

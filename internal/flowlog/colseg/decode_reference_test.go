@@ -20,29 +20,19 @@ func decodeBlocksReference(blocks *[numColumns][]byte, count int, spec *querySpe
 	}
 	keep := rows.keep
 
-	// Materialize exactly the kept rows. dst may be a recycled buffer, so
-	// unless every field is about to be overwritten reset the rows to zero
-	// — unprojected fields must read as the zero value, not a stale one.
+	// Materialize exactly the kept rows. dst may be a recycled buffer;
+	// every field is about to be overwritten.
 	out = slices.Grow(dst, rows.kept)[:len(dst)+rows.kept]
 	evs := out[len(dst):]
-	if spec.proj != AllColumns {
-		clear(evs)
-	}
 	j := 0
 	for i := 0; i < count; i++ {
 		if keep != nil && !keep[i] {
 			continue
 		}
 		evs[j].Time = time.Duration(rows.times[i])
-		if spec.proj.has(columnSrc) {
-			evs[j].Flow.Src = rows.srcDict[rows.srcIDs[i]]
-		}
-		if spec.proj.has(columnDst) {
-			evs[j].Flow.Dst = rows.dstDict[rows.dstIDs[i]]
-		}
-		if spec.proj.has(columnSwitch) {
-			evs[j].Switch = rows.swDict[rows.swIDs[i]]
-		}
+		evs[j].Flow.Src = rows.srcDict[rows.srcIDs[i]]
+		evs[j].Flow.Dst = rows.dstDict[rows.dstIDs[i]]
+		evs[j].Switch = rows.swDict[rows.swIDs[i]]
 		j++
 	}
 
@@ -71,20 +61,14 @@ func decodeBlocksReference(blocks *[numColumns][]byte, count int, spec *querySpe
 		}
 		return nil
 	}
-	if spec.proj.has(columnType) {
-		if err := rle(columnType, "type", func(e *flowlog.Event, v byte) { e.Type = flowlog.EventType(v) }); err != nil {
-			return nil, 0, err
-		}
+	if err := rle(columnType, "type", func(e *flowlog.Event, v byte) { e.Type = flowlog.EventType(v) }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnReason) {
-		if err := rle(columnReason, "reason", func(e *flowlog.Event, v byte) { e.Reason = v }); err != nil {
-			return nil, 0, err
-		}
+	if err := rle(columnReason, "reason", func(e *flowlog.Event, v byte) { e.Reason = v }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnProto) {
-		if err := rle(columnProto, "proto", func(e *flowlog.Event, v byte) { e.Flow.Proto = v }); err != nil {
-			return nil, 0, err
-		}
+	if err := rle(columnProto, "proto", func(e *flowlog.Event, v byte) { e.Flow.Proto = v }); err != nil {
+		return nil, 0, err
 	}
 
 	uvar := func(col int, name string, set func(*flowlog.Event, uint64)) error {
@@ -102,45 +86,29 @@ func decodeBlocksReference(blocks *[numColumns][]byte, count int, spec *querySpe
 		}
 		return nil
 	}
-	if spec.proj.has(columnSrcPort) {
-		if err := uvar(columnSrcPort, "srcPort", func(e *flowlog.Event, v uint64) { e.Flow.SrcPort = uint16(v) }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnSrcPort, "srcPort", func(e *flowlog.Event, v uint64) { e.Flow.SrcPort = uint16(v) }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnDstPort) {
-		if err := uvar(columnDstPort, "dstPort", func(e *flowlog.Event, v uint64) { e.Flow.DstPort = uint16(v) }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnDstPort, "dstPort", func(e *flowlog.Event, v uint64) { e.Flow.DstPort = uint16(v) }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnInPort) {
-		if err := uvar(columnInPort, "inPort", func(e *flowlog.Event, v uint64) { e.InPort = uint16(v) }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnInPort, "inPort", func(e *flowlog.Event, v uint64) { e.InPort = uint16(v) }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnOutPort) {
-		if err := uvar(columnOutPort, "outPort", func(e *flowlog.Event, v uint64) { e.OutPort = uint16(v) }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnOutPort, "outPort", func(e *flowlog.Event, v uint64) { e.OutPort = uint16(v) }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnDPID) {
-		if err := uvar(columnDPID, "dpid", func(e *flowlog.Event, v uint64) { e.DPID = v }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnDPID, "dpid", func(e *flowlog.Event, v uint64) { e.DPID = v }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnBytes) {
-		if err := uvar(columnBytes, "bytes", func(e *flowlog.Event, v uint64) { e.Bytes = v }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnBytes, "bytes", func(e *flowlog.Event, v uint64) { e.Bytes = v }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnPackets) {
-		if err := uvar(columnPackets, "packets", func(e *flowlog.Event, v uint64) { e.Packets = v }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnPackets, "packets", func(e *flowlog.Event, v uint64) { e.Packets = v }); err != nil {
+		return nil, 0, err
 	}
-	if spec.proj.has(columnFlowDur) {
-		if err := uvar(columnFlowDur, "flowDuration", func(e *flowlog.Event, v uint64) { e.FlowDuration = time.Duration(v) }); err != nil {
-			return nil, 0, err
-		}
+	if err := uvar(columnFlowDur, "flowDuration", func(e *flowlog.Event, v uint64) { e.FlowDuration = time.Duration(v) }); err != nil {
+		return nil, 0, err
 	}
 
 	return out, count - rows.kept, nil

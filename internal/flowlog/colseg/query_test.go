@@ -79,10 +79,6 @@ func applyFilter(evs []flowlog.Event, f Filter) []flowlog.Event {
 	for _, a := range f.Hosts {
 		hosts[a] = true
 	}
-	switches := make(map[string]bool, len(f.Switches))
-	for _, s := range f.Switches {
-		switches[s] = true
-	}
 	out := []flowlog.Event{}
 	for _, e := range evs {
 		if f.timeActive() && (e.Time < f.From || e.Time >= f.To) {
@@ -91,64 +87,7 @@ func applyFilter(evs []flowlog.Event, f Filter) []flowlog.Event {
 		if len(hosts) > 0 && !hosts[e.Flow.Src] && !hosts[e.Flow.Dst] {
 			continue
 		}
-		if len(switches) > 0 && !switches[e.Switch] {
-			continue
-		}
 		out = append(out, e)
-	}
-	return out
-}
-
-// project is the in-memory reference for ColumnSet semantics:
-// unprojected fields read as the zero value.
-func project(evs []flowlog.Event, cols ColumnSet) []flowlog.Event {
-	cols = cols.normalized()
-	out := make([]flowlog.Event, len(evs))
-	for i, e := range evs {
-		p := flowlog.Event{Time: e.Time}
-		if cols.has(columnType) {
-			p.Type = e.Type
-		}
-		if cols.has(columnReason) {
-			p.Reason = e.Reason
-		}
-		if cols.has(columnProto) {
-			p.Flow.Proto = e.Flow.Proto
-		}
-		if cols.has(columnSrc) {
-			p.Flow.Src = e.Flow.Src
-		}
-		if cols.has(columnDst) {
-			p.Flow.Dst = e.Flow.Dst
-		}
-		if cols.has(columnSrcPort) {
-			p.Flow.SrcPort = e.Flow.SrcPort
-		}
-		if cols.has(columnDstPort) {
-			p.Flow.DstPort = e.Flow.DstPort
-		}
-		if cols.has(columnInPort) {
-			p.InPort = e.InPort
-		}
-		if cols.has(columnOutPort) {
-			p.OutPort = e.OutPort
-		}
-		if cols.has(columnDPID) {
-			p.DPID = e.DPID
-		}
-		if cols.has(columnBytes) {
-			p.Bytes = e.Bytes
-		}
-		if cols.has(columnPackets) {
-			p.Packets = e.Packets
-		}
-		if cols.has(columnFlowDur) {
-			p.FlowDuration = e.FlowDuration
-		}
-		if cols.has(columnSwitch) {
-			p.Switch = e.Switch
-		}
-		out[i] = p
 	}
 	return out
 }
@@ -156,35 +95,26 @@ func project(evs []flowlog.Event, cols ColumnSet) []flowlog.Event {
 var queryCases = []struct {
 	name string
 	f    Filter
-	cols ColumnSet
 }{
-	{"full", Filter{}, 0},
-	{"flow columns", Filter{}, FlowColumns},
-	{"endpoints only", Filter{}, ColSrc | ColDst},
-	{"counters only", Filter{}, ColBytes | ColPackets | ColFlowDuration},
-	{"switch only", Filter{}, ColSwitch},
-	{"time window", Filter{From: 40 * time.Second, To: 60 * time.Second}, 0},
+	{"full", Filter{}},
+	{"time window", Filter{From: 40 * time.Second, To: 60 * time.Second}},
 	{"host pair", Filter{Hosts: []netip.Addr{
 		netip.AddrFrom4([4]byte{10, 2, 1, 1}), netip.AddrFrom4([4]byte{10, 2, 2, 1}),
-	}}, 0},
-	{"switch filter", Filter{Switches: []string{"sw-b"}}, 0},
-	{"host+window+projection", Filter{
+	}}},
+	{"host+window", Filter{
 		From: 50 * time.Second, To: 70 * time.Second,
 		Hosts: []netip.Addr{netip.AddrFrom4([4]byte{10, 3, 1, 1})},
-	}, ColSrc | ColDst},
-	{"switch+window", Filter{
-		From: 0, To: 55 * time.Second, Switches: []string{"sw-a"},
-	}, ColSwitch | ColType},
+	}},
 }
 
-// TestQueryReadsMatchReference pins projected and filtered reads against
-// the in-memory reference semantics.
+// TestQueryReadsMatchReference pins filtered reads against the
+// in-memory reference semantics.
 func TestQueryReadsMatchReference(t *testing.T) {
 	l := skewedLog(t)
 	raw := encode(t, l, WriterOptions{SegmentDuration: 5 * time.Second, MaxSegmentEvents: 700})
 	for _, tc := range queryCases {
-		want := project(applyFilter(l.Events, tc.f), tc.cols)
-		got := readEvents(t, context.Background(), raw, ReaderOptions{Filter: tc.f, Columns: tc.cols})
+		want := applyFilter(l.Events, tc.f)
+		got := readEvents(t, context.Background(), raw, ReaderOptions{Filter: tc.f})
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
@@ -237,7 +167,7 @@ func TestOutOfRangeEventsDroppedAtDecodeTime(t *testing.T) {
 	}
 }
 
-// TestMembershipPruning: a host (or switch) filter must prune segments
+// TestMembershipPruning: a host filter must prune segments
 // whose index summary proves absence — without touching their payload —
 // and return what decode-time filtering alone would.
 func TestMembershipPruning(t *testing.T) {
@@ -258,24 +188,13 @@ func TestMembershipPruning(t *testing.T) {
 	if reg.Counter("colseg.segments.pruned_by_index").Value() == 0 {
 		t.Error("no segments pruned by index for a host absent from the first half")
 	}
-
-	// Switch membership prunes too: sw-b never appears before the burst.
-	fsw := Filter{Switches: []string{"sw-b"}}
-	reg = obs.New()
-	got = readEvents(t, obs.WithRegistry(context.Background(), reg), raw, ReaderOptions{Filter: fsw})
-	if !reflect.DeepEqual(got, applyFilter(l.Events, fsw)) {
-		t.Error("switch-filtered read diverges from reference")
-	}
-	if reg.Counter("colseg.segments.pruned_by_index").Value() == 0 {
-		t.Error("no segments pruned by switch membership")
-	}
 }
 
-// TestProjectedPrunedScanBytesAcceptance is the perf acceptance pin: a
-// projected + index-pruned host-pair time-window scan over the
-// canonical multi-segment capture must decode >= 5x fewer payload bytes
-// than a full read, measured by the colseg.bytes.decoded counter.
-func TestProjectedPrunedScanBytesAcceptance(t *testing.T) {
+// TestPrunedScanBytesAcceptance is the perf acceptance pin: an
+// index-pruned host-pair time-window scan over the canonical
+// multi-segment capture must decode >= 5x fewer payload bytes than a
+// full read, measured by the colseg.bytes.decoded counter.
+func TestPrunedScanBytesAcceptance(t *testing.T) {
 	l := testLog(2*time.Minute, 20_000)
 	raw := encode(t, l, WriterOptions{SegmentDuration: 10 * time.Second})
 
@@ -294,11 +213,10 @@ func TestProjectedPrunedScanBytesAcceptance(t *testing.T) {
 				netip.AddrFrom4([4]byte{10, 0, 2, 1}),
 			},
 		},
-		Columns: ColTime | ColSrc | ColDst,
 	}
 	qReg := obs.New()
 	got := readEvents(t, obs.WithRegistry(context.Background(), qReg), raw, q)
-	want := project(applyFilter(l.Events, q.Filter), q.Columns)
+	want := applyFilter(l.Events, q.Filter)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("query read diverges from reference (%d vs %d events)", len(got), len(want))
 	}
@@ -312,7 +230,7 @@ func TestProjectedPrunedScanBytesAcceptance(t *testing.T) {
 		qReg.Counter("colseg.bytes.skipped").Value(),
 		qReg.Counter("colseg.segments.pruned").Value())
 	if ratio < 5 {
-		t.Errorf("projected+pruned scan decoded only %.1fx fewer payload bytes, want >= 5x", ratio)
+		t.Errorf("pruned scan decoded only %.1fx fewer payload bytes, want >= 5x", ratio)
 	}
 }
 

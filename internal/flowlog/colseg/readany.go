@@ -16,8 +16,8 @@ import (
 // magic included, goes to the JSON decoder, which then says what is
 // wrong with it. opts.Filter selects events in both formats: FDC1 is
 // read query-aware, JSON is materialized and filtered in memory with
-// the same semantics. The rest of opts, and ctx, apply to the columnar
-// decode.
+// the same semantics. ctx, which carries the decode metrics' registry,
+// applies to the columnar decode only.
 //
 // An FDC1 body decodes onto dst[:0] with every field of every event
 // written, growing it when short (a nil dst allocates); JSON allocates
@@ -52,10 +52,6 @@ func (f Filter) apply(log *flowlog.Log) *flowlog.Log {
 	for _, a := range f.Hosts {
 		hosts[a] = true
 	}
-	switches := make(map[string]bool, len(f.Switches))
-	for _, s := range f.Switches {
-		switches[s] = true
-	}
 	out := flowlog.New(log.Start, log.End)
 	if f.timeActive() {
 		out.Start, out.End = f.From, f.To
@@ -65,9 +61,6 @@ func (f Filter) apply(log *flowlog.Log) *flowlog.Log {
 			continue
 		}
 		if len(hosts) > 0 && !hosts[e.Flow.Src] && !hosts[e.Flow.Dst] {
-			continue
-		}
-		if len(switches) > 0 && !switches[e.Switch] {
 			continue
 		}
 		out.Events = append(out.Events, e)

@@ -14,29 +14,14 @@ import (
 	"flowdiff/internal/obs"
 )
 
-// ReaderOptions tunes streaming decode: what to return (Columns), what
-// to keep (the embedded Filter), and how large a batch to serve
-// (BatchSize). The zero options read everything.
+// ReaderOptions tunes streaming decode: what to keep (the embedded
+// Filter). The zero options read everything.
 type ReaderOptions struct {
 	// Filter restricts the read. Whole segments the index proves
 	// irrelevant are pruned before any payload byte is read; inside
 	// overlapping segments, non-matching events are dropped at decode
 	// time and never materialized.
 	Filter
-	// Columns projects the decode: only the selected columns' payload
-	// blocks are decoded (the others are never even read), and
-	// unprojected event fields stay at their zero value. Zero means all
-	// columns.
-	Columns ColumnSet
-	// BatchSize caps the event count of one Next batch. Default 8192.
-	BatchSize int
-}
-
-func (o ReaderOptions) withDefaults() ReaderOptions {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 8192
-	}
-	return o
 }
 
 // readerMetrics holds the obs handles resolved once at open, so the
@@ -46,16 +31,15 @@ func (o ReaderOptions) withDefaults() ReaderOptions {
 // segments.pruned counts segments skipped from the preamble time range;
 // segments.pruned_by_index counts segments skipped from the index
 // membership summaries; events.decoded counts materialized events;
-// events.filtered counts events dropped at decode time; columns.skipped
-// counts unprojected column blocks never decoded; bytes.decoded /
-// bytes.skipped split the payload bytes by whether they fed a decode.
+// events.filtered counts events dropped at decode time; bytes.decoded /
+// bytes.skipped split the payload bytes by whether they fed a decode
+// (a pruned segment's are skipped).
 type readerMetrics struct {
 	segsRead    *obs.Counter
 	segsPruned  *obs.Counter
 	segsPrunedX *obs.Counter
 	evsDecoded  *obs.Counter
 	evsFiltered *obs.Counter
-	colsSkipped *obs.Counter
 	bytesDec    *obs.Counter
 	bytesSkip   *obs.Counter
 }
@@ -67,7 +51,6 @@ func newReaderMetrics(reg *obs.Registry) readerMetrics {
 		segsPrunedX: reg.Counter("colseg.segments.pruned_by_index"),
 		evsDecoded:  reg.Counter("colseg.events.decoded"),
 		evsFiltered: reg.Counter("colseg.events.filtered"),
-		colsSkipped: reg.Counter("colseg.columns.skipped"),
 		bytesDec:    reg.Counter("colseg.bytes.decoded"),
 		bytesSkip:   reg.Counter("colseg.bytes.skipped"),
 	}
@@ -82,8 +65,8 @@ type segMeta struct {
 	index      *segIndex
 }
 
-// Reader streams an FDC1 file segment by segment, serving decoded
-// events in bounded batches. Peak memory is one decoded segment plus
+// Reader streams an FDC1 file segment by segment, serving each decoded
+// segment as one batch. Peak memory is one decoded segment plus
 // its dictionaries; the full event slice is never materialized.
 //
 // Metrics land in the obs registry traveling in the constructor's
@@ -108,8 +91,7 @@ type Reader struct {
 	sc     decodeScratch
 	idxBuf []byte
 	seg    []flowlog.Event
-	pos    int
-	done   bool // no batches left to serve
+	done   bool // no segments left to serve
 	err    error
 }
 
@@ -168,8 +150,8 @@ func (r *Reader) open(ctx context.Context, opts ReaderOptions) error {
 	if hdr[5] != numColumns {
 		return fmt.Errorf("colseg: unexpected column count %d (want %d)", hdr[5], numColumns)
 	}
-	r.opts, r.reg = opts.withDefaults(), obs.From(ctx)
-	r.m, r.spec = newReaderMetrics(r.reg), newQuerySpec(r.opts.Filter, r.opts.Columns)
+	r.opts, r.reg = opts, obs.From(ctx)
+	r.m, r.spec = newReaderMetrics(r.reg), newQuerySpec(opts.Filter)
 	r.start = time.Duration(binary.BigEndian.Uint64(hdr[6:14]))
 	r.end = time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
 	r.width = time.Duration(binary.BigEndian.Uint64(hdr[22:30]))
@@ -186,33 +168,21 @@ func (r *Reader) Bounds() (start, end time.Duration) {
 	return r.start, r.end
 }
 
-// SegmentDuration returns the fixed time range the file was segmented by.
-func (r *Reader) SegmentDuration() time.Duration { return r.width }
-
-// Next returns the next batch of decoded events (at most BatchSize) and
-// io.EOF after the last one. The returned slice is only valid until the
-// next call. Errors other than io.EOF are terminal.
+// Next returns the next decoded segment's events — every event of it
+// the filter keeps, in one batch — and io.EOF after the last one.
+// Segments the filter empties are skipped. The returned slice is only
+// valid until the next call. Errors other than io.EOF are terminal.
 func (r *Reader) Next() ([]flowlog.Event, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	for r.pos >= len(r.seg) {
+	for r.err == nil {
 		if r.done {
 			r.err = io.EOF
-			return nil, io.EOF
+			break
 		}
-		r.pos = 0
-		if r.seg, r.err = r.nextSegment(r.seg[:0]); r.err != nil {
-			return nil, r.err
+		if r.seg, r.err = r.nextSegment(r.seg[:0]); r.err == nil && len(r.seg) > 0 {
+			return r.seg, nil
 		}
 	}
-	n := len(r.seg) - r.pos
-	if n > r.opts.BatchSize {
-		n = r.opts.BatchSize
-	}
-	batch := r.seg[r.pos : r.pos+n]
-	r.pos += n
-	return batch, nil
+	return nil, r.err
 }
 
 // readMeta consumes the next segment tag and, unless the file ended,
@@ -260,8 +230,8 @@ func (r *Reader) readMeta() (meta segMeta, done bool, err error) {
 }
 
 // prune decides from metadata alone whether no event in the segment can
-// match the filter: the preamble time range first, then (exact summaries
-// only) host and switch membership.
+// match the filter: the preamble time range first, then (exact summary
+// only) host membership.
 func (r *Reader) prune(meta *segMeta) (pruned, byIndex bool) {
 	if r.opts.timeActive() && (meta.maxT < r.opts.From || meta.minT >= r.opts.To) {
 		return true, false
@@ -271,18 +241,6 @@ func (r *Reader) prune(meta *segMeta) (pruned, byIndex bool) {
 		hit := false
 		for _, a4 := range x.hosts {
 			if r.spec.hostSet[a4] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return true, true
-		}
-	}
-	if len(r.spec.swSet) > 0 && x.switchesExact {
-		hit := false
-		for _, name := range x.switches {
-			if r.spec.swSet[name] {
 				hit = true
 				break
 			}
@@ -309,46 +267,23 @@ func (r *Reader) skipSegment(meta *segMeta, byIndex bool) error {
 	return nil
 }
 
-// loadBlocks reads the needed column blocks into r.slab and slices
-// them into r.blocks, each CRC-checked independently; unneeded blocks
-// are skipped with Discard, so their bytes never enter memory.
+// loadBlocks reads the segment's column blocks into r.slab and slices
+// them into r.blocks, each CRC-checked independently.
 func (r *Reader) loadBlocks(meta *segMeta) error {
-	need, blocks := r.spec.need, &r.blocks
 	x := meta.index
-	total := 0
-	for c := 0; c < numColumns; c++ {
-		if need.has(c) {
-			total += x.blockLen(c, meta.payloadLen)
-		}
-	}
-	slab := grow(r.slab, total)
+	slab := grow(r.slab, meta.payloadLen)
 	r.slab = slab
-	off := 0
-	var dec, skip int64
 	for c := 0; c < numColumns; c++ {
-		bl := x.blockLen(c, meta.payloadLen)
-		if !need.has(c) {
-			if _, err := r.br.Discard(bl); err != nil {
-				return fmt.Errorf("colseg: skipping %s column: %w", columnNames[c], err)
-			}
-			blocks[c] = nil
-			skip += int64(bl)
-			r.m.colsSkipped.Inc()
-			continue
-		}
-		b := slab[off : off+bl]
+		b := slab[x.offs[c] : x.offs[c]+x.blockLen(c, meta.payloadLen)]
 		if _, err := io.ReadFull(r.br, b); err != nil {
 			return fmt.Errorf("colseg: reading %s column: %w", columnNames[c], err)
 		}
 		if got := crc32.ChecksumIEEE(b); got != x.crcs[c] {
 			return fmt.Errorf("colseg: %s column CRC mismatch: computed %08x, index %08x", columnNames[c], got, x.crcs[c])
 		}
-		blocks[c] = b
-		off += bl
-		dec += int64(bl)
+		r.blocks[c] = b
 	}
-	r.m.bytesDec.Add(dec)
-	r.m.bytesSkip.Add(skip)
+	r.m.bytesDec.Add(int64(meta.payloadLen))
 	return nil
 }
 
@@ -384,10 +319,8 @@ func (r *Reader) nextSegment(dst []flowlog.Event) ([]flowlog.Event, error) {
 }
 
 // ReadAll drains the reader into an in-memory log covering the file's
-// recorded bounds (or the filter window when one is set). A reader
-// standing between segments — a fresh one always is — decodes each
-// remaining segment straight onto the end of the log it returns;
-// otherwise the batches are copied out.
+// recorded bounds (or the filter window when one is set), decoding each
+// remaining segment straight onto the end of the log it returns.
 func (r *Reader) ReadAll() (*flowlog.Log, error) { return r.readAll(nil) }
 
 // readAll is ReadAll onto dst[:0].
@@ -395,19 +328,13 @@ func (r *Reader) readAll(dst []flowlog.Event) (*flowlog.Log, error) {
 	start, end := r.Bounds()
 	out := flowlog.New(start, end)
 	out.Events = dst[:0]
-	for r.err == nil && !r.done && r.pos >= len(r.seg) {
+	for r.err == nil && !r.done {
 		out.Events, r.err = r.nextSegment(out.Events)
 	}
-	for {
-		batch, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out.Events = append(out.Events, batch...)
+	if r.err != nil && r.err != io.EOF {
+		return nil, r.err
 	}
+	return out, nil
 }
 
 // Read eagerly deserializes a whole FDC1 stream, the columnar

@@ -384,9 +384,13 @@ func (m *Monitor) signaturesFor(ctx context.Context, to time.Duration, occs []si
 // baseline's) and are never materialized; it does not hand back the
 // window's flow starts, so re-diagnosed reports skip task replay and
 // classify changes against the baseline alone. The report is not
-// appended to Reports. A window with no matching events returns
-// ErrEmptyLog wrapped.
+// appended to Reports. A window with no matching events, or an empty
+// or inverted one (to <= from), returns ErrEmptyLog wrapped; r is then
+// not read.
 func (m *Monitor) RediagnoseWindow(ctx context.Context, r io.Reader, from, to time.Duration, hosts []netip.Addr) (*MonitorReport, error) {
+	if to <= from {
+		return nil, fmt.Errorf("flowdiff: monitor rediagnose: window [%v, %v): %w", from, to, ErrEmptyLog)
+	}
 	src, err := NewColumnarSourceOptions(ctx, r, ColumnarOptions{
 		Filter: ReadFilter{From: from, To: to, Hosts: hosts},
 	})

@@ -447,6 +447,14 @@ func TestMonitorRediagnoseWindow(t *testing.T) {
 	if _, err := m.RediagnoseWindow(ctx, bytes.NewReader(raw), res.L2.End+time.Minute, res.L2.End+2*time.Minute, nil); !errors.Is(err, ErrEmptyLog) {
 		t.Errorf("empty window returned %v, want ErrEmptyLog", err)
 	}
+	// An empty or inverted window selects nothing either, however many
+	// events the capture holds: it must not fall back to the whole
+	// capture.
+	for _, w := range [][2]time.Duration{{a.From, a.From}, {a.To, a.From}} {
+		if rep, err := m.RediagnoseWindow(ctx, bytes.NewReader(raw), w[0], w[1], nil); !errors.Is(err, ErrEmptyLog) {
+			t.Errorf("window [%v,%v): returned %v (report %v), want ErrEmptyLog", w[0], w[1], err, rep != nil)
+		}
+	}
 }
 
 // cancelAfter is a context that reports cancellation from its n+1-th

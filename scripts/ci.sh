@@ -179,7 +179,8 @@ done < scripts/bench_ceilings.txt
 go test -run '^Fuzz' ./internal/flowlog/...
 # A bounded engine run of the FDC1 decode differential: FuzzReadSegment
 # holds the one-pass decode kernel to the column passes it replaced
-# (decodeBlocksReference) on mutated captures, under every query shape.
+# (decodeBlocksReference) on mutated captures, unfiltered and under
+# each time/host filter in queryCases.
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 20s ./internal/flowlog/colseg
 # Named-test smokes. go test -run passes silently ("no tests to run")
 # when a name matches nothing, so a renamed test would quietly turn its
@@ -201,12 +202,14 @@ named_smoke() {
 		}
 	done
 }
-# Query-equivalence smoke: projected and index-pruned reads must be
-# reflect.DeepEqual to the full read — at the colseg layer, and through
-# the public API on the canonical scenario capture. A read engine that
+# Query-equivalence smoke: time- and host-filtered, index-pruned reads
+# must be reflect.DeepEqual to the reference filter over the full read
+# — at the colseg layer, and through the public API on the canonical
+# scenario capture — and the pruned host-pair window scan must decode
+# >= 5x fewer payload bytes than the full read. A read engine that
 # silently dropped or reordered events would pass the benches but fail
 # here.
-named_smoke ./internal/flowlog/colseg TestQueryReadsMatchReference
+named_smoke ./internal/flowlog/colseg TestQueryReadsMatchReference TestMembershipPruning TestPrunedScanBytesAcceptance
 named_smoke . TestQueryReadsEquivalentOnScenarioCapture
 # One-parser smoke: Inspect walks FDC1 metadata with the Reader's own
 # parser, so it fails on every metadata mutant exactly as a full read

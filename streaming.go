@@ -22,71 +22,31 @@ type Event = flowlog.Event
 type EventSource = signature.EventSource
 
 // ReadFilter restricts a columnar read to a query's events: a time
-// window ([From, To), active when To > From), a host set (flow source
-// or destination), and/or a switch set, composed with logical AND.
-// Whole segments the on-disk index proves irrelevant are pruned before
-// any payload byte is read; within overlapping segments, non-matching
-// events are dropped at decode time, never materialized.
+// window ([From, To), active when To > From) and/or a host set (flow
+// source or destination), composed with logical AND. Whole segments the
+// on-disk index proves irrelevant are pruned before any payload byte is
+// read; within overlapping segments, non-matching events are dropped at
+// decode time, never materialized.
 type ReadFilter = colseg.Filter
 
-// ColumnSet selects event fields for a projected columnar read; zero
-// selects every column. See the Col* constants.
-type ColumnSet = colseg.ColumnSet
-
-// Projectable columns for ColumnarOptions.Columns. Combine with |:
-// ColTime | ColSrc | ColDst is the flow-endpoint projection window
-// counting and suspect-flow resolution need. Unprojected columns leave
-// their event fields at the zero value and their payload blocks are
-// never decoded.
-const (
-	ColTime         = colseg.ColTime
-	ColType         = colseg.ColType
-	ColReason       = colseg.ColReason
-	ColProto        = colseg.ColProto
-	ColSrc          = colseg.ColSrc
-	ColDst          = colseg.ColDst
-	ColSrcPort      = colseg.ColSrcPort
-	ColDstPort      = colseg.ColDstPort
-	ColInPort       = colseg.ColInPort
-	ColOutPort      = colseg.ColOutPort
-	ColDPID         = colseg.ColDPID
-	ColBytes        = colseg.ColBytes
-	ColPackets      = colseg.ColPackets
-	ColFlowDuration = colseg.ColFlowDuration
-	ColSwitch       = colseg.ColSwitch
-	AllColumns      = colseg.AllColumns
-	FlowColumns     = colseg.FlowColumns
-)
-
-// ColumnarOptions tunes a query-aware columnar read: what to keep
-// (Filter) and what to decode (Columns). The zero options read
-// everything.
+// ColumnarOptions tunes a columnar read: what to keep (Filter). The
+// zero options read everything.
 type ColumnarOptions struct {
-	Filter  ReadFilter
-	Columns ColumnSet
+	Filter ReadFilter
 }
 
-// NewColumnarSource opens an FDC1 (segmented columnar) stream —
+// NewColumnarSourceOptions opens an FDC1 (segmented columnar) stream —
 // as written by `flowdiff convert -to columnar` — as an EventSource for
-// BuildSignaturesReader. The header is validated immediately;
-// events decode lazily, one bounded batch at a time, with decode
-// metrics going to the context's obs registry.
-func NewColumnarSource(ctx context.Context, r io.Reader) (EventSource, error) {
-	return NewColumnarSourceOptions(ctx, r, ColumnarOptions{})
-}
-
-// NewColumnarSourceOptions opens an FDC1 stream as an
-// EventSource with a query attached: the filter prunes segments from
-// the on-disk index and drops non-matching events at decode time, and
-// the projection decodes only the selected columns. Counters in the
-// context's obs registry
-// (colseg.segments.pruned_by_index, colseg.columns.skipped,
-// colseg.events.filtered, colseg.bytes.decoded / .skipped) record the
-// work avoided. A time-filtered source reports the filter window from
-// Bounds, so signatures built from it cover exactly the queried
-// interval.
+// BuildSignaturesReader. The header is validated immediately; events
+// decode lazily, one segment at a time, with every column decoded. The
+// filter prunes segments from the on-disk index and drops non-matching
+// events at decode time; counters in the context's obs registry
+// (colseg.segments.pruned / .pruned_by_index, colseg.events.filtered,
+// colseg.bytes.decoded / .skipped) record the work avoided. A
+// time-filtered source reports the filter window from Bounds, so
+// signatures built from it cover exactly the queried interval.
 func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOptions) (EventSource, error) {
-	cr, err := colseg.NewReaderContext(ctx, r, colseg.ReaderOptions{Filter: o.Filter, Columns: o.Columns})
+	cr, err := colseg.NewReaderContext(ctx, r, colseg.ReaderOptions{Filter: o.Filter})
 	if err != nil {
 		return nil, fmt.Errorf("flowdiff: opening columnar log: %w: %w", ErrBadLog, err)
 	}

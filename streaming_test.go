@@ -95,7 +95,7 @@ func TestNewColumnarSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	src, err := flowdiff.NewColumnarSource(context.Background(), f)
+	src, err := flowdiff.NewColumnarSourceOptions(context.Background(), f, flowdiff.ColumnarOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestNewColumnarSource(t *testing.T) {
 	if !reflect.DeepEqual(got.Apps, want.Apps) {
 		t.Error("public source constructor: app signatures differ from the in-memory build")
 	}
-	if _, err := flowdiff.NewColumnarSource(context.Background(), bytes.NewReader([]byte("not a columnar log"))); err == nil {
+	if _, err := flowdiff.NewColumnarSourceOptions(context.Background(), bytes.NewReader([]byte("not a columnar log")), flowdiff.ColumnarOptions{}); err == nil {
 		t.Error("want error for non-FDC1 input")
 	}
 }
@@ -301,8 +301,8 @@ func drainSource(t testing.TB, src flowdiff.EventSource) []flowdiff.Event {
 }
 
 // TestQueryReadsEquivalentOnScenarioCapture is the equivalence suite on
-// the canonical scenario capture through the public API: projected,
-// and filtered reads must agree with the full read (reflect.DeepEqual).
+// the canonical scenario capture through the public API: filtered reads
+// must agree with the full read (reflect.DeepEqual).
 func TestQueryReadsEquivalentOnScenarioCapture(t *testing.T) {
 	res, err := flowdiff.RunScenario(flowdiff.Scenario{
 		Seed: 301, Case: 1,
@@ -328,21 +328,6 @@ func TestQueryReadsEquivalentOnScenarioCapture(t *testing.T) {
 	full := drain(flowdiff.ColumnarOptions{})
 	if !reflect.DeepEqual(full, res.L1.Events) {
 		t.Fatalf("full read returned %d events, capture has %d", len(full), len(res.L1.Events))
-	}
-
-	// Projection: unprojected fields read as zero, everything else is
-	// identical to the full read.
-	proj := drain(flowdiff.ColumnarOptions{Columns: flowdiff.ColTime | flowdiff.ColSrc | flowdiff.ColDst})
-	if len(proj) != len(full) {
-		t.Fatalf("projected read returned %d events, want %d", len(proj), len(full))
-	}
-	for i := range proj {
-		want := flowdiff.Event{Time: full[i].Time}
-		want.Flow.Src = full[i].Flow.Src
-		want.Flow.Dst = full[i].Flow.Dst
-		if proj[i] != want {
-			t.Fatalf("event %d: projected read = %+v, want %+v", i, proj[i], want)
-		}
 	}
 
 	// A host-pair time window matches the in-memory reference filter.

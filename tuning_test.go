@@ -13,7 +13,7 @@ func TestZeroTuningChangesNothing(t *testing.T) {
 	var o Options
 	o.Signature.OccurrenceGap = 2 * time.Second
 	o.Stability.Intervals = 7
-	co := ColumnarOptions{Filter: ReadFilter{From: time.Second, To: time.Minute}, Columns: ColTime}
+	co := ColumnarOptions{Filter: ReadFilter{From: time.Second, To: time.Minute}}
 	for _, tun := range []Tuning{{}, NewTuning(Workers(3))} {
 		if got := tun.Options(o); !reflect.DeepEqual(got, o) {
 			t.Errorf("Tuning rewrote Options: %+v", got)
