@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"flowdiff/internal/flowlog"
 	"flowdiff/internal/stats"
 )
 
@@ -88,23 +87,23 @@ func attachLinkBytes(inf *InfraSignature, dur time.Duration, removals []removedF
 			continue
 		}
 		prev, seen := "", false
-		for i := range occs[at].Events {
-			e := &occs[at].Events[i]
-			if e.Type != flowlog.EventPacketIn {
+		for i := range occs[at].Hops {
+			h := &occs[at].Hops[i]
+			if !h.PacketIn {
 				continue
 			}
 			if seen {
-				inf.LinkBytes[SwitchPair{prev, e.Switch}] += float64(rf.Bytes) / secs
+				inf.LinkBytes[SwitchPair{prev, h.Switch}] += float64(rf.Bytes) / secs
 			}
-			prev, seen = e.Switch, true
+			prev, seen = h.Switch, true
 		}
 	}
 }
 
 // packetIns counts the episode's PacketIns: the switches it crossed.
 func packetIns(o *Occurrence) (n int) {
-	for i := range o.Events {
-		if o.Events[i].Type == flowlog.EventPacketIn {
+	for i := range o.Hops {
+		if o.Hops[i].PacketIn {
 			n++
 		}
 	}
@@ -133,15 +132,13 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature 
 
 	for k := range occs {
 		o := &occs[k]
-		// Walk the episode's events in order, tracking the reactive
+		// Walk the episode's hops in order, tracking the reactive
 		// per-hop pattern PI(sw1) FM(sw1) PI(sw2) FM(sw2) ... (Figure 3).
-		var prevPI *flowlog.Event
-		var prevFM *flowlog.Event
-		var pendingPI *flowlog.Event
-		for i := range o.Events {
-			e := &o.Events[i]
-			switch e.Type {
-			case flowlog.EventPacketIn:
+		var prevPI, prevFM, pendingPI *Hop
+		for i := range o.Hops {
+			e := &o.Hops[i]
+			switch {
+			case e.PacketIn:
 				if prevPI != nil && e.Switch != prevPI.Switch {
 					p := SwitchPair{prevPI.Switch, e.Switch}
 					h := hops[p]
@@ -161,7 +158,7 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature 
 				}
 				prevPI = e
 				pendingPI = e
-			case flowlog.EventFlowMod:
+			default:
 				if pendingPI != nil && e.Switch == pendingPI.Switch {
 					d := e.Time - pendingPI.Time
 					if d >= 0 {

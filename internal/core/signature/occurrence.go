@@ -25,8 +25,17 @@ type Occurrence struct {
 	// Start is the earliest PacketIn timestamp of the episode — the
 	// flow's start as the controller sees it.
 	Start time.Duration
-	// Events are the episode's PacketIn/FlowMod events in time order.
-	Events []flowlog.Event
+	// Hops are the episode's PacketIn/FlowMod events in time order.
+	Hops []Hop
+}
+
+// Hop is one control event of an occurrence, cut to the 32 bytes the
+// infrastructure signature reads: when, at which switch, and whether it
+// was a PacketIn (else a FlowMod). The flow key is the occurrence's.
+type Hop struct {
+	Time     time.Duration
+	Switch   string
+	PacketIn bool
 }
 
 // DefaultOccurrenceGap separates two occurrences of the same flow key: a
@@ -88,22 +97,13 @@ func relevant(t flowlog.EventType) bool {
 // episodeStart is the episode's start time: the earliest PacketIn, or —
 // for episodes with no PacketIn (wildcard-mode FlowMods keyed by the
 // installed match) — the first event's time.
-func episodeStart(events []flowlog.Event) time.Duration {
-	for _, e := range events {
-		if e.Type == flowlog.EventPacketIn {
-			return e.Time
+func episodeStart(hops []Hop) time.Duration {
+	for i := range hops {
+		if hops[i].PacketIn {
+			return hops[i].Time
 		}
 	}
-	return events[0].Time
-}
-
-// appendEpisode appends one closed episode (a capacity-capped subslice of
-// its flow's run) as an Occurrence.
-func appendEpisode(out []Occurrence, key flowlog.FlowKey, events []flowlog.Event) []Occurrence {
-	if len(events) == 0 {
-		return out
-	}
-	return append(out, Occurrence{Key: key, Start: episodeStart(events), Events: events})
+	return hops[0].Time
 }
 
 // Occurrences extracts a log's flow episodes: events are grouped per
@@ -127,7 +127,7 @@ func controlEvents(log *flowlog.Log, gap time.Duration) *StreamExtractor {
 	x := NewStreamExtractor(gap, nil, 0, 0, 0)
 	for i := range log.Events {
 		if e := &log.Events[i]; relevant(e.Type) {
-			x.appendID(internFlow(x.ids, &e.Flow), e)
+			x.appendID(x.intern(&e.Flow), e)
 		}
 	}
 	return x

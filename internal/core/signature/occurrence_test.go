@@ -65,7 +65,7 @@ func TestOccurrencesShardedMatchesSerial(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			log := messyLog(t, 800, shuffle)
-			want := occurrencesReference(log, 0)
+			want := hopsOf(occurrencesReference(log, 0))
 			if len(want) == 0 {
 				t.Fatal("reference extraction found nothing; equivalence would be vacuous")
 			}
@@ -85,7 +85,7 @@ func TestOccurrencesShardedSmallLogFallback(t *testing.T) {
 	l := flowlog.New(0, time.Minute)
 	key := flowlog.FlowKey{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: 1, DstPort: 2}
 	l.Append(flowlog.Event{Time: time.Second, Type: flowlog.EventPacketIn, Switch: "sw", Flow: key})
-	want := occurrencesReference(l, 0)
+	want := hopsOf(occurrencesReference(l, 0))
 	got := OccurrencesSharded(l, Config{})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("small-log result differs: %+v vs %+v", got, want)

@@ -41,9 +41,11 @@ type Pipeline struct {
 	// starts indexes the occurrences' start times by host edge; built
 	// by App, sliced per interval by Stability.
 	starts map[Edge][]time.Duration
+	// runs back a streamed build's occurrence hops until Release.
+	runs []*eventChunk
 }
 
-func newPipeline(ctx context.Context, agg *sourceAgg, cfg Config, occs []Occurrence, flows []int32) *Pipeline {
+func newPipeline(ctx context.Context, agg *sourceAgg, cfg Config, occs []Occurrence, flows []int32, runs []*eventChunk) *Pipeline {
 	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
 	// The fold has each flow's edge id; a flow it never saw (FlowMods
 	// only) is resolved here. Then every flow id indexes agg.edgeOf.
@@ -51,8 +53,15 @@ func newPipeline(ctx context.Context, agg *sourceAgg, cfg Config, occs []Occurre
 	for i := range occs {
 		edges[i], _ = agg.edge(flows[i], &occs[i].Key)
 	}
-	return &Pipeline{ctx: ctx, agg: agg, cfg: cfg, occs: occs, flows: flows, edges: edges}
+	return &Pipeline{ctx: ctx, agg: agg, cfg: cfg, occs: occs, flows: flows, edges: edges, runs: runs}
 }
+
+// Release hands a streamed build's hop storage back to the pool once
+// its products are built: Occurrences, and any product not yet built,
+// are invalid after it. The products themselves alias none of it. A
+// Monitor window's pipeline holds none; its extractor's Reset recycles
+// the window.
+func (p *Pipeline) Release() { p.runs = releaseChunks(p.runs) }
 
 // Reference reports whether the pipeline was constructed with stability
 // intervals, so Stability is among its products (a current build has 0).

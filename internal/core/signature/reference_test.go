@@ -23,26 +23,64 @@ import (
 
 var bg = context.Background()
 
+// occurrenceReference is an occurrence as the batch oracle groups it:
+// with the episode's full events, not hops.
+type occurrenceReference struct {
+	Key    flowlog.FlowKey
+	Start  time.Duration
+	Events []flowlog.Event
+}
+
+// hopsOf projects the oracle's occurrences onto what the production
+// path keeps of them, for DeepEqual against it.
+func hopsOf(refs []occurrenceReference) []Occurrence {
+	out := make([]Occurrence, len(refs))
+	for i, r := range refs {
+		hops := make([]Hop, len(r.Events))
+		for j, e := range r.Events {
+			hops[j] = Hop{Time: e.Time, Switch: e.Switch, PacketIn: e.Type == flowlog.EventPacketIn}
+		}
+		out[i] = Occurrence{Key: r.Key, Start: r.Start, Hops: hops}
+	}
+	return out
+}
+
+// appendEpisodeReference appends one closed episode as an occurrence
+// starting at its earliest PacketIn, or, with none, its first event.
+func appendEpisodeReference(out []occurrenceReference, key flowlog.FlowKey, events []flowlog.Event) []occurrenceReference {
+	if len(events) == 0 {
+		return out
+	}
+	start := events[0].Time
+	for _, e := range events {
+		if e.Type == flowlog.EventPacketIn {
+			start = e.Time
+			break
+		}
+	}
+	return append(out, occurrenceReference{Key: key, Start: start, Events: events})
+}
+
 // splitEpisodesReference splits one key's time-sorted event buffer at
 // gaps and appends the resulting episodes to out. Episodes are
 // subslices of buf.
-func splitEpisodesReference(out []Occurrence, key flowlog.FlowKey, buf []flowlog.Event, gap time.Duration) []Occurrence {
+func splitEpisodesReference(out []occurrenceReference, key flowlog.FlowKey, buf []flowlog.Event, gap time.Duration) []occurrenceReference {
 	epStart := 0
 	for j := 1; j < len(buf); j++ {
 		if buf[j].Time-buf[j-1].Time > gap {
-			out = appendEpisode(out, key, buf[epStart:j:j])
+			out = appendEpisodeReference(out, key, buf[epStart:j:j])
 			epStart = j
 		}
 	}
-	return appendEpisode(out, key, buf[epStart:len(buf):len(buf)])
+	return appendEpisodeReference(out, key, buf[epStart:len(buf):len(buf)])
 }
 
 // extractFromIdxsReference turns a per-key index grouping into the
 // start-sorted occurrence slice: per key, copy the events into one
 // contiguous buffer (sorting the indices first only when the log is out
 // of order) and split it at gaps.
-func extractFromIdxsReference(log *flowlog.Log, perKey map[flowlog.FlowKey][]int32, gap time.Duration) []Occurrence {
-	out := make([]Occurrence, 0, len(perKey))
+func extractFromIdxsReference(log *flowlog.Log, perKey map[flowlog.FlowKey][]int32, gap time.Duration) []occurrenceReference {
+	out := make([]occurrenceReference, 0, len(perKey))
 	for key, idxs := range perKey {
 		// Logs are normally already time-sorted, in which case the
 		// scan-order index list is sorted too; only fall back to an
@@ -66,7 +104,12 @@ func extractFromIdxsReference(log *flowlog.Log, perKey map[flowlog.FlowKey][]int
 		}
 		out = splitEpisodesReference(out, key, buf, gap)
 	}
-	sort.Slice(out, func(i, j int) bool { return compareOccurrences(out[i], out[j]) < 0 })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return compareKeys(out[i].Key, out[j].Key) < 0
+	})
 	return out
 }
 
@@ -75,7 +118,7 @@ func extractFromIdxsReference(log *flowlog.Log, perKey map[flowlog.FlowKey][]int
 // between consecutive control events of the key exceeds gap (<=0 uses
 // DefaultOccurrenceGap). The result is ordered by start time (ties
 // broken by key).
-func occurrencesReference(log *flowlog.Log, gap time.Duration) []Occurrence {
+func occurrencesReference(log *flowlog.Log, gap time.Duration) []occurrenceReference {
 	if gap <= 0 {
 		gap = DefaultOccurrenceGap
 	}
@@ -159,7 +202,7 @@ func indexStartsReference(occs []Occurrence, r *appgroup.Resolver) map[Edge][]ti
 // attachLinkBytesReference is attachLinkBytes keyed by flow key: the
 // position of each removed key's path episode is found through a
 // FlowKey map.
-func attachLinkBytesReference(inf *InfraSignature, dur time.Duration, removals []removedKeyReference, occs []Occurrence) {
+func attachLinkBytesReference(inf *InfraSignature, dur time.Duration, removals []removedKeyReference, occs []occurrenceReference) {
 	if dur <= 0 {
 		return
 	}
@@ -170,7 +213,13 @@ func attachLinkBytesReference(inf *InfraSignature, dur time.Duration, removals [
 		first[removals[i].Key] = -1
 	}
 	for i := range occs {
-		if at, removed := first[occs[i].Key]; removed && at < 0 && packetIns(&occs[i]) >= 2 {
+		packetIns := 0
+		for _, e := range occs[i].Events {
+			if e.Type == flowlog.EventPacketIn {
+				packetIns++
+			}
+		}
+		if at, removed := first[occs[i].Key]; removed && at < 0 && packetIns >= 2 {
 			first[occs[i].Key] = int32(i)
 		}
 	}
@@ -197,7 +246,7 @@ func attachLinkBytesReference(inf *InfraSignature, dur time.Duration, removals [
 
 // infraReference is buildInfra keyed by name: per-hop SwitchPair maps
 // looked up twice, and each vote's source host resolved from the key.
-func infraReference(r *appgroup.Resolver, occs []Occurrence) InfraSignature {
+func infraReference(r *appgroup.Resolver, occs []occurrenceReference) InfraSignature {
 	inf := InfraSignature{
 		SwitchAdj:       make(map[SwitchPair]int),
 		HostAttach:      make(map[string]string),
@@ -272,17 +321,20 @@ func infraReference(r *appgroup.Resolver, occs []Occurrence) InfraSignature {
 // batch-extracted occurrences, group discovery from a log.Flows scan,
 // FlowRemoved samples and first removals from whole-log scans, and
 // stability intervals from flowlog.Segment views — every build step
-// downstream of those inputs is the production code.
+// downstream of those inputs is the production code. refs are the
+// occurrences with their events, occs their projection.
 type pipelineReference struct {
 	log  *flowlog.Log
 	r    *appgroup.Resolver
 	cfg  Config
+	refs []occurrenceReference
 	occs []Occurrence
 }
 
 func newPipelineReference(log *flowlog.Log, r *appgroup.Resolver, cfg Config) *pipelineReference {
 	cfg = cfg.withDefaults()
-	return &pipelineReference{log: log, r: r, cfg: cfg, occs: occurrencesReference(log, cfg.OccurrenceGap)}
+	refs := occurrencesReference(log, cfg.OccurrenceGap)
+	return &pipelineReference{log: log, r: r, cfg: cfg, refs: refs, occs: hopsOf(refs)}
 }
 
 func (pr *pipelineReference) appOf(log *flowlog.Log, occs []Occurrence) []AppSignature {
@@ -293,9 +345,9 @@ func (pr *pipelineReference) appOf(log *flowlog.Log, occs []Occurrence) []AppSig
 func (pr *pipelineReference) App() []AppSignature { return pr.appOf(pr.log, pr.occs) }
 
 func (pr *pipelineReference) Infra() InfraSignature {
-	inf := infraReference(pr.r, pr.occs)
+	inf := infraReference(pr.r, pr.refs)
 	inf.LogDuration = pr.log.Duration()
-	attachLinkBytesReference(&inf, pr.log.Duration(), firstRemovalsReference(pr.log), pr.occs)
+	attachLinkBytesReference(&inf, pr.log.Duration(), firstRemovalsReference(pr.log), pr.refs)
 	return inf
 }
 

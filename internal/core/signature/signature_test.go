@@ -88,8 +88,8 @@ func TestOccurrencesSplitEpisodes(t *testing.T) {
 	if occs[0].Start != 0 || occs[1].Start != 10*time.Second {
 		t.Errorf("starts = %v, %v", occs[0].Start, occs[1].Start)
 	}
-	if len(occs[0].Events) != 2 {
-		t.Errorf("episode 1 has %d events", len(occs[0].Events))
+	if len(occs[0].Hops) != 2 {
+		t.Errorf("episode 1 has %d events", len(occs[0].Hops))
 	}
 }
 

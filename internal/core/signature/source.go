@@ -242,12 +242,12 @@ func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgr
 	start, end := src.Bounds()
 	x := NewStreamExtractor(cfg.OccurrenceGap, r, intervals, start, end)
 	sp := obs.Span(ctx, "signature.extract")
-	occs, flows, err := extractFromSource(ctx, src, x)
+	err := extractFromSource(ctx, src, x)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(ctx, x.agg, cfg, occs, flows), nil
+	return newPipeline(ctx, x.agg, cfg, x.g.occs, x.g.flows, x.g.runs), nil
 }
 
 // NewPipelineFromOccurrencesContext builds the pipeline of one Monitor
@@ -260,32 +260,30 @@ func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgr
 func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, cfg Config, occs []Occurrence) *Pipeline {
 	x.agg.whole.meta = logMeta{Start: start, End: end}
 	x.agg.finish()
-	return newPipeline(ctx, x.agg, cfg.withDefaults(), occs, x.g.flows[:len(occs)])
+	return newPipeline(ctx, x.agg, cfg.withDefaults(), occs, x.g.flows[:len(occs)], nil)
 }
 
 // extractFromSource drains the source into x, one Add per event, then
-// finishes the fold and hands over the occurrences with their flow ids.
-func extractFromSource(ctx context.Context, src EventSource, x *StreamExtractor) ([]Occurrence, []int32, error) {
+// finishes the fold and gathers into x.g, whose runs the pipeline takes
+// over. The arena goes back to the pool on every path.
+func extractFromSource(ctx context.Context, src EventSource, x *StreamExtractor) error {
+	defer func() { x.arena = releaseChunks(x.arena) }()
 	for {
 		batch, err := src.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("signature: reading event source: %w", err)
+			return fmt.Errorf("signature: reading event source: %w", err)
 		}
 		for i := range batch {
 			x.Add(&batch[i])
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	// x ends here: the gathered runs and the fold go to the pipeline, the
-	// arena back to the pool.
 	x.agg.finish()
-	g := new(gatherer)
-	occs := x.gather(g)
-	x.arena = releaseChunks(x.arena)
-	return occs, g.flows, nil
+	x.Gather()
+	return nil
 }

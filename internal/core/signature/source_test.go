@@ -101,7 +101,7 @@ func TestPipelineFromSourceMatchesInMemory(t *testing.T) {
 func TestPipelineFromSourceBatchShapeInvariant(t *testing.T) {
 	log := benchLog(5_000)
 	r := appgroup.NewResolver(nil)
-	want := occurrencesReference(log, 0)
+	want := hopsOf(occurrencesReference(log, 0))
 	for _, batch := range []int{1, 7, 8192} {
 		p, err := NewPipelineFromSourceContext(bg, sourceOf(log, batch), r, Config{}, 0)
 		if err != nil {

@@ -3,7 +3,6 @@ package signature
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -11,15 +10,18 @@ import (
 	"flowdiff/internal/flowlog"
 )
 
-// chunkEvents sizes an eventChunk at 40,848 bytes: objects this large
-// are allocated in whole 8 KiB pages, and five pages hold no more.
-const chunkEvents = 276
+// chunkEvents sizes an eventChunk at 910 × 36 = 32,760 bytes, the
+// largest small object the runtime allocates (32 KiB less the 8-byte
+// header it puts before an object with pointers and no inline bitmap):
+// a small object comes out of the P's size-class cache, while anything
+// larger is a span of its own, taken from the page heap under its lock.
+const chunkEvents = 910
 
-// eventChunk is one fixed-size piece of an extractor's event storage,
+// eventChunk is one fixed-size piece of an extractor's hop storage,
 // never copied or re-grown (DESIGN.md, "Window memory and lifetimes").
-// flow[i] is the interned id of ev[i]'s flow key (unused by gather runs).
+// flow[i] is the interned id of hop[i]'s flow (unused by gather runs).
 type eventChunk struct {
-	ev   [chunkEvents]flowlog.Event
+	hop  [chunkEvents]Hop
 	flow [chunkEvents]int32
 }
 
@@ -35,24 +37,13 @@ func releaseChunks(chunks []*eventChunk) []*eventChunk {
 	return chunks[:0]
 }
 
-// internFlow returns the dense id of a flow key, assigning the next one
-// on first sight — the one hash an event's key costs.
-func internFlow(ids map[flowlog.FlowKey]int32, k *flowlog.FlowKey) int32 {
-	id, ok := ids[*k]
-	if !ok {
-		id = int32(len(ids))
-		ids[*k] = id
-	}
-	return id
-}
-
 // StreamExtractor is the occurrence extractor, and all a Monitor window
 // keeps of its events. Add folds each event into the aggregates (the
 // one fold site) and appends control events (PacketIn, FlowMod), in
-// arrival order, to an arena of pooled chunks, each tagged with its
-// flow's interned id. Gather scatters the arena into per-flow
-// contiguous runs (a stable counting sort by flow id, again in pooled
-// chunks), splits every run at gaps, and returns the episodes in
+// arrival order and cut to hops, to an arena of pooled chunks, each
+// tagged with its flow's interned id. Gather scatters the arena into
+// per-flow contiguous runs (a stable counting sort by flow id, again in
+// pooled chunks), splits every run at gaps, and returns the episodes in
 // canonical order, consuming nothing; Reset hands every chunk back and
 // clears the fold, keeping its storage. Every build runs it — a
 // streamed build once, Monitor once per window.
@@ -67,9 +58,9 @@ func internFlow(ids map[flowlog.FlowKey]int32, k *flowlog.FlowKey) int32 {
 type StreamExtractor struct {
 	gap time.Duration
 	ids map[flowlog.FlowKey]int32
-	// count[id] is how many control events the arena holds for flow id.
+	// count[id] is how many hops the arena holds for flow id.
 	count []int32
-	// arena holds n control events.
+	// arena holds n hops.
 	arena []*eventChunk
 	n     int
 	// agg is the fold of every event added since the last Reset.
@@ -79,24 +70,25 @@ type StreamExtractor struct {
 	g gatherer
 }
 
-// gatherer holds one gather's output: runs back the occurrences' Events
-// (runUsed slots of the last are taken); flows[i] is occs[i]'s flow id;
-// spans is the per-flow scratch.
+// gatherer holds one gather's output: runs back the occurrences' Hops
+// (runUsed slots of the last are taken); flows[i] is occs[i]'s flow id.
+// keys and spans (per flow) and order (per occurrence) are scratch,
+// kept so a Monitor window allocates none.
 type gatherer struct {
 	runs    []*eventChunk
 	runUsed int
-	spans   [][]flowlog.Event
+	keys    []flowlog.FlowKey
+	spans   [][]Hop
 	occs    []Occurrence
 	flows   []int32
+	order   []startAt
 }
 
-// Len, Less and Swap sort the gathered occurrences into canonical order,
-// their flow ids alongside.
-func (g *gatherer) Len() int           { return len(g.occs) }
-func (g *gatherer) Less(i, j int) bool { return compareOccurrences(g.occs[i], g.occs[j]) < 0 }
-func (g *gatherer) Swap(i, j int) {
-	g.occs[i], g.occs[j] = g.occs[j], g.occs[i]
-	g.flows[i], g.flows[j] = g.flows[j], g.flows[i]
+// startAt is one occurrence's sort key: its start, and where it sits in
+// the gathered slice, which breaks start ties by key.
+type startAt struct {
+	start time.Duration
+	at    int32
 }
 
 // NewStreamExtractor creates an empty extractor with the given episode
@@ -116,114 +108,177 @@ func (x *StreamExtractor) Pending() int { return x.n }
 func (x *StreamExtractor) Events() int  { return x.agg.events }
 
 // Add feeds one event. O(1) amortized: one hash of the flow key, the
-// event's fold and, for a control event, one copy of *e into the arena;
+// event's fold and, for a control event, one hop into the arena;
 // nothing keeps e.
 func (x *StreamExtractor) Add(e *flowlog.Event) {
 	x.agg.events++
 	switch e.Type {
 	case flowlog.EventPacketIn:
-		id := internFlow(x.ids, &e.Flow)
+		id := x.intern(&e.Flow)
 		x.agg.packetIn(id, &e.Flow, e.Time)
 		x.appendID(id, e)
 	case flowlog.EventFlowMod:
-		x.appendID(internFlow(x.ids, &e.Flow), e)
+		x.appendID(x.intern(&e.Flow), e)
 	case flowlog.EventFlowRemoved:
-		x.agg.flowRemoved(internFlow(x.ids, &e.Flow), e)
+		x.agg.flowRemoved(x.intern(&e.Flow), e)
 	}
 }
 
-// appendID stores one control event whose flow key the caller interned
-// to id: small integers, one per key, not all of which need show up
-// here (a FlowRemoved-only flow has an id too).
-func (x *StreamExtractor) appendID(id int32, e *flowlog.Event) {
-	for int(id) >= len(x.count) {
+// intern returns the dense id of a flow key, assigning the next one on
+// first sight — the one hash an event's key costs.
+func (x *StreamExtractor) intern(k *flowlog.FlowKey) int32 {
+	id, ok := x.ids[*k]
+	if !ok {
+		id = int32(len(x.count))
+		x.ids[*k] = id
 		x.count = append(x.count, 0)
 	}
+	return id
+}
+
+// appendID stores one control event of the flow the caller interned to
+// id as a hop.
+func (x *StreamExtractor) appendID(id int32, e *flowlog.Event) {
 	x.count[id]++
 	slot := x.n % chunkEvents
 	if slot == 0 {
 		x.arena = append(x.arena, chunkPool.Get().(*eventChunk))
 	}
 	c := x.arena[len(x.arena)-1]
-	c.ev[slot] = *e
+	c.hop[slot] = Hop{Time: e.Time, Switch: e.Switch, PacketIn: e.Type == flowlog.EventPacketIn}
 	c.flow[slot] = id
 	x.n++
 }
 
-// run carves n contiguous event slots out of the gather runs. A flow
+// run carves n contiguous hop slots out of the gather runs. A flow
 // larger than a chunk gets a slab of its own, which the collector owns.
-func (g *gatherer) run(n int) []flowlog.Event {
+func (g *gatherer) run(n int) []Hop {
 	if n > chunkEvents {
-		return make([]flowlog.Event, 0, n)
+		return make([]Hop, 0, n)
 	}
 	if len(g.runs) == 0 || g.runUsed+n > chunkEvents {
 		g.runs = append(g.runs, chunkPool.Get().(*eventChunk))
 		g.runUsed = 0
 	}
 	c := g.runs[len(g.runs)-1]
-	s := c.ev[g.runUsed : g.runUsed : g.runUsed+n]
+	s := c.hop[g.runUsed : g.runUsed : g.runUsed+n]
 	g.runUsed += n
 	return s
 }
 
 // Gather returns the occurrences of everything appended so far, in
 // canonical order (start time, then key). Nothing is consumed. The
-// slice and every Occurrence.Events in it alias extractor-owned pooled
+// slice and every Occurrence.Hops in it alias extractor-owned pooled
 // memory: they are valid until the next Gather, Reset or Flush, and
 // must not be retained past it.
 func (x *StreamExtractor) Gather() []Occurrence { return x.gather(&x.g) }
 
-// gather is Gather into g.
+// gather is Gather into g: scatter the arena into per-flow runs, then
+// one pass that time-sorts any out-of-order run and counts the
+// episodes, so occs and flows are sized once; emit per flow, and put
+// the result in canonical order only if it is not already (a window of
+// in-order events with one episode per flow usually is).
 func (x *StreamExtractor) gather(g *gatherer) []Occurrence {
 	g.runs = releaseChunks(g.runs)
-	if cap(g.spans) < len(x.count) {
-		g.spans = make([][]flowlog.Event, len(x.count))
-	}
-	spans := g.spans[:len(x.count)]
-	flows := 0
+	spans := resize(g.spans, len(x.count))
+	g.spans = spans
 	for i := range spans {
 		spans[i] = nil
 		if n := x.count[i]; n > 0 {
 			spans[i] = g.run(int(n))
-			flows++
 		}
 	}
 	for i := 0; i < x.n; i++ {
 		c := x.arena[i/chunkEvents]
 		id := c.flow[i%chunkEvents]
-		spans[id] = append(spans[id], c.ev[i%chunkEvents])
+		spans[id] = append(spans[id], c.hop[i%chunkEvents])
 	}
-	occs := g.occs[:0]
-	if occs == nil || cap(occs) < flows {
-		occs = make([]Occurrence, 0, flows)
+	// Each key is kept once, in the interning map, until here.
+	g.keys = resize(g.keys, len(x.count))
+	for k, id := range x.ids {
+		g.keys[id] = k
 	}
-	ids := g.flows[:0]
-	for id, buf := range spans {
-		if len(buf) == 0 {
-			continue
+	byTime := func(a, b Hop) int { return cmp.Compare(a.Time, b.Time) }
+	n := 0
+	for _, run := range spans {
+		if !slices.IsSortedFunc(run, byTime) {
+			slices.SortStableFunc(run, byTime)
 		}
-		key := buf[0].Flow
-		for j := 1; j < len(buf); j++ {
-			if buf[j].Time < buf[j-1].Time {
-				slices.SortStableFunc(buf, func(a, b flowlog.Event) int { return cmp.Compare(a.Time, b.Time) })
-				break
+		for j := range run {
+			if j == 0 || run[j].Time-run[j-1].Time > x.gap {
+				n++
 			}
 		}
+	}
+	occs, flows := resize(g.occs, n), resize(g.flows, n)
+	k := 0
+	for id, run := range spans {
 		start := 0
-		for j := 1; j < len(buf); j++ {
-			if buf[j].Time-buf[j-1].Time > x.gap {
-				occs = appendEpisode(occs, key, buf[start:j:j])
+		for j := 1; j <= len(run); j++ {
+			if j == len(run) || run[j].Time-run[j-1].Time > x.gap {
+				ep := run[start:j:j]
+				occs[k] = Occurrence{Key: g.keys[id], Start: episodeStart(ep), Hops: ep}
+				flows[k] = int32(id)
+				k++
 				start = j
 			}
 		}
-		occs = appendEpisode(occs, key, buf[start:len(buf):len(buf)])
-		for len(ids) < len(occs) {
-			ids = append(ids, int32(id))
+	}
+	g.occs, g.flows = occs, flows
+	if !slices.IsSortedFunc(occs, compareOccurrences) {
+		g.sort()
+	}
+	return occs
+}
+
+// resize returns s at length n (never nil), reusing its storage when
+// it is large enough. A first use allocates exactly n: a streamed build
+// gathers once. Outgrown storage comes back with a quarter of the old
+// capacity as headroom, so a Monitor's slowly growing windows rarely
+// regrow it.
+func resize[T any](s []T, n int) []T {
+	if s != nil && cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n, n+cap(s)/4)
+}
+
+// sort puts the gathered occurrences, their flow ids alongside, in
+// canonical order: sort 16-byte (start, position) keys, comparing keys
+// only on equal starts, then move every occurrence once, cycle by
+// cycle.
+func (g *gatherer) sort() {
+	occs, flows := g.occs, g.flows
+	order := resize(g.order, len(occs))
+	for i := range occs {
+		order[i] = startAt{occs[i].Start, int32(i)}
+	}
+	slices.SortFunc(order, func(a, b startAt) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return compareKeys(occs[a.at].Key, occs[b.at].Key)
+	})
+	// Slot j takes the occurrence at order[j].at; a placed slot points
+	// at itself.
+	for i := range order {
+		if int(order[i].at) == i {
+			continue
+		}
+		o, f := occs[i], flows[i]
+		j := i
+		for {
+			from := int(order[j].at)
+			order[j].at = int32(j)
+			if from == i {
+				occs[j], flows[j] = o, f
+				break
+			}
+			occs[j], flows[j] = occs[from], flows[from]
+			j = from
 		}
 	}
-	g.occs, g.flows = occs, ids
-	sort.Sort(g)
-	return occs
+	g.order = order
 }
 
 // Reset empties the extractor for the next window: every chunk goes
@@ -235,7 +290,7 @@ func (x *StreamExtractor) Reset() {
 	x.g.runs = releaseChunks(x.g.runs)
 	// Stale aliases would pin chunks the pool has since dropped.
 	clear(x.g.spans[:cap(x.g.spans)])
-	clear(x.g.occs)
+	clear(x.g.occs[:cap(x.g.occs)])
 	x.g.occs, x.g.flows = x.g.occs[:0], x.g.flows[:0]
 	clear(x.ids)
 	x.count, x.n = x.count[:0], 0

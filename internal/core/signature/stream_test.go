@@ -23,7 +23,8 @@ func feedAll(x *StreamExtractor, events []flowlog.Event) {
 // retained batch oracle: fed event-by-event it must flush the
 // byte-identical occurrence slice occurrencesReference produces on the
 // same events — on sorted logs, shuffled logs, and logs with wildcard
-// (FlowMod-only) keys.
+// (FlowMod-only) keys, and on a log shaped like a whole capture, whose
+// per-flow emission is far from canonical order.
 func TestStreamExtractorMatchesBatch(t *testing.T) {
 	for _, shuffle := range []bool{false, true} {
 		name := "sorted"
@@ -31,22 +32,55 @@ func TestStreamExtractorMatchesBatch(t *testing.T) {
 			name = "shuffled"
 		}
 		t.Run(name, func(t *testing.T) {
-			log := messyLog(t, 200, shuffle)
-			want := occurrencesReference(log, 0)
-			if len(want) == 0 {
-				t.Fatal("batch extraction found nothing; equivalence would be vacuous")
-			}
-			x := NewStreamExtractor(0, appgroup.NewResolver(nil), 0, 0, 0)
-			feedAll(x, log.Events)
-			got := x.Flush()
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("streaming result differs from batch (%d vs %d occurrences)", len(got), len(want))
-			}
-			if x.Pending() != 0 || len(x.Flush()) != 0 {
-				t.Error("Flush did not reset the extractor")
+			for _, log := range []*flowlog.Log{messyLog(t, 200, shuffle), captureLog(60, 12, shuffle)} {
+				want := hopsOf(occurrencesReference(log, 0))
+				if len(want) == 0 {
+					t.Fatal("batch extraction found nothing; equivalence would be vacuous")
+				}
+				x := NewStreamExtractor(0, appgroup.NewResolver(nil), 0, 0, 0)
+				feedAll(x, log.Events)
+				got := x.Flush()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("streaming result differs from batch (%d vs %d occurrences)", len(got), len(want))
+				}
+				if x.Pending() != 0 || len(x.Flush()) != 0 {
+					t.Error("Flush did not reset the extractor")
+				}
 			}
 		})
 	}
+}
+
+// captureLog is a whole capture in miniature: nKeys flows with episodes
+// episodes each, two seconds apart, every flow active in every period
+// so episodes of different flows interleave. Flows whose index agrees
+// mod 7 start their episodes at the same instant, and they are logged
+// in descending key order, so the canonical order must break those
+// ties by key against arrival; every seventh flow is FlowMod-only.
+func captureLog(nKeys, episodes int, shuffle bool) *flowlog.Log {
+	l := flowlog.New(0, time.Duration(episodes)*2*time.Second)
+	for ep := 0; ep < episodes; ep++ {
+		for k := nKeys - 1; k >= 0; k-- {
+			key := flowlog.FlowKey{Proto: 6, Src: addr(byte(k)), Dst: addr(byte(k + 1)), SrcPort: uint16(2000 + k), DstPort: 443}
+			t0 := time.Duration(ep)*2*time.Second + time.Duration(k%7)*37*time.Millisecond
+			if k%7 == 3 {
+				l.Append(flowlog.Event{Time: t0, Type: flowlog.EventFlowMod, Switch: "sw1", Flow: key})
+				continue
+			}
+			l.Append(flowlog.Event{Time: t0, Type: flowlog.EventPacketIn, Switch: "sw1", Flow: key})
+			l.Append(flowlog.Event{Time: t0 + time.Millisecond, Type: flowlog.EventFlowMod, Switch: "sw1", Flow: key})
+			l.Append(flowlog.Event{Time: t0 + 2*time.Millisecond, Type: flowlog.EventPacketIn, Switch: "sw2", Flow: key})
+			l.Append(flowlog.Event{Time: t0 + 3*time.Millisecond, Type: flowlog.EventFlowMod, Switch: "sw2", Flow: key})
+		}
+	}
+	if shuffle {
+		rand.New(rand.NewSource(11)).Shuffle(len(l.Events), func(i, j int) {
+			l.Events[i], l.Events[j] = l.Events[j], l.Events[i]
+		})
+	} else {
+		l.Sort()
+	}
+	return l
 }
 
 // TestStreamExtractorWindowed feeds one log through the extractor in
@@ -63,7 +97,7 @@ func TestStreamExtractorWindowed(t *testing.T) {
 		got := x.Flush()
 		window := flowlog.New(0, 10*time.Minute)
 		window.Events = append(window.Events, log.Events[lo:hi]...)
-		want := occurrencesReference(window, 0)
+		want := hopsOf(occurrencesReference(window, 0))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("window [%d,%d): streaming flush differs from batch (%d vs %d occurrences)", lo, hi, len(got), len(want))
 		}
@@ -84,8 +118,8 @@ func TestStreamExtractorGapBoundary(t *testing.T) {
 	if len(occs) != 2 {
 		t.Fatalf("got %d occurrences, want 2 (split only on strictly-greater gap)", len(occs))
 	}
-	if len(occs[0].Events) != 2 || len(occs[1].Events) != 1 {
-		t.Errorf("episode sizes = %d,%d, want 2,1", len(occs[0].Events), len(occs[1].Events))
+	if len(occs[0].Hops) != 2 || len(occs[1].Hops) != 1 {
+		t.Errorf("episode sizes = %d,%d, want 2,1", len(occs[0].Hops), len(occs[1].Hops))
 	}
 }
 
@@ -102,7 +136,7 @@ func TestStreamExtractorIgnoresNonControl(t *testing.T) {
 		t.Fatalf("Pending = %d, want 1 (only the PacketIn is a control event)", x.Pending())
 	}
 	occs := x.Flush()
-	if len(occs) != 1 || len(occs[0].Events) != 1 {
+	if len(occs) != 1 || len(occs[0].Hops) != 1 {
 		t.Fatalf("got %+v, want one single-event occurrence", occs)
 	}
 }
@@ -118,7 +152,7 @@ func TestPipelineFromOccurrencesMatchesNewPipeline(t *testing.T) {
 	x := NewStreamExtractor(0, r, 5, log.Start, log.End)
 	feedAll(x, log.Events)
 	occs := x.Gather()
-	if !reflect.DeepEqual(occs, occurrencesReference(log, 0)) {
+	if !reflect.DeepEqual(occs, hopsOf(occurrencesReference(log, 0))) {
 		t.Fatal("gathered occurrences differ from the reference")
 	}
 	p := NewPipelineFromOccurrencesContext(bg, x, log.Start, log.End, cfg, occs)
@@ -162,7 +196,7 @@ func TestStreamExtractorRecycledCycles(t *testing.T) {
 		feedAll(x, log.Events[:half])
 		first := flowlog.New(log.Start, log.End)
 		first.Events = log.Events[:half]
-		if got, want := x.Gather(), occurrencesReference(first, 0); !reflect.DeepEqual(got, want) {
+		if got, want := x.Gather(), hopsOf(occurrencesReference(first, 0)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cycle %d: mid-stream gather differs from the reference (%d vs %d occurrences)", cycle, len(got), len(want))
 		}
 		feedAll(x, log.Events[half:])
@@ -170,7 +204,7 @@ func TestStreamExtractorRecycledCycles(t *testing.T) {
 			t.Fatalf("cycle %d: the mid-stream gather consumed events: %d held, %d appended", cycle, x.Events(), len(log.Events))
 		}
 		got := x.Flush()
-		if want := occurrencesReference(log, 0); !reflect.DeepEqual(got, want) {
+		if want := hopsOf(occurrencesReference(log, 0)); !reflect.DeepEqual(got, want) {
 			t.Errorf("cycle %d: flush differs from the reference (%d vs %d occurrences)", cycle, len(got), len(want))
 		}
 		if x.Events() != 0 || x.Pending() != 0 || len(x.Gather()) != 0 {
@@ -195,7 +229,7 @@ func TestStreamExtractorOversizeFlow(t *testing.T) {
 			log.Append(flowlog.Event{Time: at, Type: flowlog.EventFlowMod, Switch: "sw", Flow: other})
 		}
 	}
-	want := occurrencesReference(log, 0)
+	want := hopsOf(occurrencesReference(log, 0))
 	if got := Occurrences(log, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("oversize flow: %d occurrences, reference %d", len(got), len(want))
 	}

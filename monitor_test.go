@@ -673,6 +673,58 @@ func TestMonitorReportsOutliveTheirWindows(t *testing.T) {
 	}
 }
 
+// TestReleasedBuildAliasesNothing pins the ownership rule of a streamed
+// build: its occurrence hops go back to the shared chunk pool once its
+// signatures exist, so the signatures must alias none of them. Capture
+// A's signatures are kept while two other captures build on the chunks
+// A handed back, and must still equal a fresh build of A; a build
+// canceled mid-stream hands its chunks back too, and the build after it
+// must equal the one made before the cancel.
+func TestReleasedBuildAliasesNothing(t *testing.T) {
+	res, err := RunScenario(Scenario{
+		Seed:   207,
+		Faults: []faults.Injector{faults.EnableLogging{Host: "S3", Overhead: 60 * time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := res.Options()
+	var captures [3][]byte
+	for i, l := range []*Log{res.L1, res.L2, res.L1.Filter(func(e flowlog.Event) bool { return e.Time >= res.L1.End/2 })} {
+		var buf bytes.Buffer
+		// Small segments make the build stream many batches.
+		if err := colseg.Write(&buf, l, colseg.WriterOptions{MaxSegmentEvents: 500}); err != nil {
+			t.Fatal(err)
+		}
+		captures[i] = buf.Bytes()
+	}
+	build := func(ctx context.Context, i int) (*Signatures, error) {
+		src, err := NewColumnarSourceOptions(context.Background(), bytes.NewReader(captures[i]), ColumnarOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return BuildSignaturesReader(ctx, src, opts)
+	}
+	mustBuild := func(i int) *Signatures {
+		sigs, err := build(context.Background(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sigs
+	}
+	a := mustBuild(0)
+	b, c := mustBuild(1), mustBuild(2)
+	if !reflect.DeepEqual(a, mustBuild(0)) {
+		t.Error("capture A's signatures changed while later builds reused its chunks: they alias pooled memory")
+	}
+	if _, err := build(&cancelAfter{Context: context.Background(), n: 1}, 1); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("mid-stream cancel: err %v; want ErrCanceled", err)
+	}
+	if !reflect.DeepEqual(mustBuild(1), b) || !reflect.DeepEqual(mustBuild(2), c) {
+		t.Error("a build after a canceled one differs from the same build made before it")
+	}
+}
+
 // TestMonitorGroupCacheFollowsEdgeSet pins the cross-window group cache:
 // groups are rediscovered exactly when a window's host edge set differs
 // from the previous window's. Three windows carry edge sets A, B, A (B
@@ -938,7 +990,7 @@ func TestMonitorFlushSteadyStateAllocs(t *testing.T) {
 	// No collection while measuring: one would empty the pool mid-run.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// One P, one pool shard: a chunk put back on another P's private slot
-	// would be a 40 KB miss.
+	// would be a 32 KB miss.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	window := time.Minute
 	baseline := flowlog.New(0, window)

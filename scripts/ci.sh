@@ -149,7 +149,10 @@ mkdir -p bench/out
 # of five passes (89.0-95.9 / 0.393-0.419; was 135 / 0.530 from 117.4 /
 # 0.4604, and a list that re-parses every report, 384.6 / 1.053, fails
 # the allocs ceiling). offline_compare, the batch build path with no serve in
-# it: 403 and 0.139 from 350.3 / 0.1205 (was 353.9 / 0.1247). Only the
+# it: 166 B/event from 144.1, lowered when occurrences began carrying
+# 32-byte hops and a streamed build began handing its chunks back to
+# the pool (was 403 from 350.3); 0.139 allocs/event from 0.1205 (was
+# 0.1247; this pass reads 0.1165). Only the
 # allocation metrics are gated: they repeat to under 0.5 % on one host
 # and toolchain, the timings (echoed below) do not.
 bench_metric() { printf '%s\n' "$BENCH_JSON" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"; }
@@ -244,9 +247,11 @@ named_smoke ./internal/core/taskmine TestMineMatchesReference
 # windows like its chunks. Ten raced rounds of four tenants ingesting at
 # once, of decodes onto garbage batches, of batched observation against
 # per-event Observe, of interleaved monitors whose reports must outlive
-# the windows that produced them, and of windows whose edge sets go
-# A → B → A, must match a fresh decode, the offline Monitor, the
-# per-event twin, the reports' first digests and fresh window builds.
+# the windows that produced them, of streamed builds whose signatures
+# must outlive the chunks they hand back (a canceled build's included),
+# and of windows whose edge sets go A → B → A, must match a fresh
+# decode, the offline Monitor, the per-event twin, the reports' first
+# digests, fresh builds and fresh window builds.
 # The same ten raced rounds drive serve's boot recovery, one tenant per
 # CPU: every persisted tenant recovered once, and a canceled boot
 # joining the workers it already started. They also drive the report
@@ -255,7 +260,7 @@ named_smoke ./internal/core/taskmine TestMineMatchesReference
 # cut at every byte offset must be skipped and then truncated.
 SMOKE_FLAGS="-race -count=10"
 named_smoke ./internal/serve TestServeConcurrentFDC1Ingest TestRestartRecoversEveryTenant TestCanceledRecoveryLeavesNoGoroutines TestListReportsCoherentConcurrent TestReportLogTornTail
-named_smoke . TestObserveBatchMatchesObserve TestMonitorReportsOutliveTheirWindows TestMonitorGroupCacheFollowsEdgeSet
+named_smoke . TestObserveBatchMatchesObserve TestMonitorReportsOutliveTheirWindows TestReleasedBuildAliasesNothing TestMonitorGroupCacheFollowsEdgeSet
 named_smoke ./internal/flowlog/colseg TestReadAnyIntoDirtyDestination
 SMOKE_FLAGS=
 rm -f "$SMOKE_OUT"

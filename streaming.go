@@ -96,6 +96,7 @@ func buildFromSource(ctx context.Context, src EventSource, opts Options, interva
 		}
 		return nil, fmt.Errorf("flowdiff: building signatures: %w: %w", ErrBadLog, err)
 	}
+	defer p.Release()
 	if p.EventCount() == 0 {
 		return nil, fmt.Errorf("flowdiff: building signatures: %w", ErrEmptyLog)
 	}
