@@ -31,12 +31,15 @@ func TestServeClosesStalledHeaders(t *testing.T) {
 		}
 	}()
 
+	// The server's header clock starts once it has accepted the
+	// connection, so the earliest it can close is timeout after the dial
+	// began; timing from after Dial returned could read a few ms short.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "POST /v1/tenants/t/events HTTP/1.1\r\nHost: flowdiff\r\nContent-"); err != nil {
 		t.Fatal(err)
 	}

@@ -169,12 +169,13 @@ func canceled(ctx context.Context) error {
 // components, and cur.Stability is never read — stability is the
 // reference side's product. The comparison is timed into ctx's obs
 // registry (span "diff.compare", counter "diff.changes"); the diff
-// itself is a single in-memory pass and is not cancellable.
+// itself is a single in-memory pass and is not cancellable. Each call
+// prepares the baseline side anew; a Monitor prepares it once.
 func Diff(ctx context.Context, base, cur *Signatures, th Thresholds) []Change {
 	if base == nil || cur == nil {
 		return nil
 	}
-	return diff.Compare(ctx, base.Apps, cur.Apps, base.Infra, cur.Infra, base.Stability, th)
+	return diff.Compare(ctx, diff.Prepare(base.Apps, base.Infra, base.Stability), cur.Apps, cur.Infra, th)
 }
 
 // TaskConfig re-exports the task-mining configuration.

@@ -279,11 +279,12 @@ func (g *groupSorter) Swap(i, j int) {
 
 // Match pairs groups from two logs by maximal member overlap, so a group
 // that lost or gained a host (crash, scale-out) is still compared against
-// its counterpart. Unmatched groups pair with a zero Group.
+// its counterpart: every base group in order, then the current groups
+// nothing matched.
 func Match(base, cur []Group) []GroupPair {
 	usedCur := make([]bool, len(cur))
-	var pairs []GroupPair
-	for _, b := range base {
+	pairs := make([]GroupPair, 0, len(base)+len(cur))
+	for bi, b := range base {
 		bestIdx, bestOverlap := -1, 0
 		for i, c := range cur {
 			if usedCur[i] {
@@ -296,26 +297,22 @@ func Match(base, cur []Group) []GroupPair {
 		}
 		if bestIdx >= 0 {
 			usedCur[bestIdx] = true
-			pairs = append(pairs, GroupPair{Base: b, Cur: cur[bestIdx], Matched: true})
-		} else {
-			pairs = append(pairs, GroupPair{Base: b})
 		}
+		pairs = append(pairs, GroupPair{Base: bi, Cur: bestIdx})
 	}
-	for i, c := range cur {
+	for i := range cur {
 		if !usedCur[i] {
-			pairs = append(pairs, GroupPair{Cur: c, New: true})
+			pairs = append(pairs, GroupPair{Base: -1, Cur: i})
 		}
 	}
 	return pairs
 }
 
-// GroupPair is a base/current group correspondence.
+// GroupPair is a base/current group correspondence by index into Match's
+// arguments. An index is -1 on the side the group is absent from: Cur
+// for a group that vanished, Base for a new one.
 type GroupPair struct {
-	Base, Cur Group
-	// Matched means both sides are present; New means the group only
-	// exists in the current log.
-	Matched bool
-	New     bool
+	Base, Cur int
 }
 
 func overlap(a, b Group) int {

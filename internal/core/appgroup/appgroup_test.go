@@ -154,15 +154,15 @@ func TestMatchPairsByOverlap(t *testing.T) {
 	}
 	var matched, newGroups int
 	for _, p := range pairs {
-		if p.Matched {
+		if p.Base >= 0 && p.Cur >= 0 {
 			matched++
-			if p.Base.Contains("S1") && !p.Cur.Contains("S1") {
+			if base[p.Base].Contains("S1") && !cur[p.Cur].Contains("S1") {
 				t.Error("S1 group mismatched")
 			}
 		}
-		if p.New {
+		if p.Base < 0 {
 			newGroups++
-			if !p.Cur.Contains("S20") {
+			if !cur[p.Cur].Contains("S20") {
 				t.Error("wrong group flagged as new")
 			}
 		}

@@ -9,7 +9,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"flowdiff/internal/core/appgroup"
@@ -110,93 +112,131 @@ type Change struct {
 	At time.Duration
 }
 
-// Compare diffs application and infrastructure signatures. baseStab may
-// be nil to compare everything regardless of stability. The span
-// "diff.compare" is timed and the counter "diff.changes" accumulated
-// into ctx's obs registry. The comparison itself is a single pass over
-// already-built signatures and is not cancellable mid-flight; ctx only
-// carries the registry.
-func Compare(
-	ctx context.Context,
-	base, cur []signature.AppSignature,
-	baseInf, curInf signature.InfraSignature,
-	baseStab map[string]signature.Stability,
-	th Thresholds,
-) []Change {
+// Baseline is the reference side of a comparison, prepared once by
+// Prepare: every baseline collection a comparison walks in order is
+// sorted here, so a window sorts only its own side. A Baseline is
+// read-only after Prepare, and one serves any number of concurrent
+// Compare calls; it aliases the signatures it was prepared from, which
+// must not change after.
+type Baseline struct {
+	groups []baseGroup
+	// match holds each group's appgroup.Group, Match's base side.
+	match []appgroup.Group
+	// edges is the union of the groups' CG edges; groupOf maps each
+	// member node to its group's index (groups partition the hosts).
+	edges   map[signature.Edge]bool
+	groupOf map[topology.NodeID]int
+	inf     signature.InfraSignature
+	// adj, hosts and isl are inf's SwitchAdj, HostAttach and ISL keys,
+	// sorted.
+	adj, isl []signature.SwitchPair
+	hosts    []string
+}
+
+// baseGroup is one baseline application group, ready to compare.
+type baseGroup struct {
+	sig signature.AppSignature
+	key string
+	st  *signature.Stability // nil: compare every component
+	// edges, dd and pc are sig's CG, DD and PC keys, sorted.
+	edges  []signature.Edge
+	dd, pc []signature.EdgePair
+}
+
+// Prepare builds the reference side of every comparison against one
+// baseline. stability may be nil to compare everything regardless of
+// stability.
+func Prepare(apps []signature.AppSignature, infra signature.InfraSignature, stability map[string]signature.Stability) *Baseline {
+	b := &Baseline{
+		groups:  make([]baseGroup, len(apps)),
+		match:   make([]appgroup.Group, len(apps)),
+		edges:   make(map[signature.Edge]bool),
+		groupOf: make(map[topology.NodeID]int),
+		inf:     infra,
+		adj:     infra.AdjacencyEdges(),
+		isl:     sortedKeys(infra.ISL, signature.CompareSwitchPairs),
+		hosts:   sortedKeys(infra.HostAttach, strings.Compare),
+	}
+	for i, s := range apps {
+		g := baseGroup{
+			sig:   s,
+			key:   s.Group.Key(),
+			edges: sortedKeys(s.CG, signature.CompareEdges),
+			dd:    sortedKeys(s.DD, signature.ComparePairs),
+			pc:    sortedKeys(s.PC, signature.ComparePairs),
+		}
+		if st, ok := stability[g.key]; ok {
+			g.st = &st
+		}
+		b.groups[i], b.match[i] = g, s.Group
+		for e := range s.CG {
+			b.edges[e] = true
+		}
+		for _, n := range s.Group.Nodes {
+			b.groupOf[n] = i
+		}
+	}
+	return b
+}
+
+// Compare diffs a current log's application and infrastructure
+// signatures against a prepared baseline. The span "diff.compare" times
+// this per-window half (Prepare is not in it) and the counter
+// "diff.changes" accumulates into ctx's obs registry. The comparison
+// itself is a single pass over already-built signatures and is not
+// cancellable mid-flight; ctx only carries the registry.
+func Compare(ctx context.Context, b *Baseline, cur []signature.AppSignature, curInf signature.InfraSignature, th Thresholds) []Change {
 	sp := obs.Span(ctx, "diff.compare")
-	changes := compare(base, cur, baseInf, curInf, baseStab, th)
+	changes := b.compare(cur, curInf, th)
 	sp.End()
 	obs.From(ctx).Counter("diff.changes").Add(int64(len(changes)))
 	return changes
 }
 
-func compare(
-	base, cur []signature.AppSignature,
-	baseInf, curInf signature.InfraSignature,
-	baseStab map[string]signature.Stability,
-	th Thresholds,
-) []Change {
+func (b *Baseline) compare(cur []signature.AppSignature, curInf signature.InfraSignature, th Thresholds) []Change {
 	th = th.withDefaults()
 	var changes []Change
 
-	baseGroups := make([]appgroup.Group, len(base))
-	for i, s := range base {
-		baseGroups[i] = s.Group
-	}
 	curGroups := make([]appgroup.Group, len(cur))
 	for i, s := range cur {
 		curGroups[i] = s.Group
-	}
-	sigByKey := func(sigs []signature.AppSignature) map[string]signature.AppSignature {
-		m := make(map[string]signature.AppSignature, len(sigs))
-		for _, s := range sigs {
-			m[s.Group.Key()] = s
-		}
-		return m
-	}
-	baseBy, curBy := sigByKey(base), sigByKey(cur)
-
-	// The union of baseline edges distinguishes genuinely new
-	// communication from group fragmentation (a failed hub splits one
-	// group into several; the fragments' edges are not new).
-	baseEdges := make(map[signature.Edge]bool)
-	for _, s := range base {
-		for e := range s.CG {
-			baseEdges[e] = true
-		}
 	}
 	// Each baseline group is compared against the union of all current
 	// signatures: when a failed hub fragments a group, the surviving
 	// edges and nodes live in other (unmatched) groups, and comparing
 	// only group-to-group would misreport them as gone.
-	curUnion := unionSignature(cur)
-
-	for _, pair := range appgroup.Match(baseGroups, curGroups) {
-		switch {
-		case pair.New:
-			c := curBy[pair.Cur.Key()]
-			changes = append(changes, newGroupChanges(c, baseEdges)...)
-		case !pair.Matched:
-			b := baseBy[pair.Base.Key()]
-			changes = append(changes, Change{
-				Kind:        signature.KindCG,
-				Group:       b.Group.Key(),
-				Description: fmt.Sprintf("application group %s disappeared", b.Group.Key()),
-				Components:  nodeStrings(b.Group.Nodes),
-			})
-		default:
-			b := baseBy[pair.Base.Key()]
-			var st *signature.Stability
-			if baseStab != nil {
-				if s, ok := baseStab[b.Group.Key()]; ok {
-					st = &s
-				}
-			}
-			changes = append(changes, compareGroup(b, curUnion, st, baseEdges, th)...)
+	curUnion, added := b.union(cur)
+	// Each baseline group reports the new edges that touch its members,
+	// in sorted order; an edge between two groups is reported by both.
+	fresh := make([][]signature.Edge, len(b.groups))
+	for _, e := range added {
+		gs, ok := b.groupOf[e.Src]
+		if ok {
+			fresh[gs] = append(fresh[gs], e)
+		}
+		if gd, okd := b.groupOf[e.Dst]; okd && (!ok || gd != gs) {
+			fresh[gd] = append(fresh[gd], e)
 		}
 	}
 
-	changes = append(changes, compareInfra(baseInf, curInf, th)...)
+	for _, pair := range appgroup.Match(b.match, curGroups) {
+		switch {
+		case pair.Base < 0:
+			changes = append(changes, newGroupChanges(cur[pair.Cur], added)...)
+		case pair.Cur < 0:
+			g := &b.groups[pair.Base]
+			changes = append(changes, Change{
+				Kind:        signature.KindCG,
+				Group:       g.key,
+				Description: fmt.Sprintf("application group %s disappeared", g.key),
+				Components:  nodeStrings(g.sig.Group.Nodes),
+			})
+		default:
+			changes = append(changes, compareGroup(&b.groups[pair.Base], curUnion, fresh[pair.Base], th)...)
+		}
+	}
+
+	changes = append(changes, compareInfra(b, curInf, th)...)
 	sort.SliceStable(changes, func(i, j int) bool {
 		if changes[i].Kind != changes[j].Kind {
 			return changes[i].Kind < changes[j].Kind
@@ -214,11 +254,14 @@ func nodeStrings[T ~string](ns []T) []string {
 	return out
 }
 
-func newGroupChanges(c signature.AppSignature, baseEdges map[signature.Edge]bool) []Change {
+// newGroupChanges reports the edges of a group only the current log has
+// that are new to the whole baseline; the others are fragmentation
+// artifacts, not new communication. added is every such edge, sorted.
+func newGroupChanges(c signature.AppSignature, added []signature.Edge) []Change {
 	var out []Change
-	for _, e := range sortedEdges(c.CG) {
-		if baseEdges[e] {
-			continue // fragmentation artifact, not new communication
+	for _, e := range added {
+		if !c.CG[e] {
+			continue
 		}
 		out = append(out, Change{
 			Kind:        signature.KindCG,
@@ -231,60 +274,46 @@ func newGroupChanges(c signature.AppSignature, baseEdges map[signature.Edge]bool
 	return out
 }
 
-func sortedEdges(m map[signature.Edge]bool) []signature.Edge {
-	out := make([]signature.Edge, 0, len(m))
-	for e := range m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
-// sortedPairKeys returns m's EdgePair keys in lexical order. The changes
-// emitted per pair are later stable-sorted by (Kind, Description) only,
+// sortedKeys returns m's keys in the order compare defines. The changes
+// emitted per key are later stable-sorted by (Kind, Description) only,
 // so iterating the map directly would let Go's randomized order leak
 // into tie-broken report positions.
-func sortedPairKeys[V any](m map[signature.EdgePair]V) []signature.EdgePair {
-	out := make([]signature.EdgePair, 0, len(m))
-	for p := range m {
-		out = append(out, p)
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.In.Src != b.In.Src {
-			return a.In.Src < b.In.Src
-		}
-		if a.In.Dst != b.In.Dst {
-			return a.In.Dst < b.In.Dst
-		}
-		if a.Out.Src != b.Out.Src {
-			return a.Out.Src < b.Out.Src
-		}
-		return a.Out.Dst < b.Out.Dst
-	})
+	slices.SortFunc(out, compare)
 	return out
 }
 
-// unionSignature merges the per-group signatures of one log into a single
-// view (groups partition nodes, so the merge has no collisions).
-func unionSignature(sigs []signature.AppSignature) signature.AppSignature {
-	u := signature.AppSignature{
-		CG: make(map[signature.Edge]bool),
-		FS: make(map[signature.Edge]signature.FlowStats),
-		CI: make(map[topology.NodeID]signature.CISig),
-		DD: make(map[signature.EdgePair]signature.DDSig),
-		PC: make(map[signature.EdgePair]float64),
+// union merges the per-group signatures of one log into a single view
+// (groups partition nodes, so the merge has no collisions). It also
+// returns the view's CG edges that are new to the whole baseline,
+// sorted: the union of baseline edges distinguishes genuinely new
+// communication from group fragmentation (a failed hub splits one group
+// into several; the fragments' edges are not new).
+func (b *Baseline) union(sigs []signature.AppSignature) (signature.AppSignature, []signature.Edge) {
+	var nCG, nFS, nCI, nDD, nPC int
+	for _, s := range sigs {
+		nCG, nFS, nCI, nDD, nPC = nCG+len(s.CG), nFS+len(s.FS), nCI+len(s.CI), nDD+len(s.DD), nPC+len(s.PC)
 	}
+	u := signature.AppSignature{
+		CG: make(map[signature.Edge]bool, nCG),
+		FS: make(map[signature.Edge]signature.FlowStats, nFS),
+		CI: make(map[topology.NodeID]signature.CISig, nCI),
+		DD: make(map[signature.EdgePair]signature.DDSig, nDD),
+		PC: make(map[signature.EdgePair]float64, nPC),
+	}
+	var added []signature.Edge
 	for _, s := range sigs {
 		if s.LogDuration > u.LogDuration {
 			u.LogDuration = s.LogDuration
 		}
 		for e := range s.CG {
+			if !u.CG[e] && !b.edges[e] {
+				added = append(added, e)
+			}
 			u.CG[e] = true
 		}
 		for e, fs := range s.FS {
@@ -300,16 +329,19 @@ func unionSignature(sigs []signature.AppSignature) signature.AppSignature {
 			u.PC[p] = pc
 		}
 	}
-	return u
+	slices.SortFunc(added, signature.CompareEdges)
+	return u, added
 }
 
-func compareGroup(b, c signature.AppSignature, st *signature.Stability, baseEdges map[signature.Edge]bool, th Thresholds) []Change {
+// compareGroup diffs one baseline group against c, the union of the
+// current signatures; fresh is the union's new edges touching the group.
+func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge, th Thresholds) []Change {
 	var out []Change
-	gk := b.Group.Key()
+	b, st, gk := g.sig, g.st, g.key
 
 	// CG: graph diff (skipped when the baseline CG itself was unstable).
 	if st == nil || st.CGStable {
-		for _, e := range sortedEdges(b.CG) {
+		for _, e := range g.edges {
 			if c.CG[e] {
 				continue
 			}
@@ -329,15 +361,7 @@ func compareGroup(b, c signature.AppSignature, st *signature.Stability, baseEdge
 				Components:  []string{string(e.Src), string(e.Dst)},
 			})
 		}
-		for _, e := range sortedEdges(c.CG) {
-			// c is the union view: only report edges that touch this
-			// group's members and are new to the whole baseline.
-			if baseEdges[e] {
-				continue
-			}
-			if !b.Group.Contains(e.Src) && !b.Group.Contains(e.Dst) {
-				continue
-			}
+		for _, e := range fresh {
 			out = append(out, Change{
 				Kind:        signature.KindCG,
 				Group:       gk,
@@ -393,7 +417,7 @@ func compareGroup(b, c signature.AppSignature, st *signature.Stability, baseEdge
 	}
 
 	// DD: dominant peak shift per adjacent edge pair.
-	for _, p := range sortedPairKeys(b.DD) {
+	for _, p := range g.dd {
 		ref := b.DD[p]
 		if st != nil && !st.DDPairs[p] {
 			continue
@@ -416,7 +440,7 @@ func compareGroup(b, c signature.AppSignature, st *signature.Stability, baseEdge
 	}
 
 	// PC: correlation shift per adjacent edge pair.
-	for _, p := range sortedPairKeys(b.PC) {
+	for _, p := range g.pc {
 		ref := b.PC[p]
 		if st != nil && !st.PCPairs[p] {
 			continue
@@ -439,7 +463,7 @@ func compareGroup(b, c signature.AppSignature, st *signature.Stability, baseEdge
 	}
 
 	// FS: per-edge mean bytes and flow rate.
-	for _, e := range sortedEdges(b.CG) {
+	for _, e := range g.edges {
 		bf, cf := b.FS[e], c.FS[e]
 		if bf.Bytes.Count >= th.MinFlows && cf.Bytes.Count >= th.MinFlows {
 			slack := th.FSSigma * bf.Bytes.StdDev
@@ -479,13 +503,14 @@ func compareGroup(b, c signature.AppSignature, st *signature.Stability, baseEdge
 	return out
 }
 
-func compareInfra(b, c signature.InfraSignature, th Thresholds) []Change {
+func compareInfra(base *Baseline, c signature.InfraSignature, th Thresholds) []Change {
 	var out []Change
+	b := base.inf
 
 	// PT: switch adjacency diff. A missing adjacency is only meaningful
 	// when the baseline observed it often enough that its absence from
 	// the current interval cannot be traffic noise.
-	for _, p := range b.AdjacencyEdges() {
+	for _, p := range base.adj {
 		if _, ok := c.SwitchAdj[p]; ok {
 			continue
 		}
@@ -502,22 +527,22 @@ func compareInfra(b, c signature.InfraSignature, th Thresholds) []Change {
 			Components:  []string{p.From, p.To},
 		})
 	}
-	for _, p := range c.AdjacencyEdges() {
+	var added []signature.SwitchPair
+	for p := range c.SwitchAdj {
 		if _, ok := b.SwitchAdj[p]; !ok {
-			out = append(out, Change{
-				Kind:        signature.KindPT,
-				Description: fmt.Sprintf("new switch adjacency %s->%s", p.From, p.To),
-				Components:  []string{p.From, p.To},
-			})
+			added = append(added, p)
 		}
 	}
-	// PT: host attachment moved (e.g. VM migration).
-	hosts := make([]string, 0, len(b.HostAttach))
-	for h := range b.HostAttach {
-		hosts = append(hosts, h)
+	slices.SortFunc(added, signature.CompareSwitchPairs)
+	for _, p := range added {
+		out = append(out, Change{
+			Kind:        signature.KindPT,
+			Description: fmt.Sprintf("new switch adjacency %s->%s", p.From, p.To),
+			Components:  []string{p.From, p.To},
+		})
 	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
+	// PT: host attachment moved (e.g. VM migration).
+	for _, h := range base.hosts {
 		bsw := b.HostAttach[h]
 		csw, ok := c.HostAttach[h]
 		if !ok || csw == bsw {
@@ -537,17 +562,7 @@ func compareInfra(b, c signature.InfraSignature, th Thresholds) []Change {
 	}
 
 	// ISL per switch pair.
-	pairs := make([]signature.SwitchPair, 0, len(b.ISL))
-	for p := range b.ISL {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].From != pairs[j].From {
-			return pairs[i].From < pairs[j].From
-		}
-		return pairs[i].To < pairs[j].To
-	})
-	for _, p := range pairs {
+	for _, p := range base.isl {
 		ref := b.ISL[p]
 		got, ok := c.ISL[p]
 		if !ok || ref.Count < th.MinFlows || got.Count < th.MinFlows {

@@ -68,9 +68,8 @@ func compareOne(t *testing.T, mutate func(*signature.AppSignature)) []Change {
 	var inf signature.InfraSignature
 	return Compare(
 		context.Background(),
-		[]signature.AppSignature{base},
-		[]signature.AppSignature{cur},
-		inf, inf, nil, Thresholds{},
+		Prepare([]signature.AppSignature{base}, inf, nil),
+		[]signature.AppSignature{cur}, inf, Thresholds{},
 	)
 }
 
@@ -243,7 +242,7 @@ func TestStabilityFilterSuppressesUnstableComponents(t *testing.T) {
 		},
 	}
 	var inf signature.InfraSignature
-	changes := Compare(context.Background(), []signature.AppSignature{base}, []signature.AppSignature{cur}, inf, inf, stab, Thresholds{})
+	changes := Compare(context.Background(), Prepare([]signature.AppSignature{base}, inf, stab), []signature.AppSignature{cur}, inf, Thresholds{})
 	for _, c := range changes {
 		if c.Kind == signature.KindCI {
 			t.Errorf("unstable CI should not raise alarms: %+v", c)
@@ -254,7 +253,7 @@ func TestStabilityFilterSuppressesUnstableComponents(t *testing.T) {
 func TestGroupDisappeared(t *testing.T) {
 	base := sigWith()
 	var inf signature.InfraSignature
-	changes := Compare(context.Background(), []signature.AppSignature{base}, nil, inf, inf, nil, Thresholds{})
+	changes := Compare(context.Background(), Prepare([]signature.AppSignature{base}, inf, nil), nil, inf, Thresholds{})
 	if len(changes) == 0 {
 		t.Fatal("vanished group not reported")
 	}
@@ -266,7 +265,7 @@ func TestGroupDisappeared(t *testing.T) {
 func TestNewGroupReported(t *testing.T) {
 	cur := sigWith()
 	var inf signature.InfraSignature
-	changes := Compare(context.Background(), nil, []signature.AppSignature{cur}, inf, inf, nil, Thresholds{})
+	changes := Compare(context.Background(), Prepare(nil, inf, nil), []signature.AppSignature{cur}, inf, Thresholds{})
 	if len(changes) != 2 { // two edges of the new group
 		t.Fatalf("got %d changes, want 2: %+v", len(changes), changes)
 	}
@@ -292,12 +291,12 @@ func TestInfraISLAndCRT(t *testing.T) {
 	base := mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond))
 
 	t.Run("no change", func(t *testing.T) {
-		if cs := Compare(context.Background(), nil, nil, base, mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond)), nil, Thresholds{}); len(cs) != 0 {
+		if cs := Compare(context.Background(), Prepare(nil, base, nil), nil, mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond)), Thresholds{}); len(cs) != 0 {
 			t.Errorf("identical infra produced %+v", cs)
 		}
 	})
 	t.Run("ISL shift", func(t *testing.T) {
-		cs := Compare(context.Background(), nil, nil, base, mkInf(float64(10*time.Millisecond), float64(200*time.Microsecond)), nil, Thresholds{})
+		cs := Compare(context.Background(), Prepare(nil, base, nil), nil, mkInf(float64(10*time.Millisecond), float64(200*time.Microsecond)), Thresholds{})
 		found := false
 		for _, c := range cs {
 			if c.Kind == signature.KindISL {
@@ -309,7 +308,7 @@ func TestInfraISLAndCRT(t *testing.T) {
 		}
 	})
 	t.Run("CRT shift", func(t *testing.T) {
-		cs := Compare(context.Background(), nil, nil, base, mkInf(float64(2*time.Millisecond), float64(5*time.Millisecond)), nil, Thresholds{})
+		cs := Compare(context.Background(), Prepare(nil, base, nil), nil, mkInf(float64(2*time.Millisecond), float64(5*time.Millisecond)), Thresholds{})
 		found := false
 		for _, c := range cs {
 			if c.Kind == signature.KindCRT {
@@ -324,7 +323,7 @@ func TestInfraISLAndCRT(t *testing.T) {
 		cur := mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond))
 		delete(cur.SwitchAdj, signature.SwitchPair{From: "sw1", To: "sw2"})
 		cur.SwitchAdj[signature.SwitchPair{From: "sw1", To: "sw3"}] = 5
-		cs := Compare(context.Background(), nil, nil, base, cur, nil, Thresholds{})
+		cs := Compare(context.Background(), Prepare(nil, base, nil), nil, cur, Thresholds{})
 		var missing, added bool
 		for _, c := range cs {
 			if c.Kind == signature.KindPT {
@@ -343,7 +342,7 @@ func TestInfraISLAndCRT(t *testing.T) {
 	t.Run("host moved", func(t *testing.T) {
 		cur := mkInf(float64(2*time.Millisecond), float64(200*time.Microsecond))
 		cur.HostAttach["A"] = "sw2"
-		cs := Compare(context.Background(), nil, nil, base, cur, nil, Thresholds{})
+		cs := Compare(context.Background(), Prepare(nil, base, nil), nil, cur, Thresholds{})
 		found := false
 		for _, c := range cs {
 			if c.Kind == signature.KindPT && strings.Contains(c.Description, "moved") {

@@ -66,8 +66,8 @@ func (c Config) withDefaults() Config {
 // Edge aliases the application-group edge type.
 type Edge = appgroup.Edge
 
-// compareEdges orders edges by source, then destination.
-func compareEdges(a, b Edge) int {
+// CompareEdges orders edges by source, then destination.
+func CompareEdges(a, b Edge) int {
 	if c := cmp.Compare(a.Src, b.Src); c != 0 {
 		return c
 	}
@@ -77,6 +77,14 @@ func compareEdges(a, b Edge) int {
 // EdgePair is a pair of adjacent edges (in and out of the shared node).
 type EdgePair struct {
 	In, Out Edge
+}
+
+// ComparePairs orders edge pairs by in-edge, then out-edge.
+func ComparePairs(a, b EdgePair) int {
+	if c := CompareEdges(a.In, b.In); c != 0 {
+		return c
+	}
+	return CompareEdges(a.Out, b.Out)
 }
 
 // FlowStats is the FS signature for one edge.
@@ -275,7 +283,7 @@ func buildCI(sig *AppSignature) {
 		if len(edges) == 0 {
 			continue
 		}
-		slices.SortFunc(edges, compareEdges)
+		slices.SortFunc(edges, CompareEdges)
 		ci := CISig{Edges: edges}
 		total := 0.0
 		for _, e := range edges {
@@ -305,12 +313,7 @@ func buildDDAndPC(sig *AppSignature, startsByEdge map[Edge][]time.Duration, meta
 			}
 		}
 	}
-	slices.SortFunc(pairs, func(a, b EdgePair) int {
-		if c := compareEdges(a.In, b.In); c != 0 {
-			return c
-		}
-		return compareEdges(a.Out, b.Out)
-	})
+	slices.SortFunc(pairs, ComparePairs)
 
 	for _, p := range pairs {
 		ins := startsByEdge[p.In]

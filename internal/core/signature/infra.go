@@ -1,7 +1,8 @@
 package signature
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"flowdiff/internal/stats"
@@ -11,6 +12,14 @@ import (
 // flow paths.
 type SwitchPair struct {
 	From, To string
+}
+
+// CompareSwitchPairs orders switch pairs by From, then To.
+func CompareSwitchPairs(a, b SwitchPair) int {
+	if c := strings.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	return strings.Compare(a.To, b.To)
 }
 
 // HostAttach records which switch a host's flows enter the network at.
@@ -197,12 +206,7 @@ func (i InfraSignature) AdjacencyEdges() []SwitchPair {
 	for p := range i.SwitchAdj {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
-		}
-		return out[a].To < out[b].To
-	})
+	slices.SortFunc(out, CompareSwitchPairs)
 	return out
 }
 
@@ -213,12 +217,7 @@ func (i InfraSignature) MeanISL() time.Duration {
 	for p := range i.ISL {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].From != pairs[b].From {
-			return pairs[a].From < pairs[b].From
-		}
-		return pairs[a].To < pairs[b].To
-	})
+	slices.SortFunc(pairs, CompareSwitchPairs)
 	var sum float64
 	var n int
 	for _, p := range pairs {

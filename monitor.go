@@ -10,6 +10,7 @@ import (
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/core/diagnose"
+	"flowdiff/internal/core/diff"
 	"flowdiff/internal/core/signature"
 	"flowdiff/internal/core/taskmine"
 	"flowdiff/internal/flowlog"
@@ -55,7 +56,9 @@ type Monitor struct {
 	automata []*TaskAutomaton
 	// baseline is the frozen reference build. Its Log is an event-free
 	// stub: of the baseline's events only Snapshot's two integers remain.
+	// prepared is its comparison side, built with it.
 	baseline       *Signatures
+	prepared       *diff.Baseline
 	baselineEvents int
 	baselineEnd    time.Duration
 	r              *appgroup.Resolver
@@ -142,10 +145,13 @@ func (m *Monitor) setBaseline(ctx context.Context, baseline *Log) error {
 		return err
 	}
 	m.baseline, m.baselineEvents, m.baselineEnd = base, len(baseline.Events), baseline.End
+	m.prepared = diff.Prepare(base.Apps, base.Infra, base.Stability)
 	return nil
 }
 
-// Baseline exposes the frozen baseline signatures.
+// Baseline exposes the frozen baseline signatures. They are read-only:
+// every window is compared against a reference side prepared from them
+// once, which a change to them would not reach.
 func (m *Monitor) Baseline() *Signatures { return m.baseline }
 
 // SwapBaseline hot-swaps the frozen baseline: the new known-good log is
@@ -323,7 +329,7 @@ func (m *Monitor) flushTo(ctx context.Context, to time.Duration) (*MonitorReport
 	if err != nil {
 		return nil, err
 	}
-	changes := Diff(ctx, m.baseline, cur, m.th)
+	changes := diff.Compare(ctx, m.prepared, cur.Apps, cur.Infra, m.th)
 	var tasks []TaskDetection
 	if len(m.automata) > 0 {
 		tasks = detectTasks(taskmine.FlowsFromOccurrences(occs), m.automata)
@@ -401,7 +407,7 @@ func (m *Monitor) RediagnoseWindow(ctx context.Context, r io.Reader, from, to ti
 	if err != nil {
 		return nil, fmt.Errorf("flowdiff: monitor rediagnose: %w", err)
 	}
-	changes := Diff(ctx, m.baseline, cur, m.th)
+	changes := diff.Compare(ctx, m.prepared, cur.Apps, cur.Infra, m.th)
 	return &MonitorReport{
 		From:   from,
 		To:     to,

@@ -880,6 +880,48 @@ func BenchmarkMonitorObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorFlush times Flush alone on a warm 5k-event two-hop
+// chain window: modeling it, comparing it against the prepared baseline
+// and diagnosing it. The window's Observe calls are not timed. The
+// sub-benchmarks start after 4 and 64 windows of report history; a
+// per-window cost that grew with history would tell them apart.
+func BenchmarkMonitorFlush(b *testing.B) {
+	window := time.Minute
+	baseline := flowlog.New(0, window)
+	baseline.Events = monitorHopEvents(0, window)
+	shape := monitorHopEvents(0, window)
+	ctx := context.Background()
+	for _, history := range []int{4, 64} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			m, err := NewMonitor(ctx, baseline, window, nil, Thresholds{}, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			flush := func(w int) {
+				b.StopTimer()
+				for _, e := range shape {
+					e.Time += baseline.End + time.Duration(w)*window
+					if _, err := m.Observe(ctx, e); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if rep, err := m.Flush(ctx); rep == nil || err != nil {
+					b.Fatalf("window %d: report %v, err %v", w, rep, err)
+				}
+			}
+			for w := 0; w < history; w++ {
+				flush(w)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flush(history + i)
+			}
+		})
+	}
+}
+
 // TestMonitorSnapshot pins the status a long-running service reports:
 // the open window's start, size and next flush before and after a grid
 // crossing, the window and alarm counts against the report history on a
@@ -970,6 +1012,76 @@ func TestMonitorSnapshot(t *testing.T) {
 	}
 }
 
+// TestMonitorSwapRepreparesBaseline holds every window to the baseline in
+// place when it flushes: after SwapBaseline, a window reports exactly
+// what a monitor built on the new baseline reports, and after a failed
+// swap exactly what a monitor that never swapped reports. A swap that
+// left the prepared comparison side stale fails the first half.
+func TestMonitorSwapRepreparesBaseline(t *testing.T) {
+	res, err := RunScenario(Scenario{Seed: 301, Faults: []faults.Injector{faults.AppCrash{Host: "S3"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The crash capture moved onto L1's interval is the new baseline: the
+	// swapped monitor and a fresh one on it then share the window grid.
+	moved := flowlog.New(res.L1.Start, res.L1.End)
+	for _, e := range res.L2.Events {
+		e.Time -= res.L2.Start - res.L1.Start
+		moved.Events = append(moved.Events, e)
+	}
+	ctx := context.Background()
+	canceledCtx, cancel := context.WithCancel(ctx)
+	cancel()
+	// run streams L2 through a monitor on base, calls swap on it once the
+	// first window has flushed, and returns the reports after that one.
+	run := func(base *Log, swap func(*Monitor)) []MonitorReport {
+		m, err := NewMonitor(ctx, base, 30*time.Second, nil, Thresholds{}, res.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.L2.Events {
+			rep, err := m.Observe(ctx, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep != nil && len(m.Reports()) == 1 {
+				swap(m)
+			}
+		}
+		if _, err := m.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Reports()) < 3 {
+			t.Fatalf("%d windows, want at least 3", len(m.Reports()))
+		}
+		return m.Reports()[1:]
+	}
+	never := run(res.L1, func(*Monitor) {})
+	fresh := run(moved, func(*Monitor) {})
+	if reflect.DeepEqual(never, fresh) {
+		t.Fatal("the two baselines report alike: the swap is untested")
+	}
+	swapped := run(res.L1, func(m *Monitor) {
+		if err := m.SwapBaseline(ctx, moved); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(swapped, fresh) {
+		t.Errorf("after the swap, windows report\n%+v\nwant those of a monitor built on the new baseline\n%+v", swapped, fresh)
+	}
+	failed := run(res.L1, func(m *Monitor) {
+		if err := m.SwapBaseline(ctx, flowlog.New(0, time.Minute)); !errors.Is(err, ErrNoBaseline) {
+			t.Errorf("swap to an empty log: %v, want ErrNoBaseline", err)
+		}
+		if err := m.SwapBaseline(canceledCtx, moved); !errors.Is(err, ErrCanceled) {
+			t.Errorf("canceled swap: %v, want ErrCanceled", err)
+		}
+	})
+	if !reflect.DeepEqual(failed, never) {
+		t.Errorf("after failed swaps, windows report\n%+v\nwant those of the old baseline\n%+v", failed, never)
+	}
+}
+
 // TestMonitorFlushSteadyStateAllocs is the allocation ceiling of the
 // per-window path, the flush beside the per-event one above: once two
 // windows have warmed the pool and the group cache, modeling, diffing
@@ -984,8 +1096,8 @@ func TestMonitorFlushSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops recycled chunks at random under the race detector")
 	}
 	const (
-		flushAllocCeiling = 267     // measured 232, + 15 %
-		flushBytesCeiling = 295_000 // measured 256,568, + 15 %; keyed by FlowKey it was 499,480
+		flushAllocCeiling = 170     // measured 148, + 15 %; re-sorting the baseline side every window was 178
+		flushBytesCeiling = 139_900 // measured 121,672, + 15 %; keyed by FlowKey it was 499,480
 	)
 	// No collection while measuring: one would empty the pool mid-run.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -137,11 +137,13 @@ mkdir -p bench/out
 # short flowbench pass per workload listed in scripts/bench_ceilings.txt
 # (lines of "<workload> <metric> <ceiling>") must verify against its
 # oracle and stay under the committed ceilings — the measured values of
-# the change that last lowered them, plus 15 %. The first three were
-# lowered when FDC1 ingest began decoding onto recycled batches through
-# pooled decode state and the flush began indexing by interned flow and
-# edge ids. stream_fdc1: 113 B/event and 0.420 allocs/event from 98.2 /
-# 0.3652 (was 341.9 / 0.406). stream_json_chunked, the text path: 506
+# the change that last lowered them, plus 15 %. stream_fdc1: 76 B/event
+# and 0.299 allocs/event from 66.2 / 0.2598, lowered when a Monitor began
+# comparing every window against a baseline side prepared once. Its
+# previous ceilings (113 / 0.420 from 98.2 / 0.3652; was 341.9 / 0.406)
+# and the next two workloads' were set when FDC1 ingest began decoding
+# onto recycled batches through pooled decode state and the flush began
+# indexing by interned flow and edge ids. stream_json_chunked, the text path: 506
 # and 0.885 from 440.1 / 0.7698 (was 502.6 / 0.814; reflection-based
 # ReadJSON was 1,396 / 6.85). read_beside_write, the store's read
 # direction, was lowered when reports moved into a per-tenant log served
@@ -240,6 +242,11 @@ named_smoke ./internal/experiments TestLocalizationAccuracy
 # Mining-oracle smoke: the serial interned miner must mine automata
 # DeepEqual to the retained naive string-keyed miner (mineReference).
 named_smoke ./internal/core/taskmine TestMineMatchesReference
+# Diff-oracle smoke: Compare on a prepared baseline must return changes
+# DeepEqual to the retained per-call comparison (compareReference), on
+# synthetic cases and on the lab fault scenarios, and one prepared
+# baseline must serve concurrent comparisons and come out unchanged.
+named_smoke ./internal/core/diff TestCompareMatchesReference TestCompareMatchesReferenceOnLabFaults TestBaselineServesConcurrentCompares
 # Recycling smoke: FDC1 ingest decodes onto batches the tenant workers
 # hand back to a shared pool, through pooled decode state, and observe
 # whole through Monitor.ObserveBatch; each Monitor window's fold state
