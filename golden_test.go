@@ -91,18 +91,21 @@ func TestReportGoldenDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, e := range res.L2.Events {
-					if _, err := m.Observe(ctx, e); err != nil {
+				var reports []flowdiff.MonitorReport
+				keep := func(rep *flowdiff.MonitorReport, err error) {
+					if err != nil {
 						t.Fatal(err)
 					}
+					if rep != nil {
+						reports = append(reports, *rep)
+					}
 				}
-				if _, err := m.Flush(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if n := len(m.Reports()); n != tc.reports {
+				m.ObserveBatch(ctx, res.L2.Events, keep)
+				keep(m.Flush(ctx))
+				if n := len(reports); n != tc.reports {
 					t.Errorf("GOMAXPROCS=%d: %d monitor reports, want %d", procs, n, tc.reports)
 				}
-				if got := jsonDigest(t, m.Reports()); got != tc.monitor {
+				if got := jsonDigest(t, reports); got != tc.monitor {
 					t.Errorf("GOMAXPROCS=%d: monitor digest %s, want %s", procs, got, tc.monitor)
 				}
 			}

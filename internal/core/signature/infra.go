@@ -51,72 +51,6 @@ type InfraSignature struct {
 	CRT stats.Summary
 	// CRTSamples retains raw response times for CDFs and overload tests.
 	CRTSamples []float64
-	// LinkBytes estimates per-adjacency utilization (bytes per second of
-	// log time): each flow's final byte count (FlowRemoved) is attributed
-	// to every switch pair its PacketIn sequence traversed — the §III-C
-	// "baseline performance parameters (such as link utilization)".
-	LinkBytes map[SwitchPair]float64
-}
-
-// removedFlow is one flow's final byte count: the first FlowRemoved
-// observed for the flow, in log order (the first report carries the full
-// episode counters; later per-switch reports would multiply them).
-type removedFlow struct {
-	Flow  int32
-	Bytes uint64
-}
-
-// attachLinkBytes distributes each removed flow's byte count over the
-// switch adjacencies its occurrences traversed, normalized to bytes per
-// second of log time. removals must hold one entry per flow, in log
-// order (the float accumulation order is part of the byte-identical
-// contract); occs are the log's episodes and flows their flow ids, all
-// below nflows. A flow's path is that of its first episode that crossed
-// at least two switches.
-func attachLinkBytes(inf *InfraSignature, dur time.Duration, removals []removedFlow, occs []Occurrence, flows []int32, nflows int) {
-	if dur <= 0 {
-		return
-	}
-	// first[id] is 1 + the position in occs of a removed flow's path
-	// episode, -1 until one is found, 0 for flows nobody looks for.
-	first := make([]int32, nflows)
-	for _, rf := range removals {
-		first[rf.Flow] = -1
-	}
-	for i, f := range flows {
-		if first[f] < 0 && packetIns(&occs[i]) >= 2 {
-			first[f] = int32(i) + 1
-		}
-	}
-	inf.LinkBytes = make(map[SwitchPair]float64)
-	secs := dur.Seconds()
-	for _, rf := range removals {
-		at := first[rf.Flow] - 1
-		if at < 0 {
-			continue
-		}
-		prev, seen := "", false
-		for i := range occs[at].Hops {
-			h := &occs[at].Hops[i]
-			if !h.PacketIn {
-				continue
-			}
-			if seen {
-				inf.LinkBytes[SwitchPair{prev, h.Switch}] += float64(rf.Bytes) / secs
-			}
-			prev, seen = h.Switch, true
-		}
-	}
-}
-
-// packetIns counts the episode's PacketIns: the switches it crossed.
-func packetIns(o *Occurrence) (n int) {
-	for i := range o.Hops {
-		if o.Hops[i].PacketIn {
-			n++
-		}
-	}
-	return n
 }
 
 // hopAgg is what the infrastructure signature collects per switch pair.
@@ -133,7 +67,6 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature 
 		HostAttach:      make(map[string]string),
 		HostAttachCount: make(map[string]int),
 		ISL:             make(map[SwitchPair]stats.Summary),
-		LinkBytes:       make(map[SwitchPair]float64),
 	}
 	hops := make(map[SwitchPair]*hopAgg)
 	var crt []float64

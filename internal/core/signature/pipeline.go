@@ -30,9 +30,9 @@ type Pipeline struct {
 	agg  *sourceAgg
 	cfg  Config
 	occs []Occurrence
-	// flows[i] is occs[i]'s interned flow id, edges[i] its host edge id:
-	// the products index by id and never hash a key again.
-	flows, edges []int32
+	// edges[i] is occs[i]'s host edge id: the products index by id and
+	// never hash a key again.
+	edges []int32
 	// groups caches application-group discovery for the whole log;
 	// hasGroups distinguishes "not discovered yet" from "discovered
 	// (possibly empty)". Monitor seeds it across windows via SetGroups.
@@ -53,7 +53,7 @@ func newPipeline(ctx context.Context, agg *sourceAgg, cfg Config, occs []Occurre
 	for i := range occs {
 		edges[i], _ = agg.edge(flows[i], &occs[i].Key)
 	}
-	return &Pipeline{ctx: ctx, agg: agg, cfg: cfg, occs: occs, flows: flows, edges: edges, runs: runs}
+	return &Pipeline{ctx: ctx, agg: agg, cfg: cfg, occs: occs, edges: edges, runs: runs}
 }
 
 // Release hands a streamed build's hop storage back to the pool once
@@ -147,7 +147,6 @@ func (p *Pipeline) Infra() InfraSignature {
 	defer obs.Span(p.ctx, "signature.infra").End()
 	inf := buildInfra(p.occs, p.edges, p.agg.edgeAt)
 	inf.LogDuration = p.agg.whole.meta.Duration()
-	attachLinkBytes(&inf, p.agg.whole.meta.Duration(), p.agg.removals, p.occs, p.flows, len(p.agg.edgeOf))
 	return inf
 }
 

@@ -163,29 +163,6 @@ func viewFromLogReference(log *flowlog.Log, r *appgroup.Resolver) appView {
 	return v
 }
 
-// removedKeyReference is one flow key's final byte count: its first
-// FlowRemoved, in log order.
-type removedKeyReference struct {
-	Key   flowlog.FlowKey
-	Bytes uint64
-}
-
-// firstRemovalsReference collects each flow key's first FlowRemoved, in
-// log order.
-func firstRemovalsReference(log *flowlog.Log) []removedKeyReference {
-	var out []removedKeyReference
-	seen := make(map[flowlog.FlowKey]bool)
-	for i := range log.Events {
-		e := &log.Events[i]
-		if e.Type != flowlog.EventFlowRemoved || seen[e.Flow] {
-			continue
-		}
-		seen[e.Flow] = true
-		out = append(out, removedKeyReference{Key: e.Flow, Bytes: e.Bytes})
-	}
-	return out
-}
-
 // indexStartsReference indexes occurrences by host edge, as their start
 // times in occurrence (hence time) order, resolving every occurrence's
 // key — the map-keyed index the pipeline builds by edge id.
@@ -199,51 +176,6 @@ func indexStartsReference(occs []Occurrence, r *appgroup.Resolver) map[Edge][]ti
 	return starts
 }
 
-// attachLinkBytesReference is attachLinkBytes keyed by flow key: the
-// position of each removed key's path episode is found through a
-// FlowKey map.
-func attachLinkBytesReference(inf *InfraSignature, dur time.Duration, removals []removedKeyReference, occs []occurrenceReference) {
-	if dur <= 0 {
-		return
-	}
-	// first[key] is the position in occs of the key's path episode, -1
-	// until one is found; only removed flows' keys are looked for.
-	first := make(map[flowlog.FlowKey]int32, len(removals))
-	for i := range removals {
-		first[removals[i].Key] = -1
-	}
-	for i := range occs {
-		packetIns := 0
-		for _, e := range occs[i].Events {
-			if e.Type == flowlog.EventPacketIn {
-				packetIns++
-			}
-		}
-		if at, removed := first[occs[i].Key]; removed && at < 0 && packetIns >= 2 {
-			first[occs[i].Key] = int32(i)
-		}
-	}
-	inf.LinkBytes = make(map[SwitchPair]float64)
-	secs := dur.Seconds()
-	for _, rf := range removals {
-		at := first[rf.Key]
-		if at < 0 {
-			continue
-		}
-		prev, seen := "", false
-		for i := range occs[at].Events {
-			e := &occs[at].Events[i]
-			if e.Type != flowlog.EventPacketIn {
-				continue
-			}
-			if seen {
-				inf.LinkBytes[SwitchPair{prev, e.Switch}] += float64(rf.Bytes) / secs
-			}
-			prev, seen = e.Switch, true
-		}
-	}
-}
-
 // infraReference is buildInfra keyed by name: per-hop SwitchPair maps
 // looked up twice, and each vote's source host resolved from the key.
 func infraReference(r *appgroup.Resolver, occs []occurrenceReference) InfraSignature {
@@ -252,7 +184,6 @@ func infraReference(r *appgroup.Resolver, occs []occurrenceReference) InfraSigna
 		HostAttach:      make(map[string]string),
 		HostAttachCount: make(map[string]int),
 		ISL:             make(map[SwitchPair]stats.Summary),
-		LinkBytes:       make(map[SwitchPair]float64),
 	}
 	islSamples := make(map[SwitchPair][]float64)
 	var crt []float64
@@ -319,9 +250,9 @@ func infraReference(r *appgroup.Resolver, occs []occurrenceReference) InfraSigna
 
 // pipelineReference models a log the way the former in-memory path did:
 // batch-extracted occurrences, group discovery from a log.Flows scan,
-// FlowRemoved samples and first removals from whole-log scans, and
-// stability intervals from flowlog.Segment views — every build step
-// downstream of those inputs is the production code. refs are the
+// FlowRemoved samples from whole-log scans, and stability intervals
+// from flowlog.Segment views — every build step downstream of those
+// inputs is the production code. refs are the
 // occurrences with their events, occs their projection.
 type pipelineReference struct {
 	log  *flowlog.Log
@@ -347,7 +278,6 @@ func (pr *pipelineReference) App() []AppSignature { return pr.appOf(pr.log, pr.o
 func (pr *pipelineReference) Infra() InfraSignature {
 	inf := infraReference(pr.r, pr.refs)
 	inf.LogDuration = pr.log.Duration()
-	attachLinkBytesReference(&inf, pr.log.Duration(), firstRemovalsReference(pr.log), pr.refs)
 	return inf
 }
 

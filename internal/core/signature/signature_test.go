@@ -347,48 +347,3 @@ func TestStabilityUnstableCIDetected(t *testing.T) {
 		t.Error("skewed interval CI should be flagged unstable")
 	}
 }
-
-func TestLinkBytesUtilization(t *testing.T) {
-	log, r, n := simCase5(t, workload.Case5Params{MeanA: 300, MeanB: 300}, 21, 2*time.Minute)
-	inf := model(t, log, r, Config{}, 0).Infra()
-	if len(inf.LinkBytes) == 0 {
-		t.Skip("case-5 traffic stays under one switch; no inter-switch adjacencies")
-	}
-	for p, bps := range inf.LinkBytes {
-		if bps <= 0 {
-			t.Errorf("adjacency %v has non-positive utilization %v", p, bps)
-		}
-		if _, ok := n.Topo.LinkBetween(topology.NodeID(p.From), topology.NodeID(p.To)); !ok {
-			t.Errorf("utilization attributed to non-physical adjacency %v", p)
-		}
-	}
-}
-
-func TestLinkBytesFollowsTraffic(t *testing.T) {
-	// Two hosts across the fabric exchanging a known volume: the
-	// adjacencies on their path must carry roughly volume/duration.
-	topo, err := topology.Lab()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := simnet.NewNetwork(topo, simnet.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, _ := topo.Node("S1")
-	s6, _ := topo.Node("S6")
-	const perFlow = 30000
-	for i := 0; i < 10; i++ {
-		key := flowlog.FlowKey{Proto: 6, Src: s1.Addr, Dst: s6.Addr, SrcPort: uint16(1000 + i), DstPort: 80}
-		n.StartFlow(time.Duration(i)*2*time.Second, simnet.Flow{Key: key, Bytes: perFlow})
-	}
-	n.Eng.Run(40 * time.Second)
-	log := n.Log()
-	inf := model(t, log, appgroup.NewResolver(topo), Config{}, 0).Infra()
-	pair := SwitchPair{From: "sw2", To: "sw1"}
-	got := inf.LinkBytes[pair]
-	want := float64(10*perFlow) / log.Duration().Seconds()
-	if got < want*0.9 || got > want*1.1 {
-		t.Errorf("LinkBytes[%v] = %.1f B/s, want ~%.1f", pair, got, want)
-	}
-}

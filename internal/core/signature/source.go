@@ -47,9 +47,8 @@ func (s *logSource) Bounds() (start, end time.Duration) { return s.log.Start, s.
 // sourceAgg accumulates, one event at a time as StreamExtractor.Add
 // sees it, every per-log aggregate the signature builds need besides
 // the occurrences: the distinct PacketIn edge set (group discovery),
-// per-edge FlowRemoved samples in log order (FS statistics), the first
-// FlowRemoved per flow key in log order (link-utilization attribution),
-// and per-stability-interval versions of the first two. Sample order
+// per-edge FlowRemoved samples in log order (FS statistics), and
+// per-stability-interval versions of both. Sample order
 // follows event order, which is part of the byte-identical contract:
 // float accumulation downstream runs in that order.
 //
@@ -64,15 +63,13 @@ type sourceAgg struct {
 	r      *appgroup.Resolver
 	events int
 	// edgeOf[id] is flow id's edge id, -1 until the flow is first folded.
-	// seen holds stride flags per flow: [0] a PacketIn was folded, [1] a
-	// FlowRemoved was, [2+i] a PacketIn was in stability interval i.
+	// seen holds stride flags per flow: [0] a PacketIn was folded, [1+i]
+	// a PacketIn was in stability interval i.
 	edgeOf  []int32
 	seen    []bool
 	stride  int
 	edgeIDs map[Edge]int32
 	edgeAt  []Edge // by edge id
-	// removals holds each flow key's first FlowRemoved, in log order.
-	removals []removedFlow
 	// segs mirror flowlog.Segment(intervals) over [Start, End] (a current
 	// build has 0 intervals and none); segErr preserves Segment's error
 	// for Stability-time parity.
@@ -119,7 +116,7 @@ func (s *segAgg) reset() {
 }
 
 func newSourceAgg(start, end time.Duration, intervals int, r *appgroup.Resolver) *sourceAgg {
-	a := &sourceAgg{whole: newSegAgg(start, end), r: r, stride: 2, edgeIDs: make(map[Edge]int32), intervals: intervals}
+	a := &sourceAgg{whole: newSegAgg(start, end), r: r, stride: 1, edgeIDs: make(map[Edge]int32), intervals: intervals}
 	if intervals <= 0 {
 		return a
 	}
@@ -182,8 +179,8 @@ func (a *sourceAgg) packetIn(id int32, key *flowlog.FlowKey, at time.Duration) {
 		seen[0] = true
 		a.whole.edges[a.edgeAt[eid]]++
 	}
-	if i := a.segIndex(at); i >= 0 && !seen[2+i] {
-		seen[2+i] = true
+	if i := a.segIndex(at); i >= 0 && !seen[1+i] {
+		seen[1+i] = true
 		a.segs[i].edges[a.edgeAt[eid]]++
 	}
 }
@@ -191,13 +188,9 @@ func (a *sourceAgg) packetIn(id int32, key *flowlog.FlowKey, at time.Duration) {
 // flowRemoved folds one FlowRemoved of flow id. They must arrive in log
 // order: the sample slices' order is part of the byte-identical contract.
 func (a *sourceAgg) flowRemoved(id int32, e *flowlog.Event) {
-	eid, seen := a.edge(id, &e.Flow)
+	eid, _ := a.edge(id, &e.Flow)
 	s := removedSample{Bytes: e.Bytes, Packets: e.Packets, Duration: e.FlowDuration}
 	a.whole.sample(eid, s)
-	if !seen[1] {
-		seen[1] = true
-		a.removals = append(a.removals, removedFlow{Flow: id, Bytes: e.Bytes})
-	}
 	if i := a.segIndex(e.Time); i >= 0 {
 		a.segs[i].sample(eid, s)
 	}
@@ -216,7 +209,7 @@ func (a *sourceAgg) reset() {
 	a.events = 0
 	a.edgeOf, a.seen = a.edgeOf[:0], a.seen[:0]
 	clear(a.edgeIDs)
-	a.edgeAt, a.removals = a.edgeAt[:0], a.removals[:0]
+	a.edgeAt = a.edgeAt[:0]
 	a.whole.reset()
 	for i := range a.segs {
 		a.segs[i].reset()

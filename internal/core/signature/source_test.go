@@ -157,7 +157,7 @@ func TestCurrentBuildPipeline(t *testing.T) {
 			if !ref.Reference() || cur.Reference() {
 				t.Errorf("%s: Reference() = %v / %v, want true / false", at, ref.Reference(), cur.Reference())
 			}
-			if cur.agg.stride != 2 || len(cur.agg.segs) != 0 {
+			if cur.agg.stride != 1 || len(cur.agg.segs) != 0 {
 				t.Errorf("%s: current build folded intervals: stride %d, %d segs", at, cur.agg.stride, len(cur.agg.segs))
 			}
 			refApp := ref.App()

@@ -151,18 +151,21 @@ func offlineReports(t *testing.T, res *flowdiff.ScenarioResult) []flowdiff.Monit
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
-	for _, e := range res.L2.Events {
-		if _, err := mon.Observe(context.Background(), e); err != nil {
-			t.Fatalf("Observe: %v", err)
+	var reports []flowdiff.MonitorReport
+	keep := func(rep *flowdiff.MonitorReport, err error) {
+		if err != nil {
+			t.Fatalf("offline monitor: %v", err)
+		}
+		if rep != nil {
+			reports = append(reports, *rep)
 		}
 	}
-	if _, err := mon.Flush(context.Background()); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if len(mon.Reports()) == 0 {
+	mon.ObserveBatch(context.Background(), res.L2.Events, keep)
+	keep(mon.Flush(context.Background()))
+	if len(reports) == 0 {
 		t.Fatal("offline monitor produced no reports; the scenario is too quiet to pin equivalence")
 	}
-	return mon.Reports()
+	return reports
 }
 
 // encodings are the two serializations an events body may use.

@@ -86,8 +86,9 @@ type Monitor struct {
 	// diagnosed; sparser windows abstain.
 	minOcc int
 
-	reports []MonitorReport
-	alarmed int // reports with unexplained changes
+	// windows counts the reports produced so far, alarmed those with
+	// unexplained changes; the reports themselves go to the caller.
+	windows, alarmed int
 }
 
 // MonitorReport is one window's diagnosis.
@@ -158,9 +159,9 @@ func (m *Monitor) Baseline() *Signatures { return m.baseline }
 // modeled (under ctx) and replaces the signatures every subsequent
 // window diffs against. Everything else survives the swap — the
 // open window in the extractor, the window grid, and the report
-// history — so a long-running tenant can
-// re-baseline without dropping its stream. On error (empty log,
-// cancellation) the old baseline stays in place.
+// counters — so a long-running tenant can re-baseline without dropping
+// its stream. On error (empty log, cancellation) the old baseline stays
+// in place.
 func (m *Monitor) SwapBaseline(ctx context.Context, baseline *Log) error {
 	if err := m.setBaseline(ctx, baseline); err != nil {
 		return fmt.Errorf("flowdiff: monitor baseline swap: %w", err)
@@ -192,7 +193,7 @@ func (m *Monitor) Snapshot() MonitorSnapshot {
 		WindowStart:    m.start,
 		Buffered:       m.ex.Events(),
 		NextFlush:      m.next,
-		Windows:        len(m.reports),
+		Windows:        m.windows,
 		Alarmed:        m.alarmed,
 		BaselineEvents: m.baselineEvents,
 		BaselineEnd:    m.baselineEnd,
@@ -340,7 +341,7 @@ func (m *Monitor) flushTo(ctx context.Context, to time.Duration) (*MonitorReport
 		Report: m.diagnose(ctx, changes, tasks),
 	}
 	obs.From(ctx).Counter("monitor.windows").Inc()
-	m.reports = append(m.reports, rep)
+	m.windows++
 	if len(rep.Report.Unknown) > 0 {
 		m.alarmed++
 	}
@@ -390,7 +391,7 @@ func (m *Monitor) signaturesFor(ctx context.Context, to time.Duration, occs []si
 // baseline's) and are never materialized; it does not hand back the
 // window's flow starts, so re-diagnosed reports skip task replay and
 // classify changes against the baseline alone. The report is not
-// appended to Reports. A window with no matching events, or an empty
+// counted in Snapshot. A window with no matching events, or an empty
 // or inverted one (to <= from), returns ErrEmptyLog wrapped; r is then
 // not read.
 func (m *Monitor) RediagnoseWindow(ctx context.Context, r io.Reader, from, to time.Duration, hosts []netip.Addr) (*MonitorReport, error) {
@@ -413,18 +414,4 @@ func (m *Monitor) RediagnoseWindow(ctx context.Context, r io.Reader, from, to ti
 		To:     to,
 		Report: m.diagnose(ctx, changes, nil),
 	}, nil
-}
-
-// Reports returns every report produced so far.
-func (m *Monitor) Reports() []MonitorReport { return m.reports }
-
-// Alarms returns the reports that contain unexplained changes.
-func (m *Monitor) Alarms() []MonitorReport {
-	var out []MonitorReport
-	for _, r := range m.reports {
-		if len(r.Report.Unknown) > 0 {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -280,32 +280,35 @@ func TestCurrentBuildsSkipStability(t *testing.T) {
 
 	regCur := obs.New()
 	ctx := obs.WithRegistry(context.Background(), regCur)
-	for _, e := range stream.Events {
-		if _, err := m.Observe(ctx, e); err != nil {
+	var reports []flowdiff.MonitorReport
+	keep := func(rep *flowdiff.MonitorReport, err error) {
+		if err != nil {
 			t.Fatal(err)
 		}
+		if rep != nil {
+			reports = append(reports, *rep)
+		}
 	}
-	if _, err := m.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Reports()) < 3 {
-		t.Fatalf("only %d windows flushed; the check would be vacuous", len(m.Reports()))
+	m.ObserveBatch(ctx, stream.Events, keep)
+	keep(m.Flush(ctx))
+	if len(reports) < 3 {
+		t.Fatalf("only %d windows flushed; the check would be vacuous", len(reports))
 	}
 	capture, err := os.Open(writeColumnar(t, stream))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer capture.Close()
-	w := m.Reports()[1]
+	w := reports[1]
 	if _, err := m.RediagnoseWindow(ctx, capture, w.From, w.To, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := regCur.Snapshot()
-	if snap.Counters["monitor.windows"] != int64(len(m.Reports())) || snap.Histograms["span.signature.app"].Count == 0 {
+	if snap.Counters["monitor.windows"] != int64(len(reports)) || snap.Histograms["span.signature.app"].Count == 0 {
 		t.Fatalf("the windows were not recorded in the private registry: %+v", snap.Counters)
 	}
 	if spans, folded := stability(regCur); spans != 0 || folded != 0 {
-		t.Errorf("%d windows and a rediagnose: %d stability spans over %d intervals, want none", len(m.Reports()), spans, folded)
+		t.Errorf("%d windows and a rediagnose: %d stability spans over %d intervals, want none", len(reports), spans, folded)
 	}
 
 	regCmp := obs.New()

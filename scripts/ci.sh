@@ -247,11 +247,15 @@ named_smoke ./internal/core/taskmine TestMineMatchesReference
 # synthetic cases and on the lab fault scenarios, and one prepared
 # baseline must serve concurrent comparisons and come out unchanged.
 named_smoke ./internal/core/diff TestCompareMatchesReference TestCompareMatchesReferenceOnLabFaults TestBaselineServesConcurrentCompares
+# Flat-uptime smoke (unraced: the race detector's pool drops skip it):
+# a Monitor keeps no report it hands back, so 10,000 alarming windows
+# leave its live heap within a fixed bound of its size after 100.
+named_smoke . TestMonitorHeapFlatInUptime
 # Recycling smoke: FDC1 ingest decodes onto batches the tenant workers
 # hand back to a shared pool, through pooled decode state, and observe
 # whole through Monitor.ObserveBatch; each Monitor window's fold state
-# (edge set, FlowRemoved samples, first removals) is recycled across
-# windows like its chunks. Ten raced rounds of four tenants ingesting at
+# (edge set, FlowRemoved samples) is recycled across windows like its
+# chunks. Ten raced rounds of four tenants ingesting at
 # once, of decodes onto garbage batches, of batched observation against
 # per-event Observe, of interleaved monitors whose reports must outlive
 # the windows that produced them, of streamed builds whose signatures
