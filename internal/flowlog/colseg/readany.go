@@ -19,9 +19,10 @@ import (
 // the same semantics. ctx, which carries the decode metrics' registry,
 // applies to the columnar decode only.
 //
-// An FDC1 body decodes onto dst[:0] with every field of every event
-// written, growing it when short (a nil dst allocates); JSON allocates
-// its own. Either way the returned Events are the caller's to reuse.
+// Either body decodes onto dst, growing it when short (a nil dst
+// allocates), and never reads what it held: FDC1 writes every field of
+// every event, JSON zeroes each slot the first time it writes it.
+// Either way the returned Events are the caller's to reuse.
 // The decode state (buffered reader, payload slab, column scratch,
 // switch-name table) is pooled across calls and keeps no view of r.
 func ReadAnyInto(ctx context.Context, r io.Reader, opts ReaderOptions, dst []flowlog.Event) (*flowlog.Log, error) {
@@ -35,7 +36,7 @@ func ReadAnyInto(ctx context.Context, r io.Reader, opts ReaderOptions, dst []flo
 		}
 		return rd.readAll(dst)
 	}
-	log, err := flowlog.ReadJSON(rd.br)
+	log, err := flowlog.ReadJSON(rd.br, dst...)
 	if err != nil {
 		return nil, err
 	}

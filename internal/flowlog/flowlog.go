@@ -88,7 +88,7 @@ func (t *EventType) UnmarshalJSON(b []byte) error {
 	s := jsonScanner{buf: b}
 	var et EventType
 	s.space()
-	err := s.value(&et, 0)
+	err := s.eventType(&et)
 	if s.space(); err == nil && s.pos != len(b) {
 		err = s.expected("the end of the value")
 	}

@@ -34,25 +34,55 @@ const (
 	jsonBytesPerEvent = 144
 )
 
-// Field names; value pairs each table with the addresses its members
-// decode to, in the same order.
-var (
-	logFields   = []string{"start", "end", "events"}
-	eventFields = []string{"t", "type", "switch", "dpid", "flow", "inPort", "outPort", "bytes", "packets", "flowDuration", "reason"}
-	flowFields  = []string{"proto", "src", "dst", "srcPort", "dstPort"}
+// Field IDs: the members of Log, Event and FlowKey, each struct's in
+// the order WriteJSON emits them. object decodes a struct as the ID
+// range [lo, hi) its fields take.
+const (
+	fStart = iota
+	fEnd
+	fEvents
+	fTime
+	fType
+	fSwitch
+	fDPID
+	fFlow
+	fInPort
+	fOutPort
+	fBytes
+	fPackets
+	fFlowDuration
+	fReason
+	fProto
+	fSrc
+	fDst
+	fSrcPort
+	fDstPort
+	numFields
+
+	unknownField = -1 // a key no field of the object has
+	endOfObject  = -2
 )
 
-// fieldIndex resolves an object key as encoding/json does — the exact
-// name, else the first name equal under Unicode case folding — or
-// returns -1.
-func fieldIndex(names []string, key []byte) int {
-	for i, n := range names {
-		if string(key) == n {
+// fieldKeys holds each field's key as WriteJSON writes it: the quoted
+// name its struct tag gives, then the colon.
+var fieldKeys = [numFields]string{
+	fStart: `"start":`, fEnd: `"end":`, fEvents: `"events":`,
+	fTime: `"t":`, fType: `"type":`, fSwitch: `"switch":`, fDPID: `"dpid":`, fFlow: `"flow":`, fInPort: `"inPort":`,
+	fOutPort: `"outPort":`, fBytes: `"bytes":`, fPackets: `"packets":`, fFlowDuration: `"flowDuration":`, fReason: `"reason":`,
+	fProto: `"proto":`, fSrc: `"src":`, fDst: `"dst":`, fSrcPort: `"srcPort":`, fDstPort: `"dstPort":`,
+}
+
+// fieldIndex resolves an object key against the names in keys as
+// encoding/json does — the exact name, else the first name equal under
+// Unicode case folding — or returns -1.
+func fieldIndex(keys []string, key []byte) int {
+	for i, k := range keys {
+		if string(key) == k[1:len(k)-2] {
 			return i
 		}
 	}
-	for i, n := range names {
-		if bytes.EqualFold(key, []byte(n)) {
+	for i, k := range keys {
+		if bytes.EqualFold(key, []byte(k[1:len(k)-2])) {
 			return i
 		}
 	}
@@ -68,23 +98,27 @@ type jsonScanner struct {
 	pos     int
 	scratch []byte            // the last string that needed unquoting
 	names   map[string]string // Switch names seen in this decode
+	dst     []Event           // the caller's storage for the events
+	touched int               // how many slots of the events this decode wrote (see events)
 }
 
 var jsonScanners = sync.Pool{New: func() any { return &jsonScanner{names: make(map[string]string)} }}
 
 // ReadJSON deserializes a log written by WriteJSON. It reads r to EOF
-// and decodes the first JSON value in it.
-func ReadJSON(r io.Reader) (*Log, error) {
+// and decodes the first JSON value in it. The events decode onto dst, a
+// recycled batch passed as dst..., growing it when short (with none,
+// the decode allocates); what dst held is never read. Either way the
+// returned Events are the caller's to reuse.
+func ReadJSON(r io.Reader, dst ...Event) (*Log, error) {
 	s := jsonScanners.Get().(*jsonScanner)
 	defer s.release()
 	s.body.Reset()
 	if _, err := s.body.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("flowlog: reading log: %w", err)
 	}
-	s.buf, s.pos = s.body.Bytes(), 0
+	s.buf, s.pos, s.dst = s.body.Bytes(), 0, dst
 	l := new(Log)
-	s.space()
-	if err := s.value(l, 0); err != nil {
+	if err := s.log(l); err != nil {
 		return nil, fmt.Errorf("flowlog: decoding log: %w", err)
 	}
 	return l, nil
@@ -97,7 +131,7 @@ func (s *jsonScanner) release() {
 	if cap(s.scratch) > maxPooledJSONBody {
 		s.scratch = nil
 	}
-	s.buf = nil
+	s.buf, s.dst = nil, nil
 	if len(s.names) > 1024 {
 		s.names = make(map[string]string) // a cleared map keeps its buckets
 	}
@@ -165,129 +199,147 @@ func (s *jsonScanner) next(first bool, end byte) (bool, error) {
 	return true, nil
 }
 
-// object decodes an object at the given nesting level: a member named
-// in names (see fieldIndex) into the value dst holds at its index, any
-// other validated and dropped.
-func (s *jsonScanner) object(names []string, dst []any, level int) error {
+// log decodes the top-level value, after any space at pos, into l: the
+// log object, or null, which leaves l as it was.
+func (s *jsonScanner) log(l *Log) error {
+	if s.space(); s.peek() == 'n' {
+		return s.consume("null", "null")
+	}
+	return s.object(l, nil, fStart, fTime, 1)
+}
+
+// member advances to the next member of an object whose opening brace
+// (first) or previous value has just been consumed, and returns its
+// field among the IDs [lo, hi), unknownField, or endOfObject, with pos
+// at its value. WriteJSON writes a struct's fields in order, with no
+// space and only empty omitempty ones left out, so the separator and
+// key are first matched byte for byte against each field's from hint
+// on; only when none matches is the key unquoted and resolved by name.
+func (s *jsonScanner) member(lo, hi, hint int, first bool) (int, error) {
+	at := s.pos
+	if !first && at < len(s.buf) && s.buf[at] == ',' {
+		at++
+	}
+	if rest := s.buf[at:]; first || at > s.pos {
+		for f := hint; f < hi; f++ {
+			if k := fieldKeys[f]; len(rest) >= len(k) && string(rest[:len(k)]) == k {
+				s.pos = at + len(k)
+				s.space()
+				return f, nil
+			}
+		}
+	}
+	more, err := s.next(first, '}')
+	if err != nil || !more {
+		return endOfObject, err
+	}
+	key, err := s.str("an object key") // valid until the next str
+	if err != nil {
+		return endOfObject, err
+	}
+	f := fieldIndex(fieldKeys[lo:hi], key)
+	s.space()
+	if err := s.consume(":", "':' after an object key"); err != nil {
+		return endOfObject, err
+	}
+	s.space()
+	if f < 0 {
+		return unknownField, nil
+	}
+	return lo + f, nil
+}
+
+// object decodes an object at the given nesting level into the fields
+// [lo, hi) of l or e, each value straight through its field's parser;
+// an unknown member, and every member of an object with no fields
+// (lo == hi), is validated and dropped. As in encoding/json, null
+// leaves a field as it was — except that it empties the events and is
+// no event type.
+func (s *jsonScanner) object(l *Log, e *Event, lo, hi, level int) error {
 	if err := s.consume("{", "'{'"); err != nil {
 		return err
 	}
-	for first := true; ; first = false {
-		more, err := s.next(first, '}')
-		if err != nil || !more {
+	for first, hint := true, lo; ; first = false {
+		f, err := s.member(lo, hi, hint, first)
+		if err != nil || f == endOfObject {
 			return err
 		}
-		key, err := s.str("an object key") // valid until the next str
+		if f >= 0 {
+			hint = f + 1
+		}
+		if f == unknownField || s.peek() == 'n' && f != fEvents && f != fType {
+			f = unknownField // null leaves a field as it was
+		}
+		switch f {
+		case unknownField:
+			err = s.skip(level)
+		case fStart:
+			err = s.duration(&l.Start)
+		case fEnd:
+			err = s.duration(&l.End)
+		case fEvents:
+			err = s.events(&l.Events)
+		case fTime:
+			err = s.duration(&e.Time)
+		case fType:
+			err = s.eventType(&e.Type)
+		case fSwitch:
+			err = s.switchName(&e.Switch)
+		case fDPID:
+			err = uintField(s, &e.DPID)
+		case fFlow:
+			err = s.object(nil, e, fProto, numFields, level+1)
+		case fInPort:
+			err = uintField(s, &e.InPort)
+		case fOutPort:
+			err = uintField(s, &e.OutPort)
+		case fBytes:
+			err = uintField(s, &e.Bytes)
+		case fPackets:
+			err = uintField(s, &e.Packets)
+		case fFlowDuration:
+			err = s.duration(&e.FlowDuration)
+		case fReason:
+			err = uintField(s, &e.Reason)
+		case fProto:
+			err = uintField(s, &e.Flow.Proto)
+		case fSrc:
+			err = s.addr(&e.Flow.Src)
+		case fDst:
+			err = s.addr(&e.Flow.Dst)
+		case fSrcPort:
+			err = uintField(s, &e.Flow.SrcPort)
+		case fDstPort:
+			err = uintField(s, &e.Flow.DstPort)
+		}
 		if err != nil {
 			return err
 		}
-		field := fieldIndex(names, key)
-		s.space()
-		if err := s.consume(":", "':' after an object key"); err != nil {
-			return err
-		}
-		s.space()
-		if field < 0 {
-			err = s.value(nil, level)
-		} else {
-			err = s.value(dst[field], level)
-		}
-		if err != nil {
-			return err
-		}
 	}
-}
-
-// value decodes the value at pos, held by an object or array at the
-// given nesting level, into what dst points to; a nil dst only
-// validates it. As in encoding/json, null leaves dst as it was — except
-// that it empties the events and is no event type.
-func (s *jsonScanner) value(dst any, level int) error {
-	start := s.pos
-	if s.peek() == 'n' {
-		switch d := dst.(type) {
-		case *EventType:
-			return s.errorf(start, "null event type")
-		case *[]Event:
-			*d = nil
-		}
-		return s.consume("null", "null")
-	}
-	switch d := dst.(type) {
-	case *Log:
-		return s.object(logFields, []any{&d.Start, &d.End, &d.Events}, 1)
-	case *[]Event:
-		return s.events(d)
-	case *Event:
-		return s.object(eventFields, []any{&d.Time, &d.Type, &d.Switch, &d.DPID, &d.Flow,
-			&d.InPort, &d.OutPort, &d.Bytes, &d.Packets, &d.FlowDuration, &d.Reason}, 3)
-	case *FlowKey:
-		return s.object(flowFields, []any{&d.Proto, &d.Src, &d.Dst, &d.SrcPort, &d.DstPort}, 4)
-	case *uint8:
-		n, err := s.unsigned(math.MaxUint8)
-		*d = uint8(n)
-		return err
-	case *uint16:
-		n, err := s.unsigned(math.MaxUint16)
-		*d = uint16(n)
-		return err
-	case *uint64:
-		n, err := s.unsigned(math.MaxUint64)
-		*d = n
-		return err
-	case *time.Duration: // the int64 fields; only they take a sign
-		neg, limit := s.peek() == '-', uint64(math.MaxInt64)
-		if neg {
-			s.pos++
-			limit++
-		}
-		n, err := s.unsigned(limit)
-		if *d = time.Duration(n); neg {
-			*d = -*d
-		}
-		return err
-	}
-	// The rest are strings, or anything at all under an unknown key.
-	if dst == nil && s.peek() != '"' {
-		return s.skip(level)
-	}
-	b, err := s.str("a string")
-	if err != nil {
-		return err
-	}
-	switch d := dst.(type) {
-	case *string: // Switch: one copy of each name per decode
-		name, ok := s.names[string(b)]
-		if !ok {
-			name = string(b)
-			s.names[name] = name
-		}
-		*d = name
-	case *EventType:
-		t, ok := parseEventType(b)
-		if !ok {
-			return s.errorf(start, "unknown event type %q", b)
-		}
-		*d = t
-	case *netip.Addr:
-		if a, ok := parseIPv4(b); ok || len(b) == 0 {
-			*d = a
-		} else if *d, err = netip.ParseAddr(string(b)); err != nil {
-			return s.errorf(start, "%v", err)
-		}
-	}
-	return nil
 }
 
 // events decodes the events array over what an earlier "events" member
 // left, as encoding/json does: element i is decoded into the i-th event
 // already there — past the length too, up to the capacity — without
-// zeroing it, and the array's own length is the final one.
+// zeroing it, and the array's own length is the final one. With nothing
+// to decode over (no earlier array, or null or [] after it) the array
+// starts on the caller's dst, whose slots count as unwritten: each is
+// zeroed the first time it is reached. null makes the events nil.
 func (s *jsonScanner) events(dst *[]Event) error {
+	if s.peek() == 'n' {
+		*dst = nil
+		return s.consume("null", "null")
+	}
 	if err := s.consume("[", "'[' opening the events array"); err != nil {
 		return err
 	}
 	ev, n := *dst, 0
+	if cap(ev) == 0 {
+		ev, s.touched = s.dst[:0], 0
+		if cap(ev) == 0 {
+			ev = make([]Event, 0, (len(s.buf)-s.pos)/jsonBytesPerEvent+1)
+		}
+	}
 	for first := true; ; first, n = false, n+1 {
 		more, err := s.next(first, ']')
 		if err != nil {
@@ -297,16 +349,18 @@ func (s *jsonScanner) events(dst *[]Event) error {
 			break
 		}
 		if n == len(ev) {
-			if ev == nil {
-				ev = make([]Event, 0, (len(s.buf)-s.pos)/jsonBytesPerEvent+1)
-			}
-			if n < cap(ev) {
-				ev = ev[:n+1]
+			if n < s.touched {
+				ev = ev[:n+1] // an earlier array left this event
 			} else {
-				ev = append(ev, Event{})
+				ev, s.touched = append(ev, Event{}), n+1 // zeroed on first touch
 			}
 		}
-		if err := s.value(&ev[n], 2); err != nil {
+		if s.peek() == 'n' {
+			err = s.consume("null", "null")
+		} else {
+			err = s.object(nil, &ev[n], fTime, fProto, 3)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -316,26 +370,109 @@ func (s *jsonScanner) events(dst *[]Event) error {
 	return nil
 }
 
-// skip validates a value that is not a string and drops it; level is
-// the nesting of the object or array that holds it.
+// duration parses an int64 field, the only kind that takes a sign.
+func (s *jsonScanner) duration(d *time.Duration) error {
+	neg, limit := s.peek() == '-', uint64(math.MaxInt64)
+	if neg {
+		s.pos++
+		limit++
+	}
+	n, err := s.unsigned(limit)
+	if *d = time.Duration(n); neg {
+		*d = -*d
+	}
+	return err
+}
+
+// uintField parses an unsigned field in the range of its width.
+func uintField[T uint8 | uint16 | uint64](s *jsonScanner, p *T) error {
+	n, err := s.unsigned(uint64(^T(0)))
+	*p = T(n)
+	return err
+}
+
+// eventType parses a message name; null, which every other field
+// takes, is an error.
+func (s *jsonScanner) eventType(t *EventType) error {
+	start := s.pos
+	if s.peek() == 'n' {
+		return s.errorf(start, "null event type")
+	}
+	b, err := s.str("a string")
+	if err != nil {
+		return err
+	}
+	et, ok := parseEventType(b)
+	if !ok {
+		return s.errorf(start, "unknown event type %q", b)
+	}
+	*t = et
+	return nil
+}
+
+// switchName reads a Switch name: one copy of each name per decode.
+func (s *jsonScanner) switchName(p *string) error {
+	b, err := s.str("a string")
+	if err != nil {
+		return err
+	}
+	name, ok := s.names[string(b)]
+	if !ok {
+		name = string(b)
+		s.names[name] = name
+	}
+	*p = name
+	return nil
+}
+
+// addr parses an address string: "" is the zero Addr, a dotted quad is
+// parsed where it lies (it needs no unquoting), and anything else goes
+// to netip.ParseAddr.
+func (s *jsonScanner) addr(a *netip.Addr) error {
+	start := s.pos
+	if s.peek() == '"' {
+		if v4, n := ipv4Prefix(s.buf[start+1:]); n > 0 && start+1+n < len(s.buf) && s.buf[start+1+n] == '"' {
+			*a, s.pos = v4, start+n+2
+			return nil
+		}
+	}
+	b, err := s.str("a string")
+	if err != nil {
+		return err
+	}
+	if len(b) == 0 {
+		*a = netip.Addr{}
+	} else if *a, err = netip.ParseAddr(string(b)); err != nil {
+		return s.errorf(start, "%v", err)
+	}
+	return nil
+}
+
+// skip validates a value and drops it; level is the nesting of the
+// object or array that holds it.
 func (s *jsonScanner) skip(level int) error {
 	c := s.peek()
 	if (c == '{' || c == '[') && level >= maxJSONDepth {
 		return s.errorf(s.pos, "nesting deeper than %d", maxJSONDepth)
 	}
 	switch {
+	case c == 'n':
+		return s.consume("null", "null")
+	case c == '"':
+		_, err := s.str("a string")
+		return err
 	case c == 't':
 		return s.consume("true", "true")
 	case c == 'f':
 		return s.consume("false", "false")
 	case c == '{':
-		return s.object(nil, nil, level+1)
+		return s.object(nil, nil, 0, 0, level+1)
 	case c == '[':
 		s.pos++
 		for first := true; ; first = false {
 			more, err := s.next(first, ']')
 			if err == nil && more {
-				err = s.value(nil, level+1)
+				err = s.skip(level + 1)
 			}
 			if err != nil || !more {
 				return err
@@ -404,15 +541,17 @@ func (s *jsonScanner) unsigned(limit uint64) (uint64, error) {
 	return n, nil
 }
 
-// parseIPv4 parses the dotted quad netip.ParseAddr would accept — four
-// decimal octets, no leading zeros — and declines anything else.
-func parseIPv4(b []byte) (netip.Addr, bool) {
+// ipv4Prefix parses the dotted quad netip.ParseAddr would accept —
+// four decimal octets, no leading zeros — at the start of b, and
+// returns it with its length in b, or a length of 0 where b starts with
+// none.
+func ipv4Prefix(b []byte) (netip.Addr, int) {
 	var ip [4]byte
 	i := 0
 	for f := range ip {
 		if f > 0 {
 			if i >= len(b) || b[i] != '.' {
-				return netip.Addr{}, false
+				return netip.Addr{}, 0
 			}
 			i++
 		}
@@ -421,14 +560,11 @@ func parseIPv4(b []byte) (netip.Addr, bool) {
 			n = n*10 + int(b[i]-'0')
 		}
 		if i == start || n > 255 || (b[start] == '0' && i-start > 1) {
-			return netip.Addr{}, false
+			return netip.Addr{}, 0
 		}
 		ip[f] = byte(n)
 	}
-	if i != len(b) {
-		return netip.Addr{}, false
-	}
-	return netip.AddrFrom4(ip), true
+	return netip.AddrFrom4(ip), i
 }
 
 // str consumes a string and returns its contents unquoted: a subslice

@@ -91,6 +91,29 @@ func TestReferenceMirrorsTheWireStructs(t *testing.T) {
 	}
 }
 
+// The scanner's member loop expects each struct's keys in the order
+// WriteJSON writes them: a table out of order or out of date still
+// decodes (by name), only slower.
+func TestFieldTablesFollowTheWireStructs(t *testing.T) {
+	for _, tc := range []struct {
+		typ    reflect.Type
+		lo, hi int
+	}{
+		{reflect.TypeOf(Log{}), fStart, fTime},
+		{reflect.TypeOf(Event{}), fTime, fProto},
+		{reflect.TypeOf(FlowKey{}), fProto, numFields},
+	} {
+		var keys []string
+		for i := 0; i < tc.typ.NumField(); i++ {
+			name, _, _ := strings.Cut(tc.typ.Field(i).Tag.Get("json"), ",")
+			keys = append(keys, `"`+name+`":`)
+		}
+		if got := fieldKeys[tc.lo:tc.hi]; !reflect.DeepEqual(got, keys) {
+			t.Errorf("%v: field keys %q, from its struct tags %q", tc.typ, got, keys)
+		}
+	}
+}
+
 // jsonSample is a capture that exercises every field, an escaped and a
 // non-ASCII switch name (WriteJSON escapes '<'), and IPv6 addresses.
 func jsonSample() *Log {
@@ -184,7 +207,9 @@ func jsonGrammarSeeds(tb testing.TB) []string {
 }
 
 // FuzzReadJSON pins the tentpole contract: for any input the scanner
-// and the reflection decoder both fail, or both return the same log.
+// and the reflection decoder both fail, or both return the same log —
+// and so does a decode onto a recycled batch of stale events, which
+// holds fewer slots than some inputs have events.
 func FuzzReadJSON(f *testing.F) {
 	for _, s := range jsonGrammarSeeds(f) {
 		f.Add([]byte(s))
@@ -198,7 +223,78 @@ func FuzzReadJSON(f *testing.F) {
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("ReadJSON and encoding/json disagree:\n got %+v\nwant %+v", got, want)
 		}
+		recycled, err := ReadJSON(bytes.NewReader(data), staleEvents(3)[:0]...)
+		if (err == nil) != (gotErr == nil) {
+			t.Fatalf("ReadJSON onto a recycled batch: error %v, onto nil: %v", err, gotErr)
+		}
+		if err == nil && !reflect.DeepEqual(recycled, got) {
+			t.Fatalf("ReadJSON onto a recycled batch differs:\n got %+v\nwant %+v", recycled, got)
+		}
 	})
+}
+
+// staleEvents returns n events with every leaf field set: what a
+// recycled ingest batch holds before a decode writes it.
+func staleEvents(n int) []Event {
+	e := Event{
+		Time: 77, Type: EventPortStatus, Switch: "stale", DPID: 77,
+		Flow:   FlowKey{Proto: 77, Src: netip.AddrFrom4([4]byte{192, 0, 2, 77}), Dst: netip.AddrFrom4([4]byte{192, 0, 2, 78}), SrcPort: 77, DstPort: 77},
+		InPort: 77, OutPort: 77, Bytes: 77, Packets: 77, FlowDuration: 77, Reason: 77,
+	}
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = e
+	}
+	return evs
+}
+
+// eachLeaf calls f on every leaf field of v, a struct, by dotted name;
+// a netip.Addr counts as one leaf.
+func eachLeaf(v reflect.Value, prefix string, f func(name string, leaf reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		fv, name := v.Field(i), prefix+v.Type().Field(i).Name
+		if fv.Kind() == reflect.Struct && fv.Type() != reflect.TypeOf(netip.Addr{}) {
+			eachLeaf(fv, name+".", f)
+			continue
+		}
+		f(name, fv)
+	}
+}
+
+// A body that leaves out the omitempty fields and repeats "events"
+// decodes onto stale slots as onto nothing: each slot is zeroed when
+// first written, and a later "events" member still decodes over what
+// an earlier one left, in dst's storage while it fits.
+func TestReadJSONRecycledSlots(t *testing.T) {
+	eachLeaf(reflect.ValueOf(staleEvents(1)[0]), "", func(name string, leaf reflect.Value) {
+		if leaf.IsZero() {
+			t.Fatalf("staleEvents leaves Event.%s zero; a leak through it would go unseen", name)
+		}
+	})
+	const flow = `"flow":{"proto":6,"src":"10.0.0.1","dst":"10.0.0.2","srcPort":1,"dstPort":2}`
+	body := `{"start":1,"end":9,"events":[` +
+		`{"t":1,"type":"FlowRemoved","switch":"a",` + flow + `,"bytes":5,"packets":1},` +
+		`{"t":2,"type":"PacketIn","switch":"b",` + flow + `},` +
+		`{"t":3,"type":"FlowMod","switch":"c",` + flow + `,"outPort":2}],` +
+		`"events":[{"t":4,"type":"PacketIn","switch":"d",` + flow + `}],` +
+		`"events":[{"t":5},{"dpid":9},{},{},null]}`
+	want, err := readJSONReference(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slots := range []int{2, 5, 8} {
+		dst := staleEvents(slots)
+		got, err := ReadJSON(strings.NewReader(body), dst[:0]...)
+		if err != nil {
+			t.Fatalf("%d stale slots: %v", slots, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d stale slots:\n got %+v\nwant %+v", slots, got, want)
+		}
+		if inDst := &got.Events[0] == &dst[0]; inDst != (slots >= len(want.Events)) {
+			t.Errorf("%d stale slots for %d events: decoded in dst's storage = %v", slots, len(want.Events), inDst)
+		}
+	}
 }
 
 // Every field of every wire struct must be reachable under a key that
@@ -236,7 +332,7 @@ func TestReadJSONOwnsItsEvents(t *testing.T) {
 	first := new(Log)
 	s.body.Write(body)
 	s.buf = s.body.Bytes()
-	if err := s.value(first, 0); err != nil {
+	if err := s.log(first); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range [][]byte{s.buf[:cap(s.buf)], s.scratch[:cap(s.scratch)]} {
@@ -250,7 +346,7 @@ func TestReadJSONOwnsItsEvents(t *testing.T) {
 	s.body.Reset()
 	s.body.Write(sampleJSON(t, other))
 	s.buf, s.pos = s.body.Bytes(), 0
-	if err := s.value(new(Log), 0); err != nil {
+	if err := s.log(new(Log)); err != nil {
 		t.Fatal(err)
 	}
 	if want := jsonSample(); !reflect.DeepEqual(first, want) {
@@ -275,17 +371,28 @@ func TestReadJSONSteadyStateAllocs(t *testing.T) {
 	l := benchLog()
 	l.Events = l.Events[:250]
 	body := sampleJSON(t, l)
-	r := bytes.NewReader(body)
-	allocs := testing.AllocsPerRun(50, func() {
-		r.Reset(body)
-		if _, err := ReadJSON(r); err != nil {
-			t.Fatal(err)
+	batch := make([]Event, 0, len(l.Events))
+	for _, tc := range []struct {
+		name string
+		dst  []Event
+		max  float64
+	}{
+		// Measured 3 (the Log, its Events, one Switch name) + 15 %,
+		// rounded up; the reflection decoder took 1,529.
+		{"nil dst", nil, 4},
+		// Measured 2: the Events live in the recycled batch.
+		{"recycled dst", batch, 3},
+	} {
+		r := bytes.NewReader(body)
+		allocs := testing.AllocsPerRun(50, func() {
+			r.Reset(body)
+			if _, err := ReadJSON(r, tc.dst...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("warm 250-event decode, %s: %.0f allocations, want at most %.0f", tc.name, allocs, tc.max)
 		}
-	})
-	// Measured 3 (the Log, its Events, one Switch name) + 15 %, rounded
-	// up; the reflection decoder took 1,529.
-	if allocs > 4 {
-		t.Errorf("warm 250-event decode: %.0f allocations, want at most 4", allocs)
 	}
 }
 
@@ -338,10 +445,10 @@ func TestReadJSONReturnsReadErrors(t *testing.T) {
 	}
 }
 
-// benchRead times read over benchLog() as WriteJSON serializes it.
-func benchRead(b *testing.B, read func(io.Reader) (*Log, error)) {
+// benchRead times read over l as WriteJSON serializes it.
+func benchRead(b *testing.B, l *Log, read func(io.Reader) (*Log, error)) {
 	var buf bytes.Buffer
-	if err := benchLog().WriteJSON(&buf); err != nil {
+	if err := l.WriteJSON(&buf); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
@@ -354,8 +461,21 @@ func benchRead(b *testing.B, read func(io.Reader) (*Log, error)) {
 	}
 }
 
-func BenchmarkReadJSON(b *testing.B) { benchRead(b, ReadJSON) }
+// BenchmarkReadJSON decodes the 10,000-event benchLog() as a CLI load
+// does, and a 250-event body onto one recycled batch as each POST of
+// flowbench's stream_json_chunked does.
+func BenchmarkReadJSON(b *testing.B) {
+	b.Run("capture", func(b *testing.B) {
+		benchRead(b, benchLog(), func(r io.Reader) (*Log, error) { return ReadJSON(r) })
+	})
+	b.Run("post250_recycled", func(b *testing.B) {
+		l := benchLog()
+		l.Events = l.Events[:250]
+		batch := make([]Event, 0, len(l.Events))
+		benchRead(b, l, func(r io.Reader) (*Log, error) { return ReadJSON(r, batch...) })
+	})
+}
 
 // BenchmarkReadJSONReference is the decoder ReadJSON replaced, on the
-// same body.
-func BenchmarkReadJSONReference(b *testing.B) { benchRead(b, readJSONReference) }
+// capture BenchmarkReadJSON/capture reads.
+func BenchmarkReadJSONReference(b *testing.B) { benchRead(b, benchLog(), readJSONReference) }

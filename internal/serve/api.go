@@ -141,10 +141,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // only stops a hostile client from exhausting memory before decode.
 const maxBodyBytes = 1 << 30
 
-// decodeLog reads a request body in any of the three flow-log
-// serializations (colseg.ReadAnyInto), capped at maxBodyBytes. An FDC1
-// body decodes onto dst (see ReadAnyInto). ctx governs (and its obs
-// registry observes) a columnar decode.
+// decodeLog reads a request body in either flow-log serialization
+// (colseg.ReadAnyInto), capped at maxBodyBytes. Either body decodes
+// onto dst (see ReadAnyInto). ctx governs (and its obs registry
+// observes) a columnar decode.
 func decodeLog(ctx context.Context, r io.Reader, dst []flowlog.Event) (*flowlog.Log, error) {
 	return colseg.ReadAnyInto(ctx, io.LimitReader(r, maxBodyBytes), colseg.ReaderOptions{}, dst)
 }

@@ -100,8 +100,9 @@ type Server struct {
 	closed  bool
 
 	// batches recycles ingest batches (*[]flowlog.Event): the handler
-	// decodes an FDC1 body onto one, the queue carries it, and the
-	// tenant worker hands it back once Observe has copied every event.
+	// decodes a body of either format onto one, the queue carries it,
+	// and the tenant worker hands it back once Observe has copied every
+	// event.
 	batches sync.Pool
 
 	// wg joins the tenant workers; auxWg joins the GC loop and the

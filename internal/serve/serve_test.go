@@ -145,7 +145,7 @@ func fetchReports(t *testing.T, base, tenant string) []flowdiff.MonitorReport {
 
 // offlineReports is the oracle every served report history must equal:
 // an offline Monitor run over the capture's current events.
-func offlineReports(t *testing.T, res *flowdiff.ScenarioResult) []flowdiff.MonitorReport {
+func offlineReports(t *testing.T, res *flowdiff.ScenarioResult, events []flowlog.Event) []flowdiff.MonitorReport {
 	t.Helper()
 	mon, err := flowdiff.NewMonitor(context.Background(), res.L1, 10*time.Second, nil, flowdiff.Thresholds{}, res.Options())
 	if err != nil {
@@ -160,7 +160,7 @@ func offlineReports(t *testing.T, res *flowdiff.ScenarioResult) []flowdiff.Monit
 			reports = append(reports, *rep)
 		}
 	}
-	mon.ObserveBatch(context.Background(), res.L2.Events, keep)
+	mon.ObserveBatch(context.Background(), events, keep)
 	keep(mon.Flush(context.Background()))
 	if len(reports) == 0 {
 		t.Fatal("offline monitor produced no reports; the scenario is too quiet to pin equivalence")
@@ -203,7 +203,7 @@ func ingestAndFetch(t *testing.T, base, tenant, encoding string, res *flowdiff.S
 // equal to an offline Monitor run over the same events.
 func TestServeMatchesOfflineMonitor(t *testing.T) {
 	res := capture(t)
-	want := offlineReports(t, res)
+	want := offlineReports(t, res, res.L2.Events)
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Options = res.Options()
 		c.QueueBudget = len(res.L2.Events) + 1
@@ -231,7 +231,7 @@ func TestServeMatchesOfflineMonitor(t *testing.T) {
 // still reads back the offline Monitor's reports.
 func TestServeConcurrentFDC1Ingest(t *testing.T) {
 	res := capture(t)
-	want := offlineReports(t, res)
+	want := offlineReports(t, res, res.L2.Events)
 	_, ts := newTestServer(t, func(c *Config) {
 		c.Options = res.Options()
 		c.QueueBudget = len(res.L2.Events) + 1
@@ -252,6 +252,54 @@ func TestServeConcurrentFDC1Ingest(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestServeJSONOntoAnFDC1Batch: FDC1 writes every field of every event
+// it decodes, JSON leaves out the omitempty ones, and both decode onto
+// the same recycled ingest batches. Chunks alternate: FDC1 with the
+// capture's FlowRemoved counters, then JSON with every omitempty field
+// zero, each posted once the previous batch is back in the pool. No
+// counter an FDC1 chunk left in a slot may reach a JSON event: the
+// reports equal an offline Monitor fed the same events.
+func TestServeJSONOntoAnFDC1Batch(t *testing.T) {
+	res := capture(t)
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.Options = res.Options()
+		c.QueueBudget = len(res.L2.Events) + 1
+	})
+	putBaseline(t, ts.URL, "mixed", res.L1)
+	tn, ok := srv.tenant("mixed")
+	if !ok {
+		t.Fatal("tenant missing after PUT baseline")
+	}
+	events := append([]flowlog.Event(nil), res.L2.Events...)
+	const chunk = 400
+	for lo, n := 0, 0; lo < len(events); lo, n = lo+chunk, n+1 {
+		part, encoding := events[lo:min(lo+chunk, len(events))], "fdc1"
+		if n%2 == 1 {
+			encoding = "json"
+			for i := range part {
+				e := &part[i]
+				e.DPID, e.InPort, e.OutPort, e.Bytes, e.Packets, e.FlowDuration, e.Reason = 0, 0, 0, 0, 0, 0, 0
+			}
+		}
+		if code, _, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/mixed/events", encodings[encoding](t, &flowlog.Log{Events: part})); code != http.StatusAccepted {
+			t.Fatalf("POST %s chunk %d: status %d, body %s", encoding, n, code, body)
+		}
+		// The worker recycles the batch right after the queue drains.
+		for deadline := time.Now().Add(10 * time.Second); tn.status().QueueDepth > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("chunk %d still queued", n)
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code, _, body := do(t, http.MethodPost, ts.URL+"/v1/tenants/mixed/flush", nil); code != http.StatusOK {
+		t.Fatalf("flush: status %d, body %s", code, body)
+	}
+	if got, want := fetchReports(t, ts.URL, "mixed"), offlineReports(t, res, events); !reflect.DeepEqual(got, want) {
+		t.Errorf("served reports differ from the offline monitor run (%d vs %d reports)", len(got), len(want))
+	}
 }
 
 // TestBackpressureAtomicBatches pins the ingest contract: a batch that

@@ -143,10 +143,11 @@ mkdir -p bench/out
 # previous ceilings (113 / 0.420 from 98.2 / 0.3652; was 341.9 / 0.406)
 # and the next two workloads' were set when FDC1 ingest began decoding
 # onto recycled batches through pooled decode state and the flush began
-# indexing by interned flow and edge ids. stream_json_chunked, the text path: 506
-# and 0.885 from 440.1 / 0.7698 (was 502.6 / 0.814; reflection-based
-# ReadJSON was 1,396 / 6.85). read_beside_write, the store's read
-# direction, was lowered when reports moved into a per-tenant log served
+# indexing by interned flow and edge ids. stream_json_chunked, the text
+# path: 246 and 0.758 from 213.6 / 0.6590, lowered when JSON ingest
+# began decoding onto the recycled batches too (was 506 / 0.885 from
+# 440.1 / 0.7698; reflection-based ReadJSON was 1,396 / 6.85).
+# read_beside_write, the store's read direction, was lowered when reports moved into a per-tenant log served
 # from an in-memory index: 106 and 0.463 from 91.9 / 0.4028, the median
 # of five passes (89.0-95.9 / 0.393-0.419; was 135 / 0.530 from 117.4 /
 # 0.4604, and a list that re-parses every report, 384.6 / 1.053, fails
@@ -187,6 +188,10 @@ go test -run '^Fuzz' ./internal/flowlog/...
 # (decodeBlocksReference) on mutated captures, unfiltered and under
 # each time/host filter in queryCases.
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 20s ./internal/flowlog/colseg
+# The same for the JSON scanner: FuzzReadJSON holds ReadJSON to
+# encoding/json, decoding each input both onto nothing and onto a
+# recycled batch of stale events.
+go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 20s ./internal/flowlog
 # Named-test smokes. go test -run passes silently ("no tests to run")
 # when a name matches nothing, so a renamed test would quietly turn its
 # smoke into a no-op: each runs with -v and must print one PASS line
