@@ -99,8 +99,9 @@ type FlowStats struct {
 	Bytes    stats.Summary
 	Packets  stats.Summary
 	Duration stats.Summary
-	// BytesSamples retains the raw per-flow byte counts for CDF plots
-	// (Figure 9a).
+	// BytesSamples retains the raw per-flow byte counts, in log order,
+	// for CDF plots (Figure 9a): the one FS field that keeps samples,
+	// allocated once at the edge's FlowRemoved count (nil when none).
 	BytesSamples []float64
 }
 
@@ -245,26 +246,24 @@ func mergeGroupFS(g *FlowStats, fs FlowStats) {
 	g.Duration = g.Duration.Merge(fs.Duration)
 }
 
+// edgeStats folds an edge's FlowRemoved counters, in log order, into
+// its FS statistics; the byte counts are kept, in one exact-size slice,
+// and summarized from it.
 func edgeStats(starts []time.Duration, removed []removedSample) FlowStats {
 	fs := FlowStats{FlowCount: len(starts)}
 	if len(starts) > 0 {
 		fs.FirstSeen = slices.Min(starts)
 	}
-	var bytes, pkts, durs []float64
 	if len(removed) > 0 {
-		bytes = make([]float64, len(removed))
-		pkts = make([]float64, len(removed))
-		durs = make([]float64, len(removed))
+		fs.BytesSamples = make([]float64, len(removed))
 	}
+	var pkts, durs stats.Welford
 	for i, s := range removed {
-		bytes[i] = float64(s.Bytes)
-		pkts[i] = float64(s.Packets)
-		durs[i] = float64(s.Duration)
+		fs.BytesSamples[i] = float64(s.Bytes)
+		pkts.Add(float64(s.Packets))
+		durs.Add(float64(s.Duration))
 	}
-	fs.Bytes = stats.Summarize(bytes)
-	fs.Packets = stats.Summarize(pkts)
-	fs.Duration = stats.Summarize(durs)
-	fs.BytesSamples = bytes
+	fs.Bytes, fs.Packets, fs.Duration = stats.Summarize(fs.BytesSamples), pkts.Summary(), durs.Summary()
 	return fs
 }
 
@@ -315,13 +314,14 @@ func buildDDAndPC(sig *AppSignature, startsByEdge map[Edge][]time.Duration, meta
 	}
 	slices.SortFunc(pairs, ComparePairs)
 
+	var series []float64 // every pair's two epoch series, in turn
 	for _, p := range pairs {
 		ins := startsByEdge[p.In]
 		outs := startsByEdge[p.Out]
 		if dd, ok := delayDistribution(ins, outs, cfg); ok {
 			sig.DD[p] = dd
 		}
-		if pc, ok := edgeCorrelation(ins, outs, meta, cfg); ok {
+		if pc, ok := edgeCorrelation(ins, outs, meta, cfg, &series); ok {
 			sig.PC[p] = pc
 		}
 	}
@@ -330,7 +330,8 @@ func buildDDAndPC(sig *AppSignature, startsByEdge map[Edge][]time.Duration, meta
 // delayDistribution pairs each incoming flow start with all subsequent
 // outgoing flow starts within the window and histograms the deltas
 // (paper §III-B, DD). ins and outs are the two edges' occurrence starts;
-// outs must be in time order, as a pipeline's index is.
+// outs must be in time order, as a pipeline's index is. The buckets are
+// reserved once, for the longest delay the window and the starts admit.
 func delayDistribution(ins, outs []time.Duration, cfg Config) (DDSig, bool) {
 	if len(ins) == 0 || len(outs) == 0 {
 		return DDSig{}, false
@@ -338,6 +339,9 @@ func delayDistribution(ins, outs []time.Duration, cfg Config) (DDSig, bool) {
 	h, err := stats.NewHistogram(0, float64(cfg.DDBin))
 	if err != nil {
 		return DDSig{}, false
+	}
+	if longest := min(cfg.DDWindow, outs[len(outs)-1]-ins[0]); longest >= 0 {
+		h.Counts = make([]int, 0, int(float64(longest)/h.Width)+1)
 	}
 	samples := 0
 	for _, in := range ins {
@@ -362,8 +366,9 @@ func delayDistribution(ins, outs []time.Duration, cfg Config) (DDSig, bool) {
 }
 
 // edgeCorrelation computes the Pearson correlation between the two
-// edges' per-epoch flow-count time series (paper §III-B, PC).
-func edgeCorrelation(ins, outs []time.Duration, meta logMeta, cfg Config) (float64, bool) {
+// edges' per-epoch flow-count time series (paper §III-B, PC). Both
+// series are drawn from *scratch, grown only when it is too short.
+func edgeCorrelation(ins, outs []time.Duration, meta logMeta, cfg Config, scratch *[]float64) (float64, bool) {
 	// Round the epoch count up: a log whose duration is not an epoch
 	// multiple still contributes its tail remainder as a partial epoch
 	// instead of silently dropping every occurrence in it.
@@ -371,8 +376,11 @@ func edgeCorrelation(ins, outs []time.Duration, meta logMeta, cfg Config) (float
 	if nEpochs < 3 {
 		return 0, false
 	}
-	series := func(starts []time.Duration) []float64 {
-		s := make([]float64, nEpochs)
+	if len(*scratch) < 2*nEpochs {
+		*scratch = make([]float64, 2*nEpochs)
+	}
+	series := func(s []float64, starts []time.Duration) []float64 {
+		clear(s)
 		for _, start := range starts {
 			i := int((start - meta.Start) / cfg.PCEpoch)
 			if i == nEpochs && start == meta.End {
@@ -384,7 +392,8 @@ func edgeCorrelation(ins, outs []time.Duration, meta logMeta, cfg Config) (float
 		}
 		return s
 	}
-	r, err := stats.Pearson(series(ins), series(outs))
+	buf := *scratch
+	r, err := stats.Pearson(series(buf[:nEpochs], ins), series(buf[nEpochs:2*nEpochs], outs))
 	if err != nil {
 		return 0, false
 	}

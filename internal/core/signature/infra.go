@@ -49,19 +49,24 @@ type InfraSignature struct {
 	// CRT: controller response time distribution (FlowMod time - PacketIn
 	// time for the same switch within an occurrence).
 	CRT stats.Summary
-	// CRTSamples retains raw response times for CDFs and overload tests.
+	// CRTSamples retains raw response times, in occurrence order, for
+	// CDFs and overload tests (nil when there are none). It is allocated
+	// once, at the first sample, with room for one per FlowMod the
+	// build folded (each sample answers one), and never grown.
 	CRTSamples []float64
 }
 
-// hopAgg is what the infrastructure signature collects per switch pair.
+// hopAgg is what the infrastructure signature folds per switch pair:
+// the adjacency count and the running ISL statistics, no samples.
 type hopAgg struct {
 	adj int
-	isl []float64
+	isl stats.Welford
 }
 
 // buildInfra builds PT, ISL and CRT from the occurrences, edges[i]
-// being occs[i]'s host edge id into edgeAt (the source host of the vote).
-func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature {
+// being occs[i]'s host edge id into edgeAt (the source host of the
+// vote); flowMods, the FlowMod hops among them, bounds the CRT samples.
+func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge, flowMods int) InfraSignature {
 	inf := InfraSignature{
 		SwitchAdj:       make(map[SwitchPair]int),
 		HostAttach:      make(map[string]string),
@@ -69,7 +74,6 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature 
 		ISL:             make(map[SwitchPair]stats.Summary),
 	}
 	hops := make(map[SwitchPair]*hopAgg)
-	var crt []float64
 	votes := make(map[HostAttach]int)
 
 	for k := range occs {
@@ -91,7 +95,7 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature 
 					h.adj++
 					if prevFM != nil && prevFM.Switch == prevPI.Switch {
 						if d := e.Time - prevFM.Time; d >= 0 {
-							h.isl = append(h.isl, float64(d))
+							h.isl.Add(float64(d))
 						}
 					}
 				}
@@ -104,7 +108,10 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature 
 				if pendingPI != nil && e.Switch == pendingPI.Switch {
 					d := e.Time - pendingPI.Time
 					if d >= 0 {
-						crt = append(crt, float64(d))
+						if inf.CRTSamples == nil {
+							inf.CRTSamples = make([]float64, 0, flowMods)
+						}
+						inf.CRTSamples = append(inf.CRTSamples, float64(d))
 					}
 					pendingPI = nil
 				}
@@ -123,12 +130,11 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge) InfraSignature 
 	}
 	for p, h := range hops {
 		inf.SwitchAdj[p] = h.adj
-		if len(h.isl) > 0 {
-			inf.ISL[p] = stats.Summarize(h.isl)
+		if h.isl.Count() > 0 {
+			inf.ISL[p] = h.isl.Summary()
 		}
 	}
-	inf.CRT = stats.Summarize(crt)
-	inf.CRTSamples = crt
+	inf.CRT = stats.Summarize(inf.CRTSamples)
 	return inf
 }
 

@@ -145,7 +145,7 @@ func (p *Pipeline) startsByEdge() map[Edge][]time.Duration {
 // Infra builds the infrastructure signature from the shared occurrences.
 func (p *Pipeline) Infra() InfraSignature {
 	defer obs.Span(p.ctx, "signature.infra").End()
-	inf := buildInfra(p.occs, p.edges, p.agg.edgeAt)
+	inf := buildInfra(p.occs, p.edges, p.agg.edgeAt, p.agg.flowMods)
 	inf.LogDuration = p.agg.whole.meta.Duration()
 	return inf
 }

@@ -7,6 +7,7 @@ import (
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/flowlog"
+	"flowdiff/internal/obs"
 )
 
 func addr(last byte) netip.Addr { return netip.AddrFrom4([4]byte{10, 9, 0, last}) }
@@ -91,7 +92,7 @@ func TestEdgeCorrelationIncludesTailEpoch(t *testing.T) {
 		outs = append(outs, s+100*time.Millisecond)
 	}
 	cfg := Config{}.withDefaults()
-	pc, ok := edgeCorrelation(ins, outs, logMeta{Start: log.Start, End: log.End}, cfg)
+	pc, ok := edgeCorrelation(ins, outs, logMeta{Start: log.Start, End: log.End}, cfg, new([]float64))
 	if !ok {
 		t.Fatal("no PC computed: tail-epoch occurrences were dropped")
 	}
@@ -131,5 +132,73 @@ func TestPartitionByStartBoundaries(t *testing.T) {
 		if got := sliceStarts(index, m, i == len(metas)-1)[Edge{Src: "a", Dst: "b"}]; len(got) != len(parts[i]) || got[0] != parts[i][0].Start {
 			t.Errorf("interval %d: sliced starts %v disagree with partitionByStart (%d from %v)", i, got, len(parts[i]), parts[i][0].Start)
 		}
+	}
+}
+
+// windowLog is one Monitor window of an A->B->C chain: flows keys per
+// edge, each with episodes two-switch path setups two seconds apart,
+// every setup followed by its FlowRemoved.
+func windowLog(flows, episodes int) *flowlog.Log {
+	l := flowlog.New(0, 20*time.Second)
+	for ep := 0; ep < episodes; ep++ {
+		for f := 0; f < flows; f++ {
+			t0 := time.Duration(ep)*2*time.Second + time.Duration(f)*time.Millisecond
+			for hop, k := range []flowlog.FlowKey{
+				{Proto: 6, Src: addr(1), Dst: addr(2), SrcPort: uint16(1000 + f), DstPort: 80},
+				{Proto: 6, Src: addr(2), Dst: addr(3), SrcPort: uint16(2000 + f), DstPort: 3306},
+			} {
+				at := t0 + time.Duration(hop)*30*time.Millisecond
+				l.Append(flowlog.Event{Time: at, Type: flowlog.EventPacketIn, Switch: "sw1", Flow: k})
+				l.Append(flowlog.Event{Time: at + time.Millisecond, Type: flowlog.EventFlowMod, Switch: "sw1", Flow: k})
+				l.Append(flowlog.Event{Time: at + 2*time.Millisecond, Type: flowlog.EventPacketIn, Switch: "sw2", Flow: k})
+				l.Append(flowlog.Event{Time: at + 3*time.Millisecond, Type: flowlog.EventFlowMod, Switch: "sw2", Flow: k})
+				l.Append(flowlog.Event{Time: at + 500*time.Millisecond, Type: flowlog.EventFlowRemoved, Switch: "sw1", Flow: k,
+					Bytes: uint64(1000 * (ep + 1)), Packets: uint64(10 + f), FlowDuration: 400 * time.Millisecond})
+			}
+		}
+	}
+	l.Sort()
+	return l
+}
+
+// TestWindowBuildAllocsFlatInSamples builds the products of two windows
+// with the same flows and edges, one with 4x the FlowMod and FlowRemoved
+// samples, and requires the same allocation count: the window's
+// statistics are folded where they are met and each retained sample
+// field is allocated once, so no allocation grows with the samples.
+func TestWindowBuildAllocsFlatInSamples(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops group discovery's recycled scratch at random under the race detector")
+	}
+	// Collection off: a span's sample ring grows until it is full.
+	ctx := obs.WithRegistry(bg, nil)
+	build := func(episodes int) (float64, AppSignature, InfraSignature) {
+		log := windowLog(6, episodes)
+		x := NewStreamExtractor(0, appgroup.NewResolver(nil), 0, 0, 0)
+		feedAll(x, log.Events)
+		occs := x.Gather()
+		var app []AppSignature
+		var inf InfraSignature
+		allocs := testing.AllocsPerRun(20, func() {
+			p := NewPipelineFromOccurrencesContext(ctx, x, log.Start, log.End, Config{}, occs)
+			app, inf = p.App(), p.Infra()
+		})
+		if len(app) != 1 {
+			t.Fatalf("%d episodes: %d groups, want 1", episodes, len(app))
+		}
+		return allocs, app[0], inf
+	}
+	few, fewApp, fewInf := build(2)
+	many, manyApp, manyInf := build(8)
+	if len(manyInf.CRTSamples) != 4*len(fewInf.CRTSamples) || manyApp.GroupFS.Bytes.Count != 4*fewApp.GroupFS.Bytes.Count ||
+		manyInf.ISL[SwitchPair{"sw1", "sw2"}].Count != 4*fewInf.ISL[SwitchPair{"sw1", "sw2"}].Count || len(fewInf.CRTSamples) == 0 {
+		t.Fatalf("the larger window does not hold 4x the samples: CRT %d vs %d, bytes %d vs %d",
+			len(manyInf.CRTSamples), len(fewInf.CRTSamples), manyApp.GroupFS.Bytes.Count, fewApp.GroupFS.Bytes.Count)
+	}
+	if len(manyApp.DD) == 0 || len(manyApp.PC) == 0 {
+		t.Fatal("the window builds no DD or PC signature; the check would skip them")
+	}
+	if few != many {
+		t.Errorf("a window build allocates %v times with 4x the samples, %v without", many, few)
 	}
 }

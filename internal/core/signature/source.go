@@ -62,6 +62,8 @@ type sourceAgg struct {
 	whole  segAgg
 	r      *appgroup.Resolver
 	events int
+	// flowMods counts FlowMod events: the bound on CRT samples.
+	flowMods int
 	// edgeOf[id] is flow id's edge id, -1 until the flow is first folded.
 	// seen holds stride flags per flow: [0] a PacketIn was folded, [1+i]
 	// a PacketIn was in stability interval i.
@@ -206,7 +208,7 @@ func (a *sourceAgg) finish() {
 }
 
 func (a *sourceAgg) reset() {
-	a.events = 0
+	a.events, a.flowMods = 0, 0
 	a.edgeOf, a.seen = a.edgeOf[:0], a.seen[:0]
 	clear(a.edgeIDs)
 	a.edgeAt = a.edgeAt[:0]

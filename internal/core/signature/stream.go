@@ -118,6 +118,7 @@ func (x *StreamExtractor) Add(e *flowlog.Event) {
 		x.agg.packetIn(id, &e.Flow, e.Time)
 		x.appendID(id, e)
 	case flowlog.EventFlowMod:
+		x.agg.flowMods++
 		x.appendID(x.intern(&e.Flow), e)
 	case flowlog.EventFlowRemoved:
 		x.agg.flowRemoved(x.intern(&e.Flow), e)

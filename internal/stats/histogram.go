@@ -65,48 +65,31 @@ type Peak struct {
 	Frac   float64 // fraction of total observations in the bucket
 }
 
-// Peaks returns local maxima of the histogram whose normalized frequency is
-// at least minFrac, ordered by descending frequency. A bucket is a local
-// maximum when its count is >= both neighbours (edges compare against the
-// single existing neighbour). FlowDiff uses the dominant peaks of the
-// inter-flow delay distribution as the DD signature.
-func (h *Histogram) Peaks(minFrac float64) []Peak {
+// DominantPeak returns the histogram's highest local maximum, or
+// ok=false when the histogram is empty. A bucket is a local maximum when
+// its count is >= both neighbours (an edge bucket compares against its
+// single neighbour); among equal counts the lowest bucket wins. FlowDiff
+// uses the dominant peak of the inter-flow delay distribution as the DD
+// signature. One scan, no allocation.
+func (h *Histogram) DominantPeak() (Peak, bool) {
 	if h.total == 0 {
-		return nil
+		return Peak{}, false
 	}
-	var peaks []Peak
+	best, bestC := -1, 0
 	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		frac := float64(c) / float64(h.total)
-		if frac < minFrac {
+		if c <= bestC {
 			continue
 		}
 		leftOK := i == 0 || h.Counts[i-1] <= c
 		rightOK := i == len(h.Counts)-1 || h.Counts[i+1] <= c
 		if leftOK && rightOK {
-			peaks = append(peaks, Peak{Bucket: i, Value: h.BucketCenter(i), Frac: frac})
+			best, bestC = i, c
 		}
 	}
-	sort.Slice(peaks, func(a, b int) bool {
-		//lint:ignore floatcmp comparator tie-break: both fracs derive from the same counts, so exact bit equality is the correct tie test
-		if peaks[a].Frac != peaks[b].Frac {
-			return peaks[a].Frac > peaks[b].Frac
-		}
-		return peaks[a].Bucket < peaks[b].Bucket
-	})
-	return peaks
-}
-
-// DominantPeak returns the highest-frequency peak, or ok=false when the
-// histogram is empty.
-func (h *Histogram) DominantPeak() (Peak, bool) {
-	ps := h.Peaks(0)
-	if len(ps) == 0 {
+	if best < 0 {
 		return Peak{}, false
 	}
-	return ps[0], true
+	return Peak{Bucket: best, Value: h.BucketCenter(best), Frac: float64(bestC) / float64(h.total)}, true
 }
 
 // CDFPoint is one point of an empirical CDF: Fraction of observations <= X.

