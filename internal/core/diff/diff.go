@@ -127,6 +127,8 @@ type Baseline struct {
 	edges   map[signature.Edge]bool
 	groupOf map[topology.NodeID]int
 	inf     signature.InfraSignature
+	// ciMax is the most edges any CI node has: half the χ² scratch.
+	ciMax int
 	// adj, hosts and isl are inf's SwitchAdj, HostAttach and ISL keys,
 	// sorted.
 	adj, isl []signature.SwitchPair
@@ -175,6 +177,9 @@ func Prepare(apps []signature.AppSignature, infra signature.InfraSignature, stab
 		for _, n := range s.Group.Nodes {
 			b.groupOf[n] = i
 		}
+		for _, ci := range s.CI {
+			b.ciMax = max(b.ciMax, len(ci.Edges))
+		}
 	}
 	return b
 }
@@ -197,15 +202,28 @@ func (b *Baseline) compare(cur []signature.AppSignature, curInf signature.InfraS
 	th = th.withDefaults()
 	var changes []Change
 
+	// A baseline group is compared against every current group, each
+	// key looked up in the group that owns it: when a failed hub
+	// fragments a group, the surviving edges and nodes live in other
+	// (unmatched) groups. added is every current edge new to the whole
+	// baseline, sorted: a fragment's edges are not new communication.
+	c := current{sigs: cur, groupOf: make(map[topology.NodeID]int)}
 	curGroups := make([]appgroup.Group, len(cur))
+	var added []signature.Edge
 	for i, s := range cur {
 		curGroups[i] = s.Group
+		c.dur = max(c.dur, s.LogDuration)
+		for _, n := range s.Group.Nodes {
+			c.groupOf[n] = i
+		}
+		for e := range s.CG {
+			if !b.edges[e] {
+				added = append(added, e)
+			}
+		}
 	}
-	// Each baseline group is compared against the union of all current
-	// signatures: when a failed hub fragments a group, the surviving
-	// edges and nodes live in other (unmatched) groups, and comparing
-	// only group-to-group would misreport them as gone.
-	curUnion, added := b.union(cur)
+	slices.SortFunc(added, signature.CompareEdges)
+	added = slices.Compact(added)
 	// Each baseline group reports the new edges that touch its members,
 	// in sorted order; an edge between two groups is reported by both.
 	fresh := make([][]signature.Edge, len(b.groups))
@@ -219,6 +237,7 @@ func (b *Baseline) compare(cur []signature.AppSignature, curInf signature.InfraS
 		}
 	}
 
+	scratch := make([]float64, 2*b.ciMax)
 	for _, pair := range appgroup.Match(b.match, curGroups) {
 		switch {
 		case pair.Base < 0:
@@ -232,7 +251,7 @@ func (b *Baseline) compare(cur []signature.AppSignature, curInf signature.InfraS
 				Components:  nodeStrings(g.sig.Group.Nodes),
 			})
 		default:
-			changes = append(changes, compareGroup(&b.groups[pair.Base], curUnion, fresh[pair.Base], th)...)
+			changes = append(changes, compareGroup(&b.groups[pair.Base], &c, fresh[pair.Base], th, scratch)...)
 		}
 	}
 
@@ -287,69 +306,50 @@ func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
 	return out
 }
 
-// union merges the per-group signatures of one log into a single view
-// (groups partition nodes, so the merge has no collisions). It also
-// returns the view's CG edges that are new to the whole baseline,
-// sorted: the union of baseline edges distinguishes genuinely new
-// communication from group fragmentation (a failed hub splits one group
-// into several; the fragments' edges are not new).
-func (b *Baseline) union(sigs []signature.AppSignature) (signature.AppSignature, []signature.Edge) {
-	var nCG, nFS, nCI, nDD, nPC int
-	for _, s := range sigs {
-		nCG, nFS, nCI, nDD, nPC = nCG+len(s.CG), nFS+len(s.FS), nCI+len(s.CI), nDD+len(s.DD), nPC+len(s.PC)
-	}
-	u := signature.AppSignature{
-		CG: make(map[signature.Edge]bool, nCG),
-		FS: make(map[signature.Edge]signature.FlowStats, nFS),
-		CI: make(map[topology.NodeID]signature.CISig, nCI),
-		DD: make(map[signature.EdgePair]signature.DDSig, nDD),
-		PC: make(map[signature.EdgePair]float64, nPC),
-	}
-	var added []signature.Edge
-	for _, s := range sigs {
-		if s.LogDuration > u.LogDuration {
-			u.LogDuration = s.LogDuration
-		}
-		for e := range s.CG {
-			if !u.CG[e] && !b.edges[e] {
-				added = append(added, e)
-			}
-			u.CG[e] = true
-		}
-		for e, fs := range s.FS {
-			u.FS[e] = fs
-		}
-		for n, ci := range s.CI {
-			u.CI[n] = ci
-		}
-		for p, dd := range s.DD {
-			u.DD[p] = dd
-		}
-		for p, pc := range s.PC {
-			u.PC[p] = pc
-		}
-	}
-	slices.SortFunc(added, signature.CompareEdges)
-	return u, added
+// current is the window side of a comparison: its signatures, the one
+// that holds each member node (groups partition the nodes), and the
+// longest interval among them.
+type current struct {
+	sigs    []signature.AppSignature
+	groupOf map[topology.NodeID]int
+	dur     time.Duration
 }
 
-// compareGroup diffs one baseline group against c, the union of the
-// current signatures; fresh is the union's new edges touching the group.
-func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge, th Thresholds) []Change {
+// noGroup answers every lookup no current group owns: its maps are nil.
+var noGroup signature.AppSignature
+
+// of returns the signature of the group holding a, else b's. A node is
+// of(n, n); an edge is its non-special endpoint's, of(Src, Dst); an
+// edge pair is its in-edge's.
+func (c *current) of(a, b topology.NodeID) *signature.AppSignature {
+	i, ok := c.groupOf[a]
+	if !ok {
+		i, ok = c.groupOf[b]
+	}
+	if !ok {
+		return &noGroup
+	}
+	return &c.sigs[i]
+}
+
+// compareGroup diffs one baseline group against the current signatures;
+// fresh is their new edges touching the group. scratch backs the χ²
+// test's two slices: twice the baseline's largest CI.
+func compareGroup(g *baseGroup, c *current, fresh []signature.Edge, th Thresholds, scratch []float64) []Change {
 	var out []Change
 	b, st, gk := g.sig, g.st, g.key
 
 	// CG: graph diff (skipped when the baseline CG itself was unstable).
 	if st == nil || st.CGStable {
 		for _, e := range g.edges {
-			if c.CG[e] {
+			if c.of(e.Src, e.Dst).CG[e] {
 				continue
 			}
 			// A rarely used edge can be absent from a short interval by
 			// chance: its expected occurrence count must be meaningful.
 			expected := float64(b.FS[e].FlowCount)
-			if b.LogDuration > 0 && c.LogDuration > 0 {
-				expected *= c.LogDuration.Seconds() / b.LogDuration.Seconds()
+			if b.LogDuration > 0 && c.dur > 0 {
+				expected *= c.dur.Seconds() / b.LogDuration.Seconds()
 			}
 			if expected < float64(th.MinFlows) {
 				continue
@@ -367,7 +367,7 @@ func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge
 				Group:       gk,
 				Description: fmt.Sprintf("new edge %s", e),
 				Components:  []string{string(e.Src), string(e.Dst)},
-				At:          c.FS[e].FirstSeen,
+				At:          c.of(e.Src, e.Dst).FS[e].FirstSeen,
 			})
 		}
 	}
@@ -384,8 +384,10 @@ func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge
 		if !ok || len(ref.Edges) == 0 {
 			continue
 		}
-		got := c.CI[node]
-		obs := make([]float64, len(ref.Edges))
+		got := c.of(node, node).CI[node]
+		n := len(ref.Edges)
+		obs, expected := scratch[:n:n], scratch[n:2*n:2*n]
+		clear(obs)
 		var curTotal float64
 		for i, e := range ref.Edges {
 			for j, ge := range got.Edges {
@@ -399,7 +401,6 @@ func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge
 		if int(curTotal) < th.MinFlows {
 			continue // not enough current observations to judge
 		}
-		expected := make([]float64, len(ref.Edges))
 		for i, f := range ref.Fractions {
 			expected[i] = f * curTotal
 		}
@@ -422,7 +423,7 @@ func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge
 		if st != nil && !st.DDPairs[p] {
 			continue
 		}
-		got, ok := c.DD[p]
+		got, ok := c.of(p.In.Src, p.In.Dst).DD[p]
 		if !ok || got.Samples < th.MinFlows || ref.Samples < th.MinFlows {
 			continue
 		}
@@ -445,7 +446,7 @@ func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge
 		if st != nil && !st.PCPairs[p] {
 			continue
 		}
-		got, ok := c.PC[p]
+		got, ok := c.of(p.In.Src, p.In.Dst).PC[p]
 		if !ok {
 			continue
 		}
@@ -464,7 +465,7 @@ func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge
 
 	// FS: per-edge mean bytes and flow rate.
 	for _, e := range g.edges {
-		bf, cf := b.FS[e], c.FS[e]
+		bf, cf := b.FS[e], c.of(e.Src, e.Dst).FS[e]
 		if bf.Bytes.Count >= th.MinFlows && cf.Bytes.Count >= th.MinFlows {
 			slack := th.FSSigma * bf.Bytes.StdDev
 			if floor := th.FSMinRel * bf.Bytes.Mean; slack < floor {
@@ -481,12 +482,12 @@ func compareGroup(g *baseGroup, c signature.AppSignature, fresh []signature.Edge
 				})
 			}
 		}
-		if bf.FlowCount >= th.MinFlows && b.LogDuration > 0 && c.LogDuration > 0 {
+		if bf.FlowCount >= th.MinFlows && b.LogDuration > 0 && c.dur > 0 {
 			br := float64(bf.FlowCount) / b.LogDuration.Seconds()
-			cr := float64(cf.FlowCount) / c.LogDuration.Seconds()
+			cr := float64(cf.FlowCount) / c.dur.Seconds()
 			// Beyond the relative threshold, the raw count difference must
 			// clear Poisson noise on the expected count.
-			expected := br * c.LogDuration.Seconds()
+			expected := br * c.dur.Seconds()
 			noiseOK := math.Abs(float64(cf.FlowCount)-expected) > th.FSNoiseSigma*math.Sqrt(expected)
 			if relDelta(cr, br) > th.FSFactor && noiseOK {
 				out = append(out, Change{

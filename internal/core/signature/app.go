@@ -3,6 +3,7 @@ package signature
 import (
 	"cmp"
 	"context"
+	"maps"
 	"slices"
 	"time"
 
@@ -101,7 +102,8 @@ type FlowStats struct {
 	Duration stats.Summary
 	// BytesSamples retains the raw per-flow byte counts, in log order,
 	// for CDF plots (Figure 9a): the one FS field that keeps samples,
-	// allocated once at the edge's FlowRemoved count (nil when none).
+	// exactly the edge's FlowRemoved count (nil when none), cut from one
+	// slab per build and capped so an append cannot reach a neighbour.
 	BytesSamples []float64
 }
 
@@ -164,11 +166,12 @@ type removedSample struct {
 
 // appView is everything the per-group signature builds consume besides
 // the occurrences: the covered interval and the FlowRemoved counter
-// samples per host edge, in log order. sourceAgg produces one for the
-// whole log and one per stability interval.
+// samples per host edge id, in log order. sourceAgg produces one for
+// the whole log and one per stability interval.
 type appView struct {
 	meta    logMeta
-	removed map[Edge][]removedSample
+	ids     map[Edge]int32
+	samples [][]removedSample
 }
 
 // sliceStarts narrows an index to the occurrences starting inside seg:
@@ -191,46 +194,66 @@ func sliceStarts(starts map[Edge][]time.Duration, seg logMeta, last bool) map[Ed
 	return out
 }
 
-// buildAppFromStarts builds one signature per group; the builds share
-// startsByEdge and the view's removed map read-only. Cancellation stops
-// the loop; the public entry points surface ctx.Err() after the build
-// and discard a canceled pipeline's products.
-func buildAppFromStarts(ctx context.Context, view appView, cfg Config, startsByEdge map[Edge][]time.Duration, groups []appgroup.Group) []AppSignature {
+// buildAppFromStarts builds one signature per group into st; the builds
+// share startsByEdge and the view's samples read-only. Cancellation
+// stops the loop; the public entry points surface ctx.Err() after the
+// build and discard a canceled pipeline's products.
+func buildAppFromStarts(ctx context.Context, view appView, cfg Config, startsByEdge map[Edge][]time.Duration, groups []appgroup.Group, st *modelStore) []AppSignature {
 	if len(groups) == 0 {
 		return nil
 	}
-	out := make([]AppSignature, len(groups))
+	out := resize(st.sigs, len(groups))
+	st.sigs = out
+	st.samples.used, st.ciEdges.used, st.ciVals.used, st.hists.used, st.buckets.used = 0, 0, 0, 0, 0
+	// Room for every sample up front: a fresh store allocates it exactly.
+	n := 0
+	for _, v := range view.samples {
+		n += len(v)
+	}
+	if len(st.samples.buf) < n {
+		st.samples.buf = make([]float64, n+len(st.samples.buf)/4)
+	}
 	reg := obs.From(ctx)
 	for i, g := range groups {
 		if ctx.Err() != nil {
 			break
 		}
 		sp := reg.Span("signature.group_build")
-		out[i] = buildGroupSig(g, view, cfg, startsByEdge)
+		buildGroupSig(&out[i], g, view, cfg, startsByEdge, st)
 		sp.End()
 	}
 	return out
 }
 
-func buildGroupSig(g appgroup.Group, view appView, cfg Config, startsByEdge map[Edge][]time.Duration) AppSignature {
-	sig := AppSignature{
+// buildGroupSig builds group g's signature into sig, reusing its maps.
+func buildGroupSig(sig *AppSignature, g appgroup.Group, view appView, cfg Config, startsByEdge map[Edge][]time.Duration, st *modelStore) {
+	*sig = AppSignature{
 		Group:       g,
 		LogDuration: view.meta.Duration(),
-		CG:          make(map[Edge]bool),
-		FS:          make(map[Edge]FlowStats),
-		CI:          make(map[topology.NodeID]CISig),
-		DD:          make(map[EdgePair]DDSig),
-		PC:          make(map[EdgePair]float64),
+		CG:          cleared(sig.CG, len(g.Edges)),
+		FS:          sig.FS,
+		CI:          cleared(sig.CI, len(g.Nodes)),
+		DD:          cleared(sig.DD, 0),
+		PC:          cleared(sig.PC, 0),
+	}
+	if sig.FS == nil {
+		sig.FS = make(map[Edge]FlowStats, len(g.Edges))
 	}
 	for _, e := range g.Edges {
 		sig.CG[e] = true
-		fs := edgeStats(startsByEdge[e], view.removed[e])
+		var removed []removedSample
+		if id, ok := view.ids[e]; ok && int(id) < len(view.samples) {
+			removed = view.samples[id]
+		}
+		fs := edgeStats(startsByEdge[e], removed, &st.samples)
 		sig.FS[e] = fs
 		mergeGroupFS(&sig.GroupFS, fs)
 	}
-	buildCI(&sig)
-	buildDDAndPC(&sig, startsByEdge, view.meta, cfg)
-	return sig
+	// FS is not cleared: a FlowStats is stored out of line, one
+	// allocation per key inserted, so only the edges gone are deleted.
+	maps.DeleteFunc(sig.FS, func(e Edge, _ FlowStats) bool { return !sig.CG[e] })
+	buildCI(sig, st)
+	buildDDAndPC(sig, startsByEdge, view.meta, cfg, st)
 }
 
 // mergeGroupFS folds one edge's statistics into the group-level
@@ -247,15 +270,15 @@ func mergeGroupFS(g *FlowStats, fs FlowStats) {
 }
 
 // edgeStats folds an edge's FlowRemoved counters, in log order, into
-// its FS statistics; the byte counts are kept, in one exact-size slice,
-// and summarized from it.
-func edgeStats(starts []time.Duration, removed []removedSample) FlowStats {
+// its FS statistics; the byte counts are kept, in one exact-size piece
+// of samples, and summarized from it.
+func edgeStats(starts []time.Duration, removed []removedSample, samples *slab[float64]) FlowStats {
 	fs := FlowStats{FlowCount: len(starts)}
 	if len(starts) > 0 {
 		fs.FirstSeen = slices.Min(starts)
 	}
 	if len(removed) > 0 {
-		fs.BytesSamples = make([]float64, len(removed))
+		fs.BytesSamples = samples.cut(len(removed))
 	}
 	var pkts, durs stats.Welford
 	for i, s := range removed {
@@ -271,26 +294,28 @@ func edgeStats(starts []time.Duration, removed []removedSample) FlowStats {
 // adjacent edge (paper: "number of flows on each incoming or outgoing
 // edge ... normalized to the total number of communications to and from
 // the node").
-func buildCI(sig *AppSignature) {
+func buildCI(sig *AppSignature, st *modelStore) {
 	for _, node := range sig.Group.Nodes {
-		var edges []Edge
-		for e := range sig.CG {
+		edges := st.edgeBuf[:0]
+		for _, e := range sig.Group.Edges {
 			if e.Src == node || e.Dst == node {
 				edges = append(edges, e)
 			}
 		}
+		st.edgeBuf = edges
 		if len(edges) == 0 {
 			continue
 		}
 		slices.SortFunc(edges, CompareEdges)
-		ci := CISig{Edges: edges}
+		n := len(edges)
+		ci := CISig{Edges: st.ciEdges.cut(n), Counts: st.ciVals.cut(n), Fractions: st.ciVals.cut(n)}
+		copy(ci.Edges, edges)
 		total := 0.0
-		for _, e := range edges {
-			c := float64(sig.FS[e].FlowCount)
-			ci.Counts = append(ci.Counts, c)
-			total += c
+		for i, e := range edges {
+			ci.Counts[i] = float64(sig.FS[e].FlowCount)
+			total += ci.Counts[i]
 		}
-		ci.Fractions = make([]float64, len(ci.Counts))
+		clear(ci.Fractions)
 		if total > 0 {
 			for i, c := range ci.Counts {
 				ci.Fractions[i] = c / total
@@ -302,26 +327,26 @@ func buildCI(sig *AppSignature) {
 
 // buildDDAndPC computes the delay distribution and partial correlation
 // for every adjacent edge pair (A->B, B->C) of the group.
-func buildDDAndPC(sig *AppSignature, startsByEdge map[Edge][]time.Duration, meta logMeta, cfg Config) {
+func buildDDAndPC(sig *AppSignature, startsByEdge map[Edge][]time.Duration, meta logMeta, cfg Config, st *modelStore) {
 	// Adjacent pairs share node B.
-	var pairs []EdgePair
-	for in := range sig.CG {
-		for out := range sig.CG {
+	pairs := st.pairs[:0]
+	for _, in := range sig.Group.Edges {
+		for _, out := range sig.Group.Edges {
 			if in.Dst == out.Src && in.Src != out.Dst {
 				pairs = append(pairs, EdgePair{In: in, Out: out})
 			}
 		}
 	}
 	slices.SortFunc(pairs, ComparePairs)
+	st.pairs = pairs
 
-	var series []float64 // every pair's two epoch series, in turn
 	for _, p := range pairs {
 		ins := startsByEdge[p.In]
 		outs := startsByEdge[p.Out]
-		if dd, ok := delayDistribution(ins, outs, cfg); ok {
+		if dd, ok := delayDistribution(ins, outs, cfg, st); ok {
 			sig.DD[p] = dd
 		}
-		if pc, ok := edgeCorrelation(ins, outs, meta, cfg, &series); ok {
+		if pc, ok := edgeCorrelation(ins, outs, meta, cfg, &st.series); ok {
 			sig.PC[p] = pc
 		}
 	}
@@ -331,17 +356,14 @@ func buildDDAndPC(sig *AppSignature, startsByEdge map[Edge][]time.Duration, meta
 // outgoing flow starts within the window and histograms the deltas
 // (paper §III-B, DD). ins and outs are the two edges' occurrence starts;
 // outs must be in time order, as a pipeline's index is. The buckets are
-// reserved once, for the longest delay the window and the starts admit.
-func delayDistribution(ins, outs []time.Duration, cfg Config) (DDSig, bool) {
-	if len(ins) == 0 || len(outs) == 0 {
+// cut once, for the longest delay the window and the starts admit.
+func delayDistribution(ins, outs []time.Duration, cfg Config, st *modelStore) (DDSig, bool) {
+	if len(ins) == 0 || len(outs) == 0 || cfg.DDBin <= 0 {
 		return DDSig{}, false
 	}
-	h, err := stats.NewHistogram(0, float64(cfg.DDBin))
-	if err != nil {
-		return DDSig{}, false
-	}
+	h := stats.Histogram{Width: float64(cfg.DDBin)}
 	if longest := min(cfg.DDWindow, outs[len(outs)-1]-ins[0]); longest >= 0 {
-		h.Counts = make([]int, 0, int(float64(longest)/h.Width)+1)
+		h.Counts = st.buckets.cut(int(float64(longest)/h.Width) + 1)[:0]
 	}
 	samples := 0
 	for _, in := range ins {
@@ -362,7 +384,9 @@ func delayDistribution(ins, outs []time.Duration, cfg Config) (DDSig, bool) {
 		return DDSig{}, false
 	}
 	peak, _ := h.DominantPeak()
-	return DDSig{Histogram: h, Peak: peak, Samples: samples}, true
+	kept := &st.hists.cut(1)[0]
+	*kept = h
+	return DDSig{Histogram: kept, Peak: peak, Samples: samples}, true
 }
 
 // edgeCorrelation computes the Pearson correlation between the two

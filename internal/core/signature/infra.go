@@ -50,9 +50,10 @@ type InfraSignature struct {
 	// time for the same switch within an occurrence).
 	CRT stats.Summary
 	// CRTSamples retains raw response times, in occurrence order, for
-	// CDFs and overload tests (nil when there are none). It is allocated
-	// once, at the first sample, with room for one per FlowMod the
-	// build folded (each sample answers one), and never grown.
+	// CDFs and overload tests (nil when there are none). Its array has
+	// room for one per FlowMod the build folded (each sample answers
+	// one) and is never grown; a Monitor window reuses the last
+	// window's when it has room.
 	CRTSamples []float64
 }
 
@@ -63,18 +64,22 @@ type hopAgg struct {
 	isl stats.Welford
 }
 
-// buildInfra builds PT, ISL and CRT from the occurrences, edges[i]
-// being occs[i]'s host edge id into edgeAt (the source host of the
-// vote); flowMods, the FlowMod hops among them, bounds the CRT samples.
-func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge, flowMods int) InfraSignature {
+// buildInfra builds PT, ISL and CRT from the occurrences into st,
+// st.edges[i] being occs[i]'s host edge id into edgeAt (the source host
+// of the vote); flowMods, the FlowMod hops among them, bounds the CRT
+// samples.
+func buildInfra(occs []Occurrence, edgeAt []Edge, flowMods int, st *modelStore) InfraSignature {
 	inf := InfraSignature{
-		SwitchAdj:       make(map[SwitchPair]int),
-		HostAttach:      make(map[string]string),
-		HostAttachCount: make(map[string]int),
-		ISL:             make(map[SwitchPair]stats.Summary),
+		SwitchAdj:       cleared(st.inf.SwitchAdj, 0),
+		HostAttach:      cleared(st.inf.HostAttach, 0),
+		HostAttachCount: cleared(st.inf.HostAttachCount, 0),
+		ISL:             cleared(st.inf.ISL, 0),
 	}
-	hops := make(map[SwitchPair]*hopAgg)
-	votes := make(map[HostAttach]int)
+	votes, ids, hops := cleared(st.votes, 0), cleared(st.ids, 0), st.hops[:0]
+	if cap(st.crt) < flowMods {
+		st.crt = make([]float64, 0, flowMods)
+	}
+	crt := st.crt[:0]
 
 	for k := range occs {
 		o := &occs[k]
@@ -87,11 +92,13 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge, flowMods int) I
 			case e.PacketIn:
 				if prevPI != nil && e.Switch != prevPI.Switch {
 					p := SwitchPair{prevPI.Switch, e.Switch}
-					h := hops[p]
-					if h == nil {
-						h = new(hopAgg)
-						hops[p] = h
+					id, ok := ids[p]
+					if !ok {
+						id = int32(len(hops))
+						ids[p] = id
+						hops = append(hops, hopAgg{})
 					}
+					h := &hops[id]
 					h.adj++
 					if prevFM != nil && prevFM.Switch == prevPI.Switch {
 						if d := e.Time - prevFM.Time; d >= 0 {
@@ -100,7 +107,7 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge, flowMods int) I
 					}
 				}
 				if prevPI == nil {
-					votes[HostAttach{Host: string(edgeAt[edges[k]].Src), Switch: e.Switch}]++
+					votes[HostAttach{Host: string(edgeAt[st.edges[k]].Src), Switch: e.Switch}]++
 				}
 				prevPI = e
 				pendingPI = e
@@ -108,10 +115,7 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge, flowMods int) I
 				if pendingPI != nil && e.Switch == pendingPI.Switch {
 					d := e.Time - pendingPI.Time
 					if d >= 0 {
-						if inf.CRTSamples == nil {
-							inf.CRTSamples = make([]float64, 0, flowMods)
-						}
-						inf.CRTSamples = append(inf.CRTSamples, float64(d))
+						crt = append(crt, float64(d))
 					}
 					pendingPI = nil
 				}
@@ -128,13 +132,18 @@ func buildInfra(occs []Occurrence, edges []int32, edgeAt []Edge, flowMods int) I
 			inf.HostAttach[v.Host] = v.Switch
 		}
 	}
-	for p, h := range hops {
+	for p, id := range ids {
+		h := &hops[id]
 		inf.SwitchAdj[p] = h.adj
 		if h.isl.Count() > 0 {
 			inf.ISL[p] = h.isl.Summary()
 		}
 	}
+	if len(crt) > 0 {
+		inf.CRTSamples = crt
+	}
 	inf.CRT = stats.Summarize(inf.CRTSamples)
+	st.inf, st.crt, st.votes, st.ids, st.hops = inf, crt, votes, ids, hops
 	return inf
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"flowdiff/internal/core/appgroup"
 	"flowdiff/internal/obs"
+	"flowdiff/internal/stats"
 )
 
 // Pipeline is FlowDiff's one modeling path: every signature product of
@@ -25,35 +26,84 @@ import (
 // signature.* counters). After cancellation the pipeline's products are
 // partial; callers observe ctx.Err() and must discard them —
 // flowdiff.BuildSignaturesReader does exactly that.
+//
+// App and Infra refill the storage of the last build on the extractor
+// the pipeline came from. A one-shot build's extractor is fresh, so its
+// caller owns the products; a Monitor window's live until the next build.
 type Pipeline struct {
 	ctx  context.Context
 	agg  *sourceAgg
+	m    *modelStore
 	cfg  Config
 	occs []Occurrence
-	// edges[i] is occs[i]'s host edge id: the products index by id and
-	// never hash a key again.
-	edges []int32
 	// groups caches application-group discovery for the whole log;
 	// hasGroups distinguishes "not discovered yet" from "discovered
 	// (possibly empty)". Monitor seeds it across windows via SetGroups.
 	groups    []appgroup.Group
 	hasGroups bool
-	// starts indexes the occurrences' start times by host edge; built
-	// by App, sliced per interval by Stability.
-	starts map[Edge][]time.Duration
 	// runs back a streamed build's occurrence hops until Release.
 	runs []*eventChunk
 }
 
-func newPipeline(ctx context.Context, agg *sourceAgg, cfg Config, occs []Occurrence, flows []int32, runs []*eventChunk) *Pipeline {
+// modelStore is an extractor's last build (see Pipeline): its products,
+// refilled in place, the slabs their slices are cut from, and scratch.
+type modelStore struct {
+	// edges: occurrence edge ids; off and slab: the start index's sort.
+	edges, off []int32
+	slab       []time.Duration
+	starts     map[Edge][]time.Duration
+	sigs       []AppSignature
+	// samples cuts BytesSamples, ciVals CISig.Counts and Fractions.
+	samples, ciVals slab[float64]
+	ciEdges         slab[Edge]
+	hists           slab[stats.Histogram]
+	buckets         slab[int]
+	edgeBuf         []Edge
+	pairs           []EdgePair
+	// inf's maps and crt back Infra; hops[ids[p]] is switch pair p's fold.
+	series, crt []float64
+	inf         InfraSignature
+	votes       map[HostAttach]int
+	ids         map[SwitchPair]int32
+	hops        []hopAgg
+}
+
+// slab cuts pieces capped at their length from one array, so an append
+// cannot reach a neighbour; a short array is replaced by one at least
+// twice as long, and the pieces already cut keep the old.
+type slab[T any] struct {
+	buf  []T
+	used int
+}
+
+func (s *slab[T]) cut(n int) []T {
+	if s.used+n > len(s.buf) {
+		s.buf, s.used = make([]T, max(n, 2*len(s.buf))), 0
+	}
+	s.used += n
+	return s.buf[s.used-n : s.used : s.used]
+}
+
+// cleared empties m for reuse, or makes it with room for n.
+func cleared[K comparable, V any](m map[K]V, n int) map[K]V {
+	if m == nil {
+		return make(map[K]V, n)
+	}
+	clear(m)
+	return m
+}
+
+func newPipeline(ctx context.Context, x *StreamExtractor, cfg Config, occs []Occurrence, flows []int32, runs []*eventChunk) *Pipeline {
 	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
 	// The fold has each flow's edge id; a flow it never saw (FlowMods
-	// only) is resolved here. Then every flow id indexes agg.edgeOf.
-	edges := make([]int32, len(occs))
+	// only) is resolved here. Then every flow id indexes agg.edgeOf, and
+	// the products index by edge id and never hash a key again.
+	agg, m := x.agg, &x.model
+	m.edges = resize(m.edges, len(occs))
 	for i := range occs {
-		edges[i], _ = agg.edge(flows[i], &occs[i].Key)
+		m.edges[i], _ = agg.edge(flows[i], &occs[i].Key)
 	}
-	return &Pipeline{ctx: ctx, agg: agg, cfg: cfg, occs: occs, edges: edges, runs: runs}
+	return &Pipeline{ctx: ctx, agg: agg, m: m, cfg: cfg, occs: occs, runs: runs}
 }
 
 // Release hands a streamed build's hop storage back to the pool once
@@ -103,49 +153,49 @@ func (p *Pipeline) SetGroups(groups []appgroup.Group) {
 }
 
 // App builds the per-group application signatures from the shared
-// occurrences.
+// occurrences, into the extractor's model (see the type comment).
 func (p *Pipeline) App() []AppSignature {
 	defer obs.Span(p.ctx, "signature.app").End()
-	return buildAppFromStarts(p.ctx, appView{meta: p.agg.whole.meta, removed: p.agg.whole.removed}, p.cfg, p.startsByEdge(), p.Groups())
+	return buildAppFromStarts(p.ctx, appView{p.agg.whole.meta, p.agg.edgeIDs, p.agg.whole.samples}, p.cfg, p.startsByEdge(), p.Groups(), p.m)
 }
 
 // startsByEdge indexes the occurrences' start times by host edge, in
 // occurrence (hence time) order — all the per-edge builds read of them:
 // a counting sort by edge id into one slab, then one map entry per
-// distinct edge.
+// distinct edge, rebuilt into the model by each App and Stability.
 func (p *Pipeline) startsByEdge() map[Edge][]time.Duration {
-	if p.starts != nil {
-		return p.starts
-	}
-	n := len(p.agg.edgeAt)
+	m, n := p.m, len(p.agg.edgeAt)
 	// off[e] becomes edge e's first slab slot, then, once filled, its end.
-	off := make([]int32, n+1)
-	for _, e := range p.edges {
+	m.off = resize(m.off, n+1)
+	off := m.off
+	clear(off)
+	for _, e := range m.edges {
 		off[e+1]++
 	}
 	for e := 1; e <= n; e++ {
 		off[e] += off[e-1]
 	}
-	slab := make([]time.Duration, len(p.edges))
-	for i, e := range p.edges {
-		slab[off[e]] = p.occs[i].Start
+	m.slab = resize(m.slab, len(m.edges))
+	for i, e := range m.edges {
+		m.slab[off[e]] = p.occs[i].Start
 		off[e]++
 	}
-	p.starts = make(map[Edge][]time.Duration, n)
+	m.starts = cleared(m.starts, n)
 	lo := int32(0)
 	for e, hi := range off[:n] {
 		if hi > lo {
-			p.starts[p.agg.edgeAt[e]] = slab[lo:hi:hi]
+			m.starts[p.agg.edgeAt[e]] = m.slab[lo:hi:hi]
 			lo = hi
 		}
 	}
-	return p.starts
+	return m.starts
 }
 
-// Infra builds the infrastructure signature from the shared occurrences.
+// Infra builds the infrastructure signature from the shared
+// occurrences, into the extractor's model (see the type comment).
 func (p *Pipeline) Infra() InfraSignature {
 	defer obs.Span(p.ctx, "signature.infra").End()
-	inf := buildInfra(p.occs, p.edges, p.agg.edgeAt, p.agg.flowMods)
+	inf := buildInfra(p.occs, p.agg.edgeAt, p.agg.flowMods, p.m)
 	inf.LogDuration = p.agg.whole.meta.Duration()
 	return inf
 }
@@ -181,7 +231,7 @@ func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[str
 		}
 		sa := &p.agg.segs[i]
 		groups := appgroup.DiscoverFromEdges(sa.edges, p.cfg.Special)
-		intervals[i] = buildAppFromStarts(p.ctx, appView{meta: sa.meta, removed: sa.removed}, p.cfg, sliceStarts(starts, sa.meta, i == n-1), groups)
+		intervals[i] = buildAppFromStarts(p.ctx, appView{sa.meta, p.agg.edgeIDs, sa.samples}, p.cfg, sliceStarts(starts, sa.meta, i == n-1), groups, new(modelStore))
 	}
 	return Stabilities(full, intervals, scfg), nil
 }

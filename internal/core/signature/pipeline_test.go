@@ -68,7 +68,7 @@ func TestDelayDistributionZeroDelay(t *testing.T) {
 		10*time.Second + 5*time.Millisecond, // delay 5ms, same bucket
 		10*time.Second + 2*cfg.DDWindow,     // outside the window
 	}
-	dd, ok := delayDistribution(ins, outs, cfg)
+	dd, ok := delayDistribution(ins, outs, cfg, new(modelStore))
 	if !ok {
 		t.Fatal("no DD built")
 	}

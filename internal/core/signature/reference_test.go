@@ -148,17 +148,20 @@ func edgesReference(log *flowlog.Log, r *appgroup.Resolver) map[Edge]int {
 // viewFromLogReference scans a log once for the per-edge FlowRemoved
 // samples.
 func viewFromLogReference(log *flowlog.Log, r *appgroup.Resolver) appView {
-	v := appView{
-		meta:    logMeta{Start: log.Start, End: log.End},
-		removed: make(map[Edge][]removedSample),
-	}
+	v := appView{meta: logMeta{Start: log.Start, End: log.End}, ids: make(map[Edge]int32)}
 	for i := range log.Events {
 		ev := &log.Events[i]
 		if ev.Type != flowlog.EventFlowRemoved {
 			continue
 		}
 		e := Edge{Src: r.Node(ev.Flow.Src), Dst: r.Node(ev.Flow.Dst)}
-		v.removed[e] = append(v.removed[e], removedSample{Bytes: ev.Bytes, Packets: ev.Packets, Duration: ev.FlowDuration})
+		id, ok := v.ids[e]
+		if !ok {
+			id = int32(len(v.samples))
+			v.ids[e] = id
+			v.samples = append(v.samples, nil)
+		}
+		v.samples[id] = append(v.samples[id], removedSample{Bytes: ev.Bytes, Packets: ev.Packets, Duration: ev.FlowDuration})
 	}
 	return v
 }
@@ -303,7 +306,7 @@ func (pr *pipelineReference) Stability(scfg StabilityConfig, full []AppSignature
 // occurrences, indexing them from scratch — what every build did before
 // the pipeline shared one index across the whole log and its intervals.
 func buildAppFromGroups(ctx context.Context, view appView, r *appgroup.Resolver, cfg Config, occs []Occurrence, groups []appgroup.Group) []AppSignature {
-	return buildAppFromStarts(ctx, view, cfg, indexStartsReference(occs, r), groups)
+	return buildAppFromStarts(ctx, view, cfg, indexStartsReference(occs, r), groups, new(modelStore))
 }
 
 // partitionByStart slices occs (sorted by start time) into per-segment

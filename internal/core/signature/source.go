@@ -56,8 +56,7 @@ func (s *logSource) Bounds() (start, end time.Duration) { return s.log.Start, s.
 // flow's dense id (the extractor's one hash), the flow's host edge is
 // resolved and interned when the flow is first folded — once per flow,
 // not twice per event — and every "seen" set is a flag row indexed by
-// flow id. Samples collect per edge id; finish, after the last event,
-// hands them to the removed maps the builds consume.
+// flow id. Samples collect per edge id, which the builds look up.
 type sourceAgg struct {
 	whole  segAgg
 	r      *appgroup.Resolver
@@ -87,7 +86,6 @@ type segAgg struct {
 	meta    logMeta
 	edges   map[Edge]int
 	samples [][]removedSample // by edge id
-	removed map[Edge][]removedSample
 }
 
 func newSegAgg(start, end time.Duration) segAgg {
@@ -99,15 +97,6 @@ func (s *segAgg) sample(eid int32, v removedSample) {
 		s.samples = append(s.samples, nil)
 	}
 	s.samples[eid] = append(s.samples[eid], v)
-}
-
-func (s *segAgg) finish(edgeAt []Edge) {
-	s.removed = make(map[Edge][]removedSample, len(s.samples))
-	for eid, v := range s.samples {
-		if len(v) > 0 {
-			s.removed[edgeAt[eid]] = v
-		}
-	}
 }
 
 func (s *segAgg) reset() {
@@ -198,15 +187,6 @@ func (a *sourceAgg) flowRemoved(id int32, e *flowlog.Event) {
 	}
 }
 
-// finish closes the fold: the samples become the removed maps. A
-// canceled Monitor flush keeps folding and finishes again on retry.
-func (a *sourceAgg) finish() {
-	a.whole.finish(a.edgeAt)
-	for i := range a.segs {
-		a.segs[i].finish(a.edgeAt)
-	}
-}
-
 func (a *sourceAgg) reset() {
 	a.events, a.flowMods = 0, 0
 	a.edgeOf, a.seen = a.edgeOf[:0], a.seen[:0]
@@ -242,25 +222,24 @@ func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgr
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(ctx, x.agg, cfg, x.g.occs, x.g.flows, x.g.runs), nil
+	return newPipeline(ctx, x, cfg, x.g.occs, x.g.flows, x.g.runs), nil
 }
 
 // NewPipelineFromOccurrencesContext builds the pipeline of one Monitor
 // window, [start, end], from the extractor that observed it and occs,
 // that extractor's Gather (whose flow ids it reads beside them): there
 // is no extraction pass and no event log. The window's events were
-// folded as they were added; this only finishes the fold. The pipeline
+// folded as they were added. The pipeline
 // aliases the extractor's pooled memory and its fold; the caller resets
-// the extractor only when it is done with the pipeline.
+// the extractor only when it is done with the pipeline. Its products
+// reuse the last window's storage and live until the next build.
 func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, cfg Config, occs []Occurrence) *Pipeline {
 	x.agg.whole.meta = logMeta{Start: start, End: end}
-	x.agg.finish()
-	return newPipeline(ctx, x.agg, cfg.withDefaults(), occs, x.g.flows[:len(occs)], nil)
+	return newPipeline(ctx, x, cfg.withDefaults(), occs, x.g.flows[:len(occs)], nil)
 }
 
-// extractFromSource drains the source into x, one Add per event, then
-// finishes the fold and gathers into x.g, whose runs the pipeline takes
-// over. The arena goes back to the pool on every path.
+// extractFromSource drains the source into x, one Add per event, and gathers
+// into x.g, whose runs the pipeline takes; the arena returns on every path.
 func extractFromSource(ctx context.Context, src EventSource, x *StreamExtractor) error {
 	defer func() { x.arena = releaseChunks(x.arena) }()
 	for {
@@ -278,7 +257,6 @@ func extractFromSource(ctx context.Context, src EventSource, x *StreamExtractor)
 			return err
 		}
 	}
-	x.agg.finish()
 	x.Gather()
 	return nil
 }

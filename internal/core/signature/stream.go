@@ -67,7 +67,8 @@ type StreamExtractor struct {
 	agg *sourceAgg
 
 	// g is Gather's output, owned by the extractor until Reset.
-	g gatherer
+	g     gatherer
+	model modelStore // the last build's products, until the next build
 }
 
 // gatherer holds one gather's output: runs back the occurrences' Hops

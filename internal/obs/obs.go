@@ -34,6 +34,7 @@ package obs
 import (
 	"context"
 	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +53,8 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// spans holds the "span."-prefixed hists by bare span name.
+	spans map[string]*Histogram
 }
 
 // New creates an empty registry reading time.Now.
@@ -61,6 +64,7 @@ func New() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		spans:    make(map[string]*Histogram),
 	}
 }
 
@@ -177,6 +181,7 @@ func (r *Registry) Remove(names ...string) {
 		delete(r.counters, name)
 		delete(r.gauges, name)
 		delete(r.hists, name)
+		delete(r.spans, strings.TrimPrefix(name, SpanPrefix)) // at worst a span cache miss
 	}
 }
 

@@ -114,6 +114,30 @@ func TestSpanUsesInjectedClock(t *testing.T) {
 	}
 }
 
+// TestWarmSpanAllocatesNothing pins the span fast path: a span is a
+// value, and a registry that has seen the name finds its histogram
+// without building "span." + name. Removing the histogram drops the
+// lookup too, so the next span records into a fresh one.
+func TestWarmSpanAllocatesNothing(t *testing.T) {
+	r := New()
+	// Fill the histogram's sample ring first: it grows until full.
+	for range histKeep {
+		r.Span("x").End()
+	}
+	if got := testing.AllocsPerRun(100, func() { r.Span("x").End() }); got != 0 {
+		t.Errorf("warm span allocates %v times, want 0", got)
+	}
+	var off *Registry
+	if got := testing.AllocsPerRun(100, func() { off.Span("x").End() }); got != 0 {
+		t.Errorf("disabled span allocates %v times, want 0", got)
+	}
+	r.Remove(SpanPrefix + "x")
+	r.Span("x").End()
+	if got := r.Histogram(SpanPrefix + "x").Count(); got != 1 {
+		t.Errorf("span after Remove: histogram count %d, want 1", got)
+	}
+}
+
 func TestSnapshotAndExpvarString(t *testing.T) {
 	r := New()
 	r.Counter("a").Add(7)

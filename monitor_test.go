@@ -1096,8 +1096,8 @@ func TestMonitorFlushSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops recycled chunks at random under the race detector")
 	}
 	const (
-		flushAllocCeiling = 164     // measured 143, + 15 %; with per-link byte attribution 146, re-sorting the baseline side every window 178
-		flushBytesCeiling = 131_200 // measured 114,104, + 15 %; with per-link byte attribution 122,056, keyed by FlowKey 499,480
+		flushAllocCeiling = 33    // measured 29, + 15 %; allocating each window's model anew 103, before the statistics were folded 143, with per-link byte attribution 146, re-sorting the baseline side every window 178
+		flushBytesCeiling = 3_120 // measured 2,720, + 15 %; allocating each window's model anew 51,136, before the statistics were folded 114,104, with per-link byte attribution 122,056, keyed by FlowKey 499,480
 	)
 	// No collection while measuring: one would empty the pool mid-run.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -1111,7 +1111,11 @@ func TestMonitorFlushSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	// A registry of its own: the span histograms' sample rings grow as
+	// they fill, and the Default registry's fill with every test before
+	// this one, so only a fresh registry grows them at the same windows
+	// in any test order.
+	ctx := obs.WithRegistry(context.Background(), obs.New())
 	var worst, worstBytes uint64
 	for w := 0; w < 6; w++ {
 		from := baseline.End + time.Duration(w)*window
@@ -1398,4 +1402,182 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	if cuts < 50 {
 		t.Fatalf("only %d cuts", cuts)
 	}
+}
+
+// TestMonitorRecycledModelMatchesOneShot holds every window model a
+// long-running Monitor builds into the last window's storage to a
+// one-shot BuildSignatures of the window's events: the application and
+// infrastructure products, not just the reports. The stream runs a
+// healthy stretch into an application crash, so the group set changes
+// and some window holds fewer groups, edges and FlowRemoved samples
+// than the one before, which a recycled map or slab that kept stale
+// entries would show. Each one-shot product is then wrecked, and the
+// next window must still match: the two own no storage in common,
+// which the test also checks map by map and slice by slice.
+func TestMonitorRecycledModelMatchesOneShot(t *testing.T) {
+	res, err := RunScenario(Scenario{Seed: 301, Faults: []faults.Injector{faults.AppCrash{Host: "S3"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, opts := context.Background(), res.Options()
+	// The baseline is L1's first half; the stream is its second half,
+	// then the crash.
+	mid := (res.L1.Start + res.L1.End) / 2
+	baseline := flowlog.New(res.L1.Start, mid)
+	var stream []flowlog.Event
+	for _, e := range res.L1.Events {
+		if e.Time < mid {
+			baseline.Append(e)
+		} else {
+			stream = append(stream, e)
+		}
+	}
+	stream = append(stream, res.L2.Events...)
+	m, err := NewMonitor(ctx, baseline, 20*time.Second, nil, Thresholds{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type size struct{ groups, edges, samples int }
+	var prev size
+	var windows, groupChanges, shrinks int
+	var prevKeys string
+	check := func(to time.Duration, inclusive bool) {
+		occs := m.ex.Gather()
+		if len(occs) < m.minOcc {
+			return
+		}
+		got, err := m.signaturesFor(ctx, to, occs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := flowlog.New(m.start, to)
+		for _, e := range stream {
+			if e.Time >= m.start && (e.Time < to || inclusive && e.Time == to) {
+				wl.Append(e)
+			}
+		}
+		want, err := BuildSignatures(ctx, wl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Apps, want.Apps) {
+			t.Errorf("window [%v, %v]: recycled application signatures differ from a one-shot build", m.start, to)
+		}
+		if !reflect.DeepEqual(got.Infra, want.Infra) {
+			t.Errorf("window [%v, %v]: recycled infrastructure signature differs from a one-shot build", m.start, to)
+		}
+		mine := storage(got)
+		for p := range storage(want) {
+			if mine[p] {
+				t.Fatalf("window [%v, %v]: the recycled and the one-shot model share storage", m.start, to)
+			}
+		}
+		cur := size{groups: len(got.Apps)}
+		keys := ""
+		for _, a := range got.Apps {
+			keys += a.Group.Key() + ";"
+			cur.edges += len(a.CG)
+			for _, fs := range a.FS {
+				cur.samples += len(fs.BytesSamples)
+			}
+		}
+		if windows > 0 {
+			if keys != prevKeys {
+				groupChanges++
+			}
+			if cur.groups < prev.groups && cur.edges < prev.edges && cur.samples < prev.samples {
+				shrinks++
+			}
+		}
+		windows, prev, prevKeys = windows+1, cur, keys
+		wreck(want)
+	}
+	for _, e := range stream {
+		if e.Time >= m.next && m.ex.Events() > 0 {
+			check(m.next, false)
+		}
+		if _, err := m.Observe(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(m.end, true)
+	if rep, err := m.Flush(ctx); rep == nil || err != nil {
+		t.Fatalf("final flush: report %v, err %v", rep, err)
+	}
+	t.Logf("%d windows, %d group-set changes, %d shrinking windows", windows, groupChanges, shrinks)
+	if windows < 10 || groupChanges == 0 || shrinks == 0 {
+		t.Fatalf("%d windows, %d group-set changes, %d shrinking windows: the stream exercises too little", windows, groupChanges, shrinks)
+	}
+}
+
+// storage returns the address of every map, array and histogram a
+// signature build returned.
+func storage(s *Signatures) map[uintptr]bool {
+	out := make(map[uintptr]bool)
+	add := func(v any) {
+		if p := reflect.ValueOf(v).Pointer(); p != 0 {
+			out[p] = true
+		}
+	}
+	add(s.Apps)
+	for _, a := range s.Apps {
+		add(a.CG)
+		add(a.FS)
+		add(a.CI)
+		add(a.DD)
+		add(a.PC)
+		for _, fs := range a.FS {
+			add(fs.BytesSamples)
+		}
+		for _, ci := range a.CI {
+			add(ci.Edges)
+			add(ci.Counts)
+			add(ci.Fractions)
+		}
+		for _, dd := range a.DD {
+			add(dd.Histogram)
+			add(dd.Histogram.Counts)
+		}
+	}
+	add(s.Infra.SwitchAdj)
+	add(s.Infra.HostAttach)
+	add(s.Infra.HostAttachCount)
+	add(s.Infra.ISL)
+	add(s.Infra.CRTSamples)
+	return out
+}
+
+// wreck overwrites everything a signature build returns.
+func wreck(s *Signatures) {
+	for i := range s.Apps {
+		a := &s.Apps[i]
+		for _, fs := range a.FS {
+			for j := range fs.BytesSamples {
+				fs.BytesSamples[j] = -1
+			}
+		}
+		for _, ci := range a.CI {
+			clear(ci.Edges)
+			for j := range ci.Counts {
+				ci.Counts[j], ci.Fractions[j] = -1, -1
+			}
+		}
+		for _, dd := range a.DD {
+			for j := range dd.Histogram.Counts {
+				dd.Histogram.Counts[j] = -1
+			}
+		}
+		clear(a.CG)
+		clear(a.FS)
+		clear(a.CI)
+		clear(a.DD)
+		clear(a.PC)
+	}
+	for j := range s.Infra.CRTSamples {
+		s.Infra.CRTSamples[j] = -1
+	}
+	clear(s.Infra.SwitchAdj)
+	clear(s.Infra.HostAttach)
+	clear(s.Infra.HostAttachCount)
+	clear(s.Infra.ISL)
 }

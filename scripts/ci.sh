@@ -138,23 +138,29 @@ mkdir -p bench/out
 # (lines of "<workload> <metric> <ceiling>") must verify against its
 # oracle and stay under the committed ceilings — the measured values of
 # the change that last lowered them, plus 15 %. All four were lowered
-# when the window's statistics began to be folded where the signature
-# build meets them (Welford accumulators for ISL and the FlowRemoved
-# counters; each retained sample field allocated once):
-# stream_fdc1 50 B/event and 0.203 allocs/event from 43.1 / 0.1765 (was
-# 76 / 0.299 from 66.2 / 0.2598, set when a Monitor began comparing every
-# window against a baseline side prepared once; 113 / 0.420 before that,
-# and 341.9 / 0.406 before FDC1 ingest decoded onto recycled batches).
-# stream_json_chunked, the text path: 223 and 0.665 from 193.3 / 0.5778
-# (was 246 / 0.758, set when JSON ingest began decoding onto the
-# recycled batches; reflection-based ReadJSON was 1,396 / 6.85).
-# read_beside_write, the store's read direction: 66 and 0.286 from
-# 57.0 / 0.2486 (was 106 / 0.463, set when reports moved into a
-# per-tenant log served from an in-memory index; a list that re-parses
-# every report, 384.6 / 1.053, fails the allocs ceiling by far).
-# offline_compare, the batch build path with no serve in it: 135 and
-# 0.100 from 116.9 / 0.0863 (was 166 / 0.139, set when occurrences began
-# carrying 32-byte hops and a streamed build began handing its chunks
+# when a Monitor window began to be modeled into the last window's
+# storage (recycled signature maps and slabs, a diff that looks keys up
+# instead of merging the current groups, allocation-free spans):
+# stream_fdc1 18 B/event and 0.073 allocs/event from 15.7 / 0.0632, the
+# highest of four passes (they read 14.5-15.7 B/event; was
+# 50 / 0.203 from 43.1 / 0.1765, set when the window's statistics began
+# to be folded where the signature build meets them; 76 / 0.299 before
+# that, 113 / 0.420 before a Monitor compared against a baseline side
+# prepared once, and 341.9 / 0.406 before FDC1 ingest decoded onto
+# recycled batches).
+# stream_json_chunked, the text path: 192 and 0.536 from 167.1 / 0.4660
+# (was 223 / 0.665 from 193.3 / 0.5778; 246 / 0.758 before JSON ingest
+# decoded onto the recycled batches; reflection-based ReadJSON was
+# 1,396 / 6.85).
+# read_beside_write, the store's read direction: 34 and 0.147 from
+# 29.2 / 0.1280 (was 66 / 0.286 from 57.0 / 0.2486; 106 / 0.463 before
+# reports moved into a per-tenant log served from an in-memory index; a
+# list that re-parses every report, 384.6 / 1.053, fails the allocs
+# ceiling by far).
+# offline_compare, the batch build path with no serve in it: 134 and
+# 0.074 from 116.2 / 0.0639 (was 135 / 0.100 from 116.9 / 0.0863; 166 /
+# 0.139 before occurrences carried 32-byte hops and a streamed build
+# handed its chunks
 # back to the pool; 403 before that). Only the
 # allocation metrics are gated: they repeat to under 0.5 % on one host
 # and toolchain, the timings (echoed below) do not.
