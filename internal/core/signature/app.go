@@ -177,13 +177,14 @@ type appView struct {
 // sliceStarts narrows an index to the occurrences starting inside seg:
 // every per-edge list is in time order, so an interval's share of it is
 // a subslice. The last segment includes its end, so an episode starting
-// exactly at the log's End is not lost (as in sourceAgg.segIndex).
-func sliceStarts(starts map[Edge][]time.Duration, seg logMeta, last bool) map[Edge][]time.Duration {
+// exactly at the log's End is not lost (as in sourceAgg.segIndex). The
+// result refills dst.
+func sliceStarts(starts map[Edge][]time.Duration, seg logMeta, last bool, dst map[Edge][]time.Duration) map[Edge][]time.Duration {
 	to := seg.End
 	if last {
 		to++
 	}
-	out := make(map[Edge][]time.Duration, len(starts))
+	out := cleared(dst, len(starts))
 	for e, all := range starts {
 		lo, _ := slices.BinarySearch(all, seg.Start)
 		hi, _ := slices.BinarySearch(all, to)

@@ -28,8 +28,9 @@ import (
 // flowdiff.BuildSignaturesReader does exactly that.
 //
 // App and Infra refill the storage of the last build on the extractor
-// the pipeline came from. A one-shot build's extractor is fresh, so its
-// caller owns the products; a Monitor window's live until the next build.
+// the pipeline came from. A one-shot build's extractor is pooled, and
+// Release detaches that storage before pooling it, so its caller owns
+// the products; a Monitor window's live until the next build.
 type Pipeline struct {
 	ctx  context.Context
 	agg  *sourceAgg
@@ -41,31 +42,40 @@ type Pipeline struct {
 	// (possibly empty)". Monitor seeds it across windows via SetGroups.
 	groups    []appgroup.Group
 	hasGroups bool
-	// runs back a streamed build's occurrence hops until Release.
-	runs []*eventChunk
+	// own is a one-shot build's extractor, pooled again by Release.
+	own *StreamExtractor
 }
 
 // modelStore is an extractor's last build (see Pipeline): its products,
 // refilled in place, the slabs their slices are cut from, and scratch.
 type modelStore struct {
+	modelOut
 	// edges: occurrence edge ids; off and slab: the start index's sort.
 	edges, off []int32
 	slab       []time.Duration
 	starts     map[Edge][]time.Duration
-	sigs       []AppSignature
-	// samples cuts BytesSamples, ciVals CISig.Counts and Fractions.
+	edgeBuf    []Edge
+	pairs      []EdgePair
+	series     []float64
+	// hops[ids[p]] is switch pair p's fold.
+	votes map[HostAttach]int
+	ids   map[SwitchPair]int32
+	hops  []hopAgg
+	// ivs build the stability intervals' models, which nothing keeps.
+	ivs []modelStore
+}
+
+// modelOut is the storage the products alias: the signatures, the slabs
+// their slices are cut from, and inf's maps and crt, which back Infra.
+// samples cuts BytesSamples, ciVals CISig.Counts and Fractions.
+type modelOut struct {
+	sigs            []AppSignature
 	samples, ciVals slab[float64]
 	ciEdges         slab[Edge]
 	hists           slab[stats.Histogram]
 	buckets         slab[int]
-	edgeBuf         []Edge
-	pairs           []EdgePair
-	// inf's maps and crt back Infra; hops[ids[p]] is switch pair p's fold.
-	series, crt []float64
-	inf         InfraSignature
-	votes       map[HostAttach]int
-	ids         map[SwitchPair]int32
-	hops        []hopAgg
+	crt             []float64
+	inf             InfraSignature
 }
 
 // slab cuts pieces capped at their length from one array, so an append
@@ -93,7 +103,7 @@ func cleared[K comparable, V any](m map[K]V, n int) map[K]V {
 	return m
 }
 
-func newPipeline(ctx context.Context, x *StreamExtractor, cfg Config, occs []Occurrence, flows []int32, runs []*eventChunk) *Pipeline {
+func newPipeline(ctx context.Context, x *StreamExtractor, cfg Config, occs []Occurrence, flows []int32) *Pipeline {
 	obs.From(ctx).Counter("signature.occurrences").Add(int64(len(occs)))
 	// The fold has each flow's edge id; a flow it never saw (FlowMods
 	// only) is resolved here. Then every flow id indexes agg.edgeOf, and
@@ -103,15 +113,27 @@ func newPipeline(ctx context.Context, x *StreamExtractor, cfg Config, occs []Occ
 	for i := range occs {
 		m.edges[i], _ = agg.edge(flows[i], &occs[i].Key)
 	}
-	return &Pipeline{ctx: ctx, agg: agg, m: m, cfg: cfg, occs: occs, runs: runs}
+	return &Pipeline{ctx: ctx, agg: agg, m: m, cfg: cfg, occs: occs}
 }
 
-// Release hands a streamed build's hop storage back to the pool once
-// its products are built: Occurrences, and any product not yet built,
-// are invalid after it. The products themselves alias none of it. A
-// Monitor window's pipeline holds none; its extractor's Reset recycles
-// the window.
-func (p *Pipeline) Release() { p.runs = releaseChunks(p.runs) }
+// Release ends a one-shot build once its products are built: the
+// extractor, its hop chunks and its scratch go back to their pools for
+// the next build. Occurrences, and any product not yet built, are
+// invalid after it; the products built stay the caller's, as Release
+// detaches what they alias. A Monitor window's pipeline owns no
+// extractor; its extractor's Reset recycles the window.
+func (p *Pipeline) Release() {
+	x := p.own
+	if x == nil {
+		return
+	}
+	p.own, x.model.modelOut = nil, modelOut{}
+	keep := x.agg.events <= maxPooledEvents
+	x.Reset()
+	if keep {
+		extractors.Put(x)
+	}
+}
 
 // Reference reports whether the pipeline was constructed with stability
 // intervals, so Stability is among its products (a current build has 0).
@@ -225,13 +247,15 @@ func (p *Pipeline) Stability(scfg StabilityConfig, full []AppSignature) (map[str
 	starts := p.startsByEdge()
 	n := len(p.agg.segs)
 	intervals := make([][]AppSignature, n)
+	p.m.ivs = resize(p.m.ivs, n)
 	for i := range p.agg.segs {
 		if err := p.ctx.Err(); err != nil {
 			return nil, err
 		}
-		sa := &p.agg.segs[i]
+		sa, iv := &p.agg.segs[i], &p.m.ivs[i]
 		groups := appgroup.DiscoverFromEdges(sa.edges, p.cfg.Special)
-		intervals[i] = buildAppFromStarts(p.ctx, appView{sa.meta, p.agg.edgeIDs, sa.samples}, p.cfg, sliceStarts(starts, sa.meta, i == n-1), groups, new(modelStore))
+		iv.starts = sliceStarts(starts, sa.meta, i == n-1, iv.starts)
+		intervals[i] = buildAppFromStarts(p.ctx, appView{sa.meta, p.agg.edgeIDs, sa.samples}, p.cfg, iv.starts, groups, iv)
 	}
 	return Stabilities(full, intervals, scfg), nil
 }

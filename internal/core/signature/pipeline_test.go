@@ -129,7 +129,7 @@ func TestPartitionByStartBoundaries(t *testing.T) {
 	// boundaries.
 	index := map[Edge][]time.Duration{{Src: "a", Dst: "b"}: starts}
 	for i, m := range metas {
-		if got := sliceStarts(index, m, i == len(metas)-1)[Edge{Src: "a", Dst: "b"}]; len(got) != len(parts[i]) || got[0] != parts[i][0].Start {
+		if got := sliceStarts(index, m, i == len(metas)-1, nil)[Edge{Src: "a", Dst: "b"}]; len(got) != len(parts[i]) || got[0] != parts[i][0].Start {
 			t.Errorf("interval %d: sliced starts %v disagree with partitionByStart (%d from %v)", i, got, len(parts[i]), parts[i][0].Start)
 		}
 	}

@@ -16,7 +16,9 @@ import (
 // the on-disk columnar format and LogSource over a materialized
 // flowlog.Log. Next returns io.EOF after the final batch; a returned
 // slice is only valid until the next call, so consumers must not retain
-// it (events themselves may be copied out freely).
+// it (events themselves may be copied out freely). That leaves a source
+// free to recycle its batch, and to hand its decode state back to a
+// pool at the call that ends the stream, as colseg.Reader does.
 type EventSource interface {
 	Next() ([]flowlog.Event, error)
 	// Bounds returns the covered interval [start, end] — flowlog.Log's
@@ -88,10 +90,6 @@ type segAgg struct {
 	samples [][]removedSample // by edge id
 }
 
-func newSegAgg(start, end time.Duration) segAgg {
-	return segAgg{meta: logMeta{Start: start, End: end}, edges: make(map[Edge]int)}
-}
-
 func (s *segAgg) sample(eid int32, v removedSample) {
 	for int(eid) >= len(s.samples) {
 		s.samples = append(s.samples, nil)
@@ -106,22 +104,30 @@ func (s *segAgg) reset() {
 	}
 }
 
-func newSourceAgg(start, end time.Duration, intervals int, r *appgroup.Resolver) *sourceAgg {
-	a := &sourceAgg{whole: newSegAgg(start, end), r: r, stride: 1, edgeIDs: make(map[Edge]int32), intervals: intervals}
+func newSourceAgg() *sourceAgg {
+	return &sourceAgg{whole: segAgg{edges: make(map[Edge]int)}, edgeIDs: make(map[Edge]int32)}
+}
+
+// bind points an empty fold at its next build: its bounds, intervals
+// and resolver. The interval aggregates of an earlier build are reused,
+// maps and sample slices included.
+func (a *sourceAgg) bind(start, end time.Duration, intervals int, r *appgroup.Resolver) {
+	a.whole.meta, a.r, a.intervals = logMeta{Start: start, End: end}, r, intervals
+	a.stride, a.segs, a.segWidth, a.segErr = 1, a.segs[:0], 0, nil
 	if intervals <= 0 {
-		return a
+		return
 	}
 	segs, err := (&flowlog.Log{Start: start, End: end}).Segment(intervals)
 	if err != nil {
 		a.segErr = err
-		return a
+		return
 	}
 	a.segWidth = (end - start) / time.Duration(intervals)
 	a.stride += len(segs)
-	for _, s := range segs {
-		a.segs = append(a.segs, newSegAgg(s.Start, s.End))
+	a.segs = resize(a.segs, len(segs))
+	for i, s := range segs {
+		a.segs[i].meta, a.segs[i].edges = logMeta{Start: s.Start, End: s.End}, cleared(a.segs[i].edges, 0)
 	}
-	return a
 }
 
 // segIndex maps an event time to its stability interval, mirroring
@@ -205,24 +211,28 @@ func (a *sourceAgg) reset() {
 // stability interval — as events are added, so peak memory is one
 // decoded batch plus the aggregates and the control events (in the
 // extractor's chunks while the source streams, in the occurrences once
-// it ends), never more of the stream than the source itself holds. The span "signature.extract"
-// times the pass; the counter "signature.occurrences" accumulates the
-// episode count. intervals is the caller's role: a reference build (a
-// baseline, whose stability decides which components are comparable)
-// passes its StabilityConfig's IntervalCount and calls Stability with
-// that config; a current build (the side being compared) passes 0,
-// folds no per-interval aggregates, and has no Stability product.
+// it ends), never more of the stream than the source itself holds. The
+// extractor comes from a pool that earlier builds' Release calls fill,
+// and Release hands it back. The span "signature.extract" times the pass;
+// the counter "signature.occurrences" accumulates the episode count.
+// intervals is the caller's role: a reference build (a baseline, whose
+// stability decides which components are comparable) passes its
+// StabilityConfig's IntervalCount and calls Stability with that config;
+// a current build (the side being compared) passes 0, folds no
+// per-interval aggregates, and has no Stability product.
 func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgroup.Resolver, cfg Config, intervals int) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	start, end := src.Bounds()
-	x := NewStreamExtractor(cfg.OccurrenceGap, r, intervals, start, end)
+	x := extractors.Get().(*StreamExtractor).bind(cfg.OccurrenceGap, r, intervals, start, end)
 	sp := obs.Span(ctx, "signature.extract")
 	err := extractFromSource(ctx, src, x)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, err // x is dropped, not pooled half-filled
 	}
-	return newPipeline(ctx, x, cfg, x.g.occs, x.g.flows, x.g.runs), nil
+	p := newPipeline(ctx, x, cfg, x.g.occs, x.g.flows)
+	p.own = x
+	return p, nil
 }
 
 // NewPipelineFromOccurrencesContext builds the pipeline of one Monitor
@@ -235,11 +245,12 @@ func NewPipelineFromSourceContext(ctx context.Context, src EventSource, r *appgr
 // reuse the last window's storage and live until the next build.
 func NewPipelineFromOccurrencesContext(ctx context.Context, x *StreamExtractor, start, end time.Duration, cfg Config, occs []Occurrence) *Pipeline {
 	x.agg.whole.meta = logMeta{Start: start, End: end}
-	return newPipeline(ctx, x, cfg.withDefaults(), occs, x.g.flows[:len(occs)], nil)
+	return newPipeline(ctx, x, cfg.withDefaults(), occs, x.g.flows[:len(occs)])
 }
 
 // extractFromSource drains the source into x, one Add per event, and gathers
-// into x.g, whose runs the pipeline takes; the arena returns on every path.
+// into x.g, whose runs stay there until Pipeline.Release resets x; the arena
+// returns on every path.
 func extractFromSource(ctx context.Context, src EventSource, x *StreamExtractor) error {
 	defer func() { x.arena = releaseChunks(x.arena) }()
 	for {

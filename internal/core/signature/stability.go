@@ -70,13 +70,15 @@ func (s Stability) StableCI(node topology.NodeID) bool { return s.CINodes[node] 
 func Stabilities(full []AppSignature, intervals [][]AppSignature, cfg StabilityConfig) map[string]Stability {
 	cfg = cfg.withDefaults()
 	out := make(map[string]Stability, len(full))
+	var ivSigs []AppSignature
+	var obs []float64 // ciStable's scratch
 	for _, f := range full {
 		st := Stability{
 			CINodes: make(map[topology.NodeID]bool),
 			DDPairs: make(map[EdgePair]bool),
 			PCPairs: make(map[EdgePair]bool),
 		}
-		var ivSigs []AppSignature
+		ivSigs = ivSigs[:0]
 		for _, iv := range intervals {
 			if m, ok := matchGroup(f, iv); ok {
 				ivSigs = append(ivSigs, m)
@@ -84,7 +86,7 @@ func Stabilities(full []AppSignature, intervals [][]AppSignature, cfg StabilityC
 		}
 		st.CGStable = cgStable(f, ivSigs, cfg)
 		for _, node := range f.Group.Nodes {
-			st.CINodes[node] = ciStable(f, ivSigs, node, cfg)
+			st.CINodes[node] = ciStable(f, ivSigs, node, cfg, &obs)
 		}
 		for p := range f.DD {
 			st.DDPairs[p] = ddStable(f, ivSigs, p, cfg)
@@ -133,7 +135,8 @@ func cgStable(f AppSignature, ivs []AppSignature, cfg StabilityConfig) bool {
 	return true
 }
 
-func ciStable(f AppSignature, ivs []AppSignature, node topology.NodeID, cfg StabilityConfig) bool {
+// ciStable aligns each interval's fractions in *scratch.
+func ciStable(f AppSignature, ivs []AppSignature, node topology.NodeID, cfg StabilityConfig, scratch *[]float64) bool {
 	ref, ok := f.CI[node]
 	if !ok || len(ref.Fractions) == 0 {
 		return false
@@ -153,7 +156,9 @@ func ciStable(f AppSignature, ivs []AppSignature, node topology.NodeID, cfg Stab
 		}
 		// Align the interval's fractions to the reference edge order;
 		// edges absent in the interval count as zero.
-		obs := make([]float64, len(ref.Edges))
+		obs := resize(*scratch, len(ref.Edges))
+		*scratch = obs
+		clear(obs)
 		for i, e := range ref.Edges {
 			for j, ge := range got.Edges {
 				if ge == e {

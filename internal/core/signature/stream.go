@@ -2,6 +2,8 @@ package signature
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -73,8 +75,8 @@ type StreamExtractor struct {
 
 // gatherer holds one gather's output: runs back the occurrences' Hops
 // (runUsed slots of the last are taken); flows[i] is occs[i]'s flow id.
-// keys and spans (per flow) and order (per occurrence) are scratch,
-// kept so a Monitor window allocates none.
+// keys and spans (per flow) and order and spare (per occurrence) are
+// scratch, kept so a Monitor window allocates none.
 type gatherer struct {
 	runs    []*eventChunk
 	runUsed int
@@ -83,6 +85,7 @@ type gatherer struct {
 	occs    []Occurrence
 	flows   []int32
 	order   []startAt
+	spare   []startAt
 }
 
 // startAt is one occurrence's sort key: its start, and where it sits in
@@ -97,11 +100,25 @@ type startAt struct {
 // r. A reference build passes its stability interval count and bounds;
 // a Monitor window passes 0 intervals and gets its bounds at flush.
 func NewStreamExtractor(gap time.Duration, r *appgroup.Resolver, intervals int, start, end time.Duration) *StreamExtractor {
+	return (&StreamExtractor{ids: make(map[flowlog.FlowKey]int32), agg: newSourceAgg()}).bind(gap, r, intervals, start, end)
+}
+
+// bind points an empty extractor at its next build.
+func (x *StreamExtractor) bind(gap time.Duration, r *appgroup.Resolver, intervals int, start, end time.Duration) *StreamExtractor {
 	if gap <= 0 {
 		gap = DefaultOccurrenceGap
 	}
-	return &StreamExtractor{gap: gap, ids: make(map[flowlog.FlowKey]int32), agg: newSourceAgg(start, end, intervals, r)}
+	x.gap = gap
+	x.agg.bind(start, end, intervals, r)
+	return x
 }
+
+// extractors holds the empty extractors one-shot builds borrow, and
+// Pipeline.Release hands back unless their build folded more than
+// maxPooledEvents events, so that one huge capture pins nothing.
+var extractors = sync.Pool{New: func() any { return NewStreamExtractor(0, nil, 0, 0, 0) }}
+
+const maxPooledEvents = 1 << 17
 
 // Pending returns the number of control events held since the last
 // Reset or Flush; Events counts added events of every type.
@@ -246,21 +263,26 @@ func resize[T any](s []T, n int) []T {
 }
 
 // sort puts the gathered occurrences, their flow ids alongside, in
-// canonical order: sort 16-byte (start, position) keys, comparing keys
-// only on equal starts, then move every occurrence once, cycle by
-// cycle.
+// canonical order: radix-sort 16-byte (start, position) keys by start,
+// compare keys only within runs of equal start, then move every
+// occurrence once, cycle by cycle.
 func (g *gatherer) sort() {
 	occs, flows := g.occs, g.flows
 	order := resize(g.order, len(occs))
 	for i := range occs {
 		order[i] = startAt{occs[i].Start, int32(i)}
 	}
-	slices.SortFunc(order, func(a, b startAt) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
+	order, g.spare = radixByStart(order, resize(g.spare, len(occs)))
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].start == order[lo].start {
+			hi++
 		}
-		return compareKeys(occs[a.at].Key, occs[b.at].Key)
-	})
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(a, b startAt) int { return compareKeys(occs[a.at].Key, occs[b.at].Key) })
+		}
+		lo = hi
+	}
 	// Slot j takes the occurrence at order[j].at; a placed slot points
 	// at itself.
 	for i := range order {
@@ -281,6 +303,37 @@ func (g *gatherer) sort() {
 		}
 	}
 	g.order = order
+}
+
+const radixBits = 11
+
+// radixByStart stably sorts keys by start with an LSD radix sort, in
+// radixBits digits, of their unsigned offset from the smallest start, so
+// a span wider than int64 still orders, over only the digits the span
+// needs. It returns the sorted keys and the other buffer; spare is as
+// long as keys.
+func radixByStart(keys, spare []startAt) (sorted, other []startAt) {
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+	for _, k := range keys {
+		lo, hi = min(lo, k.start), max(hi, k.start)
+	}
+	for shift := 0; shift < bits.Len64(uint64(hi)-uint64(lo)); shift += radixBits {
+		digit := func(k startAt) uint64 { return (uint64(k.start) - uint64(lo)) >> shift & (1<<radixBits - 1) }
+		var at [1 << radixBits]int32
+		for _, k := range keys {
+			at[digit(k)]++
+		}
+		next := int32(0)
+		for d, n := range at {
+			at[d], next = next, next+n
+		}
+		for _, k := range keys {
+			spare[at[digit(k)]] = k
+			at[digit(k)]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys, spare
 }
 
 // Reset empties the extractor for the next window: every chunk goes

@@ -1,10 +1,12 @@
 package signature
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -260,4 +262,56 @@ func TestOccurrencesAllocatesNoMoreThanReference(t *testing.T) {
 	if got := measure(func() { Occurrences(log, 0) }); got > reference {
 		t.Errorf("Occurrences allocates %d bytes on a 100k-event log, the reference extractor %d", got, reference)
 	}
+}
+
+// TestGatherSortMatchesComparisonSort holds gatherer.sort's radix order
+// to slices.SortFunc with compareOccurrences, each flow id moving with
+// its occurrence: random starts over a wide span, heavy ties, a span of
+// 0, one element, and starts at both ends of int64, whose span overflows
+// int64. Keys are distinct and in no order. One gatherer sorts every
+// case, so its scratch is reused across sizes.
+func TestGatherSortMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var g gatherer
+	check := func(name string, starts []time.Duration) {
+		t.Helper()
+		occs := make([]Occurrence, len(starts))
+		ports := rng.Perm(len(starts))
+		for i, s := range starts {
+			occs[i] = Occurrence{Start: s, Key: flowlog.FlowKey{Proto: 6, Src: addr(byte(ports[i] % 5)), Dst: addr(9), SrcPort: uint16(ports[i]), DstPort: 80}}
+		}
+		want := slices.Clone(occs)
+		slices.SortFunc(want, compareOccurrences)
+		g.occs, g.flows = slices.Clone(occs), make([]int32, len(occs))
+		for i := range g.flows {
+			g.flows[i] = int32(i)
+		}
+		g.sort()
+		for i := range want {
+			if got := g.occs[i]; got.Start != want[i].Start || got.Key != want[i].Key || occs[g.flows[i]].Key != got.Key {
+				t.Fatalf("%s: slot %d holds %v at %v (flow %d), want %v at %v", name, i, got.Key, got.Start, g.flows[i], want[i].Key, want[i].Start)
+			}
+		}
+	}
+	draw := func(n int, f func() time.Duration) []time.Duration {
+		s := make([]time.Duration, n)
+		for i := range s {
+			s[i] = f()
+		}
+		return s
+	}
+	check("random", draw(3000, func() time.Duration { return time.Duration(rng.Int63n(1<<41) - 1<<40) }))
+	check("ties", draw(3000, func() time.Duration { return time.Duration(rng.Intn(8)) * time.Millisecond }))
+	check("span 0", draw(500, func() time.Duration { return 42 * time.Second }))
+	check("one", []time.Duration{-time.Second})
+	check("empty", nil)
+	ends := []time.Duration{math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64 + 1}
+	check("int64 ends", draw(1000, func() time.Duration { return ends[rng.Intn(2)] }))
+	check("int64 ends and between", draw(1000, func() time.Duration {
+		if rng.Intn(2) == 0 {
+			return ends[rng.Intn(len(ends))]
+		}
+		return time.Duration(rng.Int63() - rng.Int63())
+	}))
+	check("random again", draw(200, func() time.Duration { return time.Duration(rng.Int63n(1 << 20)) }))
 }

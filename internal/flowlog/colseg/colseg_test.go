@@ -261,6 +261,138 @@ func TestReaderBatchSizes(t *testing.T) {
 	}
 }
 
+// The reader's decode state is borrowed from a pool and handed back when
+// the stream ends; the tests below pin what a reader keeps after that,
+// and that a reader still streaming keeps its state to itself.
+
+// TestReaderEndsCleanly: after io.EOF the state goes back, another
+// reader decodes on it, and the first reader still answers io.EOF and
+// the same Bounds.
+func TestReaderEndsCleanly(t *testing.T) {
+	ctx := context.Background()
+	l, other := testLog(time.Minute, 1200), testLog(2*time.Minute, 900)
+	raw := encode(t, l, WriterOptions{MaxSegmentEvents: 100})
+	otherRaw := encode(t, other, WriterOptions{MaxSegmentEvents: 100})
+	f := Filter{From: 5 * time.Second, To: 50 * time.Second}
+	r, err := NewReaderContext(ctx, bytes.NewReader(raw), ReaderOptions{Filter: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := r.Bounds()
+	var got []flowlog.Event
+	for {
+		batch, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, batch...)
+	}
+	if !reflect.DeepEqual(got, applyFilter(l.Events, f)) {
+		t.Fatal("filtered read diverges from the in-memory filter")
+	}
+	if !reflect.DeepEqual(readEvents(t, ctx, otherRaw, ReaderOptions{}), other.Events) {
+		t.Error("a read on the state an ended reader handed back diverges from its log")
+	}
+	for range 2 {
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("Next after io.EOF = %v, want io.EOF", err)
+		}
+	}
+	if f2, t2 := r.Bounds(); f2 != from || t2 != to {
+		t.Errorf("Bounds after the end = [%v, %v], want [%v, %v]", f2, t2, from, to)
+	}
+}
+
+// TestReaderErrorStaysSticky: a CRC error in the third segment ends the
+// stream there; after the state goes back and serves another read, the
+// reader returns the same error.
+func TestReaderErrorStaysSticky(t *testing.T) {
+	ctx := context.Background()
+	l := testLog(time.Minute, 1200)
+	raw := encode(t, l, WriterOptions{MaxSegmentEvents: 100})
+	info, err := Inspect(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := headerLen
+	for _, seg := range info.Segments[:2] {
+		off += len(segMagic) + preambleLen + seg.IndexLen + seg.PayloadLen
+	}
+	bad := append([]byte(nil), raw...)
+	bad[off+len(segMagic)+preambleLen+info.Segments[2].IndexLen+1] ^= 0x40
+	r, err := NewReaderContext(ctx, bytes.NewReader(bad), ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for err == nil {
+		_, err = r.Next()
+		served++
+	}
+	if served != 3 || err == io.EOF || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("Next %d ended with %v; want a CRC mismatch at the third segment", served, err)
+	}
+	if !reflect.DeepEqual(readEvents(t, ctx, raw, ReaderOptions{}), l.Events) {
+		t.Error("a read on the state a failed reader handed back diverges from its log")
+	}
+	for range 2 {
+		if _, again := r.Next(); again != err {
+			t.Fatalf("Next after the error = %v, want the same %v", again, err)
+		}
+	}
+}
+
+// TestReaderAbandonedMidStream: a reader left mid-stream keeps its state,
+// so other readers decoding meanwhile neither read nor overwrite it, and
+// an abandoned reader disturbs none after it.
+func TestReaderAbandonedMidStream(t *testing.T) {
+	ctx := context.Background()
+	l, other := testLog(time.Minute, 1200), testLog(2*time.Minute, 900)
+	raw := encode(t, l, WriterOptions{MaxSegmentEvents: 100})
+	otherRaw := encode(t, other, WriterOptions{MaxSegmentEvents: 100})
+	paused, err := NewReaderContext(ctx, bytes.NewReader(raw), ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := paused.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]flowlog.Event(nil), first...)
+	abandoned, err := NewReaderContext(ctx, bytes.NewReader(otherRaw), ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := abandoned.Next(); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if !reflect.DeepEqual(readEvents(t, ctx, otherRaw, ReaderOptions{}), other.Events) {
+			t.Fatal("a read beside a reader left mid-stream diverges from its log")
+		}
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatal("the batch of a reader left mid-stream changed while other readers decoded")
+	}
+	got := want
+	for {
+		batch, err := paused.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, batch...)
+	}
+	if !reflect.DeepEqual(got, l.Events) {
+		t.Error("a reader resumed after other reads diverges from its log")
+	}
+}
+
 // Corruption must surface as a wrapped error from every entry point —
 // never a panic, never an allocation driven by a hostile length field.
 func TestReaderCorruption(t *testing.T) {

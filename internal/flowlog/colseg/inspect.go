@@ -1,7 +1,6 @@
 package colseg
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -50,7 +49,8 @@ type FileInfo struct {
 // exactly what the reader's segment pruning gets to look at. It records
 // no metrics.
 func Inspect(r io.Reader) (*FileInfo, error) {
-	rd := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	rd := &Reader{decodeState: borrow(r)}
+	defer rd.release()
 	if err := rd.open(obs.WithRegistry(context.Background(), nil), ReaderOptions{}); err != nil {
 		return nil, err
 	}

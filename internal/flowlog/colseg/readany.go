@@ -26,9 +26,8 @@ import (
 // The decode state (buffered reader, payload slab, column scratch,
 // switch-name table) is pooled across calls and keeps no view of r.
 func ReadAnyInto(ctx context.Context, r io.Reader, opts ReaderOptions, dst []flowlog.Event) (*flowlog.Log, error) {
-	rd := readers.Get().(*Reader)
+	rd := Reader{decodeState: borrow(r)}
 	defer rd.release()
-	rd.br.Reset(r)
 	switch magic, _ := rd.br.Peek(len(fileMagic)); string(magic) {
 	case fileMagic, retiredMagic:
 		if err := rd.open(ctx, opts); err != nil {

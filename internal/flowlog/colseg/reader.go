@@ -69,62 +69,88 @@ type segMeta struct {
 // segment as one batch. Peak memory is one decoded segment plus
 // its dictionaries; the full event slice is never materialized.
 //
+// Its decode state is borrowed from a pool at open and handed back at
+// the Next that returns io.EOF or an error, or at the end of ReadAll;
+// Bounds and the sticky error need none of it.
+//
 // Metrics land in the obs registry traveling in the constructor's
 // context; see readerMetrics for the counter contract.
 type Reader struct {
-	br    *bufio.Reader
-	reg   *obs.Registry
-	m     readerMetrics
-	opts  ReaderOptions
-	spec  *querySpec
-	start time.Duration
-	end   time.Duration
-	width time.Duration
+	*decodeState // nil once the stream has ended
+	reg          *obs.Registry
+	m            readerMetrics
+	opts         ReaderOptions
+	spec         *querySpec
+	start        time.Duration
+	end          time.Duration
+	width        time.Duration
+	done         bool // no segments left to serve
+	err          error
+}
+
+// decodeState is a reader's working set, reused across segments and,
+// through states, across readers and ReadAnyInto calls.
+type decodeState struct {
+	br *bufio.Reader
 	// names interns switch-name dictionary entries across segments, so
 	// a capture from N switches allocates N strings however many
 	// segments repeat them.
-	names map[string]string
-	// Decode state, reused across segments (and, through readers, across
-	// ReadAnyInto calls).
+	names  map[string]string
 	slab   []byte
 	blocks [numColumns][]byte
 	sc     decodeScratch
 	idxBuf []byte
-	seg    []flowlog.Event
-	done   bool // no segments left to serve
-	err    error
+	seg    []flowlog.Event // the batch Next serves
 }
 
-// maxPooledSlab and maxPooledRows bound the payload slab and per-row
-// scratch a pooled Reader keeps, so one huge capture pins nothing.
+// maxPooledSlab and maxPooledRows bound the payload slab, and the
+// per-row scratch and batch, a pooled state keeps, so one huge capture
+// pins nothing.
 const maxPooledSlab, maxPooledRows = 4 << 20, 1 << 16
 
-var readers = sync.Pool{New: func() any { return &Reader{br: bufio.NewReaderSize(nil, 1<<16), names: make(map[string]string)} }}
+var states = sync.Pool{New: func() any { return &decodeState{br: bufio.NewReaderSize(nil, 1<<16), names: make(map[string]string)} }}
 
-// release hands a ReadAnyInto reader back to readers, keeping its buffers
-// but no view of the request it read.
+// borrow takes a pooled decode state reading from r.
+func borrow(r io.Reader) *decodeState {
+	st := states.Get().(*decodeState)
+	st.br.Reset(r)
+	return st
+}
+
+// release hands the reader's decode state back to states, keeping its
+// buffers but no view of the stream it read. It is a no-op once done.
 func (r *Reader) release() {
-	r.br.Reset(nil)
-	if len(r.names) > 1024 {
-		r.names = make(map[string]string) // a cleared map keeps its buckets
+	st := r.decodeState
+	if st == nil {
+		return
 	}
-	clear(r.names)
-	*r = Reader{br: r.br, names: r.names, slab: r.slab, sc: r.sc, idxBuf: r.idxBuf}
-	if cap(r.slab) > maxPooledSlab {
-		r.slab = nil
+	r.decodeState = nil
+	st.br.Reset(nil)
+	if len(st.names) > 1024 {
+		st.names = make(map[string]string) // a cleared map keeps its buckets
 	}
-	if cap(r.sc.times) > maxPooledRows {
-		r.sc = decodeScratch{}
+	clear(st.names)
+	st.blocks = [numColumns][]byte{}
+	if cap(st.slab) > maxPooledSlab {
+		st.slab = nil
 	}
-	readers.Put(r)
+	if cap(st.sc.times) > maxPooledRows {
+		st.sc = decodeScratch{}
+	}
+	if cap(st.seg) > maxPooledRows {
+		st.seg = nil
+	}
+	states.Put(st)
 }
 
 // NewReaderContext opens an FDC1 stream: the header is read and
 // validated immediately, events decode lazily per Next call. A file of
-// any format version but the current one is rejected here.
+// any format version but the current one is rejected here. The decode
+// state is pooled (see Reader).
 func NewReaderContext(ctx context.Context, r io.Reader, opts ReaderOptions) (*Reader, error) {
-	rd := &Reader{br: bufio.NewReaderSize(r, 1<<16), names: make(map[string]string)}
+	rd := &Reader{decodeState: borrow(r)}
 	if err := rd.open(ctx, opts); err != nil {
+		rd.release()
 		return nil, err
 	}
 	return rd, nil
@@ -171,7 +197,9 @@ func (r *Reader) Bounds() (start, end time.Duration) {
 // Next returns the next decoded segment's events — every event of it
 // the filter keeps, in one batch — and io.EOF after the last one.
 // Segments the filter empties are skipped. The returned slice is only
-// valid until the next call. Errors other than io.EOF are terminal.
+// valid until the next call. Errors other than io.EOF are terminal: the
+// call that returns one hands the decode state back, and every later
+// call returns the same error.
 func (r *Reader) Next() ([]flowlog.Event, error) {
 	for r.err == nil {
 		if r.done {
@@ -182,6 +210,7 @@ func (r *Reader) Next() ([]flowlog.Event, error) {
 			return r.seg, nil
 		}
 	}
+	r.release()
 	return nil, r.err
 }
 
@@ -320,11 +349,13 @@ func (r *Reader) nextSegment(dst []flowlog.Event) ([]flowlog.Event, error) {
 
 // ReadAll drains the reader into an in-memory log covering the file's
 // recorded bounds (or the filter window when one is set), decoding each
-// remaining segment straight onto the end of the log it returns.
+// remaining segment straight onto the end of the log it returns, and
+// hands the decode state back.
 func (r *Reader) ReadAll() (*flowlog.Log, error) { return r.readAll(nil) }
 
 // readAll is ReadAll onto dst[:0].
 func (r *Reader) readAll(dst []flowlog.Event) (*flowlog.Log, error) {
+	defer r.release()
 	start, end := r.Bounds()
 	out := flowlog.New(start, end)
 	out.Events = dst[:0]

@@ -666,13 +666,19 @@ func TestMonitorReportsOutliveTheirWindows(t *testing.T) {
 	}
 }
 
-// TestReleasedBuildAliasesNothing pins the ownership rule of a streamed
-// build: its occurrence hops go back to the shared chunk pool once its
-// signatures exist, so the signatures must alias none of them. Capture
-// A's signatures are kept while two other captures build on the chunks
-// A handed back, and must still equal a fresh build of A; a build
-// canceled mid-stream hands its chunks back too, and the build after it
-// must equal the one made before the cancel.
+// TestReleasedBuildAliasesNothing pins the ownership rule of a one-shot
+// build: its reader's decode state, its extractor and its occurrence
+// hops all go back to pools once its signatures exist, and the next
+// build recycles them. So the signatures must alias none of that
+// storage, and no build may see what an earlier one left. The oracle is
+// a build after two collections, which empty every sync.Pool, so it runs
+// on fresh storage. Capture A's signatures are kept while two other
+// captures build on what A handed back, and must still equal a fresh
+// build of A; wrecked right after they return, they must not change
+// the builds after them. A large capture follows a small one, and the
+// reverse, with the stability interval count changing from 5 to 3. A
+// build canceled mid-stream, and one whose capture is cut off
+// mid-stream, must not change the build after them either.
 func TestReleasedBuildAliasesNothing(t *testing.T) {
 	res, err := RunScenario(Scenario{
 		Seed:   207,
@@ -681,7 +687,6 @@ func TestReleasedBuildAliasesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := res.Options()
 	var captures [3][]byte
 	for i, l := range []*Log{res.L1, res.L2, res.L1.Filter(func(e flowlog.Event) bool { return e.Time >= res.L1.End/2 })} {
 		var buf bytes.Buffer
@@ -691,30 +696,63 @@ func TestReleasedBuildAliasesNothing(t *testing.T) {
 		}
 		captures[i] = buf.Bytes()
 	}
-	build := func(ctx context.Context, i int) (*Signatures, error) {
-		src, err := NewColumnarSourceOptions(context.Background(), bytes.NewReader(captures[i]), ColumnarOptions{})
+	cut := captures[1][:len(captures[1])/2]
+	build := func(ctx context.Context, capture []byte, intervals int) (*Signatures, error) {
+		src, err := NewColumnarSourceOptions(context.Background(), bytes.NewReader(capture), ColumnarOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		opts := res.Options()
+		opts.Stability.Intervals = intervals
 		return BuildSignaturesReader(ctx, src, opts)
 	}
-	mustBuild := func(i int) *Signatures {
-		sigs, err := build(context.Background(), i)
+	mustBuild := func(i, intervals int) *Signatures {
+		t.Helper()
+		sigs, err := build(context.Background(), captures[i], intervals)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sigs
 	}
-	a := mustBuild(0)
-	b, c := mustBuild(1), mustBuild(2)
-	if !reflect.DeepEqual(a, mustBuild(0)) {
-		t.Error("capture A's signatures changed while later builds reused its chunks: they alias pooled memory")
+	fresh := func(i, intervals int) *Signatures {
+		t.Helper()
+		runtime.GC()
+		runtime.GC()
+		return mustBuild(i, intervals)
 	}
-	if _, err := build(&cancelAfter{Context: context.Background(), n: 1}, 1); !errors.Is(err, ErrCanceled) {
+	const large, small = 0, 2
+	large3, small3 := fresh(large, 3), fresh(small, 3)
+	a, b, c := fresh(0, 5), fresh(1, 5), fresh(2, 5)
+
+	kept := mustBuild(0, 5)
+	mustBuild(1, 5)
+	mustBuild(2, 5)
+	if !reflect.DeepEqual(kept, a) {
+		t.Error("capture A's signatures changed while later builds reused its storage: they alias pooled memory")
+	}
+	wreck(mustBuild(0, 5))
+	if b2, c2 := mustBuild(1, 5), mustBuild(2, 5); !reflect.DeepEqual(b2, b) || !reflect.DeepEqual(c2, c) {
+		t.Error("wrecking capture A's signatures changed the builds after it")
+	}
+	mustBuild(small, 5)
+	if !reflect.DeepEqual(mustBuild(large, 3), large3) {
+		t.Error("a large capture's build with 3 intervals after a small one's with 5 differs from a fresh build")
+	}
+	mustBuild(large, 5)
+	if !reflect.DeepEqual(mustBuild(small, 3), small3) {
+		t.Error("a small capture's build with 3 intervals after a large one's with 5 differs from a fresh build")
+	}
+	if _, err := build(&cancelAfter{Context: context.Background(), n: 1}, captures[1], 5); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-stream cancel: err %v; want ErrCanceled", err)
 	}
-	if !reflect.DeepEqual(mustBuild(1), b) || !reflect.DeepEqual(mustBuild(2), c) {
-		t.Error("a build after a canceled one differs from the same build made before it")
+	if !reflect.DeepEqual(mustBuild(1, 5), b) {
+		t.Error("a build after a canceled one differs from a fresh build")
+	}
+	if _, err := build(context.Background(), cut, 5); !errors.Is(err, ErrBadLog) {
+		t.Fatalf("capture cut off mid-stream: err %v; want ErrBadLog", err)
+	}
+	if !reflect.DeepEqual(mustBuild(2, 5), c) {
+		t.Error("a build after a failed one differs from a fresh build")
 	}
 }
 

@@ -18,7 +18,8 @@ type Event = flowlog.Event
 // input of the modeling phase. colseg.Reader implements it over the
 // on-disk columnar format, so signatures can be built from a 100M-event
 // capture without ever holding its event slice in memory; an in-memory
-// Log enters through BuildSignatures as a single batch.
+// Log enters through BuildSignatures as a single batch. A batch is only
+// valid until the next call: a columnar source recycles its storage.
 type EventSource = signature.EventSource
 
 // ReadFilter restricts a columnar read to a query's events: a time
@@ -62,7 +63,8 @@ func NewColumnarSourceOptions(ctx context.Context, r io.Reader, o ColumnarOption
 // sized by Options.Stability — is folded in during the same pass; the
 // application, infrastructure, and stability builds then run in turn.
 // Beyond what the source itself holds, peak memory is one batch plus
-// the aggregates and occurrences.
+// the aggregates and occurrences, all of it pooled storage that earlier
+// builds handed back; what the returned Signatures hold is the caller's.
 //
 // The result depends only on the event sequence, not on its batching
 // (an unsorted log serializes to colseg in sorted order, so a capture's
